@@ -39,6 +39,7 @@ CSV_COLUMNS = [
 ]
 
 CONE_CHOICES = "full, punctured, complement-sigma0, half-space, band:<theta1>:<theta2>"
+FORMAT_CHOICES = ("json", "csv")
 
 
 def parse_cone(text: str) -> ConeSpec:
@@ -222,9 +223,13 @@ def cmd_verify(config: RunConfig) -> list[ReportRow]:
 
     The delta row fails (status solver_fail) if the trace does not approach
     the reference quadratically or the extrapolated limit misses it; the h
-    row fails if the strip energy decays slower than h^(1-p).
+    row fails if the strip energy decays slower than h^(1-p).  Repeated
+    --deltas or --hs values are malformed input (ValueError).
     """
     params, cone = config.single()
+    for flag, values in (("--deltas", config.delta_list), ("--hs", config.h_list)):
+        if len(set(values)) != len(values):
+            raise ValueError(f"{flag} values must be distinct, got {','.join(map(str, values))}")
     rows: list[ReportRow] = []
 
     row = _base_row("verify", params, cone, config.mesh_size)
@@ -428,7 +433,7 @@ def build_parser() -> argparse.ArgumentParser:
                          help="table: anchor dimensions n (d = n+1)")
         cmd.add_argument("--cs-s", dest="cs_s", type=_float_list, default=(0.25, 0.5, 0.75),
                          help="table: fractional orders s (a = 1-2s)")
-        cmd.add_argument("--format", choices=("json", "csv"), default="json")
+        cmd.add_argument("--format", choices=FORMAT_CHOICES, default="json")
         cmd.add_argument("--out", dest="output_path", default=None)
         cmd.add_argument("--config", dest="config_path", default=None,
                          help="JSON file of defaults; explicit flags override it")
@@ -465,6 +470,8 @@ def _apply_config_file(argv: list[str], namespace: argparse.Namespace) -> argpar
         if flag_of[key] in given:
             continue  # explicit flag wins
         setattr(namespace, key, casts[key](value))
+    if namespace.format not in FORMAT_CHOICES:
+        raise ValueError(f"format must be one of {', '.join(FORMAT_CHOICES)}, got {namespace.format!r}")
     return namespace
 
 

@@ -99,6 +99,7 @@ def _gauss_jacobi(n: int, alpha: float, beta: float) -> tuple[np.ndarray, np.nda
 
 
 def _panel(weight: AngularWeight, th1: float, th2: float, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Gauss-Jacobi rule on a panel touching theta = 0 or pi/2 (or both)."""
     alpha = weight.cos_exponent
     beta = weight.sin_exponent
     at0 = th1 == 0.0
@@ -117,15 +118,11 @@ def _panel(weight: AngularWeight, th1: float, th2: float, n: int) -> tuple[np.nd
         u = 0.5 * L * (1.0 + x)
         w = wx * (0.5 * L) ** (alpha + 1.0) * np.sinc(u / math.pi) ** alpha * np.cos(u) ** beta
         theta = HALF_PI - u
-    elif at0:
+    else:
         L = th2
         x, wx = _gauss_jacobi(n, 0.0, beta)
         theta = 0.5 * L * (1.0 + x)
         w = wx * (0.5 * L) ** (beta + 1.0) * np.sinc(theta / math.pi) ** beta * np.cos(theta) ** alpha
-    else:
-        x, wx = _gauss_jacobi(n, 0.0, 0.0)
-        theta = th1 + 0.5 * (th2 - th1) * (1.0 + x)
-        w = wx * 0.5 * (th2 - th1) * np.sin(HALF_PI - theta) ** alpha * np.sin(theta) ** beta
     idx = np.argsort(theta)
     return theta[idx], w[idx]
 
@@ -146,29 +143,44 @@ def build_rule(
         raise ValueError(f"interval must satisfy 0 <= theta1 < theta2 <= pi/2, got {interval}")
     if n < 1:
         raise ValueError("need at least one node")
-    _check_integrable(weight, th2)
-    theta, w = _panel(weight, th1, th2, n)
-    return QuadratureRule(nodes=theta, weights=w, theta1=th1, theta2=th2, order=n)
+    return composite_rule(weight, (th1, th2), n)
 
 
 def composite_rule(
     weight: AngularWeight, mesh: Sequence[float] | np.ndarray, n_per_panel: int = DEFAULT_PANEL_ORDER
 ) -> QuadratureRule:
-    """Panel-by-panel rule over a mesh; exact for piecewise-linear functions."""
+    """Panel-by-panel rule over a mesh; exact for piecewise-linear functions.
+
+    Interior panels share one Gauss-Legendre rule, broadcast over panels with
+    the smooth weight in the integrand; only the panels touching theta = 0 or
+    pi/2 are built one at a time (Gauss-Jacobi).
+    """
     mesh = np.asarray(mesh, dtype=float)
     if mesh.ndim != 1 or mesh.size < 2 or np.any(np.diff(mesh) <= 0):
         raise ValueError("mesh must be a strictly increasing 1-D array")
     _check_integrable(weight, float(mesh[-1]))
-    nodes = np.empty((mesh.size - 1, n_per_panel))
+    n_el = mesh.size - 1
+    first = 1 if mesh[0] == 0.0 else 0
+    last = n_el - 1 if mesh[-1] == HALF_PI else n_el
+    lo, hi = mesh[first:last, None], mesh[first + 1 : last + 1, None]
+    x, wx = _gauss_jacobi(n_per_panel, 0.0, 0.0)
+    nodes = np.empty((n_el, n_per_panel))
     weights = np.empty_like(nodes)
-    for e in range(mesh.size - 1):
-        nodes[e], weights[e] = _panel(weight, mesh[e], mesh[e + 1], n_per_panel)
+    theta = lo + 0.5 * (hi - lo) * (1.0 + x)
+    nodes[first:last] = theta
+    weights[first:last] = (
+        wx * 0.5 * (hi - lo) * np.sin(HALF_PI - theta) ** weight.cos_exponent
+        * np.sin(theta) ** weight.sin_exponent
+    )
+    for e in {0, n_el - 1}:
+        if mesh[e] == 0.0 or mesh[e + 1] == HALF_PI:
+            nodes[e], weights[e] = _panel(weight, mesh[e], mesh[e + 1], n_per_panel)
     return QuadratureRule(
         nodes=nodes.ravel(),
         weights=weights.ravel(),
         theta1=float(mesh[0]),
         theta2=float(mesh[-1]),
-        order=n_per_panel * (mesh.size - 1),
+        order=n_per_panel * n_el,
     )
 
 

@@ -32,7 +32,7 @@ from .params import (
     hardy_exponent,
     require_admissible,
 )
-from .quadrature import DEFAULT_PANEL_ORDER, AngularWeight, _panel
+from .quadrature import AngularWeight, composite_rule
 
 HALF_PI = math.pi / 2
 
@@ -170,69 +170,10 @@ def _auto_gamma(params: HardyParams, domain: AngularDomain, n: int) -> float:
     return min(max(2.0, 2.4 / max(s, 0.05)), grading_cap(n))
 
 
-def _element_rules(
-    weight: AngularWeight, mesh: np.ndarray, nq: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """Per-element quadrature nodes and weights, shape (n_elements, nq)."""
-    n = mesh.size - 1
-    theta = np.empty((n, nq))
-    w = np.empty((n, nq))
-    for e in range(n):
-        theta[e], w[e] = _panel(weight, mesh[e], mesh[e + 1], nq)
-    return theta, w
-
-
 def _free_slice(domain: AngularDomain, n_nodes: int) -> slice:
     lo = 1 if domain.bc1 is DIRICHLET else 0
     hi = n_nodes - 1 if domain.bc2 is DIRICHLET else n_nodes
     return slice(lo, hi)
-
-
-def assemble_p2(
-    params: HardyParams,
-    domain: AngularDomain,
-    mesh_size: int,
-    grading: float | None = None,
-    quad_order: int = DEFAULT_PANEL_ORDER,
-) -> tuple[sp.csc_matrix, sp.csc_matrix, np.ndarray]:
-    """P1 finite-element matrices of the weighted eigenproblem.
-
-    Returns (stiffness, mass, mesh) with stiffness[i,j] = int w phi_i' phi_j',
-    mass[i,j] = int w phi_i phi_j; Dirichlet endpoint rows/columns are
-    eliminated, so the matrices act on the free nodes of the returned mesh.
-    """
-    if mesh_size < 16:
-        raise ValueError("mesh_size must be at least 16")
-    if domain.theta2 == HALF_PI and params.k + params.a <= 0:
-        raise ValueError("weight not integrable up to pi/2 (needs k+a > 0)")
-    gamma = _auto_gamma(params, domain, mesh_size) if grading is None else grading
-    mesh = graded_mesh(domain.theta1, domain.theta2, mesh_size, gamma)
-    weight = AngularWeight.for_params(params)
-    theta_q, w_q = _element_rules(weight, mesh, quad_order)
-    h = np.diff(mesh)
-    n1 = (mesh[1:, None] - theta_q) / h[:, None]
-    n2 = (theta_q - mesh[:-1, None]) / h[:, None]
-    w0 = w_q.sum(axis=1)
-
-    n_nodes = mesh.size
-    stiff_diag = np.zeros(n_nodes)
-    stiff_off = -w0 / h**2
-    stiff_diag[:-1] += w0 / h**2
-    stiff_diag[1:] += w0 / h**2
-    mass_diag = np.zeros(n_nodes)
-    mass_diag[:-1] += (w_q * n1 * n1).sum(axis=1)
-    mass_diag[1:] += (w_q * n2 * n2).sum(axis=1)
-    mass_off = (w_q * n1 * n2).sum(axis=1)
-
-    free = _free_slice(domain, n_nodes)
-    lo, hi = free.start, free.stop
-    stiffness = sp.diags(
-        [stiff_off[lo : hi - 1], stiff_diag[lo:hi], stiff_off[lo : hi - 1]], [-1, 0, 1], format="csc"
-    )
-    mass = sp.diags(
-        [mass_off[lo : hi - 1], mass_diag[lo:hi], mass_off[lo : hi - 1]], [-1, 0, 1], format="csc"
-    )
-    return stiffness, mass, mesh
 
 
 def smallest_eigenpair(
@@ -308,31 +249,53 @@ def _expand_free(domain: AngularDomain, mesh: np.ndarray, v: np.ndarray) -> np.n
     return full
 
 
-class _PQuotient:
-    """Discrete quotient Q(phi) with analytic nodal gradient."""
+class _Discretization:
+    """P1 elements on the graded mesh of one solve, with per-element quadrature.
 
-    def __init__(
-        self,
-        params: HardyParams,
-        domain: AngularDomain,
-        mesh: np.ndarray,
-        quad_order: int = DEFAULT_PANEL_ORDER,
-    ):
-        weight = AngularWeight.for_params(params)
-        theta_q, w_q = _element_rules(weight, mesh, quad_order)
-        h = np.diff(mesh)
+    Built once per solve: the mesh, one composite rule reshaped to
+    (n_elements, nq), the shape values n1, n2 at its nodes and the Dirichlet
+    mask.  The p = 2 matrices and the discrete quotient Q(phi) with its
+    analytic nodal gradient are sums over these nodes and weights.
+    """
+
+    def __init__(self, params: HardyParams, domain: AngularDomain, mesh_size: int):
+        if mesh_size < 16:
+            raise ValueError("mesh_size must be at least 16")
+        if domain.theta2 == HALF_PI and params.k + params.a <= 0:
+            raise ValueError("weight not integrable up to pi/2 (needs k+a > 0)")
+        gamma = _auto_gamma(params, domain, mesh_size)
+        mesh = graded_mesh(domain.theta1, domain.theta2, mesh_size, gamma)
+        rule = composite_rule(AngularWeight.for_params(params), mesh)
+        theta_q = rule.nodes.reshape(mesh_size, -1)
         self.mesh = mesh
-        self.h = h
+        self.h = h = np.diff(mesh)
         self.n1 = (mesh[1:, None] - theta_q) / h[:, None]
         self.n2 = (theta_q - mesh[:-1, None]) / h[:, None]
-        self.w = w_q
+        self.w = rule.weights.reshape(mesh_size, -1)
         self.p = params.p
         self.H2 = hardy_exponent(params).H ** 2
-        self.mask = np.ones(mesh.size)
-        if domain.bc1 is DIRICHLET:
-            self.mask[0] = 0.0
-        if domain.bc2 is DIRICHLET:
-            self.mask[-1] = 0.0
+        self.free = _free_slice(domain, mesh.size)
+        self.mask = np.zeros(mesh.size)
+        self.mask[self.free] = 1.0
+
+    def p2_matrices(self) -> tuple[sp.csc_matrix, sp.csc_matrix]:
+        """Stiffness int w phi_i' phi_j' and mass int w phi_i phi_j on the free nodes."""
+        w = self.w
+        stiff = w.sum(axis=1) / self.h**2
+        stiff_diag = np.zeros(self.mesh.size)
+        stiff_diag[:-1] += stiff
+        stiff_diag[1:] += stiff
+        mass_diag = np.zeros(self.mesh.size)
+        mass_diag[:-1] += (w * self.n1 * self.n1).sum(axis=1)
+        mass_diag[1:] += (w * self.n2 * self.n2).sum(axis=1)
+        mass_off = (w * self.n1 * self.n2).sum(axis=1)
+
+        lo, hi = self.free.start, self.free.stop
+
+        def tridiagonal(diag: np.ndarray, off: np.ndarray) -> sp.csc_matrix:
+            return sp.diags([off[lo : hi - 1], diag[lo:hi], off[lo : hi - 1]], [-1, 0, 1], format="csc")
+
+        return tridiagonal(stiff_diag, -stiff), tridiagonal(mass_diag, mass_off)
 
     def _fields(self, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         phi = v[:-1, None] * self.n1 + v[1:, None] * self.n2
@@ -376,6 +339,20 @@ class _PQuotient:
         return v / den ** (1.0 / self.p)
 
 
+def assemble_p2(
+    params: HardyParams, domain: AngularDomain, mesh_size: int
+) -> tuple[sp.csc_matrix, sp.csc_matrix, np.ndarray]:
+    """P1 finite-element matrices of the weighted eigenproblem.
+
+    Returns (stiffness, mass, mesh) with stiffness[i,j] = int w phi_i' phi_j',
+    mass[i,j] = int w phi_i phi_j on the graded mesh of mesh_size elements;
+    Dirichlet endpoint rows/columns are eliminated, so the matrices act on the
+    free nodes of the returned mesh.
+    """
+    disc = _Discretization(params, domain, mesh_size)
+    return (*disc.p2_matrices(), disc.mesh)
+
+
 def default_init(params: HardyParams, domain: AngularDomain, mesh: np.ndarray) -> np.ndarray:
     """Profile cos^max(0, 2-(k+a)) adjusted to the Dirichlet data."""
     s = max(0.0, 2.0 - (params.k + params.a))
@@ -395,8 +372,6 @@ def minimize_rayleigh_p(
     tol: float = 1e-9,
     grad_tol: float = 1e-6,
     max_iter: int = 100_000,
-    grading: float | None = None,
-    quad_order: int = DEFAULT_PANEL_ORDER,
 ) -> SpectralResult:
     """Minimize the discrete quotient by projected gradient descent.
 
@@ -405,19 +380,21 @@ def minimize_rayleigh_p(
     search; iterates are clamped to the nonnegative cone and renormalized to
     unit weighted p-norm.  Stops when the relative decrease of Q over an
     iteration drops below tol and the metric gradient norm below grad_tol.
+    The mesh has mesh_size elements, graded toward pi/2 to match the
+    boundary layer there.
     """
-    stiffness, mass, mesh = assemble_p2(params, domain, mesh_size, grading, quad_order)
-    pq = _PQuotient(params, domain, mesh, quad_order)
-    precond = spla.splu((stiffness + (1.0 + pq.H2) * mass).tocsc()).solve
-    free = _free_slice(domain, mesh.size)
+    disc = _Discretization(params, domain, mesh_size)
+    stiffness, mass = disc.p2_matrices()
+    mesh, free = disc.mesh, disc.free
+    precond = spla.splu((stiffness + (1.0 + disc.H2) * mass).tocsc()).solve
 
     if init is None:
         v = _default_start(params, domain, mesh, stiffness, mass)
     else:
         v = init(mesh)
-    v = pq.normalize(v.astype(float))
+    v = disc.normalize(v.astype(float))
 
-    q, g = pq.value_grad(v)
+    q, g = disc.value_grad(v)
     eta = 1.0
     iterations = 0
     grad_norm = math.inf
@@ -433,8 +410,8 @@ def minimize_rayleigh_p(
         grad_norm = math.sqrt(slope) / max(abs(q), 1e-300)
         accepted = False
         for _ in range(60):
-            trial = pq.normalize(v - eta * direction)
-            q_trial = pq.value(trial)
+            trial = disc.normalize(v - eta * direction)
+            q_trial = disc.value(trial)
             if q_trial < q - 1e-4 * eta * slope:
                 accepted = True
                 break
@@ -443,7 +420,7 @@ def minimize_rayleigh_p(
             break  # stagnation at the line-search floor: descent exhausted
         rel_dec = (q - q_trial) / max(abs(q), 1e-300)
         v = trial
-        q, g = pq.value_grad(v)
+        q, g = disc.value_grad(v)
         trace.append(q)
         eta = min(eta * 1.5, 4.0)
         if rel_dec < tol and grad_norm < grad_tol:
@@ -486,27 +463,27 @@ def solve_M(
     params: HardyParams,
     cone: ConeSpec,
     mesh_size: int = 512,
-    grading: float | None = None,
-    quad_order: int = DEFAULT_PANEL_ORDER,
     eigen_tol: float = 1e-10,
     init: DiscretizedFunction | None = None,
 ) -> SpectralResult:
-    """Spherical minimum M of the cone: eigensolve for p = 2, descent otherwise."""
+    """Spherical minimum M of the cone: eigensolve for p = 2, descent otherwise.
+
+    Both paths discretize once, on a mesh of mesh_size elements graded toward
+    pi/2; init seeds the descent (p != 2).
+    """
     domain = bc_for_cone(params, cone)
     exponent = hardy_exponent(params)
     if params.p != 2:
-        return minimize_rayleigh_p(
-            params, domain, mesh_size, init=init, grading=grading, quad_order=quad_order
-        )
-    stiffness, mass, mesh = assemble_p2(params, domain, mesh_size, grading, quad_order)
+        return minimize_rayleigh_p(params, domain, mesh_size, init=init)
+    disc = _Discretization(params, domain, mesh_size)
+    stiffness, mass = disc.p2_matrices()
     lam, vec = smallest_eigenpair(stiffness, mass, tol=eigen_tol)
-    pq = _PQuotient(params, domain, mesh, quad_order)
-    values = pq.normalize(_expand_free(domain, mesh, vec))
+    values = disc.normalize(_expand_free(domain, disc.mesh, vec))
     residual = float(np.linalg.norm(stiffness @ vec - lam * (mass @ vec)))
     return SpectralResult(
         M=lam + exponent.H**2,
         lam=lam,
-        minimizer=DiscretizedFunction(mesh, values),
+        minimizer=DiscretizedFunction(disc.mesh, values),
         iterations=0,
         residual=residual,
     )

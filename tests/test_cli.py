@@ -246,6 +246,22 @@ class TestMainEntry:
         )
         assert json.loads(out)["rows"][0]["d"] == 5
 
+    def test_config_file_format_outside_choices_rejected(self, tmp_path, capsys):
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps({"format": "xml"}))
+        code, out, err = run_cli(capsys, "constant", "--mesh", "64", "--config", str(cfg))
+        assert code == 2 and out == ""
+        assert json.loads(err)["error"]["type"] == "ValueError"
+
+    @pytest.mark.parametrize("flags", [
+        ("--deltas", "0.1,0.1"),
+        ("--a", "1", "--hs", "4,4"),
+    ])
+    def test_verify_repeated_points_rejected(self, capsys, flags):
+        code, out, err = run_cli(capsys, "verify", "--d", "3", "--k", "1", "--mesh", "64", *flags)
+        assert code == 2 and out == ""
+        assert "distinct" in json.loads(err)["error"]["message"]
+
     def test_gap_tolerance_drives_exit_code(self, capsys):
         args = [
             "constant", "--d", "3", "--k", "1", "--p", "2", "--a", "0.5",

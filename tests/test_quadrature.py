@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from scipy.special import betaln
+from scipy.special import betaln, roots_legendre
 
 from hardycone.params import ConeSpec, HardyParams
 from hardycone.quadrature import (
@@ -122,8 +122,30 @@ class TestBuildRule:
 class TestCompositeRule:
     def test_matches_single_panel(self):
         weight = weight_for(5, 2, 0.4)
-        mesh = np.concatenate([[0.0], np.sort(np.random.default_rng(5).uniform(0.05, 1.5, 17)), [HALF_PI]])
-        rule = composite_rule(weight, mesh, 12)
+        interior = np.sort(np.random.default_rng(5).uniform(0.05, 1.5, 17))
+        meshes = [
+            np.concatenate([[0.0], interior, [HALF_PI]]),  # both singular ends
+            interior,  # band: no end panel
+            np.array([0.0, HALF_PI]),  # one panel, Jacobi in t = cos(2 theta)
+            np.array([0.0, 0.8, HALF_PI]),  # two end panels, no interior one
+        ]
+        for mesh in meshes:
+            rule = composite_rule(weight, mesh, 12)
+            nodes = rule.nodes.reshape(mesh.size - 1, 12)
+            weights = rule.weights.reshape(mesh.size - 1, 12)
+            for e in range(mesh.size - 1):
+                single = build_rule(weight, (mesh[e], mesh[e + 1]), 12)
+                assert np.array_equal(nodes[e], single.nodes)
+                assert np.array_equal(weights[e], single.weights)
+        # build_rule broadcasts too: interior panels against the per-panel Gauss-Legendre formula
+        x, wx = roots_legendre(12)
+        for th1, th2 in zip(interior[:-1], interior[1:]):
+            theta = th1 + 0.5 * (th2 - th1) * (1.0 + x)
+            w = wx * 0.5 * (th2 - th1) * np.cos(theta) ** 1.4 * np.sin(theta) ** 2.0
+            single = build_rule(weight, (th1, th2), 12)
+            assert np.array_equal(single.nodes, theta)
+            np.testing.assert_allclose(single.weights, w, rtol=1e-14)
+        rule = composite_rule(weight, meshes[0], 12)
         assert rule.weights.sum() == pytest.approx(beta_mass(5, 2, 0.4), rel=1e-11)
         assert np.all(rule.weights > 0)
         assert np.all(np.diff(rule.nodes) > 0)

@@ -7,6 +7,7 @@ import pytest
 import scipy.linalg as sla
 import scipy.sparse as sp
 
+import hardycone.spherical as spherical
 from hardycone.params import (
     AdmissibilityError,
     ConeSpec,
@@ -14,6 +15,7 @@ from hardycone.params import (
     cone_admissible,
     hardy_exponent,
 )
+from hardycone.quadrature import composite_rule
 from hardycone.spherical import (
     DIRICHLET,
     NATURAL,
@@ -219,6 +221,18 @@ class TestSolveM:
         assert result.M == pytest.approx(2.25, rel=1e-5)
         assert result.lam == pytest.approx(2.0, rel=2e-5)
         assert result.M == result.lam + 0.25
+
+    @pytest.mark.parametrize("p", [2.0, 1.5])
+    def test_one_rule_build_per_solve(self, monkeypatch, p):
+        rule_builds = []
+
+        def counting_rule(*args, **kwargs):
+            rule_builds.append(args)
+            return composite_rule(*args, **kwargs)
+
+        monkeypatch.setattr(spherical, "composite_rule", counting_rule)
+        solve_M(HardyParams(3, 1, p, 0.3, 0.0), ConeSpec.complement_sigma0(), 64)
+        assert len(rule_builds) == 1
 
     def test_punctured_constant_minimizer(self):
         params = HardyParams(4, 2, 2.0, 0.7, -0.3)
