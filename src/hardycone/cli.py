@@ -17,7 +17,8 @@ import os
 import sys
 import tempfile
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import asdict, dataclass, fields, replace
+from dataclasses import MISSING, dataclass, fields, replace
+from itertools import product
 
 from .params import (
     AdmissibilityError,
@@ -26,17 +27,10 @@ from .params import (
     closed_form_constant,
     cone_admissible,
 )
-from .spherical import ConvergenceError, solve_M
+from .spherical import MIN_MESH_SIZE, ConvergenceError, solve_M
 from .verifier import cutoff_decay, evaluate_quotient_udelta
 
 SCHEMA_VERSION = 1
-
-CSV_COLUMNS = [
-    "command", "d", "k", "p", "a", "b", "cone", "mesh",
-    "closed_form", "numeric_M", "lambda", "gap",
-    "extrapolated", "fit_order", "fit_rate",
-    "iterations", "residual", "status", "trace",
-]
 
 CONE_CHOICES = "full, punctured, complement-sigma0, half-space, band:<theta1>:<theta2>"
 FORMAT_CHOICES = ("json", "csv")
@@ -60,26 +54,42 @@ def parse_cone(text: str) -> ConeSpec:
         raise ValueError(f"unknown cone {text!r}; choices: {CONE_CHOICES}") from None
 
 
+def _lists(value):  # field value -> JSON value: tuples, also nested ones, become lists
+    return [_lists(v) for v in value] if isinstance(value, tuple) else value
+
+
+def _tuples(value):  # the inverse of _lists
+    return tuple(_tuples(v) for v in value) if isinstance(value, list) else value
+
+
 @dataclass(frozen=True)
 class RunConfig:
-    """Validated invocation: command, parameter grid, cones, and output policy."""
+    """Validated invocation; the field names are the config keys, the defaults the CLI's."""
 
     command: str
-    d: tuple[int, ...]
-    k: tuple[int, ...]
-    p: tuple[float, ...]
-    a: tuple[float, ...]
-    b: tuple[float, ...]
-    cones: tuple[str, ...]
+    d: tuple[int, ...] = (3,)
+    k: tuple[int, ...] = (1,)
+    p: tuple[float, ...] = (2.0,)
+    a: tuple[float, ...] = (0.0,)
+    b: tuple[float, ...] = (0.0,)
+    cones: tuple[str, ...] = ("complement-sigma0",)
     mesh_size: int = 512
-    delta_list: tuple[float, ...] = ()
+    delta_list: tuple[float, ...] = (0.2, 0.1, 0.05)
     h_list: tuple[int, ...] = ()
-    cs_n: tuple[int, ...] = ()
-    cs_s: tuple[float, ...] = ()
+    cs_n: tuple[int, ...] = (2, 3)
+    cs_s: tuple[float, ...] = (0.25, 0.5, 0.75)
     output_path: str | None = None
     format: str = "json"
     jobs: int = 1
     tol: float = 1e-3
+
+    def __post_init__(self):
+        if self.mesh_size < MIN_MESH_SIZE:
+            raise ValueError(f"mesh_size must be at least {MIN_MESH_SIZE}, got {self.mesh_size}")
+        if self.jobs < 1:
+            raise ValueError(f"jobs must be at least 1, got {self.jobs}")
+        if not self.tol >= 0.0:
+            raise ValueError(f"tol must be non-negative, got {self.tol}")
 
     def single(self) -> tuple[HardyParams, ConeSpec]:
         for name in ("d", "k", "p", "a", "b", "cones"):
@@ -90,21 +100,24 @@ class RunConfig:
         return params, parse_cone(self.cones[0])
 
     def cells(self) -> list[tuple[HardyParams, ConeSpec]]:
+        """The grid's cells with 1 <= k < d on an admissible cone, in grid order."""
         out = []
-        for d in self.d:
-            for k in self.k:
-                if not 1 <= k < d:
-                    continue
-                for p in self.p:
-                    for a in self.a:
-                        for b in self.b:
-                            for cone in self.cones:
-                                out.append((HardyParams(d, k, p, a, b), parse_cone(cone)))
+        for d, k, p, a, b, cone in product(self.d, self.k, self.p, self.a, self.b, self.cones):
+            if not 1 <= k < d:
+                continue
+            params, spec = HardyParams(d, k, p, a, b), parse_cone(cone)
+            try:
+                if cone_admissible(params, spec).cone_admissible:
+                    out.append((params, spec))
+            except ValueError:  # structurally invalid combination, e.g. half-space with k != 1
+                pass
         return out
 
     def to_dict(self) -> dict:
-        doc = asdict(self)
-        return {key: list(val) if isinstance(val, tuple) else val for key, val in doc.items()}
+        return {f.name: _lists(getattr(self, f.name)) for f in fields(self)}
+
+
+RUN_DEFAULTS = {f.name: f.default for f in fields(RunConfig) if f.default is not MISSING}
 
 
 @dataclass(frozen=True)
@@ -130,33 +143,15 @@ class ReportRow:
     quotient_trace: tuple[tuple[float, float], ...] = ()
 
     def to_dict(self) -> dict:
-        return {
-            "command": self.command,
-            "d": self.d, "k": self.k, "p": self.p, "a": self.a, "b": self.b,
-            "cone": self.cone, "mesh": self.mesh,
-            "closed_form": self.closed_form, "numeric_M": self.numeric_M,
-            "lambda": self.lam, "gap": self.gap,
-            "extrapolated": self.extrapolated,
-            "fit_order": self.fit_order, "fit_rate": self.fit_rate,
-            "iterations": self.iterations, "residual": self.residual,
-            "status": self.status,
-            "trace": [[x, v] for x, v in self.quotient_trace],
-        }
+        return {_ROW_KEYS.get(f.name, f.name): _lists(getattr(self, f.name)) for f in fields(self)}
 
     @classmethod
     def from_dict(cls, doc: dict) -> "ReportRow":
-        return cls(
-            command=doc["command"],
-            d=doc["d"], k=doc["k"], p=doc["p"], a=doc["a"], b=doc["b"],
-            cone=doc["cone"], mesh=doc["mesh"],
-            closed_form=doc["closed_form"], numeric_M=doc["numeric_M"],
-            lam=doc["lambda"], gap=doc["gap"],
-            extrapolated=doc["extrapolated"],
-            fit_order=doc["fit_order"], fit_rate=doc["fit_rate"],
-            iterations=doc["iterations"], residual=doc["residual"],
-            status=doc["status"],
-            quotient_trace=tuple((x, v) for x, v in doc["trace"]),
-        )
+        return cls(**{f.name: _tuples(doc[_ROW_KEYS.get(f.name, f.name)]) for f in fields(cls)})
+
+
+_ROW_KEYS = {"lam": "lambda", "quotient_trace": "trace"}  # report keys that differ from field names
+CSV_COLUMNS = [_ROW_KEYS.get(f.name, f.name) for f in fields(ReportRow)]
 
 
 def _base_row(command: str, params: HardyParams, cone: ConeSpec, mesh: int | None) -> ReportRow:
@@ -289,18 +284,8 @@ def _fit_log_slope(trace: list[tuple[float, float]]) -> float | None:
     return (n * sxy - sx * sy) / (n * sxx - sx * sx)
 
 
-def _cell_admissible(params: HardyParams, cone: ConeSpec) -> bool:
-    try:
-        return cone_admissible(params, cone).cone_admissible
-    except ValueError:  # structurally invalid combination, e.g. half-space with k != 1
-        return False
-
-
 def cmd_sweep(config: RunConfig) -> list[ReportRow]:
-    cells = []
-    for params, cone in config.cells():
-        if _cell_admissible(params, cone):
-            cells.append((params, cone))
+    cells = config.cells()
     if config.jobs > 1 and len(cells) > 1:
         with ProcessPoolExecutor(max_workers=config.jobs) as pool:
             futures = [pool.submit(_solve_cell, "sweep", params, cone, config.mesh_size)
@@ -333,8 +318,7 @@ def cmd_table(config: RunConfig) -> list[ReportRow]:
                 params = HardyParams(d, k, p, p - k, 0.0)
                 rows.append(_solve_cell("table", params, ConeSpec.full_space(), config.mesh_size))
     for params, cone in config.cells():
-        if _cell_admissible(params, cone):
-            rows.append(_solve_cell("table", params, cone, config.mesh_size))
+        rows.append(_solve_cell("table", params, cone, config.mesh_size))
     return rows
 
 
@@ -403,7 +387,8 @@ def _float_list(text: str) -> tuple[float, ...]:
     return tuple(float(t) for t in text.split(",") if t.strip()) if text.strip() else ()
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser() -> tuple[argparse.ArgumentParser, dict, dict]:
+    """The parser, its subcommand parsers by name, and their (shared) options by dest."""
     parser = argparse.ArgumentParser(
         prog="hardycone",
         description="Sharp Hardy constants with mixed weights on cones: closed forms, "
@@ -411,6 +396,7 @@ def build_parser() -> argparse.ArgumentParser:
         epilog="CSV columns: " + ", ".join(CSV_COLUMNS) + ". Cones: " + CONE_CHOICES + ".",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    commands = {}
     for name, helptext in [
         ("constant", "closed form and numeric spherical minimum for one cone"),
         ("spectrum", "eigenvalue/minimizer details for one cone"),
@@ -418,76 +404,84 @@ def build_parser() -> argparse.ArgumentParser:
         ("sweep", "numeric constants over a parameter grid"),
         ("table", "reproduce the closed-form families over a grid"),
     ]:
-        cmd = sub.add_parser(name, help=helptext)
-        cmd.add_argument("--d", type=_int_list, default=(3,), help="dimension(s), comma separated")
-        cmd.add_argument("--k", type=_int_list, default=(1,), help="codimension parameter(s)")
-        cmd.add_argument("--p", type=_float_list, default=(2.0,), help="integrability exponent(s)")
-        cmd.add_argument("--a", type=_float_list, default=(0.0,), help="cylindrical weight exponent(s)")
-        cmd.add_argument("--b", type=_float_list, default=(0.0,), help="spherical weight exponent(s)")
-        cmd.add_argument("--cone", dest="cones", type=lambda t: tuple(t.split(",")),
-                         default=("complement-sigma0",), help=f"cone(s): {CONE_CHOICES}")
-        cmd.add_argument("--mesh", dest="mesh_size", type=int, default=512)
-        cmd.add_argument("--deltas", dest="delta_list", type=_float_list, default=(0.2, 0.1, 0.05))
-        cmd.add_argument("--hs", dest="h_list", type=_int_list, default=())
-        cmd.add_argument("--cs-n", dest="cs_n", type=_int_list, default=(2, 3),
-                         help="table: anchor dimensions n (d = n+1)")
-        cmd.add_argument("--cs-s", dest="cs_s", type=_float_list, default=(0.25, 0.5, 0.75),
-                         help="table: fractional orders s (a = 1-2s)")
-        cmd.add_argument("--format", choices=FORMAT_CHOICES, default="json")
-        cmd.add_argument("--out", dest="output_path", default=None)
-        cmd.add_argument("--config", dest="config_path", default=None,
-                         help="JSON file of defaults; explicit flags override it")
-        cmd.add_argument("--jobs", type=int, default=1)
-        cmd.add_argument("--tol", type=float, default=1e-3,
-                         help="largest acceptable |numeric - closed| gap")
-    return parser
+        cmd = commands[name] = sub.add_parser(name, help=helptext)
+        options = [
+            cmd.add_argument("--d", type=_int_list, help="dimension(s), comma separated"),
+            cmd.add_argument("--k", type=_int_list, help="codimension parameter(s)"),
+            cmd.add_argument("--p", type=_float_list, help="integrability exponent(s)"),
+            cmd.add_argument("--a", type=_float_list, help="cylindrical weight exponent(s)"),
+            cmd.add_argument("--b", type=_float_list, help="spherical weight exponent(s)"),
+            cmd.add_argument("--cone", dest="cones", type=lambda t: tuple(t.split(",")),
+                             help=f"cone(s): {CONE_CHOICES}"),
+            cmd.add_argument("--mesh", dest="mesh_size", type=int),
+            cmd.add_argument("--deltas", dest="delta_list", type=_float_list),
+            cmd.add_argument("--hs", dest="h_list", type=_int_list),
+            cmd.add_argument("--cs-n", dest="cs_n", type=_int_list,
+                             help="table: anchor dimensions n (d = n+1)"),
+            cmd.add_argument("--cs-s", dest="cs_s", type=_float_list,
+                             help="table: fractional orders s (a = 1-2s)"),
+            cmd.add_argument("--format", choices=FORMAT_CHOICES),
+            cmd.add_argument("--out", dest="output_path"),
+            cmd.add_argument("--config", dest="config_path",
+                             help="JSON file of defaults; explicit flags override it"),
+            cmd.add_argument("--jobs", type=int),
+            cmd.add_argument("--tol", type=float,
+                             help="largest acceptable |numeric - closed| gap"),
+        ]
+        cmd.set_defaults(**RUN_DEFAULTS)
+    return parser, commands, {action.dest: action for action in options}
 
 
-def _apply_config_file(argv: list[str], namespace: argparse.Namespace) -> argparse.Namespace:
-    if namespace.config_path is None:
-        return namespace
-    with open(namespace.config_path) as handle:
-        defaults = json.load(handle)
-    casts = {
-        "d": lambda v: tuple(int(x) for x in v), "k": lambda v: tuple(int(x) for x in v),
-        "p": lambda v: tuple(float(x) for x in v), "a": lambda v: tuple(float(x) for x in v),
-        "b": lambda v: tuple(float(x) for x in v),
-        "cones": tuple, "delta_list": lambda v: tuple(float(x) for x in v),
-        "h_list": lambda v: tuple(int(x) for x in v),
-        "cs_n": lambda v: tuple(int(x) for x in v), "cs_s": lambda v: tuple(float(x) for x in v),
-        "mesh_size": int, "format": str, "output_path": str, "jobs": int, "tol": float,
-    }
-    given = {token.split("=")[0] for token in argv if token.startswith("--")}
-    flag_of = {
-        "d": "--d", "k": "--k", "p": "--p", "a": "--a", "b": "--b", "cones": "--cone",
-        "mesh_size": "--mesh", "delta_list": "--deltas", "h_list": "--hs",
-        "cs_n": "--cs-n", "cs_s": "--cs-s", "format": "--format",
-        "output_path": "--out", "jobs": "--jobs", "tol": "--tol",
-    }
-    for key, value in defaults.items():
-        if key not in casts:
+def _read_config_file(path: str, command: str, options: dict[str, argparse.Action]) -> dict:
+    """A --config file's values, converted and checked as their flag text would be.
+
+    Keys are RunConfig fields, as in a JSON report's "config" block; a list
+    means its comma-joined flag text; null is allowed where the default is None.
+    """
+    with open(path) as handle:
+        doc = json.load(handle)
+    if not isinstance(doc, dict):
+        raise ValueError("a config file holds one JSON object")
+    values = {}
+    for key, value in doc.items():
+        if key == "command":
+            if value != command:
+                raise ValueError(f"config file is for command {value!r}, not {command!r}")
+            continue
+        if key not in RUN_DEFAULTS:
             raise ValueError(f"unknown config key {key!r}")
-        if flag_of[key] in given:
-            continue  # explicit flag wins
-        setattr(namespace, key, casts[key](value))
-    if namespace.format not in FORMAT_CHOICES:
-        raise ValueError(f"format must be one of {', '.join(FORMAT_CHOICES)}, got {namespace.format!r}")
-    return namespace
+        if value is None:
+            if RUN_DEFAULTS[key] is not None:
+                raise ValueError(f"config key {key!r} cannot be null")
+            values[key] = None
+            continue
+        action = options[key]
+        text = ",".join(map(str, value)) if isinstance(value, list) else str(value)
+        try:
+            values[key] = action.type(text) if action.type else text
+        except ValueError as exc:
+            raise ValueError(f"config key {key!r}: {exc}") from None
+        if action.choices is not None and values[key] not in action.choices:
+            raise ValueError(f"config key {key!r} must be one of {', '.join(action.choices)}, "
+                             f"got {value!r}")
+    return values
 
 
-def config_from_args(argv: list[str], namespace: argparse.Namespace) -> RunConfig:
-    namespace = _apply_config_file(argv, namespace)
-    names = {f.name for f in fields(RunConfig)}
-    values = {key: val for key, val in vars(namespace).items() if key in names}
-    return RunConfig(**values)
+def parse_config(argv: list[str]) -> RunConfig:
+    """The RunConfig of a command line; a --config file supplies defaults, flags win."""
+    parser, commands, options = build_parser()
+    namespace = parser.parse_args(argv)
+    if namespace.config_path is not None:
+        values = _read_config_file(namespace.config_path, namespace.command, options)
+        commands[namespace.command].set_defaults(**values)
+        namespace = parser.parse_args(argv)
+    return RunConfig(**{f.name: getattr(namespace, f.name) for f in fields(RunConfig)})
 
 
 def main(argv: list[str] | None = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
-    parser = build_parser()
-    namespace = parser.parse_args(argv)
     try:
-        config = config_from_args(argv, namespace)
+        config = parse_config(argv)
         rows = COMMANDS[config.command](config)
     except (AdmissibilityError, ValueError, OSError) as exc:
         error_doc = {"schema": SCHEMA_VERSION, "error": {"type": type(exc).__name__, "message": str(exc)}}

@@ -266,8 +266,6 @@ def closed_form_constant(params: HardyParams, cone: ConeSpec) -> ClosedForm | No
             value = (d - 1) * max(1.0 - a, 0.0) + exponent.H ** 2
             return ClosedForm(value, "half-space-p2")
         return None
-    if kind is ConeKind.BAND and ka >= p and cone.theta2 == HALF_PI and cone.theta1 == 0.0:
-        return ClosedForm(habs, "superdegenerate-collapse")
     return None
 
 

@@ -35,6 +35,7 @@ from .params import (
 from .quadrature import AngularWeight, composite_rule
 
 HALF_PI = math.pi / 2
+MIN_MESH_SIZE = 16  # fewest elements a solve accepts
 
 
 class ConvergenceError(RuntimeError):
@@ -259,8 +260,8 @@ class _Discretization:
     """
 
     def __init__(self, params: HardyParams, domain: AngularDomain, mesh_size: int):
-        if mesh_size < 16:
-            raise ValueError("mesh_size must be at least 16")
+        if mesh_size < MIN_MESH_SIZE:
+            raise ValueError(f"mesh_size must be at least {MIN_MESH_SIZE}")
         if domain.theta2 == HALF_PI and params.k + params.a <= 0:
             raise ValueError("weight not integrable up to pi/2 (needs k+a > 0)")
         gamma = _auto_gamma(params, domain, mesh_size)

@@ -271,3 +271,76 @@ class TestMainEntry:
         code_tight, _, _ = run_cli(capsys, *args, "--tol", "1e-12")
         assert code_loose == 0
         assert code_tight == 1
+
+
+class TestConfigSchema:
+    """Report keys, CSV columns and config keys all come from the dataclass fields."""
+
+    def test_csv_columns_follow_row_keys(self):
+        config = config_for()
+        rows = cmd_constant(config)
+        assert list(rows[0].to_dict()) == CSV_COLUMNS
+        assert list(json.loads(rows_to_json(config, rows))["rows"][0]) == CSV_COLUMNS
+
+    @pytest.mark.parametrize("args", [
+        ("verify", "--mesh", "64", "--a", "1", "--deltas", "0.2,0.1", "--hs", "4,8"),
+        ("sweep", "--d", "3,4", "--a=0,0.5", "--cone", "punctured,half-space", "--mesh", "64"),
+    ])
+    def test_report_config_block_reproduces_report(self, tmp_path, capsys, args):
+        code, first, _ = run_cli(capsys, *args)
+        cfg = tmp_path / "config.json"
+        cfg.write_text(json.dumps(json.loads(first)["config"]))
+        code_again, again, _ = run_cli(capsys, args[0], "--config", str(cfg))
+        assert code_again == code
+        assert again == first
+
+    @pytest.mark.parametrize("flag", [("--mes", "64"), ("--mesh=64",), ("--mesh", "64")])
+    def test_every_flag_spelling_beats_config_file(self, tmp_path, capsys, flag):
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps({"mesh_size": 32}))
+        code, out, _ = run_cli(
+            capsys, "constant", "--cone", "punctured", "--config", str(cfg), *flag
+        )
+        assert code == 0
+        assert json.loads(out)["rows"][0]["mesh"] == 64
+
+    def test_null_output_path_writes_stdout(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "run.json").write_text(json.dumps({"output_path": None, "mesh_size": 64}))
+        code, out, _ = run_cli(capsys, "constant", "--cone", "punctured", "--config", "run.json")
+        assert code == 0
+        assert json.loads(out)["config"]["output_path"] is None
+        assert os.listdir(tmp_path) == ["run.json"]
+
+    def test_null_rejected_where_default_is_not_none(self, tmp_path, capsys):
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps({"mesh_size": None}))
+        code, out, err = run_cli(capsys, "constant", "--config", str(cfg))
+        assert code == 2 and out == ""
+        assert json.loads(err)["error"]["type"] == "ValueError"
+
+    def test_config_text_value_means_flag_text(self, tmp_path, capsys):
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps({"cones": "full", "d": "3", "mesh_size": 64}))
+        code, from_file, _ = run_cli(capsys, "constant", "--config", str(cfg))
+        code_flags, from_flags, _ = run_cli(capsys, "constant", "--cone", "full", "--mesh", "64")
+        assert code == code_flags == 0
+        assert json.loads(from_file)["rows"] == json.loads(from_flags)["rows"]
+
+    def test_config_command_key_must_match(self, tmp_path, capsys):
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps({"command": "constant", "mesh_size": 64}))
+        code, _, _ = run_cli(capsys, "constant", "--cone", "punctured", "--config", str(cfg))
+        assert code == 0
+        code, out, err = run_cli(capsys, "spectrum", "--cone", "punctured", "--config", str(cfg))
+        assert code == 2 and out == ""
+        assert "constant" in json.loads(err)["error"]["message"]
+
+    @pytest.mark.parametrize("flags", [
+        ("--mesh", "8"), ("--jobs", "0"), ("--jobs=-1",), ("--tol=-1",),
+    ])
+    def test_malformed_numbers_exit_2(self, capsys, flags):
+        # rejected while building the config, before any solve or worker process
+        code, out, err = run_cli(capsys, "sweep", "--cone", "punctured", "--mesh", "64", *flags)
+        assert code == 2 and out == ""
+        assert json.loads(err)["error"]["type"] == "ValueError"

@@ -254,10 +254,15 @@ class TestClosedFormConstant:
             cf = closed_form_constant(params, ConeSpec.full_space())
             assert cf.value == pytest.approx(((d - k) / p) ** p, rel=1e-14)
 
-    def test_band_with_sigma0_removed_matches_complement(self):
-        params = HardyParams(3, 1, 2.0, 0.0, 0.0)
+    @pytest.mark.parametrize("params,value,source", [
+        (HardyParams(3, 1, 2.0, 0.0, 0.0), 2.25, "sigma0-complement-p2"),
+        (HardyParams(3, 1, 2.0, 1.0, 0.0), 1.0, "superdegenerate-collapse"),  # k + a >= p
+    ], ids=["p2", "superdegenerate"])
+    def test_band_with_sigma0_removed_matches_complement(self, params, value, source):
         band = ConeSpec.band(0.0, HALF_PI)
-        assert closed_form_constant(params, band).value == pytest.approx(2.25)
+        cf = closed_form_constant(params, band)
+        assert cf.value == pytest.approx(value)
+        assert cf.source == source
 
     def test_interior_band_has_no_closed_form(self):
         assert closed_form_constant(HardyParams(3, 1, 2.0, 0.0, 0.0), ConeSpec.band(0.2, 1.0)) is None
