@@ -219,9 +219,14 @@ def cmd_verify(config: RunConfig) -> list[ReportRow]:
     The delta row fails (status solver_fail) if the trace does not approach
     the reference quadratically or the extrapolated limit misses it; the h
     row fails if the strip energy decays slower than h^(1-p).  Repeated
-    --deltas or --hs values are malformed input (ValueError).
+    --deltas or --hs values, a delta that is not finite and positive, and an
+    h below 1 are malformed input (ValueError).
     """
     params, cone = config.single()
+    if not all(math.isfinite(delta) and delta > 0 for delta in config.delta_list):
+        raise ValueError(f"--deltas values must be finite and positive, got {config.delta_list}")
+    if not all(h >= 1 for h in config.h_list):
+        raise ValueError(f"--hs values must be at least 1, got {config.h_list}")
     for flag, values in (("--deltas", config.delta_list), ("--hs", config.h_list)):
         if len(set(values)) != len(values):
             raise ValueError(f"{flag} values must be distinct, got {','.join(map(str, values))}")

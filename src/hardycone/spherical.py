@@ -32,7 +32,7 @@ from .params import (
     hardy_exponent,
     require_admissible,
 )
-from .quadrature import AngularWeight, composite_rule
+from .quadrature import AngularWeight, QuadratureRule, composite_rule
 
 HALF_PI = math.pi / 2
 MIN_MESH_SIZE = 16  # fewest elements a solve accepts
@@ -91,12 +91,6 @@ class DiscretizedFunction:
 
     def __call__(self, theta: np.ndarray) -> np.ndarray:
         return np.interp(theta, self.mesh, self.values)
-
-    def slope(self, theta: np.ndarray) -> np.ndarray:
-        """Piecewise-constant derivative, evaluated elementwise."""
-        slopes = np.diff(self.values) / np.diff(self.mesh)
-        idx = np.clip(np.searchsorted(self.mesh, theta, side="right") - 1, 0, slopes.size - 1)
-        return slopes[idx]
 
 
 @dataclass(frozen=True, eq=False)
@@ -171,12 +165,6 @@ def _auto_gamma(params: HardyParams, domain: AngularDomain, n: int) -> float:
     return min(max(2.0, 2.4 / max(s, 0.05)), grading_cap(n))
 
 
-def _free_slice(domain: AngularDomain, n_nodes: int) -> slice:
-    lo = 1 if domain.bc1 is DIRICHLET else 0
-    hi = n_nodes - 1 if domain.bc2 is DIRICHLET else n_nodes
-    return slice(lo, hi)
-
-
 def smallest_eigenpair(
     stiffness, mass, tol: float = 1e-10, max_iter: int = 2000
 ) -> tuple[float, np.ndarray]:
@@ -244,40 +232,46 @@ def smallest_eigenpair(
     return lam, v
 
 
-def _expand_free(domain: AngularDomain, mesh: np.ndarray, v: np.ndarray) -> np.ndarray:
-    full = np.zeros(mesh.size)
-    full[_free_slice(domain, mesh.size)] = v
-    return full
-
-
 class _Discretization:
-    """P1 elements on the graded mesh of one solve, with per-element quadrature.
+    """P1 elements on a mesh, with per-element quadrature.
 
-    Built once per solve: the mesh, one composite rule reshaped to
-    (n_elements, nq), the shape values n1, n2 at its nodes and the Dirichlet
-    mask.  The p = 2 matrices and the discrete quotient Q(phi) with its
-    analytic nodal gradient are sums over these nodes and weights.
+    Holds the mesh, one composite rule reshaped to (n_elements, nq), the
+    shape values n1, n2 at its nodes and the Dirichlet mask of the free
+    nodes.  The p = 2 matrices, the discrete quotient Q(phi) with its
+    analytic nodal gradient, and the certifier's u_delta sums are all sums
+    over these nodes and weights.
     """
 
-    def __init__(self, params: HardyParams, domain: AngularDomain, mesh_size: int):
-        if mesh_size < MIN_MESH_SIZE:
-            raise ValueError(f"mesh_size must be at least {MIN_MESH_SIZE}")
-        if domain.theta2 == HALF_PI and params.k + params.a <= 0:
-            raise ValueError("weight not integrable up to pi/2 (needs k+a > 0)")
-        gamma = _auto_gamma(params, domain, mesh_size)
-        mesh = graded_mesh(domain.theta1, domain.theta2, mesh_size, gamma)
-        rule = composite_rule(AngularWeight.for_params(params), mesh)
-        theta_q = rule.nodes.reshape(mesh_size, -1)
+    def __init__(self, params: HardyParams, mesh: np.ndarray, rule: QuadratureRule, free: slice):
+        theta_q = rule.nodes.reshape(mesh.size - 1, -1)
         self.mesh = mesh
         self.h = h = np.diff(mesh)
         self.n1 = (mesh[1:, None] - theta_q) / h[:, None]
         self.n2 = (theta_q - mesh[:-1, None]) / h[:, None]
-        self.w = rule.weights.reshape(mesh_size, -1)
+        self.w = rule.weights.reshape(theta_q.shape)
         self.p = params.p
         self.H2 = hardy_exponent(params).H ** 2
-        self.free = _free_slice(domain, mesh.size)
+        self.free = free
         self.mask = np.zeros(mesh.size)
-        self.mask[self.free] = 1.0
+        self.mask[free] = 1.0
+
+    @classmethod
+    def graded(cls, params: HardyParams, domain: AngularDomain, mesh_size: int) -> "_Discretization":
+        """The discretization of one solve, on its graded mesh of mesh_size elements."""
+        if mesh_size < MIN_MESH_SIZE:
+            raise ValueError(f"mesh_size must be at least {MIN_MESH_SIZE}")
+        gamma = _auto_gamma(params, domain, mesh_size)
+        mesh = graded_mesh(domain.theta1, domain.theta2, mesh_size, gamma)
+        rule = composite_rule(AngularWeight.for_params(params), mesh)
+        lo = 1 if domain.bc1 is DIRICHLET else 0
+        hi = mesh.size - 1 if domain.bc2 is DIRICHLET else mesh.size
+        return cls(params, mesh, rule, slice(lo, hi))
+
+    def expand_free(self, v: np.ndarray) -> np.ndarray:
+        """Nodal values from the free-node values v, zero at Dirichlet nodes."""
+        full = np.zeros(self.mesh.size)
+        full[self.free] = v
+        return full
 
     def p2_matrices(self) -> tuple[sp.csc_matrix, sp.csc_matrix]:
         """Stiffness int w phi_i' phi_j' and mass int w phi_i phi_j on the free nodes."""
@@ -298,23 +292,30 @@ class _Discretization:
 
         return tridiagonal(stiff_diag, -stiff), tridiagonal(mass_diag, mass_off)
 
-    def _fields(self, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    def fields(self, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """phi and phi' at the rule's nodes, as (n_elements, nq), for nodal values v."""
         phi = v[:-1, None] * self.n1 + v[1:, None] * self.n2
         dphi = np.broadcast_to(((v[1:] - v[:-1]) / self.h)[:, None], phi.shape)
         return phi, dphi
 
+    def energy(self, phi: np.ndarray, dphi: np.ndarray, H2: float) -> tuple[np.ndarray, float]:
+        """Density e2 = phi'^2 + H2 phi^2 at the nodes and E = int w e2^(p/2)."""
+        e2 = dphi**2 + H2 * phi**2
+        return e2, (self.w * e2 ** (self.p / 2)).sum()
+
+    def mass(self, phi: np.ndarray) -> float:
+        """D = int w |phi|^p."""
+        return (self.w * np.abs(phi) ** self.p).sum()
+
     def value(self, v: np.ndarray) -> float:
-        phi, dphi = self._fields(v)
-        num = (self.w * (dphi**2 + self.H2 * phi**2) ** (self.p / 2)).sum()
-        den = (self.w * np.abs(phi) ** self.p).sum()
-        return num / den
+        phi, dphi = self.fields(v)
+        return self.energy(phi, dphi, self.H2)[1] / self.mass(phi)
 
     def value_grad(self, v: np.ndarray) -> tuple[float, np.ndarray]:
         p = self.p
-        phi, dphi = self._fields(v)
-        e2 = dphi**2 + self.H2 * phi**2
-        num = (self.w * e2 ** (p / 2)).sum()
-        den = (self.w * np.abs(phi) ** p).sum()
+        phi, dphi = self.fields(v)
+        e2, num = self.energy(phi, dphi, self.H2)
+        den = self.mass(phi)
         q = num / den
         with np.errstate(divide="ignore", invalid="ignore"):
             e_pow = np.where(e2 > 0.0, e2 ** (p / 2 - 1.0), 0.0)
@@ -333,8 +334,7 @@ class _Discretization:
     def normalize(self, v: np.ndarray) -> np.ndarray:
         """Project to the nonnegative cone, apply Dirichlet data, unit p-norm."""
         v = np.abs(v) * self.mask
-        phi, _ = self._fields(v)
-        den = (self.w * phi**self.p).sum()
+        den = self.mass(self.fields(v)[0])
         if den <= 0.0 or not np.isfinite(den):
             raise ValueError("degenerate profile: zero after Dirichlet projection")
         return v / den ** (1.0 / self.p)
@@ -350,7 +350,7 @@ def assemble_p2(
     Dirichlet endpoint rows/columns are eliminated, so the matrices act on the
     free nodes of the returned mesh.
     """
-    disc = _Discretization(params, domain, mesh_size)
+    disc = _Discretization.graded(params, domain, mesh_size)
     return (*disc.p2_matrices(), disc.mesh)
 
 
@@ -384,13 +384,13 @@ def minimize_rayleigh_p(
     The mesh has mesh_size elements, graded toward pi/2 to match the
     boundary layer there.
     """
-    disc = _Discretization(params, domain, mesh_size)
+    disc = _Discretization.graded(params, domain, mesh_size)
     stiffness, mass = disc.p2_matrices()
     mesh, free = disc.mesh, disc.free
     precond = spla.splu((stiffness + (1.0 + disc.H2) * mass).tocsc()).solve
 
     if init is None:
-        v = _default_start(params, domain, mesh, stiffness, mass)
+        v = _default_start(params, domain, disc, stiffness, mass)
     else:
         v = init(mesh)
     v = disc.normalize(v.astype(float))
@@ -448,16 +448,16 @@ def minimize_rayleigh_p(
 def _default_start(
     params: HardyParams,
     domain: AngularDomain,
-    mesh: np.ndarray,
+    disc: _Discretization,
     stiffness: sp.csc_matrix,
     mass: sp.csc_matrix,
 ) -> np.ndarray:
     """p=2 eigenfunction when the eigensolve succeeds, else the cosine profile."""
     try:
         _, vec = smallest_eigenpair(stiffness, mass)
-        return _expand_free(domain, mesh, vec)
+        return disc.expand_free(vec)
     except (ConvergenceError, RuntimeError):
-        return default_init(params, domain, mesh)
+        return default_init(params, domain, disc.mesh)
 
 
 def solve_M(
@@ -476,10 +476,10 @@ def solve_M(
     exponent = hardy_exponent(params)
     if params.p != 2:
         return minimize_rayleigh_p(params, domain, mesh_size, init=init)
-    disc = _Discretization(params, domain, mesh_size)
+    disc = _Discretization.graded(params, domain, mesh_size)
     stiffness, mass = disc.p2_matrices()
     lam, vec = smallest_eigenpair(stiffness, mass, tol=eigen_tol)
-    values = disc.normalize(_expand_free(domain, disc.mesh, vec))
+    values = disc.normalize(disc.expand_free(vec))
     residual = float(np.linalg.norm(stiffness @ vec - lam * (mass @ vec)))
     return SpectralResult(
         M=lam + exponent.H**2,

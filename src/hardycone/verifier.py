@@ -8,7 +8,9 @@ has quotient >= m, and the separated family
 has quotient M + O(delta^2) with denominator blowing up like 1/delta, which
 exhibits both sharpness and non-attainment.  Radial integrals of pure powers
 are evaluated in closed form; everything else uses tensor-product quadrature
-in (log r, theta).
+in (log r, theta).  Every angular integral uses the solver's P1
+discretization of Phi (the same quadrature nodes, weights and shape values),
+so at p = 2 the u_delta quotient is the discrete Rayleigh quotient + delta^2.
 """
 
 from __future__ import annotations
@@ -18,11 +20,10 @@ from dataclasses import dataclass
 from typing import Callable, Union
 
 import numpy as np
-from scipy.special import roots_legendre
 
 from .params import ConeSpec, HardyParams, hardy_exponent, require_admissible
-from .quadrature import AngularWeight, QuadratureRule, composite_rule
-from .spherical import DIRICHLET, AngularDomain, DiscretizedFunction, bc_for_cone
+from .quadrature import AngularWeight, _gauss_jacobi, composite_rule
+from .spherical import DIRICHLET, AngularDomain, DiscretizedFunction, _Discretization, bc_for_cone
 
 HALF_PI = math.pi / 2
 
@@ -148,46 +149,42 @@ class RayleighEvaluation:
 # ---------------------------------------------------------------------------
 # the u_delta family (closed-form radial integrals)
 
-def _angular_rule(params: HardyParams, Phi: DiscretizedFunction, rule: QuadratureRule | None) -> QuadratureRule:
-    if rule is not None:
-        return rule
-    return composite_rule(AngularWeight.for_params(params), Phi.mesh)
+def _discretization(params: HardyParams, Phi: DiscretizedFunction) -> _Discretization:
+    """The solver's P1 discretization on Phi's mesh (all nodes free)."""
+    rule = composite_rule(AngularWeight.for_params(params), Phi.mesh)
+    return _Discretization(params, Phi.mesh, rule, slice(0, Phi.mesh.size))
 
 
 def evaluate_quotient_udelta(
     params: HardyParams,
     Phi: DiscretizedFunction,
     delta: float,
-    rule: QuadratureRule | None = None,
     reference: float | None = None,
     cone: ConeSpec | None = None,
 ) -> RayleighEvaluation:
     """Quotient of u_delta = r^(-H +/- delta) Phi with exact radial integrals.
 
-    Both radial integrals equal 1/(p delta) per branch, so
+    Both radial integrals equal 1/(p delta) per branch, so with
+    E(G) = int w (Phi'^2 + G^2 Phi^2)^(p/2) and D = int w |Phi|^p
 
-        numerator   = (1/(p delta)) int w [((H-d)^2 Phi^2 + Phi'^2)^(p/2)
-                                         + ((H+d)^2 Phi^2 + Phi'^2)^(p/2)]
-        denominator = (2/(p delta)) int w |Phi|^p
+        numerator   = (1/(p delta)) [E(H-delta) + E(H+delta)]
+        denominator = (2/(p delta)) D
 
     times the transverse sphere prefactor (halved when cone is the half
-    space; the prefactor cancels in the quotient either way).  For p = 2 the
-    quotient equals the discrete Rayleigh quotient of Phi under the same rule
-    plus delta^2, exactly.
+    space; the prefactor cancels in the quotient either way).  E and D are
+    the solver's sums, so for p = 2 the quotient equals the discrete
+    Rayleigh quotient of Phi plus delta^2, to rounding.
     """
     if delta <= 0:
         raise ValueError(f"need delta > 0, got {delta}")
-    rule = _angular_rule(params, Phi, rule)
+    disc = _discretization(params, Phi)
     pref = AngularWeight.for_params(params, cone).prefactor
-    phi = Phi(rule.nodes)
-    dphi = Phi.slope(rule.nodes)
+    phi, dphi = disc.fields(Phi.values)
     H = hardy_exponent(params).H
-    p = params.p
-    w = rule.weights
-    e_minus = (w * ((H - delta) ** 2 * phi**2 + dphi**2) ** (p / 2)).sum()
-    e_plus = (w * ((H + delta) ** 2 * phi**2 + dphi**2) ** (p / 2)).sum()
-    numerator = pref * (e_minus + e_plus) / (p * delta)
-    denominator = pref * 2.0 / (p * delta) * (w * np.abs(phi) ** p).sum()
+    e_minus = disc.energy(phi, dphi, (H - delta) ** 2)[1]
+    e_plus = disc.energy(phi, dphi, (H + delta) ** 2)[1]
+    numerator = pref * (e_minus + e_plus) / (params.p * delta)
+    denominator = pref * 2.0 / (params.p * delta) * disc.mass(phi)
     return RayleighEvaluation(
         numerator=numerator,
         denominator=denominator,
@@ -200,7 +197,6 @@ def denominator_blowup(
     params: HardyParams,
     Phi: DiscretizedFunction,
     delta: float,
-    rule: QuadratureRule | None = None,
     cone: ConeSpec | None = None,
 ) -> float:
     """Denominator (2/(p delta)) * int w |Phi|^p: diverges like 1/delta.
@@ -210,18 +206,16 @@ def denominator_blowup(
     """
     if delta <= 0:
         raise ValueError(f"need delta > 0, got {delta}")
-    rule = _angular_rule(params, Phi, rule)
+    disc = _discretization(params, Phi)
     pref = AngularWeight.for_params(params, cone).prefactor
-    phi = Phi(rule.nodes)
-    mass = (rule.weights * np.abs(phi) ** params.p).sum()
-    return pref * 2.0 / (params.p * delta) * mass
+    return pref * 2.0 / (params.p * delta) * disc.mass(disc.fields(Phi.values)[0])
 
 
 # ---------------------------------------------------------------------------
 # cutoff strip energy (superdegenerate regime)
 
 def _gauss_panels(lo: float, hi: float, n_panels: int, n_per: int = 10) -> tuple[np.ndarray, np.ndarray]:
-    x, wx = roots_legendre(n_per)
+    x, wx = _gauss_jacobi(n_per, 0.0, 0.0)
     edges = np.linspace(lo, hi, n_panels + 1)
     mid = 0.5 * (edges[:-1] + edges[1:])[:, None]
     half = 0.5 * np.diff(edges)[:, None]
@@ -343,7 +337,6 @@ def verify_inequality(
     testfn: SeparatedTestFunction,
     reference: float | None = None,
     tol: float = 1e-8,
-    rule: QuadratureRule | None = None,
     n_radial_panels: int = 64,
 ) -> RayleighEvaluation:
     """Full mixed-weight quotient of a separated test function on the cone.
@@ -360,11 +353,9 @@ def verify_inequality(
     _check_angular_profile(domain, Phi)
 
     if isinstance(testfn.radial, PowerLawSplit):
-        ev = evaluate_quotient_udelta(
-            params, Phi, testfn.radial.delta, rule=rule, reference=reference, cone=cone
-        )
+        ev = evaluate_quotient_udelta(params, Phi, testfn.radial.delta, reference=reference, cone=cone)
     elif isinstance(testfn.radial, PowerWindow):
-        ev = _power_window_quotient(params, cone, testfn.radial, Phi, rule, n_radial_panels, reference)
+        ev = _power_window_quotient(params, cone, testfn.radial, Phi, n_radial_panels, reference)
     else:
         raise ValueError(
             "unsupported test-function/cone combination: the log-cutoff multiplier "
@@ -382,15 +373,12 @@ def _power_window_quotient(
     cone: ConeSpec,
     window: PowerWindow,
     Phi: DiscretizedFunction,
-    rule: QuadratureRule | None,
     n_radial_panels: int,
     reference: float | None,
 ) -> RayleighEvaluation:
-    rule = _angular_rule(params, Phi, rule)
+    disc = _discretization(params, Phi)
     pref = AngularWeight.for_params(params, cone).prefactor
-    phi = Phi(rule.nodes)
-    dphi = Phi.slope(rule.nodes)
-    w_th = rule.weights
+    phi, dphi = disc.fields(Phi.values)
 
     nu_lo, nu_hi = window.log_support()
     nu, w_nu = _gauss_panels(nu_lo, nu_hi, n_radial_panels)
@@ -403,10 +391,10 @@ def _power_window_quotient(
     # |grad u|^2 = r^(2s-2) [ (fp Phi)^2 + (f Phi')^2 ], all powers of r kept
     # as exp(nu * .) so that shifting the window rescales integrals exactly
     rad_num_w = w_nu * np.exp(nu * (d + a - b + p * (s - 1.0)))
-    cross = (fp[:, None] * phi[None, :]) ** 2 + (f[:, None] * dphi[None, :]) ** 2
-    numerator = pref * float(rad_num_w @ cross ** (p / 2) @ w_th)
+    cross = (fp[:, None] * phi.ravel()) ** 2 + (f[:, None] * dphi.ravel()) ** 2
+    numerator = pref * float(rad_num_w @ cross ** (p / 2) @ disc.w.ravel())
     rad_den = float((w_nu * np.exp(nu * (d + a - b - p + p * s))) @ np.abs(f) ** p)
-    denominator = pref * rad_den * float(w_th @ np.abs(phi) ** p)
+    denominator = pref * rad_den * disc.mass(phi)
     return RayleighEvaluation(
         numerator=numerator,
         denominator=denominator,

@@ -262,6 +262,16 @@ class TestMainEntry:
         assert code == 2 and out == ""
         assert "distinct" in json.loads(err)["error"]["message"]
 
+    @pytest.mark.parametrize("flags, message", [
+        (("--deltas", "0.1,-0.05"), "finite and positive"),
+        (("--deltas", "0.1,nan"), "finite and positive"),
+        (("--a", "1", "--hs", "0,4"), "at least 1"),
+    ], ids=["negative-delta", "nan-delta", "h-zero"])
+    def test_verify_malformed_points_rejected(self, capsys, flags, message):
+        code, out, err = run_cli(capsys, "verify", "--d", "3", "--k", "1", "--mesh", "64", *flags)
+        assert code == 2 and out == ""
+        assert message in json.loads(err)["error"]["message"]
+
     def test_gap_tolerance_drives_exit_code(self, capsys):
         args = [
             "constant", "--d", "3", "--k", "1", "--p", "2", "--a", "0.5",

@@ -8,7 +8,7 @@ from scipy.interpolate import CubicSpline
 
 from hardycone.params import ConeSpec, HardyParams, hardy_exponent
 from hardycone.quadrature import sphere_weight_mass
-from hardycone.spherical import DiscretizedFunction, graded_mesh, solve_M
+from hardycone.spherical import DiscretizedFunction, _Discretization, bc_for_cone, graded_mesh, solve_M
 from hardycone.verifier import (
     CertificationError,
     LogCutoff,
@@ -76,6 +76,22 @@ class TestUdeltaQuotient:
         for delta in (0.2, 0.1, 0.05):
             ev = evaluate_quotient_udelta(self.params, self.result.minimizer, delta)
             assert ev.quotient - self.result.M == pytest.approx(delta**2, rel=1e-9)
+
+    @pytest.mark.parametrize("params, cone", [
+        (HardyParams(3, 1, 2.0, 0.0, 0.0), ConeSpec.complement_sigma0()),
+        (HardyParams(4, 1, 2.0, 0.3, 0.5), ConeSpec.half_space()),
+        (HardyParams(3, 1, 2.0, 0.3, 0.0), ConeSpec.band(0.4, 1.3)),
+    ], ids=["complement-sigma0", "half-space", "band"])
+    def test_p2_quotient_is_solver_quotient_plus_delta_squared(self, params, cone):
+        # the certifier sums over the solver's discretization, so the identity
+        # holds to rounding against the solver's own discrete quotient
+        result = solve_M(params, cone, 256)
+        disc = _Discretization.graded(params, bc_for_cone(params, cone), 256)
+        assert np.array_equal(disc.mesh, result.minimizer.mesh)
+        q = disc.value(result.minimizer.values)
+        for delta in (0.2, 0.1, 0.05):
+            ev = evaluate_quotient_udelta(params, result.minimizer, delta, cone=cone)
+            assert ev.quotient - q == pytest.approx(delta**2, rel=1e-11)
 
     def test_second_order_approach(self):
         qs = [
