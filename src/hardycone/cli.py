@@ -219,14 +219,19 @@ def cmd_verify(config: RunConfig) -> list[ReportRow]:
     The delta row fails (status solver_fail) if the trace does not approach
     the reference quadratically or the extrapolated limit misses it; the h
     row fails if the strip energy decays slower than h^(1-p).  Repeated
-    --deltas or --hs values, a delta that is not finite and positive, and an
-    h below 1 are malformed input (ValueError).
+    --deltas or --hs values, a delta that is not finite and positive, an h
+    below 1, and --hs on a cell with k+a < p (no strip regime to check) are
+    malformed input (ValueError); an inadmissible cell raises
+    AdmissibilityError.
     """
     params, cone = config.single()
     if not all(math.isfinite(delta) and delta > 0 for delta in config.delta_list):
         raise ValueError(f"--deltas values must be finite and positive, got {config.delta_list}")
     if not all(h >= 1 for h in config.h_list):
         raise ValueError(f"--hs values must be at least 1, got {config.h_list}")
+    if config.h_list and params.k + params.a < params.p:
+        raise ValueError(f"--hs: the cutoff check needs k+a >= p, "
+                         f"got k+a={params.k + params.a:g}, p={params.p:g}")
     for flag, values in (("--deltas", config.delta_list), ("--hs", config.h_list)):
         if len(set(values)) != len(values):
             raise ValueError(f"{flag} values must be distinct, got {','.join(map(str, values))}")
@@ -258,21 +263,22 @@ def cmd_verify(config: RunConfig) -> list[ReportRow]:
             fit_order=order,
             status=status,
         ))
+    except AdmissibilityError:
+        raise
     except (ConvergenceError, ValueError):
         rows.append(replace(row, status="solver_fail"))
 
     if config.h_list:
         hrow = _base_row("verify", params, cone, None)
-        if params.k + params.a >= params.p:
-            try:
-                htrace = [(float(h), cutoff_decay(params, (0.05, 20.0), h)) for h in config.h_list]
-                rate = _fit_log_slope(htrace)
-                status = "ok"
-                if rate is not None and rate > (1.0 - params.p) * 0.9:
-                    status = "solver_fail"  # slower than the h^(1-p) guarantee
-                hrow = replace(hrow, quotient_trace=tuple(htrace), fit_rate=rate, status=status)
-            except ValueError:
-                hrow = replace(hrow, status="solver_fail")
+        try:
+            htrace = [(float(h), cutoff_decay(params, (0.05, 20.0), h)) for h in config.h_list]
+            rate = _fit_log_slope(htrace)
+            status = "ok"
+            if rate is not None and rate > (1.0 - params.p) * 0.9:
+                status = "solver_fail"  # slower than the h^(1-p) guarantee
+            hrow = replace(hrow, quotient_trace=tuple(htrace), fit_rate=rate, status=status)
+        except ValueError:
+            hrow = replace(hrow, status="solver_fail")
         rows.append(hrow)
     return rows
 

@@ -11,7 +11,12 @@ w(theta) = cos^(k+a-1) sin^(d-k-1).  For p = 2 this is the eigenvalue problem
 
 discretized with piecewise-linear finite elements on a mesh graded toward the
 singular end theta = pi/2; for general p the discrete quotient is minimized
-directly by projected gradient descent in the weighted-H1 metric.
+directly by Newton steps on the surface {int w |phi|^p = const}.  With P1
+elements the Hessians of the two integrals are tridiagonal, so each step is
+two tridiagonal solves; where that step is singular or not a descent
+direction, a gradient step in the weighted-H1 metric (the p = 2 matrices) is
+taken instead.  For p != 2 the reported residual is the relative step
+decrement sqrt(grad Q . d) / Q of the last step.
 """
 
 from __future__ import annotations
@@ -24,6 +29,7 @@ from typing import Callable
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
+from scipy.linalg import solve_banded
 
 from .params import (
     ConeKind,
@@ -95,7 +101,12 @@ class DiscretizedFunction:
 
 @dataclass(frozen=True, eq=False)
 class SpectralResult:
-    """Computed spherical minimum M, eigenvalue (p = 2), and minimizer."""
+    """Computed spherical minimum M, eigenvalue (p = 2), and minimizer.
+
+    residual is ||S v - lam M v|| after an eigensolve (solve_M at p = 2) and
+    the relative step decrement sqrt(grad Q . d) / Q of the last step after a
+    descent (minimize_rayleigh_p).
+    """
 
     M: float
     lam: float | None
@@ -273,16 +284,19 @@ class _Discretization:
         full[self.free] = v
         return full
 
+    def _scatter(self, left: np.ndarray, right: np.ndarray) -> np.ndarray:
+        """Nodal vector from each element's contributions to its left and right node."""
+        out = np.zeros(self.mesh.size)
+        out[:-1] += left
+        out[1:] += right
+        return out
+
     def p2_matrices(self) -> tuple[sp.csc_matrix, sp.csc_matrix]:
         """Stiffness int w phi_i' phi_j' and mass int w phi_i phi_j on the free nodes."""
         w = self.w
         stiff = w.sum(axis=1) / self.h**2
-        stiff_diag = np.zeros(self.mesh.size)
-        stiff_diag[:-1] += stiff
-        stiff_diag[1:] += stiff
-        mass_diag = np.zeros(self.mesh.size)
-        mass_diag[:-1] += (w * self.n1 * self.n1).sum(axis=1)
-        mass_diag[1:] += (w * self.n2 * self.n2).sum(axis=1)
+        stiff_diag = self._scatter(stiff, stiff)
+        mass_diag = self._scatter((w * self.n1 * self.n1).sum(axis=1), (w * self.n2 * self.n2).sum(axis=1))
         mass_off = (w * self.n1 * self.n2).sum(axis=1)
 
         lo, hi = self.free.start, self.free.stop
@@ -311,6 +325,13 @@ class _Discretization:
         phi, dphi = self.fields(v)
         return self.energy(phi, dphi, self.H2)[1] / self.mass(phi)
 
+    def _mass_grad(self, phi: np.ndarray) -> np.ndarray:
+        """grad D = int w p |phi|^(p-1) sign(phi) (n1, n2), nodal."""
+        with np.errstate(divide="ignore", invalid="ignore"):
+            phi_pow = np.where(phi != 0.0, np.abs(phi) ** (self.p - 1.0) * np.sign(phi), 0.0)
+        c_den = self.w * self.p * phi_pow
+        return self._scatter((c_den * self.n1).sum(axis=1), (c_den * self.n2).sum(axis=1))
+
     def value_grad(self, v: np.ndarray) -> tuple[float, np.ndarray]:
         p = self.p
         phi, dphi = self.fields(v)
@@ -319,17 +340,68 @@ class _Discretization:
         q = num / den
         with np.errstate(divide="ignore", invalid="ignore"):
             e_pow = np.where(e2 > 0.0, e2 ** (p / 2 - 1.0), 0.0)
-            phi_pow = np.where(phi != 0.0, np.abs(phi) ** (p - 1.0) * np.sign(phi), 0.0)
         c_phi = self.w * p * e_pow * self.H2 * phi
         c_dphi = (self.w * p * e_pow * dphi).sum(axis=1) / self.h
-        dnum = np.zeros_like(v)
-        dnum[:-1] += (c_phi * self.n1).sum(axis=1) - c_dphi
-        dnum[1:] += (c_phi * self.n2).sum(axis=1) + c_dphi
-        c_den = self.w * p * phi_pow
-        dden = np.zeros_like(v)
-        dden[:-1] += (c_den * self.n1).sum(axis=1)
-        dden[1:] += (c_den * self.n2).sum(axis=1)
-        return q, (dnum - q * dden) / den * self.mask
+        dnum = self._scatter(
+            (c_phi * self.n1).sum(axis=1) - c_dphi, (c_phi * self.n2).sum(axis=1) + c_dphi
+        )
+        return q, (dnum - q * self._mass_grad(phi)) / den * self.mask
+
+    def lagrangian_hessian(self, v: np.ndarray, q: float) -> tuple[np.ndarray, np.ndarray]:
+        """K = hess E - q hess D at v, tridiagonal: (diagonal, off-diagonal) over all nodes.
+
+        Each element couples its two nodes only.  With the gradients taken in
+        its nodal values (v_L, v_R) at each rule node, de2 = (-2 phi'/h +
+        2 H^2 phi n1, 2 phi'/h + 2 H^2 phi n2), dphi' = (-1/h, 1/h) and
+        dphi = (n1, n2), its 2x2 blocks are the weighted sums of
+            hess E:  (p/2)(p/2-1) e2^(p/2-2) de2 de2^T
+                     + p e2^(p/2-1) (dphi' dphi'^T + H^2 dphi dphi^T),
+            hess D:  p(p-1) |phi|^(p-2) dphi dphi^T.
+        """
+        p, H2, n1, n2 = self.p, self.H2, self.n1, self.n2
+        phi, dphi = self.fields(v)
+        e2 = self.energy(phi, dphi, H2)[0]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            e_pow1 = np.where(e2 > 0.0, e2 ** (p / 2 - 1.0), 0.0)
+            e_pow2 = np.where(e2 > 0.0, e2 ** (p / 2 - 2.0), 0.0)
+            phi_pow = np.where(phi != 0.0, np.abs(phi) ** (p - 2.0), 0.0)
+        dphi_h = dphi / self.h[:, None]
+        de2_l = -2.0 * dphi_h + 2.0 * H2 * phi * n1
+        de2_r = 2.0 * dphi_h + 2.0 * H2 * phi * n2
+        c_outer = self.w * (p / 2) * (p / 2 - 1.0) * e_pow2
+        c_curv = self.w * p * e_pow1
+        c_value = c_curv * H2 - q * self.w * p * (p - 1.0) * phi_pow
+        c_grad = c_curv.sum(axis=1) / self.h**2
+        k_ll = (c_outer * de2_l * de2_l + c_value * n1 * n1).sum(axis=1) + c_grad
+        k_rr = (c_outer * de2_r * de2_r + c_value * n2 * n2).sum(axis=1) + c_grad
+        k_lr = (c_outer * de2_l * de2_r + c_value * n1 * n2).sum(axis=1) - c_grad
+        return self._scatter(k_ll, k_rr), k_lr
+
+    def newton_direction(self, v: np.ndarray, q: float, g: np.ndarray) -> np.ndarray | None:
+        """Minus the Newton step of Q on the surface {D = const} through v, or None.
+
+        Solves the bordered system [K, grad D; grad D^T, 0] (d, mu) = (-D grad Q, 0)
+        on the free nodes by two tridiagonal solves, K x1 = D grad Q and
+        K x2 = grad D, and returns x1 - (grad D . x1 / grad D . x2) x2 = -d.  None when K is
+        singular or the step is not finite.
+        """
+        lo, hi = self.free.start, self.free.stop
+        phi = self.fields(v)[0]
+        diag, off = self.lagrangian_hessian(v, q)
+        grad_d = self._mass_grad(phi)[lo:hi]
+        banded = np.zeros((3, hi - lo))
+        banded[0, 1:] = banded[2, :-1] = off[lo : hi - 1]
+        banded[1] = diag[lo:hi]
+        rhs = np.stack([self.mass(phi) * g[lo:hi], grad_d], axis=1)
+        try:
+            x = solve_banded((1, 1), banded, rhs)
+        except (np.linalg.LinAlgError, ValueError):
+            return None
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            step = x[:, 0] - (grad_d * x[:, 0]).sum() / (grad_d * x[:, 1]).sum() * x[:, 1]
+        if not np.all(np.isfinite(step)):
+            return None
+        return self.expand_free(step)
 
     def normalize(self, v: np.ndarray) -> np.ndarray:
         """Project to the nonnegative cone, apply Dirichlet data, unit p-norm."""
@@ -374,15 +446,21 @@ def minimize_rayleigh_p(
     grad_tol: float = 1e-6,
     max_iter: int = 100_000,
 ) -> SpectralResult:
-    """Minimize the discrete quotient by projected gradient descent.
+    """Minimize the discrete quotient by Newton steps on the surface {D = const}.
 
-    The descent direction is the gradient in the weighted-H1 metric (solving
-    (S + (1+H^2) M) d = grad Q with the p=2 matrices), with backtracking line
-    search; iterates are clamped to the nonnegative cone and renormalized to
-    unit weighted p-norm.  Stops when the relative decrease of Q over an
-    iteration drops below tol and the metric gradient norm below grad_tol.
-    The mesh has mesh_size elements, graded toward pi/2 to match the
-    boundary layer there.
+    Each step solves the bordered Newton system of E - Q D restricted to
+    D = const (see _Discretization.newton_direction; with P1 elements the
+    Hessians of E and D are tridiagonal).  If that step is singular,
+    non-finite or not a descent direction, the gradient in the weighted-H1
+    metric (solving (S + (1+H^2) M) d = grad Q with the p=2 matrices) is
+    taken instead.  Backtracking line search from a full step; iterates are
+    clamped to the nonnegative cone and renormalized to unit weighted p-norm.
+    Stops when the relative decrease of Q over an iteration drops below tol
+    and the relative step decrement sqrt(grad Q . d) / Q below grad_tol; that
+    decrement is the returned residual.  Without init the start is the p = 2
+    eigenfunction or the cosine profile default_init, whichever has the lower
+    quotient.  The mesh has mesh_size elements, graded toward pi/2 to match
+    the boundary layer there.
     """
     disc = _Discretization.graded(params, domain, mesh_size)
     stiffness, mass = disc.p2_matrices()
@@ -396,19 +474,22 @@ def minimize_rayleigh_p(
     v = disc.normalize(v.astype(float))
 
     q, g = disc.value_grad(v)
-    eta = 1.0
     iterations = 0
-    grad_norm = math.inf
+    decrement = math.inf
     trace = [q]
     while iterations < max_iter:
         iterations += 1
-        direction = np.zeros_like(v)
-        direction[free] = precond(g[free])
-        slope = float(g @ direction)
-        if slope <= 0.0:
-            grad_norm = 0.0
-            break
-        grad_norm = math.sqrt(slope) / max(abs(q), 1e-300)
+        direction = disc.newton_direction(v, q, g)
+        slope = (g * direction).sum() if direction is not None else math.nan
+        if not slope > 0.0:
+            direction = np.zeros_like(v)
+            direction[free] = precond(g[free])
+            slope = (g * direction).sum()
+            if slope <= 0.0:
+                decrement = 0.0
+                break
+        decrement = math.sqrt(slope) / max(abs(q), 1e-300)
+        eta = 1.0
         accepted = False
         for _ in range(60):
             trial = disc.normalize(v - eta * direction)
@@ -423,14 +504,13 @@ def minimize_rayleigh_p(
         v = trial
         q, g = disc.value_grad(v)
         trace.append(q)
-        eta = min(eta * 1.5, 4.0)
-        if rel_dec < tol and grad_norm < grad_tol:
+        if rel_dec < tol and decrement < grad_tol:
             break
     else:
         raise ConvergenceError(
             f"quotient descent did not converge in {max_iter} iterations "
-            f"(last relative gradient {grad_norm:.3e})",
-            residual=grad_norm,
+            f"(last relative decrement {decrement:.3e})",
+            residual=decrement,
             trace=trace[-20:],
         )
 
@@ -441,7 +521,7 @@ def minimize_rayleigh_p(
         lam=lam,
         minimizer=DiscretizedFunction(mesh, v),
         iterations=iterations,
-        residual=grad_norm,
+        residual=decrement,
     )
 
 
@@ -452,12 +532,21 @@ def _default_start(
     stiffness: sp.csc_matrix,
     mass: sp.csc_matrix,
 ) -> np.ndarray:
-    """p=2 eigenfunction when the eigensolve succeeds, else the cosine profile."""
+    """The p=2 eigenfunction or the cosine profile, whichever has the lower quotient.
+
+    Where 2 <= k+a < p the Dirichlet node at pi/2 is invisible to the p = 2
+    problem, so its eigenfunction drops to zero across the last element only;
+    that start has a p-quotient of order 1e6 and can trap the descent.
+    """
+    cosine = default_init(params, domain, disc.mesh)
     try:
         _, vec = smallest_eigenpair(stiffness, mass)
-        return disc.expand_free(vec)
     except (ConvergenceError, RuntimeError):
-        return default_init(params, domain, disc.mesh)
+        return cosine
+    eigen = disc.expand_free(vec)
+    if disc.value(disc.normalize(cosine)) < disc.value(disc.normalize(eigen)):
+        return cosine
+    return eigen
 
 
 def solve_M(

@@ -108,10 +108,10 @@ class TestCommands:
         hrow = rows[-1]
         assert hrow.fit_rate == pytest.approx(1.0 - 2.0, abs=0.05)  # h^(1-p)
 
-    def test_verify_h_trace_skipped_below_threshold(self):
+    def test_verify_h_trace_below_threshold_rejected(self):
         config = config_for("verify", a=(0.0,), delta_list=(0.1,), h_list=(4, 8))
-        rows = cmd_verify(config)
-        assert rows[-1].quotient_trace == ()  # k + a < p: no strip regime
+        with pytest.raises(ValueError, match="k\\+a >= p"):
+            cmd_verify(config)  # k + a < p: no strip regime to check
 
     def test_table_reproduces_fractional_families(self):
         config = config_for("table", d=(), cs_n=(2, 3), cs_s=(0.25, 0.5, 0.75), mesh_size=256)
@@ -271,6 +271,17 @@ class TestMainEntry:
         code, out, err = run_cli(capsys, "verify", "--d", "3", "--k", "1", "--mesh", "64", *flags)
         assert code == 2 and out == ""
         assert message in json.loads(err)["error"]["message"]
+
+    def test_verify_h_trace_below_threshold_exits_2(self, capsys):
+        code, out, err = run_cli(capsys, "verify", "--mesh", "64", "--hs", "4,8")
+        assert code == 2 and out == ""
+        assert "k+a >= p" in json.loads(err)["error"]["message"]
+
+    def test_verify_inadmissible_cell_exits_2(self, capsys):
+        code, out, err = run_cli(capsys, "verify", "--cone", "full", "--p", "3",
+                                 "--deltas", "0.3,0.1")
+        assert code == 2 and out == ""
+        assert json.loads(err)["error"]["type"] == "AdmissibilityError"
 
     def test_gap_tolerance_drives_exit_code(self, capsys):
         args = [

@@ -400,3 +400,48 @@ class TestMinimizeRayleighP:
         result = solve_M(params, ConeSpec.half_space(), 96)
         habs = hardy_exponent(params).H_abs_p
         assert result.M >= habs - 1e-8
+
+    @pytest.mark.parametrize("bc2", [DIRICHLET, NATURAL], ids=["dirichlet", "natural"])
+    @pytest.mark.parametrize("p", [1.5, 3.0])
+    def test_newton_hessian_is_exact(self, p, bc2):
+        # K = hess E - Q hess D times a free direction x equals the central
+        # difference of grad E - Q grad D at fixed Q; x = v * r keeps the
+        # profile positive, so |phi|^p stays smooth along the difference
+        params = HardyParams(3, 1, p, 0.3, 0.0)
+        disc = spherical._Discretization.graded(params, AngularDomain(0.0, HALF_PI, NATURAL, bc2), 64)
+        mesh = disc.mesh
+        v = disc.normalize(np.cos(mesh) * (1.0 + 0.3 * np.sin(3.0 * mesh)) + (0.2 if bc2 is NATURAL else 0.0))
+        q = disc.value(v)
+        lo, hi = disc.free.start, disc.free.stop
+
+        def lagrangian_grad(u):  # grad E - q grad D = D grad Q(u) + (Q(u) - q) grad D
+            q_u, g = disc.value_grad(u)
+            phi = disc.fields(u)[0]
+            return (disc.mass(phi) * g + (q_u - q) * disc._mass_grad(phi))[lo:hi]
+
+        x = disc.expand_free(np.random.default_rng(7).standard_normal(hi - lo)) * v
+        diag, off = disc.lagrangian_hessian(v, q)
+        kx = diag * x
+        kx[:-1] += off * x[1:]
+        kx[1:] += off * x[:-1]
+        eps = 1e-6
+        fd = (lagrangian_grad(v + eps * x) - lagrangian_grad(v - eps * x)) / (2 * eps)
+        assert np.linalg.norm(fd - kx[lo:hi]) <= 1e-6 * np.linalg.norm(kx[lo:hi])
+
+    def test_newton_converges_on_degenerate_energy(self):
+        # at p = 1.5 the density e2^(p/2-1) degenerates toward the Dirichlet
+        # end, where the weighted-H1 gradient step needed ~14,000 iterations
+        params = HardyParams(3, 1, 1.5, 0.3, 0.0)
+        cone = ConeSpec.complement_sigma0()
+        result = solve_M(params, cone, 256)
+        tight = minimize_rayleigh_p(params, bc_for_cone(params, cone), 256, tol=1e-13, grad_tol=1e-10)
+        assert result.iterations <= 20
+        assert result.M == pytest.approx(tight.M, rel=1e-12)
+
+    def test_cosine_start_where_p2_eigenfunction_ignores_dirichlet_node(self):
+        # k+a = 2.5 >= 2: the p = 2 eigenfunction ignores the Dirichlet node at
+        # pi/2 (p-quotient ~2e6), and a descent from it stalls at Q ~ 2.58
+        params = HardyParams(3, 2, 3.0, 0.5, 0.5)
+        result = solve_M(params, ConeSpec.complement_sigma0(), 256)
+        assert result.iterations <= 20
+        assert result.M == pytest.approx(0.0720, rel=1e-3)
