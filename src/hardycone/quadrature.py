@@ -11,6 +11,11 @@ Rayleigh quotients run through the rules built here.  The weight is singular
   (cancellation-free even for end elements ~1e-12 wide),
 * a panel touching 0 absorbs theta^(d-k-1) the same way,
 * interior panels use Gauss-Legendre with the smooth weight in the integrand.
+
+Gauss-Jacobi rules come from the Golub-Welsch construction in numpy: the
+nodes are the eigenvalues of the Jacobi matrix of the three-term recurrence,
+and the weights are the Christoffel numbers 1 / sum_k phat_k(x_i)^2 of the
+orthonormal polynomials, scaled by the weight's total mass from math.lgamma.
 """
 
 from __future__ import annotations
@@ -21,7 +26,6 @@ from functools import lru_cache
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy.special import roots_jacobi, roots_legendre
 
 from .params import ConeKind, ConeSpec, HardyParams
 
@@ -89,10 +93,34 @@ class QuadratureRule:
 
 @lru_cache(maxsize=512)
 def _gauss_jacobi(n: int, alpha: float, beta: float) -> tuple[np.ndarray, np.ndarray]:
-    if alpha == 0.0 and beta == 0.0:
-        x, w = roots_legendre(n)
-    else:
-        x, w = roots_jacobi(n, alpha, beta)
+    """n-point Gauss rule for (1-x)^alpha (1+x)^beta on (-1, 1), alpha, beta > -1.
+
+    Golub-Welsch: nodes from the symmetric Jacobi matrix of the orthonormal
+    recurrence x phat_k = b_k phat_(k-1) + a_k phat_k + b_(k+1) phat_(k+1);
+    weights as 1 / sum_k phat_k(x_i)^2, summed from the recurrence, which
+    keeps full relative accuracy in the small end weights (the textbook
+    mu0 * v_0^2 from the eigenvectors does not).
+    """
+    ab = alpha + beta
+    k = np.arange(n, dtype=float)
+    s = 2.0 * k + ab
+    with np.errstate(divide="ignore", invalid="ignore"):
+        diag = (beta**2 - alpha**2) / (s * (s + 2.0))
+        off2 = 4.0 * k * (k + alpha) * (k + beta) * (k + ab) / (s**2 * (s + 1.0) * (s - 1.0))
+    # a_0 is 0/0 at alpha + beta = 0 and b_1^2 at alpha + beta = -1: cancelled forms
+    diag[0] = (beta - alpha) / (ab + 2.0)
+    if n > 1:
+        off2[1] = 4.0 * (1.0 + alpha) * (1.0 + beta) / ((ab + 2.0) ** 2 * (ab + 3.0))
+    off = np.sqrt(off2[1:])
+    x = np.linalg.eigvalsh(np.diag(diag) + np.diag(off, 1) + np.diag(off, -1))
+    p_prev, p_cur = np.zeros(n), np.ones(n)  # phat_k / phat_0 at the nodes
+    total = np.ones(n)
+    for j in range(n - 1):
+        p_prev, p_cur = p_cur, ((x - diag[j]) * p_cur - (off[j - 1] if j else 0.0) * p_prev) / off[j]
+        total += p_cur * p_cur
+    # mu0 = int (1-x)^alpha (1+x)^beta = 2^(alpha+beta+1) B(alpha+1, beta+1) = 1 / phat_0^2
+    log_mu0 = (ab + 1.0) * math.log(2.0) + math.lgamma(alpha + 1.0) + math.lgamma(beta + 1.0)
+    w = math.exp(log_mu0 - math.lgamma(ab + 2.0)) / total
     x.flags.writeable = False
     w.flags.writeable = False
     return x, w

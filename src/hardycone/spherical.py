@@ -13,10 +13,17 @@ discretized with piecewise-linear finite elements on a mesh graded toward the
 singular end theta = pi/2; for general p the discrete quotient is minimized
 directly by Newton steps on the surface {int w |phi|^p = const}.  With P1
 elements the Hessians of the two integrals are tridiagonal, so each step is
-two tridiagonal solves; where that step is singular or not a descent
-direction, a gradient step in the weighted-H1 metric (the p = 2 matrices) is
-taken instead.  For p != 2 the reported residual is the relative step
-decrement sqrt(grad Q . d) / Q of the last step.
+one tridiagonal solve with two right-hand sides; where that step is singular
+or not a descent direction, a gradient step in the weighted-H1 metric (the
+p = 2 matrices) is taken instead.  For p != 2 the reported residual is the
+relative step decrement sqrt(grad Q . d) / Q of the last step.
+
+Every matrix here is symmetric tridiagonal and is kept as a (diag, off) pair
+of numpy arrays.  One kernel solves all of them: odd-even cyclic reduction,
+vectorized over each level, which factors once, solves many right-hand sides
+and counts negative eigenvalues from its pivots (Sylvester inertia).  Dot
+products and norms are fixed-order numpy sums, never BLAS calls, so results
+do not depend on the BLAS thread count.
 """
 
 from __future__ import annotations
@@ -27,9 +34,6 @@ from enum import Enum
 from typing import Callable
 
 import numpy as np
-import scipy.sparse as sp
-import scipy.sparse.linalg as spla
-from scipy.linalg import solve_banded
 
 from .params import (
     ConeKind,
@@ -42,6 +46,8 @@ from .quadrature import AngularWeight, QuadratureRule, composite_rule
 
 HALF_PI = math.pi / 2
 MIN_MESH_SIZE = 16  # fewest elements a solve accepts
+
+Tridiagonal = tuple[np.ndarray, np.ndarray]  # symmetric: (diagonal, off-diagonal)
 
 
 class ConvergenceError(RuntimeError):
@@ -176,11 +182,89 @@ def _auto_gamma(params: HardyParams, domain: AngularDomain, n: int) -> float:
     return min(max(2.0, 2.4 / max(s, 0.05)), grading_cap(n))
 
 
+def _matvec(matrix: Tridiagonal, v: np.ndarray) -> np.ndarray:
+    diag, off = matrix
+    out = diag * v
+    out[:-1] += off * v[1:]
+    out[1:] += off * v[:-1]
+    return out
+
+
+def _norm(v: np.ndarray) -> float:
+    """Euclidean norm as a fixed-order sum (np.linalg.norm calls BLAS)."""
+    return math.sqrt((v * v).sum())
+
+
+class _CyclicReduction:
+    """Odd-even cyclic reduction of a symmetric tridiagonal matrix (diag, off).
+
+    Each level eliminates the even-indexed unknowns, which are uncoupled from
+    one another, and leaves a tridiagonal Schur complement on the odd ones;
+    every step is vectorized over the level.  This is a block LDL^T
+    factorization of a symmetric permutation of the matrix, so its pivots
+    carry the inertia.  Unpivoted: a zero or non-finite pivot raises
+    np.linalg.LinAlgError, which cannot happen for a positive definite matrix
+    but can for an indefinite one.
+    """
+
+    def __init__(self, diag: np.ndarray, off: np.ndarray):
+        diag = np.asarray(diag, dtype=float)
+        off = np.asarray(off, dtype=float)
+        if diag.ndim != 1 or off.shape != (max(diag.size - 1, 0),):
+            raise ValueError("need a diagonal of length n and an off-diagonal of length n - 1")
+        self.size = diag.size
+        # per level: pivots, couplings of each kept unknown to its left and
+        # right eliminated neighbour, and those couplings over the pivots
+        self.levels: list[tuple[np.ndarray, ...]] = []
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            while diag.size:
+                pivots, left, right = diag[0::2], off[0::2], off[1::2]
+                n_kept, n_right = left.size, right.size
+                left_mult = left / pivots[:n_kept]
+                right_mult = right / pivots[1 : n_right + 1]
+                self.levels.append((pivots, left, right, left_mult, right_mult))
+                kept = diag[1::2] - left * left_mult
+                kept[:n_right] -= right * right_mult
+                off = -right_mult[: n_kept - 1] * left[1:n_kept]
+                diag = kept
+        self.pivots = np.concatenate([level[0] for level in self.levels] or [np.ones(0)])
+        if not np.all(np.isfinite(self.pivots) & (self.pivots != 0.0)):
+            raise np.linalg.LinAlgError("tridiagonal factorization met a zero or non-finite pivot")
+
+    def solve(self, rhs: np.ndarray) -> np.ndarray:
+        """Solution for a right-hand side of shape (n,) or (n, k)."""
+        rhs = np.asarray(rhs, dtype=float)
+        b = rhs.reshape(self.size, -1)
+        eliminated = []
+        for _, left, right, left_mult, right_mult in self.levels:
+            b_even = b[0::2]
+            b = b[1::2] - left_mult[:, None] * b_even[: left.size]
+            b[: right.size] -= right_mult[:, None] * b_even[1 : right.size + 1]
+            eliminated.append(b_even)
+        x = b
+        for (pivots, left, right, _, _), b_even in zip(reversed(self.levels), reversed(eliminated)):
+            x_even = b_even.copy()
+            x_even[: left.size] -= left[:, None] * x
+            x_even[1 : right.size + 1] -= right[:, None] * x[: right.size]
+            x_even /= pivots[:, None]
+            full = np.empty((x_even.shape[0] + x.shape[0], x.shape[1]))
+            full[0::2] = x_even
+            full[1::2] = x
+            x = full
+        return x.reshape(rhs.shape)
+
+    def negative_count(self) -> int:
+        """Number of negative eigenvalues of the matrix (Sylvester's law of inertia)."""
+        return int((self.pivots < 0.0).sum())
+
+
 def smallest_eigenpair(
-    stiffness, mass, tol: float = 1e-10, max_iter: int = 2000
+    stiffness: Tridiagonal, mass: Tridiagonal, tol: float = 1e-10, max_iter: int = 2000
 ) -> tuple[float, np.ndarray]:
     """Smallest generalized eigenvalue of (stiffness, mass) and its eigenvector.
 
+    Both matrices are symmetric tridiagonal, given as (diag, off) pairs of
+    numpy arrays of lengths n and n - 1, with mass positive definite.
     Shifted inverse power iteration: iterate v <- (S - mu M)^-1 M v starting
     below the spectrum at mu = -1.  Once the residual is small against the
     gap estimated from the observed contraction ratio, the shift is
@@ -190,32 +274,37 @@ def smallest_eigenpair(
     the rounding level of the matrix-vector products; v comes back
     M-normalized with nonnegative weighted mean.
     """
-    S = sp.csc_matrix(stiffness)
-    M = sp.csc_matrix(mass)
-    if S.shape != M.shape or S.shape[0] != S.shape[1]:
-        raise ValueError("stiffness and mass must be square matrices of equal size")
-    mu = -1.0
-    solve_shifted = spla.splu((S - mu * M).tocsc()).solve
-    abs_S = abs(S)
-    abs_M = abs(M)
+    S = tuple(np.asarray(a, dtype=float) for a in stiffness)
+    M = tuple(np.asarray(a, dtype=float) for a in mass)
+    (s_diag, s_off), (m_diag, m_off) = S, M
+    if m_diag.shape != s_diag.shape or m_off.shape != s_off.shape:
+        raise ValueError("stiffness and mass must be tridiagonal matrices of equal size")
 
-    v = np.ones(S.shape[0])
-    v /= math.sqrt(v @ (M @ v))
-    lam = float(v @ (S @ v))
+    def shifted_solver(mu: float):
+        return _CyclicReduction(s_diag - mu * m_diag, s_off - mu * m_off).solve
+
+    mu = -1.0
+    solve_shifted = shifted_solver(mu)
+    abs_S = (np.abs(s_diag), np.abs(s_off))
+    abs_M = (np.abs(m_diag), np.abs(m_off))
+
+    v = np.ones(s_diag.size)
+    mv = _matvec(M, v)
     residual = math.inf
     history: list[float] = []
     reshifts = 0
     for _ in range(max_iter):
-        v = solve_shifted(M @ v)
-        v /= math.sqrt(v @ (M @ v))
-        lam = float(v @ (S @ v))
-        sv = S @ v
-        mv = M @ v
-        r = sv - lam * mv
-        residual = float(np.linalg.norm(r))
+        v = solve_shifted(mv)
+        mv = _matvec(M, v)
+        scale = math.sqrt((v * mv).sum())
+        v /= scale
+        mv /= scale
+        sv = _matvec(S, v)
+        lam = float((v * sv).sum())
+        residual = _norm(sv - lam * mv)
         # rounding floor of the matvecs: |S||v| does not cancel, S v may
         av = np.abs(v)
-        floor = 1e-14 * float(np.linalg.norm(abs_S @ av) + abs(lam) * np.linalg.norm(abs_M @ av))
+        floor = 1e-14 * (_norm(_matvec(abs_S, av)) + abs(lam) * _norm(_matvec(abs_M, av)))
         if residual <= max(tol, floor):
             break
         history.append(residual)
@@ -230,7 +319,7 @@ def smallest_eigenpair(
                     mu_new = lam - max(8.0 * residual, 1e-2 * gap_est)
                     if mu_new > mu:
                         mu = mu_new
-                        solve_shifted = spla.splu((S - mu * M).tocsc()).solve
+                        solve_shifted = shifted_solver(mu)
                         reshifts += 1
                         history.clear()
     else:
@@ -238,7 +327,7 @@ def smallest_eigenpair(
             f"inverse power iteration did not reach tol={tol:g} in {max_iter} iterations",
             residual=residual,
         )
-    if float((M @ v).sum()) < 0:
+    if mv.sum() < 0:
         v = -v
     return lam, v
 
@@ -291,20 +380,15 @@ class _Discretization:
         out[1:] += right
         return out
 
-    def p2_matrices(self) -> tuple[sp.csc_matrix, sp.csc_matrix]:
-        """Stiffness int w phi_i' phi_j' and mass int w phi_i phi_j on the free nodes."""
+    def p2_matrices(self) -> tuple[Tridiagonal, Tridiagonal]:
+        """Stiffness int w phi_i' phi_j' and mass int w phi_i phi_j on the free nodes, as (diag, off)."""
         w = self.w
         stiff = w.sum(axis=1) / self.h**2
         stiff_diag = self._scatter(stiff, stiff)
         mass_diag = self._scatter((w * self.n1 * self.n1).sum(axis=1), (w * self.n2 * self.n2).sum(axis=1))
         mass_off = (w * self.n1 * self.n2).sum(axis=1)
-
         lo, hi = self.free.start, self.free.stop
-
-        def tridiagonal(diag: np.ndarray, off: np.ndarray) -> sp.csc_matrix:
-            return sp.diags([off[lo : hi - 1], diag[lo:hi], off[lo : hi - 1]], [-1, 0, 1], format="csc")
-
-        return tridiagonal(stiff_diag, -stiff), tridiagonal(mass_diag, mass_off)
+        return (stiff_diag[lo:hi], -stiff[lo : hi - 1]), (mass_diag[lo:hi], mass_off[lo : hi - 1])
 
     def fields(self, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """phi and phi' at the rule's nodes, as (n_elements, nq), for nodal values v."""
@@ -381,21 +465,20 @@ class _Discretization:
         """Minus the Newton step of Q on the surface {D = const} through v, or None.
 
         Solves the bordered system [K, grad D; grad D^T, 0] (d, mu) = (-D grad Q, 0)
-        on the free nodes by two tridiagonal solves, K x1 = D grad Q and
-        K x2 = grad D, and returns x1 - (grad D . x1 / grad D . x2) x2 = -d.  None when K is
-        singular or the step is not finite.
+        on the free nodes by one tridiagonal factorization of K with two
+        right-hand sides, K x1 = D grad Q and K x2 = grad D, and returns
+        x1 - (grad D . x1 / grad D . x2) x2 = -d.  None when the factorization
+        meets a zero or non-finite pivot (K is indefinite away from the
+        minimum) or the step is not finite.
         """
         lo, hi = self.free.start, self.free.stop
         phi = self.fields(v)[0]
         diag, off = self.lagrangian_hessian(v, q)
         grad_d = self._mass_grad(phi)[lo:hi]
-        banded = np.zeros((3, hi - lo))
-        banded[0, 1:] = banded[2, :-1] = off[lo : hi - 1]
-        banded[1] = diag[lo:hi]
         rhs = np.stack([self.mass(phi) * g[lo:hi], grad_d], axis=1)
         try:
-            x = solve_banded((1, 1), banded, rhs)
-        except (np.linalg.LinAlgError, ValueError):
+            x = _CyclicReduction(diag[lo:hi], off[lo : hi - 1]).solve(rhs)
+        except np.linalg.LinAlgError:
             return None
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
             step = x[:, 0] - (grad_d * x[:, 0]).sum() / (grad_d * x[:, 1]).sum() * x[:, 1]
@@ -414,13 +497,14 @@ class _Discretization:
 
 def assemble_p2(
     params: HardyParams, domain: AngularDomain, mesh_size: int
-) -> tuple[sp.csc_matrix, sp.csc_matrix, np.ndarray]:
+) -> tuple[Tridiagonal, Tridiagonal, np.ndarray]:
     """P1 finite-element matrices of the weighted eigenproblem.
 
     Returns (stiffness, mass, mesh) with stiffness[i,j] = int w phi_i' phi_j',
-    mass[i,j] = int w phi_i phi_j on the graded mesh of mesh_size elements;
-    Dirichlet endpoint rows/columns are eliminated, so the matrices act on the
-    free nodes of the returned mesh.
+    mass[i,j] = int w phi_i phi_j on the graded mesh of mesh_size elements,
+    each a symmetric tridiagonal (diag, off) pair; Dirichlet endpoint
+    rows/columns are eliminated, so the matrices act on the free nodes of the
+    returned mesh.
     """
     disc = _Discretization.graded(params, domain, mesh_size)
     return (*disc.p2_matrices(), disc.mesh)
@@ -465,7 +549,8 @@ def minimize_rayleigh_p(
     disc = _Discretization.graded(params, domain, mesh_size)
     stiffness, mass = disc.p2_matrices()
     mesh, free = disc.mesh, disc.free
-    precond = spla.splu((stiffness + (1.0 + disc.H2) * mass).tocsc()).solve
+    shift = 1.0 + disc.H2
+    precond = _CyclicReduction(stiffness[0] + shift * mass[0], stiffness[1] + shift * mass[1]).solve
 
     if init is None:
         v = _default_start(params, domain, disc, stiffness, mass)
@@ -529,8 +614,8 @@ def _default_start(
     params: HardyParams,
     domain: AngularDomain,
     disc: _Discretization,
-    stiffness: sp.csc_matrix,
-    mass: sp.csc_matrix,
+    stiffness: Tridiagonal,
+    mass: Tridiagonal,
 ) -> np.ndarray:
     """The p=2 eigenfunction or the cosine profile, whichever has the lower quotient.
 
@@ -541,7 +626,7 @@ def _default_start(
     cosine = default_init(params, domain, disc.mesh)
     try:
         _, vec = smallest_eigenpair(stiffness, mass)
-    except (ConvergenceError, RuntimeError):
+    except (ConvergenceError, np.linalg.LinAlgError):
         return cosine
     eigen = disc.expand_free(vec)
     if disc.value(disc.normalize(cosine)) < disc.value(disc.normalize(eigen)):
@@ -569,7 +654,7 @@ def solve_M(
     stiffness, mass = disc.p2_matrices()
     lam, vec = smallest_eigenpair(stiffness, mass, tol=eigen_tol)
     values = disc.normalize(disc.expand_free(vec))
-    residual = float(np.linalg.norm(stiffness @ vec - lam * (mass @ vec)))
+    residual = _norm(_matvec(stiffness, vec) - lam * _matvec(mass, vec))
     return SpectralResult(
         M=lam + exponent.H**2,
         lam=lam,

@@ -4,9 +4,13 @@ import csv
 import io
 import json
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import hardycone
 from hardycone.cli import (
     CSV_COLUMNS,
     ReportRow,
@@ -27,6 +31,18 @@ def run_cli(capsys, *args):
     code = main(list(args))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def run_process(argv, **env):
+    """stdout of a fresh interpreter running argv, with this hardycone first on the path."""
+    src = str(Path(hardycone.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    done = subprocess.run(
+        [sys.executable, *argv], env={**os.environ, "PYTHONPATH": path, **env},
+        capture_output=True, text=True, timeout=300,
+    )
+    assert done.returncode == 0, done.stderr
+    return done.stdout
 
 
 def config_for(command="constant", **overrides):
@@ -365,3 +381,29 @@ class TestConfigSchema:
         code, out, err = run_cli(capsys, "sweep", "--cone", "punctured", "--mesh", "64", *flags)
         assert code == 2 and out == ""
         assert json.loads(err)["error"]["type"] == "ValueError"
+
+
+class TestProcesses:
+    def test_import_loads_no_scipy(self):
+        out = run_process([
+            "-c", "import sys, hardycone.cli; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))",
+        ])
+        assert out.strip() == "[]"
+
+    def test_constant_report_independent_of_blas_threads(self):
+        args = ["-m", "hardycone.cli", "constant", "--mesh", "32768"]
+        one = run_process(args, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1")
+        two = run_process(args, OPENBLAS_NUM_THREADS="2", OMP_NUM_THREADS="2")
+        assert json.loads(one)["rows"][0]["status"] == "ok"
+        assert one == two
+
+    def test_sweep_report_independent_of_jobs(self):
+        args = [
+            "-m", "hardycone.cli", "sweep", "--d", "3,4", "--k", "1", "--p", "2,1.5",
+            "--a", "0,0.3", "--b", "0", "--cone", "complement-sigma0,half-space", "--mesh", "512",
+        ]
+        serial = run_process([*args, "--jobs", "1"], OPENBLAS_NUM_THREADS="1")
+        parallel = run_process([*args, "--jobs", "2"], OPENBLAS_NUM_THREADS="2")
+        assert len(json.loads(serial)["rows"]) == 16
+        assert parallel.replace('"jobs": 2', '"jobs": 1') == serial

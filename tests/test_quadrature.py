@@ -4,11 +4,12 @@ import math
 
 import numpy as np
 import pytest
-from scipy.special import betaln, roots_legendre
+from scipy.special import betaln
 
 from hardycone.params import ConeSpec, HardyParams
 from hardycone.quadrature import (
     AngularWeight,
+    _gauss_jacobi,
     build_rule,
     composite_rule,
     integrate,
@@ -43,6 +44,30 @@ class TestSphereSurfaceArea:
     def test_negative_rejected(self):
         with pytest.raises(ValueError):
             sphere_surface_area(-1)
+
+
+def jacobi_moment(m: int, alpha: float, beta: float) -> float:
+    """int_-1^1 (1-x)^alpha (1+x)^(beta+m) dx = 2^(alpha+beta+m+1) B(alpha+1, beta+m+1)."""
+    return math.exp(
+        (alpha + beta + m + 1) * math.log(2.0) + math.lgamma(alpha + 1) + math.lgamma(beta + m + 1)
+        - math.lgamma(alpha + beta + m + 2)
+    )
+
+
+class TestGaussJacobi:
+    @pytest.mark.parametrize("n, bound", [(8, 1e-12), (10, 1e-12), (64, 1e-10), (256, 1e-10)])
+    @pytest.mark.parametrize(
+        "alpha, beta", [(0.0, 0.0), (0.0, -0.5), (0.0, -0.999), (-0.5, -0.5), (0.5, -0.25), (1.5, 0.3)]
+    )
+    def test_exact_on_polynomials_of_degree_2n_minus_1(self, n, bound, alpha, beta):
+        x, w = _gauss_jacobi(n, alpha, beta)
+        m = np.arange(2 * n)
+        exact = np.array([jacobi_moment(j, alpha, beta) for j in m])
+        got = (w * (1.0 + x) ** m[:, None]).sum(axis=1)
+        assert np.all(np.abs(got - exact) <= bound * exact)
+        assert np.all(np.diff(x) > 0) and np.all(w > 0)
+        if alpha == beta:
+            assert np.abs(x + x[::-1]).max() <= 1e-14
 
 
 class TestBuildRule:
@@ -138,7 +163,7 @@ class TestCompositeRule:
                 assert np.array_equal(nodes[e], single.nodes)
                 assert np.array_equal(weights[e], single.weights)
         # build_rule broadcasts too: interior panels against the per-panel Gauss-Legendre formula
-        x, wx = roots_legendre(12)
+        x, wx = _gauss_jacobi(12, 0.0, 0.0)
         for th1, th2 in zip(interior[:-1], interior[1:]):
             theta = th1 + 0.5 * (th2 - th1) * (1.0 + x)
             w = wx * 0.5 * (th2 - th1) * np.cos(theta) ** 1.4 * np.sin(theta) ** 2.0

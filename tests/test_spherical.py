@@ -5,7 +5,6 @@ import math
 import numpy as np
 import pytest
 import scipy.linalg as sla
-import scipy.sparse as sp
 
 import hardycone.spherical as spherical
 from hardycone.params import (
@@ -32,6 +31,43 @@ from hardycone.spherical import (
 )
 
 HALF_PI = math.pi / 2
+
+
+def matvec(matrix, v):
+    """Product of a symmetric tridiagonal (diag, off) pair with a vector."""
+    diag, off = matrix
+    out = diag * v
+    out[:-1] += off * v[1:]
+    out[1:] += off * v[:-1]
+    return out
+
+
+def dense(matrix):
+    diag, off = matrix
+    return np.diag(diag) + np.diag(off, 1) + np.diag(off, -1)
+
+
+def tridiagonal_form(A):
+    """Symmetric tridiagonal (diag, off) pair with the spectrum of the symmetric matrix A."""
+    T = sla.hessenberg(A)
+    return np.diag(T).copy(), np.diag(T, 1).copy()
+
+
+def identity(n):
+    return np.ones(n), np.zeros(n - 1)
+
+
+def clustered_pair(seed, gap, n=40):
+    """Tridiagonal form of Q diag(1, 1 + gap, uniform(2, 10)...) Q^T for a random orthogonal Q."""
+    rng = np.random.default_rng(seed)
+    Q, _ = np.linalg.qr(rng.standard_normal((n, n)))
+    eigs = np.concatenate([[1.0, 1.0 + gap], rng.uniform(2.0, 10.0, n - 2)])
+    return tridiagonal_form(Q @ np.diag(eigs) @ Q.T)
+
+
+def random_spd(rng, n):
+    Q = rng.standard_normal((n, n))
+    return Q @ Q.T + n * np.eye(n)
 
 
 def sigma0_reference(d: int, k: int, a: float, b: float) -> float:
@@ -99,26 +135,27 @@ class TestAssembleP2:
         params = HardyParams(3, 1, 2.0, 0.5, 0.0)
         dom = AngularDomain(0.0, HALF_PI, NATURAL, NATURAL)
         S, M, mesh = assemble_p2(params, dom, 64)
-        ones = np.ones(S.shape[0])
-        assert np.abs(S @ ones).max() < 1e-14 * np.abs(S.diagonal()).max()
-        assert S.shape[0] == mesh.size
+        ones = np.ones(S[0].size)
+        assert np.abs(matvec(S, ones)).max() < 1e-14 * np.abs(S[0]).max()
+        assert S[0].size == mesh.size
 
     def test_dirichlet_elimination(self):
         params = HardyParams(3, 1, 2.0, 0.0, 0.0)
         dom = AngularDomain(0.0, HALF_PI, NATURAL, DIRICHLET)
         S, M, mesh = assemble_p2(params, dom, 64)
-        assert S.shape[0] == mesh.size - 1
+        assert S[0].size == M[0].size == mesh.size - 1
         dom = AngularDomain(0.3, 1.2, DIRICHLET, DIRICHLET)
         S, M, mesh = assemble_p2(params, dom, 64)
-        assert S.shape[0] == mesh.size - 2
+        assert S[0].size == M[0].size == mesh.size - 2
 
     def test_symmetric_and_mass_positive(self):
         params = HardyParams(4, 2, 2.0, -0.5, 0.0)
         dom = AngularDomain(0.0, HALF_PI, NATURAL, DIRICHLET)
         S, M, _ = assemble_p2(params, dom, 32)
-        assert abs(S - S.T).max() == 0.0
-        assert abs(M - M.T).max() == 0.0
-        assert np.all(sla.eigvalsh(M.toarray()) > 0)
+        # symmetric by construction: one off-diagonal of length n - 1 per matrix
+        for diag, off in (S, M):
+            assert off.shape == (diag.size - 1,)
+        assert np.all(sla.eigvalsh(dense(M)) > 0)
 
     def test_hemisphere_eigenvalue_refines_to_two(self):
         params = HardyParams(3, 1, 2.0, 0.0, 0.0)
@@ -152,13 +189,13 @@ class TestAssembleP2:
 
 class TestSmallestEigenpair:
     def test_identical_matrices(self):
-        A = sp.identity(5, format="csc")
+        A = identity(5)
         lam, v = smallest_eigenpair(A, A)
         assert lam == pytest.approx(1.0, abs=1e-12)
 
     def test_diagonal_pair(self):
-        S = sp.diags([1.0, 4.0]).tocsc()
-        M = sp.identity(2, format="csc")
+        S = (np.array([1.0, 4.0]), np.zeros(1))
+        M = identity(2)
         lam, v = smallest_eigenpair(S, M)
         assert lam == pytest.approx(1.0, abs=1e-12)
         assert abs(v[0]) == pytest.approx(1.0, abs=1e-10)
@@ -167,12 +204,10 @@ class TestSmallestEigenpair:
     def test_random_pair_against_dense_oracle(self):
         rng = np.random.default_rng(17)
         n = 50
-        Q = rng.standard_normal((n, n))
-        S = Q @ Q.T + n * np.eye(n)
-        R = rng.standard_normal((n, n))
-        M = R @ R.T + n * np.eye(n)
-        lam, v = smallest_eigenpair(sp.csc_matrix(S), sp.csc_matrix(M), tol=1e-12)
-        oracle = sla.eigh(S, M, eigvals_only=True, subset_by_index=[0, 0])[0]
+        S = tridiagonal_form(random_spd(rng, n))
+        M = tridiagonal_form(random_spd(rng, n))
+        lam, v = smallest_eigenpair(S, M, tol=1e-12)
+        oracle = sla.eigh(dense(S), dense(M), eigvals_only=True, subset_by_index=[0, 0])[0]
         assert lam == pytest.approx(oracle, rel=1e-10)
 
     def test_eigenvector_residual_and_sign(self):
@@ -180,38 +215,105 @@ class TestSmallestEigenpair:
         dom = AngularDomain(0.0, HALF_PI, NATURAL, DIRICHLET)
         S, M, _ = assemble_p2(params, dom, 128)
         lam, v = smallest_eigenpair(S, M, tol=1e-11)
-        r = S @ v - lam * (M @ v)
-        assert np.linalg.norm(r) <= 1e-9 * np.linalg.norm(M @ v) / np.linalg.norm(v) * len(v)
-        assert (M @ v).sum() > 0  # nonnegative weighted mean
+        r = matvec(S, v) - lam * matvec(M, v)
+        assert np.linalg.norm(r) <= 1e-9 * np.linalg.norm(matvec(M, v)) / np.linalg.norm(v) * len(v)
+        assert matvec(M, v).sum() > 0  # nonnegative weighted mean
 
     def test_non_convergence_reports_residual(self):
         rng = np.random.default_rng(1)
-        Q = rng.standard_normal((30, 30))
-        S = sp.csc_matrix(Q @ Q.T + 30 * np.eye(30))
+        S = tridiagonal_form(random_spd(rng, 30))
         with pytest.raises(ConvergenceError) as err:
-            smallest_eigenpair(S, sp.identity(30, format="csc"), tol=1e-30, max_iter=2)
+            smallest_eigenpair(S, identity(30), tol=1e-30, max_iter=2)
         assert err.value.residual > 0
 
     def test_clustered_pair_converges_to_smallest(self):
         # the shift re-anchoring must not overshoot into the second eigenvalue
-        rng = np.random.default_rng(5)
-        n = 40
-        Q, _ = np.linalg.qr(rng.standard_normal((n, n)))
-        eigs = np.concatenate([[1.0, 1.001], rng.uniform(2.0, 10.0, n - 2)])
-        S = sp.csc_matrix(Q @ np.diag(eigs) @ Q.T)
-        lam, _ = smallest_eigenpair(S, sp.identity(n, format="csc"), tol=1e-11)
+        lam, _ = smallest_eigenpair(clustered_pair(5, 1e-3), identity(40), tol=1e-11)
         assert lam == pytest.approx(1.0, abs=1e-12)
 
     def test_degenerate_pair_fails_honestly(self):
-        # a relative gap of 1e-6 stalls the iteration; the solver must raise
-        # rather than return a value between the clustered eigenvalues
-        rng = np.random.default_rng(5)
-        n = 40
-        Q, _ = np.linalg.qr(rng.standard_normal((n, n)))
-        eigs = np.concatenate([[1.0, 1.000001], rng.uniform(2.0, 10.0, n - 2)])
-        S = sp.csc_matrix(Q @ np.diag(eigs) @ Q.T)
+        # a relative gap of 1e-6 stalls the iteration when the start vector
+        # weighs both clustered eigenvectors comparably; the solver must raise
+        # rather than return a value between the clustered eigenvalues.  The
+        # tridiagonal form changes those weights: the seed-2 matrix stalls,
+        # while on the seed-5 one the reshift resolves lambda_1 itself.
         with pytest.raises(ConvergenceError):
-            smallest_eigenpair(S, sp.identity(n, format="csc"), tol=1e-11)
+            smallest_eigenpair(clustered_pair(2, 1e-6), identity(40), tol=1e-11)
+        lam, _ = smallest_eigenpair(clustered_pair(5, 1e-6), identity(40), tol=1e-11)
+        assert lam == pytest.approx(1.0, abs=1e-12)
+
+
+def diagonally_dominant(rng, n):
+    off = rng.standard_normal(n - 1)
+    diag = 1.0 + rng.uniform(0.0, 1.0, n)
+    diag[:-1] += np.abs(off)
+    diag[1:] += np.abs(off)
+    return diag * rng.choice([-1.0, 1.0]), off
+
+
+class TestCyclicReduction:
+    @pytest.mark.parametrize("n", [1, 2, 3, 7, 8, 8191])
+    def test_solve_residual(self, n):
+        rng = np.random.default_rng(n)
+        A = diagonally_dominant(rng, n)
+        factor = spherical._CyclicReduction(*A)
+        b = rng.standard_normal((n, 3))
+        x = factor.solve(b)
+        for j in range(3):
+            r = matvec(A, x[:, j]) - b[:, j]
+            assert np.linalg.norm(r) <= 1e-14 * np.linalg.norm(b[:, j])
+        assert np.array_equal(factor.solve(b[:, 1]), x[:, 1])
+
+    @pytest.mark.parametrize("n", [1, 2, 5, 16, 33])
+    def test_negative_count_matches_dense_spectrum(self, n):
+        rng = np.random.default_rng(40 + n)
+        diag, off = rng.uniform(-2.0, 2.0, n), rng.uniform(0.5, 1.0, n - 1)
+        eigs = np.linalg.eigvalsh(dense((diag, off)))
+        shifts = np.concatenate([[eigs[0] - 1.0], 0.5 * (eigs[:-1] + eigs[1:]), [eigs[-1] + 1.0]])
+        for count, mu in enumerate(shifts):
+            assert spherical._CyclicReduction(diag - mu, off).negative_count() == count
+
+    @pytest.mark.parametrize(
+        "d, k, a, cone",
+        [
+            (3, 1, 0.0, ConeSpec.complement_sigma0()),
+            (3, 1, 0.9, ConeSpec.complement_sigma0()),
+            (6, 3, -1.2, ConeSpec.complement_sigma0()),
+            (5, 2, -0.1, ConeSpec.complement_sigma0()),
+            (4, 1, 0.3, ConeSpec.half_space()),
+            (3, 1, 0.5, ConeSpec.band(0.3, 1.2)),
+            (4, 2, -0.5, ConeSpec.band(0.3, HALF_PI)),
+        ],
+        ids=lambda x: x.describe() if isinstance(x, ConeSpec) else str(x),
+    )
+    def test_inertia_brackets_discrete_eigenvalue(self, d, k, a, cone):
+        # k+a < 2, so lambda_1 > 0: S - mu M has no negative eigenvalue just
+        # below it and one just above; a dense eigh(S, M) is no oracle on these
+        # graded meshes, whose element widths span many decades
+        params = HardyParams(d, k, 2.0, a, 0.0)
+        for n in (256, 512, 2048, 8192):
+            S, M, _ = assemble_p2(params, bc_for_cone(params, cone), n)
+            lam, _ = smallest_eigenpair(S, M)
+            counts = [
+                spherical._CyclicReduction(S[0] - mu * M[0], S[1] - mu * M[1]).negative_count()
+                for mu in (lam * (1 - 1e-6), lam * (1 + 1e-6))
+            ]
+            assert counts == [0, 1]
+
+    def test_zero_pivot_raises(self):
+        with pytest.raises(np.linalg.LinAlgError):
+            spherical._CyclicReduction(np.array([0.0, 1.0, 1.0]), np.array([1.0, 1.0]))
+
+    def test_newton_direction_none_on_zero_pivot(self):
+        params = HardyParams(3, 1, 1.5, 0.3, 0.0)
+        disc = spherical._Discretization.graded(params, bc_for_cone(params, ConeSpec.complement_sigma0()), 64)
+        v = disc.normalize(np.cos(disc.mesh))
+        q, g = disc.value_grad(v)
+        assert disc.newton_direction(v, q, g) is not None
+        diag, off = disc.lagrangian_hessian(v, q)
+        diag[0] = 0.0  # first free node (natural end): a zero pivot at the first level
+        disc.lagrangian_hessian = lambda v, q: (diag, off)
+        assert disc.newton_direction(v, q, g) is None
 
 
 class TestSolveM:
@@ -301,8 +403,8 @@ class TestSolveM:
         result = solve_M(params, cone, 256)
         S, M, mesh = assemble_p2(params, bc_for_cone(params, cone), 256)
         v = result.minimizer.values[:-1]  # drop the Dirichlet node at pi/2
-        r = S @ v - result.lam * (M @ v)
-        norm_m = math.sqrt(v @ (M @ v))
+        r = matvec(S, v) - result.lam * matvec(M, v)
+        norm_m = math.sqrt(v @ matvec(M, v))
         assert np.linalg.norm(r) / norm_m <= result.residual * (1 + 1e-9) + 1e-15
 
     def test_random_admissible_configurations_solve(self):
