@@ -12,15 +12,11 @@ from .params import (
     cone_admissible,
     cylindrical_constant,
     hardy_exponent,
-    sphere_weight_integrable,
-    weight_locally_integrable,
 )
 from .quadrature import (
     AngularWeight,
     QuadratureRule,
-    build_rule,
     composite_rule,
-    integrate,
     sphere_surface_area,
     sphere_weight_mass,
 )
@@ -34,25 +30,18 @@ from .spherical import (
     SpectralResult,
     assemble_p2,
     bc_for_cone,
-    closed_eigen_sigma0,
     graded_mesh,
     minimize_rayleigh_p,
     smallest_eigenpair,
     solve_M,
 )
 from .verifier import (
-    CertificationError,
-    LogCutoff,
-    PowerLawSplit,
-    PowerWindow,
     RayleighEvaluation,
-    SeparatedTestFunction,
     cutoff_decay,
     denominator_blowup,
     eta_cutoff,
     evaluate_quotient_udelta,
     radial_hardy_quotient,
-    verify_inequality,
 )
 
 __version__ = "0.1.0"
@@ -60,15 +49,12 @@ __version__ = "0.1.0"
 __all__ = [
     "AdmissibilityError", "AdmissibilityReport", "ClosedForm", "ConeKind", "ConeSpec",
     "HardyExponent", "HardyParams", "closed_form_constant", "cone_admissible",
-    "cylindrical_constant", "hardy_exponent", "sphere_weight_integrable",
-    "weight_locally_integrable",
-    "AngularWeight", "QuadratureRule", "build_rule", "composite_rule", "integrate",
-    "sphere_surface_area", "sphere_weight_mass",
+    "cylindrical_constant", "hardy_exponent",
+    "AngularWeight", "QuadratureRule", "composite_rule", "sphere_surface_area",
+    "sphere_weight_mass",
     "DIRICHLET", "NATURAL", "AngularDomain", "BoundaryCondition", "ConvergenceError",
-    "DiscretizedFunction", "SpectralResult", "assemble_p2", "bc_for_cone",
-    "closed_eigen_sigma0", "graded_mesh", "minimize_rayleigh_p", "smallest_eigenpair",
-    "solve_M",
-    "CertificationError", "LogCutoff", "PowerLawSplit", "PowerWindow",
-    "RayleighEvaluation", "SeparatedTestFunction", "cutoff_decay", "denominator_blowup",
-    "eta_cutoff", "evaluate_quotient_udelta", "radial_hardy_quotient", "verify_inequality",
+    "DiscretizedFunction", "SpectralResult", "assemble_p2", "bc_for_cone", "graded_mesh",
+    "minimize_rayleigh_p", "smallest_eigenpair", "solve_M",
+    "RayleighEvaluation", "cutoff_decay", "denominator_blowup", "eta_cutoff",
+    "evaluate_quotient_udelta", "radial_hardy_quotient",
 ]

@@ -130,11 +130,6 @@ class ConeSpec:
         """True if the closure of the spherical cross-section meets {y = 0}."""
         return self.kind is not ConeKind.BAND or self.theta2 == HALF_PI
 
-    @property
-    def contains_sigma0(self) -> bool:
-        """True if the cone itself contains points of {y = 0} (minus the origin)."""
-        return self.kind in (ConeKind.FULL_SPACE, ConeKind.PUNCTURED_SPACE)
-
     def describe(self) -> str:
         """Parseable name; band angles carry full precision for round trips."""
         if self.kind is ConeKind.BAND:
@@ -144,35 +139,11 @@ class ConeSpec:
 
 @dataclass(frozen=True)
 class AdmissibilityReport:
-    """Weight-integrability flags for a (parameters, cone) pair."""
+    """Admissibility and superdegeneracy (k+a >= p) of a (parameters, cone) pair."""
 
-    weight_integrable_punctured: bool
-    weight_integrable_origin: bool
-    sphere_weight_integrable: bool
     cone_admissible: bool
-    muckenhoupt_Ap: bool
     superdegenerate: bool
     notes: list[str] = field(default_factory=list)
-
-
-def weight_locally_integrable(params: HardyParams, beta: float, domain: str = "punctured") -> bool:
-    """Local integrability of |y|^a |z|^(-beta).
-
-    On the punctured space this only constrains the cylindrical factor
-    (k + a > 0); on the whole space the radial integral near the origin adds
-    d + a > beta.
-    """
-    ka = params.k + params.a
-    if domain == "punctured":
-        return ka > 0
-    if domain == "whole_space":
-        return ka > 0 and params.d + params.a > beta
-    raise ValueError(f"domain must be 'punctured' or 'whole_space', got {domain!r}")
-
-
-def sphere_weight_integrable(params: HardyParams) -> bool:
-    """Integrability of the angular weight |Pi sigma|^a over the unit sphere."""
-    return params.k + params.a > 0
 
 
 def cone_admissible(params: HardyParams, cone: ConeSpec) -> AdmissibilityReport:
@@ -203,15 +174,7 @@ def cone_admissible(params: HardyParams, cone: ConeSpec) -> AdmissibilityReport:
     if superdeg:
         notes.append("superdegenerate (k+a >= p): removing {y=0} does not change the constant")
 
-    return AdmissibilityReport(
-        weight_integrable_punctured=ka > 0,
-        weight_integrable_origin=ka > 0 and params.d + params.a > params.b + params.p,
-        sphere_weight_integrable=ka > 0,
-        cone_admissible=admissible,
-        muckenhoupt_Ap=0 < ka < params.p,
-        superdegenerate=superdeg,
-        notes=notes,
-    )
+    return AdmissibilityReport(cone_admissible=admissible, superdegenerate=superdeg, notes=notes)
 
 
 def require_admissible(params: HardyParams, cone: ConeSpec) -> AdmissibilityReport:

@@ -23,7 +23,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -31,7 +31,6 @@ from .params import ConeKind, ConeSpec, HardyParams
 
 HALF_PI = math.pi / 2
 
-DEFAULT_RULE_ORDER = 256
 DEFAULT_PANEL_ORDER = 8
 
 
@@ -65,11 +64,6 @@ class AngularWeight:
             sin_exponent=params.d - params.k - 1.0,
             prefactor=pref,
         )
-
-    def __call__(self, theta: np.ndarray) -> np.ndarray:
-        theta = np.asarray(theta, dtype=float)
-        # cos(theta) evaluated as sin(pi/2 - theta) keeps relative accuracy near pi/2
-        return np.sin(HALF_PI - theta) ** self.cos_exponent * np.sin(theta) ** self.sin_exponent
 
 
 @dataclass(frozen=True, eq=False)
@@ -155,25 +149,6 @@ def _panel(weight: AngularWeight, th1: float, th2: float, n: int) -> tuple[np.nd
     return theta[idx], w[idx]
 
 
-def _check_integrable(weight: AngularWeight, th2: float) -> None:
-    if th2 == HALF_PI and weight.cos_exponent <= -1.0:
-        raise ValueError(
-            f"weight cos^{weight.cos_exponent:g} is not integrable up to theta = pi/2 (needs k+a > 0)"
-        )
-
-
-def build_rule(
-    weight: AngularWeight, interval: tuple[float, float], n: int = DEFAULT_RULE_ORDER
-) -> QuadratureRule:
-    """Gauss-type rule for int f(theta) w(theta) dtheta over the interval."""
-    th1, th2 = float(interval[0]), float(interval[1])
-    if not (0.0 <= th1 < th2 <= HALF_PI):
-        raise ValueError(f"interval must satisfy 0 <= theta1 < theta2 <= pi/2, got {interval}")
-    if n < 1:
-        raise ValueError("need at least one node")
-    return composite_rule(weight, (th1, th2), n)
-
-
 def composite_rule(
     weight: AngularWeight, mesh: Sequence[float] | np.ndarray, n_per_panel: int = DEFAULT_PANEL_ORDER
 ) -> QuadratureRule:
@@ -186,7 +161,12 @@ def composite_rule(
     mesh = np.asarray(mesh, dtype=float)
     if mesh.ndim != 1 or mesh.size < 2 or np.any(np.diff(mesh) <= 0):
         raise ValueError("mesh must be a strictly increasing 1-D array")
-    _check_integrable(weight, float(mesh[-1]))
+    if not (0.0 <= mesh[0] and mesh[-1] <= HALF_PI):
+        raise ValueError(f"mesh must lie in [0, pi/2], got [{mesh[0]:g}, {mesh[-1]:g}]")
+    if mesh[-1] == HALF_PI and weight.cos_exponent <= -1.0:
+        raise ValueError(
+            f"weight cos^{weight.cos_exponent:g} is not integrable up to theta = pi/2 (needs k+a > 0)"
+        )
     n_el = mesh.size - 1
     first = 1 if mesh[0] == 0.0 else 0
     last = n_el - 1 if mesh[-1] == HALF_PI else n_el
@@ -212,25 +192,10 @@ def composite_rule(
     )
 
 
-def integrate(rule: QuadratureRule, f: Callable[[np.ndarray], np.ndarray]) -> float:
-    """Apply the rule: sum of weights * f(nodes)."""
-    vals = np.asarray(f(rule.nodes), dtype=float)
-    if vals.shape != rule.nodes.shape:
-        vals = np.broadcast_to(vals, rule.nodes.shape)
-    if not np.all(np.isfinite(vals)):
-        raise ValueError("integrand returned non-finite values at quadrature nodes")
-    return float(rule.weights @ vals)
-
-
-def angular_weight_mass(weight: AngularWeight, interval: tuple[float, float] | None = None) -> float:
-    """int w dtheta over the interval (default: the whole quarter-arc)."""
-    rule = build_rule(weight, interval or (0.0, HALF_PI))
-    return float(rule.weights.sum())
-
-
 def sphere_weight_mass(params: HardyParams) -> float:
     """Total mass int_{S^(d-1)} |Pi sigma|^a dsigma = prefactor * B((k+a)/2, (d-k)/2) / 2."""
     if params.k + params.a <= 0:
         raise ValueError(f"sphere weight integrable only for k+a > 0, got {params.k + params.a}")
-    weight = AngularWeight.for_params(params)
-    return weight.prefactor * angular_weight_mass(weight)
+    x, y = (params.k + params.a) / 2, (params.d - params.k) / 2
+    beta = math.exp(math.lgamma(x) + math.lgamma(y) - math.lgamma(x + y))
+    return AngularWeight.for_params(params).prefactor * beta / 2

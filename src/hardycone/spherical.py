@@ -31,7 +31,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Callable
 
 import numpy as np
 
@@ -46,6 +45,7 @@ from .quadrature import AngularWeight, QuadratureRule, composite_rule
 
 HALF_PI = math.pi / 2
 MIN_MESH_SIZE = 16  # fewest elements a solve accepts
+MAX_DESCENT_ITER = 100_000  # descent steps before ConvergenceError
 
 Tridiagonal = tuple[np.ndarray, np.ndarray]  # symmetric: (diagonal, off-diagonal)
 
@@ -128,8 +128,7 @@ def bc_for_cone(params: HardyParams, cone: ConeSpec) -> AngularDomain:
     superdegenerate regime k+a >= p where the removed set has zero weighted
     p-capacity and the natural condition takes over.
     """
-    require_admissible(params, cone)
-    superdeg = params.k + params.a >= params.p
+    superdeg = require_admissible(params, cone).superdegenerate
     kind = cone.kind
     if kind in (ConeKind.FULL_SPACE, ConeKind.PUNCTURED_SPACE):
         return AngularDomain(0.0, HALF_PI, NATURAL, NATURAL)
@@ -510,7 +509,7 @@ def assemble_p2(
     return (*disc.p2_matrices(), disc.mesh)
 
 
-def default_init(params: HardyParams, domain: AngularDomain, mesh: np.ndarray) -> np.ndarray:
+def _cosine_profile(params: HardyParams, domain: AngularDomain, mesh: np.ndarray) -> np.ndarray:
     """Profile cos^max(0, 2-(k+a)) adjusted to the Dirichlet data."""
     s = max(0.0, 2.0 - (params.k + params.a))
     v = np.cos(mesh) ** s
@@ -528,7 +527,6 @@ def minimize_rayleigh_p(
     init: DiscretizedFunction | None = None,
     tol: float = 1e-9,
     grad_tol: float = 1e-6,
-    max_iter: int = 100_000,
 ) -> SpectralResult:
     """Minimize the discrete quotient by Newton steps on the surface {D = const}.
 
@@ -542,7 +540,7 @@ def minimize_rayleigh_p(
     Stops when the relative decrease of Q over an iteration drops below tol
     and the relative step decrement sqrt(grad Q . d) / Q below grad_tol; that
     decrement is the returned residual.  Without init the start is the p = 2
-    eigenfunction or the cosine profile default_init, whichever has the lower
+    eigenfunction or the cosine profile, whichever has the lower
     quotient.  The mesh has mesh_size elements, graded toward pi/2 to match
     the boundary layer there.
     """
@@ -562,7 +560,7 @@ def minimize_rayleigh_p(
     iterations = 0
     decrement = math.inf
     trace = [q]
-    while iterations < max_iter:
+    while iterations < MAX_DESCENT_ITER:
         iterations += 1
         direction = disc.newton_direction(v, q, g)
         slope = (g * direction).sum() if direction is not None else math.nan
@@ -593,7 +591,7 @@ def minimize_rayleigh_p(
             break
     else:
         raise ConvergenceError(
-            f"quotient descent did not converge in {max_iter} iterations "
+            f"quotient descent did not converge in {MAX_DESCENT_ITER} iterations "
             f"(last relative decrement {decrement:.3e})",
             residual=decrement,
             trace=trace[-20:],
@@ -623,7 +621,7 @@ def _default_start(
     problem, so its eigenfunction drops to zero across the last element only;
     that start has a p-quotient of order 1e6 and can trap the descent.
     """
-    cosine = default_init(params, domain, disc.mesh)
+    cosine = _cosine_profile(params, domain, disc.mesh)
     try:
         _, vec = smallest_eigenpair(stiffness, mass)
     except (ConvergenceError, np.linalg.LinAlgError):
@@ -638,21 +636,19 @@ def solve_M(
     params: HardyParams,
     cone: ConeSpec,
     mesh_size: int = 512,
-    eigen_tol: float = 1e-10,
-    init: DiscretizedFunction | None = None,
 ) -> SpectralResult:
     """Spherical minimum M of the cone: eigensolve for p = 2, descent otherwise.
 
     Both paths discretize once, on a mesh of mesh_size elements graded toward
-    pi/2; init seeds the descent (p != 2).
+    pi/2.
     """
     domain = bc_for_cone(params, cone)
     exponent = hardy_exponent(params)
     if params.p != 2:
-        return minimize_rayleigh_p(params, domain, mesh_size, init=init)
+        return minimize_rayleigh_p(params, domain, mesh_size)
     disc = _Discretization.graded(params, domain, mesh_size)
     stiffness, mass = disc.p2_matrices()
-    lam, vec = smallest_eigenpair(stiffness, mass, tol=eigen_tol)
+    lam, vec = smallest_eigenpair(stiffness, mass)
     values = disc.normalize(disc.expand_free(vec))
     residual = _norm(_matvec(stiffness, vec) - lam * _matvec(mass, vec))
     return SpectralResult(
@@ -663,21 +659,3 @@ def solve_M(
         residual=residual,
     )
 
-
-def closed_eigen_sigma0(params: HardyParams) -> tuple[float, Callable[[np.ndarray], np.ndarray]]:
-    """Exact first eigenpair on the complement of {y=0} for p = 2, k+a < 2.
-
-    lambda_1 = (d-k)(2-(k+a)) with eigenfunction cos^(2-(k+a))(theta); the
-    profile vanishes at theta = pi/2 exactly when k+a < 2.
-    """
-    if params.p != 2:
-        raise ValueError(f"closed eigenpair requires p = 2, got p={params.p}")
-    s = 2.0 - (params.k + params.a)
-    if s <= 0:
-        raise ValueError(f"closed eigenpair requires k+a < 2, got k+a={params.k + params.a}")
-    lam1 = (params.d - params.k) * s
-
-    def sampler(theta: np.ndarray) -> np.ndarray:
-        return np.sin(HALF_PI - np.asarray(theta, dtype=float)) ** s
-
-    return lam1, sampler

@@ -6,30 +6,29 @@ has quotient >= m, and the separated family
     u_delta = r^(-H+delta) Phi(theta)  (r < 1),   r^(-H-delta) Phi(theta)  (r > 1)
 
 has quotient M + O(delta^2) with denominator blowing up like 1/delta, which
-exhibits both sharpness and non-attainment.  Radial integrals of pure powers
-are evaluated in closed form; everything else uses tensor-product quadrature
-in (log r, theta).  Every angular integral uses the solver's P1
-discretization of Phi (the same quadrature nodes, weights and shape values),
-so at p = 2 the u_delta quotient is the discrete Rayleigh quotient + delta^2.
+exhibits both sharpness and non-attainment.  Its radial integrals are pure
+powers, evaluated in closed form, and its angular integrals use the solver's
+P1 discretization of Phi (the same quadrature nodes, weights and shape
+values), so at p = 2 the u_delta quotient is the discrete Rayleigh quotient
++ delta^2.  In the superdegenerate regime k+a >= p, cutoff_decay measures
+the energy a log cutoff near {y = 0} costs, by tensor-product quadrature in
+(log r, -log|y|); radial_hardy_quotient is a 1-D oracle for sampled profiles.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Union
+from typing import Callable
 
 import numpy as np
 
-from .params import ConeSpec, HardyParams, hardy_exponent, require_admissible
+from .params import ConeSpec, HardyParams, hardy_exponent
 from .quadrature import AngularWeight, _gauss_jacobi, composite_rule
-from .spherical import DIRICHLET, AngularDomain, DiscretizedFunction, _Discretization, bc_for_cone
+from .spherical import DiscretizedFunction, _Discretization
 
-HALF_PI = math.pi / 2
-
-
-class CertificationError(RuntimeError):
-    """An evaluated quotient fell below the reference sharp constant."""
+CUTOFF_RADIAL_PANELS = 48  # 10-point Gauss panels in nu = log r for the strip energy
+CUTOFF_TAU_PANELS = 24  # and in tau = -log|y|
 
 
 # ---------------------------------------------------------------------------
@@ -64,72 +63,6 @@ def eta_cutoff(t: np.ndarray) -> np.ndarray:
 
 def eta_cutoff_prime(t: np.ndarray) -> np.ndarray:
     return -smooth_step_prime(np.asarray(t, dtype=float) - 1.0)
-
-
-# ---------------------------------------------------------------------------
-# separated test functions
-
-@dataclass(frozen=True)
-class PowerLawSplit:
-    """Radial profile r^(-H+delta) inside the unit ball, r^(-H-delta) outside."""
-
-    delta: float
-
-    def __post_init__(self) -> None:
-        if self.delta <= 0:
-            raise ValueError(f"need delta > 0, got {self.delta}")
-
-
-@dataclass(frozen=True)
-class PowerWindow:
-    """r^exponent on [r0, r1] with smooth decay over `ramp` e-folds outside."""
-
-    exponent: float
-    r0: float
-    r1: float
-    ramp: float = 1.0
-
-    def __post_init__(self) -> None:
-        if not 0 < self.r0 < self.r1:
-            raise ValueError(f"need 0 < r0 < r1, got ({self.r0}, {self.r1})")
-        if self.ramp <= 0:
-            raise ValueError("ramp must be positive")
-
-    def log_support(self) -> tuple[float, float]:
-        return math.log(self.r0) - self.ramp, math.log(self.r1) + self.ramp
-
-    def profile(self, nu: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Window G(nu) and its log-derivative G'(nu), nu = log r."""
-        nu = np.asarray(nu, dtype=float)
-        x_up = (nu - (math.log(self.r0) - self.ramp)) / self.ramp
-        x_dn = (nu - math.log(self.r1)) / self.ramp
-        up = smooth_step(x_up)
-        dn = 1.0 - smooth_step(x_dn)
-        dup = smooth_step_prime(x_up) / self.ramp
-        ddn = -smooth_step_prime(x_dn) / self.ramp
-        return up * dn, dup * dn + up * ddn
-
-
-@dataclass(frozen=True)
-class LogCutoff:
-    """Multiplier eta(-log|y| / h) removing a neighborhood of {y = 0}."""
-
-    h: int
-
-    def __post_init__(self) -> None:
-        if not (isinstance(self.h, int) and self.h >= 1):
-            raise ValueError(f"need integer h >= 1, got {self.h}")
-
-
-RadialProfile = Union[PowerLawSplit, PowerWindow, LogCutoff]
-
-
-@dataclass(frozen=True)
-class SeparatedTestFunction:
-    """u(z) = radial(r) * angular(theta) in spherical coordinates."""
-
-    radial: RadialProfile
-    angular: DiscretizedFunction
 
 
 @dataclass(frozen=True)
@@ -222,12 +155,32 @@ def _gauss_panels(lo: float, hi: float, n_panels: int, n_per: int = 10) -> tuple
     return (mid + half * x).ravel(), (half * wx).ravel()
 
 
-def _plateau_window(delta_inner: float, delta_outer: float) -> PowerWindow:
-    # plateau value 1 with 1-e-fold ramps kept inside the stated support
+@dataclass(frozen=True)
+class _PlateauWindow:
+    """Value 1 on [r0, r1], smooth decay over one e-fold outside."""
+
+    r0: float
+    r1: float
+
+    def log_support(self) -> tuple[float, float]:
+        return math.log(self.r0) - 1.0, math.log(self.r1) + 1.0
+
+    def profile(self, nu: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Window G(nu) and its log-derivative G'(nu), nu = log r."""
+        nu = np.asarray(nu, dtype=float)
+        x_up = nu - (math.log(self.r0) - 1.0)
+        x_dn = nu - math.log(self.r1)
+        up = smooth_step(x_up)
+        dn = 1.0 - smooth_step(x_dn)
+        return up * dn, smooth_step_prime(x_up) * dn - up * smooth_step_prime(x_dn)
+
+
+def _plateau_window(delta_inner: float, delta_outer: float) -> _PlateauWindow:
+    # the 1-e-fold ramps are kept inside the stated support
     e = math.e
     if delta_outer / e <= delta_inner * e:
         raise ValueError("support must span more than two e-folds")
-    return PowerWindow(exponent=0.0, r0=delta_inner * e, r1=delta_outer / e)
+    return _PlateauWindow(r0=delta_inner * e, r1=delta_outer / e)
 
 
 def cutoff_decay(
@@ -236,8 +189,6 @@ def cutoff_decay(
     h: int,
     eta: Callable[[np.ndarray], np.ndarray] | None = None,
     eta_prime: Callable[[np.ndarray], np.ndarray] | None = None,
-    n_radial_panels: int = 48,
-    n_tau_panels: int = 24,
 ) -> float:
     """Gradient energy I_h of u_h = eta(-log|y|/h) u over the strip e^-2h < |y| < e^-h.
 
@@ -268,8 +219,8 @@ def cutoff_decay(
 
     window = _plateau_window(delta_inner, delta_outer)
     nu_lo, nu_hi = window.log_support()
-    nu, w_nu = _gauss_panels(nu_lo, nu_hi, n_radial_panels)
-    tau, w_tau = _gauss_panels(float(h), 2.0 * float(h), n_tau_panels)
+    nu, w_nu = _gauss_panels(nu_lo, nu_hi, CUTOFF_RADIAL_PANELS)
+    tau, w_tau = _gauss_panels(float(h), 2.0 * float(h), CUTOFF_TAU_PANELS)
 
     g, gp = window.profile(nu)           # f(r) = g(nu), f'(r) = gp(nu)/r
     r = np.exp(nu)
@@ -313,91 +264,3 @@ def radial_hardy_quotient(p: float, weight_exponent: float, r: np.ndarray, value
         raise ValueError("denominator vanishes: profile is identically zero")
     return float(num / den)
 
-
-# ---------------------------------------------------------------------------
-# full separated quotients
-
-def _check_angular_profile(domain: AngularDomain, Phi: DiscretizedFunction) -> None:
-    if abs(Phi.mesh[0] - domain.theta1) > 1e-12 or abs(Phi.mesh[-1] - domain.theta2) > 1e-12:
-        raise ValueError(
-            "angular profile mesh must span the cone cross-section "
-            f"[{domain.theta1:g}, {domain.theta2:g}]"
-        )
-    scale = np.abs(Phi.values).max()
-    if scale == 0.0:
-        raise ValueError("angular profile is identically zero")
-    for bc, endpoint in ((domain.bc1, Phi.values[0]), (domain.bc2, Phi.values[-1])):
-        if bc is DIRICHLET and abs(endpoint) > 1e-9 * scale:
-            raise ValueError("angular profile violates the Dirichlet endpoint condition")
-
-
-def verify_inequality(
-    params: HardyParams,
-    cone: ConeSpec,
-    testfn: SeparatedTestFunction,
-    reference: float | None = None,
-    tol: float = 1e-8,
-    n_radial_panels: int = 64,
-) -> RayleighEvaluation:
-    """Full mixed-weight quotient of a separated test function on the cone.
-
-    Radial power-law integrals are closed-form (PowerLawSplit); windowed
-    powers use tensor-product quadrature in (log r, theta) with the radial
-    grid tied to the window, so the quotient is exactly dilation invariant.
-    When a reference constant is supplied the evaluation must satisfy
-    quotient >= reference - tol.
-    """
-    require_admissible(params, cone)
-    domain = bc_for_cone(params, cone)
-    Phi = testfn.angular
-    _check_angular_profile(domain, Phi)
-
-    if isinstance(testfn.radial, PowerLawSplit):
-        ev = evaluate_quotient_udelta(params, Phi, testfn.radial.delta, reference=reference, cone=cone)
-    elif isinstance(testfn.radial, PowerWindow):
-        ev = _power_window_quotient(params, cone, testfn.radial, Phi, n_radial_panels, reference)
-    else:
-        raise ValueError(
-            "unsupported test-function/cone combination: the log-cutoff multiplier "
-            "is not separated; use cutoff_decay for its strip energy"
-        )
-    if reference is not None and ev.quotient < reference - tol:
-        raise CertificationError(
-            f"quotient {ev.quotient:.12g} fell below reference {reference:.12g} - {tol:g}"
-        )
-    return ev
-
-
-def _power_window_quotient(
-    params: HardyParams,
-    cone: ConeSpec,
-    window: PowerWindow,
-    Phi: DiscretizedFunction,
-    n_radial_panels: int,
-    reference: float | None,
-) -> RayleighEvaluation:
-    disc = _discretization(params, Phi)
-    pref = AngularWeight.for_params(params, cone).prefactor
-    phi, dphi = disc.fields(Phi.values)
-
-    nu_lo, nu_hi = window.log_support()
-    nu, w_nu = _gauss_panels(nu_lo, nu_hi, n_radial_panels)
-    g, gp = window.profile(nu)
-    s = window.exponent
-    f = g                      # radial profile relative to r^s, split off below
-    fp = s * g + gp            # r f'(r) / r^s
-
-    d, a, b, p = params.d, params.a, params.b, params.p
-    # |grad u|^2 = r^(2s-2) [ (fp Phi)^2 + (f Phi')^2 ], all powers of r kept
-    # as exp(nu * .) so that shifting the window rescales integrals exactly
-    rad_num_w = w_nu * np.exp(nu * (d + a - b + p * (s - 1.0)))
-    cross = (fp[:, None] * phi.ravel()) ** 2 + (f[:, None] * dphi.ravel()) ** 2
-    numerator = pref * float(rad_num_w @ cross ** (p / 2) @ disc.w.ravel())
-    rad_den = float((w_nu * np.exp(nu * (d + a - b - p + p * s))) @ np.abs(f) ** p)
-    denominator = pref * rad_den * disc.mass(phi)
-    return RayleighEvaluation(
-        numerator=numerator,
-        denominator=denominator,
-        quotient=numerator / denominator,
-        closed_form_reference=reference,
-    )

@@ -14,8 +14,6 @@ from hardycone.params import (
     cone_admissible,
     cylindrical_constant,
     hardy_exponent,
-    sphere_weight_integrable,
-    weight_locally_integrable,
 )
 
 HALF_PI = math.pi / 2
@@ -70,18 +68,21 @@ class TestHardyExponent:
 
 
 class TestIntegrabilityPredicates:
+    """Local integrability of |y|^a |z|^(-b-p), as cone_admissible decides it."""
+
     def test_punctured_depends_only_on_cylindrical_exponent(self):
-        assert not weight_locally_integrable(HardyParams(3, 1, 2.0, -1.0, 0.0), beta=5.0)
-        assert weight_locally_integrable(HardyParams(3, 1, 2.0, -0.5, 0.0), beta=100.0)
+        punctured = ConeSpec.punctured_space()
+        assert not cone_admissible(HardyParams(3, 1, 2.0, -1.0, 0.0), punctured).cone_admissible
+        assert cone_admissible(HardyParams(3, 1, 2.0, -0.5, 98.0), punctured).cone_admissible
 
     def test_whole_space_unweighted(self):
-        assert weight_locally_integrable(HardyParams(4, 2, 2.0, 0.0, 0.0), 0.0, "whole_space")
+        assert cone_admissible(HardyParams(4, 2, 2.0, 0.0, 0.0), ConeSpec.full_space()).cone_admissible
 
     def test_whole_space_origin_threshold(self):
-        # d + a = 3.5 <= beta = 3.6: not integrable at the origin
-        params = HardyParams(3, 1, 2.0, 0.5, 0.0)
-        assert not weight_locally_integrable(params, 3.6, "whole_space")
-        # radial-integral oracle: int_eps^1 r^{d+a-beta-1} dr grows as eps -> 0
+        # d + a = 3.5 <= p + b = 3.6: not integrable at the origin
+        params = HardyParams(3, 1, 2.0, 0.5, 1.6)
+        assert not cone_admissible(params, ConeSpec.full_space()).cone_admissible
+        # radial-integral oracle: int_eps^1 r^{d+a-(p+b)-1} dr grows as eps -> 0
         tails = []
         for eps in (1e-2, 1e-4, 1e-6):
             r = np.linspace(eps, 1.0, 20001)
@@ -89,14 +90,12 @@ class TestIntegrabilityPredicates:
         assert tails[0] < tails[1] < tails[2]
         assert tails[2] > 5 * tails[0]
 
-    def test_bad_domain_name(self):
-        with pytest.raises(ValueError):
-            weight_locally_integrable(HardyParams(3, 1, 2.0, 0.0, 0.0), 0.0, "ball")
-
     def test_sphere_weight(self):
-        assert sphere_weight_integrable(HardyParams(3, 1, 2.0, 0.5, 0.0))
-        assert not sphere_weight_integrable(HardyParams(5, 2, 2.0, -2.0, 0.0))
-        assert sphere_weight_integrable(HardyParams(5, 3, 2.0, 0.0, 0.0))
+        # cones touching {y = 0} need the sphere weight |Pi sigma|^a integrable: k + a > 0
+        cone = ConeSpec.complement_sigma0()
+        assert cone_admissible(HardyParams(3, 1, 2.0, 0.5, 0.0), cone).cone_admissible
+        assert not cone_admissible(HardyParams(5, 2, 2.0, -2.0, 0.0), cone).cone_admissible
+        assert cone_admissible(HardyParams(5, 3, 2.0, 0.0, 0.0), cone).cone_admissible
 
 
 class TestConeSpec:
@@ -140,13 +139,12 @@ class TestConeAdmissible:
     def test_classical_full_space(self):
         report = cone_admissible(HardyParams(3, 1, 2.0, 0.0, 0.0), ConeSpec.full_space())
         assert report.cone_admissible
-        assert report.weight_integrable_origin
 
     def test_full_space_needs_positive_exponent(self):
         # d + a = 3 <= p + b = 3.5
-        report = cone_admissible(HardyParams(3, 1, 2.0, 0.0, 1.5), ConeSpec.full_space())
-        assert not report.cone_admissible
-        assert report.weight_integrable_punctured
+        params = HardyParams(3, 1, 2.0, 0.0, 1.5)
+        assert not cone_admissible(params, ConeSpec.full_space()).cone_admissible
+        assert cone_admissible(params, ConeSpec.punctured_space()).cone_admissible
 
     def test_superdegenerate_flag(self):
         report = cone_admissible(HardyParams(3, 1, 2.0, 1.5, 0.0), ConeSpec.complement_sigma0())
@@ -154,11 +152,6 @@ class TestConeAdmissible:
         assert not cone_admissible(
             HardyParams(3, 1, 2.0, 0.5, 0.0), ConeSpec.complement_sigma0()
         ).superdegenerate
-
-    def test_muckenhoupt_window(self):
-        assert cone_admissible(HardyParams(3, 1, 2.0, 0.5, 0.0), ConeSpec.punctured_space()).muckenhoupt_Ap
-        assert not cone_admissible(HardyParams(3, 1, 2.0, 1.0, 0.0), ConeSpec.punctured_space()).muckenhoupt_Ap
-        assert not cone_admissible(HardyParams(3, 1, 2.0, -1.0, 0.0), ConeSpec.punctured_space()).muckenhoupt_Ap
 
     def test_half_space_requires_k1(self):
         with pytest.raises(ValueError):

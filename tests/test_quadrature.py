@@ -10,9 +10,7 @@ from hardycone.params import ConeSpec, HardyParams
 from hardycone.quadrature import (
     AngularWeight,
     _gauss_jacobi,
-    build_rule,
     composite_rule,
-    integrate,
     sphere_surface_area,
     sphere_weight_mass,
 )
@@ -71,20 +69,22 @@ class TestGaussJacobi:
 
 
 class TestBuildRule:
+    """One-interval rules: composite_rule over the single panel (theta1, theta2)."""
+
     def test_constant_weight_quarter_circle(self):
         # k=1, a=0, d=2: w = 1 on (0, pi/2)
-        rule = build_rule(weight_for(2, 1, 0.0), (0.0, HALF_PI), 64)
+        rule = composite_rule(weight_for(2, 1, 0.0), (0.0, HALF_PI), 64)
         assert rule.weights.sum() == pytest.approx(HALF_PI, rel=1e-14)
 
     def test_plain_sine_weight(self):
         # k=1, a=0, d=3: int sin = 1
-        rule = build_rule(weight_for(3, 1, 0.0), (0.0, HALF_PI), 64)
+        rule = composite_rule(weight_for(3, 1, 0.0), (0.0, HALF_PI), 64)
         assert rule.weights.sum() == pytest.approx(1.0, rel=1e-14)
 
     def test_beta_function_values(self):
-        rule = build_rule(weight_for(3, 1, 0.5), (0.0, HALF_PI), 64)
+        rule = composite_rule(weight_for(3, 1, 0.5), (0.0, HALF_PI), 64)
         assert rule.weights.sum() == pytest.approx(2.0 / 3.0, rel=1e-13)
-        rule = build_rule(weight_for(2, 1, 1.0), (0.0, HALF_PI), 64)
+        rule = composite_rule(weight_for(2, 1, 1.0), (0.0, HALF_PI), 64)
         assert rule.weights.sum() == pytest.approx(1.0, rel=1e-13)
 
     def test_beta_function_random_parameters(self):
@@ -93,32 +93,30 @@ class TestBuildRule:
             d = int(rng.integers(2, 8))
             k = int(rng.integers(1, d))
             a = float(rng.uniform(-k + 0.02, 3.0))
-            rule = build_rule(weight_for(d, k, a), (0.0, HALF_PI), 128)
+            rule = composite_rule(weight_for(d, k, a), (0.0, HALF_PI), 128)
             assert rule.weights.sum() == pytest.approx(beta_mass(d, k, a), rel=1e-10)
 
     def test_polynomial_exactness(self):
         # cos^(2j) is a polynomial of degree j in cos(2 theta); Gauss rule of
         # order n is exact for degree < n
         for (d, k, a) in [(3, 1, 0.5), (5, 2, -1.3), (4, 3, 0.05)]:
-            rule = build_rule(weight_for(d, k, a), (0.0, HALF_PI), 16)
+            rule = composite_rule(weight_for(d, k, a), (0.0, HALF_PI), 16)
             for j in range(7):
                 exact = beta_mass(d, k, a + 2 * j)
-                got = integrate(rule, lambda t, j=j: np.cos(t) ** (2 * j))
+                got = rule.weights @ np.cos(rule.nodes) ** (2 * j)
                 assert got == pytest.approx(exact, rel=1e-12)
 
     def test_positive_interior_increasing_nodes(self):
         for interval in [(0.0, HALF_PI), (0.0, 1.0), (0.3, HALF_PI), (0.3, 1.2)]:
-            rule = build_rule(weight_for(4, 2, -0.7), interval, 32)
+            rule = composite_rule(weight_for(4, 2, -0.7), interval, 32)
             assert np.all(rule.weights > 0)
             assert np.all(np.diff(rule.nodes) > 0)
             assert rule.nodes[0] > interval[0] and rule.nodes[-1] < interval[1]
 
     def test_convergence_as_order_doubles(self):
         weight = weight_for(3, 1, 0.5)
-        values = [
-            integrate(build_rule(weight, (0.0, HALF_PI), n), np.exp)
-            for n in (16, 32, 64, 128, 256, 512)
-        ]
+        rules = [composite_rule(weight, (0.0, HALF_PI), n) for n in (16, 32, 64, 128, 256, 512)]
+        values = [rule.weights @ np.exp(rule.nodes) for rule in rules]
         diffs = [abs(v1 - v2) for v1, v2 in zip(values, values[1:])]
         scale = abs(values[-1])
         # decreasing until the differences hit the rounding floor
@@ -128,20 +126,20 @@ class TestBuildRule:
 
     def test_subinterval_against_dense_oracle(self):
         weight = weight_for(4, 2, -0.6)
-        rule = build_rule(weight, (0.4, 1.1), 48)
+        rule = composite_rule(weight, (0.4, 1.1), 48)
         theta = np.linspace(0.4, 1.1, 400001)
         oracle = np.trapezoid(np.cos(theta) ** (2 - 0.6 - 1) * np.sin(theta) ** 1 * np.exp(theta), theta)
-        assert integrate(rule, np.exp) == pytest.approx(oracle, rel=1e-9)
+        assert rule.weights @ np.exp(rule.nodes) == pytest.approx(oracle, rel=1e-9)
 
     def test_non_integrable_endpoint_rejected(self):
         with pytest.raises(ValueError):
-            build_rule(weight_for(3, 1, -1.0), (0.0, HALF_PI), 32)
+            composite_rule(weight_for(3, 1, -1.0), (0.0, HALF_PI), 32)
         # same exponent away from the singular end is fine
-        build_rule(weight_for(3, 1, -1.0), (0.2, 1.0), 32)
+        composite_rule(weight_for(3, 1, -1.0), (0.2, 1.0), 32)
 
     def test_bad_interval(self):
         with pytest.raises(ValueError):
-            build_rule(weight_for(3, 1, 0.0), (1.0, 0.5), 32)
+            composite_rule(weight_for(3, 1, 0.0), (1.0, 0.5), 32)
 
 
 class TestCompositeRule:
@@ -159,15 +157,15 @@ class TestCompositeRule:
             nodes = rule.nodes.reshape(mesh.size - 1, 12)
             weights = rule.weights.reshape(mesh.size - 1, 12)
             for e in range(mesh.size - 1):
-                single = build_rule(weight, (mesh[e], mesh[e + 1]), 12)
+                single = composite_rule(weight, (mesh[e], mesh[e + 1]), 12)
                 assert np.array_equal(nodes[e], single.nodes)
                 assert np.array_equal(weights[e], single.weights)
-        # build_rule broadcasts too: interior panels against the per-panel Gauss-Legendre formula
+        # one-panel rules broadcast too: interior panels against the per-panel Gauss-Legendre formula
         x, wx = _gauss_jacobi(12, 0.0, 0.0)
         for th1, th2 in zip(interior[:-1], interior[1:]):
             theta = th1 + 0.5 * (th2 - th1) * (1.0 + x)
             w = wx * 0.5 * (th2 - th1) * np.cos(theta) ** 1.4 * np.sin(theta) ** 2.0
-            single = build_rule(weight, (th1, th2), 12)
+            single = composite_rule(weight, (th1, th2), 12)
             assert np.array_equal(single.nodes, theta)
             np.testing.assert_allclose(single.weights, w, rtol=1e-14)
         rule = composite_rule(weight, meshes[0], 12)
@@ -184,24 +182,30 @@ class TestCompositeRule:
         assert rule.weights.sum() == pytest.approx(beta_mass(3, 1, -0.5), rel=1e-9)
 
 
+    def test_mesh_outside_quarter_arc_rejected(self):
+        weight = weight_for(3, 1, 0.5)
+        for mesh in ([-0.2, 0.5, 1.0], [0.5, 1.0, HALF_PI + 0.1], [-0.3, 1.4]):
+            with pytest.raises(ValueError, match=r"\[0, pi/2\]"):
+                composite_rule(weight, mesh)
+        composite_rule(weight, [0.0, 0.5, HALF_PI])  # the closed arc itself is fine
+
+
 class TestIntegrate:
+    """Integrals as weights @ f(nodes) over a one-interval rule."""
+
     def test_linear_in_integrand(self):
-        rule = build_rule(weight_for(3, 1, 0.2), (0.0, HALF_PI), 64)
-        assert integrate(rule, lambda t: np.zeros_like(t)) == 0.0
-        one = integrate(rule, lambda t: np.ones_like(t))
-        cos2 = integrate(rule, lambda t: np.cos(t) ** 2)
-        combo = integrate(rule, lambda t: 3.0 - 2.0 * np.cos(t) ** 2)
+        rule = composite_rule(weight_for(3, 1, 0.2), (0.0, HALF_PI), 64)
+        t = rule.nodes
+        assert rule.weights @ np.zeros_like(t) == 0.0
+        one = rule.weights @ np.ones_like(t)
+        cos2 = rule.weights @ np.cos(t) ** 2
+        combo = rule.weights @ (3.0 - 2.0 * np.cos(t) ** 2)
         assert combo == pytest.approx(3 * one - 2 * cos2, rel=1e-14)
 
     def test_quarter_circle_cos_squared(self):
         # w = 1 (k=1, a=0, d=2): int cos^2 = pi/4
-        rule = build_rule(weight_for(2, 1, 0.0), (0.0, HALF_PI), 64)
-        assert integrate(rule, lambda t: np.cos(t) ** 2) == pytest.approx(math.pi / 4, rel=1e-14)
-
-    def test_non_finite_integrand_rejected(self):
-        rule = build_rule(weight_for(3, 1, 0.0), (0.0, HALF_PI), 16)
-        with pytest.raises(ValueError), np.errstate(divide="ignore"):
-            integrate(rule, lambda t: 1.0 / (t - t[3]))
+        rule = composite_rule(weight_for(2, 1, 0.0), (0.0, HALF_PI), 64)
+        assert rule.weights @ np.cos(rule.nodes) ** 2 == pytest.approx(math.pi / 4, rel=1e-14)
 
 
 class TestSphereWeightMass:

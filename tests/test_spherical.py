@@ -11,6 +11,7 @@ from hardycone.params import (
     AdmissibilityError,
     ConeSpec,
     HardyParams,
+    closed_form_constant,
     cone_admissible,
     hardy_exponent,
 )
@@ -23,7 +24,6 @@ from hardycone.spherical import (
     DiscretizedFunction,
     assemble_p2,
     bc_for_cone,
-    closed_eigen_sigma0,
     graded_mesh,
     minimize_rayleigh_p,
     smallest_eigenpair,
@@ -434,32 +434,33 @@ class TestSolveM:
 
 
 class TestClosedEigenSigma0:
+    """lambda_1 = (d-k)(2-(k+a)) on the complement of {y=0}, p = 2, read off the closed form M - H^2."""
+
+    @staticmethod
+    def lam1(params):
+        closed = closed_form_constant(params, ConeSpec.complement_sigma0())
+        return closed.value - hardy_exponent(params).H ** 2
+
     def test_unweighted_case(self):
-        lam1, phi1 = closed_eigen_sigma0(HardyParams(3, 1, 2.0, 0.0, 0.0))
-        assert lam1 == pytest.approx(2.0, abs=1e-15)
-        theta = np.linspace(0, HALF_PI, 11)
-        assert np.allclose(phi1(theta), np.cos(theta), atol=1e-12)
+        assert self.lam1(HardyParams(3, 1, 2.0, 0.0, 0.0)) == pytest.approx(2.0, abs=1e-15)
 
     def test_near_degenerate_value(self):
-        lam1, _ = closed_eigen_sigma0(HardyParams(2, 1, 2.0, 0.9, 0.0))
-        assert lam1 == pytest.approx(0.1, rel=1e-12)
+        assert self.lam1(HardyParams(2, 1, 2.0, 0.9, 0.0)) == pytest.approx(0.1, rel=1e-12)
 
     def test_vanishes_at_superdegenerate_threshold(self):
         for eps in (1e-2, 1e-4, 1e-6):
-            lam1, _ = closed_eigen_sigma0(HardyParams(3, 1, 2.0, 1.0 - eps, 0.0))
+            lam1 = self.lam1(HardyParams(3, 1, 2.0, 1.0 - eps, 0.0))
             assert lam1 == pytest.approx(2 * eps, rel=1e-9)
 
     def test_eigensolver_agreement(self):
         params = HardyParams(4, 1, 2.0, 0.3, 0.0)
-        lam1, _ = closed_eigen_sigma0(params)
         result = solve_M(params, ConeSpec.complement_sigma0(), 512)
-        assert result.lam == pytest.approx(lam1, rel=1e-4)
+        assert result.lam == pytest.approx(self.lam1(params), rel=1e-4)
 
     def test_preconditions(self):
-        with pytest.raises(ValueError):
-            closed_eigen_sigma0(HardyParams(3, 1, 3.0, 0.0, 0.0))
-        with pytest.raises(ValueError):
-            closed_eigen_sigma0(HardyParams(3, 1, 2.0, 1.0, 0.0))  # k + a = 2
+        # the formula needs p = 2 (no closed form otherwise) and k+a < 2 (lambda_1 = 0 from there on)
+        assert closed_form_constant(HardyParams(3, 1, 3.0, 0.0, 0.0), ConeSpec.complement_sigma0()) is None
+        assert self.lam1(HardyParams(3, 1, 2.0, 1.0, 0.0)) == 0.0  # k + a = 2
 
 
 class TestMinimizeRayleighP:

@@ -10,11 +10,6 @@ from hardycone.params import ConeSpec, HardyParams, hardy_exponent
 from hardycone.quadrature import sphere_weight_mass
 from hardycone.spherical import DiscretizedFunction, _Discretization, bc_for_cone, graded_mesh, solve_M
 from hardycone.verifier import (
-    CertificationError,
-    LogCutoff,
-    PowerLawSplit,
-    PowerWindow,
-    SeparatedTestFunction,
     cutoff_decay,
     denominator_blowup,
     eta_cutoff,
@@ -22,7 +17,6 @@ from hardycone.verifier import (
     evaluate_quotient_udelta,
     radial_hardy_quotient,
     smooth_step,
-    verify_inequality,
 )
 
 HALF_PI = math.pi / 2
@@ -110,6 +104,12 @@ class TestUdeltaQuotient:
             ev = evaluate_quotient_udelta(params, Phi, delta)
             expected = (abs(H - delta) ** 3 + abs(H + delta) ** 3) / 2
             assert ev.quotient == pytest.approx(expected, rel=1e-12)
+
+    def test_profile_outside_quarter_arc_rejected(self):
+        mesh = np.linspace(-0.3, 1.4, 33)
+        Phi = DiscretizedFunction(mesh, np.cos(mesh))
+        with pytest.raises(ValueError, match=r"\[0, pi/2\]"):
+            evaluate_quotient_udelta(self.params, Phi, 0.1)
 
     def test_nonpositive_delta_rejected(self):
         with pytest.raises(ValueError):
@@ -276,14 +276,7 @@ class TestRadialHardyQuotient:
 
 
 class TestVerifyInequality:
-    def test_full_space_windowed_power(self):
-        params = HardyParams(3, 1, 2.0, 0.0, 0.0)
-        cone = ConeSpec.full_space()
-        mesh = graded_mesh(0.0, HALF_PI, 64, 2.0)
-        Phi = DiscretizedFunction(mesh, np.ones(mesh.size))
-        testfn = SeparatedTestFunction(PowerWindow(-0.3, 0.1, 10.0), Phi)
-        ev = verify_inequality(params, cone, testfn, reference=0.25)
-        assert ev.quotient >= 0.25
+    """u_delta quotients of a solved minimizer on its cone, as the verify command forms them."""
 
     def test_fractional_extension_half_space_family(self):
         # d = 4, a = 0, b = 0 on the half space: sharp constant ((3+1)/2)^2 = 4
@@ -292,89 +285,30 @@ class TestVerifyInequality:
         result = solve_M(params, cone, 512)
         quotients = []
         for delta in (0.2, 0.1, 0.05):
-            testfn = SeparatedTestFunction(PowerLawSplit(delta), result.minimizer)
-            ev = verify_inequality(params, cone, testfn, reference=4.0, tol=1e-4)
+            ev = evaluate_quotient_udelta(params, result.minimizer, delta, cone=cone)
+            assert ev.quotient >= 4.0 - 1e-4
             quotients.append(ev.quotient)
         extrap = (quotients[-1] * 0.1**2 - quotients[-2] * 0.05**2) / (0.1**2 - 0.05**2)
         assert extrap == pytest.approx(4.0, abs=1e-3)
-
-    def test_dilation_invariance(self):
-        params = HardyParams(4, 2, 1.5, 0.3, 0.4)
-        cone = ConeSpec.punctured_space()
-        mesh = graded_mesh(0.0, HALF_PI, 48, 2.0)
-        Phi = DiscretizedFunction(mesh, 1.0 + 0.3 * np.cos(mesh) ** 2)
-        base = verify_inequality(
-            params, cone, SeparatedTestFunction(PowerWindow(-0.7, 0.5, 50.0), Phi)
-        )
-        for scale in (1e-3, 7.0, 1e4):
-            moved = verify_inequality(
-                params,
-                cone,
-                SeparatedTestFunction(PowerWindow(-0.7, 0.5 * scale, 50.0 * scale), Phi),
-            )
-            assert moved.quotient == pytest.approx(base.quotient, rel=1e-12)
-
-    def test_matches_radial_oracle_for_constant_profile(self):
-        params = HardyParams(3, 1, 2.0, 0.5, 0.2)
-        cone = ConeSpec.punctured_space()
-        mesh = graded_mesh(0.0, HALF_PI, 48, 2.0)
-        Phi = DiscretizedFunction(mesh, np.ones(mesh.size))
-        window = PowerWindow(-0.4, 0.05, 20.0)
-        ev = verify_inequality(params, cone, SeparatedTestFunction(window, Phi))
-        r = log_grid(window.r0 / 40, window.r1 * 40, 2**15)
-        nu = np.log(r)
-        g, _ = window.profile(nu)
-        f = r**window.exponent * g
-        oracle = radial_hardy_quotient(
-            params.p, params.d + params.a - params.b - 1.0, r, f
-        )
-        assert ev.quotient == pytest.approx(oracle, rel=1e-5)
 
     def test_band_cone_quotients_stay_above_minimum(self):
         params = HardyParams(3, 1, 2.0, 0.3, 0.0)
         band = ConeSpec.band(0.4, 1.3)
         result = solve_M(params, band, 160)
         for delta in (0.2, 0.05):
-            testfn = SeparatedTestFunction(PowerLawSplit(delta), result.minimizer)
-            ev = verify_inequality(params, band, testfn, reference=result.M, tol=1e-9)
+            ev = evaluate_quotient_udelta(params, result.minimizer, delta, cone=band)
+            assert ev.quotient >= result.M - 1e-9
             assert ev.quotient == pytest.approx(result.M + delta**2, rel=1e-9)
 
     def test_udelta_on_cone_equals_evaluate_quotient(self):
+        # the half space halves both integrals; the quotient is unchanged
         params = HardyParams(3, 1, 2.0, 0.0, 0.0)
-        cone = ConeSpec.complement_sigma0()
+        cone = ConeSpec.half_space()
         result = solve_M(params, cone, 128)
-        testfn = SeparatedTestFunction(PowerLawSplit(0.1), result.minimizer)
-        ev1 = verify_inequality(params, cone, testfn)
+        ev1 = evaluate_quotient_udelta(params, result.minimizer, 0.1, cone=cone)
         ev2 = evaluate_quotient_udelta(params, result.minimizer, 0.1)
+        assert ev1.denominator == pytest.approx(ev2.denominator / 2, rel=1e-15)
         assert ev1.quotient == ev2.quotient
-
-    def test_log_cutoff_unsupported(self):
-        params = HardyParams(3, 1, 2.0, 1.5, 0.0)
-        mesh = graded_mesh(0.0, HALF_PI, 32, 2.0)
-        Phi = DiscretizedFunction(mesh, np.ones(mesh.size))
-        with pytest.raises(ValueError):
-            verify_inequality(
-                params, ConeSpec.complement_sigma0(), SeparatedTestFunction(LogCutoff(4), Phi)
-            )
-
-    def test_dirichlet_violation_rejected(self):
-        params = HardyParams(3, 1, 2.0, 0.0, 0.0)
-        mesh = graded_mesh(0.0, HALF_PI, 32, 2.0)
-        Phi = DiscretizedFunction(mesh, np.ones(mesh.size))  # nonzero at pi/2
-        with pytest.raises(ValueError):
-            verify_inequality(
-                params,
-                ConeSpec.complement_sigma0(),
-                SeparatedTestFunction(PowerLawSplit(0.1), Phi),
-            )
-
-    def test_certification_error_when_reference_too_high(self):
-        params = HardyParams(3, 1, 2.0, 0.0, 0.0)
-        cone = ConeSpec.complement_sigma0()
-        result = solve_M(params, cone, 128)
-        testfn = SeparatedTestFunction(PowerLawSplit(0.1), result.minimizer)
-        with pytest.raises(CertificationError):
-            verify_inequality(params, cone, testfn, reference=10.0)
 
     def test_sharpness_pinched_from_both_sides(self):
         # every family member sits above m; the best one is within 5 delta^2 |m|
@@ -384,10 +318,7 @@ class TestVerifyInequality:
         result = solve_M(params, cone, 256)
         deltas = (0.2, 0.1, 0.05)
         quotients = [
-            verify_inequality(
-                params, cone, SeparatedTestFunction(PowerLawSplit(d), result.minimizer),
-                reference=m_ref, tol=1e-8,
-            ).quotient
-            for d in deltas
+            evaluate_quotient_udelta(params, result.minimizer, d, cone=cone).quotient for d in deltas
         ]
+        assert min(quotients) >= m_ref - 1e-8
         assert min(quotients) - m_ref <= 5 * min(deltas) ** 2 * abs(m_ref)
