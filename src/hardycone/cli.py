@@ -16,7 +16,6 @@ import math
 import os
 import sys
 import tempfile
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import MISSING, dataclass, fields, replace
 from itertools import product
 
@@ -27,7 +26,7 @@ from .params import (
     closed_form_constant,
     cone_admissible,
 )
-from .spherical import MIN_MESH_SIZE, ConvergenceError, solve_M
+from .spherical import MIN_MESH_SIZE, ConvergenceError, SpectralResult, _problem_key, solve_M
 from .verifier import cutoff_decay, evaluate_quotient_udelta
 
 SCHEMA_VERSION = 1
@@ -161,17 +160,29 @@ def _base_row(command: str, params: HardyParams, cone: ConeSpec, mesh: int | Non
     )
 
 
-def _solve_cell(
-    command: str, params: HardyParams, cone: ConeSpec, mesh: int, with_closed: bool = True
-) -> ReportRow:
-    """Closed form (optional) plus numeric spherical minimum for one grid cell."""
-    row = _base_row(command, params, cone, mesh)
+def _solve(params: HardyParams, cone: ConeSpec, mesh: int) -> SpectralResult | None:
+    """solve_M's result for one cell, or None where the solver fails."""
     try:
-        closed = closed_form_constant(params, cone) if with_closed else None
-        result = solve_M(params, cone, mesh_size=mesh)
+        return solve_M(params, cone, mesh_size=mesh)
     except AdmissibilityError:
         raise
     except (ConvergenceError, ValueError):
+        return None
+
+
+def _cell_row(
+    command: str, params: HardyParams, cone: ConeSpec, mesh: int,
+    result: SpectralResult | None, with_closed: bool = True,
+) -> ReportRow:
+    """Closed form (optional) plus the numeric spherical minimum result for one grid cell."""
+    row = _base_row(command, params, cone, mesh)
+    try:
+        closed = closed_form_constant(params, cone) if with_closed else None
+    except AdmissibilityError:
+        raise
+    except ValueError:
+        return replace(row, status="solver_fail")
+    if result is None:
         return replace(row, status="solver_fail")
     closed_value = closed.value if closed is not None else None
     gap = result.M - closed_value if closed_value is not None else None
@@ -185,6 +196,12 @@ def _solve_cell(
         residual=result.residual,
         status="ok" if (closed_value is not None or not with_closed) else "no_closed_form",
     )
+
+
+def _solve_cell(
+    command: str, params: HardyParams, cone: ConeSpec, mesh: int, with_closed: bool = True
+) -> ReportRow:
+    return _cell_row(command, params, cone, mesh, _solve(params, cone, mesh), with_closed)
 
 
 def cmd_constant(config: RunConfig) -> list[ReportRow]:
@@ -296,13 +313,35 @@ def _fit_log_slope(trace: list[tuple[float, float]]) -> float | None:
 
 
 def cmd_sweep(config: RunConfig) -> list[ReportRow]:
+    """Numeric constants over the grid, with one solve per distinct spherical problem.
+
+    Cells with equal _problem_key (p, k+a, d-k, H^2 and the endpoint
+    conditions) share the solve_M call of the first of them, whose result is
+    bit for bit the one each would get alone; the closed form, gap and
+    status are still per cell.  With --jobs > 1 the distinct problems are
+    spread over at most that many worker processes.
+    """
     cells = config.cells()
-    if config.jobs > 1 and len(cells) > 1:
-        with ProcessPoolExecutor(max_workers=config.jobs) as pool:
-            futures = [pool.submit(_solve_cell, "sweep", params, cone, config.mesh_size)
-                       for params, cone in cells]
-            return [f.result() for f in futures]
-    return [_solve_cell("sweep", params, cone, config.mesh_size) for params, cone in cells]
+    groups: dict[tuple, list[int]] = {}
+    for index, (params, cone) in enumerate(cells):
+        groups.setdefault(_problem_key(params, cone), []).append(index)
+
+    def rows_from(results) -> list[ReportRow]:  # one result per group, none kept past its rows
+        rows = [None] * len(cells)
+        for members, result in zip(groups.values(), results):
+            for index in members:
+                rows[index] = _cell_row("sweep", *cells[index], config.mesh_size, result)
+        return rows
+
+    problems = [cells[members[0]] for members in groups.values()]
+    solve_args = ([params for params, _ in problems], [cone for _, cone in problems],
+                  [config.mesh_size] * len(problems))
+    if config.jobs > 1 and len(problems) > 1:
+        from concurrent.futures import ProcessPoolExecutor  # only a pool run pays for the import
+
+        with ProcessPoolExecutor(max_workers=min(config.jobs, len(problems))) as pool:
+            return rows_from(pool.map(_solve, *solve_args))
+    return rows_from(map(_solve, *solve_args))
 
 
 def cmd_table(config: RunConfig) -> list[ReportRow]:

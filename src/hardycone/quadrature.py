@@ -74,7 +74,6 @@ class QuadratureRule:
     weights: np.ndarray
     theta1: float
     theta2: float
-    order: int
 
     def __post_init__(self) -> None:
         if self.nodes.ndim != 1 or self.nodes.shape != self.weights.shape:
@@ -188,7 +187,6 @@ def composite_rule(
         weights=weights.ravel(),
         theta1=float(mesh[0]),
         theta2=float(mesh[-1]),
-        order=n_per_panel * n_el,
     )
 
 

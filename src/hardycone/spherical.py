@@ -632,6 +632,17 @@ def _default_start(
     return eigen
 
 
+def _problem_key(params: HardyParams, cone: ConeSpec) -> tuple:
+    """The 1-D problem solve_M solves for the cell: equal keys give bit-identical results.
+
+    These are the only values the discretization, the start profiles and
+    the eigensolve or descent read: p, k+a, d-k, H^2 and the endpoint
+    conditions of the cross-section.
+    """
+    return (params.p, params.k + params.a, params.d - params.k, hardy_exponent(params).H ** 2,
+            bc_for_cone(params, cone))
+
+
 def solve_M(
     params: HardyParams,
     cone: ConeSpec,

@@ -1,5 +1,6 @@
 """CLI surface: parsing, report schema, round trips, exit codes, determinism."""
 
+import concurrent.futures
 import csv
 import io
 import json
@@ -11,12 +12,14 @@ from pathlib import Path
 import pytest
 
 import hardycone
+import hardycone.cli as cli
 from hardycone.cli import (
     CSV_COLUMNS,
     ReportRow,
     RunConfig,
     cmd_constant,
     cmd_spectrum,
+    cmd_sweep,
     cmd_table,
     cmd_verify,
     main,
@@ -25,6 +28,7 @@ from hardycone.cli import (
     rows_to_json,
 )
 from hardycone.params import ConeKind
+from hardycone.spherical import ConvergenceError
 
 
 def run_cli(capsys, *args):
@@ -154,6 +158,72 @@ class TestCommands:
         )
         assert code == 0
         assert json.loads(out)["rows"] == []
+
+
+def count_solves(monkeypatch, fail=lambda params: False):
+    """Wrap cli.solve_M: the (params, cone) of every call; raise ConvergenceError where fail(params)."""
+    calls = []
+    solve = cli.solve_M
+
+    def counting(params, cone, **kwargs):
+        calls.append((params, cone))
+        if fail(params):
+            raise ConvergenceError("forced", residual=1.0)
+        return solve(params, cone, **kwargs)
+
+    monkeypatch.setattr(cli, "solve_M", counting)
+    return calls
+
+
+# 12 cells, 7 distinct problems: every k = 1 half-space cell repeats its
+# complement twin, and (3,1,2,0.5,0) repeats (4,2,2,-0.5,0)
+TWIN_GRID = dict(d=(3, 4), k=(1, 2), a=(-0.5, 0.5), cones=("complement-sigma0", "half-space"))
+
+
+class TestSweepDedupe:
+    def test_one_solve_per_distinct_problem(self, monkeypatch):
+        config = config_for("sweep", **TWIN_GRID)
+        per_cell = [cli._solve_cell("sweep", params, cone, config.mesh_size)
+                    for params, cone in config.cells()]
+        calls = count_solves(monkeypatch)
+        rows = cmd_sweep(config)
+        assert len(rows) == 12 and len(calls) == 7
+        assert rows == per_cell
+
+    @pytest.mark.parametrize("p", [2.0, 1.5])
+    def test_cells_differing_in_b_not_merged(self, monkeypatch, p):
+        calls = count_solves(monkeypatch)
+        rows = cmd_sweep(config_for("sweep", p=(p,), a=(0.3,), b=(0.0, 0.5)))
+        assert len(calls) == 2  # H^2 differs
+        assert rows[0].numeric_M != rows[1].numeric_M
+
+    def test_convergence_error_fails_only_its_group(self, monkeypatch):
+        # the group of (3,1,2,0.5,0): k+a = 1.5, d-k = 2
+        count_solves(monkeypatch,
+                     fail=lambda params: (params.k + params.a, params.d - params.k) == (1.5, 2))
+        rows = cmd_sweep(config_for("sweep", **TWIN_GRID))
+        failed = {(row.d, row.k, row.a, row.cone) for row in rows if row.status == "solver_fail"}
+        assert failed == {(3, 1, 0.5, "complement-sigma0"), (3, 1, 0.5, "half-space"),
+                          (4, 2, -0.5, "complement-sigma0")}
+        assert all(row.status == "ok" for row in rows if row.status != "solver_fail")
+
+    def test_pool_capped_at_distinct_problems(self, monkeypatch):
+        workers = []
+
+        class InlinePool(concurrent.futures.Executor):  # records max_workers, runs calls inline
+            def __init__(self, max_workers):
+                workers.append(max_workers)
+
+            def submit(self, fn, *args, **kwargs):
+                future = concurrent.futures.Future()
+                future.set_result(fn(*args, **kwargs))
+                return future
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlinePool)
+        grid = dict(a=(0.0, 0.5), cones=("complement-sigma0", "half-space"))
+        rows = cmd_sweep(config_for("sweep", jobs=4, **grid))
+        assert workers == [2]  # 4 cells, 2 distinct problems
+        assert rows == cmd_sweep(config_for("sweep", **grid))
 
 
 class TestSerialization:
@@ -388,6 +458,13 @@ class TestProcesses:
         out = run_process([
             "-c", "import sys, hardycone.cli; "
             "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))",
+        ])
+        assert out.strip() == "[]"
+
+    def test_import_loads_no_process_pool(self):
+        out = run_process([
+            "-c", "import sys, hardycone.cli; print(sorted(m for m in sys.modules "
+            "if m.split('.')[0] in ('concurrent', 'multiprocessing')))",
         ])
         assert out.strip() == "[]"
 
