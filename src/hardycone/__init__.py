@@ -38,7 +38,6 @@ from .spherical import (
 from .verifier import (
     RayleighEvaluation,
     cutoff_decay,
-    denominator_blowup,
     eta_cutoff,
     evaluate_quotient_udelta,
     radial_hardy_quotient,
@@ -55,6 +54,6 @@ __all__ = [
     "DIRICHLET", "NATURAL", "AngularDomain", "BoundaryCondition", "ConvergenceError",
     "DiscretizedFunction", "SpectralResult", "assemble_p2", "bc_for_cone", "graded_mesh",
     "minimize_rayleigh_p", "smallest_eigenpair", "solve_M",
-    "RayleighEvaluation", "cutoff_decay", "denominator_blowup", "eta_cutoff",
-    "evaluate_quotient_udelta", "radial_hardy_quotient",
+    "RayleighEvaluation", "cutoff_decay", "eta_cutoff", "evaluate_quotient_udelta",
+    "radial_hardy_quotient",
 ]

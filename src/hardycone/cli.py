@@ -198,21 +198,53 @@ def _cell_row(
     )
 
 
-def _solve_cell(
-    command: str, params: HardyParams, cone: ConeSpec, mesh: int, with_closed: bool = True
-) -> ReportRow:
-    return _cell_row(command, params, cone, mesh, _solve(params, cone, mesh), with_closed)
+def _grid_rows(
+    command: str, cells: list[tuple[HardyParams, ConeSpec]], config: RunConfig,
+    with_closed: bool = True,
+) -> list[ReportRow]:
+    """One row per cell, in order, with one solve per distinct spherical problem.
+
+    Cells with equal _problem_key (p, k+a, d-k, H^2 and the endpoint
+    conditions) share the _solve call of the first of them, whose result is
+    bit for bit the one each would get alone; the closed form, gap and
+    status are still per cell.  With --jobs > 1 the distinct problems are
+    spread over at most that many worker processes.
+    """
+    groups: dict[object, list[int]] = {}
+    for index, (params, cone) in enumerate(cells):
+        try:
+            key = _problem_key(params, cone)
+        except AdmissibilityError:
+            raise
+        except ValueError:  # structurally invalid cell: its own group, which _solve fails
+            key = index
+        groups.setdefault(key, []).append(index)
+
+    def rows_from(results) -> list[ReportRow]:  # one result per group, none kept past its rows
+        rows = [None] * len(cells)
+        for members, result in zip(groups.values(), results):
+            for index in members:
+                rows[index] = _cell_row(command, *cells[index], config.mesh_size, result, with_closed)
+        return rows
+
+    problems = [cells[members[0]] for members in groups.values()]
+    solve_args = ([params for params, _ in problems], [cone for _, cone in problems],
+                  [config.mesh_size] * len(problems))
+    if config.jobs > 1 and len(problems) > 1:
+        from concurrent.futures import ProcessPoolExecutor  # only a pool run pays for the import
+
+        with ProcessPoolExecutor(max_workers=min(config.jobs, len(problems))) as pool:
+            return rows_from(pool.map(_solve, *solve_args))
+    return rows_from(map(_solve, *solve_args))
 
 
 def cmd_constant(config: RunConfig) -> list[ReportRow]:
-    params, cone = config.single()
-    return [_solve_cell("constant", params, cone, config.mesh_size)]
+    return _grid_rows("constant", [config.single()], config)
 
 
 def cmd_spectrum(config: RunConfig) -> list[ReportRow]:
     """Numeric spectral data only: M, eigenvalue, residual, iteration count."""
-    params, cone = config.single()
-    return [_solve_cell("spectrum", params, cone, config.mesh_size, with_closed=False)]
+    return _grid_rows("spectrum", [config.single()], config, with_closed=False)
 
 
 def _richardson(trace: list[tuple[float, float]]) -> tuple[float | None, float | None]:
@@ -252,38 +284,22 @@ def cmd_verify(config: RunConfig) -> list[ReportRow]:
     for flag, values in (("--deltas", config.delta_list), ("--hs", config.h_list)):
         if len(set(values)) != len(values):
             raise ValueError(f"{flag} values must be distinct, got {','.join(map(str, values))}")
-    rows: list[ReportRow] = []
-
-    row = _base_row("verify", params, cone, config.mesh_size)
-    try:
-        closed = closed_form_constant(params, cone)
-        result = solve_M(params, cone, mesh_size=config.mesh_size)
-        reference = closed.value if closed is not None else result.M
-        trace = []
-        for delta in config.delta_list:
-            ev = evaluate_quotient_udelta(params, result.minimizer, delta, reference=reference)
-            trace.append((delta, ev.quotient))
-        extrap, order = _richardson(trace)
-        status = "ok"
-        if order is not None and order < 1.85:
-            status = "solver_fail"
-        if extrap is not None and abs(extrap - reference) > max(5e-3 * abs(reference), 1e-9):
-            status = "solver_fail"
-        rows.append(replace(
-            row,
-            closed_form=closed.value if closed is not None else None,
-            numeric_M=result.M,
-            lam=result.lam,
-            gap=(result.M - closed.value) if closed is not None else None,
-            quotient_trace=tuple(trace),
-            extrapolated=extrap,
-            fit_order=order,
-            status=status,
-        ))
-    except AdmissibilityError:
-        raise
-    except (ConvergenceError, ValueError):
-        rows.append(replace(row, status="solver_fail"))
+    result = _solve(params, cone, config.mesh_size)
+    row = _cell_row("verify", params, cone, config.mesh_size, result)
+    if row.status != "solver_fail":
+        reference = row.closed_form if row.closed_form is not None else row.numeric_M
+        try:
+            trace = tuple((delta, evaluate_quotient_udelta(params, result.minimizer, delta).quotient)
+                          for delta in config.delta_list)
+        except (ConvergenceError, ValueError):
+            row = replace(_base_row("verify", params, cone, config.mesh_size), status="solver_fail")
+        else:
+            extrap, order = _richardson(trace)
+            slow = order is not None and order < 1.85
+            off = extrap is not None and abs(extrap - reference) > max(5e-3 * abs(reference), 1e-9)
+            row = replace(row, quotient_trace=trace, extrapolated=extrap, fit_order=order,
+                          status="solver_fail" if slow or off else "ok")
+    rows = [row]
 
     if config.h_list:
         hrow = _base_row("verify", params, cone, None)
@@ -313,35 +329,8 @@ def _fit_log_slope(trace: list[tuple[float, float]]) -> float | None:
 
 
 def cmd_sweep(config: RunConfig) -> list[ReportRow]:
-    """Numeric constants over the grid, with one solve per distinct spherical problem.
-
-    Cells with equal _problem_key (p, k+a, d-k, H^2 and the endpoint
-    conditions) share the solve_M call of the first of them, whose result is
-    bit for bit the one each would get alone; the closed form, gap and
-    status are still per cell.  With --jobs > 1 the distinct problems are
-    spread over at most that many worker processes.
-    """
-    cells = config.cells()
-    groups: dict[tuple, list[int]] = {}
-    for index, (params, cone) in enumerate(cells):
-        groups.setdefault(_problem_key(params, cone), []).append(index)
-
-    def rows_from(results) -> list[ReportRow]:  # one result per group, none kept past its rows
-        rows = [None] * len(cells)
-        for members, result in zip(groups.values(), results):
-            for index in members:
-                rows[index] = _cell_row("sweep", *cells[index], config.mesh_size, result)
-        return rows
-
-    problems = [cells[members[0]] for members in groups.values()]
-    solve_args = ([params for params, _ in problems], [cone for _, cone in problems],
-                  [config.mesh_size] * len(problems))
-    if config.jobs > 1 and len(problems) > 1:
-        from concurrent.futures import ProcessPoolExecutor  # only a pool run pays for the import
-
-        with ProcessPoolExecutor(max_workers=min(config.jobs, len(problems))) as pool:
-            return rows_from(pool.map(_solve, *solve_args))
-    return rows_from(map(_solve, *solve_args))
+    """Numeric constants over the grid's admissible cells."""
+    return _grid_rows("sweep", config.cells(), config)
 
 
 def cmd_table(config: RunConfig) -> list[ReportRow]:
@@ -351,25 +340,18 @@ def cmd_table(config: RunConfig) -> list[ReportRow]:
     the configured (n, s) grid; the mixed-threshold family a = p-k, b = 0 on
     the full space; and any explicitly configured (params, cone) cells.
     """
-    rows: list[ReportRow] = []
+    cells = []
     for n in config.cs_n:
         for s_val in config.cs_s:
             if not 0 < s_val < 1:
                 continue
             params = HardyParams(n + 1, 1, 2.0, 1.0 - 2.0 * s_val, 0.0)
             if n > 2 * s_val:
-                rows.append(_solve_cell("table", params, ConeSpec.full_space(), config.mesh_size))
-            rows.append(_solve_cell("table", params, ConeSpec.half_space(), config.mesh_size))
-    for d in config.d:
-        for k in config.k:
-            if not 1 <= k < d:
-                continue
-            for p in config.p:
-                params = HardyParams(d, k, p, p - k, 0.0)
-                rows.append(_solve_cell("table", params, ConeSpec.full_space(), config.mesh_size))
-    for params, cone in config.cells():
-        rows.append(_solve_cell("table", params, cone, config.mesh_size))
-    return rows
+                cells.append((params, ConeSpec.full_space()))
+            cells.append((params, ConeSpec.half_space()))
+    cells += [(HardyParams(d, k, p, p - k, 0.0), ConeSpec.full_space())
+              for d in config.d for k in config.k if 1 <= k < d for p in config.p]
+    return _grid_rows("table", cells + config.cells(), config)
 
 
 COMMANDS = {
@@ -388,7 +370,7 @@ def _fmt(value) -> str:
     if value is None:
         return ""
     if isinstance(value, float):
-        return repr(value)
+        return repr(float(value))  # a numpy float's repr is np.float64(...)
     return str(value)
 
 

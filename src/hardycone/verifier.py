@@ -72,7 +72,6 @@ class RayleighEvaluation:
     numerator: float
     denominator: float
     quotient: float
-    closed_form_reference: float | None = None
 
     def __post_init__(self) -> None:
         if not self.denominator > 0:
@@ -92,7 +91,6 @@ def evaluate_quotient_udelta(
     params: HardyParams,
     Phi: DiscretizedFunction,
     delta: float,
-    reference: float | None = None,
     cone: ConeSpec | None = None,
 ) -> RayleighEvaluation:
     """Quotient of u_delta = r^(-H +/- delta) Phi with exact radial integrals.
@@ -106,7 +104,9 @@ def evaluate_quotient_udelta(
     times the transverse sphere prefactor (halved when cone is the half
     space; the prefactor cancels in the quotient either way).  E and D are
     the solver's sums, so for p = 2 the quotient equals the discrete
-    Rayleigh quotient of Phi plus delta^2, to rounding.
+    Rayleigh quotient of Phi plus delta^2, to rounding.  The denominator
+    diverges like 1/delta: the divergence of the minimizing family's mass is
+    what prevents any function from attaining the sharp constant.
     """
     if delta <= 0:
         raise ValueError(f"need delta > 0, got {delta}")
@@ -122,26 +122,7 @@ def evaluate_quotient_udelta(
         numerator=numerator,
         denominator=denominator,
         quotient=numerator / denominator,
-        closed_form_reference=reference,
     )
-
-
-def denominator_blowup(
-    params: HardyParams,
-    Phi: DiscretizedFunction,
-    delta: float,
-    cone: ConeSpec | None = None,
-) -> float:
-    """Denominator (2/(p delta)) * int w |Phi|^p: diverges like 1/delta.
-
-    The divergence of the minimizing family's mass is what prevents any
-    function from attaining the sharp constant.
-    """
-    if delta <= 0:
-        raise ValueError(f"need delta > 0, got {delta}")
-    disc = _discretization(params, Phi)
-    pref = AngularWeight.for_params(params, cone).prefactor
-    return pref * 2.0 / (params.p * delta) * disc.mass(disc.fields(Phi.values)[0])
 
 
 # ---------------------------------------------------------------------------

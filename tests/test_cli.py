@@ -99,6 +99,11 @@ class TestCommands:
         assert rows[0].closed_form is None
         assert rows[0].numeric_M is not None
 
+    def test_structurally_invalid_cell_is_a_failed_row(self):
+        rows = cmd_constant(config_for(d=(4,), k=(2,), cones=("half-space",)))  # needs k = 1
+        assert [row.status for row in rows] == ["solver_fail"]
+        assert rows[0].numeric_M is None
+
     def test_spectrum_reports_numeric_only(self):
         rows = cmd_spectrum(config_for("spectrum"))
         row = rows[0]
@@ -121,6 +126,11 @@ class TestCommands:
         assert len(row.quotient_trace) == 3
         assert row.extrapolated == pytest.approx(2.25, abs=1e-3)
         assert row.fit_order == pytest.approx(2.0, abs=0.1)
+
+    def test_verify_delta_row_carries_solve_data(self):
+        row = cmd_verify(config_for("verify", delta_list=(0.2, 0.1), h_list=()))[0]
+        assert row.iterations is not None and row.residual is not None
+        assert row.numeric_M == cmd_constant(config_for())[0].numeric_M
 
     def test_verify_h_trace_rate(self):
         config = config_for("verify", a=(1.0,), delta_list=(), h_list=(4, 8, 16))
@@ -175,6 +185,23 @@ def count_solves(monkeypatch, fail=lambda params: False):
     return calls
 
 
+def inline_pool(monkeypatch):
+    """Replace ProcessPoolExecutor by an executor that runs calls inline; its max_workers values."""
+    workers = []
+
+    class InlinePool(concurrent.futures.Executor):
+        def __init__(self, max_workers):
+            workers.append(max_workers)
+
+        def submit(self, fn, *args, **kwargs):
+            future = concurrent.futures.Future()
+            future.set_result(fn(*args, **kwargs))
+            return future
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlinePool)
+    return workers
+
+
 # 12 cells, 7 distinct problems: every k = 1 half-space cell repeats its
 # complement twin, and (3,1,2,0.5,0) repeats (4,2,2,-0.5,0)
 TWIN_GRID = dict(d=(3, 4), k=(1, 2), a=(-0.5, 0.5), cones=("complement-sigma0", "half-space"))
@@ -183,7 +210,8 @@ TWIN_GRID = dict(d=(3, 4), k=(1, 2), a=(-0.5, 0.5), cones=("complement-sigma0", 
 class TestSweepDedupe:
     def test_one_solve_per_distinct_problem(self, monkeypatch):
         config = config_for("sweep", **TWIN_GRID)
-        per_cell = [cli._solve_cell("sweep", params, cone, config.mesh_size)
+        per_cell = [cli._cell_row("sweep", params, cone, config.mesh_size,
+                                  cli._solve(params, cone, config.mesh_size))
                     for params, cone in config.cells()]
         calls = count_solves(monkeypatch)
         rows = cmd_sweep(config)
@@ -208,22 +236,31 @@ class TestSweepDedupe:
         assert all(row.status == "ok" for row in rows if row.status != "solver_fail")
 
     def test_pool_capped_at_distinct_problems(self, monkeypatch):
-        workers = []
-
-        class InlinePool(concurrent.futures.Executor):  # records max_workers, runs calls inline
-            def __init__(self, max_workers):
-                workers.append(max_workers)
-
-            def submit(self, fn, *args, **kwargs):
-                future = concurrent.futures.Future()
-                future.set_result(fn(*args, **kwargs))
-                return future
-
-        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlinePool)
+        workers = inline_pool(monkeypatch)
         grid = dict(a=(0.0, 0.5), cones=("complement-sigma0", "half-space"))
         rows = cmd_sweep(config_for("sweep", jobs=4, **grid))
         assert workers == [2]  # 4 cells, 2 distinct problems
         assert rows == cmd_sweep(config_for("sweep", **grid))
+
+
+# 17 cells, 13 distinct problems: 12 (n, s) family cells, the mixed-threshold cell
+# (3,1,2,1,0) and four grid cells, of which (3,1,2,0,0) and (3,1,2,0.5,0) on
+# complement-sigma0 and half-space repeat the family's half-space cells
+TABLE_GRID = dict(cs_n=(2, 3), cs_s=(0.25, 0.5, 0.75), a=(0.0, 0.5),
+                  cones=("complement-sigma0", "half-space"))
+
+
+class TestTableDedupe:
+    def test_one_solve_per_distinct_problem(self, monkeypatch):
+        calls = count_solves(monkeypatch)
+        rows = cmd_table(config_for("table", **TABLE_GRID))
+        assert len(rows) == 17 and len(calls) == 13
+
+    def test_jobs_give_the_same_rows(self, monkeypatch):
+        serial = cmd_table(config_for("table", **TABLE_GRID))
+        workers = inline_pool(monkeypatch)
+        assert cmd_table(config_for("table", jobs=2, **TABLE_GRID)) == serial
+        assert workers == [2]
 
 
 class TestSerialization:
@@ -248,6 +285,16 @@ class TestSerialization:
         parsed = next(reader)
         assert float(parsed["numeric_M"]) == rows[0].numeric_M  # repr round trip
         assert float(parsed["closed_form"]) == rows[0].closed_form
+
+    def test_csv_numpy_floats_round_trip(self):
+        # numpy 2 spells a np.float64's repr np.float64(...); the CSV must hold plain decimals
+        rows = (cmd_constant(config_for(p=(1.5,), a=(0.3,)))
+                + cmd_verify(config_for("verify", delta_list=(0.2, 0.1, 0.05))))
+        parsed = list(csv.DictReader(io.StringIO(rows_to_csv(rows))))
+        assert float(parsed[0]["numeric_M"]) == rows[0].numeric_M
+        assert float(parsed[0]["residual"]) == rows[0].residual
+        assert float(parsed[1]["extrapolated"]) == rows[1].extrapolated
+        assert float(parsed[1]["residual"]) == rows[1].residual
 
     def test_determinism(self):
         config = config_for("verify", delta_list=(0.2, 0.1, 0.05))

@@ -11,7 +11,6 @@ from hardycone.quadrature import sphere_weight_mass
 from hardycone.spherical import DiscretizedFunction, _Discretization, bc_for_cone, graded_mesh, solve_M
 from hardycone.verifier import (
     cutoff_decay,
-    denominator_blowup,
     eta_cutoff,
     eta_cutoff_prime,
     evaluate_quotient_udelta,
@@ -115,10 +114,6 @@ class TestUdeltaQuotient:
         with pytest.raises(ValueError):
             evaluate_quotient_udelta(self.params, self.result.minimizer, 0.0)
 
-    def test_reference_recorded(self):
-        ev = evaluate_quotient_udelta(self.params, self.result.minimizer, 0.1, reference=2.25)
-        assert ev.closed_form_reference == 2.25
-
 
 class TestDenominatorBlowup:
     def setup_method(self):
@@ -128,26 +123,22 @@ class TestDenominatorBlowup:
 
     def test_closed_form_value(self):
         # constant profile on the full sphere: denominator = (2/(p delta)) * total mass
-        den = denominator_blowup(self.params, self.Phi, 0.1)
+        den = evaluate_quotient_udelta(self.params, self.Phi, 0.1).denominator
         expected = 2.0 / (2.0 * 0.1) * sphere_weight_mass(self.params)
         assert den == pytest.approx(expected, rel=1e-12)
 
     def test_exact_inverse_delta_scaling(self):
-        d1 = denominator_blowup(self.params, self.Phi, 0.2)
-        d2 = denominator_blowup(self.params, self.Phi, 0.1)
+        d1 = evaluate_quotient_udelta(self.params, self.Phi, 0.2).denominator
+        d2 = evaluate_quotient_udelta(self.params, self.Phi, 0.1).denominator
         assert d2 == pytest.approx(2.0 * d1, rel=1e-14)
 
     def test_product_with_delta_constant(self):
         products = [
-            denominator_blowup(self.params, self.Phi, d) * d for d in (0.1, 0.01, 0.001)
+            evaluate_quotient_udelta(self.params, self.Phi, d).denominator * d
+            for d in (0.1, 0.01, 0.001)
         ]
         spread = (max(products) - min(products)) / products[0]
         assert spread < 1e-12
-
-    def test_matches_quotient_denominator(self):
-        ev = evaluate_quotient_udelta(self.params, self.Phi, 0.05)
-        den = denominator_blowup(self.params, self.Phi, 0.05)
-        assert den == pytest.approx(ev.denominator, rel=1e-14)
 
 
 class TestCutoffDecay:
