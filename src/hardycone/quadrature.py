@@ -12,6 +12,14 @@ Rayleigh quotients run through the rules built here.  The weight is singular
 * a panel touching 0 absorbs theta^(d-k-1) the same way,
 * interior panels use Gauss-Legendre with the smooth weight in the integrand.
 
+Solves use DEFAULT_PANEL_ORDER = 4 points per mesh element.  That is exact
+to degree 7 on interior elements, where a P1 solve integrates the smooth
+weight times low-degree functions of theta (quadratics at p = 2), and the
+end elements carry the singular powers in their Jacobi weights, so more
+points buy nothing the mesh can show: against 8 points, M moves by at most
+2e-7 relative at mesh 1024, hundreds of times less than between meshes 1024
+and 4096 (tests/test_spherical.py checks this on six hard cells).
+
 Gauss-Jacobi rules come from the Golub-Welsch construction in numpy: the
 nodes are the eigenvalues of the Jacobi matrix of the three-term recurrence,
 and the weights are the Christoffel numbers 1 / sum_k phat_k(x_i)^2 of the
@@ -31,7 +39,7 @@ from .params import ConeKind, ConeSpec, HardyParams
 
 HALF_PI = math.pi / 2
 
-DEFAULT_PANEL_ORDER = 8
+DEFAULT_PANEL_ORDER = 4  # points per panel: degree 7 on interior panels
 
 
 def sphere_surface_area(n: int) -> float:
@@ -155,7 +163,9 @@ def composite_rule(
 
     Interior panels share one Gauss-Legendre rule, broadcast over panels with
     the smooth weight in the integrand; only the panels touching theta = 0 or
-    pi/2 are built one at a time (Gauss-Jacobi).
+    pi/2 are built one at a time (Gauss-Jacobi).  The default 4 points per
+    panel are exact to degree 7 on interior panels, which keeps the rule's
+    error in a solve far below the mesh's (see the module docstring).
     """
     mesh = np.asarray(mesh, dtype=float)
     if mesh.ndim != 1 or mesh.size < 2 or np.any(np.diff(mesh) <= 0):

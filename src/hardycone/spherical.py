@@ -111,7 +111,8 @@ class SpectralResult:
 
     residual is ||S v - lam M v|| after an eigensolve (solve_M at p = 2) and
     the relative step decrement sqrt(grad Q . d) / Q of the last step after a
-    descent (minimize_rayleigh_p).
+    descent (minimize_rayleigh_p); iterations counts the shifted solves of
+    the inverse iteration or the descent steps.
     """
 
     M: float
@@ -258,21 +259,37 @@ class _CyclicReduction:
 
 
 def smallest_eigenpair(
-    stiffness: Tridiagonal, mass: Tridiagonal, tol: float = 1e-10, max_iter: int = 2000
+    stiffness: Tridiagonal,
+    mass: Tridiagonal,
+    tol: float = 1e-10,
+    max_iter: int = 2000,
+    start: np.ndarray | None = None,
 ) -> tuple[float, np.ndarray]:
     """Smallest generalized eigenvalue of (stiffness, mass) and its eigenvector.
 
     Both matrices are symmetric tridiagonal, given as (diag, off) pairs of
     numpy arrays of lengths n and n - 1, with mass positive definite.
     Shifted inverse power iteration: iterate v <- (S - mu M)^-1 M v starting
-    below the spectrum at mu = -1.  Once the residual is small against the
-    gap estimated from the observed contraction ratio, the shift is
-    re-anchored just below the Rayleigh value (provably still below
-    lambda_1), which collapses the convergence factor.  The residual
-    ||S v - lambda M v||_2 is taken relative to ||v||_M = 1, with a floor at
-    the rounding level of the matrix-vector products; v comes back
-    M-normalized with nonnegative weighted mean.
+    below the spectrum at mu = -1, from start (default: all ones).  Once the
+    residual is small against the gap estimated from the observed
+    contraction ratio, the shift is re-anchored just below the Rayleigh
+    value (provably still below lambda_1), which collapses the convergence
+    factor.  The residual ||S v - lambda M v||_2 is taken relative to
+    ||v||_M = 1, with a floor at the rounding level of the matrix-vector
+    products; v comes back M-normalized with nonnegative weighted mean.
     """
+    lam, v, _, _ = _inverse_iteration(stiffness, mass, tol, max_iter, start)
+    return lam, v
+
+
+def _inverse_iteration(
+    stiffness: Tridiagonal,
+    mass: Tridiagonal,
+    tol: float = 1e-10,
+    max_iter: int = 2000,
+    start: np.ndarray | None = None,
+) -> tuple[float, np.ndarray, int, float]:
+    """smallest_eigenpair's iteration: (lambda, v, shifted solves taken, final residual)."""
     S = tuple(np.asarray(a, dtype=float) for a in stiffness)
     M = tuple(np.asarray(a, dtype=float) for a in mass)
     (s_diag, s_off), (m_diag, m_off) = S, M
@@ -287,12 +304,12 @@ def smallest_eigenpair(
     abs_S = (np.abs(s_diag), np.abs(s_off))
     abs_M = (np.abs(m_diag), np.abs(m_off))
 
-    v = np.ones(s_diag.size)
+    v = np.ones(s_diag.size) if start is None else np.asarray(start, dtype=float)
     mv = _matvec(M, v)
     residual = math.inf
     history: list[float] = []
     reshifts = 0
-    for _ in range(max_iter):
+    for steps in range(1, max_iter + 1):
         v = solve_shifted(mv)
         mv = _matvec(M, v)
         scale = math.sqrt((v * mv).sum())
@@ -328,7 +345,7 @@ def smallest_eigenpair(
         )
     if mv.sum() < 0:
         v = -v
-    return lam, v
+    return lam, v, steps, residual
 
 
 class _Discretization:
@@ -547,8 +564,7 @@ def minimize_rayleigh_p(
     disc = _Discretization.graded(params, domain, mesh_size)
     stiffness, mass = disc.p2_matrices()
     mesh, free = disc.mesh, disc.free
-    shift = 1.0 + disc.H2
-    precond = _CyclicReduction(stiffness[0] + shift * mass[0], stiffness[1] + shift * mass[1]).solve
+    precond = None  # the weighted-H1 solve, factored at the first fallback step
 
     if init is None:
         v = _default_start(params, domain, disc, stiffness, mass)
@@ -565,6 +581,11 @@ def minimize_rayleigh_p(
         direction = disc.newton_direction(v, q, g)
         slope = (g * direction).sum() if direction is not None else math.nan
         if not slope > 0.0:
+            if precond is None:
+                shift = 1.0 + disc.H2
+                precond = _CyclicReduction(
+                    stiffness[0] + shift * mass[0], stiffness[1] + shift * mass[1]
+                ).solve
             direction = np.zeros_like(v)
             direction[free] = precond(g[free])
             slope = (g * direction).sum()
@@ -623,7 +644,7 @@ def _default_start(
     """
     cosine = _cosine_profile(params, domain, disc.mesh)
     try:
-        _, vec = smallest_eigenpair(stiffness, mass)
+        _, vec = smallest_eigenpair(stiffness, mass, start=cosine[disc.free])
     except (ConvergenceError, np.linalg.LinAlgError):
         return cosine
     eigen = disc.expand_free(vec)
@@ -651,7 +672,9 @@ def solve_M(
     """Spherical minimum M of the cone: eigensolve for p = 2, descent otherwise.
 
     Both paths discretize once, on a mesh of mesh_size elements graded toward
-    pi/2.
+    pi/2.  The p = 2 inverse iteration starts from the cosine profile, which
+    is positive and, on the complement and the half space, the continuous
+    ground state itself; iterations counts its shifted solves.
     """
     domain = bc_for_cone(params, cone)
     exponent = hardy_exponent(params)
@@ -659,14 +682,15 @@ def solve_M(
         return minimize_rayleigh_p(params, domain, mesh_size)
     disc = _Discretization.graded(params, domain, mesh_size)
     stiffness, mass = disc.p2_matrices()
-    lam, vec = smallest_eigenpair(stiffness, mass)
-    values = disc.normalize(disc.expand_free(vec))
-    residual = _norm(_matvec(stiffness, vec) - lam * _matvec(mass, vec))
+    start = _cosine_profile(params, domain, disc.mesh)[disc.free]
+    lam, vec, steps, residual = _inverse_iteration(stiffness, mass, start=start)
+    # vec has unit M-norm, which is the unit weighted 2-norm of the P1 profile
+    values = np.abs(disc.expand_free(vec))
     return SpectralResult(
         M=lam + exponent.H**2,
         lam=lam,
         minimizer=DiscretizedFunction(disc.mesh, values),
-        iterations=0,
+        iterations=steps,
         residual=residual,
     )
 

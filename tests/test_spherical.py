@@ -407,6 +407,55 @@ class TestSolveM:
         norm_m = math.sqrt(v @ matvec(M, v))
         assert np.linalg.norm(r) / norm_m <= result.residual * (1 + 1e-9) + 1e-15
 
+    @pytest.mark.parametrize("cell, cone", [
+        ((3, 1, 2.0, 0.0, 0.0), ConeSpec.band(0.3, 1.2)),
+        ((3, 1, 2.0, 0.99, 0.0), ConeSpec.complement_sigma0()),
+        ((6, 3, 2.0, -1.2, 0.0), ConeSpec.complement_sigma0()),
+        ((3, 1, 1.5, 0.4, 0.0), ConeSpec.complement_sigma0()),
+        ((3, 1, 3.0, 1.9, 0.0), ConeSpec.complement_sigma0()),
+        ((3, 2, 3.0, 0.8, 0.0), ConeSpec.complement_sigma0()),
+    ])
+    def test_rule_order_error_far_below_discretization_error(self, monkeypatch, cell, cone):
+        # the default 4-point panels against 8-point ones on the same mesh: the
+        # rule's share of the error in M must be negligible next to the mesh's
+        params = HardyParams(*cell)
+        coarse = solve_M(params, cone, 1024).M
+        fine = solve_M(params, cone, 4096).M
+        monkeypatch.setattr(spherical, "composite_rule", lambda weight, mesh: composite_rule(weight, mesh, 8))
+        eight_point = solve_M(params, cone, 1024).M
+        assert abs(eight_point - coarse) <= 1e-2 * abs(coarse - fine)
+
+    @pytest.mark.parametrize("d, a", [(3, -0.5), (5, 0.5)])
+    def test_cosine_start_converges_at_once_on_complement(self, d, a):
+        # cos^s is the continuous ground state there, so inverse iteration
+        # starts next to the discrete one; from all ones it takes 6-8 steps
+        params = HardyParams(d, 1, 2.0, a, 0.0)
+        cone = ConeSpec.complement_sigma0()
+        for mesh_size, most in ((2048, 4), (8192, 2)):
+            result = solve_M(params, cone, mesh_size)
+            S, M, _ = assemble_p2(params, bc_for_cone(params, cone), mesh_size)
+            ones_steps = spherical._inverse_iteration(S, M)[2]
+            assert 1 <= result.iterations <= most
+            assert result.iterations < ones_steps
+            assert result.M == pytest.approx(closed_form_constant(params, cone).value, rel=1e-5)
+
+    @pytest.mark.parametrize("cell, cone", [
+        ((3, 1, 2.0, 0.0, 0.0), ConeSpec.band(0.3, 1.2)),
+        ((4, 2, 2.0, 0.5, 0.0), ConeSpec.band(0.2, 1.0)),
+        ((3, 1, 2.0, 0.9, 0.0), ConeSpec.complement_sigma0()),
+    ])
+    def test_start_vector_does_not_change_eigenvalue(self, cell, cone):
+        params = HardyParams(*cell)
+        domain = bc_for_cone(params, cone)
+        disc = spherical._Discretization.graded(params, domain, 2048)
+        S, M = disc.p2_matrices()
+        start = spherical._cosine_profile(params, domain, disc.mesh)[disc.free]
+        lam_ones, _ = smallest_eigenpair(S, M)
+        lam_start, v = smallest_eigenpair(S, M, start=start)
+        assert lam_start == pytest.approx(lam_ones, rel=1e-9)
+        assert matvec(M, v).sum() > 0
+        assert solve_M(params, cone, 2048).lam == lam_start
+
     def test_random_admissible_configurations_solve(self):
         # robustness sweep: every admissible draw solves and respects the
         # pointwise lower bound M >= |H|^p
