@@ -26,7 +26,15 @@ from .params import (
     closed_form_constant,
     cone_admissible,
 )
-from .spherical import MIN_MESH_SIZE, ConvergenceError, SpectralResult, _problem_key, solve_M
+from .spherical import (
+    MIN_MESH_SIZE,
+    ConvergenceError,
+    SpectralResult,
+    _problem_key,
+    _solve_mesh,
+    bc_for_cone,
+    solve_M,
+)
 from .verifier import cutoff_decay, evaluate_quotient_udelta
 
 SCHEMA_VERSION = 1
@@ -207,8 +215,11 @@ def _grid_rows(
     Cells with equal _problem_key (p, k+a, d-k, H^2 and the endpoint
     conditions) share the _solve call of the first of them, whose result is
     bit for bit the one each would get alone; the closed form, gap and
-    status are still per cell.  With --jobs > 1 the distinct problems are
-    spread over at most that many worker processes.
+    status are still per cell.  The distinct problems are solved mesh by
+    mesh, so the problems on one graded mesh run back to back and share its
+    cached quadrature geometry; rows are still placed by cell index.  With
+    --jobs > 1 the distinct problems are spread over at most that many
+    worker processes.
     """
     groups: dict[object, list[int]] = {}
     for index, (params, cone) in enumerate(cells):
@@ -220,14 +231,23 @@ def _grid_rows(
             key = index
         groups.setdefault(key, []).append(index)
 
+    def mesh_of(members: list[int]) -> bytes:  # sorting by it keeps each mesh's problems together
+        params, cone = cells[members[0]]
+        try:
+            return _solve_mesh(params, bc_for_cone(params, cone), config.mesh_size).tobytes()
+        except ValueError:
+            return b""
+
+    ordered = sorted(groups.values(), key=mesh_of)
+
     def rows_from(results) -> list[ReportRow]:  # one result per group, none kept past its rows
         rows = [None] * len(cells)
-        for members, result in zip(groups.values(), results):
+        for members, result in zip(ordered, results):
             for index in members:
                 rows[index] = _cell_row(command, *cells[index], config.mesh_size, result, with_closed)
         return rows
 
-    problems = [cells[members[0]] for members in groups.values()]
+    problems = [cells[members[0]] for members in ordered]
     solve_args = ([params for params, _ in problems], [cone for _, cone in problems],
                   [config.mesh_size] * len(problems))
     if config.jobs > 1 and len(problems) > 1:
@@ -265,13 +285,14 @@ def _richardson(trace: list[tuple[float, float]]) -> tuple[float | None, float |
 def cmd_verify(config: RunConfig) -> list[ReportRow]:
     """Trace the minimizing family in delta and the cutoff energy in h.
 
-    The delta row fails (status solver_fail) if the trace does not approach
-    the reference quadratically or the extrapolated limit misses it; the h
-    row fails if the strip energy decays slower than h^(1-p).  Repeated
-    --deltas or --hs values, a delta that is not finite and positive, an h
-    below 1, and --hs on a cell with k+a < p (no strip regime to check) are
-    malformed input (ValueError); an inadmissible cell raises
-    AdmissibilityError.
+    The delta row fails (status solver_fail) if a trace value or the
+    extrapolated limit is not finite, the trace does not approach the
+    reference quadratically or the limit misses it; the h row fails if an
+    energy or the fitted rate is not finite or the strip energy decays
+    slower than h^(1-p).  Repeated --deltas or --hs values, a delta that is
+    not finite and positive, an h below 1, and --hs on a cell with k+a < p
+    (no strip regime to check) are malformed input (ValueError); an
+    inadmissible cell raises AdmissibilityError.
     """
     params, cone = config.single()
     if not all(math.isfinite(delta) and delta > 0 for delta in config.delta_list):
@@ -291,14 +312,15 @@ def cmd_verify(config: RunConfig) -> list[ReportRow]:
         try:
             trace = tuple((delta, evaluate_quotient_udelta(params, result.minimizer, delta).quotient)
                           for delta in config.delta_list)
-        except (ConvergenceError, ValueError):
+            extrap, order = _richardson(trace)
+        except (ConvergenceError, ValueError, OverflowError):
             row = replace(_base_row("verify", params, cone, config.mesh_size), status="solver_fail")
         else:
-            extrap, order = _richardson(trace)
+            broken = not _finite(*(q for _, q in trace), extrap)
             slow = order is not None and order < 1.85
             off = extrap is not None and abs(extrap - reference) > max(5e-3 * abs(reference), 1e-9)
             row = replace(row, quotient_trace=trace, extrapolated=extrap, fit_order=order,
-                          status="solver_fail" if slow or off else "ok")
+                          status="solver_fail" if broken or slow or off else "ok")
     rows = [row]
 
     if config.h_list:
@@ -307,13 +329,20 @@ def cmd_verify(config: RunConfig) -> list[ReportRow]:
             htrace = [(float(h), cutoff_decay(params, (0.05, 20.0), h)) for h in config.h_list]
             rate = _fit_log_slope(htrace)
             status = "ok"
-            if rate is not None and rate > (1.0 - params.p) * 0.9:
+            if not _finite(*(energy for _, energy in htrace), rate):
+                status = "solver_fail"
+            elif rate is not None and rate > (1.0 - params.p) * 0.9:
                 status = "solver_fail"  # slower than the h^(1-p) guarantee
             hrow = replace(hrow, quotient_trace=tuple(htrace), fit_rate=rate, status=status)
         except ValueError:
             hrow = replace(hrow, status="solver_fail")
         rows.append(hrow)
     return rows
+
+
+def _finite(*values: float | None) -> bool:
+    """True when every value that is not None is finite."""
+    return all(math.isfinite(value) for value in values if value is not None)
 
 
 def _fit_log_slope(trace: list[tuple[float, float]]) -> float | None:

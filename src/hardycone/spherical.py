@@ -18,6 +18,11 @@ or not a descent direction, a gradient step in the weighted-H1 metric (the
 p = 2 matrices) is taken instead.  For p != 2 the reported residual is the
 relative step decrement sqrt(grad Q . d) / Q of the last step.
 
+A solve's graded mesh comes from _solve_mesh, which the CLI also uses to
+order a command's problems mesh by mesh; the discretization takes the
+element widths and the interior shape values from the quadrature module's
+cached geometry and forms only the exponent-dependent parts.
+
 Every matrix here is symmetric tridiagonal and is kept as a (diag, off) pair
 of numpy arrays.  One kernel solves all of them: odd-even cyclic reduction,
 vectorized over each level, which factors once, solves many right-hand sides
@@ -41,7 +46,7 @@ from .params import (
     hardy_exponent,
     require_admissible,
 )
-from .quadrature import AngularWeight, QuadratureRule, composite_rule
+from .quadrature import AngularWeight, QuadratureRule, _mesh_geometry, composite_rule
 
 HALF_PI = math.pi / 2
 MIN_MESH_SIZE = 16  # fewest elements a solve accepts
@@ -182,6 +187,26 @@ def _auto_gamma(params: HardyParams, domain: AngularDomain, n: int) -> float:
     return min(max(2.0, 2.4 / max(s, 0.05)), grading_cap(n))
 
 
+def _solve_mesh(params: HardyParams, domain: AngularDomain, mesh_size: int) -> np.ndarray:
+    """The graded mesh of mesh_size elements that a solve of the cell discretizes on."""
+    if mesh_size < MIN_MESH_SIZE:
+        raise ValueError(f"mesh_size must be at least {MIN_MESH_SIZE}")
+    gamma = _auto_gamma(params, domain, mesh_size)
+    return graded_mesh(domain.theta1, domain.theta2, mesh_size, gamma)
+
+
+def _element_sums(a: np.ndarray) -> np.ndarray:
+    """a.sum(axis=1) of an (n_elements, nq) array, added column by column.
+
+    The same left-to-right sums as numpy's for nq < 8, at about a ninth of
+    the cost at nq = 4: numpy reduces each short row in its own inner loop.
+    """
+    total = a[:, 0].copy()
+    for j in range(1, a.shape[1]):
+        total += a[:, j]
+    return total
+
+
 def _matvec(matrix: Tridiagonal, v: np.ndarray) -> np.ndarray:
     diag, off = matrix
     out = diag * v
@@ -233,25 +258,29 @@ class _CyclicReduction:
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
         """Solution for a right-hand side of shape (n,) or (n, k)."""
-        rhs = np.asarray(rhs, dtype=float)
-        b = rhs.reshape(self.size, -1)
+        b = np.asarray(rhs, dtype=float)
+        if b.ndim not in (1, 2) or b.shape[0] != self.size:
+            raise ValueError(f"need a right-hand side of shape ({self.size},) or ({self.size}, k)")
+        # per-level coefficients scale rows: as they are for one right-hand
+        # side, as columns for several
+        rows = (slice(None),) if b.ndim == 1 else (slice(None), None)
         eliminated = []
         for _, left, right, left_mult, right_mult in self.levels:
             b_even = b[0::2]
-            b = b[1::2] - left_mult[:, None] * b_even[: left.size]
-            b[: right.size] -= right_mult[:, None] * b_even[1 : right.size + 1]
+            b = b[1::2] - left_mult[rows] * b_even[: left.size]
+            b[: right.size] -= right_mult[rows] * b_even[1 : right.size + 1]
             eliminated.append(b_even)
         x = b
         for (pivots, left, right, _, _), b_even in zip(reversed(self.levels), reversed(eliminated)):
             x_even = b_even.copy()
-            x_even[: left.size] -= left[:, None] * x
-            x_even[1 : right.size + 1] -= right[:, None] * x[: right.size]
-            x_even /= pivots[:, None]
-            full = np.empty((x_even.shape[0] + x.shape[0], x.shape[1]))
+            x_even[: left.size] -= left[rows] * x
+            x_even[1 : right.size + 1] -= right[rows] * x[: right.size]
+            x_even /= pivots[rows]
+            full = np.empty((x_even.shape[0] + x.shape[0],) + x.shape[1:])
             full[0::2] = x_even
             full[1::2] = x
             x = full
-        return x.reshape(rhs.shape)
+        return x
 
     def negative_count(self) -> int:
         """Number of negative eigenvalues of the matrix (Sylvester's law of inertia)."""
@@ -355,15 +384,25 @@ class _Discretization:
     shape values n1, n2 at its nodes and the Dirichlet mask of the free
     nodes.  The p = 2 matrices, the discrete quotient Q(phi) with its
     analytic nodal gradient, and the certifier's u_delta sums are all sums
-    over these nodes and weights.
+    over these nodes and weights.  rule is composite_rule's on mesh: h and
+    the interior rows of n1, n2 are the mesh's cached geometry, so only the
+    rows of the end elements (whose Gauss-Jacobi nodes depend on the
+    exponents) are formed here.
     """
 
     def __init__(self, params: HardyParams, mesh: np.ndarray, rule: QuadratureRule, free: slice):
         theta_q = rule.nodes.reshape(mesh.size - 1, -1)
+        geometry = _mesh_geometry(mesh.tobytes(), theta_q.shape[1])
+        first, last = geometry.first, geometry.last
         self.mesh = mesh
-        self.h = h = np.diff(mesh)
-        self.n1 = (mesh[1:, None] - theta_q) / h[:, None]
-        self.n2 = (theta_q - mesh[:-1, None]) / h[:, None]
+        self.h = h = geometry.h
+        self.n1 = np.empty_like(theta_q)
+        self.n2 = np.empty_like(theta_q)
+        self.n1[first:last] = geometry.n1
+        self.n2[first:last] = geometry.n2
+        for e in geometry.ends:
+            self.n1[e] = (mesh[e + 1] - theta_q[e]) / h[e]
+            self.n2[e] = (theta_q[e] - mesh[e]) / h[e]
         self.w = rule.weights.reshape(theta_q.shape)
         self.p = params.p
         self.H2 = hardy_exponent(params).H ** 2
@@ -374,10 +413,7 @@ class _Discretization:
     @classmethod
     def graded(cls, params: HardyParams, domain: AngularDomain, mesh_size: int) -> "_Discretization":
         """The discretization of one solve, on its graded mesh of mesh_size elements."""
-        if mesh_size < MIN_MESH_SIZE:
-            raise ValueError(f"mesh_size must be at least {MIN_MESH_SIZE}")
-        gamma = _auto_gamma(params, domain, mesh_size)
-        mesh = graded_mesh(domain.theta1, domain.theta2, mesh_size, gamma)
+        mesh = _solve_mesh(params, domain, mesh_size)
         rule = composite_rule(AngularWeight.for_params(params), mesh)
         lo = 1 if domain.bc1 is DIRICHLET else 0
         hi = mesh.size - 1 if domain.bc2 is DIRICHLET else mesh.size
@@ -399,10 +435,10 @@ class _Discretization:
     def p2_matrices(self) -> tuple[Tridiagonal, Tridiagonal]:
         """Stiffness int w phi_i' phi_j' and mass int w phi_i phi_j on the free nodes, as (diag, off)."""
         w = self.w
-        stiff = w.sum(axis=1) / self.h**2
+        stiff = _element_sums(w) / self.h**2
         stiff_diag = self._scatter(stiff, stiff)
-        mass_diag = self._scatter((w * self.n1 * self.n1).sum(axis=1), (w * self.n2 * self.n2).sum(axis=1))
-        mass_off = (w * self.n1 * self.n2).sum(axis=1)
+        mass_diag = self._scatter(_element_sums(w * self.n1 * self.n1), _element_sums(w * self.n2 * self.n2))
+        mass_off = _element_sums(w * self.n1 * self.n2)
         lo, hi = self.free.start, self.free.stop
         return (stiff_diag[lo:hi], -stiff[lo : hi - 1]), (mass_diag[lo:hi], mass_off[lo : hi - 1])
 
@@ -430,7 +466,7 @@ class _Discretization:
         with np.errstate(divide="ignore", invalid="ignore"):
             phi_pow = np.where(phi != 0.0, np.abs(phi) ** (self.p - 1.0) * np.sign(phi), 0.0)
         c_den = self.w * self.p * phi_pow
-        return self._scatter((c_den * self.n1).sum(axis=1), (c_den * self.n2).sum(axis=1))
+        return self._scatter(_element_sums(c_den * self.n1), _element_sums(c_den * self.n2))
 
     def value_grad(self, v: np.ndarray) -> tuple[float, np.ndarray]:
         p = self.p
@@ -441,9 +477,9 @@ class _Discretization:
         with np.errstate(divide="ignore", invalid="ignore"):
             e_pow = np.where(e2 > 0.0, e2 ** (p / 2 - 1.0), 0.0)
         c_phi = self.w * p * e_pow * self.H2 * phi
-        c_dphi = (self.w * p * e_pow * dphi).sum(axis=1) / self.h
+        c_dphi = _element_sums(self.w * p * e_pow * dphi) / self.h
         dnum = self._scatter(
-            (c_phi * self.n1).sum(axis=1) - c_dphi, (c_phi * self.n2).sum(axis=1) + c_dphi
+            _element_sums(c_phi * self.n1) - c_dphi, _element_sums(c_phi * self.n2) + c_dphi
         )
         return q, (dnum - q * self._mass_grad(phi)) / den * self.mask
 
@@ -471,10 +507,10 @@ class _Discretization:
         c_outer = self.w * (p / 2) * (p / 2 - 1.0) * e_pow2
         c_curv = self.w * p * e_pow1
         c_value = c_curv * H2 - q * self.w * p * (p - 1.0) * phi_pow
-        c_grad = c_curv.sum(axis=1) / self.h**2
-        k_ll = (c_outer * de2_l * de2_l + c_value * n1 * n1).sum(axis=1) + c_grad
-        k_rr = (c_outer * de2_r * de2_r + c_value * n2 * n2).sum(axis=1) + c_grad
-        k_lr = (c_outer * de2_l * de2_r + c_value * n1 * n2).sum(axis=1) - c_grad
+        c_grad = _element_sums(c_curv) / self.h**2
+        k_ll = _element_sums(c_outer * de2_l * de2_l + c_value * n1 * n1) + c_grad
+        k_rr = _element_sums(c_outer * de2_r * de2_r + c_value * n2 * n2) + c_grad
+        k_lr = _element_sums(c_outer * de2_l * de2_r + c_value * n1 * n2) - c_grad
         return self._scatter(k_ll, k_rr), k_lr
 
     def newton_direction(self, v: np.ndarray, q: float, g: np.ndarray) -> np.ndarray | None:
@@ -682,14 +718,18 @@ def solve_M(
         return minimize_rayleigh_p(params, domain, mesh_size)
     disc = _Discretization.graded(params, domain, mesh_size)
     stiffness, mass = disc.p2_matrices()
-    start = _cosine_profile(params, domain, disc.mesh)[disc.free]
-    lam, vec, steps, residual = _inverse_iteration(stiffness, mass, start=start)
+    mesh, free = disc.mesh, disc.free
+    del disc  # the eigensolve needs only the matrices: release the per-node arrays
+    lam, vec, steps, residual = _inverse_iteration(
+        stiffness, mass, start=_cosine_profile(params, domain, mesh)[free]
+    )
     # vec has unit M-norm, which is the unit weighted 2-norm of the P1 profile
-    values = np.abs(disc.expand_free(vec))
+    values = np.zeros(mesh.size)
+    values[free] = np.abs(vec)
     return SpectralResult(
         M=lam + exponent.H**2,
         lam=lam,
-        minimizer=DiscretizedFunction(disc.mesh, values),
+        minimizer=DiscretizedFunction(mesh, values),
         iterations=steps,
         residual=residual,
     )

@@ -208,14 +208,18 @@ def cutoff_decay(
     eta_v = np.asarray(eta(tau / h), dtype=float)
     etp_v = np.asarray(eta_prime(tau / h), dtype=float)
 
+    # the angular part of |grad u_h| grows like e^tau, so the integrand is
+    # formed as e^(-tau(k+a-p)) |e^-tau grad u_h|^p: with k+a >= p neither
+    # factor overflows, however large h is
     c = np.exp(-(tau[None, :] + nu[:, None]))
     one_mc2 = np.clip(1.0 - c**2, 0.0, 1.0)
     grad_r = eta_v[None, :] * (gp / r)[:, None] - etp_v[None, :] * (g / r)[:, None] / h
-    grad_th = etp_v[None, :] * np.sqrt(one_mc2) * np.exp(tau)[None, :] * g[:, None] / h
-    grad_p = (grad_r**2 + grad_th**2) ** (params.p / 2)
+    scaled_grad_r = grad_r * np.exp(-tau)[None, :]
+    scaled_grad_th = etp_v[None, :] * np.sqrt(one_mc2) * g[:, None] / h
+    grad_p = (scaled_grad_r**2 + scaled_grad_th**2) ** (params.p / 2)
 
     d, k, b = params.d, params.k, params.b
-    kernel = np.exp(nu * (d - b - k))[:, None] * np.exp(-tau * ka)[None, :]
+    kernel = np.exp(nu * (d - b - k))[:, None] * np.exp(-tau * (ka - params.p))[None, :]
     kernel = kernel * one_mc2 ** ((d - k - 2) / 2)
     pref = AngularWeight.for_params(params).prefactor
     return float(pref * w_nu @ (kernel * grad_p) @ w_tau)

@@ -4,15 +4,19 @@ import concurrent.futures
 import csv
 import io
 import json
+import math
 import os
 import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import hardycone
 import hardycone.cli as cli
+import hardycone.quadrature as quadrature
+import hardycone.spherical as spherical
 from hardycone.cli import (
     CSV_COLUMNS,
     ReportRow,
@@ -138,6 +142,12 @@ class TestCommands:
         hrow = rows[-1]
         assert hrow.fit_rate == pytest.approx(1.0 - 2.0, abs=0.05)  # h^(1-p)
 
+    def test_verify_non_finite_h_energy_fails_row(self, monkeypatch):
+        monkeypatch.setattr(cli, "cutoff_decay", lambda params, support, h: math.nan)
+        config = config_for("verify", a=(1.0,), delta_list=(), h_list=(4, 8))
+        hrow = cmd_verify(config)[-1]
+        assert hrow.status == "solver_fail"
+
     def test_verify_h_trace_below_threshold_rejected(self):
         config = config_for("verify", a=(0.0,), delta_list=(0.1,), h_list=(4, 8))
         with pytest.raises(ValueError, match="k\\+a >= p"):
@@ -241,6 +251,59 @@ class TestSweepDedupe:
         rows = cmd_sweep(config_for("sweep", jobs=4, **grid))
         assert workers == [2]  # 4 cells, 2 distinct problems
         assert rows == cmd_sweep(config_for("sweep", **grid))
+
+
+# 48 cells on three meshes: graded with gamma = 2 (natural end at pi/2, and
+# Dirichlet ends with s >= 1.2), graded with gamma = 4.8 (Dirichlet, k+a = 1.5
+# at p = 2) and the band's uniform mesh; p = 1.5 cells run the descent
+MESH_GRID = dict(d=(3, 4), k=(1, 2), p=(2.0, 1.5), a=(-0.5, 0.5, 1.5),
+                 cones=("complement-sigma0", "band:0.3:1.2"))
+
+
+def solve_mesh(config, params, cone):
+    """The graded mesh, as bytes, that the cell's solve discretizes on."""
+    domain = spherical.bc_for_cone(params, cone)
+    return spherical._solve_mesh(params, domain, config.mesh_size).tobytes()
+
+
+class TestMeshGeometryCache:
+    def test_rows_equal_cold_solves_in_reverse(self):
+        config = config_for("sweep", **MESH_GRID)
+        cells = config.cells()
+        assert len({solve_mesh(config, *cell) for cell in cells}) == 3
+        rows = cmd_sweep(config)
+        cold = {}
+        for index in reversed(range(len(cells))):
+            quadrature._mesh_geometry.cache_clear()
+            params, cone = cells[index]
+            result = cli._solve(params, cone, config.mesh_size)
+            cold[index] = cli._cell_row("sweep", params, cone, config.mesh_size, result)
+        assert rows_to_json(config, rows) == rows_to_json(config, [cold[i] for i in range(len(cells))])
+        assert {row.status for row in rows} <= {"ok", "no_closed_form"}
+
+    def test_solved_mesh_by_mesh_with_one_geometry_held_read_only(self, monkeypatch):
+        config = config_for("sweep", **MESH_GRID)
+        quadrature._mesh_geometry.cache_clear()
+        calls = count_solves(monkeypatch)
+        cmd_sweep(config)
+        meshes = [solve_mesh(config, params, cone) for params, cone in calls]
+        runs = [mesh for i, mesh in enumerate(meshes) if i == 0 or mesh != meshes[i - 1]]
+        assert len(runs) == len(set(runs)) == 3
+        info = quadrature._mesh_geometry.cache_info()
+        assert info.currsize == 1 and info.misses == 3  # each geometry built once
+        geometry = quadrature._mesh_geometry(meshes[-1], quadrature.DEFAULT_PANEL_ORDER)
+        assert quadrature._mesh_geometry.cache_info().hits == info.hits + 1  # the last solve's
+        arrays = [value for value in geometry if isinstance(value, np.ndarray)]
+        assert len(arrays) == 6
+        for array in arrays:
+            assert not array.flags.writeable
+            with pytest.raises(ValueError):
+                array[...] = 0.0
+
+    def test_verify_deltas_reuse_the_solve_geometry(self):
+        quadrature._mesh_geometry.cache_clear()
+        cmd_verify(config_for("verify", delta_list=(0.2, 0.1, 0.05), h_list=()))
+        assert quadrature._mesh_geometry.cache_info().misses == 1
 
 
 # 17 cells, 13 distinct problems: 12 (n, s) family cells, the mixed-threshold cell
@@ -404,6 +467,21 @@ class TestMainEntry:
         code, out, err = run_cli(capsys, "verify", "--d", "3", "--k", "1", "--mesh", "64", *flags)
         assert code == 2 and out == ""
         assert message in json.loads(err)["error"]["message"]
+
+    def test_verify_large_h_rate_finite(self, capsys):
+        code, out, err = run_cli(capsys, "verify", "--a", "1", "--hs", "200,400", "--mesh", "64")
+        assert code == 0
+        hrow = json.loads(out)["rows"][-1]
+        assert hrow["status"] == "ok"
+        assert all(math.isfinite(energy) for _, energy in hrow["trace"])
+        assert math.isfinite(hrow["fit_rate"]) and hrow["fit_rate"] <= -0.9
+
+    @pytest.mark.parametrize("deltas", ["1e-200,1e-310", "1e300,1e299"], ids=["nan", "overflow"])
+    def test_verify_extreme_deltas_fail_the_row(self, capsys, deltas):
+        code, out, err = run_cli(capsys, "verify", "--mesh", "64", "--deltas", deltas)
+        assert code == 1
+        row = json.loads(out)["rows"][0]
+        assert row["status"] == "solver_fail"
 
     def test_verify_h_trace_below_threshold_exits_2(self, capsys):
         code, out, err = run_cli(capsys, "verify", "--mesh", "64", "--hs", "4,8")

@@ -251,6 +251,13 @@ def diagonally_dominant(rng, n):
     return diag * rng.choice([-1.0, 1.0]), off
 
 
+def test_element_sums_match_numpy_row_sums():
+    # the P1 sums over each element's 4 rule nodes; bit-identical reports rely on it
+    rng = np.random.default_rng(11)
+    a = rng.standard_normal((8192, 4)) * 10.0 ** rng.integers(-8, 8, (8192, 4))
+    assert np.array_equal(spherical._element_sums(a), a.sum(axis=1))
+
+
 class TestCyclicReduction:
     @pytest.mark.parametrize("n", [1, 2, 3, 7, 8, 8191])
     def test_solve_residual(self, n):
@@ -263,6 +270,15 @@ class TestCyclicReduction:
             r = matvec(A, x[:, j]) - b[:, j]
             assert np.linalg.norm(r) <= 1e-14 * np.linalg.norm(b[:, j])
         assert np.array_equal(factor.solve(b[:, 1]), x[:, 1])
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 7, 8, 8191])
+    def test_single_rhs_matches_one_column(self, n):
+        rng = np.random.default_rng(100 + n)
+        factor = spherical._CyclicReduction(*diagonally_dominant(rng, n))
+        b = rng.standard_normal(n)
+        x = factor.solve(b)
+        assert x.shape == (n,)
+        assert np.array_equal(x, factor.solve(b[:, None])[:, 0])
 
     @pytest.mark.parametrize("n", [1, 2, 5, 16, 33])
     def test_negative_count_matches_dense_spectrum(self, n):

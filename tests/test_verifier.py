@@ -189,6 +189,20 @@ class TestCutoffDecay:
             oracle = pref * radial * cutoff_mass / h
             assert cutoff_decay(params, support, h) == pytest.approx(oracle, rel=tol)
 
+    @pytest.mark.parametrize("params, hs", [
+        # |grad u_h|^p alone exceeds the float range for h above ~180 at p = 2
+        # and above ~120 at p = 3
+        (HardyParams(3, 1, 2.0, 1.0, 0.0), (200, 400)),
+        (HardyParams(3, 1, 3.0, 2.0, 0.0), (120, 130)),
+    ], ids=["p2", "p3"])
+    def test_large_h_energies_finite_and_decreasing(self, params, hs):
+        values = [cutoff_decay(params, (0.05, 20.0), h) for h in hs]
+        assert all(math.isfinite(value) and value > 0.0 for value in values)
+        assert values[1] < values[0]
+        # at the threshold k+a = p the energy decays like h^(1-p)
+        rate = math.log(values[1] / values[0]) / math.log(hs[1] / hs[0])
+        assert rate == pytest.approx(1.0 - params.p, abs=0.05)
+
     def test_preconditions(self):
         params = HardyParams(3, 1, 2.0, 1.0, 0.0)
         with pytest.raises(ValueError):
