@@ -35,7 +35,7 @@ from .spherical import (
     bc_for_cone,
     solve_M,
 )
-from .verifier import cutoff_decay, evaluate_quotient_udelta
+from .verifier import _cutoff_log_decay, cutoff_decay, evaluate_quotient_udelta
 
 SCHEMA_VERSION = 1
 
@@ -325,9 +325,16 @@ def cmd_verify(config: RunConfig) -> list[ReportRow]:
 
     if config.h_list:
         hrow = _base_row("verify", params, cone, None)
+        support = (0.05, 20.0)
         try:
-            htrace = [(float(h), cutoff_decay(params, (0.05, 20.0), h)) for h in config.h_list]
-            rate = _fit_log_slope(htrace)
+            htrace = [(float(h), cutoff_decay(params, support, h)) for h in config.h_list]
+            # above the threshold k+a = p the energy underflows to 0 at large h;
+            # there its logarithm comes from the log-form quadrature
+            rate = _fit_log_slope([
+                (x, math.log(energy) if energy >= sys.float_info.min
+                 else _cutoff_log_decay(params, support, h))
+                for h, (x, energy) in zip(config.h_list, htrace)
+            ])
             status = "ok"
             if not _finite(*(energy for _, energy in htrace), rate):
                 status = "solver_fail"
@@ -346,10 +353,11 @@ def _finite(*values: float | None) -> bool:
 
 
 def _fit_log_slope(trace: list[tuple[float, float]]) -> float | None:
+    """Least-squares slope of log-energy against log h over (h, log-energy) points."""
     if len(trace) < 2:
         return None
     xs = [math.log(h) for h, _ in trace]
-    ys = [math.log(v) for _, v in trace]
+    ys = [log_value for _, log_value in trace]
     n = len(xs)
     sx, sy = sum(xs), sum(ys)
     sxx = sum(x * x for x in xs)

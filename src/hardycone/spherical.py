@@ -7,28 +7,45 @@ profiles phi(theta) of
 
 w(theta) = cos^(k+a-1) sin^(d-k-1).  For p = 2 this is the eigenvalue problem
 
-    -(w phi')' = lambda w phi,      M = lambda_1 + H^2,
+    -(w phi')' = lambda w phi,      M = lambda_1 + H^2.
 
-discretized with piecewise-linear finite elements on a mesh graded toward the
-singular end theta = pi/2; for general p the discrete quotient is minimized
-directly by Newton steps on the surface {int w |phi|^p = const}.  With P1
-elements the Hessians of the two integrals are tridiagonal, so each step is
-one tridiagonal solve with two right-hand sides; where that step is singular
-or not a descent direction, a gradient step in the weighted-H1 metric (the
-p = 2 matrices) is taken instead.  For p != 2 the reported residual is the
-relative step decrement sqrt(grad Q . d) / Q of the last step.
+On the cross-section [0, pi/2] (the full and punctured space, the
+complement of {y = 0} and the half space) it is solved spectrally: phi =
+cos^s theta * g(t), t = cos 2 theta, with g a Legendre series and s the
+boundary-layer exponent 2 - (k+a) at a Dirichlet end pi/2 (0 at a natural
+one).  In t the weight w dtheta is a Jacobi weight, and one Gauss-Jacobi
+rule whose exponents absorb the endpoint powers integrates the stiffness
+and mass of the basis exactly; the dense generalized eigenproblem is
+solved at N = 4, 8, ... basis functions until consecutive eigenvalues
+agree (Guo, Shen and Wang, Appl. Numer. Math. 59 (2009); Shen, Tang and
+Wang, Spectral Methods (2011), ch. 3).  The factored profile is then
+sampled on the graded mesh of the requested size.
+
+On bands, and for every p != 2, the profile is discretized with
+piecewise-linear finite elements on a mesh graded toward the singular end
+theta = pi/2: at p = 2 the eigenproblem is solved by inverse iteration;
+for general p the discrete quotient is minimized directly by Newton steps
+on the surface {int w |phi|^p = const}.  With P1 elements the Hessians of
+the two integrals are tridiagonal, so each step is one tridiagonal solve
+with two right-hand sides; where that step is singular or not a descent
+direction, a gradient step in the weighted-H1 metric (the p = 2 matrices)
+is taken instead.  For p != 2 the reported residual is the relative step
+decrement sqrt(grad Q . d) / Q of the last step.
 
 A solve's graded mesh comes from _solve_mesh, which the CLI also uses to
-order a command's problems mesh by mesh; the discretization takes the
+order a command's problems mesh by mesh; the P1 discretization takes the
 element widths and the interior shape values from the quadrature module's
 cached geometry and forms only the exponent-dependent parts.
 
-Every matrix here is symmetric tridiagonal and is kept as a (diag, off) pair
+Every P1 matrix is symmetric tridiagonal and is kept as a (diag, off) pair
 of numpy arrays.  One kernel solves all of them: odd-even cyclic reduction,
 vectorized over each level, which factors once, solves many right-hand sides
 and counts negative eigenvalues from its pivots (Sylvester inertia).  Dot
-products and norms are fixed-order numpy sums, never BLAS calls, so results
-do not depend on the BLAS thread count.
+products and norms are fixed-order numpy sums, never BLAS calls, and the
+spectral matrices and their products are formed by einsum, which sums in a
+fixed order without BLAS; only the dense Cholesky, inverse and eigh of at
+most 64 x 64 matrices go to LAPACK.  Reports come out byte-identical at one
+and two BLAS threads.
 """
 
 from __future__ import annotations
@@ -46,11 +63,13 @@ from .params import (
     hardy_exponent,
     require_admissible,
 )
-from .quadrature import AngularWeight, QuadratureRule, _mesh_geometry, composite_rule
+from .quadrature import AngularWeight, QuadratureRule, _gauss_jacobi, _mesh_geometry, composite_rule
 
 HALF_PI = math.pi / 2
 MIN_MESH_SIZE = 16  # fewest elements a solve accepts
 MAX_DESCENT_ITER = 100_000  # descent steps before ConvergenceError
+FACTORED_MAX_SIZE = 64  # largest spectral basis before ConvergenceError
+FACTORED_TOL = 1e-12  # agreement of consecutive spectral eigenvalues
 
 Tridiagonal = tuple[np.ndarray, np.ndarray]  # symmetric: (diagonal, off-diagonal)
 
@@ -110,14 +129,32 @@ class DiscretizedFunction:
         return np.interp(theta, self.mesh, self.values)
 
 
+class _FactoredFunction(DiscretizedFunction):
+    """cos^s theta * sum_j c_j P_j(cos 2 theta), sampled at the nodes of mesh.
+
+    The samples serve interpolation and plotting; the certifier integrates
+    the factored form itself, from s and the Legendre coefficients.  A plain
+    subclass: creating one more dataclass would cost every process about a
+    millisecond of import time.
+    """
+
+    def __init__(self, mesh: np.ndarray, values: np.ndarray, s: float, coefficients: np.ndarray):
+        super().__init__(mesh, values)
+        object.__setattr__(self, "s", s)
+        object.__setattr__(self, "coefficients", coefficients)
+
+
 @dataclass(frozen=True, eq=False)
 class SpectralResult:
     """Computed spherical minimum M, eigenvalue (p = 2), and minimizer.
 
-    residual is ||S v - lam M v|| after an eigensolve (solve_M at p = 2) and
-    the relative step decrement sqrt(grad Q . d) / Q of the last step after a
-    descent (minimize_rayleigh_p); iterations counts the shifted solves of
-    the inverse iteration or the descent steps.
+    iterations and residual describe the solve.  After a spectral solve
+    (p = 2 on [0, pi/2]) they are the number of dense eigensolves and the
+    difference of the last two eigenvalues (basis size N against N/2);
+    after a P1 eigensolve (p = 2 on a band), the shifted solves of the
+    inverse iteration and ||S v - lam M v||; after a descent
+    (minimize_rayleigh_p), the descent steps and the relative step
+    decrement sqrt(grad Q . d) / Q of the last step.
     """
 
     M: float
@@ -377,7 +414,125 @@ def _inverse_iteration(
     return lam, v, steps, residual
 
 
-class _Discretization:
+class _RuleSums:
+    """The quotient's integrals as weighted sums over the nodes of a rule.
+
+    A discretization sets the rule weights w (the angular weight folded in),
+    p and H2, and supplies fields(v): phi and phi' at the nodes for its
+    coefficient vector v.
+    """
+
+    w: np.ndarray
+    p: float
+    H2: float
+
+    def fields(self, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        raise NotImplementedError
+
+    def energy(self, phi: np.ndarray, dphi: np.ndarray, H2: float) -> tuple[np.ndarray, float]:
+        """Density e2 = phi'^2 + H2 phi^2 at the nodes and E = int w e2^(p/2)."""
+        e2 = dphi**2 + H2 * phi**2
+        return e2, (self.w * e2 ** (self.p / 2)).sum()
+
+    def mass(self, phi: np.ndarray) -> float:
+        """D = int w |phi|^p."""
+        return (self.w * np.abs(phi) ** self.p).sum()
+
+    def value(self, v: np.ndarray) -> float:
+        phi, dphi = self.fields(v)
+        return self.energy(phi, dphi, self.H2)[1] / self.mass(phi)
+
+
+def _legendre(t: np.ndarray, size: int) -> tuple[np.ndarray, np.ndarray]:
+    """P_j(t) and P_j'(t) for j < size, as (t.size, size) arrays, by the three-term recurrences."""
+    P = np.empty((t.size, size))
+    dP = np.empty_like(P)
+    P[:, 0], dP[:, 0] = 1.0, 0.0
+    if size > 1:
+        P[:, 1], dP[:, 1] = t, 1.0
+    for j in range(1, size - 1):
+        P[:, j + 1] = ((2 * j + 1) * t * P[:, j] - j * P[:, j - 1]) / (j + 1)
+        dP[:, j + 1] = dP[:, j - 1] + (2 * j + 1) * P[:, j]
+    return P, dP
+
+
+def _legendre_series(c: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """sum_j c_j P_j(t) by Clenshaw's recurrence.
+
+    On a fine sampling mesh this costs a few array operations per term,
+    where forming every P_j(t) as _legendre does costs several times more.
+    """
+    b1 = np.zeros_like(t)
+    b2 = np.zeros_like(t)
+    for j in range(c.size - 1, 0, -1):
+        b1, b2 = c[j] + (2 * j + 1) / (j + 1) * t * b1 - (j + 1) / (j + 2) * b2, b1
+    return c[0] + t * b1 - 0.5 * b2
+
+
+class _FactoredDiscretization(_RuleSums):
+    """phi = cos^s theta * sum_j c_j P_j(t), t = cos 2 theta, j < size, on [0, pi/2].
+
+    In t, w dtheta = ((1+t)/2)^B ((1-t)/2)^A dt / 4 with A = (d-k-2)/2 and
+    B = (k+a-2)/2, phi^2 = ((1+t)/2)^s g^2 and
+
+        phi' = -sin theta cos^(s-1) theta (s g + 2 (1+t) g').
+
+    The rule is Gauss-Jacobi in t with exponent A at t = 1 and, at t = -1,
+    B + s - 1 = -(k+a)/2 when s = 2 - (k+a) > 0 and B when s = 0.  Against
+    that weight the mass integrand is (1+t) g^2 (s > 0) or g^2, and the
+    stiffness integrand (1-t) (s g + 2 (1+t) g')^2 (s > 0) or (1-t)(1+t) g'^2
+    up to constants: polynomials of degree at most 2 size - 1, which the
+    size-point rule integrates exactly.  w holds the rule's weights with the
+    angular weight's remaining power of (1+t) folded in, so sums over the
+    nodes are integrals in theta, as in the P1 discretization.  The nodes are
+    interior to (-1, 1), so cos theta > 0 there even when s = 0.
+    """
+
+    def __init__(self, params: HardyParams, s: float, size: int):
+        alpha = (params.d - params.k - 2) / 2
+        beta_w = (params.k + params.a - 2) / 2
+        beta = beta_w + s - 1.0 if s > 0 else beta_w
+        t, wt = _gauss_jacobi(size, alpha, beta)
+        self.w = wt * (2.0 ** -(alpha + beta_w) / 4) * (1.0 + t) ** (beta_w - beta)
+        cos = np.sqrt((1.0 + t) / 2)
+        sin = np.sqrt((1.0 - t) / 2)
+        P, dP = _legendre(t, size)
+        self.basis = cos[:, None] ** s * P
+        self.dbasis = -(sin * cos ** (s - 1.0))[:, None] * (s * P + 2.0 * (1.0 + t)[:, None] * dP)
+        self.p = params.p
+        self.H2 = hardy_exponent(params).H ** 2
+
+    def fields(self, c: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """phi and phi' at the rule's nodes for the Legendre coefficients c."""
+        return (self.basis * c).sum(axis=1), (self.dbasis * c).sum(axis=1)
+
+    def p2_matrices(self) -> tuple[np.ndarray, np.ndarray]:
+        """Dense stiffness int w phi_i' phi_j' and mass int w phi_i phi_j of the basis."""
+        w = self.w[:, None]
+        # einsum without optimize sums in a fixed order, with no BLAS call
+        return (np.einsum("qi,qj->ij", w * self.dbasis, self.dbasis),
+                np.einsum("qi,qj->ij", w * self.basis, self.basis))
+
+
+def _dense_ground_state(stiffness: np.ndarray, mass: np.ndarray) -> tuple[float, np.ndarray]:
+    """Smallest eigenvalue of the dense pencil (stiffness, mass) and its eigenvector.
+
+    Cholesky M = L L^T turns the pencil into the symmetric L^-1 S L^-T,
+    whose eigenpairs eigh returns.  The eigenvector c has c^T M c = 1 and
+    its first entry of M c (the profile's weighted mean against cos^s) is
+    positive.
+    """
+    L_inv = np.linalg.inv(np.linalg.cholesky(mass))
+    # products by einsum: fixed-order sums, no BLAS call
+    reduced = np.einsum("ik,lk->il", np.einsum("ij,jk->ik", L_inv, stiffness), L_inv)
+    lam, vectors = np.linalg.eigh(reduced)
+    c = np.einsum("ji,j->i", L_inv, vectors[:, 0])
+    if (mass[0] * c).sum() < 0:
+        c = -c
+    return float(lam[0]), c
+
+
+class _Discretization(_RuleSums):
     """P1 elements on a mesh, with per-element quadrature.
 
     Holds the mesh, one composite rule reshaped to (n_elements, nq), the
@@ -447,19 +602,6 @@ class _Discretization:
         phi = v[:-1, None] * self.n1 + v[1:, None] * self.n2
         dphi = np.broadcast_to(((v[1:] - v[:-1]) / self.h)[:, None], phi.shape)
         return phi, dphi
-
-    def energy(self, phi: np.ndarray, dphi: np.ndarray, H2: float) -> tuple[np.ndarray, float]:
-        """Density e2 = phi'^2 + H2 phi^2 at the nodes and E = int w e2^(p/2)."""
-        e2 = dphi**2 + H2 * phi**2
-        return e2, (self.w * e2 ** (self.p / 2)).sum()
-
-    def mass(self, phi: np.ndarray) -> float:
-        """D = int w |phi|^p."""
-        return (self.w * np.abs(phi) ** self.p).sum()
-
-    def value(self, v: np.ndarray) -> float:
-        phi, dphi = self.fields(v)
-        return self.energy(phi, dphi, self.H2)[1] / self.mass(phi)
 
     def _mass_grad(self, phi: np.ndarray) -> np.ndarray:
         """grad D = int w p |phi|^(p-1) sign(phi) (n1, n2), nodal."""
@@ -692,30 +834,57 @@ def _default_start(
 def _problem_key(params: HardyParams, cone: ConeSpec) -> tuple:
     """The 1-D problem solve_M solves for the cell: equal keys give bit-identical results.
 
-    These are the only values the discretization, the start profiles and
-    the eigensolve or descent read: p, k+a, d-k, H^2 and the endpoint
-    conditions of the cross-section.
+    These are the only values the spectral or P1 discretization, the start
+    profiles and the eigensolve or descent read: p, k+a, d-k, H^2 and the
+    endpoint conditions of the cross-section.
     """
     return (params.p, params.k + params.a, params.d - params.k, hardy_exponent(params).H ** 2,
             bc_for_cone(params, cone))
 
 
-def solve_M(
-    params: HardyParams,
-    cone: ConeSpec,
-    mesh_size: int = 512,
-) -> SpectralResult:
-    """Spherical minimum M of the cone: eigensolve for p = 2, descent otherwise.
+def _factored_eigensolve(params: HardyParams, domain: AngularDomain, mesh_size: int) -> SpectralResult:
+    """The p = 2 solve on [0, pi/2] in the factored spectral basis (see _FactoredDiscretization).
 
-    Both paths discretize once, on a mesh of mesh_size elements graded toward
-    pi/2.  The p = 2 inverse iteration starts from the cosine profile, which
-    is positive and, on the complement and the half space, the continuous
-    ground state itself; iterations counts its shifted solves.
+    Dense solves at N = 4, 8, ... basis functions stop once two consecutive
+    eigenvalues agree to FACTORED_TOL relative (absolute below |lambda| = 1,
+    where lambda_1 = 0 leaves nothing to be relative to); past
+    FACTORED_MAX_SIZE the solve raises ConvergenceError.  The minimizer has
+    unit weighted 2-norm and is sampled on the graded mesh of mesh_size
+    elements that a P1 solve would use.
     """
-    domain = bc_for_cone(params, cone)
-    exponent = hardy_exponent(params)
-    if params.p != 2:
-        return minimize_rayleigh_p(params, domain, mesh_size)
+    s = 2.0 - (params.k + params.a) if domain.bc2 is DIRICHLET else 0.0
+    mesh = _solve_mesh(params, domain, mesh_size)
+    previous, residual, size, solves = None, math.inf, 4, 0
+    while size <= FACTORED_MAX_SIZE:
+        lam, c = _dense_ground_state(*_FactoredDiscretization(params, s, size).p2_matrices())
+        solves += 1
+        if previous is not None:
+            residual = abs(lam - previous)
+            if residual <= FACTORED_TOL * max(abs(lam), 1.0):
+                break
+        previous, size = lam, 2 * size
+    else:
+        raise ConvergenceError(
+            f"spectral eigenvalues did not agree to {FACTORED_TOL:g} by N = {FACTORED_MAX_SIZE}",
+            residual=residual,
+        )
+    values = np.sin(HALF_PI - mesh) ** s * _legendre_series(c, np.cos(2.0 * mesh))  # 0 at pi/2
+    return SpectralResult(
+        M=lam + hardy_exponent(params).H ** 2,
+        lam=lam,
+        minimizer=_FactoredFunction(mesh, values, s, c),
+        iterations=solves,
+        residual=residual,
+    )
+
+
+def _p1_eigensolve(params: HardyParams, domain: AngularDomain, mesh_size: int) -> SpectralResult:
+    """The p = 2 solve with P1 elements on the graded mesh of mesh_size elements.
+
+    The inverse iteration starts from the cosine profile, which is positive
+    and, on the complement and the half space, the continuous ground state
+    itself; iterations counts its shifted solves.
+    """
     disc = _Discretization.graded(params, domain, mesh_size)
     stiffness, mass = disc.p2_matrices()
     mesh, free = disc.mesh, disc.free
@@ -727,10 +896,30 @@ def solve_M(
     values = np.zeros(mesh.size)
     values[free] = np.abs(vec)
     return SpectralResult(
-        M=lam + exponent.H**2,
+        M=lam + hardy_exponent(params).H ** 2,
         lam=lam,
         minimizer=DiscretizedFunction(mesh, values),
         iterations=steps,
         residual=residual,
     )
 
+
+def solve_M(
+    params: HardyParams,
+    cone: ConeSpec,
+    mesh_size: int = 512,
+) -> SpectralResult:
+    """Spherical minimum M of the cone: eigensolve for p = 2, descent otherwise.
+
+    At p = 2 on the cross-section [0, pi/2] (full, punctured, complement
+    and half space) the eigenproblem is solved in the factored spectral
+    basis, and mesh_size only sets the mesh the minimizer is sampled on.
+    On bands, and for every p != 2, the solve discretizes once with P1
+    elements on a mesh of mesh_size elements graded toward pi/2.
+    """
+    domain = bc_for_cone(params, cone)
+    if params.p != 2:
+        return minimize_rayleigh_p(params, domain, mesh_size)
+    if (domain.theta1, domain.theta2) == (0.0, HALF_PI):
+        return _factored_eigensolve(params, domain, mesh_size)
+    return _p1_eigensolve(params, domain, mesh_size)

@@ -8,24 +8,36 @@ has quotient >= m, and the separated family
 has quotient M + O(delta^2) with denominator blowing up like 1/delta, which
 exhibits both sharpness and non-attainment.  Its radial integrals are pure
 powers, evaluated in closed form, and its angular integrals use the solver's
-P1 discretization of Phi (the same quadrature nodes, weights and shape
-values), so at p = 2 the u_delta quotient is the discrete Rayleigh quotient
-+ delta^2.  In the superdegenerate regime k+a >= p, cutoff_decay measures
-the energy a log cutoff near {y = 0} costs, by tensor-product quadrature in
-(log r, -log|y|); radial_hardy_quotient is a 1-D oracle for sampled profiles.
+own discretization of Phi: for a factored spectral minimizer (p = 2 on
+[0, pi/2]) the Gauss-Jacobi rule in t = cos 2 theta that integrates the
+factored profile exactly, otherwise the P1 discretization (the same
+quadrature nodes, weights and shape values).  So at p = 2 the u_delta
+quotient is the Rayleigh quotient of the test function the solver returned
++ delta^2, and on [0, pi/2] that test function is the admissible factored
+profile itself, not an interpolant of it.  In the superdegenerate regime
+k+a >= p, cutoff_decay measures the energy a log cutoff near {y = 0} costs,
+by tensor-product quadrature in (log r, -log|y|); _cutoff_log_decay gives
+its logarithm where the energy itself underflows.  radial_hardy_quotient is
+a 1-D oracle for sampled profiles.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 
 from .params import ConeSpec, HardyParams, hardy_exponent
 from .quadrature import AngularWeight, _gauss_jacobi, composite_rule
-from .spherical import DiscretizedFunction, _Discretization
+from .spherical import (
+    DiscretizedFunction,
+    _Discretization,
+    _FactoredDiscretization,
+    _FactoredFunction,
+    _RuleSums,
+)
 
 CUTOFF_RADIAL_PANELS = 48  # 10-point Gauss panels in nu = log r for the strip energy
 CUTOFF_TAU_PANELS = 24  # and in tau = -log|y|
@@ -81,10 +93,17 @@ class RayleighEvaluation:
 # ---------------------------------------------------------------------------
 # the u_delta family (closed-form radial integrals)
 
-def _discretization(params: HardyParams, Phi: DiscretizedFunction) -> _Discretization:
-    """The solver's P1 discretization on Phi's mesh (all nodes free)."""
+def _discretization(params: HardyParams, Phi: DiscretizedFunction) -> tuple[_RuleSums, np.ndarray]:
+    """The solver's discretization of Phi and Phi's coefficients in it.
+
+    A factored spectral profile gets its own basis and exact rule, with its
+    Legendre coefficients; any other profile the P1 discretization on its
+    mesh (all nodes free), with its nodal values.
+    """
+    if isinstance(Phi, _FactoredFunction):
+        return _FactoredDiscretization(params, Phi.s, Phi.coefficients.size), Phi.coefficients
     rule = composite_rule(AngularWeight.for_params(params), Phi.mesh)
-    return _Discretization(params, Phi.mesh, rule, slice(0, Phi.mesh.size))
+    return _Discretization(params, Phi.mesh, rule, slice(0, Phi.mesh.size)), Phi.values
 
 
 def evaluate_quotient_udelta(
@@ -103,16 +122,17 @@ def evaluate_quotient_udelta(
 
     times the transverse sphere prefactor (halved when cone is the half
     space; the prefactor cancels in the quotient either way).  E and D are
-    the solver's sums, so for p = 2 the quotient equals the discrete
-    Rayleigh quotient of Phi plus delta^2, to rounding.  The denominator
-    diverges like 1/delta: the divergence of the minimizing family's mass is
-    what prevents any function from attaining the sharp constant.
+    the solver's sums (spectral or P1, see _discretization), so for p = 2
+    the quotient equals the Rayleigh quotient of Phi in that discretization
+    plus delta^2, to rounding.  The denominator diverges like 1/delta: the
+    divergence of the minimizing family's mass is what prevents any
+    function from attaining the sharp constant.
     """
     if delta <= 0:
         raise ValueError(f"need delta > 0, got {delta}")
-    disc = _discretization(params, Phi)
+    disc, coefficients = _discretization(params, Phi)
     pref = AngularWeight.for_params(params, cone).prefactor
-    phi, dphi = disc.fields(Phi.values)
+    phi, dphi = disc.fields(coefficients)
     H = hardy_exponent(params).H
     e_minus = disc.energy(phi, dphi, (H - delta) ** 2)[1]
     e_plus = disc.energy(phi, dphi, (H + delta) ** 2)[1]
@@ -181,8 +201,62 @@ def cutoff_decay(
               * (1-c^2)^((d-k-2)/2) * |grad u_h|^p,
 
     so I_h -> 0 like h^(1-p) at the threshold k+a = p and exponentially for
-    k+a > p.
+    k+a > p, where it underflows to 0 once h(k+a-p) passes ~700
+    (_cutoff_log_decay gives log I_h there).
     """
+    strip = _strip(params, u_support, h, eta, eta_prime)
+    d, k, b = params.d, params.k, params.b
+    kernel = np.exp(strip.nu * (d - b - k))[:, None] * np.exp(-strip.tau * strip.excess)[None, :]
+    kernel = kernel * strip.one_mc2 ** ((d - k - 2) / 2)
+    return float(strip.pref * strip.w_nu @ (kernel * strip.grad_p) @ strip.w_tau)
+
+
+def _cutoff_log_decay(
+    params: HardyParams,
+    u_support: tuple[float, float],
+    h: int,
+    eta: Callable[[np.ndarray], np.ndarray] | None = None,
+    eta_prime: Callable[[np.ndarray], np.ndarray] | None = None,
+) -> float:
+    """log I_h of cutoff_decay, finite where I_h itself underflows.
+
+    Each quadrature term's logarithm is summed with the decay e^(-tau(k+a-p))
+    kept as the exponent -tau(k+a-p), never exponentiated on its own, and the
+    terms are added by log-sum-exp.  -inf when every term vanishes.
+    """
+    strip = _strip(params, u_support, h, eta, eta_prime)
+    d, k, b = params.d, params.k, params.b
+    with np.errstate(divide="ignore"):
+        terms = ((np.log(strip.w_nu) + strip.nu * (d - b - k))[:, None]
+                 + (np.log(strip.w_tau) - strip.tau * strip.excess)[None, :]
+                 + np.log(strip.one_mc2 ** ((d - k - 2) / 2)) + np.log(strip.grad_p))
+    top = terms.max()
+    if top == -math.inf:
+        return -math.inf
+    return math.log(strip.pref) + float(top) + math.log(np.exp(terms - top).sum())
+
+
+class _Strip(NamedTuple):
+    """Quadrature of the strip energy: nodes and weights in nu and tau, and the factors at them."""
+
+    nu: np.ndarray
+    w_nu: np.ndarray
+    tau: np.ndarray
+    w_tau: np.ndarray
+    excess: float  # k+a-p: the strip integrand decays like e^(-tau (k+a-p))
+    one_mc2: np.ndarray
+    grad_p: np.ndarray  # |e^-tau grad u_h|^p
+    pref: float
+
+
+def _strip(
+    params: HardyParams,
+    u_support: tuple[float, float],
+    h: int,
+    eta: Callable[[np.ndarray], np.ndarray] | None,
+    eta_prime: Callable[[np.ndarray], np.ndarray] | None,
+) -> _Strip:
+    """The strip quadrature of cutoff_decay, after checking its preconditions."""
     if h < 1:
         raise ValueError(f"need h >= 1, got {h}")
     ka = params.k + params.a
@@ -217,12 +291,8 @@ def cutoff_decay(
     scaled_grad_r = grad_r * np.exp(-tau)[None, :]
     scaled_grad_th = etp_v[None, :] * np.sqrt(one_mc2) * g[:, None] / h
     grad_p = (scaled_grad_r**2 + scaled_grad_th**2) ** (params.p / 2)
-
-    d, k, b = params.d, params.k, params.b
-    kernel = np.exp(nu * (d - b - k))[:, None] * np.exp(-tau * (ka - params.p))[None, :]
-    kernel = kernel * one_mc2 ** ((d - k - 2) / 2)
     pref = AngularWeight.for_params(params).prefactor
-    return float(pref * w_nu @ (kernel * grad_p) @ w_tau)
+    return _Strip(nu, w_nu, tau, w_tau, ka - params.p, one_mc2, grad_p, pref)
 
 
 # ---------------------------------------------------------------------------

@@ -23,6 +23,7 @@ from hardycone.spherical import (
     NATURAL,
     AngularDomain,
     DiscretizedFunction,
+    _p1_eigensolve,
     assemble_p2,
     bc_for_cone,
     minimize_rayleigh_p,
@@ -155,7 +156,7 @@ K2_CONFIGS = [(4, 2, -0.5, 0.0), (5, 2, 0.3, 0.0), (6, 3, -1.2, 0.0)]
 
 
 def test_criterion_02_eigen_vs_closed_form():
-    """k=1 weighted eigensolves against (d-1)(2-(1+a)) + H^2 on two meshes."""
+    """Weighted eigensolves against (d-k)(2-(k+a)) + H^2: k=1 on two meshes, k>=2 at 1e-12."""
     start = time.perf_counter()
     cone = ConeSpec.complement_sigma0()
     worst = {512: 0.0, 2048: 0.0}
@@ -179,6 +180,7 @@ def test_criterion_02_eigen_vs_closed_form():
             f"  [report] k={k} d={d} a={a}: numeric M = {result.M:.8f}, "
             f"eigenvalue formula = {reference:.8f}, relative discrepancy = {rel:.2e}"
         )
+        assert rel <= 1e-12, (d, k, a, b, rel)
     report(
         f"ACCEPTANCE 2 PASS: eigen path matches the explicit eigenvalue formula "
         f"(worst rel {worst[512]:.2e} @512, {worst[2048]:.2e} @2048, {elapsed:.1f}s)"
@@ -346,11 +348,12 @@ def generic_init(domain: AngularDomain) -> DiscretizedFunction:
 
 
 def test_criterion_10_p_cross_validation():
-    """Quotient descent vs eigen path at p=2; constants at p in {1.5, 3}."""
+    """Quotient descent vs the P1 eigen path at p=2; constants at p in {1.5, 3}."""
     worst = 0.0
     for params, cone in P2_CROSS_CONFIGS:
-        eig = record("c10 eig", params, solve_M(params, cone, 160))
+        # both legs on the same P1 discretization (solve_M is spectral on [0, pi/2])
         domain = bc_for_cone(params, cone)
+        eig = record("c10 eig", params, _p1_eigensolve(params, domain, 160))
         desc = record(
             "c10 descent",
             params,

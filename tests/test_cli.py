@@ -8,6 +8,7 @@ import math
 import os
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -31,7 +32,7 @@ from hardycone.cli import (
     rows_to_csv,
     rows_to_json,
 )
-from hardycone.params import ConeKind
+from hardycone.params import ConeKind, closed_form_constant
 from hardycone.spherical import ConvergenceError
 
 
@@ -255,9 +256,11 @@ class TestSweepDedupe:
 
 # 48 cells on three meshes: graded with gamma = 2 (natural end at pi/2, and
 # Dirichlet ends with s >= 1.2), graded with gamma = 4.8 (Dirichlet, k+a = 1.5
-# at p = 2) and the band's uniform mesh; p = 1.5 cells run the descent
+# at p = 2) and the uniform mesh of the band away from pi/2; p = 1.5 cells run
+# the descent.  Bands from theta = 0.3 keep the p = 2 cells on P1, which builds
+# the geometry (on [0, pi/2] they are solved spectrally)
 MESH_GRID = dict(d=(3, 4), k=(1, 2), p=(2.0, 1.5), a=(-0.5, 0.5, 1.5),
-                 cones=("complement-sigma0", "band:0.3:1.2"))
+                 cones=(f"band:0.3:{math.pi / 2!r}", "band:0.3:1.2"))
 
 
 def solve_mesh(config, params, cone):
@@ -302,7 +305,9 @@ class TestMeshGeometryCache:
 
     def test_verify_deltas_reuse_the_solve_geometry(self):
         quadrature._mesh_geometry.cache_clear()
-        cmd_verify(config_for("verify", delta_list=(0.2, 0.1, 0.05), h_list=()))
+        # a band: the P1 solve and certifier (on [0, pi/2] both are spectral)
+        cmd_verify(config_for("verify", cones=("band:0.3:1.2",), delta_list=(0.2, 0.1, 0.05),
+                              h_list=()))
         assert quadrature._mesh_geometry.cache_info().misses == 1
 
 
@@ -476,6 +481,35 @@ class TestMainEntry:
         assert all(math.isfinite(energy) for _, energy in hrow["trace"])
         assert math.isfinite(hrow["fit_rate"]) and hrow["fit_rate"] <= -0.9
 
+    def test_verify_rate_above_threshold_where_energies_underflow(self, capsys):
+        # k+a - p = 1.5: I_h ~ e^(-1.5 h) underflows to 0, so the rate is fitted
+        # from log-energies; it lies far below the threshold rate 1 - p = -1
+        code, out, err = run_cli(capsys, "verify", "--a", "2.5", "--hs", "500,1000,2000", "--mesh", "64")
+        assert code == 0
+        hrow = json.loads(out)["rows"][-1]
+        assert hrow["status"] == "ok" and len(hrow["trace"]) == 3
+        assert math.isfinite(hrow["fit_rate"]) and hrow["fit_rate"] < -100.0
+
+    def test_verify_near_threshold_cell_is_ok(self, capsys):
+        # (3,1,2,0.9,0): P1 at mesh 2048 was 8e-3 off, so the extrapolation missed the closed form
+        code, out, err = run_cli(capsys, "verify", "--d", "3", "--k", "1", "--a", "0.9", "--mesh", "2048")
+        assert code == 0
+        row = json.loads(out)["rows"][0]
+        assert row["status"] == "ok"
+        assert abs(row["extrapolated"] - row["closed_form"]) <= 1e-12 * row["closed_form"]
+
+    def test_constant_k3_cell_exact(self, capsys):
+        code, out, err = run_cli(capsys, "constant", "--d", "6", "--k", "3", "--a=-1.2", "--mesh", "2048")
+        assert code == 0
+        assert abs(json.loads(out)["rows"][0]["gap"]) <= 1e-12
+
+    def test_spectral_size_cap_is_a_failed_row(self, capsys, monkeypatch):
+        monkeypatch.setattr(spherical, "FACTORED_MAX_SIZE", 4)
+        code, out, err = run_cli(capsys, "constant", "--a", "0.5", "--mesh", "64")
+        assert code == 1
+        row = json.loads(out)["rows"][0]
+        assert row["status"] == "solver_fail" and row["numeric_M"] is None
+
     @pytest.mark.parametrize("deltas", ["1e-200,1e-310", "1e300,1e299"], ids=["nan", "overflow"])
     def test_verify_extreme_deltas_fail_the_row(self, capsys, deltas):
         code, out, err = run_cli(capsys, "verify", "--mesh", "64", "--deltas", deltas)
@@ -494,7 +528,11 @@ class TestMainEntry:
         assert code == 2 and out == ""
         assert json.loads(err)["error"]["type"] == "AdmissibilityError"
 
-    def test_gap_tolerance_drives_exit_code(self, capsys):
+    def test_gap_tolerance_drives_exit_code(self, capsys, monkeypatch):
+        # a known gap of 1e-4: the spectral solve of this cell is exact to rounding
+        solve = cli.solve_M
+        monkeypatch.setattr(cli, "solve_M", lambda params, cone, **kwargs: replace(
+            solve(params, cone, **kwargs), M=closed_form_constant(params, cone).value + 1e-4))
         args = [
             "constant", "--d", "3", "--k", "1", "--p", "2", "--a", "0.5",
             "--b", "0", "--cone", "complement-sigma0", "--mesh", "64",
@@ -599,6 +637,21 @@ class TestProcesses:
         two = run_process(args, OPENBLAS_NUM_THREADS="2", OMP_NUM_THREADS="2")
         assert json.loads(one)["rows"][0]["status"] == "ok"
         assert one == two
+
+    def test_spectral_sweep_independent_of_blas_threads_and_jobs(self):
+        # every cell is p = 2 on [0, pi/2]: dense Cholesky and eigh at N = 4 and 8
+        args = [
+            "-m", "hardycone.cli", "sweep", "--d", "3,4,6", "--k", "1,3", "--p", "2",
+            "--a=-0.5,0.9,2.5", "--b", "0,0.5", "--cone", "full,punctured,complement-sigma0,half-space",
+            "--mesh", "512",
+        ]
+        one = run_process([*args, "--jobs", "1"], OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1")
+        two = run_process([*args, "--jobs", "1"], OPENBLAS_NUM_THREADS="2", OMP_NUM_THREADS="2")
+        pool = run_process([*args, "--jobs", "2"], OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1")
+        rows = json.loads(one)["rows"]
+        assert len(rows) >= 40 and all(row["iterations"] == 2 for row in rows)
+        assert one == two
+        assert pool.replace('"jobs": 2', '"jobs": 1') == one
 
     def test_sweep_report_independent_of_jobs(self):
         args = [

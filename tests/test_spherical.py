@@ -349,7 +349,9 @@ class TestSolveM:
             return composite_rule(*args, **kwargs)
 
         monkeypatch.setattr(spherical, "composite_rule", counting_rule)
-        solve_M(HardyParams(3, 1, p, 0.3, 0.0), ConeSpec.complement_sigma0(), 64)
+        # p = 2 runs P1 on a band; on [0, pi/2] it is spectral and builds no composite rule
+        cone = ConeSpec.band(0.3, HALF_PI) if p == 2 else ConeSpec.complement_sigma0()
+        solve_M(HardyParams(3, 1, p, 0.3, 0.0), cone, 64)
         assert len(rule_builds) == 1
 
     def test_punctured_constant_minimizer(self):
@@ -416,7 +418,7 @@ class TestSolveM:
     def test_reported_residual_matches_weak_form(self):
         params = HardyParams(4, 1, 2.0, 0.3, 0.0)
         cone = ConeSpec.complement_sigma0()
-        result = solve_M(params, cone, 256)
+        result = spherical._p1_eigensolve(params, bc_for_cone(params, cone), 256)
         S, M, mesh = assemble_p2(params, bc_for_cone(params, cone), 256)
         v = result.minimizer.values[:-1]  # drop the Dirichlet node at pi/2
         r = matvec(S, v) - result.lam * matvec(M, v)
@@ -433,22 +435,26 @@ class TestSolveM:
     ])
     def test_rule_order_error_far_below_discretization_error(self, monkeypatch, cell, cone):
         # the default 4-point panels against 8-point ones on the same mesh: the
-        # rule's share of the error in M must be negligible next to the mesh's
+        # rule's share of the error in M must be negligible next to the mesh's.
+        # P1 throughout: solve_M is spectral at p = 2 on [0, pi/2]
         params = HardyParams(*cell)
-        coarse = solve_M(params, cone, 1024).M
-        fine = solve_M(params, cone, 4096).M
+        domain = bc_for_cone(params, cone)
+        p1_solve = spherical._p1_eigensolve if params.p == 2 else minimize_rayleigh_p
+        coarse = p1_solve(params, domain, 1024).M
+        fine = p1_solve(params, domain, 4096).M
         monkeypatch.setattr(spherical, "composite_rule", lambda weight, mesh: composite_rule(weight, mesh, 8))
-        eight_point = solve_M(params, cone, 1024).M
+        eight_point = p1_solve(params, domain, 1024).M
         assert abs(eight_point - coarse) <= 1e-2 * abs(coarse - fine)
 
     @pytest.mark.parametrize("d, a", [(3, -0.5), (5, 0.5)])
     def test_cosine_start_converges_at_once_on_complement(self, d, a):
-        # cos^s is the continuous ground state there, so inverse iteration
-        # starts next to the discrete one; from all ones it takes 6-8 steps
+        # cos^s is the continuous ground state there, so the P1 inverse
+        # iteration starts next to the discrete one; from all ones it takes
+        # 6-8 steps
         params = HardyParams(d, 1, 2.0, a, 0.0)
         cone = ConeSpec.complement_sigma0()
         for mesh_size, most in ((2048, 4), (8192, 2)):
-            result = solve_M(params, cone, mesh_size)
+            result = spherical._p1_eigensolve(params, bc_for_cone(params, cone), mesh_size)
             S, M, _ = assemble_p2(params, bc_for_cone(params, cone), mesh_size)
             ones_steps = spherical._inverse_iteration(S, M)[2]
             assert 1 <= result.iterations <= most
@@ -470,7 +476,7 @@ class TestSolveM:
         lam_start, v = smallest_eigenpair(S, M, start=start)
         assert lam_start == pytest.approx(lam_ones, rel=1e-9)
         assert matvec(M, v).sum() > 0
-        assert solve_M(params, cone, 2048).lam == lam_start
+        assert spherical._p1_eigensolve(params, domain, 2048).lam == lam_start
 
     def test_random_admissible_configurations_solve(self):
         # robustness sweep: every admissible draw solves and respects the
@@ -532,8 +538,8 @@ class TestMinimizeRayleighP:
     def test_p2_agrees_with_eigen_path(self):
         params = HardyParams(3, 1, 2.0, 0.0, 0.0)
         cone = ConeSpec.complement_sigma0()
-        eig = solve_M(params, cone, 128)
         dom = bc_for_cone(params, cone)
+        eig = spherical._p1_eigensolve(params, dom, 128)
         mesh = graded_mesh(0.0, HALF_PI, 16, 1.0)
         init = DiscretizedFunction(mesh, 1.0 + 0.5 * np.cos(3 * mesh) ** 2)
         desc = minimize_rayleigh_p(params, dom, 128, init=init, tol=1e-12, grad_tol=1e-8)
@@ -613,3 +619,99 @@ class TestMinimizeRayleighP:
         result = solve_M(params, ConeSpec.complement_sigma0(), 256)
         assert result.iterations <= 20
         assert result.M == pytest.approx(0.0720, rel=1e-3)
+
+
+P2_GRID = dict(d=range(3, 7), k=(1, 2, 3), a=(-1.2, -0.5, 0.0, 0.5, 0.8, 0.9, 0.95, 0.99, 1.0, 1.5, 2.5),
+               b=(0.0, 0.5))
+FULL_SECTION_CONES = [ConeSpec.full_space(), ConeSpec.punctured_space(), ConeSpec.complement_sigma0(),
+                      ConeSpec.half_space()]
+
+
+def admissible_p2_cells(cone):
+    for d in P2_GRID["d"]:
+        for k in P2_GRID["k"]:
+            for a in P2_GRID["a"]:
+                for b in P2_GRID["b"]:
+                    if k >= d or (cone.kind.value == "half-space" and k != 1):
+                        continue
+                    params = HardyParams(d, k, 2.0, a, b)
+                    if cone_admissible(params, cone).cone_admissible:
+                        yield params
+
+
+class TestFactoredEigensolve:
+    """p = 2 on [0, pi/2]: phi = cos^s theta * g(cos 2 theta) with g a Legendre series."""
+
+    @pytest.mark.parametrize("cone", FULL_SECTION_CONES, ids=lambda cone: cone.describe())
+    def test_every_cell_matches_closed_form(self, cone):
+        cells = list(admissible_p2_cells(cone))
+        assert len(cells) >= 80
+        for params in cells:
+            result = solve_M(params, cone, 64)
+            reference = closed_form_constant(params, cone).value
+            # relative, or absolute where the closed form is 0 (H = 0 with lambda_1 = 0)
+            assert abs(result.M - reference) <= 1e-12 * max(abs(reference), 1e-3), (params, result.M)
+            assert result.M == result.lam + hardy_exponent(params).H ** 2
+            assert result.iterations == 2 and result.residual <= 1e-12 * max(abs(result.lam), 1.0)
+
+    @pytest.mark.parametrize("cell, cone", [
+        ((3, 1, 2.0, 0.99, 0.0), ConeSpec.complement_sigma0()),
+        ((6, 3, 2.0, -1.2, 0.0), ConeSpec.complement_sigma0()),
+        ((4, 1, 2.0, 0.3, 0.5), ConeSpec.half_space()),
+        ((5, 2, 2.0, 1.5, 0.0), ConeSpec.complement_sigma0()),
+        ((4, 2, 2.0, 0.7, -0.3), ConeSpec.punctured_space()),
+    ])
+    def test_self_convergence_n_to_2n(self, cell, cone):
+        params = HardyParams(*cell)
+        domain = bc_for_cone(params, cone)
+        s = 2.0 - (params.k + params.a) if domain.bc2 is DIRICHLET else 0.0
+        lams = [spherical._dense_ground_state(*spherical._FactoredDiscretization(params, s, n).p2_matrices())[0]
+                for n in (4, 8, 16, 32)]
+        for coarse, fine in zip(lams, lams[1:]):
+            assert abs(fine - coarse) <= 1e-12 * max(abs(fine), 1.0)
+        assert solve_M(params, cone, 64).lam == lams[1]  # stops at N = 8
+
+    @pytest.mark.parametrize("cell, s", [
+        ((3, 1, 2.0, 0.9, 0.0), 0.1),  # Dirichlet: exponent -(k+a)/2 at t = -1
+        ((6, 3, 2.0, -1.2, 0.0), 0.2),
+        ((5, 2, 2.0, 1.5, 0.0), 0.0),  # natural
+        ((3, 1, 2.0, 0.3, 0.0), 0.0),  # natural with k+a < 2 (full space)
+    ])
+    def test_rule_exact_for_the_basis(self, cell, s):
+        # N points integrate the stiffness and mass of N basis functions
+        # exactly: more points give the same matrices to rounding
+        params = HardyParams(*cell)
+        exact = spherical._FactoredDiscretization(params, s, 8)
+        S, M = exact.p2_matrices()
+        more = spherical._FactoredDiscretization(params, s, 24)
+        S24, M24 = more.p2_matrices()
+        assert np.allclose(S, S24[:8, :8], rtol=1e-12, atol=1e-13 * np.abs(S).max())
+        assert np.allclose(M, M24[:8, :8], rtol=1e-12, atol=1e-13 * np.abs(M).max())
+
+    def test_minimizer_is_the_factored_profile_on_the_graded_mesh(self):
+        params = HardyParams(3, 1, 2.0, 0.9, 0.0)
+        cone = ConeSpec.complement_sigma0()
+        domain = bc_for_cone(params, cone)
+        Phi = solve_M(params, cone, 2048).minimizer
+        assert isinstance(Phi, DiscretizedFunction)
+        assert np.array_equal(Phi.mesh, spherical._solve_mesh(params, domain, 2048))
+        assert Phi.values[-1] == 0.0 and Phi.values[:-1].min() > 0.0  # Dirichlet at pi/2
+        # the ground state is cos^s theta with s = 2 - (k+a) = 0.1, at unit weighted 2-norm
+        ratio = Phi.values[:-1] / np.sin(HALF_PI - Phi.mesh[:-1]) ** 0.1  # cos, cancellation-free
+        assert np.allclose(ratio, ratio[0], rtol=1e-12)
+        disc = spherical._FactoredDiscretization(params, Phi.s, Phi.coefficients.size)
+        assert disc.mass(disc.fields(Phi.coefficients)[0]) == pytest.approx(1.0, rel=1e-13)
+
+    def test_bands_and_p_not_2_stay_on_p1(self):
+        params = HardyParams(3, 1, 2.0, 0.3, 0.0)
+        band = solve_M(params, ConeSpec.band(0.3, HALF_PI), 256)
+        domain = bc_for_cone(params, ConeSpec.band(0.3, HALF_PI))
+        assert type(band.minimizer) is DiscretizedFunction
+        assert band.M == spherical._p1_eigensolve(params, domain, 256).M
+        descent = solve_M(HardyParams(3, 1, 1.5, 0.3, 0.0), ConeSpec.complement_sigma0(), 256)
+        assert type(descent.minimizer) is DiscretizedFunction and descent.lam is None
+
+    def test_size_cap_raises_convergence_error(self, monkeypatch):
+        monkeypatch.setattr(spherical, "FACTORED_MAX_SIZE", 4)  # one solve: nothing to compare
+        with pytest.raises(ConvergenceError):
+            solve_M(HardyParams(3, 1, 2.0, 0.5, 0.0), ConeSpec.complement_sigma0(), 64)

@@ -6,10 +6,20 @@ import numpy as np
 import pytest
 from scipy.interpolate import CubicSpline
 
-from hardycone.params import ConeSpec, HardyParams, hardy_exponent
+import hardycone.verifier as verifier
+from hardycone.params import ConeKind, ConeSpec, HardyParams, closed_form_constant, hardy_exponent
 from hardycone.quadrature import sphere_weight_mass
-from hardycone.spherical import DiscretizedFunction, _Discretization, bc_for_cone, graded_mesh, solve_M
+from hardycone.spherical import (
+    DIRICHLET,
+    DiscretizedFunction,
+    _Discretization,
+    _FactoredDiscretization,
+    bc_for_cone,
+    graded_mesh,
+    solve_M,
+)
 from hardycone.verifier import (
+    _cutoff_log_decay,
     cutoff_decay,
     eta_cutoff,
     eta_cutoff_prime,
@@ -77,14 +87,34 @@ class TestUdeltaQuotient:
     ], ids=["complement-sigma0", "half-space", "band"])
     def test_p2_quotient_is_solver_quotient_plus_delta_squared(self, params, cone):
         # the certifier sums over the solver's discretization, so the identity
-        # holds to rounding against the solver's own discrete quotient
+        # holds to rounding against the solver's own quotient: P1 on the band,
+        # the factored spectral basis on [0, pi/2]
         result = solve_M(params, cone, 256)
-        disc = _Discretization.graded(params, bc_for_cone(params, cone), 256)
+        domain = bc_for_cone(params, cone)
+        disc = _Discretization.graded(params, domain, 256)
         assert np.array_equal(disc.mesh, result.minimizer.mesh)
-        q = disc.value(result.minimizer.values)
+        if cone.kind is ConeKind.BAND:
+            q = disc.value(result.minimizer.values)
+        else:
+            Phi = result.minimizer
+            assert Phi.s == (2.0 - (params.k + params.a) if domain.bc2 is DIRICHLET else 0.0)
+            q = _FactoredDiscretization(params, Phi.s, Phi.coefficients.size).value(Phi.coefficients)
         for delta in (0.2, 0.1, 0.05):
             ev = evaluate_quotient_udelta(params, result.minimizer, delta, cone=cone)
             assert ev.quotient - q == pytest.approx(delta**2, rel=1e-11)
+
+    @pytest.mark.parametrize("cone", [ConeSpec.complement_sigma0(), ConeSpec.half_space(),
+                                      ConeSpec.punctured_space()], ids=lambda cone: cone.describe())
+    def test_factored_minimizer_integrated_exactly(self, monkeypatch, cone):
+        # the spectral minimizer is integrated in its own basis and rule, with no
+        # P1 rule on its sampling mesh: the quotient is the exact M + delta^2
+        params = HardyParams(4, 1, 2.0, 0.3, 0.5)
+        result = solve_M(params, cone, 2048)
+        monkeypatch.setattr(verifier, "composite_rule", None)
+        for delta in (0.2, 0.1, 0.05, 0.025):
+            ev = evaluate_quotient_udelta(params, result.minimizer, delta, cone=cone)
+            assert ev.quotient - result.M == pytest.approx(delta**2, rel=1e-11)
+            assert ev.quotient == pytest.approx(closed_form_constant(params, cone).value + delta**2, rel=1e-13)
 
     def test_second_order_approach(self):
         qs = [
@@ -203,10 +233,32 @@ class TestCutoffDecay:
         rate = math.log(values[1] / values[0]) / math.log(hs[1] / hs[0])
         assert rate == pytest.approx(1.0 - params.p, abs=0.05)
 
+    @pytest.mark.parametrize("params, hs", [
+        (HardyParams(3, 1, 2.0, 1.0, 0.0), (4, 16, 200)),
+        (HardyParams(3, 1, 2.0, 2.5, 0.0), (4, 16, 100)),
+        (HardyParams(4, 2, 3.0, 1.5, 0.5), (8, 40)),
+    ], ids=["threshold", "above", "p3-above"])
+    def test_log_decay_is_the_log_of_the_energy(self, params, hs):
+        for h in hs:
+            energy = cutoff_decay(params, (0.05, 20.0), h)
+            assert _cutoff_log_decay(params, (0.05, 20.0), h) == pytest.approx(math.log(energy), rel=1e-13)
+
+    def test_log_decay_finite_where_the_energy_underflows(self):
+        params = HardyParams(3, 1, 2.0, 2.5, 0.0)  # k + a - p = 1.5
+        hs = (500, 1000, 2000)
+        assert [cutoff_decay(params, (0.05, 20.0), h) for h in hs] == [0.0, 0.0, 0.0]
+        logs = [_cutoff_log_decay(params, (0.05, 20.0), h) for h in hs]
+        assert all(math.isfinite(value) for value in logs)
+        # log I_h ~ -(k+a-p) h and below: the decay outruns every power of h
+        for h, value in zip(hs, logs):
+            assert -2.0 * 1.5 * h < value < -1.5 * h
+
     def test_preconditions(self):
         params = HardyParams(3, 1, 2.0, 1.0, 0.0)
         with pytest.raises(ValueError):
             cutoff_decay(params, (0.05, 20.0), 0)
+        with pytest.raises(ValueError):
+            _cutoff_log_decay(params, (0.05, 20.0), 0)
         with pytest.raises(ValueError):
             cutoff_decay(HardyParams(3, 1, 2.0, 0.5, 0.0), (0.05, 20.0), 4)  # k+a < p
         with pytest.raises(ValueError):
