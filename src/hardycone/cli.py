@@ -30,8 +30,8 @@ from .spherical import (
     MIN_MESH_SIZE,
     ConvergenceError,
     SpectralResult,
-    _problem_key,
     _solve_mesh,
+    _SphericalProblem,
     bc_for_cone,
     solve_M,
 )
@@ -212,7 +212,7 @@ def _grid_rows(
 ) -> list[ReportRow]:
     """One row per cell, in order, with one solve per distinct spherical problem.
 
-    Cells with equal _problem_key (p, k+a, d-k, H^2 and the endpoint
+    Cells with equal _SphericalProblem (p, k+a, d-k, H^2 and the endpoint
     conditions) share the _solve call of the first of them, whose result is
     bit for bit the one each would get alone; the closed form, gap and
     status are still per cell.  The distinct problems are solved mesh by
@@ -224,30 +224,27 @@ def _grid_rows(
     groups: dict[object, list[int]] = {}
     for index, (params, cone) in enumerate(cells):
         try:
-            key = _problem_key(params, cone)
+            key = _SphericalProblem.of(params, bc_for_cone(params, cone))
         except AdmissibilityError:
             raise
         except ValueError:  # structurally invalid cell: its own group, which _solve fails
             key = index
         groups.setdefault(key, []).append(index)
 
-    def mesh_of(members: list[int]) -> bytes:  # sorting by it keeps each mesh's problems together
-        params, cone = cells[members[0]]
-        try:
-            return _solve_mesh(params, bc_for_cone(params, cone), config.mesh_size).tobytes()
-        except ValueError:
-            return b""
+    def mesh_of(key: object) -> bytes:  # sorting by it keeps each mesh's problems together
+        # RunConfig holds mesh_size >= MIN_MESH_SIZE, so only an invalid cell has no mesh
+        return b"" if isinstance(key, int) else _solve_mesh(key, config.mesh_size).tobytes()
 
-    ordered = sorted(groups.values(), key=mesh_of)
+    ordered = sorted(groups, key=mesh_of)
 
     def rows_from(results) -> list[ReportRow]:  # one result per group, none kept past its rows
         rows = [None] * len(cells)
-        for members, result in zip(ordered, results):
-            for index in members:
+        for key, result in zip(ordered, results):
+            for index in groups[key]:
                 rows[index] = _cell_row(command, *cells[index], config.mesh_size, result, with_closed)
         return rows
 
-    problems = [cells[members[0]] for members in ordered]
+    problems = [cells[groups[key][0]] for key in ordered]
     solve_args = ([params for params, _ in problems], [cone for _, cone in problems],
                   [config.mesh_size] * len(problems))
     if config.jobs > 1 and len(problems) > 1:

@@ -29,13 +29,15 @@ on the surface {int w |phi|^p = const}.  With P1 elements the Hessians of
 the two integrals are tridiagonal, so each step is one tridiagonal solve
 with two right-hand sides; where that step is singular or not a descent
 direction, a gradient step in the weighted-H1 metric (the p = 2 matrices)
-is taken instead.  For p != 2 the reported residual is the relative step
-decrement sqrt(grad Q . d) / Q of the last step.
+is taken instead.  The descent starts from cos^s theta; a stuck one raises
+ConvergenceError.  For p != 2 the residual is the relative step decrement
+sqrt(grad Q . d) / Q of the last step.
 
-A solve's graded mesh comes from _solve_mesh, which the CLI also uses to
-order a command's problems mesh by mesh; the P1 discretization takes the
-element widths and the interior shape values from the quadrature module's
-cached geometry and forms only the exponent-dependent parts.
+The private solvers take the cell's 1-D problem as one _SphericalProblem,
+whose s is the one boundary-layer exponent at pi/2.  Its graded mesh comes
+from _solve_mesh, which the CLI also uses to order a command's problems
+mesh by mesh; the P1 discretization takes the element widths and the
+interior shape values from the quadrature module's cached geometry.
 
 Every P1 matrix is symmetric tridiagonal and is kept as a (diag, off) pair
 of numpy arrays.  One kernel solves all of them: odd-even cyclic reduction,
@@ -53,6 +55,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
+from typing import NamedTuple
 
 import numpy as np
 
@@ -110,6 +113,30 @@ class AngularDomain:
             raise ValueError(f"need 0 <= theta1 < theta2 <= pi/2, got ({self.theta1}, {self.theta2})")
 
 
+class _SphericalProblem(NamedTuple):
+    """p, k+a, d-k, H^2 and the cross-section: all a solve reads, so equal problems solve alike.
+
+    A NamedTuple hashes by value, and costs no dataclass import time.
+    """
+
+    p: float
+    ka: float
+    dk: int
+    H2: float
+    domain: AngularDomain
+
+    @classmethod
+    def of(cls, params: HardyParams, domain: AngularDomain) -> "_SphericalProblem":
+        return cls(params.p, params.k + params.a, params.d - params.k, hardy_exponent(params).H ** 2, domain)
+
+    @property
+    def s(self) -> float:
+        """Boundary-layer exponent: phi ~ cos^s theta, s = (p - (k+a)) / (p - 1), at a Dirichlet pi/2; else 0."""
+        if self.domain.theta2 != HALF_PI or self.domain.bc2 is not DIRICHLET:
+            return 0.0
+        return (self.p - self.ka) / (self.p - 1.0)
+
+
 @dataclass(frozen=True, eq=False)
 class DiscretizedFunction:
     """Piecewise-linear function given by nodal values on an increasing mesh."""
@@ -133,14 +160,15 @@ class _FactoredFunction(DiscretizedFunction):
     """cos^s theta * sum_j c_j P_j(cos 2 theta), sampled at the nodes of mesh.
 
     The samples serve interpolation and plotting; the certifier integrates
-    the factored form itself, from s and the Legendre coefficients.  A plain
-    subclass: creating one more dataclass would cost every process about a
-    millisecond of import time.
+    the factored form itself, from its problem (which fixes s) and the
+    Legendre coefficients.  A plain subclass: creating one more dataclass
+    would cost every process about a millisecond of import time.
     """
 
-    def __init__(self, mesh: np.ndarray, values: np.ndarray, s: float, coefficients: np.ndarray):
+    def __init__(self, mesh: np.ndarray, values: np.ndarray, problem: _SphericalProblem,
+                 coefficients: np.ndarray):
         super().__init__(mesh, values)
-        object.__setattr__(self, "s", s)
+        object.__setattr__(self, "problem", problem)
         object.__setattr__(self, "coefficients", coefficients)
 
 
@@ -208,28 +236,25 @@ def graded_mesh(theta1: float, theta2: float, n: int, gamma: float = 2.0) -> np.
     return theta1 + (theta2 - theta1) * j
 
 
-def _auto_gamma(params: HardyParams, domain: AngularDomain, n: int) -> float:
-    """Grading matched to the boundary-layer exponent at pi/2.
+def _auto_gamma(problem: _SphericalProblem, n: int) -> float:
+    """Grading matched to the boundary-layer exponent s at pi/2.
 
-    With a Dirichlet condition at the singular end the minimizer behaves like
-    u^s, s = (p - (k+a)) / (p-1) (the homogeneous solution of the weighted
-    one-dimensional p-Laplacian; s = 2-(k+a) at p = 2), so the mesh exponent
-    scales like 1/s for s < 1.
+    The minimizer behaves like u^s, u = pi/2 - theta, so the mesh exponent
+    scales like 1/s for s < 1; without a boundary layer (s = 0) the mesh is
+    graded as for a smooth profile.
     """
-    if domain.theta2 != HALF_PI or domain.bc2 is not DIRICHLET:
-        return 2.0
-    s = (params.p - (params.k + params.a)) / (params.p - 1.0)
-    if s >= 1.2:
+    s = problem.s
+    if s == 0.0 or s >= 1.2:
         return 2.0
     return min(max(2.0, 2.4 / max(s, 0.05)), grading_cap(n))
 
 
-def _solve_mesh(params: HardyParams, domain: AngularDomain, mesh_size: int) -> np.ndarray:
-    """The graded mesh of mesh_size elements that a solve of the cell discretizes on."""
+def _solve_mesh(problem: _SphericalProblem, mesh_size: int) -> np.ndarray:
+    """The graded mesh of mesh_size elements that a solve of the problem discretizes on."""
     if mesh_size < MIN_MESH_SIZE:
         raise ValueError(f"mesh_size must be at least {MIN_MESH_SIZE}")
-    gamma = _auto_gamma(params, domain, mesh_size)
-    return graded_mesh(domain.theta1, domain.theta2, mesh_size, gamma)
+    domain = problem.domain
+    return graded_mesh(domain.theta1, domain.theta2, mesh_size, _auto_gamma(problem, mesh_size))
 
 
 def _element_sums(a: np.ndarray) -> np.ndarray:
@@ -488,9 +513,10 @@ class _FactoredDiscretization(_RuleSums):
     interior to (-1, 1), so cos theta > 0 there even when s = 0.
     """
 
-    def __init__(self, params: HardyParams, s: float, size: int):
-        alpha = (params.d - params.k - 2) / 2
-        beta_w = (params.k + params.a - 2) / 2
+    def __init__(self, problem: _SphericalProblem, size: int):
+        s = problem.s
+        alpha = (problem.dk - 2) / 2
+        beta_w = (problem.ka - 2) / 2
         beta = beta_w + s - 1.0 if s > 0 else beta_w
         t, wt = _gauss_jacobi(size, alpha, beta)
         self.w = wt * (2.0 ** -(alpha + beta_w) / 4) * (1.0 + t) ** (beta_w - beta)
@@ -499,8 +525,8 @@ class _FactoredDiscretization(_RuleSums):
         P, dP = _legendre(t, size)
         self.basis = cos[:, None] ** s * P
         self.dbasis = -(sin * cos ** (s - 1.0))[:, None] * (s * P + 2.0 * (1.0 + t)[:, None] * dP)
-        self.p = params.p
-        self.H2 = hardy_exponent(params).H ** 2
+        self.p = problem.p
+        self.H2 = problem.H2
 
     def fields(self, c: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """phi and phi' at the rule's nodes for the Legendre coefficients c."""
@@ -536,8 +562,8 @@ class _Discretization(_RuleSums):
     """P1 elements on a mesh, with per-element quadrature.
 
     Holds the mesh, one composite rule reshaped to (n_elements, nq), the
-    shape values n1, n2 at its nodes and the Dirichlet mask of the free
-    nodes.  The p = 2 matrices, the discrete quotient Q(phi) with its
+    shape values n1, n2 at its nodes and the free nodes (not the Dirichlet
+    ends of problem.domain).  The p = 2 matrices, the discrete quotient Q(phi) with its
     analytic nodal gradient, and the certifier's u_delta sums are all sums
     over these nodes and weights.  rule is composite_rule's on mesh: h and
     the interior rows of n1, n2 are the mesh's cached geometry, so only the
@@ -545,7 +571,7 @@ class _Discretization(_RuleSums):
     exponents) are formed here.
     """
 
-    def __init__(self, params: HardyParams, mesh: np.ndarray, rule: QuadratureRule, free: slice):
+    def __init__(self, problem: _SphericalProblem, mesh: np.ndarray, rule: QuadratureRule):
         theta_q = rule.nodes.reshape(mesh.size - 1, -1)
         geometry = _mesh_geometry(mesh.tobytes(), theta_q.shape[1])
         first, last = geometry.first, geometry.last
@@ -559,20 +585,21 @@ class _Discretization(_RuleSums):
             self.n1[e] = (mesh[e + 1] - theta_q[e]) / h[e]
             self.n2[e] = (theta_q[e] - mesh[e]) / h[e]
         self.w = rule.weights.reshape(theta_q.shape)
-        self.p = params.p
-        self.H2 = hardy_exponent(params).H ** 2
-        self.free = free
+        self.p = problem.p
+        self.H2 = problem.H2
+        domain = problem.domain
+        self.free = slice(1 if domain.bc1 is DIRICHLET else 0,
+                          mesh.size - 1 if domain.bc2 is DIRICHLET else mesh.size)
         self.mask = np.zeros(mesh.size)
-        self.mask[free] = 1.0
+        self.mask[self.free] = 1.0
 
     @classmethod
-    def graded(cls, params: HardyParams, domain: AngularDomain, mesh_size: int) -> "_Discretization":
+    def graded(cls, problem: _SphericalProblem, mesh_size: int) -> "_Discretization":
         """The discretization of one solve, on its graded mesh of mesh_size elements."""
-        mesh = _solve_mesh(params, domain, mesh_size)
-        rule = composite_rule(AngularWeight.for_params(params), mesh)
-        lo = 1 if domain.bc1 is DIRICHLET else 0
-        hi = mesh.size - 1 if domain.bc2 is DIRICHLET else mesh.size
-        return cls(params, mesh, rule, slice(lo, hi))
+        mesh = _solve_mesh(problem, mesh_size)
+        # composite_rule reads only the weight's exponents, not its prefactor
+        rule = composite_rule(AngularWeight(problem.ka - 1.0, problem.dk - 1.0, 1.0), mesh)
+        return cls(problem, mesh, rule)
 
     def expand_free(self, v: np.ndarray) -> np.ndarray:
         """Nodal values from the free-node values v, zero at Dirichlet nodes."""
@@ -700,17 +727,17 @@ def assemble_p2(
     rows/columns are eliminated, so the matrices act on the free nodes of the
     returned mesh.
     """
-    disc = _Discretization.graded(params, domain, mesh_size)
+    disc = _Discretization.graded(_SphericalProblem.of(params, domain), mesh_size)
     return (*disc.p2_matrices(), disc.mesh)
 
 
-def _cosine_profile(params: HardyParams, domain: AngularDomain, mesh: np.ndarray) -> np.ndarray:
-    """Profile cos^max(0, 2-(k+a)) adjusted to the Dirichlet data."""
-    s = max(0.0, 2.0 - (params.k + params.a))
+def _cosine_profile(problem: _SphericalProblem, mesh: np.ndarray) -> np.ndarray:
+    """cos^s theta, times sin(theta - theta1) at a Dirichlet theta1 and, for s = 0, sin(theta2 - theta)."""
+    s, domain = problem.s, problem.domain
     v = np.cos(mesh) ** s
     if domain.bc1 is DIRICHLET:
         v = v * np.sin(mesh - domain.theta1)
-    if domain.bc2 is DIRICHLET and (s == 0.0 or domain.theta2 != HALF_PI):
+    if domain.bc2 is DIRICHLET and s == 0.0:
         v = v * np.sin(domain.theta2 - mesh)
     return v
 
@@ -734,20 +761,17 @@ def minimize_rayleigh_p(
     clamped to the nonnegative cone and renormalized to unit weighted p-norm.
     Stops when the relative decrease of Q over an iteration drops below tol
     and the relative step decrement sqrt(grad Q . d) / Q below grad_tol; that
-    decrement is the returned residual.  Without init the start is the p = 2
-    eigenfunction or the cosine profile, whichever has the lower
-    quotient.  The mesh has mesh_size elements, graded toward pi/2 to match
-    the boundary layer there.
+    decrement is the returned residual.  A failed line search stops it too if
+    the decrement is below grad_tol or a full step would lower Q by less than
+    tol; otherwise it raises ConvergenceError.  Without init the start is
+    _cosine_profile.  The mesh has mesh_size elements, graded toward pi/2.
     """
-    disc = _Discretization.graded(params, domain, mesh_size)
-    stiffness, mass = disc.p2_matrices()
+    problem = _SphericalProblem.of(params, domain)
+    disc = _Discretization.graded(problem, mesh_size)
     mesh, free = disc.mesh, disc.free
     precond = None  # the weighted-H1 solve, factored at the first fallback step
 
-    if init is None:
-        v = _default_start(params, domain, disc, stiffness, mass)
-    else:
-        v = init(mesh)
+    v = _cosine_profile(problem, mesh) if init is None else init(mesh)
     v = disc.normalize(v.astype(float))
 
     q, g = disc.value_grad(v)
@@ -760,6 +784,7 @@ def minimize_rayleigh_p(
         slope = (g * direction).sum() if direction is not None else math.nan
         if not slope > 0.0:
             if precond is None:
+                stiffness, mass = disc.p2_matrices()
                 shift = 1.0 + disc.H2
                 precond = _CyclicReduction(
                     stiffness[0] + shift * mass[0], stiffness[1] + shift * mass[1]
@@ -781,7 +806,10 @@ def minimize_rayleigh_p(
                 break
             eta *= 0.5
         if not accepted:
-            break  # stagnation at the line-search floor: descent exhausted
+            if decrement < grad_tol or slope < tol * abs(q):  # Q at its (rounding) floor
+                break
+            raise ConvergenceError(f"quotient descent stuck (relative decrement {decrement:.3e})",
+                                   residual=decrement, trace=trace[-20:])
         rel_dec = (q - q_trial) / max(abs(q), 1e-300)
         v = trial
         q, g = disc.value_grad(v)
@@ -796,8 +824,7 @@ def minimize_rayleigh_p(
             trace=trace[-20:],
         )
 
-    exponent = hardy_exponent(params)
-    lam = q - exponent.H**2 if params.p == 2 else None
+    lam = q - problem.H2 if problem.p == 2 else None
     return SpectralResult(
         M=q,
         lam=lam,
@@ -807,42 +834,7 @@ def minimize_rayleigh_p(
     )
 
 
-def _default_start(
-    params: HardyParams,
-    domain: AngularDomain,
-    disc: _Discretization,
-    stiffness: Tridiagonal,
-    mass: Tridiagonal,
-) -> np.ndarray:
-    """The p=2 eigenfunction or the cosine profile, whichever has the lower quotient.
-
-    Where 2 <= k+a < p the Dirichlet node at pi/2 is invisible to the p = 2
-    problem, so its eigenfunction drops to zero across the last element only;
-    that start has a p-quotient of order 1e6 and can trap the descent.
-    """
-    cosine = _cosine_profile(params, domain, disc.mesh)
-    try:
-        _, vec = smallest_eigenpair(stiffness, mass, start=cosine[disc.free])
-    except (ConvergenceError, np.linalg.LinAlgError):
-        return cosine
-    eigen = disc.expand_free(vec)
-    if disc.value(disc.normalize(cosine)) < disc.value(disc.normalize(eigen)):
-        return cosine
-    return eigen
-
-
-def _problem_key(params: HardyParams, cone: ConeSpec) -> tuple:
-    """The 1-D problem solve_M solves for the cell: equal keys give bit-identical results.
-
-    These are the only values the spectral or P1 discretization, the start
-    profiles and the eigensolve or descent read: p, k+a, d-k, H^2 and the
-    endpoint conditions of the cross-section.
-    """
-    return (params.p, params.k + params.a, params.d - params.k, hardy_exponent(params).H ** 2,
-            bc_for_cone(params, cone))
-
-
-def _factored_eigensolve(params: HardyParams, domain: AngularDomain, mesh_size: int) -> SpectralResult:
+def _factored_eigensolve(problem: _SphericalProblem, mesh_size: int) -> SpectralResult:
     """The p = 2 solve on [0, pi/2] in the factored spectral basis (see _FactoredDiscretization).
 
     Dense solves at N = 4, 8, ... basis functions stop once two consecutive
@@ -852,11 +844,10 @@ def _factored_eigensolve(params: HardyParams, domain: AngularDomain, mesh_size: 
     unit weighted 2-norm and is sampled on the graded mesh of mesh_size
     elements that a P1 solve would use.
     """
-    s = 2.0 - (params.k + params.a) if domain.bc2 is DIRICHLET else 0.0
-    mesh = _solve_mesh(params, domain, mesh_size)
+    mesh = _solve_mesh(problem, mesh_size)
     previous, residual, size, solves = None, math.inf, 4, 0
     while size <= FACTORED_MAX_SIZE:
-        lam, c = _dense_ground_state(*_FactoredDiscretization(params, s, size).p2_matrices())
+        lam, c = _dense_ground_state(*_FactoredDiscretization(problem, size).p2_matrices())
         solves += 1
         if previous is not None:
             residual = abs(lam - previous)
@@ -868,35 +859,34 @@ def _factored_eigensolve(params: HardyParams, domain: AngularDomain, mesh_size: 
             f"spectral eigenvalues did not agree to {FACTORED_TOL:g} by N = {FACTORED_MAX_SIZE}",
             residual=residual,
         )
-    values = np.sin(HALF_PI - mesh) ** s * _legendre_series(c, np.cos(2.0 * mesh))  # 0 at pi/2
+    values = np.sin(HALF_PI - mesh) ** problem.s * _legendre_series(c, np.cos(2.0 * mesh))  # 0 at pi/2
     return SpectralResult(
-        M=lam + hardy_exponent(params).H ** 2,
+        M=lam + problem.H2,
         lam=lam,
-        minimizer=_FactoredFunction(mesh, values, s, c),
+        minimizer=_FactoredFunction(mesh, values, problem, c),
         iterations=solves,
         residual=residual,
     )
 
 
-def _p1_eigensolve(params: HardyParams, domain: AngularDomain, mesh_size: int) -> SpectralResult:
+def _p1_eigensolve(problem: _SphericalProblem, mesh_size: int) -> SpectralResult:
     """The p = 2 solve with P1 elements on the graded mesh of mesh_size elements.
 
     The inverse iteration starts from the cosine profile, which is positive
-    and, on the complement and the half space, the continuous ground state
-    itself; iterations counts its shifted solves.
+    at the free nodes; iterations counts its shifted solves.
     """
-    disc = _Discretization.graded(params, domain, mesh_size)
+    disc = _Discretization.graded(problem, mesh_size)
     stiffness, mass = disc.p2_matrices()
     mesh, free = disc.mesh, disc.free
     del disc  # the eigensolve needs only the matrices: release the per-node arrays
     lam, vec, steps, residual = _inverse_iteration(
-        stiffness, mass, start=_cosine_profile(params, domain, mesh)[free]
+        stiffness, mass, start=_cosine_profile(problem, mesh)[free]
     )
     # vec has unit M-norm, which is the unit weighted 2-norm of the P1 profile
     values = np.zeros(mesh.size)
     values[free] = np.abs(vec)
     return SpectralResult(
-        M=lam + hardy_exponent(params).H ** 2,
+        M=lam + problem.H2,
         lam=lam,
         minimizer=DiscretizedFunction(mesh, values),
         iterations=steps,
@@ -920,6 +910,7 @@ def solve_M(
     domain = bc_for_cone(params, cone)
     if params.p != 2:
         return minimize_rayleigh_p(params, domain, mesh_size)
+    problem = _SphericalProblem.of(params, domain)
     if (domain.theta1, domain.theta2) == (0.0, HALF_PI):
-        return _factored_eigensolve(params, domain, mesh_size)
-    return _p1_eigensolve(params, domain, mesh_size)
+        return _factored_eigensolve(problem, mesh_size)
+    return _p1_eigensolve(problem, mesh_size)

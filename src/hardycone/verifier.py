@@ -32,11 +32,14 @@ import numpy as np
 from .params import ConeSpec, HardyParams, hardy_exponent
 from .quadrature import AngularWeight, _gauss_jacobi, composite_rule
 from .spherical import (
+    NATURAL,
+    AngularDomain,
     DiscretizedFunction,
     _Discretization,
     _FactoredDiscretization,
     _FactoredFunction,
     _RuleSums,
+    _SphericalProblem,
 )
 
 CUTOFF_RADIAL_PANELS = 48  # 10-point Gauss panels in nu = log r for the strip energy
@@ -101,9 +104,10 @@ def _discretization(params: HardyParams, Phi: DiscretizedFunction) -> tuple[_Rul
     mesh (all nodes free), with its nodal values.
     """
     if isinstance(Phi, _FactoredFunction):
-        return _FactoredDiscretization(params, Phi.s, Phi.coefficients.size), Phi.coefficients
-    rule = composite_rule(AngularWeight.for_params(params), Phi.mesh)
-    return _Discretization(params, Phi.mesh, rule, slice(0, Phi.mesh.size)), Phi.values
+        return _FactoredDiscretization(Phi.problem, Phi.coefficients.size), Phi.coefficients
+    rule = composite_rule(AngularWeight.for_params(params), Phi.mesh)  # rejects a mesh outside [0, pi/2]
+    domain = AngularDomain(Phi.mesh[0], Phi.mesh[-1], NATURAL, NATURAL)  # every node free
+    return _Discretization(_SphericalProblem.of(params, domain), Phi.mesh, rule), Phi.values
 
 
 def evaluate_quotient_udelta(

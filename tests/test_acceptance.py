@@ -24,6 +24,7 @@ from hardycone.spherical import (
     AngularDomain,
     DiscretizedFunction,
     _p1_eigensolve,
+    _SphericalProblem,
     assemble_p2,
     bc_for_cone,
     minimize_rayleigh_p,
@@ -353,7 +354,7 @@ def test_criterion_10_p_cross_validation():
     for params, cone in P2_CROSS_CONFIGS:
         # both legs on the same P1 discretization (solve_M is spectral on [0, pi/2])
         domain = bc_for_cone(params, cone)
-        eig = record("c10 eig", params, _p1_eigensolve(params, domain, 160))
+        eig = record("c10 eig", params, _p1_eigensolve(_SphericalProblem.of(params, domain), 160))
         desc = record(
             "c10 descent",
             params,

@@ -265,8 +265,8 @@ MESH_GRID = dict(d=(3, 4), k=(1, 2), p=(2.0, 1.5), a=(-0.5, 0.5, 1.5),
 
 def solve_mesh(config, params, cone):
     """The graded mesh, as bytes, that the cell's solve discretizes on."""
-    domain = spherical.bc_for_cone(params, cone)
-    return spherical._solve_mesh(params, domain, config.mesh_size).tobytes()
+    problem = spherical._SphericalProblem.of(params, spherical.bc_for_cone(params, cone))
+    return spherical._solve_mesh(problem, config.mesh_size).tobytes()
 
 
 class TestMeshGeometryCache:
@@ -510,7 +510,14 @@ class TestMainEntry:
         row = json.loads(out)["rows"][0]
         assert row["status"] == "solver_fail" and row["numeric_M"] is None
 
-    @pytest.mark.parametrize("deltas", ["1e-200,1e-310", "1e300,1e299"], ids=["nan", "overflow"])
+    def test_stuck_descent_is_a_failed_row(self, capsys):
+        # the descent's line search fails far from convergence: no number is printed
+        code, out, err = run_cli(capsys, "constant", "--p", "6", "--a=3.5", "--mesh", "1024")
+        assert code == 1
+        row = json.loads(out)["rows"][0]
+        assert row["status"] == "solver_fail" and row["numeric_M"] is None
+
+    @pytest.mark.parametrize("deltas",["1e-200,1e-310", "1e300,1e299"], ids=["nan", "overflow"])
     def test_verify_extreme_deltas_fail_the_row(self, capsys, deltas):
         code, out, err = run_cli(capsys, "verify", "--mesh", "64", "--deltas", deltas)
         assert code == 1

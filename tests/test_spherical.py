@@ -322,7 +322,8 @@ class TestCyclicReduction:
 
     def test_newton_direction_none_on_zero_pivot(self):
         params = HardyParams(3, 1, 1.5, 0.3, 0.0)
-        disc = spherical._Discretization.graded(params, bc_for_cone(params, ConeSpec.complement_sigma0()), 64)
+        problem = spherical._SphericalProblem.of(params, bc_for_cone(params, ConeSpec.complement_sigma0()))
+        disc = spherical._Discretization.graded(problem, 64)
         v = disc.normalize(np.cos(disc.mesh))
         q, g = disc.value_grad(v)
         assert disc.newton_direction(v, q, g) is not None
@@ -418,7 +419,7 @@ class TestSolveM:
     def test_reported_residual_matches_weak_form(self):
         params = HardyParams(4, 1, 2.0, 0.3, 0.0)
         cone = ConeSpec.complement_sigma0()
-        result = spherical._p1_eigensolve(params, bc_for_cone(params, cone), 256)
+        result = spherical._p1_eigensolve(spherical._SphericalProblem.of(params, bc_for_cone(params, cone)), 256)
         S, M, mesh = assemble_p2(params, bc_for_cone(params, cone), 256)
         v = result.minimizer.values[:-1]  # drop the Dirichlet node at pi/2
         r = matvec(S, v) - result.lam * matvec(M, v)
@@ -439,11 +440,17 @@ class TestSolveM:
         # P1 throughout: solve_M is spectral at p = 2 on [0, pi/2]
         params = HardyParams(*cell)
         domain = bc_for_cone(params, cone)
-        p1_solve = spherical._p1_eigensolve if params.p == 2 else minimize_rayleigh_p
-        coarse = p1_solve(params, domain, 1024).M
-        fine = p1_solve(params, domain, 4096).M
+        problem = spherical._SphericalProblem.of(params, domain)
+
+        def p1_solve(mesh_size):
+            if params.p == 2:
+                return spherical._p1_eigensolve(problem, mesh_size)
+            return minimize_rayleigh_p(params, domain, mesh_size)
+
+        coarse = p1_solve(1024).M
+        fine = p1_solve(4096).M
         monkeypatch.setattr(spherical, "composite_rule", lambda weight, mesh: composite_rule(weight, mesh, 8))
-        eight_point = p1_solve(params, domain, 1024).M
+        eight_point = p1_solve(1024).M
         assert abs(eight_point - coarse) <= 1e-2 * abs(coarse - fine)
 
     @pytest.mark.parametrize("d, a", [(3, -0.5), (5, 0.5)])
@@ -454,7 +461,9 @@ class TestSolveM:
         params = HardyParams(d, 1, 2.0, a, 0.0)
         cone = ConeSpec.complement_sigma0()
         for mesh_size, most in ((2048, 4), (8192, 2)):
-            result = spherical._p1_eigensolve(params, bc_for_cone(params, cone), mesh_size)
+            result = spherical._p1_eigensolve(
+                spherical._SphericalProblem.of(params, bc_for_cone(params, cone)), mesh_size
+            )
             S, M, _ = assemble_p2(params, bc_for_cone(params, cone), mesh_size)
             ones_steps = spherical._inverse_iteration(S, M)[2]
             assert 1 <= result.iterations <= most
@@ -468,15 +477,15 @@ class TestSolveM:
     ])
     def test_start_vector_does_not_change_eigenvalue(self, cell, cone):
         params = HardyParams(*cell)
-        domain = bc_for_cone(params, cone)
-        disc = spherical._Discretization.graded(params, domain, 2048)
+        problem = spherical._SphericalProblem.of(params, bc_for_cone(params, cone))
+        disc = spherical._Discretization.graded(problem, 2048)
         S, M = disc.p2_matrices()
-        start = spherical._cosine_profile(params, domain, disc.mesh)[disc.free]
+        start = spherical._cosine_profile(problem, disc.mesh)[disc.free]
         lam_ones, _ = smallest_eigenpair(S, M)
         lam_start, v = smallest_eigenpair(S, M, start=start)
         assert lam_start == pytest.approx(lam_ones, rel=1e-9)
         assert matvec(M, v).sum() > 0
-        assert spherical._p1_eigensolve(params, domain, 2048).lam == lam_start
+        assert spherical._p1_eigensolve(problem, 2048).lam == lam_start
 
     def test_random_admissible_configurations_solve(self):
         # robustness sweep: every admissible draw solves and respects the
@@ -539,7 +548,7 @@ class TestMinimizeRayleighP:
         params = HardyParams(3, 1, 2.0, 0.0, 0.0)
         cone = ConeSpec.complement_sigma0()
         dom = bc_for_cone(params, cone)
-        eig = spherical._p1_eigensolve(params, dom, 128)
+        eig = spherical._p1_eigensolve(spherical._SphericalProblem.of(params, dom), 128)
         mesh = graded_mesh(0.0, HALF_PI, 16, 1.0)
         init = DiscretizedFunction(mesh, 1.0 + 0.5 * np.cos(3 * mesh) ** 2)
         desc = minimize_rayleigh_p(params, dom, 128, init=init, tol=1e-12, grad_tol=1e-8)
@@ -582,7 +591,8 @@ class TestMinimizeRayleighP:
         # difference of grad E - Q grad D at fixed Q; x = v * r keeps the
         # profile positive, so |phi|^p stays smooth along the difference
         params = HardyParams(3, 1, p, 0.3, 0.0)
-        disc = spherical._Discretization.graded(params, AngularDomain(0.0, HALF_PI, NATURAL, bc2), 64)
+        problem = spherical._SphericalProblem.of(params, AngularDomain(0.0, HALF_PI, NATURAL, bc2))
+        disc = spherical._Discretization.graded(problem, 64)
         mesh = disc.mesh
         v = disc.normalize(np.cos(mesh) * (1.0 + 0.3 * np.sin(3.0 * mesh)) + (0.2 if bc2 is NATURAL else 0.0))
         q = disc.value(v)
@@ -619,6 +629,46 @@ class TestMinimizeRayleighP:
         result = solve_M(params, ConeSpec.complement_sigma0(), 256)
         assert result.iterations <= 20
         assert result.M == pytest.approx(0.0720, rel=1e-3)
+
+    def test_boundary_layer_start_on_band_to_pi_half(self, monkeypatch):
+        # 2 <= k+a < p with a Dirichlet end at pi/2: the start cos^s theta with
+        # s = (p - (k+a)) / (p - 1) = 0.25; a start without the boundary layer
+        # rejects every Newton step and runs out of descent steps
+        monkeypatch.setattr(spherical, "MAX_DESCENT_ITER", 500)
+        result = solve_M(HardyParams(3, 2, 3.0, 0.5, 0.0), ConeSpec.band(0.3, HALF_PI), 256)
+        assert result.iterations <= 20
+        assert result.M == pytest.approx(7.529636, rel=1e-6)
+
+    def test_stuck_line_search_raises(self):
+        # p = 6, k+a = 4.5: the descent stalls with a step decrement ~1e18,
+        # which must not be reported as a converged quotient
+        with pytest.raises(ConvergenceError) as info:
+            solve_M(HardyParams(3, 1, 6.0, 3.5, 0.0), ConeSpec.complement_sigma0(), 1024)
+        assert info.value.residual > 1.0
+
+    @pytest.mark.parametrize("cell, cone", [
+        ((3, 1, 1.5, 0.3, 0.0), ConeSpec.complement_sigma0()),
+        ((3, 2, 3.0, 0.5, 0.0), ConeSpec.complement_sigma0()),
+        ((3, 2, 3.0, 0.5, 0.0), ConeSpec.band(0.3, HALF_PI)),
+        ((3, 1, 2.0, 0.9, 0.0), ConeSpec.complement_sigma0()),
+    ])
+    def test_one_boundary_layer_exponent(self, cell, cone):
+        # the start profile, the mesh grading and the factored basis all use
+        # the problem's s = (p - (k+a)) / (p - 1) at a Dirichlet end pi/2
+        params = HardyParams(*cell)
+        domain = bc_for_cone(params, cone)
+        assert domain.bc2 is DIRICHLET and domain.theta2 == HALF_PI
+        problem = spherical._SphericalProblem.of(params, domain)
+        s = (params.p - (params.k + params.a)) / (params.p - 1.0)
+        assert problem.s == s
+        mesh = spherical._solve_mesh(problem, 256)
+        sines = np.sin(mesh - domain.theta1) if domain.bc1 is DIRICHLET else 1.0
+        assert np.array_equal(spherical._cosine_profile(problem, mesh), np.cos(mesh) ** s * sines)
+        assert spherical._auto_gamma(problem, 256) == min(max(2.0, 2.4 / s), spherical.grading_cap(256))
+        if params.p == 2 and domain.theta1 == 0.0:
+            basis = spherical._FactoredDiscretization(problem, 4).basis
+            t, _ = spherical._gauss_jacobi(4, (params.d - params.k - 2) / 2, (params.k + params.a - 2) / 2 + s - 1.0)
+            assert np.array_equal(basis[:, 0], np.sqrt((1.0 + t) / 2) ** s)
 
 
 P2_GRID = dict(d=range(3, 7), k=(1, 2, 3), a=(-1.2, -0.5, 0.0, 0.5, 0.8, 0.9, 0.95, 0.99, 1.0, 1.5, 2.5),
@@ -663,9 +713,8 @@ class TestFactoredEigensolve:
     ])
     def test_self_convergence_n_to_2n(self, cell, cone):
         params = HardyParams(*cell)
-        domain = bc_for_cone(params, cone)
-        s = 2.0 - (params.k + params.a) if domain.bc2 is DIRICHLET else 0.0
-        lams = [spherical._dense_ground_state(*spherical._FactoredDiscretization(params, s, n).p2_matrices())[0]
+        problem = spherical._SphericalProblem.of(params, bc_for_cone(params, cone))
+        lams = [spherical._dense_ground_state(*spherical._FactoredDiscretization(problem, n).p2_matrices())[0]
                 for n in (4, 8, 16, 32)]
         for coarse, fine in zip(lams, lams[1:]):
             assert abs(fine - coarse) <= 1e-12 * max(abs(fine), 1.0)
@@ -681,9 +730,12 @@ class TestFactoredEigensolve:
         # N points integrate the stiffness and mass of N basis functions
         # exactly: more points give the same matrices to rounding
         params = HardyParams(*cell)
-        exact = spherical._FactoredDiscretization(params, s, 8)
+        domain = AngularDomain(0.0, HALF_PI, NATURAL, DIRICHLET if s > 0 else NATURAL)
+        problem = spherical._SphericalProblem.of(params, domain)
+        assert problem.s == pytest.approx(s, abs=1e-15)
+        exact = spherical._FactoredDiscretization(problem, 8)
         S, M = exact.p2_matrices()
-        more = spherical._FactoredDiscretization(params, s, 24)
+        more = spherical._FactoredDiscretization(problem, 24)
         S24, M24 = more.p2_matrices()
         assert np.allclose(S, S24[:8, :8], rtol=1e-12, atol=1e-13 * np.abs(S).max())
         assert np.allclose(M, M24[:8, :8], rtol=1e-12, atol=1e-13 * np.abs(M).max())
@@ -694,12 +746,12 @@ class TestFactoredEigensolve:
         domain = bc_for_cone(params, cone)
         Phi = solve_M(params, cone, 2048).minimizer
         assert isinstance(Phi, DiscretizedFunction)
-        assert np.array_equal(Phi.mesh, spherical._solve_mesh(params, domain, 2048))
+        assert np.array_equal(Phi.mesh, spherical._solve_mesh(spherical._SphericalProblem.of(params, domain), 2048))
         assert Phi.values[-1] == 0.0 and Phi.values[:-1].min() > 0.0  # Dirichlet at pi/2
         # the ground state is cos^s theta with s = 2 - (k+a) = 0.1, at unit weighted 2-norm
         ratio = Phi.values[:-1] / np.sin(HALF_PI - Phi.mesh[:-1]) ** 0.1  # cos, cancellation-free
         assert np.allclose(ratio, ratio[0], rtol=1e-12)
-        disc = spherical._FactoredDiscretization(params, Phi.s, Phi.coefficients.size)
+        disc = spherical._FactoredDiscretization(Phi.problem, Phi.coefficients.size)
         assert disc.mass(disc.fields(Phi.coefficients)[0]) == pytest.approx(1.0, rel=1e-13)
 
     def test_bands_and_p_not_2_stay_on_p1(self):
@@ -707,7 +759,7 @@ class TestFactoredEigensolve:
         band = solve_M(params, ConeSpec.band(0.3, HALF_PI), 256)
         domain = bc_for_cone(params, ConeSpec.band(0.3, HALF_PI))
         assert type(band.minimizer) is DiscretizedFunction
-        assert band.M == spherical._p1_eigensolve(params, domain, 256).M
+        assert band.M == spherical._p1_eigensolve(spherical._SphericalProblem.of(params, domain), 256).M
         descent = solve_M(HardyParams(3, 1, 1.5, 0.3, 0.0), ConeSpec.complement_sigma0(), 256)
         assert type(descent.minimizer) is DiscretizedFunction and descent.lam is None
 

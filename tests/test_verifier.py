@@ -14,6 +14,7 @@ from hardycone.spherical import (
     DiscretizedFunction,
     _Discretization,
     _FactoredDiscretization,
+    _SphericalProblem,
     bc_for_cone,
     graded_mesh,
     solve_M,
@@ -91,14 +92,16 @@ class TestUdeltaQuotient:
         # the factored spectral basis on [0, pi/2]
         result = solve_M(params, cone, 256)
         domain = bc_for_cone(params, cone)
-        disc = _Discretization.graded(params, domain, 256)
+        problem = _SphericalProblem.of(params, domain)
+        disc = _Discretization.graded(problem, 256)
         assert np.array_equal(disc.mesh, result.minimizer.mesh)
         if cone.kind is ConeKind.BAND:
             q = disc.value(result.minimizer.values)
         else:
             Phi = result.minimizer
-            assert Phi.s == (2.0 - (params.k + params.a) if domain.bc2 is DIRICHLET else 0.0)
-            q = _FactoredDiscretization(params, Phi.s, Phi.coefficients.size).value(Phi.coefficients)
+            assert Phi.problem == problem
+            assert Phi.problem.s == (2.0 - (params.k + params.a) if domain.bc2 is DIRICHLET else 0.0)
+            q = _FactoredDiscretization(Phi.problem, Phi.coefficients.size).value(Phi.coefficients)
         for delta in (0.2, 0.1, 0.05):
             ev = evaluate_quotient_udelta(params, result.minimizer, delta, cone=cone)
             assert ev.quotient - q == pytest.approx(delta**2, rel=1e-11)
