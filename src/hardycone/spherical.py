@@ -9,29 +9,31 @@ w(theta) = cos^(k+a-1) sin^(d-k-1).  For p = 2 this is the eigenvalue problem
 
     -(w phi')' = lambda w phi,      M = lambda_1 + H^2.
 
-On the cross-section [0, pi/2] (the full and punctured space, the
-complement of {y = 0} and the half space) it is solved spectrally: phi =
-cos^s theta * g(t), t = cos 2 theta, with g a Legendre series and s the
-boundary-layer exponent 2 - (k+a) at a Dirichlet end pi/2 (0 at a natural
-one).  In t the weight w dtheta is a Jacobi weight, and one Gauss-Jacobi
-rule whose exponents absorb the endpoint powers integrates the stiffness
-and mass of the basis exactly; the dense generalized eigenproblem is
-solved at N = 4, 8, ... basis functions until consecutive eigenvalues
-agree (Guo, Shen and Wang, Appl. Numer. Math. 59 (2009); Shen, Tang and
-Wang, Spectral Methods (2011), ch. 3).  The factored profile is then
-sampled on the graded mesh of the requested size.
+At p = 2 it is solved spectrally on every cross-section [theta1, theta2]:
+phi = cos^s theta * l(x) * g(x), with x the affine image of t = cos 2 theta
+on [-1, 1], g a Legendre series, l vanishing at an interior Dirichlet end,
+and s the boundary-layer exponent 2 - (k+a) at a Dirichlet end pi/2 (0
+otherwise).  In x the weight w dtheta is a Jacobi weight at an end that
+reaches a pole and smooth at an interior one; a Gauss-Jacobi rule whose
+exponents absorb the pole powers integrates the stiffness and mass of the
+basis, exactly on [0, pi/2].  The dense generalized eigenproblem is solved
+at N = 4, 8, ... basis functions until consecutive eigenvalues agree (Guo,
+Shen and Wang, Appl. Numer. Math. 59 (2009); Shen, Tang and Wang, Spectral
+Methods (2011), ch. 3).  The factored profile is then sampled on the graded
+mesh of the requested size.
 
-On bands, and for every p != 2, the profile is discretized with
-piecewise-linear finite elements on a mesh graded toward the singular end
-theta = pi/2: at p = 2 the eigenproblem is solved by inverse iteration;
-for general p the discrete quotient is minimized directly by Newton steps
-on the surface {int w |phi|^p = const}.  With P1 elements the Hessians of
-the two integrals are tridiagonal, so each step is one tridiagonal solve
-with two right-hand sides; where that step is singular or not a descent
-direction, a gradient step in the weighted-H1 metric (the p = 2 matrices)
-is taken instead.  The descent starts from cos^s theta; a stuck one raises
-ConvergenceError.  For p != 2 the residual is the relative step decrement
-sqrt(grad Q . d) / Q of the last step.
+Where that check fails (bands with an interior end near a pole), and for
+every p != 2, the profile is discretized with piecewise-linear finite
+elements on a mesh graded toward the singular end theta = pi/2, and the
+discrete quotient is minimized directly by Newton steps on the surface
+{int w |phi|^p = const}.  With P1 elements the Hessians of the two
+integrals are tridiagonal, so each step is one tridiagonal solve with two
+right-hand sides; where that step is singular or not a descent direction,
+a gradient step in the weighted-H1 metric (the p = 2 matrices) is taken
+instead.  The descent starts from cos^s theta; a stuck one raises
+ConvergenceError.  Its residual is the relative step decrement
+sqrt(grad Q . d) / Q of the last step.  At p = 2, assemble_p2 and
+smallest_eigenpair (inverse iteration) give the P1 reference value.
 
 The private solvers take the cell's 1-D problem as one _SphericalProblem,
 whose s is the one boundary-layer exponent at pi/2.  Its graded mesh comes
@@ -157,7 +159,7 @@ class DiscretizedFunction:
 
 
 class _FactoredFunction(DiscretizedFunction):
-    """cos^s theta * sum_j c_j P_j(cos 2 theta), sampled at the nodes of mesh.
+    """A factored profile (see _FactoredDiscretization), sampled at the nodes of mesh.
 
     The samples serve interpolation and plotting; the certifier integrates
     the factored form itself, from its problem (which fixes s) and the
@@ -177,12 +179,11 @@ class SpectralResult:
     """Computed spherical minimum M, eigenvalue (p = 2), and minimizer.
 
     iterations and residual describe the solve.  After a spectral solve
-    (p = 2 on [0, pi/2]) they are the number of dense eigensolves and the
-    difference of the last two eigenvalues (basis size N against N/2);
-    after a P1 eigensolve (p = 2 on a band), the shifted solves of the
-    inverse iteration and ||S v - lam M v||; after a descent
-    (minimize_rayleigh_p), the descent steps and the relative step
-    decrement sqrt(grad Q . d) / Q of the last step.
+    (p = 2) they are the number of dense eigensolves and the difference of
+    the last two eigenvalues (basis size N against N/2); after a descent
+    (minimize_rayleigh_p: p != 2, or p = 2 where the spectral solve fell
+    back), the descent steps and the relative step decrement
+    sqrt(grad Q . d) / Q of the last step.
     """
 
     M: float
@@ -230,10 +231,10 @@ def graded_mesh(theta1: float, theta2: float, n: int, gamma: float = 2.0) -> np.
     if theta2 == HALF_PI:
         gamma = min(gamma, grading_cap(n))
         mesh = HALF_PI - (HALF_PI - theta1) * (1.0 - j) ** gamma
-        mesh[0] = theta1
-        mesh[-1] = HALF_PI
-        return mesh
-    return theta1 + (theta2 - theta1) * j
+    else:
+        mesh = theta1 + (theta2 - theta1) * j
+    mesh[0], mesh[-1] = theta1, theta2  # the ends exactly, where a Dirichlet sample is 0
+    return mesh
 
 
 def _auto_gamma(problem: _SphericalProblem, n: int) -> float:
@@ -356,7 +357,7 @@ def smallest_eigenpair(
     max_iter: int = 2000,
     start: np.ndarray | None = None,
 ) -> tuple[float, np.ndarray]:
-    """Smallest generalized eigenvalue of (stiffness, mass) and its eigenvector.
+    """Smallest generalized eigenvalue of (stiffness, mass) and its eigenvector: the P1 reference.
 
     Both matrices are symmetric tridiagonal, given as (diag, off) pairs of
     numpy arrays of lengths n and n - 1, with mass positive definite.
@@ -369,18 +370,6 @@ def smallest_eigenpair(
     ||v||_M = 1, with a floor at the rounding level of the matrix-vector
     products; v comes back M-normalized with nonnegative weighted mean.
     """
-    lam, v, _, _ = _inverse_iteration(stiffness, mass, tol, max_iter, start)
-    return lam, v
-
-
-def _inverse_iteration(
-    stiffness: Tridiagonal,
-    mass: Tridiagonal,
-    tol: float = 1e-10,
-    max_iter: int = 2000,
-    start: np.ndarray | None = None,
-) -> tuple[float, np.ndarray, int, float]:
-    """smallest_eigenpair's iteration: (lambda, v, shifted solves taken, final residual)."""
     S = tuple(np.asarray(a, dtype=float) for a in stiffness)
     M = tuple(np.asarray(a, dtype=float) for a in mass)
     (s_diag, s_off), (m_diag, m_off) = S, M
@@ -400,7 +389,7 @@ def _inverse_iteration(
     residual = math.inf
     history: list[float] = []
     reshifts = 0
-    for steps in range(1, max_iter + 1):
+    for _ in range(max_iter):
         v = solve_shifted(mv)
         mv = _matvec(M, v)
         scale = math.sqrt((v * mv).sum())
@@ -436,7 +425,7 @@ def _inverse_iteration(
         )
     if mv.sum() < 0:
         v = -v
-    return lam, v, steps, residual
+    return lam, v
 
 
 class _RuleSums:
@@ -495,36 +484,55 @@ def _legendre_series(c: np.ndarray, t: np.ndarray) -> np.ndarray:
 
 
 class _FactoredDiscretization(_RuleSums):
-    """phi = cos^s theta * sum_j c_j P_j(t), t = cos 2 theta, j < size, on [0, pi/2].
+    """phi = cos^s theta * l(x) * sum_j c_j P_j(x), j < size, on the cross-section [theta1, theta2].
 
-    In t, w dtheta = ((1+t)/2)^B ((1-t)/2)^A dt / 4 with A = (d-k-2)/2 and
-    B = (k+a-2)/2, phi^2 = ((1+t)/2)^s g^2 and
-
-        phi' = -sin theta cos^(s-1) theta (s g + 2 (1+t) g').
-
-    The rule is Gauss-Jacobi in t with exponent A at t = 1 and, at t = -1,
-    B + s - 1 = -(k+a)/2 when s = 2 - (k+a) > 0 and B when s = 0.  Against
-    that weight the mass integrand is (1+t) g^2 (s > 0) or g^2, and the
-    stiffness integrand (1-t) (s g + 2 (1+t) g')^2 (s > 0) or (1-t)(1+t) g'^2
-    up to constants: polynomials of degree at most 2 size - 1, which the
-    size-point rule integrates exactly.  w holds the rule's weights with the
-    angular weight's remaining power of (1+t) folded in, so sums over the
-    nodes are integrals in theta, as in the P1 discretization.  The nodes are
-    interior to (-1, 1), so cos theta > 0 there even when s = 0.
+    x maps t = cos 2 theta affinely from [cos 2 theta2, cos 2 theta1] onto
+    [-1, 1], t = cos 2 theta2 + (1 + x) h; l(x) has a factor 1 + x at a
+    Dirichlet theta2 < pi/2 and 1 - x at a Dirichlet theta1 > 0.  With
+    A = (d-k-2)/2 and B = (k+a-2)/2, w dtheta = ((1+t)/2)^B ((1-t)/2)^A h dx / 4
+    and phi' = -sin theta cos^(s-1) theta (s l g + 2 (1+t) (l g)' / h).
+    1 + t = lo + (1 + x) h and 1 - t = hi + (1 - x) h, where lo = 2 cos^2
+    theta2 and hi = 2 sin^2 theta1 are exactly 0 at a pole: neither cancels.
+    The rule is Gauss-Jacobi in x, with exponent A at x = 1 where theta1 = 0
+    and, where theta2 = pi/2, B + s - 1 = -(k+a)/2 at x = -1 if s = 2 - (k+a)
+    > 0, else B; an interior end gets exponent 0.  w holds the rule's weights
+    with the rest of the angular weight and h folded in, so sums over the
+    nodes are integrals in theta, as in the P1 discretization.  On [0, pi/2]
+    (h = 1, l = 1) the mass and stiffness integrands are polynomials of
+    degree at most 2 size - 1 against the rule's weight, which size points
+    integrate exactly.  An interior end leaves a smooth but not polynomial
+    weight, and the rule has 2 size points (with size points an
+    interior-Dirichlet mass matrix can be singular).  The nodes are interior
+    to (-1, 1), so cos theta > 0 there even when s = 0.
     """
 
     def __init__(self, problem: _SphericalProblem, size: int):
-        s = problem.s
-        alpha = (problem.dk - 2) / 2
+        domain, s = problem.domain, problem.s
+        self.theta1, self.theta2, self.s = domain.theta1, domain.theta2, s
+        self.lo = 0.0 if domain.theta2 == HALF_PI else 2.0 * math.cos(domain.theta2) ** 2
+        self.hi = 2.0 * math.sin(domain.theta1) ** 2
+        self.h = h = math.sin(domain.theta2 + domain.theta1) * math.sin(domain.theta2 - domain.theta1)
+        # exponents of 1 + x and 1 - x in l
+        self.ends = (int(self.lo > 0.0 and domain.bc2 is DIRICHLET),
+                     int(self.hi > 0.0 and domain.bc1 is DIRICHLET))
+        alpha_w = (problem.dk - 2) / 2
         beta_w = (problem.ka - 2) / 2
-        beta = beta_w + s - 1.0 if s > 0 else beta_w
-        t, wt = _gauss_jacobi(size, alpha, beta)
-        self.w = wt * (2.0 ** -(alpha + beta_w) / 4) * (1.0 + t) ** (beta_w - beta)
-        cos = np.sqrt((1.0 + t) / 2)
-        sin = np.sqrt((1.0 - t) / 2)
-        P, dP = _legendre(t, size)
-        self.basis = cos[:, None] ** s * P
-        self.dbasis = -(sin * cos ** (s - 1.0))[:, None] * (s * P + 2.0 * (1.0 + t)[:, None] * dP)
+        alpha = 0.0 if self.hi else alpha_w
+        beta = 0.0 if self.lo else (beta_w + s - 1.0 if s > 0 else beta_w)
+        x, wx = _gauss_jacobi(2 * size if self.lo or self.hi else size, alpha, beta)
+        one_plus_t = self.lo + (1.0 + x) * h
+        one_minus_t = self.hi + (1.0 - x) * h
+        self.w = (wx * (2.0 ** -(alpha_w + beta_w) / 4 * h ** (1.0 + alpha + beta))
+                  * one_plus_t ** (beta_w - beta) * one_minus_t ** (alpha_w - alpha))
+        cos = np.sqrt(one_plus_t / 2)
+        sin = np.sqrt(one_minus_t / 2)
+        e2, e1 = self.ends
+        ell = ((1.0 + x) ** e2 * (1.0 - x) ** e1)[:, None]
+        dell = (e2 * (1.0 - x) ** e1 - e1 * (1.0 + x) ** e2)[:, None]
+        P, dP = _legendre(x, size)
+        self.basis = cos[:, None] ** s * (ell * P)
+        self.dbasis = -(sin * cos ** (s - 1.0))[:, None] * (
+            s * (ell * P) + 2.0 * (one_plus_t / h)[:, None] * (dell * P + ell * dP))
         self.p = problem.p
         self.H2 = problem.H2
 
@@ -539,14 +547,25 @@ class _FactoredDiscretization(_RuleSums):
         return (np.einsum("qi,qj->ij", w * self.dbasis, self.dbasis),
                 np.einsum("qi,qj->ij", w * self.basis, self.basis))
 
+    def sample(self, c: np.ndarray, theta: np.ndarray) -> np.ndarray:
+        """phi at the angles theta for the coefficients c, exactly 0 at a Dirichlet end."""
+        cos_s = np.sin(HALF_PI - theta) ** self.s  # 0 at pi/2 when s > 0
+        if not (self.lo or self.hi):
+            return cos_s * _legendre_series(c, np.cos(2.0 * theta))
+        # 1 + x and 1 - x as products of sines, which vanish at theta2 and theta1
+        plus = 2.0 * np.sin(self.theta2 - theta) * np.sin(self.theta2 + theta) / self.h
+        minus = 2.0 * np.sin(theta - self.theta1) * np.sin(theta + self.theta1) / self.h
+        e2, e1 = self.ends
+        return cos_s * plus**e2 * minus**e1 * _legendre_series(c, 0.5 * (plus - minus))
+
 
 def _dense_ground_state(stiffness: np.ndarray, mass: np.ndarray) -> tuple[float, np.ndarray]:
     """Smallest eigenvalue of the dense pencil (stiffness, mass) and its eigenvector.
 
     Cholesky M = L L^T turns the pencil into the symmetric L^-1 S L^-T,
     whose eigenpairs eigh returns.  The eigenvector c has c^T M c = 1 and
-    its first entry of M c (the profile's weighted mean against cos^s) is
-    positive.
+    its first entry of M c (the profile's weighted mean against the first,
+    positive, basis function) is positive.
     """
     L_inv = np.linalg.inv(np.linalg.cholesky(mass))
     # products by einsum: fixed-order sums, no BLAS call
@@ -719,7 +738,7 @@ class _Discretization(_RuleSums):
 def assemble_p2(
     params: HardyParams, domain: AngularDomain, mesh_size: int
 ) -> tuple[Tridiagonal, Tridiagonal, np.ndarray]:
-    """P1 finite-element matrices of the weighted eigenproblem.
+    """P1 finite-element matrices of the weighted eigenproblem: the P1 reference's input.
 
     Returns (stiffness, mass, mesh) with stiffness[i,j] = int w phi_i' phi_j',
     mass[i,j] = int w phi_i phi_j on the graded mesh of mesh_size elements,
@@ -835,7 +854,7 @@ def minimize_rayleigh_p(
 
 
 def _factored_eigensolve(problem: _SphericalProblem, mesh_size: int) -> SpectralResult:
-    """The p = 2 solve on [0, pi/2] in the factored spectral basis (see _FactoredDiscretization).
+    """The p = 2 solve in the factored spectral basis (see _FactoredDiscretization).
 
     Dense solves at N = 4, 8, ... basis functions stop once two consecutive
     eigenvalues agree to FACTORED_TOL relative (absolute below |lambda| = 1,
@@ -847,7 +866,8 @@ def _factored_eigensolve(problem: _SphericalProblem, mesh_size: int) -> Spectral
     mesh = _solve_mesh(problem, mesh_size)
     previous, residual, size, solves = None, math.inf, 4, 0
     while size <= FACTORED_MAX_SIZE:
-        lam, c = _dense_ground_state(*_FactoredDiscretization(problem, size).p2_matrices())
+        disc = _FactoredDiscretization(problem, size)
+        lam, c = _dense_ground_state(*disc.p2_matrices())
         solves += 1
         if previous is not None:
             residual = abs(lam - previous)
@@ -859,37 +879,11 @@ def _factored_eigensolve(problem: _SphericalProblem, mesh_size: int) -> Spectral
             f"spectral eigenvalues did not agree to {FACTORED_TOL:g} by N = {FACTORED_MAX_SIZE}",
             residual=residual,
         )
-    values = np.sin(HALF_PI - mesh) ** problem.s * _legendre_series(c, np.cos(2.0 * mesh))  # 0 at pi/2
     return SpectralResult(
         M=lam + problem.H2,
         lam=lam,
-        minimizer=_FactoredFunction(mesh, values, problem, c),
+        minimizer=_FactoredFunction(mesh, disc.sample(c, mesh), problem, c),
         iterations=solves,
-        residual=residual,
-    )
-
-
-def _p1_eigensolve(problem: _SphericalProblem, mesh_size: int) -> SpectralResult:
-    """The p = 2 solve with P1 elements on the graded mesh of mesh_size elements.
-
-    The inverse iteration starts from the cosine profile, which is positive
-    at the free nodes; iterations counts its shifted solves.
-    """
-    disc = _Discretization.graded(problem, mesh_size)
-    stiffness, mass = disc.p2_matrices()
-    mesh, free = disc.mesh, disc.free
-    del disc  # the eigensolve needs only the matrices: release the per-node arrays
-    lam, vec, steps, residual = _inverse_iteration(
-        stiffness, mass, start=_cosine_profile(problem, mesh)[free]
-    )
-    # vec has unit M-norm, which is the unit weighted 2-norm of the P1 profile
-    values = np.zeros(mesh.size)
-    values[free] = np.abs(vec)
-    return SpectralResult(
-        M=lam + problem.H2,
-        lam=lam,
-        minimizer=DiscretizedFunction(mesh, values),
-        iterations=steps,
         residual=residual,
     )
 
@@ -899,18 +893,19 @@ def solve_M(
     cone: ConeSpec,
     mesh_size: int = 512,
 ) -> SpectralResult:
-    """Spherical minimum M of the cone: eigensolve for p = 2, descent otherwise.
+    """Spherical minimum M of the cone: factored eigensolve for p = 2, P1 descent otherwise.
 
-    At p = 2 on the cross-section [0, pi/2] (full, punctured, complement
-    and half space) the eigenproblem is solved in the factored spectral
-    basis, and mesh_size only sets the mesh the minimizer is sampled on.
-    On bands, and for every p != 2, the solve discretizes once with P1
-    elements on a mesh of mesh_size elements graded toward pi/2.
+    At p = 2 the eigenproblem is solved in the factored spectral basis on
+    every cross-section, and mesh_size only sets the mesh the minimizer is
+    sampled on.  Where that solve fails its N -> 2N check by N =
+    FACTORED_MAX_SIZE (bands with an interior end near a pole), and for
+    every p != 2, the quotient is minimized with P1 elements on a mesh of
+    mesh_size elements graded toward pi/2.
     """
     domain = bc_for_cone(params, cone)
-    if params.p != 2:
-        return minimize_rayleigh_p(params, domain, mesh_size)
-    problem = _SphericalProblem.of(params, domain)
-    if (domain.theta1, domain.theta2) == (0.0, HALF_PI):
-        return _factored_eigensolve(problem, mesh_size)
-    return _p1_eigensolve(problem, mesh_size)
+    if params.p == 2:
+        try:
+            return _factored_eigensolve(_SphericalProblem.of(params, domain), mesh_size)
+        except ConvergenceError:
+            pass
+    return minimize_rayleigh_p(params, domain, mesh_size)

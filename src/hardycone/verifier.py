@@ -8,12 +8,12 @@ has quotient >= m, and the separated family
 has quotient M + O(delta^2) with denominator blowing up like 1/delta, which
 exhibits both sharpness and non-attainment.  Its radial integrals are pure
 powers, evaluated in closed form, and its angular integrals use the solver's
-own discretization of Phi: for a factored spectral minimizer (p = 2 on
-[0, pi/2]) the Gauss-Jacobi rule in t = cos 2 theta that integrates the
-factored profile exactly, otherwise the P1 discretization (the same
-quadrature nodes, weights and shape values).  So at p = 2 the u_delta
-quotient is the Rayleigh quotient of the test function the solver returned
-+ delta^2, and on [0, pi/2] that test function is the admissible factored
+own discretization of Phi: for a factored spectral minimizer (p = 2, unless
+the solve fell back to P1) its basis and Gauss-Jacobi rule, exact on
+[0, pi/2], otherwise the P1 discretization (the same quadrature nodes,
+weights and shape values).  So at p = 2 the u_delta quotient is the
+Rayleigh quotient of the test function the solver returned + delta^2, and
+after a spectral solve that test function is the admissible factored
 profile itself, not an interpolant of it.  In the superdegenerate regime
 k+a >= p, cutoff_decay measures the energy a log cutoff near {y = 0} costs,
 by tensor-product quadrature in (log r, -log|y|); _cutoff_log_decay gives
@@ -99,7 +99,7 @@ class RayleighEvaluation:
 def _discretization(params: HardyParams, Phi: DiscretizedFunction) -> tuple[_RuleSums, np.ndarray]:
     """The solver's discretization of Phi and Phi's coefficients in it.
 
-    A factored spectral profile gets its own basis and exact rule, with its
+    A factored spectral profile gets its own basis and rule, with its
     Legendre coefficients; any other profile the P1 discretization on its
     mesh (all nodes free), with its nodal values.
     """

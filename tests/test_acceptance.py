@@ -23,8 +23,6 @@ from hardycone.spherical import (
     NATURAL,
     AngularDomain,
     DiscretizedFunction,
-    _p1_eigensolve,
-    _SphericalProblem,
     assemble_p2,
     bc_for_cone,
     minimize_rayleigh_p,
@@ -39,16 +37,6 @@ from hardycone.verifier import (
 )
 
 HALF_PI = math.pi / 2
-
-# every spectral solve performed by the suite lands here; criterion 5 checks
-# the lower-bound invariant across all of them
-SOLVED: list[tuple[str, HardyParams, object]] = []
-
-
-def record(label, params, result):
-    SOLVED.append((label, params, result))
-    return result
-
 
 def sigma0_reference(params: HardyParams) -> float:
     H = hardy_exponent(params).H
@@ -165,7 +153,7 @@ def test_criterion_02_eigen_vs_closed_form():
         params = HardyParams(d, 1, 2.0, a, b)
         reference = sigma0_reference(params)
         for mesh, tol in ((512, 1e-4), (2048, 1e-5)):
-            result = record(f"c2 d={d} a={a} mesh={mesh}", params, solve_M(params, cone, mesh))
+            result = solve_M(params, cone, mesh)
             rel = abs(result.M - reference) / reference
             worst[mesh] = max(worst[mesh], rel)
             assert rel <= tol, (d, a, b, mesh, rel)
@@ -175,7 +163,7 @@ def test_criterion_02_eigen_vs_closed_form():
     for d, k, a, b in K2_CONFIGS:
         params = HardyParams(d, k, 2.0, a, b)
         reference = sigma0_reference(params)
-        result = record(f"c2 k={k}", params, solve_M(params, cone, 512))
+        result = solve_M(params, cone, 512)
         rel = abs(result.M - reference) / reference
         report(
             f"  [report] k={k} d={d} a={a}: numeric M = {result.M:.8f}, "
@@ -193,7 +181,7 @@ def test_criterion_03_hemisphere_sanity():
     worst = 0.0
     for d in (3, 4, 5):
         params = HardyParams(d, 1, 2.0, 0.0, 0.0)
-        result = record(f"c3 d={d}", params, solve_M(params, ConeSpec.half_space(), 1024))
+        result = solve_M(params, ConeSpec.half_space(), 1024)
         rel = abs(result.lam - (d - 1)) / (d - 1)
         worst = max(worst, rel)
         assert rel <= 1e-5, (d, rel)
@@ -226,7 +214,7 @@ def test_criterion_06_udelta_sharpness():
         (HardyParams(4, 1, 2.0, 0.3, 0.5), sigma0_reference(HardyParams(4, 1, 2.0, 0.3, 0.5))),
     ):
         cone = ConeSpec.complement_sigma0()
-        result = record("c6", params, solve_M(params, cone, 512))
+        result = solve_M(params, cone, 512)
         quotients = []
         products = []
         for delta in deltas:
@@ -252,7 +240,7 @@ def test_criterion_07_non_attainment():
     params = HardyParams(3, 1, 2.0, 0.0, 0.0)
     cone = ConeSpec.complement_sigma0()
     reference = 2.25
-    result = record("c7", params, solve_M(params, cone, 512))
+    result = solve_M(params, cone, 512)
     deltas = (0.2, 0.1, 0.05)
     dens = []
     for delta in deltas:
@@ -352,17 +340,12 @@ def test_criterion_10_p_cross_validation():
     """Quotient descent vs the P1 eigen path at p=2; constants at p in {1.5, 3}."""
     worst = 0.0
     for params, cone in P2_CROSS_CONFIGS:
-        # both legs on the same P1 discretization (solve_M is spectral on [0, pi/2])
+        # both legs on the same P1 discretization (solve_M is spectral at p = 2)
         domain = bc_for_cone(params, cone)
-        eig = record("c10 eig", params, _p1_eigensolve(_SphericalProblem.of(params, domain), 160))
-        desc = record(
-            "c10 descent",
-            params,
-            minimize_rayleigh_p(
-                params, domain, 160, init=generic_init(domain), tol=1e-13, grad_tol=1e-9
-            ),
-        )
-        rel = abs(desc.M - eig.M) / eig.M
+        lam, _ = smallest_eigenpair(*assemble_p2(params, domain, 160)[:2])
+        eig_M = lam + hardy_exponent(params).H ** 2
+        desc = minimize_rayleigh_p(params, domain, 160, init=generic_init(domain), tol=1e-13, grad_tol=1e-9)
+        rel = abs(desc.M - eig_M) / eig_M
         worst = max(worst, rel)
         assert rel <= 1e-6, (params, cone.describe(), rel)
 
@@ -370,11 +353,7 @@ def test_criterion_10_p_cross_validation():
         domain = bc_for_cone(params, cone)
         assert domain.bc1 is NATURAL and domain.bc2 is NATURAL
         habs = hardy_exponent(params).H_abs_p
-        result = record(
-            "c10 natural",
-            params,
-            minimize_rayleigh_p(params, domain, 160, init=generic_init(domain), tol=1e-13),
-        )
+        result = minimize_rayleigh_p(params, domain, 160, init=generic_init(domain), tol=1e-13)
         assert abs(result.M - habs) <= 1e-6 * max(1.0, habs)
         vals = result.minimizer.values
         assert (vals.max() - vals.min()) <= 1e-4 * vals.max()
@@ -385,11 +364,20 @@ def test_criterion_10_p_cross_validation():
 
 
 def test_criterion_05_lower_bound_and_strict_gap():
-    """M >= |H|^p - 1e-8 across every solve above; strict gap for Dirichlet bands."""
-    assert len(SOLVED) >= 30  # criteria 2, 3, 6, 7, 10 all recorded here
-    for label, params, result in SOLVED:
+    """M >= |H|^p - 1e-8 across the solves of criteria 2, 3, 6, 7 and 10; strict gap for Dirichlet bands."""
+    sigma0, half = ConeSpec.complement_sigma0(), ConeSpec.half_space()
+    cells = [(HardyParams(d, 1, 2.0, a, b), sigma0, mesh) for d, a, b in K1_CONFIGS for mesh in (512, 2048)]
+    cells += [(HardyParams(d, k, 2.0, a, b), sigma0, 512) for d, k, a, b in K2_CONFIGS]
+    cells += [(HardyParams(d, 1, 2.0, 0.0, 0.0), half, 1024) for d in (3, 4, 5)]
+    cells += [(HardyParams(3, 1, 2.0, 0.0, 0.0), sigma0, 512), (HardyParams(4, 1, 2.0, 0.3, 0.5), sigma0, 512)]
+    solved = [(params, solve_M(params, cone, mesh)) for params, cone, mesh in cells]
+    for params, cone in P2_CROSS_CONFIGS + NATURAL_CONFIGS:
+        domain = bc_for_cone(params, cone)
+        solved.append((params, minimize_rayleigh_p(params, domain, 160, init=generic_init(domain), tol=1e-13)))
+    assert len(solved) >= 30
+    for params, result in solved:
         habs = hardy_exponent(params).H_abs_p
-        assert result.M >= habs - 1e-8, (label, result.M, habs)
+        assert result.M >= habs - 1e-8, (params, result.M, habs)
 
     gaps = []
     for params, band in [
@@ -398,11 +386,11 @@ def test_criterion_05_lower_bound_and_strict_gap():
         (HardyParams(4, 2, 2.0, 0.5, 0.0), ConeSpec.band(0.0, 1.0)),
         (HardyParams(3, 1, 1.5, 0.4, 0.0), ConeSpec.band(0.4, 1.1)),
     ]:
-        result = record("c5 band", params, solve_M(params, band, 160))
+        result = solve_M(params, band, 160)
         gap = result.M - hardy_exponent(params).H_abs_p
         gaps.append(gap)
         assert gap > 1e-3, (band.describe(), gap)
     report(
-        f"ACCEPTANCE 5 PASS: lower bound holds across {len(SOLVED)} solves; "
+        f"ACCEPTANCE 5 PASS: lower bound holds across {len(solved)} solves; "
         f"interior-Dirichlet bands keep gaps > 1e-3 (min {min(gaps):.3f})"
     )

@@ -256,9 +256,9 @@ class TestSweepDedupe:
 
 # 48 cells on three meshes: graded with gamma = 2 (natural end at pi/2, and
 # Dirichlet ends with s >= 1.2), graded with gamma = 4.8 (Dirichlet, k+a = 1.5
-# at p = 2) and the uniform mesh of the band away from pi/2; p = 1.5 cells run
-# the descent.  Bands from theta = 0.3 keep the p = 2 cells on P1, which builds
-# the geometry (on [0, pi/2] they are solved spectrally)
+# at p = 2) and the uniform mesh of the band away from pi/2.  p = 1.5 cells run
+# the descent, which builds the geometry of the gamma = 2 and the uniform mesh;
+# p = 2 cells are solved spectrally and build none
 MESH_GRID = dict(d=(3, 4), k=(1, 2), p=(2.0, 1.5), a=(-0.5, 0.5, 1.5),
                  cones=(f"band:0.3:{math.pi / 2!r}", "band:0.3:1.2"))
 
@@ -293,7 +293,7 @@ class TestMeshGeometryCache:
         runs = [mesh for i, mesh in enumerate(meshes) if i == 0 or mesh != meshes[i - 1]]
         assert len(runs) == len(set(runs)) == 3
         info = quadrature._mesh_geometry.cache_info()
-        assert info.currsize == 1 and info.misses == 3  # each geometry built once
+        assert info.currsize == 1 and info.misses == 2  # each descent mesh's geometry built once
         geometry = quadrature._mesh_geometry(meshes[-1], quadrature.DEFAULT_PANEL_ORDER)
         assert quadrature._mesh_geometry.cache_info().hits == info.hits + 1  # the last solve's
         arrays = [value for value in geometry if isinstance(value, np.ndarray)]
@@ -305,8 +305,8 @@ class TestMeshGeometryCache:
 
     def test_verify_deltas_reuse_the_solve_geometry(self):
         quadrature._mesh_geometry.cache_clear()
-        # a band: the P1 solve and certifier (on [0, pi/2] both are spectral)
-        cmd_verify(config_for("verify", cones=("band:0.3:1.2",), delta_list=(0.2, 0.1, 0.05),
+        # p != 2: the P1 solve and certifier (at p = 2 both are spectral)
+        cmd_verify(config_for("verify", p=(1.5,), cones=("band:0.3:1.2",), delta_list=(0.2, 0.1, 0.05),
                               h_list=()))
         assert quadrature._mesh_geometry.cache_info().misses == 1
 
@@ -503,8 +503,19 @@ class TestMainEntry:
         assert code == 0
         assert abs(json.loads(out)["rows"][0]["gap"]) <= 1e-12
 
-    def test_spectral_size_cap_is_a_failed_row(self, capsys, monkeypatch):
+    def test_spectral_size_cap_falls_back_to_descent(self, capsys, monkeypatch):
+        spectral = json.loads(run_cli(capsys, "constant", "--a", "0.5", "--mesh", "64")[1])["rows"][0]
         monkeypatch.setattr(spherical, "FACTORED_MAX_SIZE", 4)
+        code, out, err = run_cli(capsys, "constant", "--a", "0.5", "--mesh", "64")
+        assert code == 0
+        row = json.loads(out)["rows"][0]
+        assert row["status"] == "ok" and row["iterations"] >= 1
+        assert row["numeric_M"] == pytest.approx(spectral["numeric_M"], rel=1e-2)  # P1 at mesh 64
+
+    def test_spectral_size_cap_is_a_failed_row(self, capsys, monkeypatch):
+        # the capped spectral solve falls back to the descent, which fails too
+        monkeypatch.setattr(spherical, "FACTORED_MAX_SIZE", 4)
+        monkeypatch.setattr(spherical, "MAX_DESCENT_ITER", 1)
         code, out, err = run_cli(capsys, "constant", "--a", "0.5", "--mesh", "64")
         assert code == 1
         row = json.loads(out)["rows"][0]

@@ -350,9 +350,11 @@ class TestSolveM:
             return composite_rule(*args, **kwargs)
 
         monkeypatch.setattr(spherical, "composite_rule", counting_rule)
-        # p = 2 runs P1 on a band; on [0, pi/2] it is spectral and builds no composite rule
-        cone = ConeSpec.band(0.3, HALF_PI) if p == 2 else ConeSpec.complement_sigma0()
-        solve_M(HardyParams(3, 1, p, 0.3, 0.0), cone, 64)
+        # p = 2 is spectral and builds no composite rule, except where it falls
+        # back to the P1 descent, as on band:0.1:1.0
+        cone = ConeSpec.band(0.1, 1.0) if p == 2 else ConeSpec.complement_sigma0()
+        result = solve_M(HardyParams(3, 1, p, 0.3, 0.0), cone, 64)
+        assert type(result.minimizer) is DiscretizedFunction
         assert len(rule_builds) == 1
 
     def test_punctured_constant_minimizer(self):
@@ -416,16 +418,6 @@ class TestSolveM:
         with pytest.raises(AdmissibilityError):
             solve_M(HardyParams(3, 1, 2.0, -2.0, 0.0), ConeSpec.punctured_space(), 64)
 
-    def test_reported_residual_matches_weak_form(self):
-        params = HardyParams(4, 1, 2.0, 0.3, 0.0)
-        cone = ConeSpec.complement_sigma0()
-        result = spherical._p1_eigensolve(spherical._SphericalProblem.of(params, bc_for_cone(params, cone)), 256)
-        S, M, mesh = assemble_p2(params, bc_for_cone(params, cone), 256)
-        v = result.minimizer.values[:-1]  # drop the Dirichlet node at pi/2
-        r = matvec(S, v) - result.lam * matvec(M, v)
-        norm_m = math.sqrt(v @ matvec(M, v))
-        assert np.linalg.norm(r) / norm_m <= result.residual * (1 + 1e-9) + 1e-15
-
     @pytest.mark.parametrize("cell, cone", [
         ((3, 1, 2.0, 0.0, 0.0), ConeSpec.band(0.3, 1.2)),
         ((3, 1, 2.0, 0.99, 0.0), ConeSpec.complement_sigma0()),
@@ -437,38 +429,20 @@ class TestSolveM:
     def test_rule_order_error_far_below_discretization_error(self, monkeypatch, cell, cone):
         # the default 4-point panels against 8-point ones on the same mesh: the
         # rule's share of the error in M must be negligible next to the mesh's.
-        # P1 throughout: solve_M is spectral at p = 2 on [0, pi/2]
+        # P1 throughout: solve_M is spectral at p = 2
         params = HardyParams(*cell)
         domain = bc_for_cone(params, cone)
-        problem = spherical._SphericalProblem.of(params, domain)
 
-        def p1_solve(mesh_size):
+        def p1_M(mesh_size):
             if params.p == 2:
-                return spherical._p1_eigensolve(problem, mesh_size)
-            return minimize_rayleigh_p(params, domain, mesh_size)
+                return p1_reference(params, domain, mesh_size)
+            return minimize_rayleigh_p(params, domain, mesh_size).M
 
-        coarse = p1_solve(1024).M
-        fine = p1_solve(4096).M
+        coarse = p1_M(1024)
+        fine = p1_M(4096)
         monkeypatch.setattr(spherical, "composite_rule", lambda weight, mesh: composite_rule(weight, mesh, 8))
-        eight_point = p1_solve(1024).M
+        eight_point = p1_M(1024)
         assert abs(eight_point - coarse) <= 1e-2 * abs(coarse - fine)
-
-    @pytest.mark.parametrize("d, a", [(3, -0.5), (5, 0.5)])
-    def test_cosine_start_converges_at_once_on_complement(self, d, a):
-        # cos^s is the continuous ground state there, so the P1 inverse
-        # iteration starts next to the discrete one; from all ones it takes
-        # 6-8 steps
-        params = HardyParams(d, 1, 2.0, a, 0.0)
-        cone = ConeSpec.complement_sigma0()
-        for mesh_size, most in ((2048, 4), (8192, 2)):
-            result = spherical._p1_eigensolve(
-                spherical._SphericalProblem.of(params, bc_for_cone(params, cone)), mesh_size
-            )
-            S, M, _ = assemble_p2(params, bc_for_cone(params, cone), mesh_size)
-            ones_steps = spherical._inverse_iteration(S, M)[2]
-            assert 1 <= result.iterations <= most
-            assert result.iterations < ones_steps
-            assert result.M == pytest.approx(closed_form_constant(params, cone).value, rel=1e-5)
 
     @pytest.mark.parametrize("cell, cone", [
         ((3, 1, 2.0, 0.0, 0.0), ConeSpec.band(0.3, 1.2)),
@@ -485,7 +459,6 @@ class TestSolveM:
         lam_start, v = smallest_eigenpair(S, M, start=start)
         assert lam_start == pytest.approx(lam_ones, rel=1e-9)
         assert matvec(M, v).sum() > 0
-        assert spherical._p1_eigensolve(problem, 2048).lam == lam_start
 
     def test_random_admissible_configurations_solve(self):
         # robustness sweep: every admissible draw solves and respects the
@@ -548,12 +521,12 @@ class TestMinimizeRayleighP:
         params = HardyParams(3, 1, 2.0, 0.0, 0.0)
         cone = ConeSpec.complement_sigma0()
         dom = bc_for_cone(params, cone)
-        eig = spherical._p1_eigensolve(spherical._SphericalProblem.of(params, dom), 128)
+        lam, _ = smallest_eigenpair(*assemble_p2(params, dom, 128)[:2])
         mesh = graded_mesh(0.0, HALF_PI, 16, 1.0)
         init = DiscretizedFunction(mesh, 1.0 + 0.5 * np.cos(3 * mesh) ** 2)
         desc = minimize_rayleigh_p(params, dom, 128, init=init, tol=1e-12, grad_tol=1e-8)
-        assert desc.M == pytest.approx(eig.M, rel=1e-8)
-        assert desc.lam == pytest.approx(eig.lam, rel=1e-6)
+        assert desc.M == pytest.approx(lam + hardy_exponent(params).H ** 2, rel=1e-8)
+        assert desc.lam == pytest.approx(lam, rel=1e-6)
 
     def test_natural_natural_constant_minimizer_p3(self):
         # k + a = 3 >= p = 3: natural condition, M = |H|^p = (2/3)^3
@@ -754,16 +727,94 @@ class TestFactoredEigensolve:
         disc = spherical._FactoredDiscretization(Phi.problem, Phi.coefficients.size)
         assert disc.mass(disc.fields(Phi.coefficients)[0]) == pytest.approx(1.0, rel=1e-13)
 
-    def test_bands_and_p_not_2_stay_on_p1(self):
+    def test_bands_are_factored_and_p_not_2_stays_on_p1(self):
         params = HardyParams(3, 1, 2.0, 0.3, 0.0)
         band = solve_M(params, ConeSpec.band(0.3, HALF_PI), 256)
-        domain = bc_for_cone(params, ConeSpec.band(0.3, HALF_PI))
-        assert type(band.minimizer) is DiscretizedFunction
-        assert band.M == spherical._p1_eigensolve(spherical._SphericalProblem.of(params, domain), 256).M
+        problem = spherical._SphericalProblem.of(params, bc_for_cone(params, ConeSpec.band(0.3, HALF_PI)))
+        assert band.minimizer.problem == problem
+        assert band.M == spherical._factored_eigensolve(problem, 256).M
         descent = solve_M(HardyParams(3, 1, 1.5, 0.3, 0.0), ConeSpec.complement_sigma0(), 256)
         assert type(descent.minimizer) is DiscretizedFunction and descent.lam is None
 
     def test_size_cap_raises_convergence_error(self, monkeypatch):
         monkeypatch.setattr(spherical, "FACTORED_MAX_SIZE", 4)  # one solve: nothing to compare
+        params = HardyParams(3, 1, 2.0, 0.5, 0.0)
+        domain = bc_for_cone(params, ConeSpec.complement_sigma0())
         with pytest.raises(ConvergenceError):
-            solve_M(HardyParams(3, 1, 2.0, 0.5, 0.0), ConeSpec.complement_sigma0(), 64)
+            spherical._factored_eigensolve(spherical._SphericalProblem.of(params, domain), 64)
+        # solve_M falls back to the P1 descent
+        result = solve_M(params, ConeSpec.complement_sigma0(), 64)
+        assert type(result.minimizer) is DiscretizedFunction
+        assert result.M == minimize_rayleigh_p(params, domain, 64).M
+
+
+BAND_CELLS = [(3, 1, 2.0, 0.0, 0.0), (4, 2, 2.0, 0.5, 0.0), (5, 1, 2.0, -0.5, 0.5), (3, 2, 2.0, 0.5, 0.0),
+              (3, 1, 2.0, 0.9, 0.0)]
+# interior bands, band:0.0:theta, and band:theta:pi/2, where the cells with
+# k+a < 2 have a Dirichlet end at pi/2 and those with k+a >= 2 a natural one
+FACTORED_BANDS = [ConeSpec.band(0.3, 1.2), ConeSpec.band(0.25, 1.0), ConeSpec.band(0.5, 1.1),
+                  ConeSpec.band(0.0, 1.0), ConeSpec.band(0.0, 0.5), ConeSpec.band(0.3, HALF_PI),
+                  ConeSpec.band(0.6, HALF_PI)]
+
+
+def p1_reference(params, domain, mesh_size=16384):
+    """M of the P1 inverse iteration on the graded mesh of mesh_size elements."""
+    lam, _ = smallest_eigenpair(*assemble_p2(params, domain, mesh_size)[:2])
+    return lam + hardy_exponent(params).H ** 2
+
+
+class TestFactoredBands:
+    """p = 2 on bands: the factored basis, vanishing at interior Dirichlet ends, or the descent as fallback."""
+
+    @pytest.mark.parametrize("cone", FACTORED_BANDS, ids=lambda cone: cone.describe())
+    def test_every_cell_factored_self_converged_and_below_p1(self, cone):
+        for cell in BAND_CELLS:
+            params = HardyParams(*cell)
+            domain = bc_for_cone(params, cone)
+            problem = spherical._SphericalProblem.of(params, domain)
+            result = solve_M(params, cone, 256)
+            Phi = result.minimizer
+            assert isinstance(Phi, spherical._FactoredFunction) and Phi.problem == problem, cell
+            assert result.residual <= spherical.FACTORED_TOL * max(abs(result.lam), 1.0)
+            doubled = spherical._FactoredDiscretization(problem, 2 * Phi.coefficients.size)
+            lam_2n = spherical._dense_ground_state(*doubled.p2_matrices())[0]
+            assert abs(lam_2n - result.lam) <= 1e-10 * max(abs(result.lam), 1.0), cell
+            # both are Ritz values: the converged spectral one lies below P1's
+            assert result.M <= p1_reference(params, domain) * (1.0 + 1e-12), cell
+            assert Phi.values.min() >= 0.0
+            assert (Phi.values[0] == 0.0) == (domain.bc1 is DIRICHLET)
+            assert (Phi.values[-1] == 0.0) == (domain.bc2 is DIRICHLET)
+
+    @pytest.mark.parametrize("cell, cone", [
+        ((3, 1, 2.0, 0.0, 0.0), ConeSpec.band(0.3, 1.2)),
+        ((4, 2, 2.0, 0.5, 0.0), ConeSpec.band(0.2, 1.0)),
+    ], ids=["band:0.3:1.2", "band:0.2:1.0"])
+    def test_agrees_with_p1_where_p1_is_accurate(self, cell, cone):
+        params = HardyParams(*cell)
+        result = solve_M(params, cone, 64)  # the mesh only samples a spectral minimizer
+        assert abs(result.M - p1_reference(params, bc_for_cone(params, cone))) <= 1e-7
+
+    @pytest.mark.parametrize("cone", [ConeSpec.band(0.3, 1.2), ConeSpec.band(0.0, 1.0), ConeSpec.band(0.3, HALF_PI)],
+                             ids=lambda cone: cone.describe())
+    def test_rule_of_2n_points_suffices(self, cone):
+        # with an interior end the folded weight is not a polynomial: the matrices
+        # of N basis functions from 2N points agree with those from 4N points
+        params = HardyParams(3, 1, 2.0, 0.0, 0.0)
+        problem = spherical._SphericalProblem.of(params, bc_for_cone(params, cone))
+        for size in (16, 32):
+            disc = spherical._FactoredDiscretization(problem, size)
+            assert disc.w.size == 2 * size
+            S, M = disc.p2_matrices()
+            S4, M4 = spherical._FactoredDiscretization(problem, 2 * size).p2_matrices()
+            assert np.abs(S - S4[:size, :size]).max() <= 1e-10 * np.abs(S).max()
+            assert np.abs(M - M4[:size, :size]).max() <= 1e-10 * np.abs(M).max()
+
+    def test_interior_end_near_a_pole_falls_back_to_descent(self):
+        params = HardyParams(3, 1, 2.0, 0.0, 0.0)
+        cone = ConeSpec.band(0.1, 1.0)
+        domain = bc_for_cone(params, cone)
+        with pytest.raises(ConvergenceError):
+            spherical._factored_eigensolve(spherical._SphericalProblem.of(params, domain), 512)
+        result = solve_M(params, cone, 512)
+        assert type(result.minimizer) is DiscretizedFunction
+        assert abs(result.M - p1_reference(params, domain, 512)) <= 1e-10

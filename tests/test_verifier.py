@@ -7,7 +7,7 @@ import pytest
 from scipy.interpolate import CubicSpline
 
 import hardycone.verifier as verifier
-from hardycone.params import ConeKind, ConeSpec, HardyParams, closed_form_constant, hardy_exponent
+from hardycone.params import ConeSpec, HardyParams, closed_form_constant, hardy_exponent
 from hardycone.quadrature import sphere_weight_mass
 from hardycone.spherical import (
     DIRICHLET,
@@ -87,21 +87,18 @@ class TestUdeltaQuotient:
         (HardyParams(3, 1, 2.0, 0.3, 0.0), ConeSpec.band(0.4, 1.3)),
     ], ids=["complement-sigma0", "half-space", "band"])
     def test_p2_quotient_is_solver_quotient_plus_delta_squared(self, params, cone):
-        # the certifier sums over the solver's discretization, so the identity
-        # holds to rounding against the solver's own quotient: P1 on the band,
-        # the factored spectral basis on [0, pi/2]
+        # the certifier sums over the solver's discretization, the factored
+        # spectral basis, so the identity holds to rounding against the
+        # solver's own quotient
         result = solve_M(params, cone, 256)
         domain = bc_for_cone(params, cone)
         problem = _SphericalProblem.of(params, domain)
-        disc = _Discretization.graded(problem, 256)
-        assert np.array_equal(disc.mesh, result.minimizer.mesh)
-        if cone.kind is ConeKind.BAND:
-            q = disc.value(result.minimizer.values)
-        else:
-            Phi = result.minimizer
-            assert Phi.problem == problem
-            assert Phi.problem.s == (2.0 - (params.k + params.a) if domain.bc2 is DIRICHLET else 0.0)
-            q = _FactoredDiscretization(Phi.problem, Phi.coefficients.size).value(Phi.coefficients)
+        assert np.array_equal(_Discretization.graded(problem, 256).mesh, result.minimizer.mesh)
+        Phi = result.minimizer
+        assert Phi.problem == problem
+        dirichlet_pole = domain.bc2 is DIRICHLET and domain.theta2 == math.pi / 2
+        assert Phi.problem.s == (2.0 - (params.k + params.a) if dirichlet_pole else 0.0)
+        q = _FactoredDiscretization(Phi.problem, Phi.coefficients.size).value(Phi.coefficients)
         for delta in (0.2, 0.1, 0.05):
             ev = evaluate_quotient_udelta(params, result.minimizer, delta, cone=cone)
             assert ev.quotient - q == pytest.approx(delta**2, rel=1e-11)
