@@ -1,59 +1,50 @@
-"""Sharp constants in Hardy inequalities with mixed weights |y|^a |z|^-b on cones."""
+"""Sharp constants in Hardy inequalities with mixed weights |y|^a |z|^-b on cones.
 
-from .params import (
-    AdmissibilityError,
-    AdmissibilityReport,
-    ClosedForm,
-    ConeKind,
-    ConeSpec,
-    HardyExponent,
-    HardyParams,
-    closed_form_constant,
-    cone_admissible,
-    cylindrical_constant,
-    hardy_exponent,
-)
-from .quadrature import (
-    AngularWeight,
-    QuadratureRule,
-    composite_rule,
-    sphere_surface_area,
-    sphere_weight_mass,
-)
-from .spherical import (
-    DIRICHLET,
-    NATURAL,
-    AngularDomain,
-    BoundaryCondition,
-    ConvergenceError,
-    DiscretizedFunction,
-    SpectralResult,
-    assemble_p2,
-    bc_for_cone,
-    graded_mesh,
-    minimize_rayleigh_p,
-    smallest_eigenpair,
-    solve_M,
-)
-from .verifier import (
-    RayleighEvaluation,
-    cutoff_decay,
-    eta_cutoff,
-    evaluate_quotient_udelta,
-    radial_hardy_quotient,
-)
+The namespace is lazy (PEP 562): a public name, or one of the submodules
+params, quadrature, spherical and verifier, is imported on first access and
+then cached here.  So `import hardycone` loads no numpy, and neither does
+importing the closed forms, which come from the pure-Python params module.
+"""
+
+import importlib
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "AdmissibilityError", "AdmissibilityReport", "ClosedForm", "ConeKind", "ConeSpec",
-    "HardyExponent", "HardyParams", "closed_form_constant", "cone_admissible",
-    "cylindrical_constant", "hardy_exponent",
-    "AngularWeight", "QuadratureRule", "composite_rule", "sphere_surface_area",
-    "sphere_weight_mass",
-    "DIRICHLET", "NATURAL", "AngularDomain", "BoundaryCondition", "ConvergenceError",
-    "DiscretizedFunction", "SpectralResult", "assemble_p2", "bc_for_cone", "graded_mesh",
-    "minimize_rayleigh_p", "smallest_eigenpair", "solve_M",
-    "RayleighEvaluation", "cutoff_decay", "eta_cutoff", "evaluate_quotient_udelta",
-    "radial_hardy_quotient",
-]
+# public name -> the submodule that defines it, in __all__ order
+_EXPORTS = {
+    **dict.fromkeys([
+        "AdmissibilityError", "AdmissibilityReport", "ClosedForm", "ConeKind", "ConeSpec",
+        "HardyExponent", "HardyParams", "closed_form_constant", "cone_admissible",
+        "cylindrical_constant", "hardy_exponent",
+    ], "params"),
+    **dict.fromkeys([
+        "AngularWeight", "QuadratureRule", "composite_rule", "sphere_surface_area",
+        "sphere_weight_mass",
+    ], "quadrature"),
+    **dict.fromkeys([
+        "DIRICHLET", "NATURAL", "AngularDomain", "BoundaryCondition", "ConvergenceError",
+        "DiscretizedFunction", "SpectralResult", "assemble_p2", "bc_for_cone", "graded_mesh",
+        "minimize_rayleigh_p", "smallest_eigenpair", "solve_M",
+    ], "spherical"),
+    **dict.fromkeys([
+        "RayleighEvaluation", "cutoff_decay", "eta_cutoff", "evaluate_quotient_udelta",
+        "radial_hardy_quotient",
+    ], "verifier"),
+}
+_SUBMODULES = frozenset(_EXPORTS.values())
+
+__all__ = list(_EXPORTS)
+
+
+def __getattr__(name: str):
+    if name in _SUBMODULES:
+        return importlib.import_module(f"{__name__}.{name}")  # the import binds it here too
+    if name not in _EXPORTS:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f"{__name__}.{_EXPORTS[name]}"), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *__all__})

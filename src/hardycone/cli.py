@@ -30,7 +30,7 @@ from .spherical import (
     MIN_MESH_SIZE,
     ConvergenceError,
     SpectralResult,
-    _solve_mesh,
+    _auto_gamma,
     _SphericalProblem,
     bc_for_cone,
     solve_M,
@@ -231,9 +231,13 @@ def _grid_rows(
             key = index
         groups.setdefault(key, []).append(index)
 
-    def mesh_of(key: object) -> bytes:  # sorting by it keeps each mesh's problems together
-        # RunConfig holds mesh_size >= MIN_MESH_SIZE, so only an invalid cell has no mesh
-        return b"" if isinstance(key, int) else _solve_mesh(key, config.mesh_size).tobytes()
+    def mesh_of(key: object) -> tuple:  # sorting by it keeps each mesh's problems together
+        # the cross-section and the capped grading fix the graded mesh, so none is built;
+        # the strongest grading of a cross-section comes first.  RunConfig holds
+        # mesh_size >= MIN_MESH_SIZE, so only an invalid cell has no mesh
+        if isinstance(key, int):
+            return ()
+        return key.domain.theta1, key.domain.theta2, -_auto_gamma(key, config.mesh_size)
 
     ordered = sorted(groups, key=mesh_of)
 
@@ -453,9 +457,20 @@ def _float_list(text: str) -> tuple[float, ...]:
     return tuple(float(t) for t in text.split(",") if t.strip()) if text.strip() else ()
 
 
+class _ArgumentParser(argparse.ArgumentParser):
+    """An ArgumentParser whose usage errors raise ValueError, which main reports as a JSON error.
+
+    argparse would print the usage and exit 2 itself; its subcommand parsers
+    are of this class too.
+    """
+
+    def error(self, message: str):
+        raise ValueError(message)
+
+
 def build_parser() -> tuple[argparse.ArgumentParser, dict, dict]:
     """The parser, its subcommand parsers by name, and their (shared) options by dest."""
-    parser = argparse.ArgumentParser(
+    parser = _ArgumentParser(
         prog="hardycone",
         description="Sharp Hardy constants with mixed weights on cones: closed forms, "
         "spherical spectra, and numerical certification.",

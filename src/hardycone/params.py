@@ -20,6 +20,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from enum import Enum
+from typing import NamedTuple
 
 HALF_PI = math.pi / 2
 
@@ -55,8 +56,7 @@ class HardyParams:
             raise ValueError("a and b must be finite")
 
 
-@dataclass(frozen=True)
-class HardyExponent:
+class HardyExponent(NamedTuple):
     """The signed exponent H = (d+a-p-b)/p and its p-th power |H|^p."""
 
     H: float
@@ -187,8 +187,7 @@ def require_admissible(params: HardyParams, cone: ConeSpec) -> AdmissibilityRepo
     return report
 
 
-@dataclass(frozen=True)
-class ClosedForm:
+class ClosedForm(NamedTuple):
     """A sharp constant known exactly, with a tag naming the solved case."""
 
     value: float

@@ -19,8 +19,10 @@ exponents absorb the pole powers integrates the stiffness and mass of the
 basis, exactly on [0, pi/2].  The dense generalized eigenproblem is solved
 at N = 4, 8, ... basis functions until consecutive eigenvalues agree (Guo,
 Shen and Wang, Appl. Numer. Math. 59 (2009); Shen, Tang and Wang, Spectral
-Methods (2011), ch. 3).  The factored profile is then sampled on the graded
-mesh of the requested size.
+Methods (2011), ch. 3).  The minimizer keeps the Legendre coefficients;
+its samples on the graded mesh of the requested size are computed when they
+are first read, which no closed-form comparison and no spectral certificate
+needs.
 
 Where that check fails (bands with an interior end near a pole), and for
 every p != 2, the profile is discretized with piecewise-linear finite
@@ -37,9 +39,10 @@ smallest_eigenpair (inverse iteration) give the P1 reference value.
 
 The private solvers take the cell's 1-D problem as one _SphericalProblem,
 whose s is the one boundary-layer exponent at pi/2.  Its graded mesh comes
-from _solve_mesh, which the CLI also uses to order a command's problems
-mesh by mesh; the P1 discretization takes the element widths and the
-interior shape values from the quadrature module's cached geometry.
+from _solve_mesh, whose cross-section and _auto_gamma grading the CLI also
+uses to order a command's problems mesh by mesh; the P1 discretization
+takes the element widths and the interior shape values from the quadrature
+module's cached geometry.
 
 Every P1 matrix is symmetric tridiagonal and is kept as a (diag, off) pair
 of numpy arrays.  One kernel solves all of them: odd-even cyclic reduction,
@@ -57,6 +60,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
+from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
@@ -159,19 +163,29 @@ class DiscretizedFunction:
 
 
 class _FactoredFunction(DiscretizedFunction):
-    """A factored profile (see _FactoredDiscretization), sampled at the nodes of mesh.
+    """A factored profile (see _FactoredDiscretization): its problem, which fixes s, and Legendre coefficients.
 
-    The samples serve interpolation and plotting; the certifier integrates
-    the factored form itself, from its problem (which fixes s) and the
-    Legendre coefficients.  A plain subclass: creating one more dataclass
-    would cost every process about a millisecond of import time.
+    The certifier integrates the factored form itself from these two.  mesh
+    (the graded mesh of mesh_size elements that a P1 solve would use) and
+    values (the profile at its nodes) serve interpolation and plotting, and
+    each is computed when first read, so a solve whose minimizer is never
+    sampled builds neither; a pickle carries whichever has been read.  A
+    plain subclass: creating one more dataclass would cost every process
+    about a millisecond of import time.
     """
 
-    def __init__(self, mesh: np.ndarray, values: np.ndarray, problem: _SphericalProblem,
-                 coefficients: np.ndarray):
-        super().__init__(mesh, values)
+    def __init__(self, problem: _SphericalProblem, coefficients: np.ndarray, mesh_size: int):
         object.__setattr__(self, "problem", problem)
         object.__setattr__(self, "coefficients", coefficients)
+        object.__setattr__(self, "mesh_size", mesh_size)
+
+    @cached_property
+    def mesh(self) -> np.ndarray:
+        return _solve_mesh(self.problem, self.mesh_size)
+
+    @cached_property
+    def values(self) -> np.ndarray:
+        return _factored_sample(self.problem, self.coefficients, self.mesh)
 
 
 @dataclass(frozen=True, eq=False)
@@ -180,10 +194,11 @@ class SpectralResult:
 
     iterations and residual describe the solve.  After a spectral solve
     (p = 2) they are the number of dense eigensolves and the difference of
-    the last two eigenvalues (basis size N against N/2); after a descent
-    (minimize_rayleigh_p: p != 2, or p = 2 where the spectral solve fell
-    back), the descent steps and the relative step decrement
-    sqrt(grad Q . d) / Q of the last step.
+    the last two eigenvalues (basis size N against N/2), and the minimizer
+    samples itself on its mesh when its mesh or values are first read;
+    after a descent (minimize_rayleigh_p: p != 2, or p = 2 where the
+    spectral solve fell back), the descent steps and the relative step
+    decrement sqrt(grad Q . d) / Q of the last step.
     """
 
     M: float
@@ -250,10 +265,14 @@ def _auto_gamma(problem: _SphericalProblem, n: int) -> float:
     return min(max(2.0, 2.4 / max(s, 0.05)), grading_cap(n))
 
 
-def _solve_mesh(problem: _SphericalProblem, mesh_size: int) -> np.ndarray:
-    """The graded mesh of mesh_size elements that a solve of the problem discretizes on."""
+def _require_mesh_size(mesh_size: int) -> None:
     if mesh_size < MIN_MESH_SIZE:
         raise ValueError(f"mesh_size must be at least {MIN_MESH_SIZE}")
+
+
+def _solve_mesh(problem: _SphericalProblem, mesh_size: int) -> np.ndarray:
+    """The graded mesh of mesh_size elements that a solve of the problem discretizes on."""
+    _require_mesh_size(mesh_size)
     domain = problem.domain
     return graded_mesh(domain.theta1, domain.theta2, mesh_size, _auto_gamma(problem, mesh_size))
 
@@ -507,26 +526,19 @@ class _FactoredDiscretization(_RuleSums):
     """
 
     def __init__(self, problem: _SphericalProblem, size: int):
-        domain, s = problem.domain, problem.s
-        self.theta1, self.theta2, self.s = domain.theta1, domain.theta2, s
-        self.lo = 0.0 if domain.theta2 == HALF_PI else 2.0 * math.cos(domain.theta2) ** 2
-        self.hi = 2.0 * math.sin(domain.theta1) ** 2
-        self.h = h = math.sin(domain.theta2 + domain.theta1) * math.sin(domain.theta2 - domain.theta1)
-        # exponents of 1 + x and 1 - x in l
-        self.ends = (int(self.lo > 0.0 and domain.bc2 is DIRICHLET),
-                     int(self.hi > 0.0 and domain.bc1 is DIRICHLET))
+        s = problem.s
+        lo, hi, h, (e2, e1) = _section_coordinates(problem.domain)
         alpha_w = (problem.dk - 2) / 2
         beta_w = (problem.ka - 2) / 2
-        alpha = 0.0 if self.hi else alpha_w
-        beta = 0.0 if self.lo else (beta_w + s - 1.0 if s > 0 else beta_w)
-        x, wx = _gauss_jacobi(2 * size if self.lo or self.hi else size, alpha, beta)
-        one_plus_t = self.lo + (1.0 + x) * h
-        one_minus_t = self.hi + (1.0 - x) * h
+        alpha = 0.0 if hi else alpha_w
+        beta = 0.0 if lo else (beta_w + s - 1.0 if s > 0 else beta_w)
+        x, wx = _gauss_jacobi(2 * size if lo or hi else size, alpha, beta)
+        one_plus_t = lo + (1.0 + x) * h
+        one_minus_t = hi + (1.0 - x) * h
         self.w = (wx * (2.0 ** -(alpha_w + beta_w) / 4 * h ** (1.0 + alpha + beta))
                   * one_plus_t ** (beta_w - beta) * one_minus_t ** (alpha_w - alpha))
         cos = np.sqrt(one_plus_t / 2)
         sin = np.sqrt(one_minus_t / 2)
-        e2, e1 = self.ends
         ell = ((1.0 + x) ** e2 * (1.0 - x) ** e1)[:, None]
         dell = (e2 * (1.0 - x) ** e1 - e1 * (1.0 + x) ** e2)[:, None]
         P, dP = _legendre(x, size)
@@ -547,16 +559,30 @@ class _FactoredDiscretization(_RuleSums):
         return (np.einsum("qi,qj->ij", w * self.dbasis, self.dbasis),
                 np.einsum("qi,qj->ij", w * self.basis, self.basis))
 
-    def sample(self, c: np.ndarray, theta: np.ndarray) -> np.ndarray:
-        """phi at the angles theta for the coefficients c, exactly 0 at a Dirichlet end."""
-        cos_s = np.sin(HALF_PI - theta) ** self.s  # 0 at pi/2 when s > 0
-        if not (self.lo or self.hi):
-            return cos_s * _legendre_series(c, np.cos(2.0 * theta))
-        # 1 + x and 1 - x as products of sines, which vanish at theta2 and theta1
-        plus = 2.0 * np.sin(self.theta2 - theta) * np.sin(self.theta2 + theta) / self.h
-        minus = 2.0 * np.sin(theta - self.theta1) * np.sin(theta + self.theta1) / self.h
-        e2, e1 = self.ends
-        return cos_s * plus**e2 * minus**e1 * _legendre_series(c, 0.5 * (plus - minus))
+
+def _section_coordinates(domain: AngularDomain) -> tuple[float, float, float, tuple[int, int]]:
+    """lo = 1 + t at theta2 and hi = 1 - t at theta1 (exactly 0 at a pole), h, and l's exponents of 1 + x and 1 - x.
+
+    See _FactoredDiscretization: t = cos 2 theta2 + (1 + x) h on the cross-section.
+    """
+    lo = 0.0 if domain.theta2 == HALF_PI else 2.0 * math.cos(domain.theta2) ** 2
+    hi = 2.0 * math.sin(domain.theta1) ** 2
+    h = math.sin(domain.theta2 + domain.theta1) * math.sin(domain.theta2 - domain.theta1)
+    ends = (int(lo > 0.0 and domain.bc2 is DIRICHLET), int(hi > 0.0 and domain.bc1 is DIRICHLET))
+    return lo, hi, h, ends
+
+
+def _factored_sample(problem: _SphericalProblem, c: np.ndarray, theta: np.ndarray) -> np.ndarray:
+    """The factored profile with Legendre coefficients c at the angles theta, exactly 0 at a Dirichlet end."""
+    domain = problem.domain
+    lo, hi, h, (e2, e1) = _section_coordinates(domain)
+    cos_s = np.sin(HALF_PI - theta) ** problem.s  # 0 at pi/2 when s > 0
+    if not (lo or hi):
+        return cos_s * _legendre_series(c, np.cos(2.0 * theta))
+    # 1 + x and 1 - x as products of sines, which vanish at theta2 and theta1
+    plus = 2.0 * np.sin(domain.theta2 - theta) * np.sin(domain.theta2 + theta) / h
+    minus = 2.0 * np.sin(theta - domain.theta1) * np.sin(theta + domain.theta1) / h
+    return cos_s * plus**e2 * minus**e1 * _legendre_series(c, 0.5 * (plus - minus))
 
 
 def _dense_ground_state(stiffness: np.ndarray, mass: np.ndarray) -> tuple[float, np.ndarray]:
@@ -860,10 +886,10 @@ def _factored_eigensolve(problem: _SphericalProblem, mesh_size: int) -> Spectral
     eigenvalues agree to FACTORED_TOL relative (absolute below |lambda| = 1,
     where lambda_1 = 0 leaves nothing to be relative to); past
     FACTORED_MAX_SIZE the solve raises ConvergenceError.  The minimizer has
-    unit weighted 2-norm and is sampled on the graded mesh of mesh_size
-    elements that a P1 solve would use.
+    unit weighted 2-norm; mesh_size (checked here) sets the graded mesh it
+    samples itself on when first read, the one a P1 solve would use.
     """
-    mesh = _solve_mesh(problem, mesh_size)
+    _require_mesh_size(mesh_size)
     previous, residual, size, solves = None, math.inf, 4, 0
     while size <= FACTORED_MAX_SIZE:
         disc = _FactoredDiscretization(problem, size)
@@ -882,7 +908,7 @@ def _factored_eigensolve(problem: _SphericalProblem, mesh_size: int) -> Spectral
     return SpectralResult(
         M=lam + problem.H2,
         lam=lam,
-        minimizer=_FactoredFunction(mesh, disc.sample(c, mesh), problem, c),
+        minimizer=_FactoredFunction(problem, c, mesh_size),
         iterations=solves,
         residual=residual,
     )
@@ -897,7 +923,7 @@ def solve_M(
 
     At p = 2 the eigenproblem is solved in the factored spectral basis on
     every cross-section, and mesh_size only sets the mesh the minimizer is
-    sampled on.  Where that solve fails its N -> 2N check by N =
+    sampled on, when its mesh or values are first read.  Where that solve fails its N -> 2N check by N =
     FACTORED_MAX_SIZE (bands with an interior end near a pole), and for
     every p != 2, the quotient is minimized with P1 elements on a mesh of
     mesh_size elements graded toward pi/2.

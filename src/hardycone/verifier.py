@@ -160,8 +160,7 @@ def _gauss_panels(lo: float, hi: float, n_panels: int, n_per: int = 10) -> tuple
     return (mid + half * x).ravel(), (half * wx).ravel()
 
 
-@dataclass(frozen=True)
-class _PlateauWindow:
+class _PlateauWindow(NamedTuple):
     """Value 1 on [r0, r1], smooth decay over one e-fold outside."""
 
     r0: float

@@ -634,6 +634,30 @@ class TestConfigSchema:
         assert json.loads(err)["error"]["type"] == "ValueError"
 
 
+class TestUsageErrors:
+    """argparse's usage errors give the JSON error object on stderr and exit 2, like other bad input."""
+
+    @pytest.mark.parametrize("argv, message", [
+        (("constant", "--mesh", "abc"), "argument --mesh: invalid int value: 'abc'"),
+        (("constant", "--mesh", "64", "--no-such-flag", "1"), "unrecognized arguments: --no-such-flag 1"),
+        (("no-such-command",), "argument command: invalid choice: 'no-such-command'"),
+    ], ids=["malformed-value", "unknown-flag", "unknown-command"])
+    def test_json_error_and_exit_2(self, capsys, argv, message):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2 and out == ""
+        assert err.endswith("\n") and err.count("\n") == 1
+        doc = json.loads(err)
+        assert doc["schema"] == 1 and doc["error"]["type"] == "ValueError"
+        assert doc["error"]["message"].startswith(message)
+
+    def test_help_still_prints_usage(self, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main(["constant", "--help"])
+        assert exit_info.value.code == 0
+        captured = capsys.readouterr()
+        assert captured.out.startswith("usage: ") and "--mesh" in captured.out and captured.err == ""
+
+
 class TestProcesses:
     def test_import_loads_no_scipy(self):
         out = run_process([

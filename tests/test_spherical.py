@@ -818,3 +818,43 @@ class TestFactoredBands:
         result = solve_M(params, cone, 512)
         assert type(result.minimizer) is DiscretizedFunction
         assert abs(result.M - p1_reference(params, domain, 512)) <= 1e-10
+
+
+class TestLazyFactoredSamples:
+    """A spectral minimizer samples itself on its graded mesh only when mesh or values is read."""
+
+    CELLS = [((3, 1, 2.0, 0.9, 0.0), ConeSpec.complement_sigma0()),
+             ((4, 2, 2.0, 0.5, 0.0), ConeSpec.band(0.3, 1.2))]
+
+    @pytest.mark.parametrize("cell, cone", CELLS, ids=["complement-sigma0", "band:0.3:1.2"])
+    def test_no_mesh_built_until_read(self, monkeypatch, cell, cone):
+        calls = []
+        real = spherical.graded_mesh
+        monkeypatch.setattr(spherical, "graded_mesh", lambda *args: calls.append(args) or real(*args))
+        params = HardyParams(*cell)
+        Phi = solve_M(params, cone, 2048).minimizer
+        assert isinstance(Phi, spherical._FactoredFunction) and calls == []
+        values = Phi.values
+        assert len(calls) == 1 and Phi.mesh is Phi.mesh and Phi.values is values
+        problem = spherical._SphericalProblem.of(params, bc_for_cone(params, cone))
+        assert np.array_equal(Phi.mesh, spherical._solve_mesh(problem, 2048))
+        assert np.array_equal(values, spherical._factored_sample(problem, Phi.coefficients, Phi.mesh))
+        assert np.array_equal(Phi(Phi.mesh), values)
+
+    @pytest.mark.parametrize("cell, cone", CELLS, ids=["complement-sigma0", "band:0.3:1.2"])
+    def test_pickle_keeps_the_samples(self, cell, cone):
+        import pickle
+
+        params = HardyParams(*cell)
+        unread = solve_M(params, cone, 512).minimizer
+        read = solve_M(params, cone, 512).minimizer
+        assert read.values.size == 513  # sampled before pickling
+        for Phi in (pickle.loads(pickle.dumps(unread)), pickle.loads(pickle.dumps(read))):
+            assert type(Phi) is spherical._FactoredFunction and Phi.problem == read.problem
+            assert np.array_equal(Phi.coefficients, read.coefficients)
+            assert np.array_equal(Phi.mesh, read.mesh) and np.array_equal(Phi.values, read.values)
+
+    def test_mesh_size_checked_without_a_mesh(self):
+        params = HardyParams(3, 1, 2.0, 0.5, 0.0)
+        with pytest.raises(ValueError, match="mesh_size"):
+            solve_M(params, ConeSpec.complement_sigma0(), mesh_size=8)
