@@ -232,12 +232,11 @@ def _grid_rows(
         groups.setdefault(key, []).append(index)
 
     def mesh_of(key: object) -> tuple:  # sorting by it keeps each mesh's problems together
-        # the cross-section and the capped grading fix the graded mesh, so none is built;
-        # the strongest grading of a cross-section comes first.  RunConfig holds
-        # mesh_size >= MIN_MESH_SIZE, so only an invalid cell has no mesh
+        # the cross-section and the capped grading fix the graded mesh, so none is built.
+        # RunConfig holds mesh_size >= MIN_MESH_SIZE, so only an invalid cell has no mesh
         if isinstance(key, int):
             return ()
-        return key.domain.theta1, key.domain.theta2, -_auto_gamma(key, config.mesh_size)
+        return key.domain.theta1, key.domain.theta2, _auto_gamma(key, config.mesh_size)
 
     ordered = sorted(groups, key=mesh_of)
 

@@ -20,7 +20,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import NamedTuple
 
 HALF_PI = math.pi / 2
 
@@ -56,7 +55,8 @@ class HardyParams:
             raise ValueError("a and b must be finite")
 
 
-class HardyExponent(NamedTuple):
+@dataclass(frozen=True)
+class HardyExponent:
     """The signed exponent H = (d+a-p-b)/p and its p-th power |H|^p."""
 
     H: float
@@ -187,7 +187,8 @@ def require_admissible(params: HardyParams, cone: ConeSpec) -> AdmissibilityRepo
     return report
 
 
-class ClosedForm(NamedTuple):
+@dataclass(frozen=True)
+class ClosedForm:
     """A sharp constant known exactly, with a tag naming the solved case."""
 
     value: float

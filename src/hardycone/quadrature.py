@@ -58,7 +58,8 @@ def sphere_surface_area(n: int) -> float:
     return 2.0 * math.pi ** ((n + 1) / 2) / math.gamma((n + 1) / 2)
 
 
-class AngularWeight(NamedTuple):
+@dataclass(frozen=True)
+class AngularWeight:
     """Weight cos^cos_exponent * sin^sin_exponent with its sphere prefactor.
 
     prefactor = |S^(k-1)| * |S^(d-k-1)| turns the 1-D integral into the full

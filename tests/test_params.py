@@ -48,10 +48,6 @@ class TestHardyExponent:
         assert exp.H == 0.0
         assert exp.H_abs_p == 0.0
 
-    def test_record_is_a_tuple(self):
-        H, H_abs_p = exp = hardy_exponent(HardyParams(3, 1, 2.0, 0.0, 0.0))
-        assert exp == (0.5, 0.25) and (H, H_abs_p) == (exp.H, exp.H_abs_p)
-
     def test_exact_rational_case(self):
         # (4 + 3/2 - 3 + 1/2) / 3 = 1 via exact rational arithmetic
         oracle = (Fraction(4) + Fraction(3, 2) - Fraction(3) + Fraction(1, 2)) / Fraction(3)
@@ -172,10 +168,6 @@ class TestClosedFormConstant:
     def test_complement_sigma0_p2(self):
         cf = closed_form_constant(HardyParams(3, 1, 2.0, 0.0, 0.0), ConeSpec.complement_sigma0())
         assert cf.value == pytest.approx((3 - 1) * (2 - 1) + 0.25, abs=1e-15)
-
-    def test_record_is_a_tuple(self):
-        value, source = cf = closed_form_constant(HardyParams(3, 1, 2.0, 0.0, 0.0), ConeSpec.complement_sigma0())
-        assert cf == (2.25, "sigma0-complement-p2") and (value, source) == (cf.value, cf.source)
 
     def test_punctured_equals_abs_H_p(self):
         params = HardyParams(3, 1, 2.0, 0.0, 0.0)

@@ -244,11 +244,6 @@ class TestSphereWeightMass:
         half = AngularWeight.for_params(params, ConeSpec.half_space())
         assert half.prefactor == pytest.approx(full.prefactor / 2)
 
-    def test_weight_is_a_tuple(self):
-        cos_exponent, sin_exponent, prefactor = weight = weight_for(3, 1, 0.5)
-        assert weight == (0.5, 1.0, 2.0 * sphere_surface_area(1))
-        assert (cos_exponent, sin_exponent, prefactor) == (weight.cos_exponent, weight.sin_exponent, weight.prefactor)
-
     def test_non_integrable_rejected(self):
         with pytest.raises(ValueError):
             sphere_weight_mass(HardyParams(3, 1, 2.0, -1.5, 0.0))
