@@ -17,15 +17,18 @@ after a spectral solve that test function is the admissible factored
 profile itself, not an interpolant of it.  In the superdegenerate regime
 k+a >= p, cutoff_decay measures the energy a log cutoff near {y = 0} costs,
 by tensor-product quadrature in (log r, -log|y|); _cutoff_log_decay gives
-its logarithm where the energy itself underflows.  radial_hardy_quotient is
-a 1-D oracle for sampled profiles.
+its logarithm where the energy itself underflows.  Both walk the rule one
+Gauss panel in log r at a time, so the per-node factors exist for 10 rows
+only and a call holds one full-grid array (the integrand, or the log
+terms: 0.92 MB) instead of one per factor.  radial_hardy_quotient is a 1-D
+oracle for sampled profiles.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, NamedTuple
+from typing import Callable, Iterator, NamedTuple
 
 import numpy as np
 
@@ -187,18 +190,13 @@ def _plateau_window(delta_inner: float, delta_outer: float) -> _PlateauWindow:
     return _PlateauWindow(r0=delta_inner * e, r1=delta_outer / e)
 
 
-def cutoff_decay(
-    params: HardyParams,
-    u_support: tuple[float, float],
-    h: int,
-    eta: Callable[[np.ndarray], np.ndarray] | None = None,
-    eta_prime: Callable[[np.ndarray], np.ndarray] | None = None,
-) -> float:
+def cutoff_decay(params: HardyParams, u_support: tuple[float, float], h: int) -> float:
     """Gradient energy I_h of u_h = eta(-log|y|/h) u over the strip e^-2h < |y| < e^-h.
 
     The model u is a radial plateau window on u_support times the constant
-    angular profile.  The strip integral is formed exactly in the coordinates
-    (nu, tau) = (log r, -log|y|), where cos(theta) = e^(-tau-nu):
+    angular profile, and eta is eta_cutoff.  The strip integral is formed
+    exactly in the coordinates (nu, tau) = (log r, -log|y|), where
+    cos(theta) = e^(-tau-nu):
 
         I_h = pref * int dnu e^(nu(d-b-k)) int_h^2h dtau e^(-tau(k+a))
               * (1-c^2)^((d-k-2)/2) * |grad u_h|^p,
@@ -206,59 +204,64 @@ def cutoff_decay(
     so I_h -> 0 like h^(1-p) at the threshold k+a = p and exponentially for
     k+a > p, where it underflows to 0 once h(k+a-p) passes ~700
     (_cutoff_log_decay gives log I_h there).
+
+    The tensor-product Gauss rule (480 nu- by 240 tau-nodes) is walked one
+    nu-panel of 10 rows at a time: c, 1 - c^2, the gradient and the kernel
+    live for one panel only, and just the integrand is held in full
+    (0.92 MB), so one call peaks near 1 MB of arrays whatever h is.
     """
-    strip = _strip(params, u_support, h, eta, eta_prime)
+    strip = _strip(params, u_support, h)
     d, k, b = params.d, params.k, params.b
-    kernel = np.exp(strip.nu * (d - b - k))[:, None] * np.exp(-strip.tau * strip.excess)[None, :]
-    kernel = kernel * strip.one_mc2 ** ((d - k - 2) / 2)
-    return float(strip.pref * strip.w_nu @ (kernel * strip.grad_p) @ strip.w_tau)
+    radial = np.exp(strip.nu * (d - b - k))[:, None]
+    decay = np.exp(-strip.tau * strip.excess)[None, :]
+    integrand = np.empty((strip.nu.size, strip.tau.size))
+    for rows, one_mc2, grad_p in strip.panels():
+        kernel = radial[rows] * decay
+        kernel = kernel * one_mc2 ** ((d - k - 2) / 2)
+        integrand[rows] = kernel * grad_p
+    # one reduction over the whole integrand: per-panel partial sums would round differently
+    return float(strip.pref * strip.w_nu @ integrand @ strip.w_tau)
 
 
-def _cutoff_log_decay(
-    params: HardyParams,
-    u_support: tuple[float, float],
-    h: int,
-    eta: Callable[[np.ndarray], np.ndarray] | None = None,
-    eta_prime: Callable[[np.ndarray], np.ndarray] | None = None,
-) -> float:
+def _cutoff_log_decay(params: HardyParams, u_support: tuple[float, float], h: int) -> float:
     """log I_h of cutoff_decay, finite where I_h itself underflows.
 
     Each quadrature term's logarithm is summed with the decay e^(-tau(k+a-p))
     kept as the exponent -tau(k+a-p), never exponentiated on its own, and the
-    terms are added by log-sum-exp.  -inf when every term vanishes.
+    terms are added by log-sum-exp.  -inf when every term vanishes.  The rule
+    is walked panel by panel as in cutoff_decay; only the terms are held in
+    full, and the log-sum-exp works on them in place.
     """
-    strip = _strip(params, u_support, h, eta, eta_prime)
+    strip = _strip(params, u_support, h)
     d, k, b = params.d, params.k, params.b
+    terms = np.empty((strip.nu.size, strip.tau.size))
     with np.errstate(divide="ignore"):
-        terms = ((np.log(strip.w_nu) + strip.nu * (d - b - k))[:, None]
-                 + (np.log(strip.w_tau) - strip.tau * strip.excess)[None, :]
-                 + np.log(strip.one_mc2 ** ((d - k - 2) / 2)) + np.log(strip.grad_p))
+        radial = (np.log(strip.w_nu) + strip.nu * (d - b - k))[:, None]
+        decay = (np.log(strip.w_tau) - strip.tau * strip.excess)[None, :]
+        for rows, one_mc2, grad_p in strip.panels():
+            terms[rows] = (radial[rows] + decay
+                           + np.log(one_mc2 ** ((d - k - 2) / 2)) + np.log(grad_p))
     top = terms.max()
     if top == -math.inf:
         return -math.inf
-    return math.log(strip.pref) + float(top) + math.log(np.exp(terms - top).sum())
+    terms -= top
+    return math.log(strip.pref) + float(top) + math.log(np.exp(terms, out=terms).sum())
 
 
 class _Strip(NamedTuple):
-    """Quadrature of the strip energy: nodes and weights in nu and tau, and the factors at them."""
+    """Quadrature of the strip energy: nodes and weights in nu and tau, and the factors per nu-panel."""
 
     nu: np.ndarray
     w_nu: np.ndarray
     tau: np.ndarray
     w_tau: np.ndarray
     excess: float  # k+a-p: the strip integrand decays like e^(-tau (k+a-p))
-    one_mc2: np.ndarray
-    grad_p: np.ndarray  # |e^-tau grad u_h|^p
     pref: float
+    # per nu-panel: its rows, and 1-c^2 and |e^-tau grad u_h|^p on them
+    panels: Callable[[], Iterator[tuple[slice, np.ndarray, np.ndarray]]]
 
 
-def _strip(
-    params: HardyParams,
-    u_support: tuple[float, float],
-    h: int,
-    eta: Callable[[np.ndarray], np.ndarray] | None,
-    eta_prime: Callable[[np.ndarray], np.ndarray] | None,
-) -> _Strip:
+def _strip(params: HardyParams, u_support: tuple[float, float], h: int) -> _Strip:
     """The strip quadrature of cutoff_decay, after checking its preconditions."""
     if h < 1:
         raise ValueError(f"need h >= 1, got {h}")
@@ -270,10 +273,6 @@ def _strip(
         raise ValueError(f"need 0 < delta_inner < delta_outer, got {u_support}")
     if math.exp(-h) >= delta_inner:
         raise ValueError("strip |y| < e^-h must lie below the support radius delta_inner")
-    if eta is None:
-        eta = eta_cutoff
-    if eta_prime is None:
-        eta_prime = eta_cutoff_prime
 
     window = _plateau_window(delta_inner, delta_outer)
     nu_lo, nu_hi = window.log_support()
@@ -282,20 +281,26 @@ def _strip(
 
     g, gp = window.profile(nu)           # f(r) = g(nu), f'(r) = gp(nu)/r
     r = np.exp(nu)
-    eta_v = np.asarray(eta(tau / h), dtype=float)
-    etp_v = np.asarray(eta_prime(tau / h), dtype=float)
+    gp_r, g_r = gp / r, g / r
+    eta_v = np.asarray(eta_cutoff(tau / h), dtype=float)
+    etp_v = np.asarray(eta_cutoff_prime(tau / h), dtype=float)
+    e_tau = np.exp(-tau)
+    panel = nu.size // CUTOFF_RADIAL_PANELS  # the 10 Gauss nodes of one panel in nu
 
-    # the angular part of |grad u_h| grows like e^tau, so the integrand is
-    # formed as e^(-tau(k+a-p)) |e^-tau grad u_h|^p: with k+a >= p neither
-    # factor overflows, however large h is
-    c = np.exp(-(tau[None, :] + nu[:, None]))
-    one_mc2 = np.clip(1.0 - c**2, 0.0, 1.0)
-    grad_r = eta_v[None, :] * (gp / r)[:, None] - etp_v[None, :] * (g / r)[:, None] / h
-    scaled_grad_r = grad_r * np.exp(-tau)[None, :]
-    scaled_grad_th = etp_v[None, :] * np.sqrt(one_mc2) * g[:, None] / h
-    grad_p = (scaled_grad_r**2 + scaled_grad_th**2) ** (params.p / 2)
-    pref = AngularWeight.for_params(params).prefactor
-    return _Strip(nu, w_nu, tau, w_tau, ka - params.p, one_mc2, grad_p, pref)
+    def panels() -> Iterator[tuple[slice, np.ndarray, np.ndarray]]:
+        # the angular part of |grad u_h| grows like e^tau, so the integrand is
+        # formed as e^(-tau(k+a-p)) |e^-tau grad u_h|^p: with k+a >= p neither
+        # factor overflows, however large h is
+        for start in range(0, nu.size, panel):
+            rows = slice(start, start + panel)
+            c = np.exp(-(tau[None, :] + nu[rows, None]))
+            one_mc2 = np.clip(1.0 - c**2, 0.0, 1.0)
+            grad_r = eta_v[None, :] * gp_r[rows, None] - etp_v[None, :] * g_r[rows, None] / h
+            scaled_grad_r = grad_r * e_tau[None, :]
+            scaled_grad_th = etp_v[None, :] * np.sqrt(one_mc2) * g[rows, None] / h
+            yield rows, one_mc2, (scaled_grad_r**2 + scaled_grad_th**2) ** (params.p / 2)
+
+    return _Strip(nu, w_nu, tau, w_tau, ka - params.p, AngularWeight.for_params(params).prefactor, panels)
 
 
 # ---------------------------------------------------------------------------

@@ -697,6 +697,16 @@ class TestProcesses:
         assert one == two
         assert pool.replace('"jobs": 2', '"jobs": 1') == one
 
+    def test_cutoff_energies_independent_of_blas_threads(self):
+        # the strip energy closes with a BLAS matrix-vector product over the full integrand
+        args = ["-m", "hardycone.cli", "verify", "--d", "4", "--k", "2", "--a=0.5", "--mesh", "2048",
+                "--hs", "4,8,16,32"]
+        one = run_process(args, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1")
+        two = run_process(args, OPENBLAS_NUM_THREADS="2", OMP_NUM_THREADS="2")
+        rows = json.loads(one)["rows"]
+        assert [row["status"] for row in rows] == ["ok", "ok"] and len(rows[1]["trace"]) == 4
+        assert two == one
+
     def test_sweep_report_independent_of_jobs(self):
         args = [
             "-m", "hardycone.cli", "sweep", "--d", "3,4", "--k", "1", "--p", "2,1.5",

@@ -1,6 +1,7 @@
 """Certification machinery: u_delta quotients, cutoff energies, 1-D oracle."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -171,6 +172,16 @@ class TestDenominatorBlowup:
         assert spread < 1e-12
 
 
+# (d,k,p,a,b) at the threshold k+a = p and above it
+CUTOFF_CELLS = [
+    HardyParams(3, 1, 2.0, 1.0, 0.0),
+    HardyParams(4, 2, 2.0, 0.5, 0.0),
+    HardyParams(3, 1, 3.0, 2.0, 0.0),
+    HardyParams(4, 2, 3.0, 1.5, 0.5),
+    HardyParams(3, 1, 2.0, 2.5, 0.0),
+]
+
+
 class TestCutoffDecay:
     def test_threshold_rate(self):
         # k + a = p = 2: I_h ~ h^(1-p), so I_h * h stays within a bounded band
@@ -188,12 +199,13 @@ class TestCutoffDecay:
         assert slopes[1] > slopes[0]  # steeper than any fixed power
         assert slopes[1] > 3.0
 
-    def test_no_cutoff_variation_leaves_base_energy(self):
+    def test_no_cutoff_variation_leaves_base_energy(self, monkeypatch):
         params = HardyParams(3, 1, 2.0, 1.0, 0.0)
-        ones = lambda t: np.ones_like(np.asarray(t, dtype=float))
-        zeros = lambda t: np.zeros_like(np.asarray(t, dtype=float))
-        base = cutoff_decay(params, (0.05, 20.0), 6, eta=ones, eta_prime=zeros)
         active = cutoff_decay(params, (0.05, 20.0), 6)
+        # a flat cutoff: the kernel looks eta up in the module when it runs
+        monkeypatch.setattr(verifier, "eta_cutoff", lambda t: np.ones_like(np.asarray(t, dtype=float)))
+        monkeypatch.setattr(verifier, "eta_cutoff_prime", lambda t: np.zeros_like(np.asarray(t, dtype=float)))
+        base = cutoff_decay(params, (0.05, 20.0), 6)
         assert base < 1e-2 * active
         # independent oracle: dense midpoint grid over the strip in (nu, tau)
         oracle = _strip_energy_midpoint_oracle(params, (0.05, 20.0), 6)
@@ -253,6 +265,33 @@ class TestCutoffDecay:
         for h, value in zip(hs, logs):
             assert -2.0 * 1.5 * h < value < -1.5 * h
 
+    @pytest.mark.parametrize("params", CUTOFF_CELLS, ids=lambda c: f"{c.d},{c.k},{c.p:g},{c.a:g},{c.b:g}")
+    def test_panels_match_the_dense_rule_bit_for_bit(self, params):
+        # the panel-by-panel kernel forms every node's value by the same
+        # operations as the whole-grid formula and reduces the same full
+        # integrand, so the energies and their logarithms are equal, not close
+        support = (0.05, 20.0)
+        for h in (4, 32, 200):
+            assert cutoff_decay(params, support, h) == _dense_strip_energy(params, support, h)
+        for h in (4, 32, 200, 2000):
+            assert _cutoff_log_decay(params, support, h) == _dense_strip_energy(params, support, h, log=True)
+
+    @pytest.mark.parametrize("kernel, params, h", [
+        (cutoff_decay, HardyParams(4, 2, 2.0, 0.5, 0.0), 32),
+        (_cutoff_log_decay, HardyParams(3, 1, 2.0, 2.5, 0.0), 1000),
+    ], ids=["energy", "log"])
+    def test_peak_memory_is_one_integrand_array(self, kernel, params, h):
+        # one 480 x 240 array (0.92 MB) plus panel-sized factors; the
+        # whole-grid formula holds about seven such arrays (~6.5 MB)
+        kernel(params, (0.05, 20.0), 4)  # fills the Gauss-node cache, which is not the kernel's memory
+        tracemalloc.start()
+        try:
+            kernel(params, (0.05, 20.0), h)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2_000_000
+
     def test_preconditions(self):
         params = HardyParams(3, 1, 2.0, 1.0, 0.0)
         with pytest.raises(ValueError):
@@ -263,6 +302,42 @@ class TestCutoffDecay:
             cutoff_decay(HardyParams(3, 1, 2.0, 0.5, 0.0), (0.05, 20.0), 4)  # k+a < p
         with pytest.raises(ValueError):
             cutoff_decay(params, (0.005, 20.0), 4)  # strip reaches into r < delta_inner
+        with pytest.raises(ValueError):
+            _cutoff_log_decay(params, (20.0, 0.05), 4)  # support radii out of order
+
+
+def _dense_strip_energy(params, support, h, log=False):
+    """The strip energy (or its log) by the whole-grid formula: every factor a 480 x 240 array."""
+    from hardycone.quadrature import AngularWeight
+    from hardycone.verifier import CUTOFF_RADIAL_PANELS, CUTOFF_TAU_PANELS, _gauss_panels, _plateau_window
+
+    window = _plateau_window(*support)
+    nu, w_nu = _gauss_panels(*window.log_support(), CUTOFF_RADIAL_PANELS)
+    tau, w_tau = _gauss_panels(float(h), 2.0 * float(h), CUTOFF_TAU_PANELS)
+    g, gp = window.profile(nu)
+    r = np.exp(nu)
+    eta_v = eta_cutoff(tau / h)
+    etp_v = eta_cutoff_prime(tau / h)
+    c = np.exp(-(tau[None, :] + nu[:, None]))
+    one_mc2 = np.clip(1.0 - c**2, 0.0, 1.0)
+    grad_r = eta_v[None, :] * (gp / r)[:, None] - etp_v[None, :] * (g / r)[:, None] / h
+    scaled_grad_r = grad_r * np.exp(-tau)[None, :]
+    scaled_grad_th = etp_v[None, :] * np.sqrt(one_mc2) * g[:, None] / h
+    grad_p = (scaled_grad_r**2 + scaled_grad_th**2) ** (params.p / 2)
+    pref = AngularWeight.for_params(params).prefactor
+    d, k, b, excess = params.d, params.k, params.b, params.k + params.a - params.p
+    if not log:
+        kernel = np.exp(nu * (d - b - k))[:, None] * np.exp(-tau * excess)[None, :]
+        kernel = kernel * one_mc2 ** ((d - k - 2) / 2)
+        return float(pref * w_nu @ (kernel * grad_p) @ w_tau)
+    with np.errstate(divide="ignore"):
+        terms = ((np.log(w_nu) + nu * (d - b - k))[:, None]
+                 + (np.log(w_tau) - tau * excess)[None, :]
+                 + np.log(one_mc2 ** ((d - k - 2) / 2)) + np.log(grad_p))
+    top = terms.max()
+    if top == -math.inf:
+        return -math.inf
+    return math.log(pref) + float(top) + math.log(np.exp(terms - top).sum())
 
 
 def _strip_energy_midpoint_oracle(params, support, h, n_nu=3000, n_tau=3000):
