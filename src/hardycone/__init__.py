@@ -14,8 +14,7 @@ __version__ = "0.1.0"
 _EXPORTS = {
     **dict.fromkeys([
         "AdmissibilityError", "AdmissibilityReport", "ClosedForm", "ConeKind", "ConeSpec",
-        "HardyExponent", "HardyParams", "closed_form_constant", "cone_admissible",
-        "cylindrical_constant", "hardy_exponent",
+        "HardyExponent", "HardyParams", "closed_form_constant", "cone_admissible", "hardy_exponent",
     ], "params"),
     **dict.fromkeys([
         "AngularWeight", "QuadratureRule", "composite_rule", "sphere_surface_area",

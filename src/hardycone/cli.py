@@ -30,7 +30,6 @@ from .spherical import (
     MIN_MESH_SIZE,
     ConvergenceError,
     SpectralResult,
-    _auto_gamma,
     _SphericalProblem,
     bc_for_cone,
     solve_M,
@@ -215,11 +214,10 @@ def _grid_rows(
     Cells with equal _SphericalProblem (p, k+a, d-k, H^2 and the endpoint
     conditions) share the _solve call of the first of them, whose result is
     bit for bit the one each would get alone; the closed form, gap and
-    status are still per cell.  The distinct problems are solved mesh by
-    mesh, so the problems on one graded mesh run back to back and share its
-    cached quadrature geometry; rows are still placed by cell index.  With
-    --jobs > 1 the distinct problems are spread over at most that many
-    worker processes.
+    status are still per cell.  The distinct problems are solved in order
+    of first appearance, and rows are placed by cell index.  With --jobs > 1
+    the distinct problems are spread over at most that many worker
+    processes.
     """
     groups: dict[object, list[int]] = {}
     for index, (params, cone) in enumerate(cells):
@@ -231,23 +229,14 @@ def _grid_rows(
             key = index
         groups.setdefault(key, []).append(index)
 
-    def mesh_of(key: object) -> tuple:  # sorting by it keeps each mesh's problems together
-        # the cross-section and the capped grading fix the graded mesh, so none is built.
-        # RunConfig holds mesh_size >= MIN_MESH_SIZE, so only an invalid cell has no mesh
-        if isinstance(key, int):
-            return ()
-        return key.domain.theta1, key.domain.theta2, _auto_gamma(key, config.mesh_size)
-
-    ordered = sorted(groups, key=mesh_of)
-
     def rows_from(results) -> list[ReportRow]:  # one result per group, none kept past its rows
         rows = [None] * len(cells)
-        for key, result in zip(ordered, results):
-            for index in groups[key]:
+        for indices, result in zip(groups.values(), results):
+            for index in indices:
                 rows[index] = _cell_row(command, *cells[index], config.mesh_size, result, with_closed)
         return rows
 
-    problems = [cells[groups[key][0]] for key in ordered]
+    problems = [cells[indices[0]] for indices in groups.values()]
     solve_args = ([params for params, _ in problems], [cone for _, cone in problems],
                   [config.mesh_size] * len(problems))
     if config.jobs > 1 and len(problems) > 1:

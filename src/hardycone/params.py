@@ -231,15 +231,3 @@ def closed_form_constant(params: HardyParams, cone: ConeSpec) -> ClosedForm | No
         return None
     return None
 
-
-def cylindrical_constant(params: HardyParams) -> float:
-    """Sharp constant ((k+a-p)/p)^p of the purely cylindrical inequality.
-
-    Defined only for a > p - k; at the threshold a = p - k the constant
-    vanishes and the weight |y|^(a-p) stops being locally integrable.
-    """
-    if params.a <= params.p - params.k:
-        raise ValueError(
-            f"cylindrical constant needs a > p - k, got a={params.a}, p-k={params.p - params.k}"
-        )
-    return ((params.k + params.a - params.p) / params.p) ** params.p

@@ -20,15 +20,6 @@ points buy nothing the mesh can show: against 8 points, M moves by at most
 2e-7 relative at mesh 1024, hundreds of times less than between meshes 1024
 and 4096 (tests/test_spherical.py checks this on six hard cells).
 
-A rule splits into a part that depends on the mesh alone and a part that
-depends on the exponents.  The mesh part (element widths, and on the
-interior elements the Gauss-Legendre nodes, sin(pi/2 - theta), sin(theta)
-and the P1 shape values at those nodes) is built once per mesh and kept
-read-only in a one-slot cache keyed by the mesh and the points per panel;
-the P1 discretization in spherical reads the same geometry.  Per rule only
-the two exponent powers and the Gauss-Jacobi end elements are formed, so
-consecutive rules and discretizations on one mesh share the mesh's work.
-
 Gauss-Jacobi rules come from the Golub-Welsch construction in numpy: the
 nodes are the eigenvalues of the Jacobi matrix of the three-term recurrence,
 and the weights are the Christoffel numbers 1 / sum_k phat_k(x_i)^2 of the
@@ -40,7 +31,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import NamedTuple, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -165,63 +156,6 @@ def _panel(weight: AngularWeight, th1: float, th2: float, n: int) -> tuple[np.nd
     return theta[idx], w[idx]
 
 
-class _MeshGeometry(NamedTuple):
-    """The exponent-free half of composite_rule and of a P1 discretization on one mesh.
-
-    Elements first:last are the interior panels, those touching neither
-    theta = 0 nor pi/2; ends lists the others.  Besides the element widths
-    h it holds, on the interior panels, the Gauss-Legendre nodes theta,
-    sin(pi/2 - theta), sin(theta) and the P1 shape values n1, n2 at the
-    nodes.  Every array is read-only.
-    """
-
-    h: np.ndarray
-    first: int
-    last: int
-    ends: tuple[int, ...]
-    theta: np.ndarray
-    cos_theta: np.ndarray
-    sin_theta: np.ndarray
-    n1: np.ndarray
-    n2: np.ndarray
-
-
-@lru_cache(maxsize=1)
-def _mesh_geometry(mesh_bytes: bytes, n_per_panel: int) -> _MeshGeometry:
-    """The geometry of the float64 mesh with these bytes, n_per_panel nodes per element.
-
-    One slot: a command solves its problems mesh by mesh, so consecutive
-    rule builds on one mesh, and the discretizations built on those rules,
-    share one geometry.
-    """
-    mesh = np.frombuffer(mesh_bytes)
-    h = np.diff(mesh)
-    if np.any(h <= 0):
-        raise ValueError("mesh must be a strictly increasing 1-D array")
-    if not (0.0 <= mesh[0] and mesh[-1] <= HALF_PI):
-        raise ValueError(f"mesh must lie in [0, pi/2], got [{mesh[0]:g}, {mesh[-1]:g}]")
-    n_el = mesh.size - 1
-    first = 1 if mesh[0] == 0.0 else 0
-    last = n_el - 1 if mesh[-1] == HALF_PI else n_el
-    lo, hi = mesh[first:last, None], mesh[first + 1 : last + 1, None]
-    x, _ = _gauss_jacobi(n_per_panel, 0.0, 0.0)
-    theta = lo + 0.5 * (hi - lo) * (1.0 + x)
-    geometry = _MeshGeometry(
-        h=h,
-        first=first,
-        last=last,
-        ends=tuple(sorted(e for e in {0, n_el - 1} if mesh[e] == 0.0 or mesh[e + 1] == HALF_PI)),
-        theta=theta,
-        cos_theta=np.sin(HALF_PI - theta),
-        sin_theta=np.sin(theta),
-        n1=(hi - theta) / h[first:last, None],
-        n2=(theta - lo) / h[first:last, None],
-    )
-    for array in (h, theta, geometry.cos_theta, geometry.sin_theta, geometry.n1, geometry.n2):
-        array.flags.writeable = False
-    return geometry
-
-
 def composite_rule(
     weight: AngularWeight, mesh: Sequence[float] | np.ndarray, n_per_panel: int = DEFAULT_PANEL_ORDER
 ) -> QuadratureRule:
@@ -229,33 +163,40 @@ def composite_rule(
 
     Interior panels share one Gauss-Legendre rule, broadcast over panels with
     the smooth weight in the integrand; only the panels touching theta = 0 or
-    pi/2 are built one at a time (Gauss-Jacobi).  The mesh's nodes, widths
-    and sines come from its cached geometry, so a rule on the mesh of the
-    previous call costs only the two exponent powers and the end panels.
-    The default 4 points per panel are exact to degree 7 on interior
-    panels, which keeps the rule's error in a solve far below the mesh's
-    (see the module docstring).
+    pi/2 are built one at a time (Gauss-Jacobi).  The default 4 points per
+    panel are exact to degree 7 on interior panels, which keeps the rule's
+    error in a solve far below the mesh's (see the module docstring).
     """
     mesh = np.asarray(mesh, dtype=float)
     if mesh.ndim != 1 or mesh.size < 2:
         raise ValueError("mesh must be a strictly increasing 1-D array")
-    geometry = _mesh_geometry(mesh.tobytes(), n_per_panel)
+    h = np.diff(mesh)
+    if np.any(h <= 0):
+        raise ValueError("mesh must be a strictly increasing 1-D array")
+    if not (0.0 <= mesh[0] and mesh[-1] <= HALF_PI):
+        raise ValueError(f"mesh must lie in [0, pi/2], got [{mesh[0]:g}, {mesh[-1]:g}]")
     if mesh[-1] == HALF_PI and weight.cos_exponent <= -1.0:
         raise ValueError(
             f"weight cos^{weight.cos_exponent:g} is not integrable up to theta = pi/2 (needs k+a > 0)"
         )
-    first, last = geometry.first, geometry.last
-    _, wx = _gauss_jacobi(n_per_panel, 0.0, 0.0)
-    nodes = np.empty((mesh.size - 1, n_per_panel))
+    # elements first:last touch neither theta = 0 nor pi/2
+    n_el = mesh.size - 1
+    first = 1 if mesh[0] == 0.0 else 0
+    last = n_el - 1 if mesh[-1] == HALF_PI else n_el
+    x, wx = _gauss_jacobi(n_per_panel, 0.0, 0.0)
+    nodes = np.empty((n_el, n_per_panel))
     weights = np.empty_like(nodes)
-    nodes[first:last] = geometry.theta
+    lo, hi = mesh[first:last, None], mesh[first + 1 : last + 1, None]
+    theta = nodes[first:last]
+    theta[:] = lo + 0.5 * (hi - lo) * (1.0 + x)
     # wx h/2 cos^alpha sin^beta, formed in place in that order
     interior = weights[first:last]
-    np.multiply(wx * 0.5, geometry.h[first:last, None], out=interior)
-    interior *= geometry.cos_theta ** weight.cos_exponent
-    interior *= geometry.sin_theta ** weight.sin_exponent
-    for e in geometry.ends:
-        nodes[e], weights[e] = _panel(weight, mesh[e], mesh[e + 1], n_per_panel)
+    np.multiply(wx * 0.5, h[first:last, None], out=interior)
+    interior *= np.sin(HALF_PI - theta) ** weight.cos_exponent
+    interior *= np.sin(theta) ** weight.sin_exponent
+    for e in {0, n_el - 1}:
+        if not first <= e < last:
+            nodes[e], weights[e] = _panel(weight, mesh[e], mesh[e + 1], n_per_panel)
     return QuadratureRule(
         nodes=nodes.ravel(),
         weights=weights.ravel(),

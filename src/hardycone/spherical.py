@@ -39,10 +39,7 @@ smallest_eigenpair (inverse iteration) give the P1 reference value.
 
 The private solvers take the cell's 1-D problem as one _SphericalProblem,
 whose s is the one boundary-layer exponent at pi/2.  Its graded mesh comes
-from _solve_mesh, whose cross-section and _auto_gamma grading the CLI also
-uses to order a command's problems mesh by mesh; the P1 discretization
-takes the element widths and the interior shape values from the quadrature
-module's cached geometry.
+from _solve_mesh, graded by _auto_gamma to match s.
 
 Every P1 matrix is symmetric tridiagonal and is kept as a (diag, off) pair
 of numpy arrays.  One kernel solves all of them: odd-even cyclic reduction,
@@ -72,11 +69,13 @@ from .params import (
     hardy_exponent,
     require_admissible,
 )
-from .quadrature import AngularWeight, QuadratureRule, _gauss_jacobi, _mesh_geometry, composite_rule
+from .quadrature import AngularWeight, QuadratureRule, _gauss_jacobi, composite_rule
 
 HALF_PI = math.pi / 2
 MIN_MESH_SIZE = 16  # fewest elements a solve accepts
 MAX_DESCENT_ITER = 100_000  # descent steps before ConvergenceError
+DESCENT_TOL = 1e-9  # relative decrease of Q per descent step at convergence
+DESCENT_GRAD_TOL = 1e-6  # relative step decrement sqrt(grad Q . d) / Q at convergence
 FACTORED_MAX_SIZE = 64  # largest spectral basis before ConvergenceError
 FACTORED_TOL = 1e-12  # agreement of consecutive spectral eigenvalues
 
@@ -157,9 +156,6 @@ class DiscretizedFunction:
             raise ValueError("mesh and values must be matching 1-D arrays")
         if np.any(np.diff(self.mesh) <= 0):
             raise ValueError("mesh must be strictly increasing")
-
-    def __call__(self, theta: np.ndarray) -> np.ndarray:
-        return np.interp(theta, self.mesh, self.values)
 
 
 class _FactoredFunction(DiscretizedFunction):
@@ -610,25 +606,15 @@ class _Discretization(_RuleSums):
     shape values n1, n2 at its nodes and the free nodes (not the Dirichlet
     ends of problem.domain).  The p = 2 matrices, the discrete quotient Q(phi) with its
     analytic nodal gradient, and the certifier's u_delta sums are all sums
-    over these nodes and weights.  rule is composite_rule's on mesh: h and
-    the interior rows of n1, n2 are the mesh's cached geometry, so only the
-    rows of the end elements (whose Gauss-Jacobi nodes depend on the
-    exponents) are formed here.
+    over these nodes and weights.
     """
 
     def __init__(self, problem: _SphericalProblem, mesh: np.ndarray, rule: QuadratureRule):
         theta_q = rule.nodes.reshape(mesh.size - 1, -1)
-        geometry = _mesh_geometry(mesh.tobytes(), theta_q.shape[1])
-        first, last = geometry.first, geometry.last
         self.mesh = mesh
-        self.h = h = geometry.h
-        self.n1 = np.empty_like(theta_q)
-        self.n2 = np.empty_like(theta_q)
-        self.n1[first:last] = geometry.n1
-        self.n2[first:last] = geometry.n2
-        for e in geometry.ends:
-            self.n1[e] = (mesh[e + 1] - theta_q[e]) / h[e]
-            self.n2[e] = (theta_q[e] - mesh[e]) / h[e]
+        self.h = h = np.diff(mesh)
+        self.n1 = (mesh[1:, None] - theta_q) / h[:, None]
+        self.n2 = (theta_q - mesh[:-1, None]) / h[:, None]
         self.w = rule.weights.reshape(theta_q.shape)
         self.p = problem.p
         self.H2 = problem.H2
@@ -787,14 +773,7 @@ def _cosine_profile(problem: _SphericalProblem, mesh: np.ndarray) -> np.ndarray:
     return v
 
 
-def minimize_rayleigh_p(
-    params: HardyParams,
-    domain: AngularDomain,
-    mesh_size: int,
-    init: DiscretizedFunction | None = None,
-    tol: float = 1e-9,
-    grad_tol: float = 1e-6,
-) -> SpectralResult:
+def minimize_rayleigh_p(params: HardyParams, domain: AngularDomain, mesh_size: int) -> SpectralResult:
     """Minimize the discrete quotient by Newton steps on the surface {D = const}.
 
     Each step solves the bordered Newton system of E - Q D restricted to
@@ -804,20 +783,20 @@ def minimize_rayleigh_p(
     metric (solving (S + (1+H^2) M) d = grad Q with the p=2 matrices) is
     taken instead.  Backtracking line search from a full step; iterates are
     clamped to the nonnegative cone and renormalized to unit weighted p-norm.
-    Stops when the relative decrease of Q over an iteration drops below tol
-    and the relative step decrement sqrt(grad Q . d) / Q below grad_tol; that
-    decrement is the returned residual.  A failed line search stops it too if
-    the decrement is below grad_tol or a full step would lower Q by less than
-    tol; otherwise it raises ConvergenceError.  Without init the start is
-    _cosine_profile.  The mesh has mesh_size elements, graded toward pi/2.
+    Stops when the relative decrease of Q over an iteration drops below
+    DESCENT_TOL and the relative step decrement sqrt(grad Q . d) / Q below
+    DESCENT_GRAD_TOL; that decrement is the returned residual.  A failed line
+    search stops it too if the decrement is below DESCENT_GRAD_TOL or a full
+    step would lower Q by less than DESCENT_TOL; otherwise it raises
+    ConvergenceError.  The start is _cosine_profile.  The mesh has mesh_size
+    elements, graded toward pi/2.
     """
     problem = _SphericalProblem.of(params, domain)
     disc = _Discretization.graded(problem, mesh_size)
     mesh, free = disc.mesh, disc.free
     precond = None  # the weighted-H1 solve, factored at the first fallback step
 
-    v = _cosine_profile(problem, mesh) if init is None else init(mesh)
-    v = disc.normalize(v.astype(float))
+    v = disc.normalize(_cosine_profile(problem, mesh))
 
     q, g = disc.value_grad(v)
     iterations = 0
@@ -851,7 +830,7 @@ def minimize_rayleigh_p(
                 break
             eta *= 0.5
         if not accepted:
-            if decrement < grad_tol or slope < tol * abs(q):  # Q at its (rounding) floor
+            if decrement < DESCENT_GRAD_TOL or slope < DESCENT_TOL * abs(q):  # Q at its (rounding) floor
                 break
             raise ConvergenceError(f"quotient descent stuck (relative decrement {decrement:.3e})",
                                    residual=decrement, trace=trace[-20:])
@@ -859,7 +838,7 @@ def minimize_rayleigh_p(
         v = trial
         q, g = disc.value_grad(v)
         trace.append(q)
-        if rel_dec < tol and decrement < grad_tol:
+        if rel_dec < DESCENT_TOL and decrement < DESCENT_GRAD_TOL:
             break
     else:
         raise ConvergenceError(

@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 from scipy.interpolate import CubicSpline
 
+import hardycone.spherical as spherical
 from hardycone.params import (
     ConeSpec,
     HardyParams,
@@ -22,7 +23,6 @@ from hardycone.spherical import (
     DIRICHLET,
     NATURAL,
     AngularDomain,
-    DiscretizedFunction,
     assemble_p2,
     bc_for_cone,
     minimize_rayleigh_p,
@@ -331,20 +331,24 @@ NATURAL_CONFIGS = [
 ]
 
 
-def generic_init(domain: AngularDomain) -> DiscretizedFunction:
-    mesh = np.linspace(domain.theta1, domain.theta2, 41)
-    return DiscretizedFunction(mesh, 1.0 + 0.5 * np.cos(3.0 * mesh) ** 2)
+def tight_generic_descent(monkeypatch) -> None:
+    """Descents from 1 + 0.5 cos^2(3 theta), not the cosine profile, to a relative decrease of 1e-13."""
+    monkeypatch.setattr(spherical, "_cosine_profile", lambda problem, mesh: 1.0 + 0.5 * np.cos(3.0 * mesh) ** 2)
+    monkeypatch.setattr(spherical, "DESCENT_TOL", 1e-13)
 
 
-def test_criterion_10_p_cross_validation():
+def test_criterion_10_p_cross_validation(monkeypatch):
     """Quotient descent vs the P1 eigen path at p=2; constants at p in {1.5, 3}."""
+    tight_generic_descent(monkeypatch)
     worst = 0.0
     for params, cone in P2_CROSS_CONFIGS:
         # both legs on the same P1 discretization (solve_M is spectral at p = 2)
         domain = bc_for_cone(params, cone)
         lam, _ = smallest_eigenpair(*assemble_p2(params, domain, 160)[:2])
         eig_M = lam + hardy_exponent(params).H ** 2
-        desc = minimize_rayleigh_p(params, domain, 160, init=generic_init(domain), tol=1e-13, grad_tol=1e-9)
+        with monkeypatch.context() as patch:
+            patch.setattr(spherical, "DESCENT_GRAD_TOL", 1e-9)
+            desc = minimize_rayleigh_p(params, domain, 160)
         rel = abs(desc.M - eig_M) / eig_M
         worst = max(worst, rel)
         assert rel <= 1e-6, (params, cone.describe(), rel)
@@ -353,7 +357,7 @@ def test_criterion_10_p_cross_validation():
         domain = bc_for_cone(params, cone)
         assert domain.bc1 is NATURAL and domain.bc2 is NATURAL
         habs = hardy_exponent(params).H_abs_p
-        result = minimize_rayleigh_p(params, domain, 160, init=generic_init(domain), tol=1e-13)
+        result = minimize_rayleigh_p(params, domain, 160)
         assert abs(result.M - habs) <= 1e-6 * max(1.0, habs)
         vals = result.minimizer.values
         assert (vals.max() - vals.min()) <= 1e-4 * vals.max()
@@ -363,7 +367,7 @@ def test_criterion_10_p_cross_validation():
     )
 
 
-def test_criterion_05_lower_bound_and_strict_gap():
+def test_criterion_05_lower_bound_and_strict_gap(monkeypatch):
     """M >= |H|^p - 1e-8 across the solves of criteria 2, 3, 6, 7 and 10; strict gap for Dirichlet bands."""
     sigma0, half = ConeSpec.complement_sigma0(), ConeSpec.half_space()
     cells = [(HardyParams(d, 1, 2.0, a, b), sigma0, mesh) for d, a, b in K1_CONFIGS for mesh in (512, 2048)]
@@ -371,9 +375,9 @@ def test_criterion_05_lower_bound_and_strict_gap():
     cells += [(HardyParams(d, 1, 2.0, 0.0, 0.0), half, 1024) for d in (3, 4, 5)]
     cells += [(HardyParams(3, 1, 2.0, 0.0, 0.0), sigma0, 512), (HardyParams(4, 1, 2.0, 0.3, 0.5), sigma0, 512)]
     solved = [(params, solve_M(params, cone, mesh)) for params, cone, mesh in cells]
+    tight_generic_descent(monkeypatch)
     for params, cone in P2_CROSS_CONFIGS + NATURAL_CONFIGS:
-        domain = bc_for_cone(params, cone)
-        solved.append((params, minimize_rayleigh_p(params, domain, 160, init=generic_init(domain), tol=1e-13)))
+        solved.append((params, minimize_rayleigh_p(params, bc_for_cone(params, cone), 160)))
     assert len(solved) >= 30
     for params, result in solved:
         habs = hardy_exponent(params).H_abs_p

@@ -11,12 +11,10 @@ import sys
 from dataclasses import replace
 from pathlib import Path
 
-import numpy as np
 import pytest
 
 import hardycone
 import hardycone.cli as cli
-import hardycone.quadrature as quadrature
 import hardycone.spherical as spherical
 from hardycone.cli import (
     CSV_COLUMNS,
@@ -254,63 +252,26 @@ class TestSweepDedupe:
         assert rows == cmd_sweep(config_for("sweep", **grid))
 
 
-# 48 cells on three meshes: graded with gamma = 2 (natural end at pi/2, and
-# Dirichlet ends with s >= 1.2), graded with gamma = 4.8 (Dirichlet, k+a = 1.5
-# at p = 2) and the uniform mesh of the band away from pi/2.  p = 1.5 cells run
-# the descent, which builds the geometry of the gamma = 2 and the uniform mesh;
-# p = 2 cells are solved spectrally and build none
+# 48 cells: p = 2 cells solved spectrally and p = 1.5 cells by the P1 descent,
+# on a band that reaches pi/2 and one that does not
 MESH_GRID = dict(d=(3, 4), k=(1, 2), p=(2.0, 1.5), a=(-0.5, 0.5, 1.5),
                  cones=(f"band:0.3:{math.pi / 2!r}", "band:0.3:1.2"))
 
 
-def solve_mesh(config, params, cone):
-    """The graded mesh, as bytes, that the cell's solve discretizes on."""
-    problem = spherical._SphericalProblem.of(params, spherical.bc_for_cone(params, cone))
-    return spherical._solve_mesh(problem, config.mesh_size).tobytes()
-
-
 class TestMeshGeometryCache:
+    """A sweep's rows do not depend on the order in which its problems are solved."""
+
     def test_rows_equal_cold_solves_in_reverse(self):
-        config = config_for("sweep", **MESH_GRID)
-        cells = config.cells()
-        assert len({solve_mesh(config, *cell) for cell in cells}) == 3
-        rows = cmd_sweep(config)
+        forward = config_for("sweep", **MESH_GRID)
+        backward = config_for("sweep", **{key: values[::-1] for key, values in MESH_GRID.items()})
         cold = {}
-        for index in reversed(range(len(cells))):
-            quadrature._mesh_geometry.cache_clear()
-            params, cone = cells[index]
-            result = cli._solve(params, cone, config.mesh_size)
-            cold[index] = cli._cell_row("sweep", params, cone, config.mesh_size, result)
-        assert rows_to_json(config, rows) == rows_to_json(config, [cold[i] for i in range(len(cells))])
-        assert {row.status for row in rows} <= {"ok", "no_closed_form"}
-
-    def test_solved_mesh_by_mesh_with_one_geometry_held_read_only(self, monkeypatch):
-        config = config_for("sweep", **MESH_GRID)
-        quadrature._mesh_geometry.cache_clear()
-        calls = count_solves(monkeypatch)
-        cmd_sweep(config)
-        meshes = [solve_mesh(config, params, cone) for params, cone in calls]
-        runs = [mesh for i, mesh in enumerate(meshes) if i == 0 or mesh != meshes[i - 1]]
-        assert len(runs) == len(set(runs)) == 3
-        info = quadrature._mesh_geometry.cache_info()
-        assert info.currsize == 1 and info.misses == 2  # each descent mesh's geometry built once
-        # a spectral p = 2 solve builds no geometry, so the one held is the last descent's
-        last_descent = [mesh for mesh, (params, _) in zip(meshes, calls) if params.p != 2.0][-1]
-        geometry = quadrature._mesh_geometry(last_descent, quadrature.DEFAULT_PANEL_ORDER)
-        assert quadrature._mesh_geometry.cache_info().hits == info.hits + 1
-        arrays = [value for value in geometry if isinstance(value, np.ndarray)]
-        assert len(arrays) == 6
-        for array in arrays:
-            assert not array.flags.writeable
-            with pytest.raises(ValueError):
-                array[...] = 0.0
-
-    def test_verify_deltas_reuse_the_solve_geometry(self):
-        quadrature._mesh_geometry.cache_clear()
-        # p != 2: the P1 solve and certifier (at p = 2 both are spectral)
-        cmd_verify(config_for("verify", p=(1.5,), cones=("band:0.3:1.2",), delta_list=(0.2, 0.1, 0.05),
-                              h_list=()))
-        assert quadrature._mesh_geometry.cache_info().misses == 1
+        for params, cone in reversed(forward.cells()):
+            result = cli._solve(params, cone, forward.mesh_size)
+            cold[params, cone] = cli._cell_row("sweep", params, cone, forward.mesh_size, result)
+        for config in (forward, backward):
+            rows = cmd_sweep(config)
+            assert rows_to_json(config, rows) == rows_to_json(config, [cold[cell] for cell in config.cells()])
+            assert {row.status for row in rows} <= {"ok", "no_closed_form"}
 
 
 # 17 cells, 13 distinct problems: 12 (n, s) family cells, the mixed-threshold cell

@@ -12,7 +12,6 @@ from hardycone.params import (
     HardyParams,
     closed_form_constant,
     cone_admissible,
-    cylindrical_constant,
     hardy_exponent,
 )
 
@@ -263,17 +262,3 @@ class TestClosedFormConstant:
     def test_inadmissible_raises(self):
         with pytest.raises(AdmissibilityError):
             closed_form_constant(HardyParams(3, 2, 2.0, -3.0, 0.0), ConeSpec.full_space())
-
-
-class TestCylindricalConstant:
-    def test_known_value(self):
-        assert cylindrical_constant(HardyParams(3, 1, 2.0, 3.0, 0.0)) == pytest.approx(1.0, abs=1e-15)
-
-    def test_threshold_errors(self):
-        with pytest.raises(ValueError):
-            cylindrical_constant(HardyParams(4, 2, 2.0, 0.0, 0.0))  # a = p - k
-
-    def test_vanishes_continuously_at_threshold(self):
-        eps = 1e-4
-        value = cylindrical_constant(HardyParams(3, 1, 2.0, 1.0 + eps, 0.0))
-        assert value == pytest.approx((eps / 2) ** 2, rel=1e-10)

@@ -138,8 +138,9 @@ class TestBuildRule:
         composite_rule(weight_for(3, 1, -1.0), (0.2, 1.0), 32)
 
     def test_bad_interval(self):
-        with pytest.raises(ValueError):
-            composite_rule(weight_for(3, 1, 0.0), (1.0, 0.5), 32)
+        for mesh in [(1.0, 0.5), (0.2, 0.2, 1.0)]:  # decreasing, a repeated node
+            with pytest.raises(ValueError, match="strictly increasing"):
+                composite_rule(weight_for(3, 1, 0.0), mesh, 32)
 
 
 class TestCompositeRule:

@@ -517,14 +517,15 @@ class TestClosedEigenSigma0:
 
 
 class TestMinimizeRayleighP:
-    def test_p2_agrees_with_eigen_path(self):
+    def test_p2_agrees_with_eigen_path(self, monkeypatch):
         params = HardyParams(3, 1, 2.0, 0.0, 0.0)
         cone = ConeSpec.complement_sigma0()
         dom = bc_for_cone(params, cone)
         lam, _ = smallest_eigenpair(*assemble_p2(params, dom, 128)[:2])
-        mesh = graded_mesh(0.0, HALF_PI, 16, 1.0)
-        init = DiscretizedFunction(mesh, 1.0 + 0.5 * np.cos(3 * mesh) ** 2)
-        desc = minimize_rayleigh_p(params, dom, 128, init=init, tol=1e-12, grad_tol=1e-8)
+        monkeypatch.setattr(spherical, "_cosine_profile", lambda problem, mesh: 1.0 + 0.5 * np.cos(3.0 * mesh) ** 2)
+        monkeypatch.setattr(spherical, "DESCENT_TOL", 1e-12)
+        monkeypatch.setattr(spherical, "DESCENT_GRAD_TOL", 1e-8)
+        desc = minimize_rayleigh_p(params, dom, 128)
         assert desc.M == pytest.approx(lam + hardy_exponent(params).H ** 2, rel=1e-8)
         assert desc.lam == pytest.approx(lam, rel=1e-6)
 
@@ -545,11 +546,10 @@ class TestMinimizeRayleighP:
 
     def test_degenerate_init_rejected(self):
         params = HardyParams(3, 1, 2.0, 0.0, 0.0)
-        dom = bc_for_cone(params, ConeSpec.complement_sigma0())
-        mesh = graded_mesh(0.0, HALF_PI, 32, 2.0)
-        zero = DiscretizedFunction(mesh, np.zeros(mesh.size))
+        problem = spherical._SphericalProblem.of(params, bc_for_cone(params, ConeSpec.complement_sigma0()))
+        disc = spherical._Discretization.graded(problem, 64)
         with pytest.raises(ValueError):
-            minimize_rayleigh_p(params, dom, 64, init=zero)
+            disc.normalize(np.zeros(disc.mesh.size))
 
     def test_pointwise_lower_bound(self):
         params = HardyParams(4, 1, 3.0, 0.5, 0.0)
@@ -585,13 +585,15 @@ class TestMinimizeRayleighP:
         fd = (lagrangian_grad(v + eps * x) - lagrangian_grad(v - eps * x)) / (2 * eps)
         assert np.linalg.norm(fd - kx[lo:hi]) <= 1e-6 * np.linalg.norm(kx[lo:hi])
 
-    def test_newton_converges_on_degenerate_energy(self):
+    def test_newton_converges_on_degenerate_energy(self, monkeypatch):
         # at p = 1.5 the density e2^(p/2-1) degenerates toward the Dirichlet
         # end, where the weighted-H1 gradient step needed ~14,000 iterations
         params = HardyParams(3, 1, 1.5, 0.3, 0.0)
         cone = ConeSpec.complement_sigma0()
         result = solve_M(params, cone, 256)
-        tight = minimize_rayleigh_p(params, bc_for_cone(params, cone), 256, tol=1e-13, grad_tol=1e-10)
+        monkeypatch.setattr(spherical, "DESCENT_TOL", 1e-13)
+        monkeypatch.setattr(spherical, "DESCENT_GRAD_TOL", 1e-10)
+        tight = minimize_rayleigh_p(params, bc_for_cone(params, cone), 256)
         assert result.iterations <= 20
         assert result.M == pytest.approx(tight.M, rel=1e-12)
 
@@ -839,7 +841,6 @@ class TestLazyFactoredSamples:
         problem = spherical._SphericalProblem.of(params, bc_for_cone(params, cone))
         assert np.array_equal(Phi.mesh, spherical._solve_mesh(problem, 2048))
         assert np.array_equal(values, spherical._factored_sample(problem, Phi.coefficients, Phi.mesh))
-        assert np.array_equal(Phi(Phi.mesh), values)
 
     @pytest.mark.parametrize("cell, cone", CELLS, ids=["complement-sigma0", "band:0.3:1.2"])
     def test_pickle_keeps_the_samples(self, cell, cone):
