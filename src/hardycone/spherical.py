@@ -35,7 +35,8 @@ a gradient step in the weighted-H1 metric (the p = 2 matrices) is taken
 instead.  The descent starts from cos^s theta; a stuck one raises
 ConvergenceError.  Its residual is the relative step decrement
 sqrt(grad Q . d) / Q of the last step.  At p = 2, assemble_p2 and
-smallest_eigenpair (inverse iteration) give the P1 reference value.
+smallest_eigenpair (bisection on the inertia of S - mu M) give the P1
+reference value.
 
 The private solvers take the cell's 1-D problem as one _SphericalProblem,
 whose s is the one boundary-layer exponent at pi/2.  Its graded mesh comes
@@ -293,11 +294,6 @@ def _matvec(matrix: Tridiagonal, v: np.ndarray) -> np.ndarray:
     return out
 
 
-def _norm(v: np.ndarray) -> float:
-    """Euclidean norm as a fixed-order sum (np.linalg.norm calls BLAS)."""
-    return math.sqrt((v * v).sum())
-
-
 class _CyclicReduction:
     """Odd-even cyclic reduction of a symmetric tridiagonal matrix (diag, off).
 
@@ -365,25 +361,20 @@ class _CyclicReduction:
         return int((self.pivots < 0.0).sum())
 
 
-def smallest_eigenpair(
-    stiffness: Tridiagonal,
-    mass: Tridiagonal,
-    tol: float = 1e-10,
-    max_iter: int = 2000,
-    start: np.ndarray | None = None,
-) -> tuple[float, np.ndarray]:
+def smallest_eigenpair(stiffness: Tridiagonal, mass: Tridiagonal) -> tuple[float, np.ndarray]:
     """Smallest generalized eigenvalue of (stiffness, mass) and its eigenvector: the P1 reference.
 
     Both matrices are symmetric tridiagonal, given as (diag, off) pairs of
-    numpy arrays of lengths n and n - 1, with mass positive definite.
-    Shifted inverse power iteration: iterate v <- (S - mu M)^-1 M v starting
-    below the spectrum at mu = -1, from start (default: all ones).  Once the
-    residual is small against the gap estimated from the observed
-    contraction ratio, the shift is re-anchored just below the Rayleigh
-    value (provably still below lambda_1), which collapses the convergence
-    factor.  The residual ||S v - lambda M v||_2 is taken relative to
-    ||v||_M = 1, with a floor at the rounding level of the matrix-vector
-    products; v comes back M-normalized with nonnegative weighted mean.
+    numpy arrays of lengths n and n - 1, with mass positive definite and
+    lambda_1 > -1.  lambda_1 is found by bisection on inertia (Barth, Martin
+    and Wilkinson, Numer. Math. 9 (1967) 386-393): S - mu M has no negative
+    eigenvalue for mu < lambda_1 and at least one above it, and
+    _CyclicReduction counts them.  The bracket starts at [-1, Rayleigh
+    quotient of the all-ones vector] and is halved until its ends are
+    adjacent floats; a zero pivot at mu means mu is an eigenvalue and closes
+    the bracket from above.  Its upper end is returned.  Three solves with
+    the factorization at the lower end, within an ulp of lambda_1, give the
+    eigenvector, M-normalized with nonnegative weighted mean.
     """
     S = tuple(np.asarray(a, dtype=float) for a in stiffness)
     M = tuple(np.asarray(a, dtype=float) for a in mass)
@@ -391,56 +382,30 @@ def smallest_eigenpair(
     if m_diag.shape != s_diag.shape or m_off.shape != s_off.shape:
         raise ValueError("stiffness and mass must be tridiagonal matrices of equal size")
 
-    def shifted_solver(mu: float):
-        return _CyclicReduction(s_diag - mu * m_diag, s_off - mu * m_off).solve
+    def shifted(mu: float) -> _CyclicReduction:
+        return _CyclicReduction(s_diag - mu * m_diag, s_off - mu * m_off)
 
-    mu = -1.0
-    solve_shifted = shifted_solver(mu)
-    abs_S = (np.abs(s_diag), np.abs(s_off))
-    abs_M = (np.abs(m_diag), np.abs(m_off))
-
-    v = np.ones(s_diag.size) if start is None else np.asarray(start, dtype=float)
-    mv = _matvec(M, v)
-    residual = math.inf
-    history: list[float] = []
-    reshifts = 0
-    for _ in range(max_iter):
-        v = solve_shifted(mv)
-        mv = _matvec(M, v)
-        scale = math.sqrt((v * mv).sum())
-        v /= scale
-        mv /= scale
-        sv = _matvec(S, v)
-        lam = float((v * sv).sum())
-        residual = _norm(sv - lam * mv)
-        # rounding floor of the matvecs: |S||v| does not cancel, S v may
-        av = np.abs(v)
-        floor = 1e-14 * (_norm(_matvec(abs_S, av)) + abs(lam) * _norm(_matvec(abs_M, av)))
-        if residual <= max(tol, floor):
-            break
-        history.append(residual)
-        if len(history) >= 4 and reshifts < 4:
-            rho = (history[-1] / history[-3]) ** 0.5
-            if 0 < rho < 1:
-                gap_est = (lam - mu) * (1.0 / rho - 1.0)
-                # Ritz value is within `residual` of the spectrum; once the
-                # residual is well inside the gap the nearest eigenvalue is
-                # lambda_1, so this shift stays strictly below it.
-                if math.isfinite(gap_est) and residual < 0.05 * gap_est:
-                    mu_new = lam - max(8.0 * residual, 1e-2 * gap_est)
-                    if mu_new > mu:
-                        mu = mu_new
-                        solve_shifted = shifted_solver(mu)
-                        reshifts += 1
-                        history.clear()
-    else:
-        raise ConvergenceError(
-            f"inverse power iteration did not reach tol={tol:g} in {max_iter} iterations",
-            residual=residual,
-        )
-    if mv.sum() < 0:
+    lo, lower = -1.0, shifted(-1.0)
+    if lower.negative_count():
+        raise ValueError("need a smallest eigenvalue above -1")
+    v = np.ones(s_diag.size)
+    hi = float(_matvec(S, v).sum() / _matvec(M, v).sum())
+    while lo < (mu := 0.5 * (lo + hi)) < hi:
+        try:
+            factor = shifted(mu)
+        except np.linalg.LinAlgError:  # a zero pivot: mu is an eigenvalue
+            hi = mu
+            continue
+        if factor.negative_count():
+            hi = mu
+        else:
+            lo, lower = mu, factor
+    for _ in range(3):
+        v = lower.solve(_matvec(M, v))
+        v /= math.sqrt((v * _matvec(M, v)).sum())
+    if _matvec(M, v).sum() < 0:
         v = -v
-    return lam, v
+    return hi, v
 
 
 class _RuleSums:
@@ -604,9 +569,10 @@ class _Discretization(_RuleSums):
 
     Holds the mesh, one composite rule reshaped to (n_elements, nq), the
     shape values n1, n2 at its nodes and the free nodes (not the Dirichlet
-    ends of problem.domain).  The p = 2 matrices, the discrete quotient Q(phi) with its
-    analytic nodal gradient, and the certifier's u_delta sums are all sums
-    over these nodes and weights.
+    ends of problem.domain).  The p = 2 matrices, the discrete quotient
+    Q(phi), the descent's Newton system (newton_system: Q, its analytic
+    nodal gradient and Hessian terms in one pass) and the certifier's
+    u_delta sums are all sums over these nodes and weights.
     """
 
     def __init__(self, problem: _SphericalProblem, mesh: np.ndarray, rule: QuadratureRule):
@@ -661,60 +627,55 @@ class _Discretization(_RuleSums):
         dphi = np.broadcast_to(((v[1:] - v[:-1]) / self.h)[:, None], phi.shape)
         return phi, dphi
 
-    def _mass_grad(self, phi: np.ndarray) -> np.ndarray:
-        """grad D = int w p |phi|^(p-1) sign(phi) (n1, n2), nodal."""
-        with np.errstate(divide="ignore", invalid="ignore"):
-            phi_pow = np.where(phi != 0.0, np.abs(phi) ** (self.p - 1.0) * np.sign(phi), 0.0)
-        c_den = self.w * self.p * phi_pow
-        return self._scatter(_element_sums(c_den * self.n1), _element_sums(c_den * self.n2))
+    def newton_system(self, v: np.ndarray) -> tuple[float, np.ndarray, Tridiagonal, float, np.ndarray]:
+        """Q, grad Q, K = hess E - Q hess D, D and grad D at the nodal values v, from one pass over the rule.
 
-    def value_grad(self, v: np.ndarray) -> tuple[float, np.ndarray]:
-        p = self.p
+        grad Q and grad D are nodal, grad Q zero at Dirichlet nodes; K is
+        tridiagonal over all nodes.  Each element couples its two nodes only.
+        With the gradients taken in its nodal values (v_L, v_R) at each rule
+        node, de2 = (-2 phi'/h + 2 H^2 phi n1, 2 phi'/h + 2 H^2 phi n2),
+        dphi' = (-1/h, 1/h) and dphi = (n1, n2), its entries are the weighted
+        sums of
+            grad E:  p e2^(p/2-1) (phi' dphi' + H^2 phi dphi),
+            grad D:  p |phi|^(p-1) sign(phi) dphi,
+            hess E:  (p/2)(p/2-1) e2^(p/2-2) de2 de2^T
+                     + p e2^(p/2-1) (dphi' dphi'^T + H^2 dphi dphi^T),
+            hess D:  p(p-1) |phi|^(p-2) dphi dphi^T,
+        and grad Q = (grad E - Q grad D) / D.
+        """
+        p, H2, w, n1, n2 = self.p, self.H2, self.w, self.n1, self.n2
         phi, dphi = self.fields(v)
-        e2, num = self.energy(phi, dphi, self.H2)
+        e2, num = self.energy(phi, dphi, H2)
         den = self.mass(phi)
         q = num / den
         with np.errstate(divide="ignore", invalid="ignore"):
-            e_pow = np.where(e2 > 0.0, e2 ** (p / 2 - 1.0), 0.0)
-        c_phi = self.w * p * e_pow * self.H2 * phi
-        c_dphi = _element_sums(self.w * p * e_pow * dphi) / self.h
-        dnum = self._scatter(
-            _element_sums(c_phi * self.n1) - c_dphi, _element_sums(c_phi * self.n2) + c_dphi
-        )
-        return q, (dnum - q * self._mass_grad(phi)) / den * self.mask
-
-    def lagrangian_hessian(self, v: np.ndarray, q: float) -> tuple[np.ndarray, np.ndarray]:
-        """K = hess E - q hess D at v, tridiagonal: (diagonal, off-diagonal) over all nodes.
-
-        Each element couples its two nodes only.  With the gradients taken in
-        its nodal values (v_L, v_R) at each rule node, de2 = (-2 phi'/h +
-        2 H^2 phi n1, 2 phi'/h + 2 H^2 phi n2), dphi' = (-1/h, 1/h) and
-        dphi = (n1, n2), its 2x2 blocks are the weighted sums of
-            hess E:  (p/2)(p/2-1) e2^(p/2-2) de2 de2^T
-                     + p e2^(p/2-1) (dphi' dphi'^T + H^2 dphi dphi^T),
-            hess D:  p(p-1) |phi|^(p-2) dphi dphi^T.
-        """
-        p, H2, n1, n2 = self.p, self.H2, self.n1, self.n2
-        phi, dphi = self.fields(v)
-        e2 = self.energy(phi, dphi, H2)[0]
-        with np.errstate(divide="ignore", invalid="ignore"):
             e_pow1 = np.where(e2 > 0.0, e2 ** (p / 2 - 1.0), 0.0)
             e_pow2 = np.where(e2 > 0.0, e2 ** (p / 2 - 2.0), 0.0)
-            phi_pow = np.where(phi != 0.0, np.abs(phi) ** (p - 2.0), 0.0)
+            phi_pow1 = np.where(phi != 0.0, np.abs(phi) ** (p - 1.0) * np.sign(phi), 0.0)
+            phi_pow2 = np.where(phi != 0.0, np.abs(phi) ** (p - 2.0), 0.0)
+        c_curv = w * p * e_pow1
+        c_phi = c_curv * H2 * phi
+        c_dphi = _element_sums(c_curv * dphi) / self.h
+        grad_e = self._scatter(_element_sums(c_phi * n1) - c_dphi, _element_sums(c_phi * n2) + c_dphi)
+        c_den = w * p * phi_pow1
+        grad_d = self._scatter(_element_sums(c_den * n1), _element_sums(c_den * n2))
+
         dphi_h = dphi / self.h[:, None]
         de2_l = -2.0 * dphi_h + 2.0 * H2 * phi * n1
         de2_r = 2.0 * dphi_h + 2.0 * H2 * phi * n2
-        c_outer = self.w * (p / 2) * (p / 2 - 1.0) * e_pow2
-        c_curv = self.w * p * e_pow1
-        c_value = c_curv * H2 - q * self.w * p * (p - 1.0) * phi_pow
+        c_outer = w * (p / 2) * (p / 2 - 1.0) * e_pow2
+        c_value = c_curv * H2 - q * w * p * (p - 1.0) * phi_pow2
         c_grad = _element_sums(c_curv) / self.h**2
         k_ll = _element_sums(c_outer * de2_l * de2_l + c_value * n1 * n1) + c_grad
         k_rr = _element_sums(c_outer * de2_r * de2_r + c_value * n2 * n2) + c_grad
         k_lr = _element_sums(c_outer * de2_l * de2_r + c_value * n1 * n2) - c_grad
-        return self._scatter(k_ll, k_rr), k_lr
+        hessian = (self._scatter(k_ll, k_rr), k_lr)
+        return q, (grad_e - q * grad_d) / den * self.mask, hessian, den, grad_d
 
-    def newton_direction(self, v: np.ndarray, q: float, g: np.ndarray) -> np.ndarray | None:
-        """Minus the Newton step of Q on the surface {D = const} through v, or None.
+    def newton_direction(
+        self, g: np.ndarray, hessian: Tridiagonal, den: float, grad_d: np.ndarray
+    ) -> np.ndarray | None:
+        """Minus the Newton step of Q on the surface {D = const}, or None, from newton_system's terms.
 
         Solves the bordered system [K, grad D; grad D^T, 0] (d, mu) = (-D grad Q, 0)
         on the free nodes by one tridiagonal factorization of K with two
@@ -724,10 +685,9 @@ class _Discretization(_RuleSums):
         minimum) or the step is not finite.
         """
         lo, hi = self.free.start, self.free.stop
-        phi = self.fields(v)[0]
-        diag, off = self.lagrangian_hessian(v, q)
-        grad_d = self._mass_grad(phi)[lo:hi]
-        rhs = np.stack([self.mass(phi) * g[lo:hi], grad_d], axis=1)
+        diag, off = hessian
+        grad_d = grad_d[lo:hi]
+        rhs = np.stack([den * g[lo:hi], grad_d], axis=1)
         try:
             x = _CyclicReduction(diag[lo:hi], off[lo : hi - 1]).solve(rhs)
         except np.linalg.LinAlgError:
@@ -776,9 +736,11 @@ def _cosine_profile(problem: _SphericalProblem, mesh: np.ndarray) -> np.ndarray:
 def minimize_rayleigh_p(params: HardyParams, domain: AngularDomain, mesh_size: int) -> SpectralResult:
     """Minimize the discrete quotient by Newton steps on the surface {D = const}.
 
-    Each step solves the bordered Newton system of E - Q D restricted to
-    D = const (see _Discretization.newton_direction; with P1 elements the
-    Hessians of E and D are tridiagonal).  If that step is singular,
+    One pass over the rule per accepted iterate (_Discretization.newton_system)
+    gives Q, grad Q and the Hessian terms, and the step solves the bordered
+    Newton system of E - Q D restricted to D = const (see
+    _Discretization.newton_direction; with P1 elements the Hessians of E
+    and D are tridiagonal); a line-search trial costs Q alone.  If that step is singular,
     non-finite or not a descent direction, the gradient in the weighted-H1
     metric (solving (S + (1+H^2) M) d = grad Q with the p=2 matrices) is
     taken instead.  Backtracking line search from a full step; iterates are
@@ -798,13 +760,13 @@ def minimize_rayleigh_p(params: HardyParams, domain: AngularDomain, mesh_size: i
 
     v = disc.normalize(_cosine_profile(problem, mesh))
 
-    q, g = disc.value_grad(v)
+    q, g, hessian, den, grad_d = disc.newton_system(v)
     iterations = 0
     decrement = math.inf
     trace = [q]
     while iterations < MAX_DESCENT_ITER:
         iterations += 1
-        direction = disc.newton_direction(v, q, g)
+        direction = disc.newton_direction(g, hessian, den, grad_d)
         slope = (g * direction).sum() if direction is not None else math.nan
         if not slope > 0.0:
             if precond is None:
@@ -836,7 +798,7 @@ def minimize_rayleigh_p(params: HardyParams, domain: AngularDomain, mesh_size: i
                                    residual=decrement, trace=trace[-20:])
         rel_dec = (q - q_trial) / max(abs(q), 1e-300)
         v = trial
-        q, g = disc.value_grad(v)
+        q, g, hessian, den, grad_d = disc.newton_system(v)
         trace.append(q)
         if rel_dec < DESCENT_TOL and decrement < DESCENT_GRAD_TOL:
             break

@@ -143,13 +143,12 @@ def evaluate_quotient_udelta(
     H = hardy_exponent(params).H
     e_minus = disc.energy(phi, dphi, (H - delta) ** 2)[1]
     e_plus = disc.energy(phi, dphi, (H + delta) ** 2)[1]
-    numerator = pref * (e_minus + e_plus) / (params.p * delta)
-    denominator = pref * 2.0 / (params.p * delta) * disc.mass(phi)
-    return RayleighEvaluation(
-        numerator=numerator,
-        denominator=denominator,
-        quotient=numerator / denominator,
-    )
+    # a delta near the float range gives an inf or nan quotient, which the caller rejects
+    with np.errstate(over="ignore", invalid="ignore"):
+        numerator = pref * (e_minus + e_plus) / (params.p * delta)
+        denominator = pref * 2.0 / (params.p * delta) * disc.mass(phi)
+        quotient = numerator / denominator
+    return RayleighEvaluation(numerator=numerator, denominator=denominator, quotient=quotient)
 
 
 # ---------------------------------------------------------------------------

@@ -491,6 +491,7 @@ class TestMainEntry:
         row = json.loads(out)["rows"][0]
         assert row["status"] == "solver_fail" and row["numeric_M"] is None
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")  # the failed row is reported, not warned about
     @pytest.mark.parametrize("deltas",["1e-200,1e-310", "1e300,1e299"], ids=["nan", "overflow"])
     def test_verify_extreme_deltas_fail_the_row(self, capsys, deltas):
         code, out, err = run_cli(capsys, "verify", "--mesh", "64", "--deltas", deltas)
