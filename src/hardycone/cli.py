@@ -316,9 +316,11 @@ def cmd_verify(config: RunConfig) -> list[ReportRow]:
         hrow = _base_row("verify", params, cone, None)
         support = (0.05, 20.0)
         try:
-            htrace = [(float(h), cutoff_decay(params, support, h)) for h in config.h_list]
-            # above the threshold k+a = p the energy underflows to 0 at large h;
-            # there its logarithm comes from the log-form quadrature
+            # above the threshold k+a = p the energy underflows to 0 at large h, and its
+            # logarithm comes from the log-form quadrature; where the decay e^(-h(k+a-p))
+            # underflows already, every term of the strip rule does, and the energy is 0
+            htrace = [(float(h), 0.0 if math.exp(-h * (params.k + params.a - params.p)) == 0.0
+                       else cutoff_decay(params, support, h)) for h in config.h_list]
             rate = _fit_log_slope([
                 (x, math.log(energy) if energy >= sys.float_info.min
                  else _cutoff_log_decay(params, support, h))

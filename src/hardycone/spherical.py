@@ -31,10 +31,10 @@ discrete quotient is minimized directly by Newton steps on the surface
 {int w |phi|^p = const}.  With P1 elements the Hessians of the two
 integrals are tridiagonal, so each step is one tridiagonal solve with two
 right-hand sides; where that step is singular or not a descent direction,
-a gradient step in the weighted-H1 metric (the p = 2 matrices) is taken
-instead.  The descent starts from cos^s theta; a stuck one raises
-ConvergenceError.  Its residual is the relative step decrement
-sqrt(grad Q . d) / Q of the last step.  At p = 2, assemble_p2 and
+the same system with hess E (positive semidefinite: E is convex) in place
+of hess E - Q hess D gives it.  The descent starts from cos^s theta; a
+stuck one raises ConvergenceError.  Its residual is the relative step
+decrement sqrt(grad Q . d) / Q of the last step.  At p = 2, assemble_p2 and
 smallest_eigenpair (bisection on the inertia of S - mu M) give the P1
 reference value.
 
@@ -86,10 +86,9 @@ Tridiagonal = tuple[np.ndarray, np.ndarray]  # symmetric: (diagonal, off-diagona
 class ConvergenceError(RuntimeError):
     """An iterative solver ran out of iterations; carries the last residual."""
 
-    def __init__(self, message: str, residual: float, trace: list[float] | None = None):
+    def __init__(self, message: str, residual: float):
         super().__init__(message)
         self.residual = residual
-        self.trace = trace or []
 
 
 class BoundaryCondition(str, Enum):
@@ -627,8 +626,10 @@ class _Discretization(_RuleSums):
         dphi = np.broadcast_to(((v[1:] - v[:-1]) / self.h)[:, None], phi.shape)
         return phi, dphi
 
-    def newton_system(self, v: np.ndarray) -> tuple[float, np.ndarray, Tridiagonal, float, np.ndarray]:
-        """Q, grad Q, K = hess E - Q hess D, D and grad D at the nodal values v, from one pass over the rule.
+    def newton_system(
+        self, v: np.ndarray, multiplier: float | None = None
+    ) -> tuple[float, np.ndarray, Tridiagonal, float, np.ndarray]:
+        """Q, grad Q, K = hess E - m hess D (m = Q unless given), D and grad D at v, from one pass over the rule.
 
         grad Q and grad D are nodal, grad Q zero at Dirichlet nodes; K is
         tridiagonal over all nodes.  Each element couples its two nodes only.
@@ -664,7 +665,8 @@ class _Discretization(_RuleSums):
         de2_l = -2.0 * dphi_h + 2.0 * H2 * phi * n1
         de2_r = 2.0 * dphi_h + 2.0 * H2 * phi * n2
         c_outer = w * (p / 2) * (p / 2 - 1.0) * e_pow2
-        c_value = c_curv * H2 - q * w * p * (p - 1.0) * phi_pow2
+        m = q if multiplier is None else multiplier
+        c_value = c_curv * H2 - m * w * p * (p - 1.0) * phi_pow2
         c_grad = _element_sums(c_curv) / self.h**2
         k_ll = _element_sums(c_outer * de2_l * de2_l + c_value * n1 * n1) + c_grad
         k_rr = _element_sums(c_outer * de2_r * de2_r + c_value * n2 * n2) + c_grad
@@ -740,11 +742,13 @@ def minimize_rayleigh_p(params: HardyParams, domain: AngularDomain, mesh_size: i
     gives Q, grad Q and the Hessian terms, and the step solves the bordered
     Newton system of E - Q D restricted to D = const (see
     _Discretization.newton_direction; with P1 elements the Hessians of E
-    and D are tridiagonal); a line-search trial costs Q alone.  If that step is singular,
-    non-finite or not a descent direction, the gradient in the weighted-H1
-    metric (solving (S + (1+H^2) M) d = grad Q with the p=2 matrices) is
-    taken instead.  Backtracking line search from a full step; iterates are
-    clamped to the nonnegative cone and renormalized to unit weighted p-norm.
+    and D are tridiagonal); a line-search trial costs Q alone.  If that
+    step is singular, non-finite or not a descent direction, the step with
+    hess E (K at multiplier 0) is taken: E is convex, so grad Q . d =
+    d^T hess E d / D > 0 wherever grad Q != 0, and a failed one raises
+    ConvergenceError.  grad Q exactly 0 ends the descent.  Backtracking
+    line search from a full step; iterates are clamped to the nonnegative
+    cone and renormalized to unit weighted p-norm.
     Stops when the relative decrease of Q over an iteration drops below
     DESCENT_TOL and the relative step decrement sqrt(grad Q . d) / Q below
     DESCENT_GRAD_TOL; that decrement is the returned residual.  A failed line
@@ -755,32 +759,23 @@ def minimize_rayleigh_p(params: HardyParams, domain: AngularDomain, mesh_size: i
     """
     problem = _SphericalProblem.of(params, domain)
     disc = _Discretization.graded(problem, mesh_size)
-    mesh, free = disc.mesh, disc.free
-    precond = None  # the weighted-H1 solve, factored at the first fallback step
-
-    v = disc.normalize(_cosine_profile(problem, mesh))
+    v = disc.normalize(_cosine_profile(problem, disc.mesh))
 
     q, g, hessian, den, grad_d = disc.newton_system(v)
     iterations = 0
     decrement = math.inf
-    trace = [q]
     while iterations < MAX_DESCENT_ITER:
         iterations += 1
         direction = disc.newton_direction(g, hessian, den, grad_d)
         slope = (g * direction).sum() if direction is not None else math.nan
         if not slope > 0.0:
-            if precond is None:
-                stiffness, mass = disc.p2_matrices()
-                shift = 1.0 + disc.H2
-                precond = _CyclicReduction(
-                    stiffness[0] + shift * mass[0], stiffness[1] + shift * mass[1]
-                ).solve
-            direction = np.zeros_like(v)
-            direction[free] = precond(g[free])
-            slope = (g * direction).sum()
-            if slope <= 0.0:
+            if not g.any():  # stationary: nothing to descend
                 decrement = 0.0
                 break
+            direction = disc.newton_direction(g, disc.newton_system(v, multiplier=0.0)[2], den, grad_d)
+            slope = (g * direction).sum() if direction is not None else math.nan
+            if not slope > 0.0:
+                raise ConvergenceError("quotient descent: the hess E step failed", residual=decrement)
         decrement = math.sqrt(slope) / max(abs(q), 1e-300)
         eta = 1.0
         accepted = False
@@ -795,11 +790,10 @@ def minimize_rayleigh_p(params: HardyParams, domain: AngularDomain, mesh_size: i
             if decrement < DESCENT_GRAD_TOL or slope < DESCENT_TOL * abs(q):  # Q at its (rounding) floor
                 break
             raise ConvergenceError(f"quotient descent stuck (relative decrement {decrement:.3e})",
-                                   residual=decrement, trace=trace[-20:])
+                                   residual=decrement)
         rel_dec = (q - q_trial) / max(abs(q), 1e-300)
         v = trial
         q, g, hessian, den, grad_d = disc.newton_system(v)
-        trace.append(q)
         if rel_dec < DESCENT_TOL and decrement < DESCENT_GRAD_TOL:
             break
     else:
@@ -807,14 +801,13 @@ def minimize_rayleigh_p(params: HardyParams, domain: AngularDomain, mesh_size: i
             f"quotient descent did not converge in {MAX_DESCENT_ITER} iterations "
             f"(last relative decrement {decrement:.3e})",
             residual=decrement,
-            trace=trace[-20:],
         )
 
     lam = q - problem.H2 if problem.p == 2 else None
     return SpectralResult(
         M=q,
         lam=lam,
-        minimizer=DiscretizedFunction(mesh, v),
+        minimizer=DiscretizedFunction(disc.mesh, v),
         iterations=iterations,
         residual=decrement,
     )

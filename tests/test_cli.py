@@ -484,9 +484,10 @@ class TestMainEntry:
         row = json.loads(out)["rows"][0]
         assert row["status"] == "solver_fail" and row["numeric_M"] is None
 
-    def test_stuck_descent_is_a_failed_row(self, capsys):
+    def test_stuck_descent_is_a_failed_row(self, capsys, monkeypatch):
         # the descent's line search fails far from convergence: no number is printed
-        code, out, err = run_cli(capsys, "constant", "--p", "6", "--a=3.5", "--mesh", "1024")
+        monkeypatch.setattr(spherical._Discretization, "value", lambda self, v: math.inf)
+        code, out, err = run_cli(capsys, "constant", "--p", "3", "--mesh", "256")
         assert code == 1
         row = json.loads(out)["rows"][0]
         assert row["status"] == "solver_fail" and row["numeric_M"] is None

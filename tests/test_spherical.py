@@ -616,12 +616,36 @@ class TestMinimizeRayleighP:
         assert result.iterations <= 20
         assert result.M == pytest.approx(7.529636, rel=1e-6)
 
-    def test_stuck_line_search_raises(self):
-        # p = 6, k+a = 4.5: the descent stalls with a step decrement ~1e18,
-        # which must not be reported as a converged quotient
+    def test_stuck_line_search_raises(self, monkeypatch):
+        # every line-search trial rejected on the first step, far from
+        # convergence: that must not be reported as a converged quotient
+        monkeypatch.setattr(spherical._Discretization, "value", lambda self, v: math.inf)
         with pytest.raises(ConvergenceError) as info:
-            solve_M(HardyParams(3, 1, 6.0, 3.5, 0.0), ConeSpec.complement_sigma0(), 1024)
-        assert info.value.residual > 1.0
+            solve_M(HardyParams(3, 1, 3.0, 0.0, 0.0), ConeSpec.complement_sigma0(), 256)
+        assert info.value.residual > spherical.DESCENT_GRAD_TOL
+
+    def test_indefinite_newton_system_falls_back_to_hess_e(self, monkeypatch):
+        # p = 6: K = hess E - Q hess D is indefinite after the first step; the
+        # bordered step in the hess E metric converges, with no p = 2 matrices
+        def no_p2(self):
+            raise AssertionError("the descent assembled the p = 2 matrices")
+
+        monkeypatch.setattr(spherical._Discretization, "p2_matrices", no_p2)
+        monkeypatch.setattr(spherical, "MAX_DESCENT_ITER", 100)
+        result = solve_M(HardyParams(3, 1, 6.0, 1.5, 0.5), ConeSpec.complement_sigma0(), 512)
+        assert result.iterations <= 20
+        assert result.M == pytest.approx(0.4572015270, rel=5e-5)  # hp reference; P1's own error at mesh 512
+
+    def test_failed_hess_e_step_raises(self, monkeypatch):
+        monkeypatch.setattr(spherical._Discretization, "newton_direction", lambda self, *terms: None)
+        with pytest.raises(ConvergenceError, match="hess E"):
+            solve_M(HardyParams(3, 1, 3.0, 0.0, 0.0), ConeSpec.complement_sigma0(), 256)
+
+    def test_stationary_start_ends_the_descent(self):
+        # k+a = 2 >= p: natural at pi/2, and the constant start is the
+        # minimizer, with grad Q exactly 0 and Q = H^p = 1
+        result = solve_M(HardyParams(3, 2, 1.5, 0.0, 0.0), ConeSpec.complement_sigma0(), 256)
+        assert result.M == 1.0 and result.iterations == 1 and result.residual == 0.0
 
     @pytest.mark.parametrize("cell, cone", [
         ((3, 1, 1.5, 0.3, 0.0), ConeSpec.complement_sigma0()),
