@@ -60,11 +60,7 @@ def parse_cone(text: str) -> ConeSpec:
         raise ValueError(f"unknown cone {text!r}; choices: {CONE_CHOICES}") from None
 
 
-def _lists(value):  # field value -> JSON value: tuples, also nested ones, become lists
-    return [_lists(v) for v in value] if isinstance(value, tuple) else value
-
-
-def _tuples(value):  # the inverse of _lists
+def _tuples(value):  # JSON value -> field value: lists, also nested ones, become tuples
     return tuple(_tuples(v) for v in value) if isinstance(value, list) else value
 
 
@@ -120,7 +116,7 @@ class RunConfig:
         return out
 
     def to_dict(self) -> dict:
-        return {f.name: _lists(getattr(self, f.name)) for f in fields(self)}
+        return {f.name: getattr(self, f.name) for f in fields(self)}
 
 
 RUN_DEFAULTS = {f.name: f.default for f in fields(RunConfig) if f.default is not MISSING}
@@ -149,7 +145,7 @@ class ReportRow:
     quotient_trace: tuple[tuple[float, float], ...] = ()
 
     def to_dict(self) -> dict:
-        return {_ROW_KEYS.get(f.name, f.name): _lists(getattr(self, f.name)) for f in fields(self)}
+        return {_ROW_KEYS.get(f.name, f.name): getattr(self, f.name) for f in fields(self)}
 
     @classmethod
     def from_dict(cls, doc: dict) -> "ReportRow":
@@ -279,15 +275,17 @@ def cmd_verify(config: RunConfig) -> list[ReportRow]:
     reference quadratically or the limit misses it; the h row fails if an
     energy or the fitted rate is not finite or the strip energy decays
     slower than h^(1-p).  Repeated --deltas or --hs values, a delta that is
-    not finite and positive, an h below 1, and --hs on a cell with k+a < p
-    (no strip regime to check) are malformed input (ValueError); an
-    inadmissible cell raises AdmissibilityError.
+    not finite and positive, an h with e^(-h) not below the inner radius of
+    the cutoff's support (h below 3), and --hs on a cell with k+a < p (no
+    strip regime to check) are malformed input (ValueError); an inadmissible
+    cell raises AdmissibilityError.
     """
     params, cone = config.single()
+    support = (0.05, 20.0)
     if not all(math.isfinite(delta) and delta > 0 for delta in config.delta_list):
         raise ValueError(f"--deltas values must be finite and positive, got {config.delta_list}")
-    if not all(h >= 1 for h in config.h_list):
-        raise ValueError(f"--hs values must be at least 1, got {config.h_list}")
+    if not all(h > -math.log(support[0]) for h in config.h_list):  # e^(-h) < support[0]
+        raise ValueError(f"--hs values must be at least 3, got {config.h_list}")
     if config.h_list and params.k + params.a < params.p:
         raise ValueError(f"--hs: the cutoff check needs k+a >= p, "
                          f"got k+a={params.k + params.a:g}, p={params.p:g}")
@@ -314,7 +312,6 @@ def cmd_verify(config: RunConfig) -> list[ReportRow]:
 
     if config.h_list:
         hrow = _base_row("verify", params, cone, None)
-        support = (0.05, 20.0)
         try:
             # above the threshold k+a = p the energy underflows to 0 at large h, and its
             # logarithm comes from the log-form quadrature; where the decay e^(-h(k+a-p))
@@ -458,8 +455,8 @@ class _ArgumentParser(argparse.ArgumentParser):
         raise ValueError(message)
 
 
-def build_parser() -> tuple[argparse.ArgumentParser, dict, dict]:
-    """The parser, its subcommand parsers by name, and their (shared) options by dest."""
+def build_parser() -> tuple[argparse.ArgumentParser, dict]:
+    """The parser and its subcommands' (shared) options by dest; RunConfig holds the defaults."""
     parser = _ArgumentParser(
         prog="hardycone",
         description="Sharp Hardy constants with mixed weights on cones: closed forms, "
@@ -467,7 +464,6 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict, dict]:
         epilog="CSV columns: " + ", ".join(CSV_COLUMNS) + ". Cones: " + CONE_CHOICES + ".",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    commands = {}
     for name, helptext in [
         ("constant", "closed form and numeric spherical minimum for one cone"),
         ("spectrum", "eigenvalue/minimizer details for one cone"),
@@ -475,7 +471,7 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict, dict]:
         ("sweep", "numeric constants over a parameter grid"),
         ("table", "reproduce the closed-form families over a grid"),
     ]:
-        cmd = commands[name] = sub.add_parser(name, help=helptext)
+        cmd = sub.add_parser(name, help=helptext, argument_default=argparse.SUPPRESS)
         options = [
             cmd.add_argument("--d", type=_int_list, help="dimension(s), comma separated"),
             cmd.add_argument("--k", type=_int_list, help="codimension parameter(s)"),
@@ -499,54 +495,46 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict, dict]:
             cmd.add_argument("--tol", type=float,
                              help="largest acceptable |numeric - closed| gap"),
         ]
-        cmd.set_defaults(**RUN_DEFAULTS)
-    return parser, commands, {action.dest: action for action in options}
-
-
-def _read_config_file(path: str, command: str, options: dict[str, argparse.Action]) -> dict:
-    """A --config file's values, converted and checked as their flag text would be.
-
-    Keys are RunConfig fields, as in a JSON report's "config" block; a list
-    means its comma-joined flag text; null is allowed where the default is None.
-    """
-    with open(path) as handle:
-        doc = json.load(handle)
-    if not isinstance(doc, dict):
-        raise ValueError("a config file holds one JSON object")
-    values = {}
-    for key, value in doc.items():
-        if key == "command":
-            if value != command:
-                raise ValueError(f"config file is for command {value!r}, not {command!r}")
-            continue
-        if key not in RUN_DEFAULTS:
-            raise ValueError(f"unknown config key {key!r}")
-        if value is None:
-            if RUN_DEFAULTS[key] is not None:
-                raise ValueError(f"config key {key!r} cannot be null")
-            values[key] = None
-            continue
-        action = options[key]
-        text = ",".join(map(str, value)) if isinstance(value, list) else str(value)
-        try:
-            values[key] = action.type(text) if action.type else text
-        except ValueError as exc:
-            raise ValueError(f"config key {key!r}: {exc}") from None
-        if action.choices is not None and values[key] not in action.choices:
-            raise ValueError(f"config key {key!r} must be one of {', '.join(action.choices)}, "
-                             f"got {value!r}")
-    return values
+    return parser, {action.dest: action for action in options}
 
 
 def parse_config(argv: list[str]) -> RunConfig:
-    """The RunConfig of a command line; a --config file supplies defaults, flags win."""
-    parser, commands, options = build_parser()
-    namespace = parser.parse_args(argv)
-    if namespace.config_path is not None:
-        values = _read_config_file(namespace.config_path, namespace.command, options)
-        commands[namespace.command].set_defaults(**values)
-        namespace = parser.parse_args(argv)
-    return RunConfig(**{f.name: getattr(namespace, f.name) for f in fields(RunConfig)})
+    """The RunConfig of a command line; a --config file supplies defaults, flags win.
+
+    The file's keys are RunConfig fields, as in a JSON report's "config"
+    block.  Each value becomes its flag's text (a list its comma-joined
+    text), parsed ahead of the command line's own flags, so the flag parser
+    converts and checks it and a later explicit flag wins; null is allowed
+    where the default is None.
+    """
+    parser, options = build_parser()
+    given = vars(parser.parse_args(argv))
+    path = given.pop("config_path", None)
+    if path is not None:
+        command = given["command"]
+        with open(path) as handle:
+            doc = json.load(handle)
+        if not isinstance(doc, dict):
+            raise ValueError("a config file holds one JSON object")
+        tokens = []
+        for key, value in doc.items():
+            if key == "command":
+                if value != command:
+                    raise ValueError(f"config file is for command {value!r}, not {command!r}")
+            elif key not in RUN_DEFAULTS:
+                raise ValueError(f"unknown config key {key!r}")
+            elif value is None:
+                if RUN_DEFAULTS[key] is not None:
+                    raise ValueError(f"config key {key!r} cannot be null")
+            else:
+                text = ",".join(map(str, value)) if isinstance(value, list) else str(value)
+                tokens.append(f"{options[key].option_strings[0]}={text}")
+        try:  # argv's own flags parsed once already: an error here is the file's
+            given = vars(parser.parse_args([command, *tokens, *argv[1:]]))
+        except ValueError as exc:
+            raise ValueError(f"config file {path}: {exc}") from None
+        del given["config_path"]
+    return RunConfig(**given)
 
 
 def main(argv: list[str] | None = None) -> int:

@@ -256,9 +256,7 @@ def _auto_gamma(problem: _SphericalProblem, n: int) -> float:
     graded as for a smooth profile.
     """
     s = problem.s
-    if s == 0.0 or s >= 1.2:
-        return 2.0
-    return min(max(2.0, 2.4 / max(s, 0.05)), grading_cap(n))
+    return 2.0 if s == 0.0 else min(max(2.0, 2.4 / s), grading_cap(n))
 
 
 def _require_mesh_size(mesh_size: int) -> None:
@@ -762,10 +760,8 @@ def minimize_rayleigh_p(params: HardyParams, domain: AngularDomain, mesh_size: i
     v = disc.normalize(_cosine_profile(problem, disc.mesh))
 
     q, g, hessian, den, grad_d = disc.newton_system(v)
-    iterations = 0
     decrement = math.inf
-    while iterations < MAX_DESCENT_ITER:
-        iterations += 1
+    for iterations in range(1, MAX_DESCENT_ITER + 1):
         direction = disc.newton_direction(g, hessian, den, grad_d)
         slope = (g * direction).sum() if direction is not None else math.nan
         if not slope > 0.0:
@@ -778,15 +774,13 @@ def minimize_rayleigh_p(params: HardyParams, domain: AngularDomain, mesh_size: i
                 raise ConvergenceError("quotient descent: the hess E step failed", residual=decrement)
         decrement = math.sqrt(slope) / max(abs(q), 1e-300)
         eta = 1.0
-        accepted = False
         for _ in range(60):
             trial = disc.normalize(v - eta * direction)
             q_trial = disc.value(trial)
             if q_trial < q - 1e-4 * eta * slope:
-                accepted = True
                 break
             eta *= 0.5
-        if not accepted:
+        else:
             if decrement < DESCENT_GRAD_TOL or slope < DESCENT_TOL * abs(q):  # Q at its (rounding) floor
                 break
             raise ConvergenceError(f"quotient descent stuck (relative decrement {decrement:.3e})",

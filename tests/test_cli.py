@@ -415,7 +415,10 @@ class TestMainEntry:
         cfg.write_text(json.dumps({"format": "xml"}))
         code, out, err = run_cli(capsys, "constant", "--mesh", "64", "--config", str(cfg))
         assert code == 2 and out == ""
-        assert json.loads(err)["error"]["type"] == "ValueError"
+        error = json.loads(err)["error"]
+        assert error["type"] == "ValueError"
+        # the flag parser's own check, blamed on the file; the choices' layout is argparse's
+        assert error["message"].startswith(f"config file {cfg}: argument --format: invalid choice")
 
     @pytest.mark.parametrize("flags", [
         ("--deltas", "0.1,0.1"),
@@ -429,8 +432,9 @@ class TestMainEntry:
     @pytest.mark.parametrize("flags, message", [
         (("--deltas", "0.1,-0.05"), "finite and positive"),
         (("--deltas", "0.1,nan"), "finite and positive"),
-        (("--a", "1", "--hs", "0,4"), "at least 1"),
-    ], ids=["negative-delta", "nan-delta", "h-zero"])
+        (("--a", "1", "--hs", "0,4"), "at least 3"),
+        (("--a", "1", "--hs", "2,4"), "at least 3"),
+    ], ids=["negative-delta", "nan-delta", "h-zero", "h-two"])
     def test_verify_malformed_points_rejected(self, capsys, flags, message):
         code, out, err = run_cli(capsys, "verify", "--d", "3", "--k", "1", "--mesh", "64", *flags)
         assert code == 2 and out == ""
@@ -579,6 +583,18 @@ class TestConfigSchema:
         code_flags, from_flags, _ = run_cli(capsys, "constant", "--cone", "full", "--mesh", "64")
         assert code == code_flags == 0
         assert json.loads(from_file)["rows"] == json.loads(from_flags)["rows"]
+
+    def test_config_negative_and_empty_lists_mean_flag_text(self, tmp_path, capsys):
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps({"a": [-0.5, 0.5], "h_list": []}))
+        args = ("sweep", "--cone", "punctured", "--mesh", "64")
+        code, from_file, _ = run_cli(capsys, *args, "--config", str(cfg))
+        code_flags, from_flags, _ = run_cli(capsys, *args, "--a=-0.5,0.5", "--hs=")
+        assert code == code_flags == 0
+        assert from_file == from_flags
+
+    def test_dataclass_holds_the_defaults(self):
+        assert cli.parse_config(["constant"]) == RunConfig("constant")
 
     def test_config_command_key_must_match(self, tmp_path, capsys):
         cfg = tmp_path / "run.json"
