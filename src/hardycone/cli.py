@@ -275,15 +275,17 @@ def cmd_verify(config: RunConfig) -> list[ReportRow]:
     reference quadratically or the limit misses it; the h row fails if an
     energy or the fitted rate is not finite or the strip energy decays
     slower than h^(1-p).  Repeated --deltas or --hs values, a delta that is
-    not finite and positive, an h with e^(-h) not below the inner radius of
-    the cutoff's support (h below 3), and --hs on a cell with k+a < p (no
-    strip regime to check) are malformed input (ValueError); an inadmissible
-    cell raises AdmissibilityError.
+    not finite and positive, an h past the float range, an h with e^(-h)
+    not below the inner radius of the cutoff's support (h below 3), and --hs
+    on a cell with k+a < p (no strip regime to check) are malformed input
+    (ValueError); an inadmissible cell raises AdmissibilityError.
     """
     params, cone = config.single()
     support = (0.05, 20.0)
     if not all(math.isfinite(delta) and delta > 0 for delta in config.delta_list):
         raise ValueError(f"--deltas values must be finite and positive, got {config.delta_list}")
+    if not all(h < sys.float_info.max for h in config.h_list):  # an exact int comparison: float(h) is finite
+        raise ValueError(f"--hs values must be below {sys.float_info.max:g}")
     if not all(h > -math.log(support[0]) for h in config.h_list):  # e^(-h) < support[0]
         raise ValueError(f"--hs values must be at least 3, got {config.h_list}")
     if config.h_list and params.k + params.a < params.p:

@@ -24,19 +24,25 @@ its samples on the graded mesh of the requested size are computed when they
 are first read, which no closed-form comparison and no spectral certificate
 needs.
 
-Where that check fails (bands with an interior end near a pole), and for
-every p != 2, the profile is discretized with piecewise-linear finite
-elements on a mesh graded toward the singular end theta = pi/2, and the
-discrete quotient is minimized directly by Newton steps on the surface
-{int w |phi|^p = const}.  With P1 elements the Hessians of the two
-integrals are tridiagonal, so each step is one tridiagonal solve with two
-right-hand sides; where that step is singular or not a descent direction,
-the same system with hess E (positive semidefinite: E is convex) in place
-of hess E - Q hess D gives it.  The descent starts from cos^s theta; a
-stuck one raises ConvergenceError.  Its residual is the relative step
-decrement sqrt(grad Q . d) / Q of the last step.  At p = 2, assemble_p2 and
-smallest_eigenpair (bisection on the inertia of S - mu M) give the P1
-reference value.
+For p != 2 on the cross-section [0, pi/2] the quotient is minimized in hp
+spectral elements, phi = cos^s theta * g with g piecewise polynomial on a
+mesh graded geometrically toward both ends (the hp module, imported only
+for such a solve), and accepted when a solve on a finer nested mesh
+agrees to 1e-10.  Where a check fails (factored: bands with an interior
+end near a pole; hp: a few near-threshold cells at large p), and for
+p != 2 on every band, the profile is discretized with piecewise-linear
+finite elements on a mesh graded toward the singular end theta = pi/2.
+Both p != 2 discretizations are minimized by one descent (_descend):
+Newton steps on the surface {int w |phi|^p = const}.  With P1 elements
+the Hessians of the two integrals are tridiagonal, so each step is one
+tridiagonal solve with two right-hand sides; where that step is singular
+or not a descent direction, the same system with hess E (positive
+semidefinite: E is convex) in place of hess E - Q hess D gives it, formed
+from the pass the step already made.  The P1 descent starts from
+cos^s theta; a stuck one raises ConvergenceError.  Its residual is the
+relative step decrement sqrt(grad Q . d) / Q of the last step.  At p = 2,
+assemble_p2 and smallest_eigenpair (bisection on the inertia of S - mu M)
+give the P1 reference value.
 
 The private solvers take the cell's 1-D problem as one _SphericalProblem,
 whose s is the one boundary-layer exponent at pi/2.  Its graded mesh comes
@@ -158,16 +164,16 @@ class DiscretizedFunction:
             raise ValueError("mesh must be strictly increasing")
 
 
-class _FactoredFunction(DiscretizedFunction):
-    """A factored profile (see _FactoredDiscretization): its problem, which fixes s, and Legendre coefficients.
+class _SpectralFunction(DiscretizedFunction):
+    """A profile held as its problem, which fixes s, and its coefficients in a spectral basis.
 
-    The certifier integrates the factored form itself from these two.  mesh
-    (the graded mesh of mesh_size elements that a P1 solve would use) and
-    values (the profile at its nodes) serve interpolation and plotting, and
-    each is computed when first read, so a solve whose minimizer is never
-    sampled builds neither; a pickle carries whichever has been read.  A
-    plain subclass: creating one more dataclass would cost every process
-    about a millisecond of import time.
+    The certifier integrates the profile in that basis, with the rule of
+    discretization().  mesh (the graded mesh of mesh_size elements that a
+    P1 solve would use) and values (the profile at its nodes, from sample)
+    serve interpolation and plotting, and each is computed when first read,
+    so a solve whose minimizer is never sampled builds neither; a pickle
+    carries whichever has been read.  Plain subclasses: creating one more
+    dataclass would cost every process about a millisecond of import time.
     """
 
     def __init__(self, problem: _SphericalProblem, coefficients: np.ndarray, mesh_size: int):
@@ -175,13 +181,29 @@ class _FactoredFunction(DiscretizedFunction):
         object.__setattr__(self, "coefficients", coefficients)
         object.__setattr__(self, "mesh_size", mesh_size)
 
+    def discretization(self) -> _RuleSums:
+        raise NotImplementedError
+
+    def sample(self, theta: np.ndarray) -> np.ndarray:
+        raise NotImplementedError
+
     @cached_property
     def mesh(self) -> np.ndarray:
         return _solve_mesh(self.problem, self.mesh_size)
 
     @cached_property
     def values(self) -> np.ndarray:
-        return _factored_sample(self.problem, self.coefficients, self.mesh)
+        return self.sample(self.mesh)
+
+
+class _FactoredFunction(_SpectralFunction):
+    """A factored profile (see _FactoredDiscretization): Legendre coefficients."""
+
+    def discretization(self) -> _FactoredDiscretization:
+        return _FactoredDiscretization(self.problem, self.coefficients.size)
+
+    def sample(self, theta: np.ndarray) -> np.ndarray:
+        return _factored_sample(self.problem, self.coefficients, theta)
 
 
 @dataclass(frozen=True, eq=False)
@@ -190,11 +212,13 @@ class SpectralResult:
 
     iterations and residual describe the solve.  After a spectral solve
     (p = 2) they are the number of dense eigensolves and the difference of
-    the last two eigenvalues (basis size N against N/2), and the minimizer
-    samples itself on its mesh when its mesh or values are first read;
-    after a descent (minimize_rayleigh_p: p != 2, or p = 2 where the
-    spectral solve fell back), the descent steps and the relative step
-    decrement sqrt(grad Q . d) / Q of the last step.
+    the last two eigenvalues (basis size N against N/2); after an hp solve
+    (p != 2 on [0, pi/2]) the Newton iterations of its two descents and
+    the change of M between them.  After either, the minimizer samples
+    itself on its mesh when its mesh or values are first read.  After a
+    P1 descent (minimize_rayleigh_p: p != 2 on a band, or where the
+    spectral or hp check failed), they are the descent steps and the
+    relative step decrement sqrt(grad Q . d) / Q of the last step.
     """
 
     M: float
@@ -410,7 +434,9 @@ class _RuleSums:
 
     A discretization sets the rule weights w (the angular weight folded in),
     p and H2, and supplies fields(v): phi and phi' at the nodes for its
-    coefficient vector v.
+    coefficient vector v.  integrals(v, H2s) gives E at each H^2 and D; a
+    discretization whose E and D need different rules (hp._HpDiscretization)
+    supplies that instead.
     """
 
     w: np.ndarray
@@ -429,9 +455,14 @@ class _RuleSums:
         """D = int w |phi|^p."""
         return (self.w * np.abs(phi) ** self.p).sum()
 
-    def value(self, v: np.ndarray) -> float:
+    def integrals(self, v: np.ndarray, H2s: tuple[float, ...]) -> tuple[list[float], float]:
+        """E = int w (phi'^2 + H^2 phi^2)^(p/2) at each H^2 of H2s, and D, for the coefficients v."""
         phi, dphi = self.fields(v)
-        return self.energy(phi, dphi, self.H2)[1] / self.mass(phi)
+        return [self.energy(phi, dphi, H2)[1] for H2 in H2s], self.mass(phi)
+
+    def value(self, v: np.ndarray) -> float:
+        (num,), den = self.integrals(v, (self.H2,))
+        return num / den
 
 
 def _legendre(t: np.ndarray, size: int) -> tuple[np.ndarray, np.ndarray]:
@@ -624,10 +655,8 @@ class _Discretization(_RuleSums):
         dphi = np.broadcast_to(((v[1:] - v[:-1]) / self.h)[:, None], phi.shape)
         return phi, dphi
 
-    def newton_system(
-        self, v: np.ndarray, multiplier: float | None = None
-    ) -> tuple[float, np.ndarray, Tridiagonal, float, np.ndarray]:
-        """Q, grad Q, K = hess E - m hess D (m = Q unless given), D and grad D at v, from one pass over the rule.
+    def newton_system(self, v: np.ndarray) -> tuple[float, np.ndarray, Tridiagonal, float, np.ndarray]:
+        """Q, grad Q, K = hess E - Q hess D, D and grad D at v, from one pass over the rule.
 
         grad Q and grad D are nodal, grad Q zero at Dirichlet nodes; K is
         tridiagonal over all nodes.  Each element couples its two nodes only.
@@ -640,7 +669,8 @@ class _Discretization(_RuleSums):
             hess E:  (p/2)(p/2-1) e2^(p/2-2) de2 de2^T
                      + p e2^(p/2-1) (dphi' dphi'^T + H^2 dphi dphi^T),
             hess D:  p(p-1) |phi|^(p-2) dphi dphi^T,
-        and grad Q = (grad E - Q grad D) / D.
+        and grad Q = (grad E - Q grad D) / D.  The pass keeps the terms of
+        hess E, which hess_e forms on demand.
         """
         p, H2, w, n1, n2 = self.p, self.H2, self.w, self.n1, self.n2
         phi, dphi = self.fields(v)
@@ -663,14 +693,28 @@ class _Discretization(_RuleSums):
         de2_l = -2.0 * dphi_h + 2.0 * H2 * phi * n1
         de2_r = 2.0 * dphi_h + 2.0 * H2 * phi * n2
         c_outer = w * (p / 2) * (p / 2 - 1.0) * e_pow2
-        m = q if multiplier is None else multiplier
-        c_value = c_curv * H2 - m * w * p * (p - 1.0) * phi_pow2
         c_grad = _element_sums(c_curv) / self.h**2
+        c_value_e = c_curv * H2
+        self._hess_e_terms = (c_outer, de2_l, de2_r, c_value_e, c_grad)
+        hessian = self._hessian(c_outer, de2_l, de2_r, c_value_e - q * w * p * (p - 1.0) * phi_pow2, c_grad)
+        return q, (grad_e - q * grad_d) / den * self.mask, hessian, den, grad_d
+
+    def _hessian(self, c_outer, de2_l, de2_r, c_value, c_grad) -> Tridiagonal:
+        """The tridiagonal sum of c_outer de2 de2^T + c_value dphi dphi^T + c_grad dphi' dphi'^T h^2 over the rule."""
+        n1, n2 = self.n1, self.n2
         k_ll = _element_sums(c_outer * de2_l * de2_l + c_value * n1 * n1) + c_grad
         k_rr = _element_sums(c_outer * de2_r * de2_r + c_value * n2 * n2) + c_grad
         k_lr = _element_sums(c_outer * de2_l * de2_r + c_value * n1 * n2) - c_grad
-        hessian = (self._scatter(k_ll, k_rr), k_lr)
-        return q, (grad_e - q * grad_d) / den * self.mask, hessian, den, grad_d
+        return self._scatter(k_ll, k_rr), k_lr
+
+    def hess_e(self) -> Tridiagonal:
+        """hess E at the iterate of the last newton_system pass, from the terms that pass kept.
+
+        The same sums as K with its hess D term dropped: bit for bit the K
+        of a pass at multiplier 0, whose hess D term is 0.0 times a finite
+        array.
+        """
+        return self._hessian(*self._hess_e_terms)
 
     def newton_direction(
         self, g: np.ndarray, hessian: Tridiagonal, den: float, grad_d: np.ndarray
@@ -733,46 +777,47 @@ def _cosine_profile(problem: _SphericalProblem, mesh: np.ndarray) -> np.ndarray:
     return v
 
 
-def minimize_rayleigh_p(params: HardyParams, domain: AngularDomain, mesh_size: int) -> SpectralResult:
-    """Minimize the discrete quotient by Newton steps on the surface {D = const}.
+def _descend(
+    disc: _Discretization, v: np.ndarray, tol: float, max_iter: int,
+    try_small_steps: bool = True,
+) -> tuple[float, np.ndarray, int, float]:
+    """Newton descent of the discrete quotient on the surface {D = const}: Q, iterate, steps, decrement.
 
-    One pass over the rule per accepted iterate (_Discretization.newton_system)
-    gives Q, grad Q and the Hessian terms, and the step solves the bordered
-    Newton system of E - Q D restricted to D = const (see
-    _Discretization.newton_direction; with P1 elements the Hessians of E
-    and D are tridiagonal); a line-search trial costs Q alone.  If that
+    disc is a _Discretization (P1) or an hp._HpDiscretization.  One pass over the rule per accepted iterate (disc.newton_system) gives
+    Q, grad Q and the Hessian terms, and the step solves the bordered
+    Newton system of E - Q D restricted to D = const
+    (disc.newton_direction); a line-search trial costs Q alone.  If that
     step is singular, non-finite or not a descent direction, the step with
-    hess E (K at multiplier 0) is taken: E is convex, so grad Q . d =
-    d^T hess E d / D > 0 wherever grad Q != 0, and a failed one raises
-    ConvergenceError.  grad Q exactly 0 ends the descent.  Backtracking
-    line search from a full step; iterates are clamped to the nonnegative
-    cone and renormalized to unit weighted p-norm.
-    Stops when the relative decrease of Q over an iteration drops below
-    DESCENT_TOL and the relative step decrement sqrt(grad Q . d) / Q below
-    DESCENT_GRAD_TOL; that decrement is the returned residual.  A failed line
-    search stops it too if the decrement is below DESCENT_GRAD_TOL or a full
-    step would lower Q by less than DESCENT_TOL; otherwise it raises
-    ConvergenceError.  The start is _cosine_profile.  The mesh has mesh_size
-    elements, graded toward pi/2.
+    hess E (disc.hess_e, from the same pass) is taken: E is convex, so
+    grad Q . d = d^T hess E d / D > 0 wherever grad Q != 0, and a failed one
+    raises ConvergenceError.  grad Q exactly 0 ends the descent.
+    Backtracking line search from a full step; disc.normalize brings each
+    trial back to unit weighted p-norm.  Stops when the relative decrease of
+    Q over an iteration drops below tol and the relative step decrement
+    sqrt(grad Q . d) / Q below DESCENT_GRAD_TOL.  A failed line search stops
+    it too if the decrement is below DESCENT_GRAD_TOL or a full step would
+    lower Q by less than tol; otherwise it raises ConvergenceError, as do
+    max_iter steps.  Without try_small_steps such a step is not tried: the
+    descent stops before its line search, which at Q's rounding floor would
+    halve the step 60 times.
     """
-    problem = _SphericalProblem.of(params, domain)
-    disc = _Discretization.graded(problem, mesh_size)
-    v = disc.normalize(_cosine_profile(problem, disc.mesh))
-
+    v = disc.normalize(v)
     q, g, hessian, den, grad_d = disc.newton_system(v)
     decrement = math.inf
-    for iterations in range(1, MAX_DESCENT_ITER + 1):
+    for iterations in range(1, max_iter + 1):
         direction = disc.newton_direction(g, hessian, den, grad_d)
         slope = (g * direction).sum() if direction is not None else math.nan
         if not slope > 0.0:
             if not g.any():  # stationary: nothing to descend
                 decrement = 0.0
                 break
-            direction = disc.newton_direction(g, disc.newton_system(v, multiplier=0.0)[2], den, grad_d)
+            direction = disc.newton_direction(g, disc.hess_e(), den, grad_d)
             slope = (g * direction).sum() if direction is not None else math.nan
             if not slope > 0.0:
                 raise ConvergenceError("quotient descent: the hess E step failed", residual=decrement)
         decrement = math.sqrt(slope) / max(abs(q), 1e-300)
+        if not try_small_steps and slope < tol * abs(q) and decrement < DESCENT_GRAD_TOL:
+            break
         eta = 1.0
         for _ in range(60):
             trial = disc.normalize(v - eta * direction)
@@ -781,22 +826,39 @@ def minimize_rayleigh_p(params: HardyParams, domain: AngularDomain, mesh_size: i
                 break
             eta *= 0.5
         else:
-            if decrement < DESCENT_GRAD_TOL or slope < DESCENT_TOL * abs(q):  # Q at its (rounding) floor
+            if decrement < DESCENT_GRAD_TOL or slope < tol * abs(q):  # Q at its (rounding) floor
                 break
             raise ConvergenceError(f"quotient descent stuck (relative decrement {decrement:.3e})",
                                    residual=decrement)
         rel_dec = (q - q_trial) / max(abs(q), 1e-300)
         v = trial
         q, g, hessian, den, grad_d = disc.newton_system(v)
-        if rel_dec < DESCENT_TOL and decrement < DESCENT_GRAD_TOL:
+        if rel_dec < tol and decrement < DESCENT_GRAD_TOL:
             break
     else:
         raise ConvergenceError(
-            f"quotient descent did not converge in {MAX_DESCENT_ITER} iterations "
+            f"quotient descent did not converge in {max_iter} iterations "
             f"(last relative decrement {decrement:.3e})",
             residual=decrement,
         )
+    return q, v, iterations, decrement
 
+
+def minimize_rayleigh_p(params: HardyParams, domain: AngularDomain, mesh_size: int) -> SpectralResult:
+    """Minimize the discrete P1 quotient by Newton steps on the surface {D = const} (see _descend).
+
+    With P1 elements the Hessians of E and D are tridiagonal, so each step
+    is one tridiagonal solve with two right-hand sides
+    (_Discretization.newton_direction).  Iterates are clamped to the
+    nonnegative cone before they are renormalized.  The tolerance is
+    DESCENT_TOL, at most MAX_DESCENT_ITER steps are taken, and the last
+    relative step decrement sqrt(grad Q . d) / Q is the returned residual.
+    The start is _cosine_profile.  The mesh has mesh_size elements, graded
+    toward pi/2.
+    """
+    problem = _SphericalProblem.of(params, domain)
+    disc = _Discretization.graded(problem, mesh_size)
+    q, v, iterations, decrement = _descend(disc, _cosine_profile(problem, disc.mesh), DESCENT_TOL, MAX_DESCENT_ITER)
     lam = q - problem.H2 if problem.p == 2 else None
     return SpectralResult(
         M=q,
@@ -847,19 +909,28 @@ def solve_M(
     cone: ConeSpec,
     mesh_size: int = 512,
 ) -> SpectralResult:
-    """Spherical minimum M of the cone: factored eigensolve for p = 2, P1 descent otherwise.
+    """Spherical minimum M of the cone: factored eigensolve for p = 2, hp descent on [0, pi/2], P1 otherwise.
 
     At p = 2 the eigenproblem is solved in the factored spectral basis on
-    every cross-section, and mesh_size only sets the mesh the minimizer is
-    sampled on, when its mesh or values are first read.  Where that solve fails its N -> 2N check by N =
-    FACTORED_MAX_SIZE (bands with an interior end near a pole), and for
-    every p != 2, the quotient is minimized with P1 elements on a mesh of
-    mesh_size elements graded toward pi/2.
+    every cross-section.  For p != 2 on the cross-section [0, pi/2] (the
+    full and punctured space, the complement of sigma_0 and the half
+    space) the quotient is minimized in hp elements (_hp_solve).  mesh_size
+    then only sets the mesh the minimizer is sampled on, when its mesh or
+    values are first read.  Where the factored solve fails its N -> 2N
+    check by N = FACTORED_MAX_SIZE (bands with an interior end near a
+    pole), where the hp solve fails its check, and on every band for
+    p != 2, the quotient is minimized with P1 elements on a mesh of
+    mesh_size elements graded toward pi/2 (minimize_rayleigh_p).
     """
     domain = bc_for_cone(params, cone)
-    if params.p == 2:
-        try:
-            return _factored_eigensolve(_SphericalProblem.of(params, domain), mesh_size)
-        except ConvergenceError:
-            pass
+    problem = _SphericalProblem.of(params, domain)
+    try:
+        if params.p == 2:
+            return _factored_eigensolve(problem, mesh_size)
+        if domain.theta1 == 0.0 and domain.theta2 == HALF_PI:
+            from .hp import _hp_solve  # only a p != 2 solve on [0, pi/2] pays to compile hp
+
+            return _hp_solve(problem, mesh_size)
+    except ConvergenceError:
+        pass
     return minimize_rayleigh_p(params, domain, mesh_size)

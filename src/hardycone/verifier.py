@@ -10,8 +10,9 @@ exhibits both sharpness and non-attainment.  Its radial integrals are pure
 powers, evaluated in closed form, and its angular integrals use the solver's
 own discretization of Phi: for a factored spectral minimizer (p = 2, unless
 the solve fell back to P1) its basis and Gauss-Jacobi rule, exact on
-[0, pi/2], otherwise the P1 discretization (the same quadrature nodes,
-weights and shape values).  So at p = 2 the u_delta quotient is the
+[0, pi/2]; for an hp minimizer (p != 2 on [0, pi/2]) its elements and
+their rules for E and D; otherwise the P1 discretization (the same
+quadrature nodes, weights and shape values).  So at p = 2 the u_delta quotient is the
 Rayleigh quotient of the test function the solver returned + delta^2, and
 after a spectral solve that test function is the admissible factored
 profile itself, not an interpolant of it.  In the superdegenerate regime
@@ -39,9 +40,8 @@ from .spherical import (
     AngularDomain,
     DiscretizedFunction,
     _Discretization,
-    _FactoredDiscretization,
-    _FactoredFunction,
     _RuleSums,
+    _SpectralFunction,
     _SphericalProblem,
 )
 
@@ -102,12 +102,12 @@ class RayleighEvaluation:
 def _discretization(params: HardyParams, Phi: DiscretizedFunction) -> tuple[_RuleSums, np.ndarray]:
     """The solver's discretization of Phi and Phi's coefficients in it.
 
-    A factored spectral profile gets its own basis and rule, with its
-    Legendre coefficients; any other profile the P1 discretization on its
-    mesh (all nodes free), with its nodal values.
+    A spectral profile (factored or hp) gets its own basis and rules, with
+    its coefficients; any other profile the P1 discretization on its mesh
+    (all nodes free), with its nodal values.
     """
-    if isinstance(Phi, _FactoredFunction):
-        return _FactoredDiscretization(Phi.problem, Phi.coefficients.size), Phi.coefficients
+    if isinstance(Phi, _SpectralFunction):
+        return Phi.discretization(), Phi.coefficients
     rule = composite_rule(AngularWeight.for_params(params), Phi.mesh)  # rejects a mesh outside [0, pi/2]
     domain = AngularDomain(Phi.mesh[0], Phi.mesh[-1], NATURAL, NATURAL)  # every node free
     return _Discretization(_SphericalProblem.of(params, domain), Phi.mesh, rule), Phi.values
@@ -139,14 +139,12 @@ def evaluate_quotient_udelta(
         raise ValueError(f"need delta > 0, got {delta}")
     disc, coefficients = _discretization(params, Phi)
     pref = AngularWeight.for_params(params, cone).prefactor
-    phi, dphi = disc.fields(coefficients)
     H = hardy_exponent(params).H
-    e_minus = disc.energy(phi, dphi, (H - delta) ** 2)[1]
-    e_plus = disc.energy(phi, dphi, (H + delta) ** 2)[1]
+    (e_minus, e_plus), mass = disc.integrals(coefficients, ((H - delta) ** 2, (H + delta) ** 2))
     # a delta near the float range gives an inf or nan quotient, which the caller rejects
     with np.errstate(over="ignore", invalid="ignore"):
         numerator = pref * (e_minus + e_plus) / (params.p * delta)
-        denominator = pref * 2.0 / (params.p * delta) * disc.mass(phi)
+        denominator = pref * 2.0 / (params.p * delta) * mass
         quotient = numerator / denominator
     return RayleighEvaluation(numerator=numerator, denominator=denominator, quotient=quotient)
 

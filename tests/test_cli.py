@@ -434,7 +434,8 @@ class TestMainEntry:
         (("--deltas", "0.1,nan"), "finite and positive"),
         (("--a", "1", "--hs", "0,4"), "at least 3"),
         (("--a", "1", "--hs", "2,4"), "at least 3"),
-    ], ids=["negative-delta", "nan-delta", "h-zero", "h-two"])
+        (("--a", "1", "--hs", "4,1" + "0" * 320), "must be below"),
+    ], ids=["negative-delta", "nan-delta", "h-zero", "h-two", "h-past-float-range"])
     def test_verify_malformed_points_rejected(self, capsys, flags, message):
         code, out, err = run_cli(capsys, "verify", "--d", "3", "--k", "1", "--mesh", "64", *flags)
         assert code == 2 and out == ""
@@ -491,7 +492,7 @@ class TestMainEntry:
     def test_stuck_descent_is_a_failed_row(self, capsys, monkeypatch):
         # the descent's line search fails far from convergence: no number is printed
         monkeypatch.setattr(spherical._Discretization, "value", lambda self, v: math.inf)
-        code, out, err = run_cli(capsys, "constant", "--p", "3", "--mesh", "256")
+        code, out, err = run_cli(capsys, "constant", "--p", "3", "--cone", "band:0.3:1.2", "--mesh", "256")
         assert code == 1
         row = json.loads(out)["rows"][0]
         assert row["status"] == "solver_fail" and row["numeric_M"] is None

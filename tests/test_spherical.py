@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 import scipy.linalg as sla
 
+import hardycone.hp as hp
 import hardycone.spherical as spherical
 from hardycone.params import (
     AdmissibilityError,
@@ -351,8 +352,9 @@ class TestSolveM:
 
         monkeypatch.setattr(spherical, "composite_rule", counting_rule)
         # p = 2 is spectral and builds no composite rule, except where it falls
-        # back to the P1 descent, as on band:0.1:1.0
-        cone = ConeSpec.band(0.1, 1.0) if p == 2 else ConeSpec.complement_sigma0()
+        # back to the P1 descent, as on band:0.1:1.0; p != 2 is hp on [0, pi/2]
+        # and P1 on a band
+        cone = ConeSpec.band(0.1, 1.0)
         result = solve_M(HardyParams(3, 1, p, 0.3, 0.0), cone, 64)
         assert type(result.minimizer) is DiscretizedFunction
         assert len(rule_builds) == 1
@@ -592,7 +594,7 @@ class TestMinimizeRayleighP:
         # end, where the weighted-H1 gradient step needed ~14,000 iterations
         params = HardyParams(3, 1, 1.5, 0.3, 0.0)
         cone = ConeSpec.complement_sigma0()
-        result = solve_M(params, cone, 256)
+        result = minimize_rayleigh_p(params, bc_for_cone(params, cone), 256)
         monkeypatch.setattr(spherical, "DESCENT_TOL", 1e-13)
         monkeypatch.setattr(spherical, "DESCENT_GRAD_TOL", 1e-10)
         tight = minimize_rayleigh_p(params, bc_for_cone(params, cone), 256)
@@ -603,7 +605,7 @@ class TestMinimizeRayleighP:
         # k+a = 2.5 >= 2: the p = 2 eigenfunction ignores the Dirichlet node at
         # pi/2 (p-quotient ~2e6), and a descent from it stalls at Q ~ 2.58
         params = HardyParams(3, 2, 3.0, 0.5, 0.5)
-        result = solve_M(params, ConeSpec.complement_sigma0(), 256)
+        result = minimize_rayleigh_p(params, bc_for_cone(params, ConeSpec.complement_sigma0()), 256)
         assert result.iterations <= 20
         assert result.M == pytest.approx(0.0720, rel=1e-3)
 
@@ -620,8 +622,9 @@ class TestMinimizeRayleighP:
         # every line-search trial rejected on the first step, far from
         # convergence: that must not be reported as a converged quotient
         monkeypatch.setattr(spherical._Discretization, "value", lambda self, v: math.inf)
+        params = HardyParams(3, 1, 3.0, 0.0, 0.0)
         with pytest.raises(ConvergenceError) as info:
-            solve_M(HardyParams(3, 1, 3.0, 0.0, 0.0), ConeSpec.complement_sigma0(), 256)
+            minimize_rayleigh_p(params, bc_for_cone(params, ConeSpec.complement_sigma0()), 256)
         assert info.value.residual > spherical.DESCENT_GRAD_TOL
 
     def test_indefinite_newton_system_falls_back_to_hess_e(self, monkeypatch):
@@ -632,19 +635,22 @@ class TestMinimizeRayleighP:
 
         monkeypatch.setattr(spherical._Discretization, "p2_matrices", no_p2)
         monkeypatch.setattr(spherical, "MAX_DESCENT_ITER", 100)
-        result = solve_M(HardyParams(3, 1, 6.0, 1.5, 0.5), ConeSpec.complement_sigma0(), 512)
+        params = HardyParams(3, 1, 6.0, 1.5, 0.5)
+        result = minimize_rayleigh_p(params, bc_for_cone(params, ConeSpec.complement_sigma0()), 512)
         assert result.iterations <= 20
         assert result.M == pytest.approx(0.4572015270, rel=5e-5)  # hp reference; P1's own error at mesh 512
 
     def test_failed_hess_e_step_raises(self, monkeypatch):
         monkeypatch.setattr(spherical._Discretization, "newton_direction", lambda self, *terms: None)
+        params = HardyParams(3, 1, 3.0, 0.0, 0.0)
         with pytest.raises(ConvergenceError, match="hess E"):
-            solve_M(HardyParams(3, 1, 3.0, 0.0, 0.0), ConeSpec.complement_sigma0(), 256)
+            minimize_rayleigh_p(params, bc_for_cone(params, ConeSpec.complement_sigma0()), 256)
 
     def test_stationary_start_ends_the_descent(self):
         # k+a = 2 >= p: natural at pi/2, and the constant start is the
         # minimizer, with grad Q exactly 0 and Q = H^p = 1
-        result = solve_M(HardyParams(3, 2, 1.5, 0.0, 0.0), ConeSpec.complement_sigma0(), 256)
+        params = HardyParams(3, 2, 1.5, 0.0, 0.0)
+        result = minimize_rayleigh_p(params, bc_for_cone(params, ConeSpec.complement_sigma0()), 256)
         assert result.M == 1.0 and result.iterations == 1 and result.residual == 0.0
 
     @pytest.mark.parametrize("cell, cone", [
@@ -761,7 +767,7 @@ class TestFactoredEigensolve:
         problem = spherical._SphericalProblem.of(params, bc_for_cone(params, ConeSpec.band(0.3, HALF_PI)))
         assert band.minimizer.problem == problem
         assert band.M == spherical._factored_eigensolve(problem, 256).M
-        descent = solve_M(HardyParams(3, 1, 1.5, 0.3, 0.0), ConeSpec.complement_sigma0(), 256)
+        descent = solve_M(HardyParams(3, 1, 1.5, 0.3, 0.0), ConeSpec.band(0.3, HALF_PI), 256)
         assert type(descent.minimizer) is DiscretizedFunction and descent.lam is None
 
     def test_size_cap_raises_convergence_error(self, monkeypatch):
@@ -885,3 +891,116 @@ class TestLazyFactoredSamples:
         params = HardyParams(3, 1, 2.0, 0.5, 0.0)
         with pytest.raises(ValueError, match="mesh_size"):
             solve_M(params, ConeSpec.complement_sigma0(), mesh_size=8)
+
+
+# p != 2 references (ROADMAP item 1): an hp prototype at L = q = 10-14, spread <= 3e-10 over
+# grading ratios 0.1-0.25 and 12 or 40 extra quadrature points; the four descent-workload cells
+# to 13 digits, the others as cited there
+HP_REFERENCES = [
+    ((3, 1, 3.0, 0.0, 0.0), 2.1725999599461, 1e-10),
+    ((3, 1, 3.0, 0.3, 0.0), 1.6433143719776, 1e-10),
+    ((3, 1, 1.5, 0.0, 0.0), 2.4734248910809, 1e-10),
+    ((3, 1, 1.5, 0.3, 0.0), 2.1468684609198, 1e-10),
+    ((3, 2, 3.0, 0.8, 0.0), 0.03315013244761, 1e-9),
+    ((3, 1, 3.0, 1.9, 0.0), 0.2629440157, 1e-8),
+    ((3, 1, 6.0, 3.5, 0.0), 0.0092131558163, 1e-8),
+    ((5, 2, 6.0, 1.5, 0.0), 0.19790166525, 1e-8),
+    ((3, 1, 6.0, 1.5, 0.5), 0.4572015270, 1e-8),
+]
+
+
+class TestHpSolve:
+    """p != 2 on [0, pi/2]: phi = cos^s theta * g, g piecewise polynomial on a geometrically graded mesh."""
+
+    @pytest.mark.parametrize("cell, reference, rel", HP_REFERENCES, ids=[str(c) for c, _, _ in HP_REFERENCES])
+    def test_reference_values(self, cell, reference, rel):
+        result = solve_M(HardyParams(*cell), ConeSpec.complement_sigma0(), 512)
+        assert type(result.minimizer) is hp._HpFunction and result.lam is None
+        assert result.M == pytest.approx(reference, rel=rel)
+        assert result.residual <= hp.HP_TOL * result.M
+
+    @pytest.mark.parametrize("cell, cone", [
+        ((3, 1, 2.0, 0.5, 0.0), ConeSpec.complement_sigma0()),
+        ((3, 2, 2.0, -0.1, 0.0), ConeSpec.complement_sigma0()),
+        ((4, 1, 2.0, 0.9, 0.5), ConeSpec.half_space()),
+        ((5, 2, 2.0, 0.5, 0.0), ConeSpec.full_space()),
+        ((4, 2, 1.5, -0.5, 0.5), ConeSpec.complement_sigma0()),  # superdegenerate: natural pi/2, M = 1
+    ])
+    def test_closed_forms(self, cell, cone):
+        # p = 2 never reaches hp in solve_M, but its closed forms check the basis and rules
+        params = HardyParams(*cell)
+        problem = spherical._SphericalProblem.of(params, bc_for_cone(params, cone))
+        M = hp._hp_solve(problem, 64).M
+        assert M == pytest.approx(closed_form_constant(params, cone).value, rel=1e-13)
+
+    def test_same_M_at_every_mesh(self):
+        # mesh_size only sets where the minimizer samples itself
+        params = HardyParams(3, 1, 1.5, 0.3, 0.0)
+        coarse, fine = (solve_M(params, ConeSpec.complement_sigma0(), n) for n in (512, 1024))
+        assert coarse.M == fine.M and coarse.iterations == fine.iterations
+        assert fine.minimizer.values.size == 1025
+
+    def test_failed_check_lands_on_p1(self, monkeypatch):
+        # with the (L, q) -> (L+2, q+2) check forced to fail, the cell gets the P1
+        # descent's M, bit for bit the value the P1 descent gave before hp existed
+        monkeypatch.setattr(hp, "HP_TOL", -1.0)
+        result = solve_M(HardyParams(3, 1, 3.0, 0.0, 0.0), ConeSpec.complement_sigma0(), 256)
+        assert type(result.minimizer) is DiscretizedFunction
+        assert result.M == 2.1726116518314718 and result.iterations == 8
+
+    def test_stuck_hp_descent_lands_on_p1(self, monkeypatch):
+        monkeypatch.setattr(hp._HpDiscretization, "value", lambda self, v: math.inf)
+        params = HardyParams(3, 1, 3.0, 0.3, 0.0)
+        result = solve_M(params, ConeSpec.complement_sigma0(), 256)
+        assert result.M == minimize_rayleigh_p(params, bc_for_cone(params, ConeSpec.complement_sigma0()), 256).M
+
+    def test_prolongation_is_exact(self):
+        coarse = hp._HpLayout.of(3, 5)
+        fine = hp._HpLayout.of(5, 7)
+        v = np.random.default_rng(3).standard_normal(coarse.size)
+        w = fine.prolong(coarse, v)
+        side = np.repeat([1.0, -1.0], 200)
+        t = np.concatenate([np.geomspace(1e-6, math.pi / 4, 200)] * 2)
+        assert np.allclose(fine.g(w, side, t), coarse.g(v, side, t), rtol=0.0, atol=1e-12)
+
+    def test_minimizer_is_integrated_in_its_own_rules(self):
+        params = HardyParams(3, 1, 3.0, 0.3, 0.0)
+        result = solve_M(params, ConeSpec.complement_sigma0(), 256)
+        Phi = result.minimizer
+        disc = Phi.discretization()
+        assert disc.value(Phi.coefficients) == pytest.approx(result.M, rel=1e-14)
+        assert disc.integrals(Phi.coefficients, ())[1] == pytest.approx(1.0, rel=1e-14)
+        # its samples: positive inside, 0 at the Dirichlet end pi/2
+        values = Phi.values
+        assert values[-1] == 0.0 and values[:-1].min() > 0.0
+
+    def test_pickle_keeps_the_profile(self):
+        import pickle
+
+        result = solve_M(HardyParams(3, 1, 1.5, 0.3, 0.0), ConeSpec.complement_sigma0(), 256)
+        Phi = pickle.loads(pickle.dumps(result.minimizer))
+        assert type(Phi) is hp._HpFunction and (Phi.layers, Phi.degree) == (
+            result.minimizer.layers, result.minimizer.degree)
+        assert np.array_equal(Phi.coefficients, result.minimizer.coefficients)
+        assert np.array_equal(Phi.values, result.minimizer.values)
+
+    def test_hess_e_fallback_takes_no_extra_pass(self, monkeypatch):
+        # P1 on (3,1,6,1.5,0.5): K is indefinite after the first step, and the
+        # hess E step is formed from the pass the loop holds, so every
+        # evaluation of the fields is the start's normalization, one
+        # newton_system pass per accepted iterate, or a line-search trial
+        calls = {"fields": 0, "value": 0, "newton_system": 0, "hess_e": 0}
+        for name in calls:
+            method = getattr(spherical._Discretization, name)
+
+            def counted(self, *args, _name=name, _method=method):
+                calls[_name] += 1
+                return _method(self, *args)
+
+            monkeypatch.setattr(spherical._Discretization, name, counted)
+        params = HardyParams(3, 1, 6.0, 1.5, 0.5)
+        result = minimize_rayleigh_p(params, bc_for_cone(params, ConeSpec.complement_sigma0()), 512)
+        assert result.M == 0.45721634005744805  # bit for bit the value before the fallback reused the pass
+        assert calls["hess_e"] >= 1
+        assert calls["newton_system"] == result.iterations + 1
+        assert calls["fields"] == 1 + calls["newton_system"] + 2 * calls["value"]
