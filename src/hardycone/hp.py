@@ -10,7 +10,8 @@ smooth even with cos^s factored out: the geometric hp meshes of Babuska and
 Guo (Adv. Eng. Softw. 15 (1992) 159-174), which converge exponentially at
 point singularities.  Per-element Gauss rules absorb the weight's end
 powers, and vertices on the pi/2 side are held in u = pi/2 - theta, so
-cos theta = sin u keeps its relative accuracy on elements ~1e-3 wide.
+cos theta = sin u keeps full relative accuracy at the nodes next to pi/2,
+where cos of a stored theta would not.
 
 The quotient is minimized by the descent P1 uses (spherical._descend):
 Newton steps on {D = const}, with the hess E step as fallback.  The element
