@@ -34,7 +34,7 @@ from .spherical import (
     bc_for_cone,
     solve_M,
 )
-from .verifier import _cutoff_log_decay, cutoff_decay, evaluate_quotient_udelta
+from .verifier import _cutoff_log_decay, _delta_limit, cutoff_decay, evaluate_quotient_udelta
 
 SCHEMA_VERSION = 1
 
@@ -252,29 +252,15 @@ def cmd_spectrum(config: RunConfig) -> list[ReportRow]:
     return _grid_rows("spectrum", [config.single()], config, with_closed=False)
 
 
-def _richardson(trace: list[tuple[float, float]]) -> tuple[float | None, float | None]:
-    """Extrapolated delta->0 limit (quadratic model) and the observed order."""
-    if len(trace) < 2:
-        return None, None
-    (x0, q0), (x1, q1) = trace[-2], trace[-1]
-    extrap = (q1 * x0**2 - q0 * x1**2) / (x0**2 - x1**2)
-    order = None
-    if len(trace) >= 3:
-        (xa, qa), (xb, qb), (xc, qc) = trace[-3], trace[-2], trace[-1]
-        num, den = qa - qb, qb - qc
-        if num * den > 0:
-            order = math.log(num / den) / math.log(xa / xb)
-    return extrap, order
-
-
 def cmd_verify(config: RunConfig) -> list[ReportRow]:
     """Trace the minimizing family in delta and the cutoff energy in h.
 
-    The delta row fails (status solver_fail) if a trace value or the
-    extrapolated limit is not finite, the trace does not approach the
-    reference quadratically or the limit misses it; the h row fails if an
-    energy or the fitted rate is not finite or the strip energy decays
-    slower than h^(1-p).  Repeated --deltas or --hs values, a delta that is
+    The delta row's limit and order come from verifier._delta_limit, over
+    every delta in any order.  The row fails (status solver_fail) if a
+    trace value or the extrapolated limit is not finite, the trace does not
+    approach the reference quadratically or the limit misses it; the h row
+    fails if an energy or the fitted rate is not finite or the strip energy
+    decays slower than h^(1-p).  Repeated --deltas or --hs values, a delta that is
     not finite and positive, an h past the float range, an h with e^(-h)
     not below the inner radius of the cutoff's support (h below 3), and --hs
     on a cell with k+a < p (no strip regime to check) are malformed input
@@ -301,7 +287,7 @@ def cmd_verify(config: RunConfig) -> list[ReportRow]:
         try:
             trace = tuple((delta, evaluate_quotient_udelta(params, result.minimizer, delta).quotient)
                           for delta in config.delta_list)
-            extrap, order = _richardson(trace)
+            extrap, order = _delta_limit(trace)
         except (ConvergenceError, ValueError, OverflowError):
             row = replace(_base_row("verify", params, cone, config.mesh_size), status="solver_fail")
         else:

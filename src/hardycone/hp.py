@@ -20,7 +20,9 @@ step condenses every element's bubbles onto the vertices, whose Schur
 complement is tridiagonal (spherical._CyclicReduction); only the
 (q - 1) x (q - 1) bubble blocks go to LAPACK, so results do not depend on
 the BLAS thread count.  _hp_solve checks the solve against one on two more
-layers of degree two more, warm-started from it: the meshes nest.
+layers of degree two more, warm-started from it (the meshes nest), and on
+a near miss checks that one against a third, two layers and two degrees
+finer again.
 
 spherical.solve_M imports this module only for such a solve, so a p = 2
 process never compiles it.
@@ -47,10 +49,11 @@ from .spherical import (
 )
 
 HP_LAYERS = 5  # elements graded toward each end in the first hp solve
-HP_DEGREE = 9  # their polynomial degree; the check solve takes two more of each
+HP_DEGREE = 9  # their polynomial degree; each check solve takes two more of each
+HP_LEVELS = 3  # hp solves at most: the first, its check and, on a near miss, one more
 HP_RATIO = 0.3  # ratio of consecutive element sizes toward an end
-HP_POINTS = 16  # Gauss points per element, in both hp solves
-HP_TOL = 1e-10  # relative change of M from the first hp solve to the check solve
+HP_POINTS = 16  # Gauss points per element, in every hp solve
+HP_TOL = 1e-10  # relative change of M from one hp solve to its check solve
 HP_DESCENT_TOL = 1e-12  # relative decrease of Q per hp descent step at convergence
 HP_MAX_ITER = 100  # hp descent steps before ConvergenceError
 
@@ -406,27 +409,35 @@ def _hp_solve(problem: _SphericalProblem, mesh_size: int) -> SpectralResult:
     The descent (_descend, tolerance HP_DESCENT_TOL, at most HP_MAX_ITER
     steps) runs from g = 1 on HP_LAYERS layers of degree HP_DEGREE, then
     from that minimizer, prolonged exactly, on two more layers of degree
-    two more: the meshes nest.  M is the second solve's; the solve raises
-    ConvergenceError unless it is within HP_TOL relative of the first.
-    iterations counts the steps of both descents, and residual is the
-    change of M between them.  mesh_size (checked here) sets the graded mesh
-    the minimizer samples itself on when first read, the one a P1 solve
-    would use.
+    two more: the meshes nest.  The solve is accepted when M is within
+    HP_TOL relative of the level before.  On a near miss the same step is
+    taken once more, from the second level to a third, up to HP_LEVELS
+    levels in all: small-M cells at large p whose first check misses by a
+    few 1e-10 change by a few 1e-13 at the second.  M is the accepted
+    level's; past HP_LEVELS the solve raises ConvergenceError, and solve_M
+    falls back to P1.  iterations counts the steps of every descent, and
+    residual is the change of M between the last two levels.  mesh_size
+    (checked here) sets the graded mesh the minimizer samples itself on
+    when first read, the one a P1 solve would use.
     """
     _require_mesh_size(mesh_size)
-    coarse = _HpDiscretization(problem, HP_LAYERS, HP_DEGREE)
-    m_coarse, v, steps, _ = _descend(coarse, coarse.start(), HP_DESCENT_TOL, HP_MAX_ITER,
-                                      try_small_steps=False)
-    fine = _HpDiscretization(problem, HP_LAYERS + 2, HP_DEGREE + 2)
-    m, v, fine_steps, _ = _descend(fine, fine.layout.prolong(coarse.layout, v), HP_DESCENT_TOL, HP_MAX_ITER,
-                                   try_small_steps=False)
-    residual = abs(m - m_coarse)
-    if not residual <= HP_TOL * abs(m):
+    disc = _HpDiscretization(problem, HP_LAYERS, HP_DEGREE)
+    m, v, steps, _ = _descend(disc, disc.start(), HP_DESCENT_TOL, HP_MAX_ITER, try_small_steps=False)
+    for level in range(1, HP_LEVELS):
+        coarse, m_coarse = disc, m
+        disc = _HpDiscretization(problem, HP_LAYERS + 2 * level, HP_DEGREE + 2 * level)
+        m, v, more_steps, _ = _descend(disc, disc.layout.prolong(coarse.layout, v), HP_DESCENT_TOL, HP_MAX_ITER,
+                                       try_small_steps=False)
+        steps += more_steps
+        residual = abs(m - m_coarse)
+        if residual <= HP_TOL * abs(m):
+            break
+    else:
         raise ConvergenceError(f"hp solves differ by {residual:.3e} in M", residual=residual)
     return SpectralResult(
         M=m,
         lam=None,
-        minimizer=_HpFunction(problem, v, mesh_size, HP_LAYERS + 2, HP_DEGREE + 2),
-        iterations=steps + fine_steps,
+        minimizer=_HpFunction(problem, v, mesh_size, disc.layout.layers, disc.layout.degree),
+        iterations=steps,
         residual=residual,
     )

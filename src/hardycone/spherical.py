@@ -28,19 +28,22 @@ For p != 2 on the cross-section [0, pi/2] the quotient is minimized in hp
 spectral elements, phi = cos^s theta * g with g piecewise polynomial on a
 mesh graded geometrically toward both ends (the hp module, imported only
 for such a solve), and accepted when a solve on a finer nested mesh
-agrees to 1e-10.  Where a check fails (factored: bands with an interior
-end near a pole; hp: a few near-threshold cells at large p), and for
+agrees to 1e-10, or on a near miss when a third, finer again, agrees with
+the second.  Where a check fails (factored: bands with an interior end
+near a pole; hp: a few cells with tiny M or p near 1), and for
 p != 2 on every band, the profile is discretized with piecewise-linear
 finite elements on a mesh graded toward the singular end theta = pi/2.
 Both p != 2 discretizations are minimized by one descent (_descend):
 Newton steps on the surface {int w |phi|^p = const}.  With P1 elements
 the Hessians of the two integrals are tridiagonal, so each step is one
-tridiagonal solve with two right-hand sides; where that step is singular
-or not a descent direction, the same system with hess E (positive
-semidefinite: E is convex) in place of hess E - Q hess D gives it, formed
-from the pass the step already made.  The P1 descent starts from
-cos^s theta; a stuck one raises ConvergenceError.  Its residual is the
-relative step decrement sqrt(grad Q . d) / Q of the last step.  At p = 2,
+tridiagonal solve with two right-hand sides; where that step is singular,
+the bordered matrix has other than one negative eigenvalue (counted from
+the same factorization) or the step is not a descent direction, the same
+system with hess E (positive semidefinite: E is convex) in place of
+hess E - Q hess D gives it, formed from the pass the step already made.
+The P1 descent starts from cos^s theta; a stuck one raises
+ConvergenceError.  Its residual is the relative step decrement
+sqrt(grad Q . d) / Q of the last step.  At p = 2,
 assemble_p2 and smallest_eigenpair (bisection on the inertia of S - mu M)
 give the P1 reference value.
 
@@ -213,12 +216,12 @@ class SpectralResult:
     iterations and residual describe the solve.  After a spectral solve
     (p = 2) they are the number of dense eigensolves and the difference of
     the last two eigenvalues (basis size N against N/2); after an hp solve
-    (p != 2 on [0, pi/2]) the Newton iterations of its two descents and
-    the change of M between them.  After either, the minimizer samples
-    itself on its mesh when its mesh or values are first read.  After a
-    P1 descent (minimize_rayleigh_p: p != 2 on a band, or where the
-    spectral or hp check failed), they are the descent steps and the
-    relative step decrement sqrt(grad Q . d) / Q of the last step.
+    (p != 2 on [0, pi/2]) the Newton iterations of its two or three
+    descents and the change of M between the last two.  After either, the
+    minimizer samples itself on its mesh when its mesh or values are first
+    read.  After a P1 descent (minimize_rayleigh_p: p != 2 on a band, or
+    where the spectral or hp check failed), they are the descent steps and
+    the relative step decrement sqrt(grad Q . d) / Q of the last step.
     """
 
     M: float
@@ -726,18 +729,26 @@ class _Discretization(_RuleSums):
         right-hand sides, K x1 = D grad Q and K x2 = grad D, and returns
         x1 - (grad D . x1 / grad D . x2) x2 = -d.  None when the factorization
         meets a zero or non-finite pivot (K is indefinite away from the
-        minimum) or the step is not finite.
+        minimum), the step is not finite, or the bordered matrix has other
+        than one negative eigenvalue, so that K is not positive definite on
+        {grad D}-perp and the step need not lead to a minimum: by
+        Haynsworth's inertia additivity that count is K's, from the
+        factorization's pivots, plus one where grad D . x2 >= 0.
         """
         lo, hi = self.free.start, self.free.stop
         diag, off = hessian
         grad_d = grad_d[lo:hi]
         rhs = np.stack([den * g[lo:hi], grad_d], axis=1)
         try:
-            x = _CyclicReduction(diag[lo:hi], off[lo : hi - 1]).solve(rhs)
+            factor = _CyclicReduction(diag[lo:hi], off[lo : hi - 1])
         except np.linalg.LinAlgError:
             return None
+        x = factor.solve(rhs)
+        curvature = (grad_d * x[:, 1]).sum()
+        if factor.negative_count() + (curvature >= 0.0) != 1:
+            return None
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            step = x[:, 0] - (grad_d * x[:, 0]).sum() / (grad_d * x[:, 1]).sum() * x[:, 1]
+            step = x[:, 0] - (grad_d * x[:, 0]).sum() / curvature * x[:, 1]
         if not np.all(np.isfinite(step)):
             return None
         return self.expand_free(step)
@@ -787,7 +798,8 @@ def _descend(
     Q, grad Q and the Hessian terms, and the step solves the bordered
     Newton system of E - Q D restricted to D = const
     (disc.newton_direction); a line-search trial costs Q alone.  If that
-    step is singular, non-finite or not a descent direction, the step with
+    step is singular, non-finite or not a descent direction (or, for P1,
+    the bordered system's inertia is wrong), the step with
     hess E (disc.hess_e, from the same pass) is taken: E is convex, so
     grad Q . d = d^T hess E d / D > 0 wherever grad Q != 0, and a failed one
     raises ConvergenceError.  grad Q exactly 0 ends the descent.
@@ -918,7 +930,7 @@ def solve_M(
     then only sets the mesh the minimizer is sampled on, when its mesh or
     values are first read.  Where the factored solve fails its N -> 2N
     check by N = FACTORED_MAX_SIZE (bands with an interior end near a
-    pole), where the hp solve fails its check, and on every band for
+    pole), where the hp solve fails its checks, and on every band for
     p != 2, the quotient is minimized with P1 elements on a mesh of
     mesh_size elements graded toward pi/2 (minimize_rayleigh_p).
     """

@@ -5,8 +5,10 @@ has quotient >= m, and the separated family
 
     u_delta = r^(-H+delta) Phi(theta)  (r < 1),   r^(-H-delta) Phi(theta)  (r > 1)
 
-has quotient M + O(delta^2) with denominator blowing up like 1/delta, which
-exhibits both sharpness and non-attainment.  Its radial integrals are pure
+has quotient M + c2 delta^2 + c4 delta^4 + ... with denominator blowing up
+like 1/delta, which exhibits both sharpness and non-attainment;
+_delta_limit extrapolates a trace of its quotients to delta = 0 over every
+point.  Its radial integrals are pure
 powers, evaluated in closed form, and its angular integrals use the solver's
 own discretization of Phi: for a factored spectral minimizer (p = 2, unless
 the solve fell back to P1) its basis and Gauss-Jacobi rule, exact on
@@ -29,7 +31,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterator, NamedTuple
+from typing import Callable, Iterable, Iterator, NamedTuple
 
 import numpy as np
 
@@ -147,6 +149,39 @@ def evaluate_quotient_udelta(
         denominator = pref * 2.0 / (params.p * delta) * mass
         quotient = numerator / denominator
     return RayleighEvaluation(numerator=numerator, denominator=denominator, quotient=quotient)
+
+
+def _delta_limit(trace: Iterable[tuple[float, float]]) -> tuple[float | None, float | None]:
+    """The delta -> 0 limit of a (delta, quotient) trace and its observed order in delta.
+
+    The quotient is M + c2 delta^2 + c4 delta^4 + ..., so the limit is the
+    last entry of the Neville-Aitken table in x = delta^2 over every point:
+    repeated Richardson extrapolation, exact on a polynomial in delta^2 of
+    degree below the point count.  Two points give the line through them.
+    The order is log((q_a - q_b) / (q_b - q_c)) / log(delta_a / delta_b)
+    over the three smallest deltas, None where those differences do not
+    share a sign.  The points are taken in decreasing delta, so the results
+    do not depend on the trace's order.  With numpy-scalar quotients, as
+    evaluate_quotient_udelta gives, deltas whose squares underflow to equal
+    x give a non-finite limit, which the caller rejects, not a
+    ZeroDivisionError.  (None, None) below two points.
+    """
+    points = sorted(trace, key=lambda point: -point[0])
+    if len(points) < 2:
+        return None, None
+    x = [delta**2 for delta, _ in points]
+    column = [quotient for _, quotient in points]
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        for width in range(1, len(points)):
+            column = [(x[i] * column[i + 1] - x[i + width] * column[i]) / (x[i] - x[i + width])
+                      for i in range(len(column) - 1)]
+    order = None
+    if len(points) >= 3:
+        (delta_a, qa), (delta_b, qb), (_, qc) = points[-3:]
+        num, den = qa - qb, qb - qc
+        if num * den > 0:
+            order = math.log(num / den) / math.log(delta_a / delta_b)
+    return column[0], order
 
 
 # ---------------------------------------------------------------------------

@@ -466,6 +466,29 @@ class TestMainEntry:
         assert row["status"] == "ok"
         assert abs(row["extrapolated"] - row["closed_form"]) <= 1e-12 * row["closed_form"]
 
+    def test_verify_extrapolates_over_every_delta(self, capsys):
+        # (3,1,3,0,0) has no closed form: the four-point table in delta^2 meets the
+        # hp M to 1e-9, where a line through the last two points reached 4e-7
+        code, out, err = run_cli(capsys, "verify", "--p", "3", "--mesh", "2048",
+                                 "--deltas", "0.2,0.1,0.05,0.025")
+        assert code == 0
+        row = json.loads(out)["rows"][0]
+        assert row["status"] == "ok" and row["closed_form"] is None and len(row["trace"]) == 4
+        assert abs(row["extrapolated"] - row["numeric_M"]) <= 1e-9 * row["numeric_M"]
+
+    def test_verify_delta_order_does_not_matter(self, capsys):
+        rows = {}
+        for deltas in ("0.2,0.1,0.05,0.025", "0.025,0.2,0.05,0.1", "0.05,0.2,0.025,0.1"):
+            code, out, err = run_cli(capsys, "verify", "--p", "3", "--mesh", "2048", "--deltas", deltas)
+            assert code == 0
+            rows[deltas] = json.loads(out)["rows"][0]
+        first = rows["0.2,0.1,0.05,0.025"]
+        assert first["fit_order"] is not None
+        for row in rows.values():
+            assert (row["extrapolated"], row["fit_order"]) == (first["extrapolated"], first["fit_order"])
+        # the trace keeps the order given
+        assert [delta for delta, _ in rows["0.025,0.2,0.05,0.1"]["trace"]] == [0.025, 0.2, 0.05, 0.1]
+
     def test_constant_k3_cell_exact(self, capsys):
         code, out, err = run_cli(capsys, "constant", "--d", "6", "--k", "3", "--a=-1.2", "--mesh", "2048")
         assert code == 0

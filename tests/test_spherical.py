@@ -640,6 +640,25 @@ class TestMinimizeRayleighP:
         assert result.iterations <= 20
         assert result.M == pytest.approx(0.4572015270, rel=5e-5)  # hp reference; P1's own error at mesh 512
 
+    def test_creeping_band_descent_takes_hess_e_steps(self):
+        # (5,1,6,-0.5,0.5) on band:0.3:1.2: K is positive definite on {grad D}-perp
+        # only near the minimum; Newton steps taken before that crept for 214 steps
+        params = HardyParams(5, 1, 6.0, -0.5, 0.5)
+        result = minimize_rayleigh_p(params, bc_for_cone(params, ConeSpec.band(0.3, 1.2)), 2048)
+        assert result.iterations <= 80
+        assert result.M == pytest.approx(731.157482133704, rel=1e-12)
+
+    def test_newton_direction_rejects_wrong_inertia(self):
+        # the bordered system must have exactly one negative eigenvalue: -K at a
+        # converged iterate is nonsingular, but has every other eigenvalue negative
+        params = HardyParams(3, 1, 3.0, 0.0, 0.0)
+        problem = spherical._SphericalProblem.of(params, bc_for_cone(params, ConeSpec.complement_sigma0()))
+        disc = spherical._Discretization.graded(problem, 64)
+        v = minimize_rayleigh_p(params, problem.domain, 64).minimizer.values
+        _, g, (diag, off), den, grad_d = disc.newton_system(v)
+        assert disc.newton_direction(g, (diag, off), den, grad_d) is not None
+        assert disc.newton_direction(g, (-diag, -off), den, grad_d) is None
+
     def test_failed_hess_e_step_raises(self, monkeypatch):
         monkeypatch.setattr(spherical._Discretization, "newton_direction", lambda self, *terms: None)
         params = HardyParams(3, 1, 3.0, 0.0, 0.0)
@@ -947,6 +966,17 @@ class TestHpSolve:
         result = solve_M(HardyParams(3, 1, 3.0, 0.0, 0.0), ConeSpec.complement_sigma0(), 256)
         assert type(result.minimizer) is DiscretizedFunction
         assert result.M == 2.1726116518314718 and result.iterations == 8
+
+    def test_near_miss_goes_one_level_deeper(self):
+        # (5, 9) -> (7, 11) changes M by 1.5e-10 relative, just past HP_TOL;
+        # (7, 11) -> (9, 13) by 3.9e-13, so the cell stays on hp.  P1 printed
+        # 2.11e-6 at mesh 256, 21% off
+        params = HardyParams(3, 2, 8.0, 5.0, 0.0)
+        result = solve_M(params, ConeSpec.complement_sigma0(), 256)
+        assert type(result.minimizer) is hp._HpFunction
+        assert (result.minimizer.layers, result.minimizer.degree) == (hp.HP_LAYERS + 4, hp.HP_DEGREE + 4)
+        assert result.M == pytest.approx(1.75084359027e-06, rel=1e-10)
+        assert result.residual <= hp.HP_TOL * result.M
 
     def test_stuck_hp_descent_lands_on_p1(self, monkeypatch):
         monkeypatch.setattr(hp._HpDiscretization, "value", lambda self, v: math.inf)

@@ -1,5 +1,6 @@
 """Certification machinery: u_delta quotients, cutoff energies, 1-D oracle."""
 
+import itertools
 import math
 import tracemalloc
 
@@ -22,6 +23,7 @@ from hardycone.spherical import (
 )
 from hardycone.verifier import (
     _cutoff_log_decay,
+    _delta_limit,
     cutoff_decay,
     eta_cutoff,
     eta_cutoff_prime,
@@ -144,6 +146,52 @@ class TestUdeltaQuotient:
     def test_nonpositive_delta_rejected(self):
         with pytest.raises(ValueError):
             evaluate_quotient_udelta(self.params, self.result.minimizer, 0.0)
+
+
+class TestDeltaLimit:
+    """The Neville-Aitken table in x = delta^2 over a (delta, quotient) trace."""
+
+    DELTAS = (0.2, 0.1, 0.05, 0.025, 0.0125)
+
+    @pytest.mark.parametrize("count", [2, 3, 4, 5])
+    def test_exact_on_polynomials_in_delta_squared(self, count):
+        # degree count - 1 in delta^2: the table's last entry is the constant term
+        coefficients = (2.5, -3.0, 7.0, -11.0, 13.0)[:count]
+        trace = [(delta, np.float64(sum(c * delta ** (2 * j) for j, c in enumerate(coefficients))))
+                 for delta in self.DELTAS[:count]]
+        limit, _ = _delta_limit(trace)
+        assert limit == pytest.approx(2.5, rel=1e-12)
+
+    def test_same_bits_for_any_order(self):
+        trace = [(delta, np.float64(2.1725999599 + 0.43 * delta**2 - 0.71 * delta**4 + 0.2 * delta**7))
+                 for delta in self.DELTAS[:4]]
+        expected = _delta_limit(trace)
+        assert expected[1] is not None
+        for order in itertools.permutations(trace):
+            assert _delta_limit(list(order)) == expected
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_two_points_give_the_line_through_them(self, seed):
+        # bit for bit the two-point formula it replaces, in either order
+        rng = np.random.default_rng(seed)
+        (x0, x1), (q0, q1) = sorted(rng.uniform(0.01, 0.5, 2), reverse=True), rng.uniform(1.0, 3.0, 2)
+        line = (q1 * x0**2 - q0 * x1**2) / (x0**2 - x1**2)
+        assert _delta_limit([(x0, q0), (x1, q1)]) == (line, None)
+        assert _delta_limit([(x1, q1), (x0, q0)]) == (line, None)
+
+    def test_order_from_the_three_smallest_deltas(self):
+        # quadratic below delta = 0.1, anything above it
+        trace = [(0.4, 9.0), (0.05, 1.0 + 0.05**2), (0.1, 1.0 + 0.1**2), (0.025, 1.0 + 0.025**2)]
+        assert _delta_limit(trace)[1] == pytest.approx(2.0, rel=1e-9)
+
+    def test_fewer_than_two_points(self):
+        assert _delta_limit([]) == (None, None)
+        assert _delta_limit([(0.1, 2.0)]) == (None, None)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_underflowing_deltas_give_nan_not_an_exception(self):
+        limit, order = _delta_limit([(1e-200, np.float64(2.0)), (1e-300, np.float64(2.0)), (1e-310, np.float64(2.0))])
+        assert math.isnan(limit) and order is None
 
 
 class TestDenominatorBlowup:
