@@ -260,10 +260,11 @@ def cmd_verify(config: RunConfig) -> list[ReportRow]:
     trace value or the extrapolated limit is not finite, the trace does not
     approach the reference quadratically or the limit misses it; the h row
     fails if an energy or the fitted rate is not finite or the strip energy
-    decays slower than h^(1-p).  Repeated --deltas or --hs values, a delta that is
-    not finite and positive, an h past the float range, an h with e^(-h)
-    not below the inner radius of the cutoff's support (h below 3), and --hs
-    on a cell with k+a < p (no strip regime to check) are malformed input
+    decays slower than h^(1-p).  A single or repeated --deltas or --hs value
+    (an empty list skips that trace), a delta that is not finite and
+    positive, an h past the float range, an h with e^(-h) not below the
+    inner radius of the cutoff's support (h below 3), and --hs on a cell
+    with k+a < p (no strip regime to check) are malformed input
     (ValueError); an inadmissible cell raises AdmissibilityError.
     """
     params, cone = config.single()
@@ -278,6 +279,8 @@ def cmd_verify(config: RunConfig) -> list[ReportRow]:
         raise ValueError(f"--hs: the cutoff check needs k+a >= p, "
                          f"got k+a={params.k + params.a:g}, p={params.p:g}")
     for flag, values in (("--deltas", config.delta_list), ("--hs", config.h_list)):
+        if len(values) == 1:  # a limit or a rate needs two points; an empty list skips the trace
+            raise ValueError(f"{flag} needs at least two values (or none), got {values[0]}")
         if len(set(values)) != len(values):
             raise ValueError(f"{flag} values must be distinct, got {','.join(map(str, values))}")
     result = _solve(params, cone, config.mesh_size)

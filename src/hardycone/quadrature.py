@@ -20,10 +20,18 @@ points buy nothing the mesh can show: against 8 points, M moves by at most
 2e-7 relative at mesh 1024, hundreds of times less than between meshes 1024
 and 4096 (tests/test_spherical.py checks this on six hard cells).
 
-Gauss-Jacobi rules come from the Golub-Welsch construction in numpy: the
-nodes are the eigenvalues of the Jacobi matrix of the three-term recurrence,
-and the weights are the Christoffel numbers 1 / sum_k phat_k(x_i)^2 of the
-orthonormal polynomials, scaled by the weight's total mass from math.lgamma.
+Gauss-Jacobi rules start from the Golub-Welsch construction in numpy: the
+eigenvalues of the Jacobi matrix of the three-term recurrence, which are
+up to thousands of ulp off at n = 64.  One Newton step on the recurrence,
+run in np.longdouble (a 64-bit mantissa on x86-64 Linux), makes the nodes
+correctly rounded; the weights are the Christoffel numbers
+1 / sum_k phat_k(x_i)^2 of the orthonormal polynomials from the same pass,
+scaled by the weight's total mass from math.lgamma.  A weight is then a few
+ulp off, nearly all of it the mass's error, which every weight of a rule
+shares.  With these rules the p = 2 solves meet their closed forms to 2
+ulp.  Where np.longdouble is plain double (Windows, macOS on arm64) the
+same code runs: the nodes are then within a few ulp, and the weights within
+a few hundred ulp at n = 128.
 """
 
 from __future__ import annotations
@@ -96,32 +104,50 @@ class QuadratureRule:
 def _gauss_jacobi(n: int, alpha: float, beta: float) -> tuple[np.ndarray, np.ndarray]:
     """n-point Gauss rule for (1-x)^alpha (1+x)^beta on (-1, 1), alpha, beta > -1.
 
-    Golub-Welsch: nodes from the symmetric Jacobi matrix of the orthonormal
-    recurrence x phat_k = b_k phat_(k-1) + a_k phat_k + b_(k+1) phat_(k+1);
-    weights as 1 / sum_k phat_k(x_i)^2, summed from the recurrence, which
-    keeps full relative accuracy in the small end weights (the textbook
-    mu0 * v_0^2 from the eigenvectors does not).
+    Golub-Welsch start: the eigenvalues of the symmetric Jacobi matrix of the
+    orthonormal recurrence x phat_k = b_k phat_(k-1) + a_k phat_k + b_(k+1) phat_(k+1)
+    are the nodes to ~1e-12.  One Newton step on phat_n in np.longdouble makes
+    them correctly rounded.  The coefficients are long double too: rounded
+    to double, they alone move a weight by 8e-14 at beta = -0.999.  The
+    same pass sums S = sum_(k<n) phat_k^2 and its derivative, and the weights
+    are the Christoffel numbers mu0 / S at the corrected nodes (S moved to them
+    to first order; the step is ~1e-13).  Summing S from the recurrence keeps
+    full relative accuracy in the small end weights, which the textbook
+    mu0 * v_0^2 from the eigenvectors does not.
     """
-    ab = alpha + beta
-    k = np.arange(n, dtype=float)
+    alpha_l, beta_l = np.longdouble(alpha), np.longdouble(beta)
+    ab = alpha_l + beta_l
+    k = np.arange(n + 1, dtype=np.longdouble)
     s = 2.0 * k + ab
     with np.errstate(divide="ignore", invalid="ignore"):
-        diag = (beta**2 - alpha**2) / (s * (s + 2.0))
-        off2 = 4.0 * k * (k + alpha) * (k + beta) * (k + ab) / (s**2 * (s + 1.0) * (s - 1.0))
+        diag = (beta_l * beta_l - alpha_l * alpha_l) / (s * (s + 2.0))
+        off2 = 4.0 * k * (k + alpha_l) * (k + beta_l) * (k + ab) / (s**2 * (s + 1.0) * (s - 1.0))
     # a_0 is 0/0 at alpha + beta = 0 and b_1^2 at alpha + beta = -1: cancelled forms
-    diag[0] = (beta - alpha) / (ab + 2.0)
-    if n > 1:
-        off2[1] = 4.0 * (1.0 + alpha) * (1.0 + beta) / ((ab + 2.0) ** 2 * (ab + 3.0))
-    off = np.sqrt(off2[1:])
-    x = np.linalg.eigvalsh(np.diag(diag) + np.diag(off, 1) + np.diag(off, -1))
-    p_prev, p_cur = np.zeros(n), np.ones(n)  # phat_k / phat_0 at the nodes
-    total = np.ones(n)
-    for j in range(n - 1):
-        p_prev, p_cur = p_cur, ((x - diag[j]) * p_cur - (off[j - 1] if j else 0.0) * p_prev) / off[j]
-        total += p_cur * p_cur
+    diag[0] = (beta_l - alpha_l) / (ab + 2.0)
+    off2[0] = 0.0
+    off2[1] = 4.0 * (1.0 + alpha_l) * (1.0 + beta_l) / ((ab + 2.0) ** 2 * (ab + 3.0))
+    off = np.sqrt(off2)  # b_0 = 0, b_1, ..., b_n
+    jacobi = np.diag(diag[:n]) + np.diag(off[1:n], 1) + np.diag(off[1:n], -1)
+    x = np.linalg.eigvalsh(jacobi.astype(float)).astype(np.longdouble)
+    # rows: phat_k / phat_0 and its x-derivative at the nodes
+    prev = np.zeros((2, n), dtype=np.longdouble)
+    cur = np.zeros((2, n), dtype=np.longdouble)
+    cur[0] = 1.0
+    total = np.zeros(n, dtype=np.longdouble)
+    slope = np.zeros(n, dtype=np.longdouble)
+    for j in range(n):
+        total += cur[0] * cur[0]
+        slope += cur[0] * cur[1]
+        prev, cur = cur, (x - diag[j]) * cur - off[j] * prev
+        cur[1] += prev[0]
+        cur /= off[j + 1]
+    step = cur[0] / cur[1]
+    x -= step
+    total -= 2.0 * slope * step
     # mu0 = int (1-x)^alpha (1+x)^beta = 2^(alpha+beta+1) B(alpha+1, beta+1) = 1 / phat_0^2
-    log_mu0 = (ab + 1.0) * math.log(2.0) + math.lgamma(alpha + 1.0) + math.lgamma(beta + 1.0)
-    w = math.exp(log_mu0 - math.lgamma(ab + 2.0)) / total
+    log_mu0 = (alpha + beta + 1.0) * math.log(2.0) + math.lgamma(alpha + 1.0) + math.lgamma(beta + 1.0)
+    w = (math.exp(log_mu0 - math.lgamma(alpha + beta + 2.0)) / total).astype(float)
+    x = x.astype(float)
     x.flags.writeable = False
     w.flags.writeable = False
     return x, w

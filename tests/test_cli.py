@@ -252,6 +252,18 @@ class TestSweepDedupe:
         assert rows == cmd_sweep(config_for("sweep", **grid))
 
 
+class TestClosedFormGrid:
+    def test_p2_cells_meet_their_closed_forms(self):
+        # the factored p = 2 basis holds the exact minimizer cos^s theta, so
+        # with correctly rounded Gauss-Jacobi rules only rounding is left
+        grid = dict(d=(3, 4, 5), k=(1, 2), a=(-0.5, 0.0, 0.5, 0.9),
+                    cones=("complement-sigma0", "half-space"), mesh_size=2048)
+        rows = cmd_sweep(config_for("sweep", **grid))
+        assert len(rows) == 36
+        for row in rows:
+            assert row.status == "ok" and abs(row.gap) <= 1e-15 * row.closed_form, row
+
+
 # 48 cells: p = 2 cells solved spectrally and p = 1.5 cells by the P1 descent,
 # on a band that reaches pi/2 and one that does not
 MESH_GRID = dict(d=(3, 4), k=(1, 2), p=(2.0, 1.5), a=(-0.5, 0.5, 1.5),
@@ -435,7 +447,9 @@ class TestMainEntry:
         (("--a", "1", "--hs", "0,4"), "at least 3"),
         (("--a", "1", "--hs", "2,4"), "at least 3"),
         (("--a", "1", "--hs", "4,1" + "0" * 320), "must be below"),
-    ], ids=["negative-delta", "nan-delta", "h-zero", "h-two", "h-past-float-range"])
+        (("--a", "1", "--hs", "4", "--deltas", "0.1,0.05"), "at least two"),
+        (("--a", "1", "--hs", "4,8", "--deltas", "0.1"), "at least two"),
+    ], ids=["negative-delta", "nan-delta", "h-zero", "h-two", "h-past-float-range", "one-h", "one-delta"])
     def test_verify_malformed_points_rejected(self, capsys, flags, message):
         code, out, err = run_cli(capsys, "verify", "--d", "3", "--k", "1", "--mesh", "64", *flags)
         assert code == 2 and out == ""

@@ -67,6 +67,28 @@ class TestGaussJacobi:
         if alpha == beta:
             assert np.abs(x + x[::-1]).max() <= 1e-14
 
+    @pytest.mark.parametrize("n", [4, 8, 16, 64, 128])
+    @pytest.mark.parametrize("kind", [1, 2])
+    def test_chebyshev_rules_to_the_last_bits(self, n, kind):
+        # alpha = beta = -1/2 (first kind): x_i = cos((2i-1) pi / 2n), w_i = pi/n;
+        # alpha = beta = 1/2 (second kind): x_i = cos(i pi / (n+1)),
+        # w_i = pi/(n+1) sin^2(i pi / (n+1)).  Each node is the sine of the
+        # complementary angle and each sine its smaller angle, so that the
+        # references keep full accuracy near x = +-1
+        i = np.arange(1, n + 1)
+        if kind == 1:
+            x_ref = np.sin((2 * i - n - 1) * math.pi / (2 * n))
+            w_ref = np.full(n, math.pi / n)
+        else:
+            x_ref = np.sin((2 * i - n - 1) * math.pi / (2 * (n + 1)))
+            w_ref = math.pi / (n + 1) * np.sin(np.minimum(i, n + 1 - i) * math.pi / (n + 1)) ** 2
+        x, w = _gauss_jacobi(n, kind - 1.5, kind - 1.5)
+        # the Newton step's sums run in np.longdouble; where that is plain
+        # double, weights at n = 128 are up to ~100 ulp off
+        w_ulp = 8 if np.finfo(np.longdouble).nmant > np.finfo(float).nmant else 256
+        assert np.abs(x - x_ref).max() <= 2.0**-52
+        assert np.all(np.abs(w - w_ref) <= w_ulp * np.spacing(w_ref))
+
 
 class TestBuildRule:
     """One-interval rules: composite_rule over the single panel (theta1, theta2)."""

@@ -1018,19 +1018,29 @@ class TestHpSolve:
         # P1 on (3,1,6,1.5,0.5): K is indefinite after the first step, and the
         # hess E step is formed from the pass the loop holds, so every
         # evaluation of the fields is the start's normalization, one
-        # newton_system pass per accepted iterate, or a line-search trial
+        # newton_system pass per accepted iterate, or a line-search trial.
+        # A step is accepted when its trial (an argument of value) becomes
+        # the iterate (an argument of newton_system); the last iteration
+        # either accepts its step or stops at the line-search floor.
         calls = {"fields": 0, "value": 0, "newton_system": 0, "hess_e": 0}
+        seen = {"value": [], "newton_system": []}
         for name in calls:
             method = getattr(spherical._Discretization, name)
 
             def counted(self, *args, _name=name, _method=method):
                 calls[_name] += 1
+                if _name in seen:
+                    seen[_name].append(args[0])
                 return _method(self, *args)
 
             monkeypatch.setattr(spherical._Discretization, name, counted)
         params = HardyParams(3, 1, 6.0, 1.5, 0.5)
         result = minimize_rayleigh_p(params, bc_for_cone(params, ConeSpec.complement_sigma0()), 512)
+        trials, iterates = seen["value"], seen["newton_system"]
+        accepted = sum(any(t is v for v in iterates) for t in trials)
+        stopped_at_floor = trials[-1] is not iterates[-1]
         assert result.M == 0.45721634005744805  # bit for bit the value before the fallback reused the pass
         assert calls["hess_e"] >= 1
-        assert calls["newton_system"] == result.iterations + 1
+        assert calls["newton_system"] == 1 + accepted
+        assert accepted == result.iterations - stopped_at_floor
         assert calls["fields"] == 1 + calls["newton_system"] + 2 * calls["value"]
