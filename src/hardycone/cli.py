@@ -255,12 +255,14 @@ def cmd_spectrum(config: RunConfig) -> list[ReportRow]:
 def cmd_verify(config: RunConfig) -> list[ReportRow]:
     """Trace the minimizing family in delta and the cutoff energy in h.
 
-    The delta row's limit and order come from verifier._delta_limit, over
-    every delta in any order.  The row fails (status solver_fail) if a
-    trace value or the extrapolated limit is not finite, the trace does not
-    approach the reference quadratically or the limit misses it; the h row
-    fails if an energy or the fitted rate is not finite or the strip energy
-    decays slower than h^(1-p).  A single or repeated --deltas or --hs value
+    Each delta's quotient and its slope in delta^2 come from one
+    evaluate_quotient_udelta call, and the delta row's limit and order from
+    verifier._delta_limit over every (delta, quotient, slope) in any order;
+    the row's trace holds the (delta, quotient) pairs.  The row fails
+    (status solver_fail) if a trace value or the extrapolated limit is not
+    finite, the trace does not approach the reference quadratically or the
+    limit misses it; the h row fails if an energy or the fitted rate is not
+    finite or the strip energy decays slower than h^(1-p).  A single or repeated --deltas or --hs value
     (an empty list skips that trace), a delta that is not finite and
     positive, an h past the float range, an h with e^(-h) not below the
     inner radius of the cutoff's support (h below 3), and --hs on a cell
@@ -288,9 +290,10 @@ def cmd_verify(config: RunConfig) -> list[ReportRow]:
     if row.status != "solver_fail":
         reference = row.closed_form if row.closed_form is not None else row.numeric_M
         try:
-            trace = tuple((delta, evaluate_quotient_udelta(params, result.minimizer, delta).quotient)
-                          for delta in config.delta_list)
-            extrap, order = _delta_limit(trace)
+            evaluations = [(delta, evaluate_quotient_udelta(params, result.minimizer, delta))
+                           for delta in config.delta_list]
+            trace = tuple((delta, ev.quotient) for delta, ev in evaluations)
+            extrap, order = _delta_limit((delta, ev.quotient, ev.slope) for delta, ev in evaluations)
         except (ConvergenceError, ValueError, OverflowError):
             row = replace(_base_row("verify", params, cone, config.mesh_size), status="solver_fail")
         else:

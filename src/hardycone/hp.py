@@ -280,15 +280,14 @@ class _HpDiscretization(_RuleSums):
         n = fields.shape[1] // 3
         return fields[:, :n], fields[:, n : 2 * n], fields[:, 2 * n :]
 
-    def integrals(self, v: np.ndarray, H2s: tuple[float, ...]) -> tuple[list[float], float]:
+    def sum_fields(self, v: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
+        """chi and psi at E's nodes, which E reads as phi and phi', and D = int w_D |g|^p."""
         psi, chi, g = self._fields(v)
-        p = self.p
-        return ([(self.w * (psi**2 + H2 * chi**2) ** (p / 2)).sum() for H2 in H2s],
-                (self.w_mass * np.abs(g) ** p).sum())
+        return chi, psi, (self.w_mass * np.abs(g) ** self.p).sum()
 
     def normalize(self, v: np.ndarray) -> np.ndarray:
         """v scaled to unit weighted p-norm, D = 1."""
-        den = self.integrals(v, ())[1]
+        den = self.sum_fields(v)[2]
         if den <= 0.0 or not np.isfinite(den):  # solve_M then falls back to P1
             raise ConvergenceError("hp descent: degenerate profile, zero weighted p-norm", residual=math.inf)
         return v / den ** (1.0 / self.p)

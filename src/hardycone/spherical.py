@@ -437,9 +437,10 @@ class _RuleSums:
 
     A discretization sets the rule weights w (the angular weight folded in),
     p and H2, and supplies fields(v): phi and phi' at the nodes for its
-    coefficient vector v.  integrals(v, H2s) gives E at each H^2 and D; a
-    discretization whose E and D need different rules (hp._HpDiscretization)
-    supplies that instead.
+    coefficient vector v.  value(v) gives the quotient E/D at H^2, and
+    udelta_sums(v, Gs) E and its G-derivative at each G, and D, for the
+    certifier; both read sum_fields(v), which a discretization whose E and
+    D need different fields and rules (hp._HpDiscretization) overrides.
     """
 
     w: np.ndarray
@@ -454,18 +455,39 @@ class _RuleSums:
         e2 = dphi**2 + H2 * phi**2
         return e2, (self.w * e2 ** (self.p / 2)).sum()
 
+    def energy_and_slope(self, phi: np.ndarray, dphi: np.ndarray, G: float) -> tuple[float, float]:
+        """E = int w e2^(p/2) and dE/dG = p G int w e2^(p/2-1) phi^2 at H = G.
+
+        Nodes with e2 = 0 add 0 to dE/dG, their limit for p > 1 (phi = 0
+        there unless G = 0), where e2^(p/2-1) itself is inf for p < 2.
+        """
+        e2, energy = self.energy(phi, dphi, G**2)
+        with np.errstate(divide="ignore"):
+            e_pow1 = np.where(e2 > 0.0, e2 ** (self.p / 2 - 1.0), 0.0)
+        return energy, self.p * G * (self.w * e_pow1 * phi**2).sum()
+
     def mass(self, phi: np.ndarray) -> float:
         """D = int w |phi|^p."""
         return (self.w * np.abs(phi) ** self.p).sum()
 
-    def integrals(self, v: np.ndarray, H2s: tuple[float, ...]) -> tuple[list[float], float]:
-        """E = int w (phi'^2 + H^2 phi^2)^(p/2) at each H^2 of H2s, and D, for the coefficients v."""
+    def sum_fields(self, v: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
+        """phi and phi' at E's nodes, and D, for the coefficients v."""
         phi, dphi = self.fields(v)
-        return [self.energy(phi, dphi, H2)[1] for H2 in H2s], self.mass(phi)
+        return phi, dphi, self.mass(phi)
+
+    def udelta_sums(self, v: np.ndarray, Gs: tuple[float, ...]) -> tuple[list[tuple[float, float]], float]:
+        """(E, dE/dG) at H = G for each G of Gs (see energy_and_slope), and D, for the coefficients v.
+
+        E is value()'s sum at H^2 = G^2, bit for bit; the slopes take one more
+        reduction each, which the descent's value() never pays.
+        """
+        phi, dphi, mass = self.sum_fields(v)
+        return [self.energy_and_slope(phi, dphi, G) for G in Gs], mass
 
     def value(self, v: np.ndarray) -> float:
-        (num,), den = self.integrals(v, (self.H2,))
-        return num / den
+        """The quotient E/D, E = int w (phi'^2 + H^2 phi^2)^(p/2), for the coefficients v."""
+        phi, dphi, mass = self.sum_fields(v)
+        return self.energy(phi, dphi, self.H2)[1] / mass
 
 
 def _legendre(t: np.ndarray, size: int) -> tuple[np.ndarray, np.ndarray]:

@@ -6,10 +6,12 @@ has quotient >= m, and the separated family
     u_delta = r^(-H+delta) Phi(theta)  (r < 1),   r^(-H-delta) Phi(theta)  (r > 1)
 
 has quotient M + c2 delta^2 + c4 delta^4 + ... with denominator blowing up
-like 1/delta, which exhibits both sharpness and non-attainment;
-_delta_limit extrapolates a trace of its quotients to delta = 0 over every
-point.  Its radial integrals are pure
-powers, evaluated in closed form, and its angular integrals use the solver's
+like 1/delta, which exhibits both sharpness and non-attainment.
+evaluate_quotient_udelta gives each quotient together with its exact slope
+in delta^2, from the same quadrature sums, and _delta_limit extrapolates a
+trace of both to delta = 0 by a Hermite table over every point.  Its
+radial integrals are pure powers, evaluated in closed form, and its
+angular integrals use the solver's
 own discretization of Phi: for a factored spectral minimizer (p = 2, unless
 the solve fell back to P1) its basis and Gauss-Jacobi rule, exact on
 [0, pi/2]; for an hp minimizer (p != 2 on [0, pi/2]) its elements and
@@ -87,11 +89,16 @@ def eta_cutoff_prime(t: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class RayleighEvaluation:
-    """Numerator/denominator/quotient of a test function's Hardy quotient."""
+    """Numerator/denominator/quotient of a test function's Hardy quotient.
+
+    slope is the quotient's derivative dQ/d(delta^2) along the u_delta
+    family, from the same sums as the quotient.
+    """
 
     numerator: float
     denominator: float
     quotient: float
+    slope: float
 
     def __post_init__(self) -> None:
         if not self.denominator > 0:
@@ -121,7 +128,7 @@ def evaluate_quotient_udelta(
     delta: float,
     cone: ConeSpec | None = None,
 ) -> RayleighEvaluation:
-    """Quotient of u_delta = r^(-H +/- delta) Phi with exact radial integrals.
+    """Quotient of u_delta = r^(-H +/- delta) Phi with exact radial integrals, and its slope in delta^2.
 
     Both radial integrals equal 1/(p delta) per branch, so with
     E(G) = int w (Phi'^2 + G^2 Phi^2)^(p/2) and D = int w |Phi|^p
@@ -136,48 +143,65 @@ def evaluate_quotient_udelta(
     plus delta^2, to rounding.  The denominator diverges like 1/delta: the
     divergence of the minimizing family's mass is what prevents any
     function from attaining the sharp constant.
+
+    The quotient is Q = [E(H-delta) + E(H+delta)] / (2 D), so its slope is
+
+        dQ/d(delta^2) = [E_G(H+delta) - E_G(H-delta)] / (4 delta D),
+        E_G(G) = dE/dG = p G int w (Phi'^2 + G^2 Phi^2)^(p/2-1) Phi^2,
+
+    formed in G, not G^2, from the nodes and fields of E (1 at p = 2, to
+    rounding); nodes where the density vanishes add 0.
     """
     if delta <= 0:
         raise ValueError(f"need delta > 0, got {delta}")
     disc, coefficients = _discretization(params, Phi)
     pref = AngularWeight.for_params(params, cone).prefactor
     H = hardy_exponent(params).H
-    (e_minus, e_plus), mass = disc.integrals(coefficients, ((H - delta) ** 2, (H + delta) ** 2))
+    ((e_minus, g_minus), (e_plus, g_plus)), mass = disc.udelta_sums(coefficients, (H - delta, H + delta))
     # a delta near the float range gives an inf or nan quotient, which the caller rejects
     with np.errstate(over="ignore", invalid="ignore"):
         numerator = pref * (e_minus + e_plus) / (params.p * delta)
         denominator = pref * 2.0 / (params.p * delta) * mass
         quotient = numerator / denominator
-    return RayleighEvaluation(numerator=numerator, denominator=denominator, quotient=quotient)
+        slope = (g_plus - g_minus) / (4.0 * delta * mass)
+    return RayleighEvaluation(numerator=numerator, denominator=denominator, quotient=quotient, slope=slope)
 
 
-def _delta_limit(trace: Iterable[tuple[float, float]]) -> tuple[float | None, float | None]:
-    """The delta -> 0 limit of a (delta, quotient) trace and its observed order in delta.
+def _delta_limit(trace: Iterable[tuple[float, float, float]]) -> tuple[float | None, float | None]:
+    """The delta -> 0 limit of a (delta, quotient, slope) trace and its observed order in delta.
 
-    The quotient is M + c2 delta^2 + c4 delta^4 + ..., so the limit is the
-    last entry of the Neville-Aitken table in x = delta^2 over every point:
-    repeated Richardson extrapolation, exact on a polynomial in delta^2 of
-    degree below the point count.  Two points give the line through them.
-    The order is log((q_a - q_b) / (q_b - q_c)) / log(delta_a / delta_b)
-    over the three smallest deltas, None where those differences do not
-    share a sign.  The points are taken in decreasing delta, so the results
-    do not depend on the trace's order.  With numpy-scalar quotients, as
-    evaluate_quotient_udelta gives, deltas whose squares underflow to equal
-    x give a non-finite limit, which the caller rejects, not a
-    ZeroDivisionError.  (None, None) below two points.
+    The quotient is M + c2 delta^2 + c4 delta^4 + ..., and slope its
+    derivative in x = delta^2, so the limit is the last entry of the
+    confluent (Hermite) Neville-Aitken table in x over every point, each
+    node taken twice: its first step at a repeated node is the tangent
+    value quotient - x slope, every other step is Richardson's.  The table
+    is exact on a polynomial in delta^2 of degree below twice the point
+    count; two points give the cubic Hermite value at x = 0.  The order is
+    log((q_a - q_b) / (q_b - q_c)) / log(delta_a / delta_b) over the
+    three smallest deltas, from the quotients only, None where those
+    differences do not share a sign.  The points are taken in decreasing
+    delta, so the results do not depend on the trace's order.  With
+    numpy-scalar quotients, as evaluate_quotient_udelta gives, deltas whose
+    squares underflow to equal x give a non-finite limit, which the caller
+    rejects, not a ZeroDivisionError.  (None, None) below two points.
     """
     points = sorted(trace, key=lambda point: -point[0])
     if len(points) < 2:
         return None, None
-    x = [delta**2 for delta, _ in points]
-    column = [quotient for _, quotient in points]
+    x = [delta**2 for delta, _, _ in points for _ in range(2)]  # each node twice
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        for width in range(1, len(points)):
+        column = []
+        for i, (_, quotient, slope) in enumerate(points):
+            if i:  # Richardson's step between node i - 1 and node i
+                x0, x1 = x[2 * i - 1], x[2 * i]
+                column.append((x0 * quotient - x1 * points[i - 1][1]) / (x0 - x1))
+            column.append(quotient - x[2 * i] * slope)  # the tangent value at node i, taken twice
+        for width in range(2, len(x)):
             column = [(x[i] * column[i + 1] - x[i + width] * column[i]) / (x[i] - x[i + width])
                       for i in range(len(column) - 1)]
     order = None
     if len(points) >= 3:
-        (delta_a, qa), (delta_b, qb), (_, qc) = points[-3:]
+        (delta_a, qa, _), (delta_b, qb, _), (_, qc, _) = points[-3:]
         num, den = qa - qb, qb - qc
         if num * den > 0:
             order = math.log(num / den) / math.log(delta_a / delta_b)

@@ -481,14 +481,37 @@ class TestMainEntry:
         assert abs(row["extrapolated"] - row["closed_form"]) <= 1e-12 * row["closed_form"]
 
     def test_verify_extrapolates_over_every_delta(self, capsys):
-        # (3,1,3,0,0) has no closed form: the four-point table in delta^2 meets the
-        # hp M to 1e-9, where a line through the last two points reached 4e-7
+        # (3,1,3,0,0) has no closed form: the four-point Hermite table in delta^2 meets
+        # the hp M to 1e-11; values alone reached 4e-10, a line through the last two 4e-7
         code, out, err = run_cli(capsys, "verify", "--p", "3", "--mesh", "2048",
                                  "--deltas", "0.2,0.1,0.05,0.025")
         assert code == 0
         row = json.loads(out)["rows"][0]
         assert row["status"] == "ok" and row["closed_form"] is None and len(row["trace"]) == 4
-        assert abs(row["extrapolated"] - row["numeric_M"]) <= 1e-9 * row["numeric_M"]
+        assert abs(row["extrapolated"] - row["numeric_M"]) <= 1e-11 * row["numeric_M"]
+
+    def test_verify_small_M_limit_is_relatively_exact(self, capsys):
+        # (3,2,8,5,0): H = 0 and p = 8, so the quotient is a quartic in delta^2, which
+        # four values and slopes fix; the row's own check (5e-3 relative, 1e-9 absolute)
+        # passed the values-only limit 3.6e-4 off this M ~ 1.75e-6
+        code, out, err = run_cli(capsys, "verify", "--d", "3", "--k", "2", "--p", "8", "--a=5",
+                                 "--mesh", "256", "--deltas", "0.2,0.1,0.05,0.025")
+        assert code == 0
+        row = json.loads(out)["rows"][0]
+        assert row["status"] == "ok" and row["numeric_M"] < 1e-5
+        assert abs(row["extrapolated"] - row["numeric_M"]) <= 1e-12 * row["numeric_M"]
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_verify_delta_at_H_gives_a_finite_limit(self, capsys):
+        # full space, p = 1.5: H = 1 and the minimizer is constant, so at delta = 1 every
+        # density of the H - delta branch is 0; the limit is finite, and the row fails
+        # only because the trace starts at the expansion's radius |H|, far from M = 1
+        code, out, err = run_cli(capsys, "verify", "--cone", "full", "--p", "1.5",
+                                 "--deltas", "1,0.5", "--mesh", "64")
+        assert code == 1 and err == ""
+        row = json.loads(out)["rows"][0]
+        assert row["status"] == "solver_fail" and math.isfinite(row["extrapolated"])
+        assert abs(row["extrapolated"] - row["numeric_M"]) > 5e-3 * row["numeric_M"]
 
     def test_verify_delta_order_does_not_matter(self, capsys):
         rows = {}

@@ -999,7 +999,7 @@ class TestHpSolve:
         Phi = result.minimizer
         disc = Phi.discretization()
         assert disc.value(Phi.coefficients) == pytest.approx(result.M, rel=1e-14)
-        assert disc.integrals(Phi.coefficients, ())[1] == pytest.approx(1.0, rel=1e-14)
+        assert disc.sum_fields(Phi.coefficients)[2] == pytest.approx(1.0, rel=1e-14)
         # its samples: positive inside, 0 at the Dirichlet end pi/2
         values = Phi.values
         assert values[-1] == 0.0 and values[:-1].min() > 0.0

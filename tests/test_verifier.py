@@ -6,9 +6,10 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from scipy.interpolate import CubicSpline
+from scipy.interpolate import CubicHermiteSpline, CubicSpline
 
 import hardycone.verifier as verifier
+from hardycone.hp import _HpFunction
 from hardycone.params import ConeSpec, HardyParams, closed_form_constant, hardy_exponent
 from hardycone.quadrature import sphere_weight_mass
 from hardycone.spherical import (
@@ -16,6 +17,7 @@ from hardycone.spherical import (
     DiscretizedFunction,
     _Discretization,
     _FactoredDiscretization,
+    _FactoredFunction,
     _SphericalProblem,
     bc_for_cone,
     graded_mesh,
@@ -137,6 +139,47 @@ class TestUdeltaQuotient:
             expected = (abs(H - delta) ** 3 + abs(H + delta) ** 3) / 2
             assert ev.quotient == pytest.approx(expected, rel=1e-12)
 
+    @pytest.mark.parametrize("params, cone, kind", [
+        (HardyParams(4, 1, 2.0, 0.3, 0.5), ConeSpec.half_space(), _FactoredFunction),
+        (HardyParams(3, 1, 3.0, 0.0, 0.0), ConeSpec.complement_sigma0(), _HpFunction),
+        (HardyParams(3, 1, 3.0, 0.3, 0.0), ConeSpec.band(0.3, 1.2), DiscretizedFunction),
+    ], ids=["factored", "hp", "P1"])
+    def test_slope_is_the_derivative_in_delta_squared(self, params, cone, kind):
+        # against a centred difference of the quotient in x = delta^2
+        Phi = solve_M(params, cone, 256).minimizer
+        assert type(Phi) is kind
+        for delta in (0.2, 0.05):
+            x, h = delta**2, 1e-3 * delta**2
+            q_up, q_down = (evaluate_quotient_udelta(params, Phi, math.sqrt(x + step), cone=cone).quotient
+                            for step in (h, -h))
+            slope = evaluate_quotient_udelta(params, Phi, delta, cone=cone).slope
+            assert slope == pytest.approx((q_up - q_down) / (2 * h), rel=1e-6)
+
+    @pytest.mark.parametrize("params, cone", [
+        (HardyParams(3, 1, 2.0, 0.0, 0.0), ConeSpec.complement_sigma0()),
+        (HardyParams(4, 1, 2.0, 0.3, 0.5), ConeSpec.half_space()),
+        (HardyParams(3, 1, 2.0, 0.3, 0.0), ConeSpec.band(0.4, 1.3)),
+    ], ids=["complement-sigma0", "half-space", "band"])
+    def test_p2_slope_is_one(self, params, cone):
+        # the quotient is M + delta^2 at p = 2, so its slope in delta^2 is 1 to rounding
+        Phi = solve_M(params, cone, 256).minimizer
+        assert type(Phi) is _FactoredFunction
+        for delta in (0.2, 0.1, 0.05, 0.025):
+            assert abs(evaluate_quotient_udelta(params, Phi, delta, cone=cone).slope - 1.0) <= 1e-13
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_constant_profile_slope_where_the_density_vanishes(self):
+        # at delta = H the H - delta branch has Phi' = 0 and G = 0: every density
+        # there is 0, and with p < 2 e2^(p/2-1) would be inf; those nodes add 0
+        params = HardyParams(3, 1, 1.5, 0.5, 0.0)  # natural/natural superdegenerate
+        mesh = graded_mesh(0.0, HALF_PI, 64, 2.0)
+        Phi = DiscretizedFunction(mesh, np.ones(mesh.size))
+        H = hardy_exponent(params).H
+        for delta in (H, 0.5 * H):
+            # Q = (|H-delta|^p + |H+delta|^p)/2, and dQ/d(delta^2) = dQ/d delta / (2 delta)
+            expected = 0.75 * ((H + delta) ** 0.5 - abs(H - delta) ** 0.5) / (2 * delta)
+            assert evaluate_quotient_udelta(params, Phi, delta).slope == pytest.approx(expected, rel=1e-12)
+
     def test_profile_outside_quarter_arc_rejected(self):
         mesh = np.linspace(-0.3, 1.4, 33)
         Phi = DiscretizedFunction(mesh, np.cos(mesh))
@@ -149,21 +192,27 @@ class TestUdeltaQuotient:
 
 
 class TestDeltaLimit:
-    """The Neville-Aitken table in x = delta^2 over a (delta, quotient) trace."""
+    """The Hermite Neville-Aitken table in x = delta^2 over a (delta, quotient, slope) trace."""
 
     DELTAS = (0.2, 0.1, 0.05, 0.025, 0.0125)
 
+    @staticmethod
+    def polynomial_trace(coefficients, deltas):
+        """(delta, q, dq/dx) of q = sum c_j x^j, x = delta^2, as numpy scalars."""
+        return [(delta, np.float64(sum(c * delta ** (2 * j) for j, c in enumerate(coefficients))),
+                 np.float64(sum(j * c * delta ** (2 * j - 2) for j, c in enumerate(coefficients) if j)))
+                for delta in deltas]
+
     @pytest.mark.parametrize("count", [2, 3, 4, 5])
     def test_exact_on_polynomials_in_delta_squared(self, count):
-        # degree count - 1 in delta^2: the table's last entry is the constant term
-        coefficients = (2.5, -3.0, 7.0, -11.0, 13.0)[:count]
-        trace = [(delta, np.float64(sum(c * delta ** (2 * j) for j, c in enumerate(coefficients))))
-                 for delta in self.DELTAS[:count]]
-        limit, _ = _delta_limit(trace)
+        # degree 2 count - 1 in delta^2: the table's last entry is the constant term
+        coefficients = (2.5, -3.0, 7.0, -11.0, 13.0, -5.0, 3.0, 17.0, -19.0, 23.0)[: 2 * count]
+        limit, _ = _delta_limit(self.polynomial_trace(coefficients, self.DELTAS[:count]))
         assert limit == pytest.approx(2.5, rel=1e-12)
 
     def test_same_bits_for_any_order(self):
-        trace = [(delta, np.float64(2.1725999599 + 0.43 * delta**2 - 0.71 * delta**4 + 0.2 * delta**7))
+        trace = [(delta, np.float64(2.1725999599 + 0.43 * delta**2 - 0.71 * delta**4 + 0.2 * delta**7),
+                  np.float64(0.43 - 1.42 * delta**2 + 0.7 * delta**5))
                  for delta in self.DELTAS[:4]]
         expected = _delta_limit(trace)
         assert expected[1] is not None
@@ -172,25 +221,38 @@ class TestDeltaLimit:
 
     @pytest.mark.parametrize("seed", range(5))
     def test_two_points_give_the_line_through_them(self, seed):
-        # bit for bit the two-point formula it replaces, in either order
+        # two points give the cubic Hermite value at x = 0: bit for bit the three
+        # steps of the table, in either order, and with both slopes the chord's,
+        # the line through them
         rng = np.random.default_rng(seed)
-        (x0, x1), (q0, q1) = sorted(rng.uniform(0.01, 0.5, 2), reverse=True), rng.uniform(1.0, 3.0, 2)
-        line = (q1 * x0**2 - q0 * x1**2) / (x0**2 - x1**2)
-        assert _delta_limit([(x0, q0), (x1, q1)]) == (line, None)
-        assert _delta_limit([(x1, q1), (x0, q0)]) == (line, None)
+        (d0, d1), (q0, q1), (s0, s1) = (sorted(rng.uniform(0.01, 0.5, 2), reverse=True),
+                                        rng.uniform(1.0, 3.0, 2), rng.uniform(-2.0, 2.0, 2))
+        x0, x1 = d0**2, d1**2
+        t0, t1 = q0 - x0 * s0, q1 - x1 * s1
+        chord = (x0 * q1 - x1 * q0) / (x0 - x1)
+        left, right = (x0 * chord - x1 * t0) / (x0 - x1), (x0 * t1 - x1 * chord) / (x0 - x1)
+        hermite = (x0 * right - x1 * left) / (x0 - x1)
+        assert _delta_limit([(d0, q0, s0), (d1, q1, s1)]) == (hermite, None)
+        assert _delta_limit([(d1, q1, s1), (d0, q0, s0)]) == (hermite, None)
+        spline = CubicHermiteSpline([x1, x0], [q1, q0], [s1, s0])
+        assert hermite == pytest.approx(float(spline(0.0)), rel=1e-12, abs=1e-12)
+        slope = (q0 - q1) / (x0 - x1)
+        assert _delta_limit([(d0, q0, slope), (d1, q1, slope)])[0] == pytest.approx(chord, rel=1e-14)
 
     def test_order_from_the_three_smallest_deltas(self):
-        # quadratic below delta = 0.1, anything above it
-        trace = [(0.4, 9.0), (0.05, 1.0 + 0.05**2), (0.1, 1.0 + 0.1**2), (0.025, 1.0 + 0.025**2)]
+        # quadratic below delta = 0.1, anything above it; the slopes do not enter
+        trace = [(0.4, 9.0, -7.0), (0.05, 1.0 + 0.05**2, 3.0), (0.1, 1.0 + 0.1**2, math.nan),
+                 (0.025, 1.0 + 0.025**2, 1e6)]
         assert _delta_limit(trace)[1] == pytest.approx(2.0, rel=1e-9)
 
     def test_fewer_than_two_points(self):
         assert _delta_limit([]) == (None, None)
-        assert _delta_limit([(0.1, 2.0)]) == (None, None)
+        assert _delta_limit([(0.1, 2.0, 1.0)]) == (None, None)
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_underflowing_deltas_give_nan_not_an_exception(self):
-        limit, order = _delta_limit([(1e-200, np.float64(2.0)), (1e-300, np.float64(2.0)), (1e-310, np.float64(2.0))])
+        one, two = np.float64(1.0), np.float64(2.0)
+        limit, order = _delta_limit([(1e-200, two, one), (1e-300, two, one), (1e-310, two, one)])
         assert math.isnan(limit) and order is None
 
 
