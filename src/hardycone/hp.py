@@ -14,15 +14,14 @@ cos theta = sin u keeps full relative accuracy at the nodes next to pi/2,
 where cos of a stored theta would not.
 
 The quotient is minimized by the descent P1 uses (spherical._descend):
-Newton steps on {D = const}, with the hess E step as fallback.  The element
-matrices of hess E and hess D come from two-operand einsums, and each
-step condenses every element's bubbles onto the vertices, whose Schur
-complement is tridiagonal (spherical._CyclicReduction); only the
-(q - 1) x (q - 1) bubble blocks go to LAPACK, so results do not depend on
-the BLAS thread count.  _hp_solve checks the solve against one on two more
-layers of degree two more, warm-started from it (the meshes nest), and on
-a near miss checks that one against a third, two layers and two degrees
-finer again.
+Newton steps on {D = const} under P1's inertia rule, with the hess E step
+as fallback.  Each step condenses every element's bubbles onto the
+vertices, whose Schur complement is tridiagonal
+(spherical._CyclicReduction); only the (q - 1) x (q - 1) bubble blocks go
+to LAPACK, so results do not depend on the BLAS thread count.  _hp_solve
+checks the solve against one on two more layers of degree two more,
+warm-started from it (the meshes nest), and on a near miss checks that one
+against a third, two layers and two degrees finer again.
 
 spherical.solve_M imports this module only for such a solve, so a p = 2
 process never compiles it.
@@ -40,10 +39,13 @@ from .spherical import (
     HALF_PI,
     ConvergenceError,
     SpectralResult,
+    _bordered_step,
     _CyclicReduction,
     _descend,
+    _positive_power,
     _require_mesh_size,
     _RuleSums,
+    _scatter,
     _SpectralFunction,
     _SphericalProblem,
 )
@@ -193,9 +195,7 @@ class _HpDiscretization(_RuleSums):
     no node near pi/2 loses relative accuracy to cancellation.  The fields
     psi, chi (on E's rule) and g (on D's) are two-operand einsums over each
     element's shape functions, the element matrices of hess E and hess D two
-    more, and newton_direction eliminates each element's bubbles so that
-    only (q - 1) x (q - 1) blocks go to LAPACK and the vertex system is
-    tridiagonal.
+    more.
     """
 
     def __init__(self, problem: _SphericalProblem, layers: int, degree: int):
@@ -292,14 +292,10 @@ class _HpDiscretization(_RuleSums):
             raise ConvergenceError("hp descent: degenerate profile, zero weighted p-norm", residual=math.inf)
         return v / den ** (1.0 / self.p)
 
-    def _assemble(self, per_element: np.ndarray) -> np.ndarray:
-        """Coefficient vector from each element's entries for its shape functions."""
-        n_el = per_element.shape[0]
-        out = np.zeros(self.layout.size)
-        out[:n_el] += per_element[:, 0]
-        out[1 : n_el + 1] += per_element[:, 1]
-        out[n_el + 1 :] = per_element[:, 2:].ravel()
-        return out
+    @staticmethod
+    def _assemble(per_element: np.ndarray) -> np.ndarray:
+        """Coefficient vector from each element's entries for its shape functions: vertices, then bubbles."""
+        return np.concatenate([_scatter(per_element[:, 0], per_element[:, 1]), per_element[:, 2:].ravel()])
 
     def newton_system(self, v: np.ndarray) -> tuple[float, np.ndarray, np.ndarray, float, np.ndarray]:
         """Q, grad Q, K = hess E - Q hess D (element by element), D and grad D at v, from one pass.
@@ -310,15 +306,14 @@ class _HpDiscretization(_RuleSums):
         """
         p, H2 = self.p, self.H2
         psi, chi, g = self._fields(v)
-        e2 = psi**2 + H2 * chi**2
-        num = (self.w * e2 ** (p / 2)).sum()
+        e2, num = self.energy(chi, psi, H2)
         abs_g = np.abs(g)
         den = (self.w_mass * abs_g**p).sum()
         q = num / den
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):  # an inf K has no Newton step
-            e_pow1 = np.where(e2 > 0.0, e2 ** (p / 2 - 1.0), 0.0)
-            e_pow2 = np.where(e2 > 0.0, e2 ** (p / 2 - 2.0), 0.0)
-            g_pow2 = np.where(g != 0.0, abs_g ** (p - 2.0), 0.0)
+            e_pow1 = _positive_power(e2, p / 2 - 1.0)
+            e_pow2 = _positive_power(e2, p / 2 - 2.0)
+            g_pow2 = _positive_power(abs_g, p - 2.0)
         c_curv = self.w * p * e_pow1
         c_outer = self.w * (p * (p - 2.0)) * e_pow2  # 4 (p/2)(p/2 - 1): de2 = 2 (psi A + H^2 chi C)
         # hess E = sum over nodes of A (a_A A + x C)^T + C (x A + a_C C)^T
@@ -347,40 +342,35 @@ class _HpDiscretization(_RuleSums):
         each element's bubbles are eliminated by one batched LAPACK solve of
         its (q - 1) x (q - 1) block, which leaves a tridiagonal Schur
         complement on the vertices for _CyclicReduction; the bubbles follow
-        by back substitution.  None where a factorization is singular or the
-        step is not finite.
+        by back substitution.  K's negative eigenvalues are the blocks'
+        (eigvalsh) plus the Schur complement's.  None where a factorization
+        is singular, a block is not finite or _bordered_step gives None.
         """
         n_el = hessian.shape[0]
         rhs = np.stack([den * g, grad_d], axis=1)
-        k_vb = hessian[:, :2, 2:]
+        blocks = hessian[:, 2:, 2:]
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
             try:
-                # per element: Kbb^-1 [Kbv, rhs_b]
+                # per element: Kbb's eigenvalues and Kbb^-1 [Kbv, rhs_b]
+                eigenvalues = np.linalg.eigvalsh(blocks)
                 eliminated = np.linalg.solve(
-                    hessian[:, 2:, 2:],
-                    np.concatenate([hessian[:, 2:, :2], rhs[n_el + 1 :].reshape(n_el, -1, 2)], axis=2))
+                    blocks, np.concatenate([hessian[:, 2:, :2], rhs[n_el + 1 :].reshape(n_el, -1, 2)], axis=2))
+                coupled = np.einsum("eib,ebk->eik", hessian[:, :2, 2:], eliminated)
+                schur = hessian[:, :2, :2] - coupled[:, :, :2]
+                factor = _CyclicReduction(_scatter(schur[:, 0, 0], schur[:, 1, 1]),
+                                          0.5 * (schur[:, 0, 1] + schur[:, 1, 0]))
             except np.linalg.LinAlgError:
                 return None
-            coupled = np.einsum("eib,ebk->eik", k_vb, eliminated)
-            schur = hessian[:, :2, :2] - coupled[:, :, :2]
-            reduced = coupled[:, :, 2:]
-            diag = np.zeros(n_el + 1)
-            diag[:-1] += schur[:, 0, 0]
-            diag[1:] += schur[:, 1, 1]
+            if not np.all(np.isfinite(eigenvalues)):  # eigvalsh raises on some non-finite blocks, not on all
+                return None
             rhs_v = rhs[: n_el + 1].copy()
-            rhs_v[:-1] -= reduced[:, 0]
-            rhs_v[1:] -= reduced[:, 1]
-            try:
-                x_v = _CyclicReduction(diag, 0.5 * (schur[:, 0, 1] + schur[:, 1, 0])).solve(rhs_v)
-            except np.linalg.LinAlgError:
-                return None
+            rhs_v[:-1] -= coupled[:, 0, 2:]
+            rhs_v[1:] -= coupled[:, 1, 2:]
+            x_v = factor.solve(rhs_v)
             x_b = eliminated[:, :, 2:] - np.einsum("ebj,ejk->ebk", eliminated[:, :, :2],
                                                    np.stack([x_v[:-1], x_v[1:]], axis=1))
-            x = np.concatenate([x_v, x_b.reshape(-1, 2)])
-            step = x[:, 0] - (grad_d * x[:, 0]).sum() / (grad_d * x[:, 1]).sum() * x[:, 1]
-        if not np.all(np.isfinite(step)):
-            return None
-        return step
+        return _bordered_step(np.concatenate([x_v, x_b.reshape(-1, 2)]), grad_d,
+                              int((eigenvalues < 0.0).sum()) + factor.negative_count())
 
 
 class _HpFunction(_SpectralFunction):

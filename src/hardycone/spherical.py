@@ -34,18 +34,18 @@ near a pole; hp: a few cells with tiny M or p near 1), and for
 p != 2 on every band, the profile is discretized with piecewise-linear
 finite elements on a mesh graded toward the singular end theta = pi/2.
 Both p != 2 discretizations are minimized by one descent (_descend):
-Newton steps on the surface {int w |phi|^p = const}.  With P1 elements
-the Hessians of the two integrals are tridiagonal, so each step is one
-tridiagonal solve with two right-hand sides; where that step is singular,
-the bordered matrix has other than one negative eigenvalue (counted from
-the same factorization) or the step is not a descent direction, the same
-system with hess E (positive semidefinite: E is convex) in place of
-hess E - Q hess D gives it, formed from the pass the step already made.
-The P1 descent starts from cos^s theta; a stuck one raises
+Newton steps on the surface {int w |phi|^p = const}, taken only where the
+bordered matrix [K, grad D; grad D^T, 0] has one negative eigenvalue,
+counted from the factorization that solved it (_bordered_step).  With P1
+elements K = hess E - Q hess D is tridiagonal, so each step is one
+tridiagonal solve with two right-hand sides.  Where a step is singular,
+fails that rule or is not a descent direction, the same system with hess E
+(positive semidefinite: E is convex) in place of K gives it, from the same
+pass.  The P1 descent starts from cos^s theta; a stuck one raises
 ConvergenceError.  Its residual is the relative step decrement
-sqrt(grad Q . d) / Q of the last step.  At p = 2,
-assemble_p2 and smallest_eigenpair (bisection on the inertia of S - mu M)
-give the P1 reference value.
+sqrt(grad Q . d) / Q of the last step.  At p = 2, assemble_p2 and
+smallest_eigenpair (bisection on the inertia of S - mu M) give the P1
+reference value.
 
 The private solvers take the cell's 1-D problem as one _SphericalProblem,
 whose s is the one boundary-layer exponent at pi/2.  Its graded mesh comes
@@ -310,6 +310,37 @@ def _element_sums(a: np.ndarray) -> np.ndarray:
     return total
 
 
+def _scatter(left: np.ndarray, right: np.ndarray) -> np.ndarray:
+    """Vertex vector from each element's contributions to its left and right vertex."""
+    out = np.zeros(left.size + 1)
+    out[:-1] += left
+    out[1:] += right
+    return out
+
+
+def _positive_power(x: np.ndarray, exponent: float) -> np.ndarray:
+    """x^exponent where x > 0, else 0, for x >= 0: the energy density's and |phi|'s powers in the Newton terms."""
+    with np.errstate(divide="ignore"):  # 0^exponent is inf for exponent < 0, and not taken
+        return np.where(x > 0.0, x**exponent, 0.0)
+
+
+def _bordered_step(x: np.ndarray, grad_d: np.ndarray, negatives: int) -> np.ndarray | None:
+    """Minus the Newton step of Q on {D = const} from the columns x1, x2 of K^-1 [D grad Q, grad D], or None.
+
+    x1 - (grad D . x1 / grad D . x2) x2 = -d solves [K, grad D; grad D^T, 0]
+    (d, mu) = (-D grad Q, 0).  By Haynsworth's inertia additivity that matrix
+    has K's `negatives` negative eigenvalues, plus one where the curvature
+    grad D . x2 >= 0.  None unless it has one (K positive definite on
+    {grad D}-perp, so the step leads to a minimum), and where the step is not finite.
+    """
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        curvature = (grad_d * x[:, 1]).sum()
+        if negatives + (curvature >= 0.0) != 1:
+            return None
+        step = x[:, 0] - (grad_d * x[:, 0]).sum() / curvature * x[:, 1]
+    return step if np.all(np.isfinite(step)) else None
+
+
 def _matvec(matrix: Tridiagonal, v: np.ndarray) -> np.ndarray:
     diag, off = matrix
     out = diag * v
@@ -462,9 +493,7 @@ class _RuleSums:
         there unless G = 0), where e2^(p/2-1) itself is inf for p < 2.
         """
         e2, energy = self.energy(phi, dphi, G**2)
-        with np.errstate(divide="ignore"):
-            e_pow1 = np.where(e2 > 0.0, e2 ** (self.p / 2 - 1.0), 0.0)
-        return energy, self.p * G * (self.w * e_pow1 * phi**2).sum()
+        return energy, self.p * G * (self.w * _positive_power(e2, self.p / 2 - 1.0) * phi**2).sum()
 
     def mass(self, phi: np.ndarray) -> float:
         """D = int w |phi|^p."""
@@ -657,19 +686,12 @@ class _Discretization(_RuleSums):
         full[self.free] = v
         return full
 
-    def _scatter(self, left: np.ndarray, right: np.ndarray) -> np.ndarray:
-        """Nodal vector from each element's contributions to its left and right node."""
-        out = np.zeros(self.mesh.size)
-        out[:-1] += left
-        out[1:] += right
-        return out
-
     def p2_matrices(self) -> tuple[Tridiagonal, Tridiagonal]:
         """Stiffness int w phi_i' phi_j' and mass int w phi_i phi_j on the free nodes, as (diag, off)."""
         w = self.w
         stiff = _element_sums(w) / self.h**2
-        stiff_diag = self._scatter(stiff, stiff)
-        mass_diag = self._scatter(_element_sums(w * self.n1 * self.n1), _element_sums(w * self.n2 * self.n2))
+        stiff_diag = _scatter(stiff, stiff)
+        mass_diag = _scatter(_element_sums(w * self.n1 * self.n1), _element_sums(w * self.n2 * self.n2))
         mass_off = _element_sums(w * self.n1 * self.n2)
         lo, hi = self.free.start, self.free.stop
         return (stiff_diag[lo:hi], -stiff[lo : hi - 1]), (mass_diag[lo:hi], mass_off[lo : hi - 1])
@@ -702,17 +724,16 @@ class _Discretization(_RuleSums):
         e2, num = self.energy(phi, dphi, H2)
         den = self.mass(phi)
         q = num / den
-        with np.errstate(divide="ignore", invalid="ignore"):
-            e_pow1 = np.where(e2 > 0.0, e2 ** (p / 2 - 1.0), 0.0)
-            e_pow2 = np.where(e2 > 0.0, e2 ** (p / 2 - 2.0), 0.0)
-            phi_pow1 = np.where(phi != 0.0, np.abs(phi) ** (p - 1.0) * np.sign(phi), 0.0)
-            phi_pow2 = np.where(phi != 0.0, np.abs(phi) ** (p - 2.0), 0.0)
+        e_pow1 = _positive_power(e2, p / 2 - 1.0)
+        e_pow2 = _positive_power(e2, p / 2 - 2.0)
+        phi_pow1 = np.where(phi != 0.0, np.abs(phi) ** (p - 1.0) * np.sign(phi), 0.0)
+        phi_pow2 = _positive_power(np.abs(phi), p - 2.0)
         c_curv = w * p * e_pow1
         c_phi = c_curv * H2 * phi
         c_dphi = _element_sums(c_curv * dphi) / self.h
-        grad_e = self._scatter(_element_sums(c_phi * n1) - c_dphi, _element_sums(c_phi * n2) + c_dphi)
+        grad_e = _scatter(_element_sums(c_phi * n1) - c_dphi, _element_sums(c_phi * n2) + c_dphi)
         c_den = w * p * phi_pow1
-        grad_d = self._scatter(_element_sums(c_den * n1), _element_sums(c_den * n2))
+        grad_d = _scatter(_element_sums(c_den * n1), _element_sums(c_den * n2))
 
         dphi_h = dphi / self.h[:, None]
         de2_l = -2.0 * dphi_h + 2.0 * H2 * phi * n1
@@ -730,7 +751,7 @@ class _Discretization(_RuleSums):
         k_ll = _element_sums(c_outer * de2_l * de2_l + c_value * n1 * n1) + c_grad
         k_rr = _element_sums(c_outer * de2_r * de2_r + c_value * n2 * n2) + c_grad
         k_lr = _element_sums(c_outer * de2_l * de2_r + c_value * n1 * n2) - c_grad
-        return self._scatter(k_ll, k_rr), k_lr
+        return _scatter(k_ll, k_rr), k_lr
 
     def hess_e(self) -> Tridiagonal:
         """hess E at the iterate of the last newton_system pass, from the terms that pass kept.
@@ -746,34 +767,20 @@ class _Discretization(_RuleSums):
     ) -> np.ndarray | None:
         """Minus the Newton step of Q on the surface {D = const}, or None, from newton_system's terms.
 
-        Solves the bordered system [K, grad D; grad D^T, 0] (d, mu) = (-D grad Q, 0)
-        on the free nodes by one tridiagonal factorization of K with two
-        right-hand sides, K x1 = D grad Q and K x2 = grad D, and returns
-        x1 - (grad D . x1 / grad D . x2) x2 = -d.  None when the factorization
-        meets a zero or non-finite pivot (K is indefinite away from the
-        minimum), the step is not finite, or the bordered matrix has other
-        than one negative eigenvalue, so that K is not positive definite on
-        {grad D}-perp and the step need not lead to a minimum: by
-        Haynsworth's inertia additivity that count is K's, from the
-        factorization's pivots, plus one where grad D . x2 >= 0.
+        K x1 = D grad Q and K x2 = grad D are solved on the free nodes by one
+        tridiagonal factorization of K, whose pivots count K's negative
+        eigenvalues for _bordered_step; None where it meets a zero or
+        non-finite pivot (K is indefinite away from the minimum).
         """
         lo, hi = self.free.start, self.free.stop
-        diag, off = hessian
         grad_d = grad_d[lo:hi]
-        rhs = np.stack([den * g[lo:hi], grad_d], axis=1)
         try:
-            factor = _CyclicReduction(diag[lo:hi], off[lo : hi - 1])
+            factor = _CyclicReduction(hessian[0][lo:hi], hessian[1][lo : hi - 1])
         except np.linalg.LinAlgError:
             return None
-        x = factor.solve(rhs)
-        curvature = (grad_d * x[:, 1]).sum()
-        if factor.negative_count() + (curvature >= 0.0) != 1:
-            return None
-        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            step = x[:, 0] - (grad_d * x[:, 0]).sum() / curvature * x[:, 1]
-        if not np.all(np.isfinite(step)):
-            return None
-        return self.expand_free(step)
+        step = _bordered_step(factor.solve(np.stack([den * g[lo:hi], grad_d], axis=1)), grad_d,
+                              factor.negative_count())
+        return None if step is None else self.expand_free(step)
 
     def normalize(self, v: np.ndarray) -> np.ndarray:
         """Project to the nonnegative cone, apply Dirichlet data, unit p-norm."""
@@ -820,8 +827,8 @@ def _descend(
     Q, grad Q and the Hessian terms, and the step solves the bordered
     Newton system of E - Q D restricted to D = const
     (disc.newton_direction); a line-search trial costs Q alone.  If that
-    step is singular, non-finite or not a descent direction (or, for P1,
-    the bordered system's inertia is wrong), the step with
+    step is singular, non-finite, has the wrong inertia (_bordered_step) or
+    is not a descent direction, the step with
     hess E (disc.hess_e, from the same pass) is taken: E is convex, so
     grad Q . d = d^T hess E d / D > 0 wherever grad Q != 0, and a failed one
     raises ConvergenceError.  grad Q exactly 0 ends the descent.

@@ -71,6 +71,24 @@ def random_spd(rng, n):
     return Q @ Q.T + n * np.eye(n)
 
 
+def bordered_step(K, grad_d, den, g):
+    """Minus the Newton step from a dense solve of [K, grad D; grad D^T, 0] (d, mu) = (-D grad Q, 0)."""
+    n = K.shape[0]
+    bordered = np.zeros((n + 1, n + 1))
+    bordered[:n, :n] = K
+    bordered[:n, n] = bordered[n, :n] = grad_d
+    return -np.linalg.solve(bordered, np.concatenate([-den * g, [0.0]]))[:n]
+
+
+def dense_hp(disc, elements):
+    """The dense matrix that hp element matrices assemble to."""
+    n = disc.layout.size
+    A = np.zeros((n, n))
+    for dofs, element in zip(disc.layout.dofs, elements):
+        A[np.ix_(dofs, dofs)] += element
+    return A
+
+
 def sigma0_reference(d: int, k: int, a: float, b: float) -> float:
     """(d-k)(2-(k+a))^+ + H^2 for p = 2."""
     H = hardy_exponent(HardyParams(d, k, 2.0, a, b)).H
@@ -659,6 +677,27 @@ class TestMinimizeRayleighP:
         assert disc.newton_direction(g, (diag, off), den, grad_d) is not None
         assert disc.newton_direction(g, (-diag, -off), den, grad_d) is None
 
+    @pytest.mark.parametrize("cell, cone, metrics", [
+        ((3, 1, 3.0, 0.0, 0.0), ConeSpec.complement_sigma0(), ("K", "hess_e")),
+        ((3, 1, 1.5, 0.3, 0.0), ConeSpec.complement_sigma0(), ("K", "hess_e")),
+        ((3, 1, 1.5, 0.3, 0.0), ConeSpec.band(0.3, 1.2), ("K", "hess_e")),
+        ((4, 2, 6.0, 0.5, 0.5), ConeSpec.complement_sigma0(), ("hess_e",)),  # K's step is rejected there
+    ])
+    def test_step_matches_dense_bordered_solve(self, cell, cone, metrics):
+        # the tridiagonal solve on the free nodes against a dense solve of the
+        # bordered system with the Dirichlet rows and columns removed
+        params = HardyParams(*cell)
+        problem = spherical._SphericalProblem.of(params, bc_for_cone(params, cone))
+        disc = spherical._Discretization.graded(problem, 64)
+        _, g, K, den, grad_d = disc.newton_system(disc.normalize(spherical._cosine_profile(problem, disc.mesh)))
+        lo, hi = disc.free.start, disc.free.stop
+        for metric in metrics:
+            diag, off = K if metric == "K" else disc.hess_e()
+            step = disc.newton_direction(g, (diag, off), den, grad_d)
+            reference = bordered_step(dense((diag, off))[lo:hi, lo:hi], grad_d[lo:hi], den, g[lo:hi])
+            assert np.linalg.norm(step[lo:hi] - reference) <= 1e-10 * np.linalg.norm(reference)
+            assert not step[:lo].any() and not step[hi:].any()
+
     def test_failed_hess_e_step_raises(self, monkeypatch):
         monkeypatch.setattr(spherical._Discretization, "newton_direction", lambda self, *terms: None)
         params = HardyParams(3, 1, 3.0, 0.0, 0.0)
@@ -970,12 +1009,14 @@ class TestHpSolve:
     def test_near_miss_goes_one_level_deeper(self):
         # (5, 9) -> (7, 11) changes M by 1.5e-10 relative, just past HP_TOL;
         # (7, 11) -> (9, 13) by 3.9e-13, so the cell stays on hp.  P1 printed
-        # 2.11e-6 at mesh 256, 21% off
+        # 2.11e-6 at mesh 256, 21% off.  Every Newton step passes the bordered
+        # system's inertia rule: 29 steps, where taking any finite step took 42
         params = HardyParams(3, 2, 8.0, 5.0, 0.0)
         result = solve_M(params, ConeSpec.complement_sigma0(), 256)
         assert type(result.minimizer) is hp._HpFunction
         assert (result.minimizer.layers, result.minimizer.degree) == (hp.HP_LAYERS + 4, hp.HP_DEGREE + 4)
         assert result.M == pytest.approx(1.75084359027e-06, rel=1e-10)
+        assert result.iterations <= 32
         assert result.residual <= hp.HP_TOL * result.M
 
     def test_stuck_hp_descent_lands_on_p1(self, monkeypatch):
@@ -983,6 +1024,63 @@ class TestHpSolve:
         params = HardyParams(3, 1, 3.0, 0.3, 0.0)
         result = solve_M(params, ConeSpec.complement_sigma0(), 256)
         assert result.M == minimize_rayleigh_p(params, bc_for_cone(params, ConeSpec.complement_sigma0()), 256).M
+
+    @staticmethod
+    def converged_system():
+        """The hp discretization of (3,1,3,0,0) on the complement of sigma_0 and its Newton terms at the minimizer."""
+        params = HardyParams(3, 1, 3.0, 0.0, 0.0)
+        result = solve_M(params, ConeSpec.complement_sigma0(), 64)
+        disc = result.minimizer.discretization()
+        return disc, disc.newton_system(result.minimizer.coefficients)
+
+    def test_newton_direction_rejects_wrong_inertia(self):
+        # as for P1: -K at a converged iterate is nonsingular, but every bubble
+        # block of it is negative definite
+        disc, (_, g, K, den, grad_d) = self.converged_system()
+        assert disc.newton_direction(g, K, den, grad_d) is not None
+        assert disc.newton_direction(g, -K, den, grad_d) is None
+
+    @pytest.mark.parametrize("element", [0, 3, -1])
+    def test_newton_direction_counts_bubble_block_inertia(self, element):
+        # hess E with one bubble block's smallest eigenvalue made large and
+        # negative: the vertex Schur complement stays positive definite and
+        # grad D^T K^-1 grad D > 0, so only the block's count shows that the
+        # bordered matrix has two negative eigenvalues
+        disc, (_, g, _, den, grad_d) = self.converged_system()
+        hessian = disc.hess_e().copy()
+        assert disc.newton_direction(g, hessian, den, grad_d) is not None
+        lam, U = np.linalg.eigh(hessian[element, 2:, 2:])
+        lam[0] = -1e3 * lam[-1]
+        hessian[element, 2:, 2:] = (U * lam) @ U.T
+        K = dense_hp(disc, hessian)
+        assert (np.linalg.eigvalsh(K) < 0).sum() == 1 and grad_d @ np.linalg.solve(K, grad_d) > 0
+        assert disc.newton_direction(g, hessian, den, grad_d) is None
+
+    @pytest.mark.parametrize("entry", [(3, 3), (0, 0), (0, 3)], ids=["bubble", "vertex", "coupling"])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_newton_direction_none_on_non_finite_element(self, bad, entry):
+        # eigvalsh raises LinAlgError on some non-finite blocks, and returns nan on others
+        disc, (_, g, K, den, grad_d) = self.converged_system()
+        K = K.copy()
+        K[2][entry] = bad
+        assert disc.newton_direction(g, K, den, grad_d) is None
+
+    @pytest.mark.parametrize("cell, metrics", [
+        ((3, 1, 3.0, 0.0, 0.0), ("K", "hess_e")),
+        ((3, 1, 1.5, 0.3, 0.0), ("K", "hess_e")),
+        ((4, 2, 6.0, 0.5, 0.5), ("hess_e",)),  # K's step is rejected there
+    ])
+    def test_step_matches_dense_bordered_solve(self, cell, metrics):
+        # static condensation and back substitution against a dense solve of the bordered system
+        params = HardyParams(*cell)
+        problem = spherical._SphericalProblem.of(params, bc_for_cone(params, ConeSpec.complement_sigma0()))
+        disc = hp._HpDiscretization(problem, hp.HP_LAYERS, hp.HP_DEGREE)
+        _, g, K, den, grad_d = disc.newton_system(disc.normalize(disc.start()))
+        for metric in metrics:
+            hessian = K if metric == "K" else disc.hess_e()
+            step = disc.newton_direction(g, hessian, den, grad_d)
+            reference = bordered_step(dense_hp(disc, hessian), grad_d, den, g)
+            assert np.linalg.norm(step - reference) <= 1e-10 * np.linalg.norm(reference)
 
     def test_prolongation_is_exact(self):
         coarse = hp._HpLayout.of(3, 5)
