@@ -262,12 +262,14 @@ def cmd_verify(config: RunConfig) -> list[ReportRow]:
     (status solver_fail) if a trace value or the extrapolated limit is not
     finite, the trace does not approach the reference quadratically or the
     limit misses it; the h row fails if an energy or the fitted rate is not
-    finite or the strip energy decays slower than h^(1-p).  A single or repeated --deltas or --hs value
+    finite or the strip energy decays slower than h^(1-p).  The limit misses
+    the reference by more than 1e-4 relative (1e-9 absolute near 0).  A single or repeated --deltas or --hs value
     (an empty list skips that trace), a delta that is not finite and
     positive, an h past the float range, an h with e^(-h) not below the
     inner radius of the cutoff's support (h below 3), and --hs on a cell
-    with k+a < p (no strip regime to check) are malformed input
-    (ValueError); an inadmissible cell raises AdmissibilityError.
+    with k+a < p or on a cone whose cross-section avoids {y = 0} (no strip
+    regime to check) are malformed input (ValueError); an inadmissible
+    cell raises AdmissibilityError.
     """
     params, cone = config.single()
     support = (0.05, 20.0)
@@ -277,9 +279,9 @@ def cmd_verify(config: RunConfig) -> list[ReportRow]:
         raise ValueError(f"--hs values must be below {sys.float_info.max:g}")
     if not all(h > -math.log(support[0]) for h in config.h_list):  # e^(-h) < support[0]
         raise ValueError(f"--hs values must be at least 3, got {config.h_list}")
-    if config.h_list and params.k + params.a < params.p:
-        raise ValueError(f"--hs: the cutoff check needs k+a >= p, "
-                         f"got k+a={params.k + params.a:g}, p={params.p:g}")
+    if config.h_list and (params.k + params.a < params.p or not cone.cross_section_touches_sigma0):
+        raise ValueError(f"--hs: the cutoff check needs k+a >= p and a cone that reaches {{y = 0}}, "
+                         f"got k+a={params.k + params.a:g}, p={params.p:g}, {cone.describe()}")
     for flag, values in (("--deltas", config.delta_list), ("--hs", config.h_list)):
         if len(values) == 1:  # a limit or a rate needs two points; an empty list skips the trace
             raise ValueError(f"{flag} needs at least two values (or none), got {values[0]}")
@@ -299,7 +301,7 @@ def cmd_verify(config: RunConfig) -> list[ReportRow]:
         else:
             broken = not _finite(*(q for _, q in trace), extrap)
             slow = order is not None and order < 1.85
-            off = extrap is not None and abs(extrap - reference) > max(5e-3 * abs(reference), 1e-9)
+            off = extrap is not None and abs(extrap - reference) > max(1e-4 * abs(reference), 1e-9)
             row = replace(row, quotient_trace=trace, extrapolated=extrap, fit_order=order,
                           status="solver_fail" if broken or slow or off else "ok")
     rows = [row]

@@ -1,17 +1,18 @@
-"""p != 2 on the cross-section [0, pi/2] in hp spectral elements.
+"""The quotient on a cross-section in hp spectral elements: p != 2 on [0, pi/2], p = 2 on a band.
 
 The profile is phi = cos^s theta * g: the boundary-layer factor at a
 Dirichlet end pi/2 (s = (p - (k+a)) / (p - 1), else 0) times a continuous
 g that is a polynomial of degree q on each element, in hats and
-integrated-Legendre bubbles.  The mesh has L elements per side of pi/4,
-their sizes shrinking geometrically by HP_RATIO toward theta = 0, where the
-p-Laplacian degenerates (phi' = 0 there), and toward pi/2, where g is not
-smooth even with cos^s factored out: the geometric hp meshes of Babuska and
-Guo (Adv. Eng. Softw. 15 (1992) 159-174), which converge exponentially at
-point singularities.  Per-element Gauss rules absorb the weight's end
-powers, and vertices on the pi/2 side are held in u = pi/2 - theta, so
-cos theta = sin u keeps full relative accuracy at the nodes next to pi/2,
-where cos of a stored theta would not.
+integrated-Legendre bubbles.  The mesh of [theta1, theta2] has L elements
+per half, their sizes shrinking geometrically by HP_RATIO toward theta = 0,
+where the p-Laplacian degenerates (phi' = 0 there), toward pi/2, where g is
+not smooth even with cos^s factored out, and toward an interior end, where
+g is pinned to 0 and a pole's singularity lies just beyond: the geometric
+hp meshes of Babuska and Guo (Adv. Eng. Softw. 15 (1992) 159-174), which
+converge exponentially at point singularities.  Per-element Gauss rules
+absorb the weight's powers at a pole, and the half toward theta2 is held
+in the distance from it, so cos theta = sin u keeps full relative accuracy
+at the nodes next to pi/2, where cos of a stored theta would not.
 
 The quotient is minimized by the descent P1 uses (spherical._descend):
 Newton steps on {D = const} under P1's inertia rule, with the hess E step
@@ -21,10 +22,8 @@ vertices, whose Schur complement is tridiagonal
 to LAPACK, so results do not depend on the BLAS thread count.  _hp_solve
 checks the solve against one on two more layers of degree two more,
 warm-started from it (the meshes nest), and on a near miss checks that one
-against a third, two layers and two degrees finer again.
-
-spherical.solve_M imports this module only for such a solve, so a p = 2
-process never compiles it.
+against a third, two layers and two degrees finer again.  spherical.solve_M
+imports this module only for such a solve.
 """
 
 from __future__ import annotations
@@ -36,7 +35,9 @@ import numpy as np
 
 from .quadrature import _gauss_jacobi
 from .spherical import (
+    DIRICHLET,
     HALF_PI,
+    AngularDomain,
     ConvergenceError,
     SpectralResult,
     _bordered_step,
@@ -60,13 +61,12 @@ HP_DESCENT_TOL = 1e-12  # relative decrease of Q per hp descent step at converge
 HP_MAX_ITER = 100  # hp descent steps before ConvergenceError
 
 
-def _hp_vertices(layers: int) -> np.ndarray:
-    """Distances of one side's vertices from its singular end: 0, m sigma^(L-1), ..., m sigma, m (m = pi/4).
+def _hp_vertices(layers: int, m: float) -> np.ndarray:
+    """Distances of one side's vertices from its end: 0, m sigma^(L-1), ..., m sigma, m (m: half the section's width).
 
     The mesh of L layers holds those of fewer: the first vertex past 0 is the
     only one a layer more adds.
     """
-    m = math.pi / 4
     return np.array([0.0] + [m * HP_RATIO ** (layers - 1 - j) for j in range(layers)])
 
 
@@ -95,28 +95,29 @@ def _hp_shapes(x: np.ndarray, degree: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 class _HpLayout(NamedTuple):
-    """The hp mesh of L layers per side and degree q, elements in increasing theta.
+    """The hp mesh of L layers per side and degree q on a section of width 2 m, elements in increasing theta.
 
-    Elements 0..L-1 lie on the theta side, [0, pi/4], elements L..2L-1 on
-    the u side, [pi/4, pi/2], held in u = pi/2 - theta; lo and h are each
-    element's distance range from its side's singular end, and side is +1
-    (theta) or -1 (u): the distance is lo + (1 + side x) h / 2 at the local
-    coordinate x in [-1, 1], which increases with theta either way.
-    Unknowns: the 2L + 1 vertex values of g, then the q - 1 bubble
-    coefficients of each element; dofs maps each element's shape functions
-    to them.
+    Elements 0..L-1 lie on the theta side, [theta1, theta1 + m], elements
+    L..2L-1 on the u side, [theta2 - m, theta2], held in their distance
+    from theta2; lo and h are each element's distance range from its
+    side's end, and side is +1 (theta) or -1 (u): the distance is
+    lo + (1 + side x) h / 2 at the local coordinate x in [-1, 1], which
+    increases with theta either way.  Unknowns: the 2L + 1 vertex values
+    of g, then the q - 1 bubble coefficients of each element; dofs maps
+    each element's shape functions to them.
     """
 
     layers: int
     degree: int
+    m: float
     lo: np.ndarray
     h: np.ndarray
     side: np.ndarray
     dofs: np.ndarray
 
     @classmethod
-    def of(cls, layers: int, degree: int) -> "_HpLayout":
-        vertices = _hp_vertices(layers)
+    def of(cls, layers: int, degree: int, m: float) -> "_HpLayout":
+        vertices = _hp_vertices(layers, m)
         lo, h = vertices[:-1], np.diff(vertices)
         n_el = 2 * layers
         dofs = np.empty((n_el, degree + 1), dtype=np.intp)
@@ -124,7 +125,7 @@ class _HpLayout(NamedTuple):
         dofs[:, 1] = np.arange(1, n_el + 1)
         dofs[:, 2:] = n_el + 1 + np.arange(n_el * (degree - 1)).reshape(n_el, degree - 1)
         side = np.repeat([1.0, -1.0], layers)
-        return cls(layers, degree, np.concatenate([lo, lo[::-1]]), np.concatenate([h, h[::-1]]), side, dofs)
+        return cls(layers, degree, m, np.concatenate([lo, lo[::-1]]), np.concatenate([h, h[::-1]]), side, dofs)
 
     @property
     def size(self) -> int:
@@ -162,7 +163,7 @@ class _HpLayout(NamedTuple):
         j = np.arange(k + 1, L)
         split = np.concatenate([np.arange(k + 1), np.arange(2 * L - 1 - k, 2 * L)])
         x = np.cos(np.pi * np.arange(q - 1, 0, -1) / q)
-        vertices = _hp_vertices(L)
+        vertices = _hp_vertices(L, self.m)
         t = self.lo[split, None] + (1.0 + self.side[split, None] * x) * self.h[split, None] / 2
         values = coarse.g(v, np.concatenate([np.repeat([1.0, -1.0], [L + 1, L]), np.repeat(self.side[split], q - 1)]),
                           np.concatenate([vertices, vertices[-2::-1], t.ravel()]))
@@ -178,8 +179,13 @@ class _HpLayout(NamedTuple):
         return out
 
 
+def _pinned_ends(domain: AngularDomain) -> tuple[bool, bool]:
+    """Whether g is pinned to 0 at theta1 and at theta2: at a Dirichlet end inside (0, pi/2)."""
+    return domain.bc1 is DIRICHLET and domain.theta1 > 0.0, domain.bc2 is DIRICHLET and domain.theta2 < HALF_PI
+
+
 class _HpDiscretization(_RuleSums):
-    """phi = cos^s theta * g on [0, pi/2]: g continuous, a polynomial of degree q on each element of _HpLayout.
+    """phi = cos^s theta * g on [theta1, theta2]: g continuous, a polynomial of degree q on each element of _HpLayout.
 
     With phi' = cos^(s-1) theta * psi, psi = cos theta g' - s sin theta g and
     chi = cos theta g (for s = 0: psi = g', chi = g), the quotient's
@@ -187,28 +193,37 @@ class _HpDiscretization(_RuleSums):
         E = int w_E (psi^2 + H^2 chi^2)^(p/2),   w_E = cos^(k+a-1+(s-1)p) sin^(d-k-1),
         D = int w_D |g|^p,                        w_D = cos^(k+a-1+sp) sin^(d-k-1),
     (for s = 0, w_E = w_D = w).  Each element has its own Gauss rule of
-    HP_POINTS points: Gauss-Legendre inside, Gauss-Jacobi with
-    exponent d-k-1 at theta = 0 and, at pi/2, with w_E's and w_D's exponent
-    of cos theta = sin u, so E and D are sums over two rules that differ at
-    that element only.  Those exponents are > -1 wherever pi/2 is Dirichlet
-    (k+a < p).  Nodes on the u side carry u, and cos theta = sin u there, so
-    no node near pi/2 loses relative accuracy to cancellation.  The fields
-    psi, chi (on E's rule) and g (on D's) are two-operand einsums over each
-    element's shape functions, the element matrices of hess E and hess D two
-    more.
+    HP_POINTS points: Gauss-Legendre inside and at an interior end,
+    Gauss-Jacobi with exponent d-k-1 at theta = 0 and, at pi/2, with w_E's
+    and w_D's exponent of cos theta = sin u, so E and D are sums over two
+    rules that differ at that element only.  Those exponents are > -1
+    wherever pi/2 is Dirichlet (k+a < p).  Nodes on the u side carry their
+    distance from theta2, so no node near pi/2 loses relative accuracy to
+    cancellation.  At an interior Dirichlet end g is pinned to 0 as P1 pins
+    its end node (free, mask).  The fields psi, chi (on E's rule) and g (on
+    D's) are two-operand einsums over each element's shape functions, the
+    element matrices of hess E and hess D two more.
     """
 
     def __init__(self, problem: _SphericalProblem, layers: int, degree: int):
-        self.layout = layout = _HpLayout.of(layers, degree)
+        self.domain = domain = problem.domain
+        self.layout = layout = _HpLayout.of(layers, degree, (domain.theta2 - domain.theta1) / 2)
+        # as P1's free nodes: g is 0 at a pinned end, where grad Q and grad D are masked
+        pinned1, pinned2 = _pinned_ends(domain)
+        self.free = slice(int(pinned1), 2 * layers + 1 - int(pinned2))
+        self.mask = np.ones(layout.size)
+        self.mask[: self.free.start] = self.mask[self.free.stop : 2 * layers + 1] = 0.0
         s, p, dk = problem.s, problem.p, problem.dk
         exp_d = problem.ka - 1.0 + s * p
         exp_e = exp_d - p if s > 0 else exp_d
         self.p, self.H2 = p, problem.H2
         n = HP_POINTS
-        # the four node sets: Gauss-Legendre inside, Gauss-Jacobi at theta = 0 (theta^(d-k-1))
-        # and at pi/2 (u^exp_e for E, u^exp_d for D)
-        rules = [_gauss_jacobi(n, 0.0, 0.0), _gauss_jacobi(n, 0.0, dk - 1.0),
-                 _gauss_jacobi(n, exp_e, 0.0), _gauss_jacobi(n, exp_d, 0.0)]
+        # the four node sets: Gauss-Legendre inside and at an interior end, Gauss-Jacobi at
+        # theta = 0 (theta^(d-k-1)) and at pi/2 (u^exp_e for E, u^exp_d for D)
+        gauss = _gauss_jacobi(n, 0.0, 0.0)
+        poles = domain.theta1 == 0.0, domain.theta2 == HALF_PI
+        rules = [gauss, _gauss_jacobi(n, 0.0, dk - 1.0) if poles[0] else gauss,
+                 *((_gauss_jacobi(n, exp_e, 0.0), _gauss_jacobi(n, exp_d, 0.0)) if poles[1] else (gauss, gauss))]
         x_sets = np.stack([x for x, _ in rules])
         shapes, slopes = (a.reshape(4, n, -1).transpose(0, 2, 1) for a in _hp_shapes(x_sets.ravel(), degree))
         rows_e = np.zeros(2 * layers, dtype=np.intp)  # each element's node set, for E and for D
@@ -216,7 +231,8 @@ class _HpDiscretization(_RuleSums):
         rows_d = rows_e.copy()
         rows_d[-1] = 3
         # as (element, shape function, node): each contraction runs along the last axis
-        self.w, c, sin = self._weights(layout, x_sets[rows_e], np.stack([w for _, w in rules])[rows_e], exp_e, dk)
+        self.w, c, sin = self._weights(layout, domain, x_sets[rows_e], np.stack([w for _, w in rules])[rows_e],
+                                       exp_e, dk)
         if exp_d == exp_e:
             self.w_mass = self.w
         else:  # D's rule differs from E's at pi/2 only
@@ -241,21 +257,27 @@ class _HpDiscretization(_RuleSums):
         self.fields_shapes = np.concatenate([energy_fields, mass_fields], axis=2)
 
     @staticmethod
-    def _weights(layout: _HpLayout, x: np.ndarray, wx: np.ndarray, exp_cos: float, dk: int) -> tuple[np.ndarray, ...]:
+    def _weights(layout: _HpLayout, domain: AngularDomain, x: np.ndarray, wx: np.ndarray, exp_cos: float,
+                 dk: int) -> tuple[np.ndarray, ...]:
         """Weights of int cos^exp_cos sin^(d-k-1) dtheta at each element's nodes x (Gauss weights wx), and cos, sin there.
 
-        The end elements' rules absorbed the power of the distance t from
-        theta = 0 (exponent d-k-1) and from pi/2 (exp_cos); the rest of the
-        weight is a power of sin t / t there.
+        At a distance t from its side's end a node lies at theta = theta1 + t
+        or at u = pi/2 - theta = u0 + t, u0 = pi/2 - theta2.  An end
+        element's rule at a pole absorbed the power of t from theta = 0
+        (exponent d-k-1) or from pi/2 (exp_cos); the rest of the weight is a
+        power of sin t / t there.
         """
         half = (layout.h / 2)[:, None]
         t = layout.lo[:, None] + (1.0 + layout.side[:, None] * x) * half
         theta_side = (layout.side > 0)[:, None]
-        c = np.where(theta_side, np.cos(t), np.sin(t))
-        sin = np.where(theta_side, np.sin(t), np.cos(t))
+        angle = np.where(theta_side, domain.theta1, HALF_PI - domain.theta2) + t
+        c = np.where(theta_side, np.cos(angle), np.sin(angle))
+        sin = np.where(theta_side, np.sin(angle), np.cos(angle))
         w = wx * half * c**exp_cos * sin ** (dk - 1.0)
-        w[0] = wx[0] * half[0] ** dk * c[0] ** exp_cos * (sin[0] / t[0]) ** (dk - 1.0)
-        w[-1] = _HpDiscretization._end_weights(layout, (x[-1], wx[-1]), exp_cos, dk)
+        if domain.theta1 == 0.0:
+            w[0] = wx[0] * half[0] ** dk * c[0] ** exp_cos * (sin[0] / t[0]) ** (dk - 1.0)
+        if domain.theta2 == HALF_PI:
+            w[-1] = _HpDiscretization._end_weights(layout, (x[-1], wx[-1]), exp_cos, dk)
         return w, c, sin
 
     @staticmethod
@@ -267,9 +289,14 @@ class _HpDiscretization(_RuleSums):
         return wx * half ** (exp_cos + 1.0) * (np.sin(u) / u) ** exp_cos * np.cos(u) ** (dk - 1.0)
 
     def start(self) -> np.ndarray:
-        """g = 1: phi = cos^s theta."""
-        v = np.zeros(self.layout.size)
-        v[: self.layout.dofs.shape[0] + 1] = 1.0
+        """Vertex values 1 times sin of the distance to each pinned end, bubbles 0: phi = cos^s theta on [0, pi/2]."""
+        layout = self.layout
+        vertices = _hp_vertices(layout.layers, layout.m)
+        # each vertex's distance from theta1; reversed, from theta2, exactly 0 at theta2
+        sines = np.sin(np.concatenate([vertices, 2.0 * layout.m - vertices[-2::-1]]))
+        pinned1, pinned2 = _pinned_ends(self.domain)
+        v = np.zeros(layout.size)
+        v[: sines.size] = sines ** int(pinned1) * sines[::-1] ** int(pinned2)
         return v
 
     def _fields(self, v: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -286,7 +313,8 @@ class _HpDiscretization(_RuleSums):
         return chi, psi, (self.w_mass * np.abs(g) ** self.p).sum()
 
     def normalize(self, v: np.ndarray) -> np.ndarray:
-        """v scaled to unit weighted p-norm, D = 1."""
+        """v, 0 at a pinned end, scaled to unit weighted p-norm, D = 1."""
+        v = v * self.mask
         den = self.sum_fields(v)[2]
         if den <= 0.0 or not np.isfinite(den):  # solve_M then falls back to P1
             raise ConvergenceError("hp descent: degenerate profile, zero weighted p-norm", residual=math.inf)
@@ -325,9 +353,9 @@ class _HpDiscretization(_RuleSums):
         self._hess_e = np.einsum("eiq,ejq->eij", self.energy_shapes, weighted)
         grad_e = np.einsum("eiq,eq->ei", self.energy_shapes, np.concatenate([c_curv * psi, c_curv * H2 * chi], axis=1))
         c_den = self.w_mass * p * g_pow2
-        grad_d = self._assemble(np.einsum("eiq,eq->ei", self.mass_shapes, c_den * g))
+        grad_d = self._assemble(np.einsum("eiq,eq->ei", self.mass_shapes, c_den * g)) * self.mask
         hess_d = np.einsum("eiq,ejq->eij", self.mass_shapes, ((p - 1.0) * c_den)[:, None] * self.mass_shapes)
-        return q, (self._assemble(grad_e) - q * grad_d) / den, self._hess_e - q * hess_d, den, grad_d
+        return q, (self._assemble(grad_e) - q * grad_d) / den * self.mask, self._hess_e - q * hess_d, den, grad_d
 
     def hess_e(self) -> np.ndarray:
         """hess E's element matrices at the iterate of the last newton_system pass."""
@@ -341,12 +369,13 @@ class _HpDiscretization(_RuleSums):
         K x1 = D grad Q and K x2 = grad D are solved by static condensation:
         each element's bubbles are eliminated by one batched LAPACK solve of
         its (q - 1) x (q - 1) block, which leaves a tridiagonal Schur
-        complement on the vertices for _CyclicReduction; the bubbles follow
-        by back substitution.  K's negative eigenvalues are the blocks'
-        (eigvalsh) plus the Schur complement's.  None where a factorization
-        is singular, a block is not finite or _bordered_step gives None.
+        complement on the vertices, solved on the free ones by
+        _CyclicReduction; the bubbles follow by back substitution.  K's
+        negative eigenvalues are the blocks' (eigvalsh) plus the Schur
+        complement's.  None where a factorization is singular, a block is
+        not finite or _bordered_step gives None.
         """
-        n_el = hessian.shape[0]
+        n_el, free = hessian.shape[0], self.free
         rhs = np.stack([den * g, grad_d], axis=1)
         blocks = hessian[:, 2:, 2:]
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
@@ -357,8 +386,9 @@ class _HpDiscretization(_RuleSums):
                     blocks, np.concatenate([hessian[:, 2:, :2], rhs[n_el + 1 :].reshape(n_el, -1, 2)], axis=2))
                 coupled = np.einsum("eib,ebk->eik", hessian[:, :2, 2:], eliminated)
                 schur = hessian[:, :2, :2] - coupled[:, :, :2]
-                factor = _CyclicReduction(_scatter(schur[:, 0, 0], schur[:, 1, 1]),
-                                          0.5 * (schur[:, 0, 1] + schur[:, 1, 0]))
+                factor = _CyclicReduction(_scatter(schur[:, 0, 0], schur[:, 1, 1])[free],
+                                          0.5 * (schur[free.start : free.stop - 1, 0, 1]
+                                                 + schur[free.start : free.stop - 1, 1, 0]))
             except np.linalg.LinAlgError:
                 return None
             if not np.all(np.isfinite(eigenvalues)):  # eigvalsh raises on some non-finite blocks, not on all
@@ -366,7 +396,8 @@ class _HpDiscretization(_RuleSums):
             rhs_v = rhs[: n_el + 1].copy()
             rhs_v[:-1] -= coupled[:, 0, 2:]
             rhs_v[1:] -= coupled[:, 1, 2:]
-            x_v = factor.solve(rhs_v)
+            x_v = np.zeros((n_el + 1, 2))
+            x_v[free] = factor.solve(rhs_v[free])
             x_b = eliminated[:, :, 2:] - np.einsum("ebj,ejk->ebk", eliminated[:, :, :2],
                                                    np.stack([x_v[:-1], x_v[1:]], axis=1))
         return _bordered_step(np.concatenate([x_v, x_b.reshape(-1, 2)]), grad_d,
@@ -386,17 +417,22 @@ class _HpFunction(_SpectralFunction):
         return _HpDiscretization(self.problem, self.layers, self.degree)
 
     def sample(self, theta: np.ndarray) -> np.ndarray:
-        side = np.where(theta <= math.pi / 4, 1.0, -1.0)
-        g = _HpLayout.of(self.layers, self.degree).g(self.coefficients, side,
-                                                     np.where(side > 0, theta, HALF_PI - theta))
+        domain = self.problem.domain
+        m = (domain.theta2 - domain.theta1) / 2
+        side = np.where(theta <= domain.theta1 + m, 1.0, -1.0)
+        g = _HpLayout.of(self.layers, self.degree, m).g(
+            self.coefficients, side, np.where(side > 0, theta - domain.theta1, domain.theta2 - theta))
+        # exactly 0 at a pinned end, where the bubbles at x = +-1 leave rounding
+        pinned1, pinned2 = _pinned_ends(domain)
+        g[(theta == domain.theta1) & pinned1 | (theta == domain.theta2) & pinned2] = 0.0
         return np.sin(HALF_PI - theta) ** self.problem.s * g  # exactly 0 at pi/2 when s > 0
 
 
 def _hp_solve(problem: _SphericalProblem, mesh_size: int) -> SpectralResult:
-    """A p != 2 solve on [0, pi/2] in hp elements (see _HpDiscretization), checked by a finer solve.
+    """A solve in hp elements (see _HpDiscretization), checked by a finer solve: p != 2 on [0, pi/2], p = 2 on a band.
 
     The descent (_descend, tolerance HP_DESCENT_TOL, at most HP_MAX_ITER
-    steps) runs from g = 1 on HP_LAYERS layers of degree HP_DEGREE, then
+    steps) runs from start() on HP_LAYERS layers of degree HP_DEGREE, then
     from that minimizer, prolonged exactly, on two more layers of degree
     two more: the meshes nest.  The solve is accepted when M is within
     HP_TOL relative of the level before.  On a near miss the same step is
@@ -404,10 +440,10 @@ def _hp_solve(problem: _SphericalProblem, mesh_size: int) -> SpectralResult:
     levels in all: small-M cells at large p whose first check misses by a
     few 1e-10 change by a few 1e-13 at the second.  M is the accepted
     level's; past HP_LEVELS the solve raises ConvergenceError, and solve_M
-    falls back to P1.  iterations counts the steps of every descent, and
-    residual is the change of M between the last two levels.  mesh_size
-    (checked here) sets the graded mesh the minimizer samples itself on
-    when first read, the one a P1 solve would use.
+    falls back to P1.  lam is M - H^2 at p = 2.  iterations counts the
+    steps of every descent, and residual is the change of M between the
+    last two levels.  mesh_size (checked here) sets the graded mesh the
+    minimizer samples itself on when first read, the one a P1 solve would use.
     """
     _require_mesh_size(mesh_size)
     disc = _HpDiscretization(problem, HP_LAYERS, HP_DEGREE)
@@ -425,7 +461,7 @@ def _hp_solve(problem: _SphericalProblem, mesh_size: int) -> SpectralResult:
         raise ConvergenceError(f"hp solves differ by {residual:.3e} in M", residual=residual)
     return SpectralResult(
         M=m,
-        lam=None,
+        lam=m - problem.H2 if problem.p == 2 else None,
         minimizer=_HpFunction(problem, v, mesh_size, disc.layout.layers, disc.layout.degree),
         iterations=steps,
         residual=residual,

@@ -9,30 +9,28 @@ w(theta) = cos^(k+a-1) sin^(d-k-1).  For p = 2 this is the eigenvalue problem
 
     -(w phi')' = lambda w phi,      M = lambda_1 + H^2.
 
-At p = 2 it is solved spectrally on every cross-section [theta1, theta2]:
-phi = cos^s theta * l(x) * g(x), with x the affine image of t = cos 2 theta
-on [-1, 1], g a Legendre series, l vanishing at an interior Dirichlet end,
-and s the boundary-layer exponent 2 - (k+a) at a Dirichlet end pi/2 (0
-otherwise).  In x the weight w dtheta is a Jacobi weight at an end that
-reaches a pole and smooth at an interior one; a Gauss-Jacobi rule whose
-exponents absorb the pole powers integrates the stiffness and mass of the
-basis, exactly on [0, pi/2].  The dense generalized eigenproblem is solved
-at N = 4, 8, ... basis functions until consecutive eigenvalues agree (Guo,
-Shen and Wang, Appl. Numer. Math. 59 (2009); Shen, Tang and Wang, Spectral
-Methods (2011), ch. 3).  The minimizer keeps the Legendre coefficients;
-its samples on the graded mesh of the requested size are computed when they
-are first read, which no closed-form comparison and no spectral certificate
-needs.
+At p = 2 on the cross-section [0, pi/2] it is solved spectrally:
+phi = cos^s theta * g(t), t = cos 2 theta, with g a Legendre series and s
+the boundary-layer exponent 2 - (k+a) at a Dirichlet end pi/2 (0
+otherwise).  In t the weight w dtheta is a Jacobi weight, and a
+Gauss-Jacobi rule whose exponents absorb the pole powers integrates the
+stiffness and mass of the basis exactly.  The dense generalized
+eigenproblem is solved at N = 4, 8, ... basis functions until consecutive
+eigenvalues agree (Guo, Shen and Wang, Appl. Numer. Math. 59 (2009); Shen,
+Tang and Wang, Spectral Methods (2011), ch. 3).  The minimizer keeps the
+Legendre coefficients; its samples on the graded mesh of the requested
+size are computed when they are first read, which no closed-form
+comparison and no spectral certificate needs.
 
-For p != 2 on the cross-section [0, pi/2] the quotient is minimized in hp
-spectral elements, phi = cos^s theta * g with g piecewise polynomial on a
-mesh graded geometrically toward both ends (the hp module, imported only
-for such a solve), and accepted when a solve on a finer nested mesh
-agrees to 1e-10, or on a near miss when a third, finer again, agrees with
-the second.  Where a check fails (factored: bands with an interior end
-near a pole; hp: a few cells with tiny M or p near 1), and for
-p != 2 on every band, the profile is discretized with piecewise-linear
-finite elements on a mesh graded toward the singular end theta = pi/2.
+For p != 2 on [0, pi/2], and for p = 2 on a band, the quotient is
+minimized in hp spectral elements, phi = cos^s theta * g with g piecewise
+polynomial on a mesh graded geometrically toward both ends (the hp
+module, imported only for such a solve), and accepted when a solve on a
+finer nested mesh agrees to 1e-10, or on a near miss when a third, finer
+again, agrees with the second.  Where a check fails (a few [0, pi/2]
+cells with tiny M or p near 1), and for p != 2 on every band, the profile
+is discretized with piecewise-linear finite elements on a mesh graded
+toward the singular end theta = pi/2.
 Both p != 2 discretizations are minimized by one descent (_descend):
 Newton steps on the surface {int w |phi|^p = const}, taken only where the
 bordered matrix [K, grad D; grad D^T, 0] has one negative eigenvalue,
@@ -206,7 +204,8 @@ class _FactoredFunction(_SpectralFunction):
         return _FactoredDiscretization(self.problem, self.coefficients.size)
 
     def sample(self, theta: np.ndarray) -> np.ndarray:
-        return _factored_sample(self.problem, self.coefficients, theta)
+        """The profile at the angles theta, exactly 0 at a Dirichlet pi/2 (s > 0)."""
+        return np.sin(HALF_PI - theta) ** self.problem.s * _legendre_series(self.coefficients, np.cos(2.0 * theta))
 
 
 @dataclass(frozen=True, eq=False)
@@ -214,14 +213,15 @@ class SpectralResult:
     """Computed spherical minimum M, eigenvalue (p = 2), and minimizer.
 
     iterations and residual describe the solve.  After a spectral solve
-    (p = 2) they are the number of dense eigensolves and the difference of
-    the last two eigenvalues (basis size N against N/2); after an hp solve
-    (p != 2 on [0, pi/2]) the Newton iterations of its two or three
-    descents and the change of M between the last two.  After either, the
-    minimizer samples itself on its mesh when its mesh or values are first
-    read.  After a P1 descent (minimize_rayleigh_p: p != 2 on a band, or
-    where the spectral or hp check failed), they are the descent steps and
-    the relative step decrement sqrt(grad Q . d) / Q of the last step.
+    (p = 2 on [0, pi/2]) they are the number of dense eigensolves and the
+    difference of the last two eigenvalues (basis size N against N/2);
+    after an hp solve (p != 2 on [0, pi/2], p = 2 on a band) the Newton
+    iterations of its two or three descents and the change of M between
+    the last two.  After either, the minimizer samples itself on its mesh
+    when its mesh or values are first read.  After a P1 descent
+    (minimize_rayleigh_p: p != 2 on a band, or where the spectral or hp
+    check failed), they are the descent steps and the relative step
+    decrement sqrt(grad Q . d) / Q of the last step.
     """
 
     M: float
@@ -546,48 +546,31 @@ def _legendre_series(c: np.ndarray, t: np.ndarray) -> np.ndarray:
 
 
 class _FactoredDiscretization(_RuleSums):
-    """phi = cos^s theta * l(x) * sum_j c_j P_j(x), j < size, on the cross-section [theta1, theta2].
+    """phi = cos^s theta * sum_j c_j P_j(t), j < size, t = cos 2 theta, on the cross-section [0, pi/2].
 
-    x maps t = cos 2 theta affinely from [cos 2 theta2, cos 2 theta1] onto
-    [-1, 1], t = cos 2 theta2 + (1 + x) h; l(x) has a factor 1 + x at a
-    Dirichlet theta2 < pi/2 and 1 - x at a Dirichlet theta1 > 0.  With
-    A = (d-k-2)/2 and B = (k+a-2)/2, w dtheta = ((1+t)/2)^B ((1-t)/2)^A h dx / 4
-    and phi' = -sin theta cos^(s-1) theta (s l g + 2 (1+t) (l g)' / h).
-    1 + t = lo + (1 + x) h and 1 - t = hi + (1 - x) h, where lo = 2 cos^2
-    theta2 and hi = 2 sin^2 theta1 are exactly 0 at a pole: neither cancels.
-    The rule is Gauss-Jacobi in x, with exponent A at x = 1 where theta1 = 0
-    and, where theta2 = pi/2, B + s - 1 = -(k+a)/2 at x = -1 if s = 2 - (k+a)
-    > 0, else B; an interior end gets exponent 0.  w holds the rule's weights
-    with the rest of the angular weight and h folded in, so sums over the
-    nodes are integrals in theta, as in the P1 discretization.  On [0, pi/2]
-    (h = 1, l = 1) the mass and stiffness integrands are polynomials of
-    degree at most 2 size - 1 against the rule's weight, which size points
-    integrate exactly.  An interior end leaves a smooth but not polynomial
-    weight, and the rule has 2 size points (with size points an
-    interior-Dirichlet mass matrix can be singular).  The nodes are interior
-    to (-1, 1), so cos theta > 0 there even when s = 0.
+    With A = (d-k-2)/2 and B = (k+a-2)/2, w dtheta = ((1+t)/2)^B ((1-t)/2)^A dt / 4
+    and phi' = -sin theta cos^(s-1) theta (s g + 2 (1+t) g').  The rule is
+    Gauss-Jacobi in t, with exponent A at t = 1 and, at t = -1, B + s - 1
+    = -(k+a)/2 if s = 2 - (k+a) > 0, else B.  w holds the rule's weights
+    with the rest of the angular weight folded in, so sums over the nodes
+    are integrals in theta, as in the P1 discretization.  The mass and
+    stiffness integrands are polynomials of degree at most 2 size - 1
+    against the rule's weight, which size points integrate exactly.  The
+    nodes are interior to (-1, 1), so cos theta > 0 there even when s = 0.
     """
 
     def __init__(self, problem: _SphericalProblem, size: int):
         s = problem.s
-        lo, hi, h, (e2, e1) = _section_coordinates(problem.domain)
-        alpha_w = (problem.dk - 2) / 2
+        alpha = (problem.dk - 2) / 2
         beta_w = (problem.ka - 2) / 2
-        alpha = 0.0 if hi else alpha_w
-        beta = 0.0 if lo else (beta_w + s - 1.0 if s > 0 else beta_w)
-        x, wx = _gauss_jacobi(2 * size if lo or hi else size, alpha, beta)
-        one_plus_t = lo + (1.0 + x) * h
-        one_minus_t = hi + (1.0 - x) * h
-        self.w = (wx * (2.0 ** -(alpha_w + beta_w) / 4 * h ** (1.0 + alpha + beta))
-                  * one_plus_t ** (beta_w - beta) * one_minus_t ** (alpha_w - alpha))
-        cos = np.sqrt(one_plus_t / 2)
-        sin = np.sqrt(one_minus_t / 2)
-        ell = ((1.0 + x) ** e2 * (1.0 - x) ** e1)[:, None]
-        dell = (e2 * (1.0 - x) ** e1 - e1 * (1.0 + x) ** e2)[:, None]
-        P, dP = _legendre(x, size)
-        self.basis = cos[:, None] ** s * (ell * P)
-        self.dbasis = -(sin * cos ** (s - 1.0))[:, None] * (
-            s * (ell * P) + 2.0 * (one_plus_t / h)[:, None] * (dell * P + ell * dP))
+        beta = beta_w + s - 1.0 if s > 0 else beta_w
+        t, wt = _gauss_jacobi(size, alpha, beta)
+        self.w = wt * (2.0 ** -(alpha + beta_w) / 4) * (1.0 + t) ** (beta_w - beta)
+        cos = np.sqrt((1.0 + t) / 2)
+        sin = np.sqrt((1.0 - t) / 2)
+        P, dP = _legendre(t, size)
+        self.basis = cos[:, None] ** s * P
+        self.dbasis = -(sin * cos ** (s - 1.0))[:, None] * (s * P + 2.0 * (1.0 + t)[:, None] * dP)
         self.p = problem.p
         self.H2 = problem.H2
 
@@ -601,31 +584,6 @@ class _FactoredDiscretization(_RuleSums):
         # einsum without optimize sums in a fixed order, with no BLAS call
         return (np.einsum("qi,qj->ij", w * self.dbasis, self.dbasis),
                 np.einsum("qi,qj->ij", w * self.basis, self.basis))
-
-
-def _section_coordinates(domain: AngularDomain) -> tuple[float, float, float, tuple[int, int]]:
-    """lo = 1 + t at theta2 and hi = 1 - t at theta1 (exactly 0 at a pole), h, and l's exponents of 1 + x and 1 - x.
-
-    See _FactoredDiscretization: t = cos 2 theta2 + (1 + x) h on the cross-section.
-    """
-    lo = 0.0 if domain.theta2 == HALF_PI else 2.0 * math.cos(domain.theta2) ** 2
-    hi = 2.0 * math.sin(domain.theta1) ** 2
-    h = math.sin(domain.theta2 + domain.theta1) * math.sin(domain.theta2 - domain.theta1)
-    ends = (int(lo > 0.0 and domain.bc2 is DIRICHLET), int(hi > 0.0 and domain.bc1 is DIRICHLET))
-    return lo, hi, h, ends
-
-
-def _factored_sample(problem: _SphericalProblem, c: np.ndarray, theta: np.ndarray) -> np.ndarray:
-    """The factored profile with Legendre coefficients c at the angles theta, exactly 0 at a Dirichlet end."""
-    domain = problem.domain
-    lo, hi, h, (e2, e1) = _section_coordinates(domain)
-    cos_s = np.sin(HALF_PI - theta) ** problem.s  # 0 at pi/2 when s > 0
-    if not (lo or hi):
-        return cos_s * _legendre_series(c, np.cos(2.0 * theta))
-    # 1 + x and 1 - x as products of sines, which vanish at theta2 and theta1
-    plus = 2.0 * np.sin(domain.theta2 - theta) * np.sin(domain.theta2 + theta) / h
-    minus = 2.0 * np.sin(theta - domain.theta1) * np.sin(theta + domain.theta1) / h
-    return cos_s * plus**e2 * minus**e1 * _legendre_series(c, 0.5 * (plus - minus))
 
 
 def _dense_ground_state(stiffness: np.ndarray, mass: np.ndarray) -> tuple[float, np.ndarray]:
@@ -950,26 +908,25 @@ def solve_M(
     cone: ConeSpec,
     mesh_size: int = 512,
 ) -> SpectralResult:
-    """Spherical minimum M of the cone: factored eigensolve for p = 2, hp descent on [0, pi/2], P1 otherwise.
+    """Spherical minimum M of the cone: factored at p = 2 on [0, pi/2], P1 for p != 2 on a band, hp otherwise.
 
-    At p = 2 the eigenproblem is solved in the factored spectral basis on
-    every cross-section.  For p != 2 on the cross-section [0, pi/2] (the
-    full and punctured space, the complement of sigma_0 and the half
-    space) the quotient is minimized in hp elements (_hp_solve).  mesh_size
-    then only sets the mesh the minimizer is sampled on, when its mesh or
-    values are first read.  Where the factored solve fails its N -> 2N
-    check by N = FACTORED_MAX_SIZE (bands with an interior end near a
-    pole), where the hp solve fails its checks, and on every band for
-    p != 2, the quotient is minimized with P1 elements on a mesh of
-    mesh_size elements graded toward pi/2 (minimize_rayleigh_p).
+    On the cross-section [0, pi/2] (the full and punctured space, the
+    complement of sigma_0 and the half space) the p = 2 eigenproblem is
+    solved in the factored spectral basis, and for p != 2 the quotient is
+    minimized in hp elements (_hp_solve), as it is at p = 2 on a band.
+    mesh_size then only sets the mesh the minimizer is sampled on, when its
+    mesh or values are first read.  Where either fails its check, and on
+    every band for p != 2, the quotient is minimized with P1 elements on a
+    mesh of mesh_size elements graded toward pi/2 (minimize_rayleigh_p).
     """
     domain = bc_for_cone(params, cone)
     problem = _SphericalProblem.of(params, domain)
+    full_section = domain.theta1 == 0.0 and domain.theta2 == HALF_PI
     try:
-        if params.p == 2:
+        if params.p == 2 and full_section:
             return _factored_eigensolve(problem, mesh_size)
-        if domain.theta1 == 0.0 and domain.theta2 == HALF_PI:
-            from .hp import _hp_solve  # only a p != 2 solve on [0, pi/2] pays to compile hp
+        if params.p == 2 or full_section:
+            from .hp import _hp_solve  # a p = 2 solve on [0, pi/2] never pays to compile hp
 
             return _hp_solve(problem, mesh_size)
     except ConvergenceError:

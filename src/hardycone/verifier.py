@@ -12,14 +12,14 @@ in delta^2, from the same quadrature sums, and _delta_limit extrapolates a
 trace of both to delta = 0 by a Hermite table over every point.  Its
 radial integrals are pure powers, evaluated in closed form, and its
 angular integrals use the solver's
-own discretization of Phi: for a factored spectral minimizer (p = 2, unless
-the solve fell back to P1) its basis and Gauss-Jacobi rule, exact on
-[0, pi/2]; for an hp minimizer (p != 2 on [0, pi/2]) its elements and
-their rules for E and D; otherwise the P1 discretization (the same
-quadrature nodes, weights and shape values).  So at p = 2 the u_delta quotient is the
-Rayleigh quotient of the test function the solver returned + delta^2, and
-after a spectral solve that test function is the admissible factored
-profile itself, not an interpolant of it.  In the superdegenerate regime
+own discretization of Phi: for a factored spectral minimizer (p = 2 on
+[0, pi/2]) its basis and exact Gauss-Jacobi rule; for an hp minimizer
+(p != 2 on [0, pi/2], p = 2 on a band) its elements and their rules for E
+and D; otherwise the P1 discretization (the same quadrature nodes, weights
+and shape values).  So at p = 2 the u_delta quotient is the Rayleigh
+quotient of the test function the solver returned + delta^2, and after a
+spectral solve that test function is the admissible profile itself, not
+an interpolant of it.  In the superdegenerate regime
 k+a >= p, cutoff_decay measures the energy a log cutoff near {y = 0} costs,
 by tensor-product quadrature in (log r, -log|y|); _cutoff_log_decay gives
 its logarithm where the energy itself underflows.  Both walk the rule one

@@ -492,14 +492,28 @@ class TestMainEntry:
 
     def test_verify_small_M_limit_is_relatively_exact(self, capsys):
         # (3,2,8,5,0): H = 0 and p = 8, so the quotient is a quartic in delta^2, which
-        # four values and slopes fix; the row's own check (5e-3 relative, 1e-9 absolute)
-        # passed the values-only limit 3.6e-4 off this M ~ 1.75e-6
+        # four values and slopes fix; a check of 5e-3 relative passed the values-only
+        # limit 3.6e-4 off this M ~ 1.75e-6
         code, out, err = run_cli(capsys, "verify", "--d", "3", "--k", "2", "--p", "8", "--a=5",
                                  "--mesh", "256", "--deltas", "0.2,0.1,0.05,0.025")
         assert code == 0
         row = json.loads(out)["rows"][0]
         assert row["status"] == "ok" and row["numeric_M"] < 1e-5
         assert abs(row["extrapolated"] - row["numeric_M"]) <= 1e-12 * row["numeric_M"]
+
+    @pytest.mark.parametrize("off, status", [(3.6e-4, "solver_fail"), (5e-5, "ok")])
+    def test_verify_limit_checked_to_1e4(self, capsys, monkeypatch, off, status):
+        # the row's check is 1e-4 relative: a limit 3.6e-4 off its closed form fails it
+        limit = cli._delta_limit
+
+        def shifted_limit(trace):
+            extrap, order = limit(trace)
+            return extrap * (1.0 + off), order
+
+        monkeypatch.setattr(cli, "_delta_limit", shifted_limit)
+        code, out, err = run_cli(capsys, "verify", "--mesh", "64")
+        assert code == (1 if status == "solver_fail" else 0)
+        assert json.loads(out)["rows"][0]["status"] == status
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_verify_delta_at_H_gives_a_finite_limit(self, capsys):
@@ -569,6 +583,13 @@ class TestMainEntry:
         code, out, err = run_cli(capsys, "verify", "--mesh", "64", "--hs", "4,8")
         assert code == 2 and out == ""
         assert "k+a >= p" in json.loads(err)["error"]["message"]
+
+    def test_verify_h_trace_on_band_avoiding_sigma0_exits_2(self, capsys):
+        # k + a >= p, but a band that stops short of pi/2 has no strip at {y = 0}
+        code, out, err = run_cli(capsys, "verify", "--d", "3", "--k", "1", "--p", "2", "--a=1",
+                                 "--cone", "band:0.3:1.2", "--mesh", "64", "--hs", "4,8")
+        assert code == 2 and out == ""
+        assert "{y = 0}" in json.loads(err)["error"]["message"]
 
     def test_verify_inadmissible_cell_exits_2(self, capsys):
         code, out, err = run_cli(capsys, "verify", "--cone", "full", "--p", "3",

@@ -369,13 +369,13 @@ class TestSolveM:
             return composite_rule(*args, **kwargs)
 
         monkeypatch.setattr(spherical, "composite_rule", counting_rule)
-        # p = 2 is spectral and builds no composite rule, except where it falls
-        # back to the P1 descent, as on band:0.1:1.0; p != 2 is hp on [0, pi/2]
-        # and P1 on a band
+        # on a band p = 2 is hp, whose per-element Gauss rules are no composite
+        # rule, and p != 2 is P1, which builds one
         cone = ConeSpec.band(0.1, 1.0)
         result = solve_M(HardyParams(3, 1, p, 0.3, 0.0), cone, 64)
-        assert type(result.minimizer) is DiscretizedFunction
-        assert len(rule_builds) == 1
+        p1 = p != 2.0
+        assert type(result.minimizer) is (DiscretizedFunction if p1 else hp._HpFunction)
+        assert len(rule_builds) == int(p1)
 
     def test_punctured_constant_minimizer(self):
         params = HardyParams(4, 2, 2.0, 0.7, -0.3)
@@ -820,11 +820,12 @@ class TestFactoredEigensolve:
         assert disc.mass(disc.fields(Phi.coefficients)[0]) == pytest.approx(1.0, rel=1e-13)
 
     def test_bands_are_factored_and_p_not_2_stays_on_p1(self):
+        # the factored basis keeps [0, pi/2]: p = 2 bands are hp, p != 2 bands P1
         params = HardyParams(3, 1, 2.0, 0.3, 0.0)
         band = solve_M(params, ConeSpec.band(0.3, HALF_PI), 256)
         problem = spherical._SphericalProblem.of(params, bc_for_cone(params, ConeSpec.band(0.3, HALF_PI)))
-        assert band.minimizer.problem == problem
-        assert band.M == spherical._factored_eigensolve(problem, 256).M
+        assert type(band.minimizer) is hp._HpFunction and band.minimizer.problem == problem
+        assert band.M == hp._hp_solve(problem, 256).M and band.lam == band.M - problem.H2
         descent = solve_M(HardyParams(3, 1, 1.5, 0.3, 0.0), ConeSpec.band(0.3, HALF_PI), 256)
         assert type(descent.minimizer) is DiscretizedFunction and descent.lam is None
 
@@ -849,6 +850,17 @@ FACTORED_BANDS = [ConeSpec.band(0.3, 1.2), ConeSpec.band(0.25, 1.0), ConeSpec.ba
                   ConeSpec.band(0.6, HALF_PI)]
 
 
+# p = 2 band references (ROADMAP item 1): a dense hp solve with 24-point rules, (L, q) up
+# to (12, 16), each changed by <= 3e-15 relative between its last two levels
+P2_BAND_REFERENCES = [
+    ((3, 1, 2.0, 0.0, 0.0), ConeSpec.band(0.1, 1.0), 10.8931222025949),
+    ((3, 1, 2.0, 0.9, 0.0), ConeSpec.band(0.01, 1.5), 2.63113301051354),
+    ((4, 2, 2.0, 0.5, 0.0), ConeSpec.band(0.05, 0.3), 147.102037344225),
+    ((3, 1, 2.0, 0.9, 0.5), ConeSpec.band(0.1, HALF_PI), 1.77879213010787),
+    ((5, 2, 2.0, -0.1, 0.0), ConeSpec.band(0.1, HALF_PI), 2.75494295780094),
+]
+
+
 def p1_reference(params, domain, mesh_size=16384):
     """M of the P1 eigenproblem (smallest_eigenpair) on the graded mesh of mesh_size elements."""
     lam, _ = smallest_eigenpair(*assemble_p2(params, domain, mesh_size)[:2])
@@ -856,7 +868,7 @@ def p1_reference(params, domain, mesh_size=16384):
 
 
 class TestFactoredBands:
-    """p = 2 on bands: the factored basis, vanishing at interior Dirichlet ends, or the descent as fallback."""
+    """p = 2 on bands: hp elements, pinned to 0 at interior Dirichlet ends (the factored basis keeps [0, pi/2])."""
 
     @pytest.mark.parametrize("cone", FACTORED_BANDS, ids=lambda cone: cone.describe())
     def test_every_cell_factored_self_converged_and_below_p1(self, cone):
@@ -866,12 +878,14 @@ class TestFactoredBands:
             problem = spherical._SphericalProblem.of(params, domain)
             result = solve_M(params, cone, 256)
             Phi = result.minimizer
-            assert isinstance(Phi, spherical._FactoredFunction) and Phi.problem == problem, cell
-            assert result.residual <= spherical.FACTORED_TOL * max(abs(result.lam), 1.0)
-            doubled = spherical._FactoredDiscretization(problem, 2 * Phi.coefficients.size)
-            lam_2n = spherical._dense_ground_state(*doubled.p2_matrices())[0]
-            assert abs(lam_2n - result.lam) <= 1e-10 * max(abs(result.lam), 1.0), cell
-            # both are Ritz values: the converged spectral one lies below P1's
+            assert type(Phi) is hp._HpFunction and Phi.problem == problem, cell
+            assert result.residual <= hp.HP_TOL * result.M and result.lam == result.M - problem.H2
+            # one level finer again, from the minimizer prolonged, moves M by less than HP_TOL
+            finer = hp._HpDiscretization(problem, Phi.layers + 2, Phi.degree + 2)
+            v = finer.layout.prolong(Phi.discretization().layout, Phi.coefficients)
+            M_finer = spherical._descend(finer, v, hp.HP_DESCENT_TOL, hp.HP_MAX_ITER, try_small_steps=False)[0]
+            assert abs(M_finer - result.M) <= hp.HP_TOL * result.M, cell
+            # both are Ritz values: the converged hp one lies below P1's
             assert result.M <= p1_reference(params, domain) * (1.0 + 1e-12), cell
             assert Phi.values.min() >= 0.0
             assert (Phi.values[0] == 0.0) == (domain.bc1 is DIRICHLET)
@@ -886,54 +900,49 @@ class TestFactoredBands:
         result = solve_M(params, cone, 64)  # the mesh only samples a spectral minimizer
         assert abs(result.M - p1_reference(params, bc_for_cone(params, cone))) <= 1e-7
 
-    @pytest.mark.parametrize("cone", [ConeSpec.band(0.3, 1.2), ConeSpec.band(0.0, 1.0), ConeSpec.band(0.3, HALF_PI)],
-                             ids=lambda cone: cone.describe())
-    def test_rule_of_2n_points_suffices(self, cone):
-        # with an interior end the folded weight is not a polynomial: the matrices
-        # of N basis functions from 2N points agree with those from 4N points
-        params = HardyParams(3, 1, 2.0, 0.0, 0.0)
-        problem = spherical._SphericalProblem.of(params, bc_for_cone(params, cone))
-        for size in (16, 32):
-            disc = spherical._FactoredDiscretization(problem, size)
-            assert disc.w.size == 2 * size
-            S, M = disc.p2_matrices()
-            S4, M4 = spherical._FactoredDiscretization(problem, 2 * size).p2_matrices()
-            assert np.abs(S - S4[:size, :size]).max() <= 1e-10 * np.abs(S).max()
-            assert np.abs(M - M4[:size, :size]).max() <= 1e-10 * np.abs(M).max()
-
     def test_interior_end_near_a_pole_falls_back_to_descent(self):
+        # the factored basis failed its N -> 2N check here and fell back to P1,
+        # 3.9e-7 off at mesh 2048; hp meets the reference, below P1
         params = HardyParams(3, 1, 2.0, 0.0, 0.0)
         cone = ConeSpec.band(0.1, 1.0)
-        domain = bc_for_cone(params, cone)
-        with pytest.raises(ConvergenceError):
-            spherical._factored_eigensolve(spherical._SphericalProblem.of(params, domain), 512)
         result = solve_M(params, cone, 512)
-        assert type(result.minimizer) is DiscretizedFunction
-        assert abs(result.M - p1_reference(params, domain, 512)) <= 1e-10
+        assert type(result.minimizer) is hp._HpFunction
+        assert result.M == pytest.approx(10.8931222025949, rel=1e-11)
+        assert result.M < p1_reference(params, bc_for_cone(params, cone), 512)
+
+    @pytest.mark.parametrize("cell, cone, reference", P2_BAND_REFERENCES,
+                             ids=[f"{cell}-{cone.describe()}" for cell, cone, _ in P2_BAND_REFERENCES])
+    def test_reference_values(self, cell, cone, reference):
+        # the factored check failed on each and P1 printed them 4.5e-6 to 9.9e-3 off at mesh 512
+        result = solve_M(HardyParams(*cell), cone, 512)
+        assert type(result.minimizer) is hp._HpFunction
+        assert result.M == pytest.approx(reference, rel=1e-11)
+        assert result.residual <= hp.HP_TOL * result.M
 
 
 class TestLazyFactoredSamples:
     """A spectral minimizer samples itself on its graded mesh only when mesh or values is read."""
 
-    CELLS = [((3, 1, 2.0, 0.9, 0.0), ConeSpec.complement_sigma0()),
-             ((4, 2, 2.0, 0.5, 0.0), ConeSpec.band(0.3, 1.2))]
+    # the factored basis on [0, pi/2], hp on a band
+    CELLS = [((3, 1, 2.0, 0.9, 0.0), ConeSpec.complement_sigma0(), spherical._FactoredFunction),
+             ((4, 2, 2.0, 0.5, 0.0), ConeSpec.band(0.3, 1.2), hp._HpFunction)]
 
-    @pytest.mark.parametrize("cell, cone", CELLS, ids=["complement-sigma0", "band:0.3:1.2"])
-    def test_no_mesh_built_until_read(self, monkeypatch, cell, cone):
+    @pytest.mark.parametrize("cell, cone, kind", CELLS, ids=["complement-sigma0", "band:0.3:1.2"])
+    def test_no_mesh_built_until_read(self, monkeypatch, cell, cone, kind):
         calls = []
         real = spherical.graded_mesh
         monkeypatch.setattr(spherical, "graded_mesh", lambda *args: calls.append(args) or real(*args))
         params = HardyParams(*cell)
         Phi = solve_M(params, cone, 2048).minimizer
-        assert isinstance(Phi, spherical._FactoredFunction) and calls == []
+        assert type(Phi) is kind and calls == []
         values = Phi.values
         assert len(calls) == 1 and Phi.mesh is Phi.mesh and Phi.values is values
         problem = spherical._SphericalProblem.of(params, bc_for_cone(params, cone))
         assert np.array_equal(Phi.mesh, spherical._solve_mesh(problem, 2048))
-        assert np.array_equal(values, spherical._factored_sample(problem, Phi.coefficients, Phi.mesh))
+        assert np.array_equal(values, kind.sample(Phi, Phi.mesh))
 
-    @pytest.mark.parametrize("cell, cone", CELLS, ids=["complement-sigma0", "band:0.3:1.2"])
-    def test_pickle_keeps_the_samples(self, cell, cone):
+    @pytest.mark.parametrize("cell, cone, kind", CELLS, ids=["complement-sigma0", "band:0.3:1.2"])
+    def test_pickle_keeps_the_samples(self, cell, cone, kind):
         import pickle
 
         params = HardyParams(*cell)
@@ -941,7 +950,7 @@ class TestLazyFactoredSamples:
         read = solve_M(params, cone, 512).minimizer
         assert read.values.size == 513  # sampled before pickling
         for Phi in (pickle.loads(pickle.dumps(unread)), pickle.loads(pickle.dumps(read))):
-            assert type(Phi) is spherical._FactoredFunction and Phi.problem == read.problem
+            assert type(Phi) is kind and Phi.problem == read.problem
             assert np.array_equal(Phi.coefficients, read.coefficients)
             assert np.array_equal(Phi.mesh, read.mesh) and np.array_equal(Phi.values, read.values)
 
@@ -1083,13 +1092,15 @@ class TestHpSolve:
             assert np.linalg.norm(step - reference) <= 1e-10 * np.linalg.norm(reference)
 
     def test_prolongation_is_exact(self):
-        coarse = hp._HpLayout.of(3, 5)
-        fine = hp._HpLayout.of(5, 7)
-        v = np.random.default_rng(3).standard_normal(coarse.size)
-        w = fine.prolong(coarse, v)
-        side = np.repeat([1.0, -1.0], 200)
-        t = np.concatenate([np.geomspace(1e-6, math.pi / 4, 200)] * 2)
-        assert np.allclose(fine.g(w, side, t), coarse.g(v, side, t), rtol=0.0, atol=1e-12)
+        # on [0, pi/2] (half-width pi/4) and on the band [0.3, 1.2]
+        for m in (math.pi / 4, (1.2 - 0.3) / 2):
+            coarse = hp._HpLayout.of(3, 5, m)
+            fine = hp._HpLayout.of(5, 7, m)
+            v = np.random.default_rng(3).standard_normal(coarse.size)
+            w = fine.prolong(coarse, v)
+            side = np.repeat([1.0, -1.0], 200)
+            t = np.concatenate([np.geomspace(1e-6, m, 200)] * 2)
+            assert np.allclose(fine.g(w, side, t), coarse.g(v, side, t), rtol=0.0, atol=1e-12)
 
     def test_minimizer_is_integrated_in_its_own_rules(self):
         params = HardyParams(3, 1, 3.0, 0.3, 0.0)

@@ -16,7 +16,6 @@ from hardycone.spherical import (
     DIRICHLET,
     DiscretizedFunction,
     _Discretization,
-    _FactoredDiscretization,
     _FactoredFunction,
     _SphericalProblem,
     bc_for_cone,
@@ -92,9 +91,9 @@ class TestUdeltaQuotient:
         (HardyParams(3, 1, 2.0, 0.3, 0.0), ConeSpec.band(0.4, 1.3)),
     ], ids=["complement-sigma0", "half-space", "band"])
     def test_p2_quotient_is_solver_quotient_plus_delta_squared(self, params, cone):
-        # the certifier sums over the solver's discretization, the factored
-        # spectral basis, so the identity holds to rounding against the
-        # solver's own quotient
+        # the certifier sums over the solver's discretization (the factored
+        # spectral basis on [0, pi/2], hp on a band), so the identity holds to
+        # rounding against the solver's own quotient
         result = solve_M(params, cone, 256)
         domain = bc_for_cone(params, cone)
         problem = _SphericalProblem.of(params, domain)
@@ -103,7 +102,7 @@ class TestUdeltaQuotient:
         assert Phi.problem == problem
         dirichlet_pole = domain.bc2 is DIRICHLET and domain.theta2 == math.pi / 2
         assert Phi.problem.s == (2.0 - (params.k + params.a) if dirichlet_pole else 0.0)
-        q = _FactoredDiscretization(Phi.problem, Phi.coefficients.size).value(Phi.coefficients)
+        q = Phi.discretization().value(Phi.coefficients)
         for delta in (0.2, 0.1, 0.05):
             ev = evaluate_quotient_udelta(params, result.minimizer, delta, cone=cone)
             assert ev.quotient - q == pytest.approx(delta**2, rel=1e-11)
@@ -155,15 +154,15 @@ class TestUdeltaQuotient:
             slope = evaluate_quotient_udelta(params, Phi, delta, cone=cone).slope
             assert slope == pytest.approx((q_up - q_down) / (2 * h), rel=1e-6)
 
-    @pytest.mark.parametrize("params, cone", [
-        (HardyParams(3, 1, 2.0, 0.0, 0.0), ConeSpec.complement_sigma0()),
-        (HardyParams(4, 1, 2.0, 0.3, 0.5), ConeSpec.half_space()),
-        (HardyParams(3, 1, 2.0, 0.3, 0.0), ConeSpec.band(0.4, 1.3)),
+    @pytest.mark.parametrize("params, cone, kind", [
+        (HardyParams(3, 1, 2.0, 0.0, 0.0), ConeSpec.complement_sigma0(), _FactoredFunction),
+        (HardyParams(4, 1, 2.0, 0.3, 0.5), ConeSpec.half_space(), _FactoredFunction),
+        (HardyParams(3, 1, 2.0, 0.3, 0.0), ConeSpec.band(0.4, 1.3), _HpFunction),
     ], ids=["complement-sigma0", "half-space", "band"])
-    def test_p2_slope_is_one(self, params, cone):
+    def test_p2_slope_is_one(self, params, cone, kind):
         # the quotient is M + delta^2 at p = 2, so its slope in delta^2 is 1 to rounding
         Phi = solve_M(params, cone, 256).minimizer
-        assert type(Phi) is _FactoredFunction
+        assert type(Phi) is kind
         for delta in (0.2, 0.1, 0.05, 0.025):
             assert abs(evaluate_quotient_udelta(params, Phi, delta, cone=cone).slope - 1.0) <= 1e-13
 
