@@ -34,7 +34,13 @@ from .spherical import (
     bc_for_cone,
     solve_M,
 )
-from .verifier import _cutoff_log_decay, _delta_limit, cutoff_decay, evaluate_quotient_udelta
+from .verifier import (
+    _cutoff_log_decay,
+    _delta_limit,
+    _nonanalytic_term,
+    cutoff_decay,
+    evaluate_quotient_udelta,
+)
 
 SCHEMA_VERSION = 1
 
@@ -257,7 +263,9 @@ def cmd_verify(config: RunConfig) -> list[ReportRow]:
 
     Each delta's quotient and its slope in delta^2 come from one
     evaluate_quotient_udelta call, and the delta row's limit and order from
-    verifier._delta_limit over every (delta, quotient, slope) in any order;
+    verifier._delta_limit over every (delta, quotient, slope) in any order,
+    given the cell's non-analytic term from verifier._nonanalytic_term (p != 2
+    on [0, pi/2] with both ends natural, or with a Dirichlet pi/2 at H = 0);
     the row's trace holds the (delta, quotient) pairs.  The row fails
     (status solver_fail) if a trace value or the extrapolated limit is not
     finite, the trace does not approach the reference quadratically or the
@@ -295,7 +303,8 @@ def cmd_verify(config: RunConfig) -> list[ReportRow]:
             evaluations = [(delta, evaluate_quotient_udelta(params, result.minimizer, delta))
                            for delta in config.delta_list]
             trace = tuple((delta, ev.quotient) for delta, ev in evaluations)
-            extrap, order = _delta_limit((delta, ev.quotient, ev.slope) for delta, ev in evaluations)
+            term = _nonanalytic_term(params, bc_for_cone(params, cone))
+            extrap, order = _delta_limit(((delta, ev.quotient, ev.slope) for delta, ev in evaluations), term)
         except (ConvergenceError, ValueError, OverflowError):
             row = replace(_base_row("verify", params, cone, config.mesh_size), status="solver_fail")
         else:

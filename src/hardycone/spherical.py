@@ -253,9 +253,12 @@ def bc_for_cone(params: HardyParams, cone: ConeSpec) -> AngularDomain:
     return AngularDomain(cone.theta1, cone.theta2, bc1, bc2)
 
 
-def grading_cap(n: int) -> float:
-    """Largest usable grading exponent: keeps the last element above ~64 ulp of pi/2."""
-    return 32.2 / math.log(n)
+def grading_cap(theta1: float, n: int) -> float:
+    """Largest usable grading exponent on [theta1, pi/2]: keeps the last element above ~64 ulp of pi/2.
+
+    That element is (pi/2 - theta1) n^(-gamma) wide, so a narrower span takes a smaller cap.
+    """
+    return (32.2 + math.log((HALF_PI - theta1) / HALF_PI)) / math.log(n)
 
 
 def graded_mesh(theta1: float, theta2: float, n: int, gamma: float = 2.0) -> np.ndarray:
@@ -267,7 +270,7 @@ def graded_mesh(theta1: float, theta2: float, n: int, gamma: float = 2.0) -> np.
         raise ValueError("need at least 2 elements")
     j = np.arange(n + 1) / n
     if theta2 == HALF_PI:
-        gamma = min(gamma, grading_cap(n))
+        gamma = min(gamma, grading_cap(theta1, n))
         mesh = HALF_PI - (HALF_PI - theta1) * (1.0 - j) ** gamma
     else:
         mesh = theta1 + (theta2 - theta1) * j
@@ -283,7 +286,7 @@ def _auto_gamma(problem: _SphericalProblem, n: int) -> float:
     graded as for a smooth profile.
     """
     s = problem.s
-    return 2.0 if s == 0.0 else min(max(2.0, 2.4 / s), grading_cap(n))
+    return 2.0 if s == 0.0 else min(max(2.0, 2.4 / s), grading_cap(problem.domain.theta1, n))
 
 
 def _require_mesh_size(mesh_size: int) -> None:

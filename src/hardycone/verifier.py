@@ -6,10 +6,13 @@ has quotient >= m, and the separated family
     u_delta = r^(-H+delta) Phi(theta)  (r < 1),   r^(-H-delta) Phi(theta)  (r > 1)
 
 has quotient M + c2 delta^2 + c4 delta^4 + ... with denominator blowing up
-like 1/delta, which exhibits both sharpness and non-attainment.
+like 1/delta, which exhibits both sharpness and non-attainment.  For p != 2
+the quotient also carries a term that is not analytic in delta^2 wherever
+Phi' vanishes and H +/- delta reaches 0.
 evaluate_quotient_udelta gives each quotient together with its exact slope
 in delta^2, from the same quadrature sums, and _delta_limit extrapolates a
-trace of both to delta = 0 by a Hermite table over every point.  Its
+trace of both to delta = 0 by a Hermite table over every point, with that
+term modelled where _nonanalytic_term knows its exponent.  Its
 radial integrals are pure powers, evaluated in closed form, and its
 angular integrals use the solver's
 own discretization of Phi: for a factored spectral minimizer (p = 2 on
@@ -40,6 +43,7 @@ import numpy as np
 from .params import ConeSpec, HardyParams, hardy_exponent
 from .quadrature import AngularWeight, _gauss_jacobi, composite_rule
 from .spherical import (
+    HALF_PI,
     NATURAL,
     AngularDomain,
     DiscretizedFunction,
@@ -167,45 +171,117 @@ def evaluate_quotient_udelta(
     return RayleighEvaluation(numerator=numerator, denominator=denominator, quotient=quotient, slope=slope)
 
 
-def _delta_limit(trace: Iterable[tuple[float, float, float]]) -> tuple[float | None, float | None]:
+def _nonanalytic_term(params: HardyParams, domain: AngularDomain) -> tuple[float, float] | None:
+    """(H, q) of the one known term of the u_delta quotient that is not analytic in delta^2, or None.
+
+    The quotient is [E(H-delta) + E(H+delta)] / (2D) with
+    E(G) = int w (Phi'^2 + G^2 Phi^2)^(p/2), and for p != 2 E is not analytic
+    at G = 0 wherever Phi' vanishes.  On two cross-sections of [0, pi/2] the
+    quotient then carries e b(delta), b = (|H-delta|^q + |H+delta|^q) / 2,
+    with a known q:
+
+    * both ends natural: Phi is constant, so the quotient is C b(delta),
+      q = p;
+    * a natural pole at theta = 0 and a Dirichlet pi/2, at H = 0 (decided
+      exactly, from d + a - p - b): Phi - Phi(0) ~ theta^(p/(p-1)) against
+      the weight theta^(d-k-1) gives q = p + (p-1)(d-k).
+
+    None elsewhere: at p = 2, on a band with theta1 > 0, at H != 0 on a
+    Dirichlet cross-section, and where q is an even integer (the term is then
+    delta^q log delta).
+    """
+    p = params.p
+    if p == 2.0 or (domain.theta1, domain.theta2, domain.bc1) != (0.0, HALF_PI, NATURAL):
+        return None
+    if domain.bc2 is NATURAL:
+        H, q = hardy_exponent(params).H, p
+    elif math.fsum((params.d, params.a, -p, -params.b)) == 0.0:
+        H, q = 0.0, p + (p - 1.0) * (params.d - params.k)
+    else:
+        return None
+    return None if q % 2.0 == 0.0 else (H, q)
+
+
+def _hermite_table(x: list[float], nodes: list[tuple[float, float]]) -> tuple[float, float]:
+    """The Hermite interpolant of (value, slope) nodes at x = 0, and its leading coefficient.
+
+    x holds each node's abscissa twice.  The value is the last entry of the
+    confluent Neville-Aitken table: its first step at a repeated node is the
+    tangent value - x slope, every other step is Richardson's.  The leading
+    coefficient is the top confluent divided difference, with
+    f[x_i, x_i] = slope_i.
+    """
+    column, differences = [], []
+    for i, (value, slope) in enumerate(nodes):
+        if i:  # Richardson's step and the divided difference between node i - 1 and node i
+            x0, x1 = x[2 * i - 1], x[2 * i]
+            previous = nodes[i - 1][0]
+            column.append((x0 * value - x1 * previous) / (x0 - x1))
+            differences.append((value - previous) / (x1 - x0))
+        column.append(value - x[2 * i] * slope)  # the tangent value at node i, taken twice
+        differences.append(slope)
+    for width in range(2, len(x)):
+        column = [(x[i] * column[i + 1] - x[i + width] * column[i]) / (x[i] - x[i + width])
+                  for i in range(len(column) - 1)]
+        differences = [(differences[i + 1] - differences[i]) / (x[i + width] - x[i])
+                       for i in range(len(differences) - 1)]
+    return column[0], differences[0]
+
+
+def _term_node(H: float, q: float, delta: float) -> tuple[np.float64, np.float64]:
+    """b(delta) = (|H-delta|^q + |H+delta|^q) / 2 and its derivative in delta^2."""
+    lo, hi = np.float64(H - delta), np.float64(H + delta)
+    slope = q / (4.0 * delta) * (np.sign(hi) * abs(hi) ** (q - 1.0) - np.sign(lo) * abs(lo) ** (q - 1.0))
+    return (abs(lo) ** q + abs(hi) ** q) / 2.0, slope
+
+
+def _delta_limit(
+    trace: Iterable[tuple[float, float, float]], term: tuple[float, float] | None,
+) -> tuple[float | None, float | None]:
     """The delta -> 0 limit of a (delta, quotient, slope) trace and its observed order in delta.
 
     The quotient is M + c2 delta^2 + c4 delta^4 + ..., and slope its
-    derivative in x = delta^2, so the limit is the last entry of the
-    confluent (Hermite) Neville-Aitken table in x over every point, each
-    node taken twice: its first step at a repeated node is the tangent
-    value quotient - x slope, every other step is Richardson's.  The table
-    is exact on a polynomial in delta^2 of degree below twice the point
-    count; two points give the cubic Hermite value at x = 0.  The order is
-    log((q_a - q_b) / (q_b - q_c)) / log(delta_a / delta_b) over the
-    three smallest deltas, from the quotients only, None where those
-    differences do not share a sign.  The points are taken in decreasing
-    delta, so the results do not depend on the trace's order.  With
-    numpy-scalar quotients, as evaluate_quotient_udelta gives, deltas whose
-    squares underflow to equal x give a non-finite limit, which the caller
-    rejects, not a ZeroDivisionError.  (None, None) below two points.
+    derivative in x = delta^2, so the limit is the value at x = 0 of the
+    Hermite interpolant in x of every point's quotient and slope
+    (_hermite_table).  It is exact on a polynomial in delta^2 of degree below
+    twice the point count; two points give the cubic Hermite value at x = 0.
+
+    term is _nonanalytic_term's (H, q) or None.  Where it is given and the
+    trace reaches G = 0 (|H| below the largest delta), the trace is fitted
+    by A(delta^2) + e b(delta), b = (|H-delta|^q + |H+delta|^q) / 2, with
+    e b taking the place of the interpolant's top power of delta^2, so the
+    2n conditions of n points still fix the 2n unknowns.  A adds nothing to
+    the interpolant's top coefficient, so e = top(quotient) / top(b), from
+    the tables of both, and the limit A(0) + e |H|^q is the table's value
+    less e (b's table value - |H|^q).  The tables run in a fixed order, so
+    the limit does not depend on BLAS threads.
+    Elsewhere the table's value is the limit, bit for bit.
+
+    The order is log((q_a - q_b) / (q_b - q_c)) / log(delta_a / delta_b)
+    over the three smallest deltas, from the quotients only, None where
+    those differences do not share a sign.  The points are taken in
+    decreasing delta, so the results do not depend on the trace's order.
+    With numpy-scalar quotients, as evaluate_quotient_udelta gives, deltas
+    whose squares underflow to equal x give a non-finite limit, which the
+    caller rejects, not a ZeroDivisionError.  (None, None) below two points.
     """
     points = sorted(trace, key=lambda point: -point[0])
     if len(points) < 2:
         return None, None
     x = [delta**2 for delta, _, _ in points for _ in range(2)]  # each node twice
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        column = []
-        for i, (_, quotient, slope) in enumerate(points):
-            if i:  # Richardson's step between node i - 1 and node i
-                x0, x1 = x[2 * i - 1], x[2 * i]
-                column.append((x0 * quotient - x1 * points[i - 1][1]) / (x0 - x1))
-            column.append(quotient - x[2 * i] * slope)  # the tangent value at node i, taken twice
-        for width in range(2, len(x)):
-            column = [(x[i] * column[i + 1] - x[i + width] * column[i]) / (x[i] - x[i + width])
-                      for i in range(len(column) - 1)]
+        limit, top = _hermite_table(x, [(quotient, slope) for _, quotient, slope in points])
+        if term is not None and abs(term[0]) < points[0][0]:
+            H, q = term
+            term_limit, term_top = _hermite_table(x, [_term_node(H, q, delta) for delta, _, _ in points])
+            limit = limit - top / term_top * (term_limit - abs(H) ** q)
     order = None
     if len(points) >= 3:
         (delta_a, qa, _), (delta_b, qb, _), (_, qc, _) = points[-3:]
         num, den = qa - qb, qb - qc
         if num * den > 0:
             order = math.log(num / den) / math.log(delta_a / delta_b)
-    return column[0], order
+    return limit, order
 
 
 # ---------------------------------------------------------------------------

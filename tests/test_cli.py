@@ -481,14 +481,26 @@ class TestMainEntry:
         assert abs(row["extrapolated"] - row["closed_form"]) <= 1e-12 * row["closed_form"]
 
     def test_verify_extrapolates_over_every_delta(self, capsys):
-        # (3,1,3,0,0) has no closed form: the four-point Hermite table in delta^2 meets
-        # the hp M to 1e-11; values alone reached 4e-10, a line through the last two 4e-7
+        # (3,1,3,0,0) has no closed form: the four-point Hermite table in delta^2 with the
+        # delta^7 term modelled meets the hp M to 1e-13; the table alone reached 8.7e-13,
+        # values alone 4e-10, a line through the last two 4e-7
         code, out, err = run_cli(capsys, "verify", "--p", "3", "--mesh", "2048",
                                  "--deltas", "0.2,0.1,0.05,0.025")
         assert code == 0
         row = json.loads(out)["rows"][0]
         assert row["status"] == "ok" and row["closed_form"] is None and len(row["trace"]) == 4
-        assert abs(row["extrapolated"] - row["numeric_M"]) <= 1e-11 * row["numeric_M"]
+        assert abs(row["extrapolated"] - row["numeric_M"]) <= 1e-13 * row["numeric_M"]
+
+    def test_verify_full_space_limit_with_a_trace_through_g_zero(self, capsys):
+        # H = 1/15 lies below the largest delta and the minimizer is constant, so the
+        # quotient is |H-delta|^3 + |H+delta|^3 over 2; the table alone read 2.8948e-4
+        # against the closed form 2.9630e-4 and failed the row
+        code, out, err = run_cli(capsys, "verify", "--d", "4", "--k", "1", "--p", "3", "--a=-0.5",
+                                 "--b=0.3", "--cone", "full", "--mesh", "256")
+        assert code == 0
+        row = json.loads(out)["rows"][0]
+        assert row["status"] == "ok"
+        assert abs(row["extrapolated"] - row["closed_form"]) <= 1e-12 * row["closed_form"]
 
     def test_verify_small_M_limit_is_relatively_exact(self, capsys):
         # (3,2,8,5,0): H = 0 and p = 8, so the quotient is a quartic in delta^2, which
@@ -506,8 +518,8 @@ class TestMainEntry:
         # the row's check is 1e-4 relative: a limit 3.6e-4 off its closed form fails it
         limit = cli._delta_limit
 
-        def shifted_limit(trace):
-            extrap, order = limit(trace)
+        def shifted_limit(trace, term):
+            extrap, order = limit(trace, term)
             return extrap * (1.0 + off), order
 
         monkeypatch.setattr(cli, "_delta_limit", shifted_limit)

@@ -148,6 +148,18 @@ class TestGradedMesh:
         mesh = graded_mesh(0.0, HALF_PI, 4096, 50.0)
         assert np.all(np.diff(mesh) > 0)
 
+    @pytest.mark.parametrize("n", [1024, 2048, 8192])
+    def test_cap_scales_with_the_span_to_pi_2(self, n):
+        # the cap on [0, pi/2] is 32.2 / ln n; a band 0.07 wide at pi/2 takes a smaller
+        # one, so its last element stays wide enough for a Gauss rule
+        assert spherical.grading_cap(0.0, n) == 32.2 / math.log(n)
+        params = HardyParams(3, 1, 2.0, 0.5, 0.0)  # s = 1/2 asks for gamma = 4.8
+        domain = AngularDomain(1.5, HALF_PI, DIRICHLET, DIRICHLET)
+        _, _, mesh = assemble_p2(params, domain, n)
+        assert mesh[-1] - mesh[-2] >= 32 * math.ulp(HALF_PI)
+        result = solve_M(HardyParams(3, 1, 1.5, 0.2, 0.0), ConeSpec.band(1.5, HALF_PI), mesh_size=n)
+        assert result.M == pytest.approx(250.1760, rel=1e-5)
+
 
 class TestAssembleP2:
     def test_constants_in_stiffness_kernel(self):
@@ -634,7 +646,7 @@ class TestMinimizeRayleighP:
         monkeypatch.setattr(spherical, "MAX_DESCENT_ITER", 500)
         result = solve_M(HardyParams(3, 2, 3.0, 0.5, 0.0), ConeSpec.band(0.3, HALF_PI), 256)
         assert result.iterations <= 20
-        assert result.M == pytest.approx(7.529636, rel=1e-6)
+        assert result.M == pytest.approx(7.529736, rel=1e-6)
 
     def test_stuck_line_search_raises(self, monkeypatch):
         # every line-search trial rejected on the first step, far from
@@ -729,7 +741,8 @@ class TestMinimizeRayleighP:
         mesh = spherical._solve_mesh(problem, 256)
         sines = np.sin(mesh - domain.theta1) if domain.bc1 is DIRICHLET else 1.0
         assert np.array_equal(spherical._cosine_profile(problem, mesh), np.cos(mesh) ** s * sines)
-        assert spherical._auto_gamma(problem, 256) == min(max(2.0, 2.4 / s), spherical.grading_cap(256))
+        cap = spherical.grading_cap(domain.theta1, 256)
+        assert spherical._auto_gamma(problem, 256) == min(max(2.0, 2.4 / s), cap)
         if params.p == 2 and domain.theta1 == 0.0:
             basis = spherical._FactoredDiscretization(problem, 4).basis
             t, _ = spherical._gauss_jacobi(4, (params.d - params.k - 2) / 2, (params.k + params.a - 2) / 2 + s - 1.0)

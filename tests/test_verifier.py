@@ -9,6 +9,7 @@ import pytest
 from scipy.interpolate import CubicHermiteSpline, CubicSpline
 
 import hardycone.verifier as verifier
+from hardycone.cli import RunConfig, cmd_verify, parse_cone
 from hardycone.hp import _HpFunction
 from hardycone.params import ConeSpec, HardyParams, closed_form_constant, hardy_exponent
 from hardycone.quadrature import sphere_weight_mass
@@ -25,6 +26,7 @@ from hardycone.spherical import (
 from hardycone.verifier import (
     _cutoff_log_decay,
     _delta_limit,
+    _nonanalytic_term,
     cutoff_decay,
     eta_cutoff,
     eta_cutoff_prime,
@@ -206,17 +208,17 @@ class TestDeltaLimit:
     def test_exact_on_polynomials_in_delta_squared(self, count):
         # degree 2 count - 1 in delta^2: the table's last entry is the constant term
         coefficients = (2.5, -3.0, 7.0, -11.0, 13.0, -5.0, 3.0, 17.0, -19.0, 23.0)[: 2 * count]
-        limit, _ = _delta_limit(self.polynomial_trace(coefficients, self.DELTAS[:count]))
+        limit, _ = _delta_limit(self.polynomial_trace(coefficients, self.DELTAS[:count]), None)
         assert limit == pytest.approx(2.5, rel=1e-12)
 
     def test_same_bits_for_any_order(self):
         trace = [(delta, np.float64(2.1725999599 + 0.43 * delta**2 - 0.71 * delta**4 + 0.2 * delta**7),
                   np.float64(0.43 - 1.42 * delta**2 + 0.7 * delta**5))
                  for delta in self.DELTAS[:4]]
-        expected = _delta_limit(trace)
+        expected = _delta_limit(trace, None)
         assert expected[1] is not None
         for order in itertools.permutations(trace):
-            assert _delta_limit(list(order)) == expected
+            assert _delta_limit(list(order), None) == expected
 
     @pytest.mark.parametrize("seed", range(5))
     def test_two_points_give_the_line_through_them(self, seed):
@@ -231,28 +233,124 @@ class TestDeltaLimit:
         chord = (x0 * q1 - x1 * q0) / (x0 - x1)
         left, right = (x0 * chord - x1 * t0) / (x0 - x1), (x0 * t1 - x1 * chord) / (x0 - x1)
         hermite = (x0 * right - x1 * left) / (x0 - x1)
-        assert _delta_limit([(d0, q0, s0), (d1, q1, s1)]) == (hermite, None)
-        assert _delta_limit([(d1, q1, s1), (d0, q0, s0)]) == (hermite, None)
+        assert _delta_limit([(d0, q0, s0), (d1, q1, s1)], None) == (hermite, None)
+        assert _delta_limit([(d1, q1, s1), (d0, q0, s0)], None) == (hermite, None)
         spline = CubicHermiteSpline([x1, x0], [q1, q0], [s1, s0])
         assert hermite == pytest.approx(float(spline(0.0)), rel=1e-12, abs=1e-12)
         slope = (q0 - q1) / (x0 - x1)
-        assert _delta_limit([(d0, q0, slope), (d1, q1, slope)])[0] == pytest.approx(chord, rel=1e-14)
+        assert _delta_limit([(d0, q0, slope), (d1, q1, slope)], None)[0] == pytest.approx(chord, rel=1e-14)
 
     def test_order_from_the_three_smallest_deltas(self):
         # quadratic below delta = 0.1, anything above it; the slopes do not enter
         trace = [(0.4, 9.0, -7.0), (0.05, 1.0 + 0.05**2, 3.0), (0.1, 1.0 + 0.1**2, math.nan),
                  (0.025, 1.0 + 0.025**2, 1e6)]
-        assert _delta_limit(trace)[1] == pytest.approx(2.0, rel=1e-9)
+        assert _delta_limit(trace, None)[1] == pytest.approx(2.0, rel=1e-9)
 
     def test_fewer_than_two_points(self):
-        assert _delta_limit([]) == (None, None)
-        assert _delta_limit([(0.1, 2.0, 1.0)]) == (None, None)
+        assert _delta_limit([], None) == (None, None)
+        assert _delta_limit([(0.1, 2.0, 1.0)], None) == (None, None)
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_underflowing_deltas_give_nan_not_an_exception(self):
         one, two = np.float64(1.0), np.float64(2.0)
-        limit, order = _delta_limit([(1e-200, two, one), (1e-300, two, one), (1e-310, two, one)])
+        limit, order = _delta_limit([(1e-200, two, one), (1e-300, two, one), (1e-310, two, one)], None)
         assert math.isnan(limit) and order is None
+
+
+def hermite_table_limit(trace):
+    """The Hermite Neville-Aitken table at delta = 0 over (delta, quotient, slope), written out on its own."""
+    points = sorted(trace, key=lambda point: -point[0])
+    x = [delta**2 for delta, _, _ in points for _ in range(2)]
+    column = []
+    for i, (_, quotient, slope) in enumerate(points):
+        if i:
+            column.append((x[2 * i - 1] * quotient - x[2 * i] * points[i - 1][1]) / (x[2 * i - 1] - x[2 * i]))
+        column.append(quotient - x[2 * i] * slope)
+    for width in range(2, len(x)):
+        column = [(x[i] * column[i + 1] - x[i + width] * column[i]) / (x[i] - x[i + width])
+                  for i in range(len(column) - 1)]
+    return column[0]
+
+
+def udelta_trace(params, result, deltas):
+    return [(delta, ev.quotient, ev.slope)
+            for delta in deltas for ev in [evaluate_quotient_udelta(params, result.minimizer, delta)]]
+
+
+class TestNonanalyticTerm:
+    """The term e b(delta), b = (|H-delta|^q + |H+delta|^q) / 2, that _delta_limit models."""
+
+    DELTAS = (0.2, 0.1, 0.05, 0.025)
+
+    @pytest.mark.parametrize("e", [1.0, -40.0])
+    def test_exact_on_a_polynomial_plus_delta_to_the_seventh(self, e):
+        # A of degree 6 = 2n - 2 in delta^2 plus e delta^7: eight unknowns, four values and slopes
+        coefficients = (2.5, -3.0, 7.0, -11.0, 13.0, -5.0, 3.0)
+        trace = [(delta,
+                  np.float64(sum(c * delta ** (2 * j) for j, c in enumerate(coefficients)) + e * delta**7),
+                  np.float64(sum(j * c * delta ** (2 * j - 2) for j, c in enumerate(coefficients) if j)
+                             + 3.5 * e * delta**5))
+                 for delta in self.DELTAS]
+        assert abs(_delta_limit(trace, (0.0, 7.0))[0] - 2.5) <= 1e-14 * 2.5
+        assert abs(_delta_limit(trace, None)[0] - 2.5) > 1e-12  # the table alone leaves the delta^7 term
+
+    @pytest.mark.parametrize("H", [0.067, -0.15, 0.0])
+    def test_exact_on_a_constant_profile_trace(self, H):
+        # both ends natural: the quotient is C (|H-delta|^3 + |H+delta|^3) / 2 exactly, limit C |H|^3
+        C = 1.7
+        trace = [(delta, np.float64(C * (abs(H - delta) ** 3 + abs(H + delta) ** 3) / 2),
+                  np.float64(0.75 * C / delta * ((H + delta) * abs(H + delta)
+                                                 - (H - delta) * abs(H - delta))))
+                 for delta in self.DELTAS]
+        assert abs(_delta_limit(trace, (H, 3.0))[0] - C * abs(H) ** 3) <= 1e-14
+
+    @pytest.mark.parametrize("cell, mesh", [((3, 1, 3.0, 0.0, 0.0), 2048), ((3, 1, 3.0, 0.3, 0.3), 256)])
+    def test_h_zero_cells_meet_their_minimum(self, cell, mesh):
+        # a natural pole and a Dirichlet pi/2 at H = 0: q = p + (p-1)(d-k) = 7; the table
+        # alone is 8.7e-13 off at (3,1,3,0,0), 1.9e-12 at (3,1,3,0.3,0.3)
+        params, cone = HardyParams(*cell), ConeSpec.complement_sigma0()
+        term = _nonanalytic_term(params, bc_for_cone(params, cone))
+        assert term == (0.0, 7.0)
+        result = solve_M(params, cone, mesh)
+        limit, _ = _delta_limit(udelta_trace(params, result, self.DELTAS), term)
+        assert limit == pytest.approx(result.M, rel=1e-13)
+
+    def test_h_zero_is_decided_exactly(self):
+        # d + a - p - b = 0 exactly, though the computed H is -5.6e-17
+        params = HardyParams(3, 1, 3.0, 0.3, 0.3)
+        assert hardy_exponent(params).H != 0.0
+        assert _nonanalytic_term(params, bc_for_cone(params, ConeSpec.half_space())) == (0.0, 7.0)
+
+    @pytest.mark.parametrize("cell, cone, term", [
+        ((3, 2, 3.0, 0.5, 0.5), ConeSpec.complement_sigma0(), (0.0, 5.0)),
+        ((4, 1, 3.0, -0.5, 0.3), ConeSpec.full_space(), ((4 - 0.5 - 3.0 - 0.3) / 3.0, 3.0)),
+        ((3, 1, 1.5, 2.0, 0.0), ConeSpec.complement_sigma0(), ((3 + 2.0 - 1.5) / 1.5, 1.5)),  # k+a >= p: natural
+        ((3, 1, 2.0, 0.5, 0.0), ConeSpec.full_space(), None),  # p = 2
+        ((3, 1, 3.0, 0.5, 0.0), ConeSpec.complement_sigma0(), None),  # H != 0 at a Dirichlet pi/2
+        ((3, 1, 4.0, 1.0, 0.0), ConeSpec.complement_sigma0(), None),  # q = 10: delta^10 log delta
+        ((3, 2, 1.5, -1.0, 0.5), ConeSpec.complement_sigma0(), None),  # H = 0, q = 2: delta^2 log delta
+        ((3, 1, 3.0, 0.0, 0.0), ConeSpec.band(0.3, HALF_PI), None),  # theta1 > 0
+    ])
+    def test_which_cells_carry_the_term(self, cell, cone, term):
+        params = HardyParams(*cell)
+        assert _nonanalytic_term(params, bc_for_cone(params, cone)) == term
+
+    @pytest.mark.parametrize("cell, cone", [
+        ((3, 1, 3.0, 0.5, 0.0), "complement-sigma0"),  # H = 1/6 at a Dirichlet pi/2
+        ((4, 1, 3.0, 1.0, 0.0), "full"),  # both ends natural, H = 2/3 above every delta
+        ((3, 1, 4.0, 1.0, 0.0), "complement-sigma0"),  # H = 0, q = 10 even
+        ((3, 1, 3.0, 0.0, 0.0), "band:0.3:1.2"),
+        ((3, 1, 2.0, 0.0, 0.0), "complement-sigma0"),  # p = 2
+    ])
+    def test_table_limit_unchanged_off_the_term(self, cell, cone):
+        # where no term is modelled, verify's limit is the Hermite table's, bit for bit
+        config = RunConfig(command="verify", d=(cell[0],), k=(cell[1],), p=(cell[2],), a=(cell[3],),
+                           b=(cell[4],), cones=(cone,), mesh_size=256, delta_list=self.DELTAS)
+        row = cmd_verify(config)[0]
+        params = HardyParams(*cell)
+        result = solve_M(params, parse_cone(cone), 256)
+        assert row.status == "ok"
+        assert row.extrapolated == hermite_table_limit(udelta_trace(params, result, self.DELTAS))
 
 
 class TestDenominatorBlowup:
