@@ -169,14 +169,18 @@ def _base_row(command: str, params: HardyParams, cone: ConeSpec, mesh: int | Non
     )
 
 
-def _solve(params: HardyParams, cone: ConeSpec, mesh: int) -> SpectralResult | None:
-    """solve_M's result for one cell, or None where the solver fails."""
+def _solve(params: HardyParams, cone: ConeSpec, mesh: int, keep_minimizer: bool = True) -> SpectralResult | None:
+    """solve_M's result for one cell, or None where the solver fails or overflows.
+
+    keep_minimizer=False drops the minimizer and its discretization, which no grid row reads.
+    """
     try:
-        return solve_M(params, cone, mesh_size=mesh)
+        result = solve_M(params, cone, mesh_size=mesh)
     except AdmissibilityError:
         raise
-    except (ConvergenceError, ValueError):
+    except (ConvergenceError, ValueError, OverflowError):
         return None
+    return result if keep_minimizer else replace(result, minimizer=None)
 
 
 def _cell_row(
@@ -189,7 +193,7 @@ def _cell_row(
         closed = closed_form_constant(params, cone) if with_closed else None
     except AdmissibilityError:
         raise
-    except ValueError:
+    except (ValueError, OverflowError):
         return replace(row, status="solver_fail")
     if result is None:
         return replace(row, status="solver_fail")
@@ -219,7 +223,8 @@ def _grid_rows(
     status are still per cell.  The distinct problems are solved in order
     of first appearance, and rows are placed by cell index.  With --jobs > 1
     the distinct problems are spread over at most that many worker
-    processes.
+    processes.  Either way each result comes without its minimizer, so a
+    worker sends back no discretization.
     """
     groups: dict[object, list[int]] = {}
     for index, (params, cone) in enumerate(cells):
@@ -227,7 +232,7 @@ def _grid_rows(
             key = _SphericalProblem.of(params, bc_for_cone(params, cone))
         except AdmissibilityError:
             raise
-        except ValueError:  # structurally invalid cell: its own group, which _solve fails
+        except (ValueError, OverflowError):  # structurally invalid, or |H|^p overflows: its own group, _solve fails
             key = index
         groups.setdefault(key, []).append(index)
 
@@ -240,7 +245,7 @@ def _grid_rows(
 
     problems = [cells[indices[0]] for indices in groups.values()]
     solve_args = ([params for params, _ in problems], [cone for _, cone in problems],
-                  [config.mesh_size] * len(problems))
+                  [config.mesh_size] * len(problems), [False] * len(problems))
     if config.jobs > 1 and len(problems) > 1:
         from concurrent.futures import ProcessPoolExecutor  # only a pool run pays for the import
 

@@ -43,11 +43,11 @@ from .spherical import (
     _bordered_step,
     _CyclicReduction,
     _descend,
+    _Minimizer,
     _positive_power,
     _require_mesh_size,
     _RuleSums,
     _scatter,
-    _SpectralFunction,
     _SphericalProblem,
 )
 
@@ -206,7 +206,8 @@ class _HpDiscretization(_RuleSums):
     """
 
     def __init__(self, problem: _SphericalProblem, layers: int, degree: int):
-        self.domain = domain = problem.domain
+        super().__init__(problem)
+        domain = problem.domain
         self.layout = layout = _HpLayout.of(layers, degree, (domain.theta2 - domain.theta1) / 2)
         # as P1's free nodes: g is 0 at a pinned end, where grad Q and grad D are masked
         pinned1, pinned2 = _pinned_ends(domain)
@@ -216,7 +217,6 @@ class _HpDiscretization(_RuleSums):
         s, p, dk = problem.s, problem.p, problem.dk
         exp_d = problem.ka - 1.0 + s * p
         exp_e = exp_d - p if s > 0 else exp_d
-        self.p, self.H2 = p, problem.H2
         n = HP_POINTS
         # the four node sets: Gauss-Legendre inside and at an interior end, Gauss-Jacobi at
         # theta = 0 (theta^(d-k-1)) and at pi/2 (u^exp_e for E, u^exp_d for D)
@@ -294,10 +294,20 @@ class _HpDiscretization(_RuleSums):
         vertices = _hp_vertices(layout.layers, layout.m)
         # each vertex's distance from theta1; reversed, from theta2, exactly 0 at theta2
         sines = np.sin(np.concatenate([vertices, 2.0 * layout.m - vertices[-2::-1]]))
-        pinned1, pinned2 = _pinned_ends(self.domain)
+        pinned1, pinned2 = _pinned_ends(self.problem.domain)
         v = np.zeros(layout.size)
         v[: sines.size] = sines ** int(pinned1) * sines[::-1] ** int(pinned2)
         return v
+
+    def sample(self, v: np.ndarray, theta: np.ndarray) -> np.ndarray:
+        """The profile of the coefficients v at the angles theta."""
+        domain = self.problem.domain
+        side = np.where(theta <= domain.theta1 + self.layout.m, 1.0, -1.0)
+        g = self.layout.g(v, side, np.where(side > 0, theta - domain.theta1, domain.theta2 - theta))
+        # exactly 0 at a pinned end, where the bubbles at x = +-1 leave rounding
+        pinned1, pinned2 = _pinned_ends(domain)
+        g[(theta == domain.theta1) & pinned1 | (theta == domain.theta2) & pinned2] = 0.0
+        return np.sin(HALF_PI - theta) ** self.problem.s * g  # exactly 0 at pi/2 when s > 0
 
     def _fields(self, v: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """psi and chi at E's nodes and g at D's, each as (element, node)."""
@@ -404,30 +414,6 @@ class _HpDiscretization(_RuleSums):
                               int((eigenvalues < 0.0).sum()) + factor.negative_count())
 
 
-class _HpFunction(_SpectralFunction):
-    """An hp profile (see _HpDiscretization) on the layout of `layers` layers and degree `degree`."""
-
-    def __init__(self, problem: _SphericalProblem, coefficients: np.ndarray, mesh_size: int,
-                 layers: int, degree: int):
-        super().__init__(problem, coefficients, mesh_size)
-        object.__setattr__(self, "layers", layers)
-        object.__setattr__(self, "degree", degree)
-
-    def discretization(self) -> _HpDiscretization:
-        return _HpDiscretization(self.problem, self.layers, self.degree)
-
-    def sample(self, theta: np.ndarray) -> np.ndarray:
-        domain = self.problem.domain
-        m = (domain.theta2 - domain.theta1) / 2
-        side = np.where(theta <= domain.theta1 + m, 1.0, -1.0)
-        g = _HpLayout.of(self.layers, self.degree, m).g(
-            self.coefficients, side, np.where(side > 0, theta - domain.theta1, domain.theta2 - theta))
-        # exactly 0 at a pinned end, where the bubbles at x = +-1 leave rounding
-        pinned1, pinned2 = _pinned_ends(domain)
-        g[(theta == domain.theta1) & pinned1 | (theta == domain.theta2) & pinned2] = 0.0
-        return np.sin(HALF_PI - theta) ** self.problem.s * g  # exactly 0 at pi/2 when s > 0
-
-
 def _hp_solve(problem: _SphericalProblem, mesh_size: int) -> SpectralResult:
     """A solve in hp elements (see _HpDiscretization), checked by a finer solve: p != 2 on [0, pi/2], p = 2 on a band.
 
@@ -442,8 +428,9 @@ def _hp_solve(problem: _SphericalProblem, mesh_size: int) -> SpectralResult:
     level's; past HP_LEVELS the solve raises ConvergenceError, and solve_M
     falls back to P1.  lam is M - H^2 at p = 2.  iterations counts the
     steps of every descent, and residual is the change of M between the
-    last two levels.  mesh_size (checked here) sets the graded mesh the
-    minimizer samples itself on when first read, the one a P1 solve would use.
+    last two levels.  The minimizer holds the accepted level's
+    discretization; mesh_size (checked here) sets the graded mesh it
+    samples itself on when first read, the one a P1 solve would use.
     """
     _require_mesh_size(mesh_size)
     disc = _HpDiscretization(problem, HP_LAYERS, HP_DEGREE)
@@ -462,7 +449,7 @@ def _hp_solve(problem: _SphericalProblem, mesh_size: int) -> SpectralResult:
     return SpectralResult(
         M=m,
         lam=m - problem.H2 if problem.p == 2 else None,
-        minimizer=_HpFunction(problem, v, mesh_size, disc.layout.layers, disc.layout.degree),
+        minimizer=_Minimizer(disc, v, mesh_size),
         iterations=steps,
         residual=residual,
     )

@@ -17,10 +17,7 @@ Gauss-Jacobi rule whose exponents absorb the pole powers integrates the
 stiffness and mass of the basis exactly.  The dense generalized
 eigenproblem is solved at N = 4, 8, ... basis functions until consecutive
 eigenvalues agree (Guo, Shen and Wang, Appl. Numer. Math. 59 (2009); Shen,
-Tang and Wang, Spectral Methods (2011), ch. 3).  The minimizer keeps the
-Legendre coefficients; its samples on the graded mesh of the requested
-size are computed when they are first read, which no closed-form
-comparison and no spectral certificate needs.
+Tang and Wang, Spectral Methods (2011), ch. 3).
 
 For p != 2 on [0, pi/2], and for p = 2 on a band, the quotient is
 minimized in hp spectral elements, phi = cos^s theta * g with g piecewise
@@ -47,7 +44,10 @@ reference value.
 
 The private solvers take the cell's 1-D problem as one _SphericalProblem,
 whose s is the one boundary-layer exponent at pi/2.  Its graded mesh comes
-from _solve_mesh, graded by _auto_gamma to match s.
+from _solve_mesh, graded by _auto_gamma to match s.  Every solve returns a
+_Minimizer, which holds the discretization the solve accepted; the
+certifier integrates the profile there, and nothing samples it on the
+graded mesh until its values are read.
 
 Every P1 matrix is symmetric tridiagonal and is kept as a (diag, off) pair
 of numpy arrays.  One kernel solves all of them: odd-even cyclic reduction,
@@ -165,47 +165,29 @@ class DiscretizedFunction:
             raise ValueError("mesh must be strictly increasing")
 
 
-class _SpectralFunction(DiscretizedFunction):
-    """A profile held as its problem, which fixes s, and its coefficients in a spectral basis.
+class _Minimizer(DiscretizedFunction):
+    """A solve's minimizer: the discretization its solve accepted, and the profile's coefficients in it.
 
-    The certifier integrates the profile in that basis, with the rule of
-    discretization().  mesh (the graded mesh of mesh_size elements that a
-    P1 solve would use) and values (the profile at its nodes, from sample)
-    serve interpolation and plotting, and each is computed when first read,
-    so a solve whose minimizer is never sampled builds neither; a pickle
-    carries whichever has been read.  Plain subclasses: creating one more
-    dataclass would cost every process about a millisecond of import time.
+    disc is the factored basis at the accepted N, the accepted hp level or
+    the P1 _Discretization (coefficients: its nodal values).  mesh (the
+    graded mesh of mesh_size elements that a P1 solve uses) and values
+    (disc.sample there) are computed when first read; a pickle carries
+    whichever has been read.  A plain subclass: one more dataclass would
+    cost every process about a millisecond of import time.
     """
 
-    def __init__(self, problem: _SphericalProblem, coefficients: np.ndarray, mesh_size: int):
-        object.__setattr__(self, "problem", problem)
+    def __init__(self, disc: _RuleSums, coefficients: np.ndarray, mesh_size: int):
+        object.__setattr__(self, "disc", disc)
         object.__setattr__(self, "coefficients", coefficients)
         object.__setattr__(self, "mesh_size", mesh_size)
 
-    def discretization(self) -> _RuleSums:
-        raise NotImplementedError
-
-    def sample(self, theta: np.ndarray) -> np.ndarray:
-        raise NotImplementedError
-
     @cached_property
     def mesh(self) -> np.ndarray:
-        return _solve_mesh(self.problem, self.mesh_size)
+        return _solve_mesh(self.disc.problem, self.mesh_size)
 
     @cached_property
     def values(self) -> np.ndarray:
-        return self.sample(self.mesh)
-
-
-class _FactoredFunction(_SpectralFunction):
-    """A factored profile (see _FactoredDiscretization): Legendre coefficients."""
-
-    def discretization(self) -> _FactoredDiscretization:
-        return _FactoredDiscretization(self.problem, self.coefficients.size)
-
-    def sample(self, theta: np.ndarray) -> np.ndarray:
-        """The profile at the angles theta, exactly 0 at a Dirichlet pi/2 (s > 0)."""
-        return np.sin(HALF_PI - theta) ** self.problem.s * _legendre_series(self.coefficients, np.cos(2.0 * theta))
+        return self.disc.sample(self.coefficients, self.mesh)
 
 
 @dataclass(frozen=True, eq=False)
@@ -217,11 +199,10 @@ class SpectralResult:
     difference of the last two eigenvalues (basis size N against N/2);
     after an hp solve (p != 2 on [0, pi/2], p = 2 on a band) the Newton
     iterations of its two or three descents and the change of M between
-    the last two.  After either, the minimizer samples itself on its mesh
-    when its mesh or values are first read.  After a P1 descent
-    (minimize_rayleigh_p: p != 2 on a band, or where the spectral or hp
-    check failed), they are the descent steps and the relative step
-    decrement sqrt(grad Q . d) / Q of the last step.
+    the last two.  After a P1 descent (minimize_rayleigh_p: p != 2 on a
+    band, or where the spectral or hp check failed), they are the descent
+    steps and the relative step decrement sqrt(grad Q . d) / Q of the last
+    step.  The minimizer holds the accepted discretization (_Minimizer).
     """
 
     M: float
@@ -469,17 +450,20 @@ def smallest_eigenpair(stiffness: Tridiagonal, mass: Tridiagonal) -> tuple[float
 class _RuleSums:
     """The quotient's integrals as weighted sums over the nodes of a rule.
 
-    A discretization sets the rule weights w (the angular weight folded in),
-    p and H2, and supplies fields(v): phi and phi' at the nodes for its
-    coefficient vector v.  value(v) gives the quotient E/D at H^2, and
+    A discretization of a problem sets the rule weights w (the angular
+    weight folded in), and supplies fields(v): phi and phi' at the nodes
+    for its coefficient vector v, and sample(v, theta): the profile at the
+    angles theta.  value(v) gives the quotient E/D at H^2, and
     udelta_sums(v, Gs) E and its G-derivative at each G, and D, for the
     certifier; both read sum_fields(v), which a discretization whose E and
     D need different fields and rules (hp._HpDiscretization) overrides.
     """
 
     w: np.ndarray
-    p: float
-    H2: float
+
+    def __init__(self, problem: _SphericalProblem):
+        self.problem = problem
+        self.p, self.H2 = problem.p, problem.H2
 
     def fields(self, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         raise NotImplementedError
@@ -563,6 +547,7 @@ class _FactoredDiscretization(_RuleSums):
     """
 
     def __init__(self, problem: _SphericalProblem, size: int):
+        super().__init__(problem)
         s = problem.s
         alpha = (problem.dk - 2) / 2
         beta_w = (problem.ka - 2) / 2
@@ -574,12 +559,14 @@ class _FactoredDiscretization(_RuleSums):
         P, dP = _legendre(t, size)
         self.basis = cos[:, None] ** s * P
         self.dbasis = -(sin * cos ** (s - 1.0))[:, None] * (s * P + 2.0 * (1.0 + t)[:, None] * dP)
-        self.p = problem.p
-        self.H2 = problem.H2
 
     def fields(self, c: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """phi and phi' at the rule's nodes for the Legendre coefficients c."""
         return (self.basis * c).sum(axis=1), (self.dbasis * c).sum(axis=1)
+
+    def sample(self, c: np.ndarray, theta: np.ndarray) -> np.ndarray:
+        """The profile at the angles theta, exactly 0 at a Dirichlet pi/2 (s > 0)."""
+        return np.sin(HALF_PI - theta) ** self.problem.s * _legendre_series(c, np.cos(2.0 * theta))
 
     def p2_matrices(self) -> tuple[np.ndarray, np.ndarray]:
         """Dense stiffness int w phi_i' phi_j' and mass int w phi_i phi_j of the basis."""
@@ -619,14 +606,13 @@ class _Discretization(_RuleSums):
     """
 
     def __init__(self, problem: _SphericalProblem, mesh: np.ndarray, rule: QuadratureRule):
+        super().__init__(problem)
         theta_q = rule.nodes.reshape(mesh.size - 1, -1)
         self.mesh = mesh
         self.h = h = np.diff(mesh)
         self.n1 = (mesh[1:, None] - theta_q) / h[:, None]
         self.n2 = (theta_q - mesh[:-1, None]) / h[:, None]
         self.w = rule.weights.reshape(theta_q.shape)
-        self.p = problem.p
-        self.H2 = problem.H2
         domain = problem.domain
         self.free = slice(1 if domain.bc1 is DIRICHLET else 0,
                           mesh.size - 1 if domain.bc2 is DIRICHLET else mesh.size)
@@ -646,6 +632,10 @@ class _Discretization(_RuleSums):
         full = np.zeros(self.mesh.size)
         full[self.free] = v
         return full
+
+    def sample(self, v: np.ndarray, theta: np.ndarray) -> np.ndarray:
+        """The piecewise-linear profile of nodal values v at the angles theta: v itself at the nodes."""
+        return np.interp(theta, self.mesh, v)
 
     def p2_matrices(self) -> tuple[Tridiagonal, Tridiagonal]:
         """Stiffness int w phi_i' phi_j' and mass int w phi_i phi_j on the free nodes, as (diag, off)."""
@@ -856,7 +846,8 @@ def minimize_rayleigh_p(params: HardyParams, domain: AngularDomain, mesh_size: i
     DESCENT_TOL, at most MAX_DESCENT_ITER steps are taken, and the last
     relative step decrement sqrt(grad Q . d) / Q is the returned residual.
     The start is _cosine_profile.  The mesh has mesh_size elements, graded
-    toward pi/2.
+    toward pi/2, and the minimizer holds that discretization and its nodal
+    values.
     """
     problem = _SphericalProblem.of(params, domain)
     disc = _Discretization.graded(problem, mesh_size)
@@ -865,7 +856,7 @@ def minimize_rayleigh_p(params: HardyParams, domain: AngularDomain, mesh_size: i
     return SpectralResult(
         M=q,
         lam=lam,
-        minimizer=DiscretizedFunction(disc.mesh, v),
+        minimizer=_Minimizer(disc, v, mesh_size),
         iterations=iterations,
         residual=decrement,
     )
@@ -877,9 +868,10 @@ def _factored_eigensolve(problem: _SphericalProblem, mesh_size: int) -> Spectral
     Dense solves at N = 4, 8, ... basis functions stop once two consecutive
     eigenvalues agree to FACTORED_TOL relative (absolute below |lambda| = 1,
     where lambda_1 = 0 leaves nothing to be relative to); past
-    FACTORED_MAX_SIZE the solve raises ConvergenceError.  The minimizer has
-    unit weighted 2-norm; mesh_size (checked here) sets the graded mesh it
-    samples itself on when first read, the one a P1 solve would use.
+    FACTORED_MAX_SIZE the solve raises ConvergenceError.  The minimizer
+    holds the accepted basis and has unit weighted 2-norm; mesh_size
+    (checked here) sets the graded mesh it samples itself on when first
+    read, the one a P1 solve would use.
     """
     _require_mesh_size(mesh_size)
     previous, residual, size, solves = None, math.inf, 4, 0
@@ -900,7 +892,7 @@ def _factored_eigensolve(problem: _SphericalProblem, mesh_size: int) -> Spectral
     return SpectralResult(
         M=lam + problem.H2,
         lam=lam,
-        minimizer=_FactoredFunction(problem, c, mesh_size),
+        minimizer=_Minimizer(disc, c, mesh_size),
         iterations=solves,
         residual=residual,
     )

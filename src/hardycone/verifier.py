@@ -14,29 +14,30 @@ in delta^2, from the same quadrature sums, and _delta_limit extrapolates a
 trace of both to delta = 0 by a Hermite table over every point, with that
 term modelled where _nonanalytic_term knows its exponent.  Its
 radial integrals are pure powers, evaluated in closed form, and its
-angular integrals use the solver's
-own discretization of Phi: for a factored spectral minimizer (p = 2 on
-[0, pi/2]) its basis and exact Gauss-Jacobi rule; for an hp minimizer
-(p != 2 on [0, pi/2], p = 2 on a band) its elements and their rules for E
-and D; otherwise the P1 discretization (the same quadrature nodes, weights
-and shape values).  So at p = 2 the u_delta quotient is the Rayleigh
-quotient of the test function the solver returned + delta^2, and after a
-spectral solve that test function is the admissible profile itself, not
-an interpolant of it.  In the superdegenerate regime
+angular integrals use the discretization the solver accepted, which the
+minimizer holds, so nothing is rebuilt: for a factored spectral minimizer
+(p = 2 on [0, pi/2]) its basis and exact Gauss-Jacobi rule; for an hp
+minimizer (p != 2 on [0, pi/2], p = 2 on a band) its elements and their
+rules for E and D; for a P1 minimizer its mesh, quadrature nodes, weights
+and shape values.  A profile the caller built from a mesh and values gets
+the P1 discretization on that mesh.  So at p = 2 the u_delta quotient is
+the Rayleigh quotient of the test function the solver returned +
+delta^2, and after a spectral solve that test function is the admissible
+profile itself, not an interpolant of it.  In the superdegenerate regime
 k+a >= p, cutoff_decay measures the energy a log cutoff near {y = 0} costs,
-by tensor-product quadrature in (log r, -log|y|); _cutoff_log_decay gives
-its logarithm where the energy itself underflows.  Both walk the rule one
-Gauss panel in log r at a time, so the per-node factors exist for 10 rows
-only and a call holds one full-grid array (the integrand, or the log
-terms: 0.92 MB) instead of one per factor.  radial_hardy_quotient is a 1-D
-oracle for sampled profiles.
+by tensor-product quadrature in (log r, -log|y|), as the exponential of
+_cutoff_log_decay, its logarithm, which stays finite where the energy
+itself underflows.  That one sum walks the rule one Gauss panel in log r
+at a time, so the per-node factors exist for 10 rows only and a call
+holds one full-grid array (the log terms: 0.92 MB) instead of one per
+factor.  radial_hardy_quotient is a 1-D oracle for sampled profiles.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterable, Iterator, NamedTuple
+from typing import Iterable, NamedTuple
 
 import numpy as np
 
@@ -48,8 +49,8 @@ from .spherical import (
     AngularDomain,
     DiscretizedFunction,
     _Discretization,
+    _Minimizer,
     _RuleSums,
-    _SpectralFunction,
     _SphericalProblem,
 )
 
@@ -115,12 +116,13 @@ class RayleighEvaluation:
 def _discretization(params: HardyParams, Phi: DiscretizedFunction) -> tuple[_RuleSums, np.ndarray]:
     """The solver's discretization of Phi and Phi's coefficients in it.
 
-    A spectral profile (factored or hp) gets its own basis and rules, with
-    its coefficients; any other profile the P1 discretization on its mesh
-    (all nodes free), with its nodal values.
+    A solver's minimizer brings the discretization its solve accepted
+    (factored, hp or P1), with its coefficients, and nothing is rebuilt; a
+    caller-built profile gets the P1 discretization on its mesh (all nodes
+    free), with its nodal values.
     """
-    if isinstance(Phi, _SpectralFunction):
-        return Phi.discretization(), Phi.coefficients
+    if isinstance(Phi, _Minimizer):
+        return Phi.disc, Phi.coefficients
     rule = composite_rule(AngularWeight.for_params(params), Phi.mesh)  # rejects a mesh outside [0, pi/2]
     domain = AngularDomain(Phi.mesh[0], Phi.mesh[-1], NATURAL, NATURAL)  # every node free
     return _Discretization(_SphericalProblem.of(params, domain), Phi.mesh, rule), Phi.values
@@ -142,7 +144,7 @@ def evaluate_quotient_udelta(
 
     times the transverse sphere prefactor (halved when cone is the half
     space; the prefactor cancels in the quotient either way).  E and D are
-    the solver's sums (spectral or P1, see _discretization), so for p = 2
+    the solver's sums (factored, hp or P1, see _discretization), so for p = 2
     the quotient equals the Rayleigh quotient of Phi in that discretization
     plus delta^2, to rounding.  The denominator diverges like 1/delta: the
     divergence of the minimizing family's mass is what prevents any
@@ -335,66 +337,23 @@ def cutoff_decay(params: HardyParams, u_support: tuple[float, float], h: int) ->
 
     so I_h -> 0 like h^(1-p) at the threshold k+a = p and exponentially for
     k+a > p, where it underflows to 0 once h(k+a-p) passes ~700
-    (_cutoff_log_decay gives log I_h there).
-
-    The tensor-product Gauss rule (480 nu- by 240 tau-nodes) is walked one
-    nu-panel of 10 rows at a time: c, 1 - c^2, the gradient and the kernel
-    live for one panel only, and just the integrand is held in full
-    (0.92 MB), so one call peaks near 1 MB of arrays whatever h is.
+    (_cutoff_log_decay gives log I_h there).  I_h is the exponential of
+    that logarithm: the strip is summed in one place.
     """
-    strip = _strip(params, u_support, h)
-    d, k, b = params.d, params.k, params.b
-    radial = np.exp(strip.nu * (d - b - k))[:, None]
-    decay = np.exp(-strip.tau * strip.excess)[None, :]
-    integrand = np.empty((strip.nu.size, strip.tau.size))
-    for rows, one_mc2, grad_p in strip.panels():
-        kernel = radial[rows] * decay
-        kernel = kernel * one_mc2 ** ((d - k - 2) / 2)
-        integrand[rows] = kernel * grad_p
-    # one reduction over the whole integrand: per-panel partial sums would round differently
-    return float(strip.pref * strip.w_nu @ integrand @ strip.w_tau)
+    return math.exp(_cutoff_log_decay(params, u_support, h))
 
 
 def _cutoff_log_decay(params: HardyParams, u_support: tuple[float, float], h: int) -> float:
     """log I_h of cutoff_decay, finite where I_h itself underflows.
 
-    Each quadrature term's logarithm is summed with the decay e^(-tau(k+a-p))
-    kept as the exponent -tau(k+a-p), never exponentiated on its own, and the
-    terms are added by log-sum-exp.  -inf when every term vanishes.  The rule
-    is walked panel by panel as in cutoff_decay; only the terms are held in
-    full, and the log-sum-exp works on them in place.
+    The tensor-product Gauss rule (480 nu- by 240 tau-nodes) is walked one
+    nu-panel of 10 rows at a time: c, 1 - c^2, the gradient and the kernel
+    live for one panel only, and just the terms are held in full (0.92 MB),
+    so one call peaks near 1 MB of arrays whatever h is.  Each term's
+    logarithm is summed with the decay e^(-tau(k+a-p)) kept as the exponent
+    -tau(k+a-p), never exponentiated on its own, and the terms are added by
+    log-sum-exp, in place.  -inf when every term vanishes.
     """
-    strip = _strip(params, u_support, h)
-    d, k, b = params.d, params.k, params.b
-    terms = np.empty((strip.nu.size, strip.tau.size))
-    with np.errstate(divide="ignore"):
-        radial = (np.log(strip.w_nu) + strip.nu * (d - b - k))[:, None]
-        decay = (np.log(strip.w_tau) - strip.tau * strip.excess)[None, :]
-        for rows, one_mc2, grad_p in strip.panels():
-            terms[rows] = (radial[rows] + decay
-                           + np.log(one_mc2 ** ((d - k - 2) / 2)) + np.log(grad_p))
-    top = terms.max()
-    if top == -math.inf:
-        return -math.inf
-    terms -= top
-    return math.log(strip.pref) + float(top) + math.log(np.exp(terms, out=terms).sum())
-
-
-class _Strip(NamedTuple):
-    """Quadrature of the strip energy: nodes and weights in nu and tau, and the factors per nu-panel."""
-
-    nu: np.ndarray
-    w_nu: np.ndarray
-    tau: np.ndarray
-    w_tau: np.ndarray
-    excess: float  # k+a-p: the strip integrand decays like e^(-tau (k+a-p))
-    pref: float
-    # per nu-panel: its rows, and 1-c^2 and |e^-tau grad u_h|^p on them
-    panels: Callable[[], Iterator[tuple[slice, np.ndarray, np.ndarray]]]
-
-
-def _strip(params: HardyParams, u_support: tuple[float, float], h: int) -> _Strip:
-    """The strip quadrature of cutoff_decay, after checking its preconditions."""
     if h < 1:
         raise ValueError(f"need h >= 1, got {h}")
     ka = params.k + params.a
@@ -418,8 +377,11 @@ def _strip(params: HardyParams, u_support: tuple[float, float], h: int) -> _Stri
     etp_v = np.asarray(eta_cutoff_prime(tau / h), dtype=float)
     e_tau = np.exp(-tau)
     panel = nu.size // CUTOFF_RADIAL_PANELS  # the 10 Gauss nodes of one panel in nu
-
-    def panels() -> Iterator[tuple[slice, np.ndarray, np.ndarray]]:
+    d, k, b = params.d, params.k, params.b
+    terms = np.empty((nu.size, tau.size))
+    with np.errstate(divide="ignore"):
+        radial = (np.log(w_nu) + nu * (d - b - k))[:, None]
+        decay = (np.log(w_tau) - tau * (ka - params.p))[None, :]
         # the angular part of |grad u_h| grows like e^tau, so the integrand is
         # formed as e^(-tau(k+a-p)) |e^-tau grad u_h|^p: with k+a >= p neither
         # factor overflows, however large h is
@@ -430,9 +392,14 @@ def _strip(params: HardyParams, u_support: tuple[float, float], h: int) -> _Stri
             grad_r = eta_v[None, :] * gp_r[rows, None] - etp_v[None, :] * g_r[rows, None] / h
             scaled_grad_r = grad_r * e_tau[None, :]
             scaled_grad_th = etp_v[None, :] * np.sqrt(one_mc2) * g[rows, None] / h
-            yield rows, one_mc2, (scaled_grad_r**2 + scaled_grad_th**2) ** (params.p / 2)
-
-    return _Strip(nu, w_nu, tau, w_tau, ka - params.p, AngularWeight.for_params(params).prefactor, panels)
+            grad_p = (scaled_grad_r**2 + scaled_grad_th**2) ** (params.p / 2)
+            terms[rows] = radial[rows] + decay + np.log(one_mc2 ** ((d - k - 2) / 2)) + np.log(grad_p)
+    top = terms.max()
+    if top == -math.inf:
+        return -math.inf
+    terms -= top
+    pref = AngularWeight.for_params(params).prefactor
+    return math.log(pref) + float(top) + math.log(np.exp(terms, out=terms).sum())
 
 
 # ---------------------------------------------------------------------------

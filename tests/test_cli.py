@@ -591,6 +591,35 @@ class TestMainEntry:
         row = json.loads(out)["rows"][0]
         assert row["status"] == "solver_fail"
 
+    @staticmethod
+    def finite_report(out):
+        """The rows of a JSON report that holds no Infinity or NaN token."""
+        def reject(token):
+            raise ValueError(f"non-finite token {token}")
+
+        return json.loads(out, parse_constant=reject)["rows"]
+
+    @pytest.mark.parametrize("argv", [
+        ("constant", "--a=1e300"), ("constant", "--b=1e300"), ("verify", "--a=1e300"),
+        ("sweep", "--a=0,1e300"), ("sweep", "--b=0,1e300"),
+    ])
+    def test_hardy_exponent_overflow_is_a_failed_row(self, capsys, argv):
+        # |H|^p overflows in params.hardy_exponent: that cell fails, the others stay
+        code, out, err = run_cli(capsys, *argv, "--mesh", "64")
+        assert code == 1 and err == ""
+        rows = self.finite_report(out)
+        assert [row["status"] for row in rows] == ["ok"] * (len(rows) - 1) + ["solver_fail"]
+        assert rows[-1]["numeric_M"] is None
+
+    @pytest.mark.parametrize("argv", [("constant", "--p", "1e6"), ("verify", "--p", "1e6"), ("sweep", "--p", "2,1e6")])
+    def test_gauss_jacobi_overflow_is_a_failed_row(self, capsys, argv):
+        # at p = 1e6 the hp rules' Jacobi exponents are ~1e6, and their mass overflows
+        code, out, err = run_cli(capsys, *argv, "--mesh", "64")
+        assert code == 1 and err == ""
+        rows = self.finite_report(out)
+        assert [row["status"] for row in rows] == ["ok"] * (len(rows) - 1) + ["solver_fail"]
+        assert rows[-1]["p"] == 1e6 and rows[-1]["numeric_M"] is None
+
     def test_verify_h_trace_below_threshold_exits_2(self, capsys):
         code, out, err = run_cli(capsys, "verify", "--mesh", "64", "--hs", "4,8")
         assert code == 2 and out == ""

@@ -386,7 +386,7 @@ class TestSolveM:
         cone = ConeSpec.band(0.1, 1.0)
         result = solve_M(HardyParams(3, 1, p, 0.3, 0.0), cone, 64)
         p1 = p != 2.0
-        assert type(result.minimizer) is (DiscretizedFunction if p1 else hp._HpFunction)
+        assert type(result.minimizer.disc) is (spherical._Discretization if p1 else hp._HpDiscretization)
         assert len(rule_builds) == int(p1)
 
     def test_punctured_constant_minimizer(self):
@@ -829,7 +829,8 @@ class TestFactoredEigensolve:
         # the ground state is cos^s theta with s = 2 - (k+a) = 0.1, at unit weighted 2-norm
         ratio = Phi.values[:-1] / np.sin(HALF_PI - Phi.mesh[:-1]) ** 0.1  # cos, cancellation-free
         assert np.allclose(ratio, ratio[0], rtol=1e-12)
-        disc = spherical._FactoredDiscretization(Phi.problem, Phi.coefficients.size)
+        disc = Phi.disc
+        assert type(disc) is spherical._FactoredDiscretization and disc.problem.domain == domain
         assert disc.mass(disc.fields(Phi.coefficients)[0]) == pytest.approx(1.0, rel=1e-13)
 
     def test_bands_are_factored_and_p_not_2_stays_on_p1(self):
@@ -837,10 +838,10 @@ class TestFactoredEigensolve:
         params = HardyParams(3, 1, 2.0, 0.3, 0.0)
         band = solve_M(params, ConeSpec.band(0.3, HALF_PI), 256)
         problem = spherical._SphericalProblem.of(params, bc_for_cone(params, ConeSpec.band(0.3, HALF_PI)))
-        assert type(band.minimizer) is hp._HpFunction and band.minimizer.problem == problem
+        assert type(band.minimizer.disc) is hp._HpDiscretization and band.minimizer.disc.problem == problem
         assert band.M == hp._hp_solve(problem, 256).M and band.lam == band.M - problem.H2
         descent = solve_M(HardyParams(3, 1, 1.5, 0.3, 0.0), ConeSpec.band(0.3, HALF_PI), 256)
-        assert type(descent.minimizer) is DiscretizedFunction and descent.lam is None
+        assert type(descent.minimizer.disc) is spherical._Discretization and descent.lam is None
 
     def test_size_cap_raises_convergence_error(self, monkeypatch):
         monkeypatch.setattr(spherical, "FACTORED_MAX_SIZE", 4)  # one solve: nothing to compare
@@ -850,7 +851,7 @@ class TestFactoredEigensolve:
             spherical._factored_eigensolve(spherical._SphericalProblem.of(params, domain), 64)
         # solve_M falls back to the P1 descent
         result = solve_M(params, ConeSpec.complement_sigma0(), 64)
-        assert type(result.minimizer) is DiscretizedFunction
+        assert type(result.minimizer.disc) is spherical._Discretization
         assert result.M == minimize_rayleigh_p(params, domain, 64).M
 
 
@@ -891,11 +892,12 @@ class TestFactoredBands:
             problem = spherical._SphericalProblem.of(params, domain)
             result = solve_M(params, cone, 256)
             Phi = result.minimizer
-            assert type(Phi) is hp._HpFunction and Phi.problem == problem, cell
+            assert type(Phi.disc) is hp._HpDiscretization and Phi.disc.problem == problem, cell
             assert result.residual <= hp.HP_TOL * result.M and result.lam == result.M - problem.H2
             # one level finer again, from the minimizer prolonged, moves M by less than HP_TOL
-            finer = hp._HpDiscretization(problem, Phi.layers + 2, Phi.degree + 2)
-            v = finer.layout.prolong(Phi.discretization().layout, Phi.coefficients)
+            layout = Phi.disc.layout
+            finer = hp._HpDiscretization(problem, layout.layers + 2, layout.degree + 2)
+            v = finer.layout.prolong(layout, Phi.coefficients)
             M_finer = spherical._descend(finer, v, hp.HP_DESCENT_TOL, hp.HP_MAX_ITER, try_small_steps=False)[0]
             assert abs(M_finer - result.M) <= hp.HP_TOL * result.M, cell
             # both are Ritz values: the converged hp one lies below P1's
@@ -919,7 +921,7 @@ class TestFactoredBands:
         params = HardyParams(3, 1, 2.0, 0.0, 0.0)
         cone = ConeSpec.band(0.1, 1.0)
         result = solve_M(params, cone, 512)
-        assert type(result.minimizer) is hp._HpFunction
+        assert type(result.minimizer.disc) is hp._HpDiscretization
         assert result.M == pytest.approx(10.8931222025949, rel=1e-11)
         assert result.M < p1_reference(params, bc_for_cone(params, cone), 512)
 
@@ -928,7 +930,7 @@ class TestFactoredBands:
     def test_reference_values(self, cell, cone, reference):
         # the factored check failed on each and P1 printed them 4.5e-6 to 9.9e-3 off at mesh 512
         result = solve_M(HardyParams(*cell), cone, 512)
-        assert type(result.minimizer) is hp._HpFunction
+        assert type(result.minimizer.disc) is hp._HpDiscretization
         assert result.M == pytest.approx(reference, rel=1e-11)
         assert result.residual <= hp.HP_TOL * result.M
 
@@ -937,8 +939,8 @@ class TestLazyFactoredSamples:
     """A spectral minimizer samples itself on its graded mesh only when mesh or values is read."""
 
     # the factored basis on [0, pi/2], hp on a band
-    CELLS = [((3, 1, 2.0, 0.9, 0.0), ConeSpec.complement_sigma0(), spherical._FactoredFunction),
-             ((4, 2, 2.0, 0.5, 0.0), ConeSpec.band(0.3, 1.2), hp._HpFunction)]
+    CELLS = [((3, 1, 2.0, 0.9, 0.0), ConeSpec.complement_sigma0(), spherical._FactoredDiscretization),
+             ((4, 2, 2.0, 0.5, 0.0), ConeSpec.band(0.3, 1.2), hp._HpDiscretization)]
 
     @pytest.mark.parametrize("cell, cone, kind", CELLS, ids=["complement-sigma0", "band:0.3:1.2"])
     def test_no_mesh_built_until_read(self, monkeypatch, cell, cone, kind):
@@ -947,12 +949,12 @@ class TestLazyFactoredSamples:
         monkeypatch.setattr(spherical, "graded_mesh", lambda *args: calls.append(args) or real(*args))
         params = HardyParams(*cell)
         Phi = solve_M(params, cone, 2048).minimizer
-        assert type(Phi) is kind and calls == []
+        assert type(Phi.disc) is kind and calls == []
         values = Phi.values
         assert len(calls) == 1 and Phi.mesh is Phi.mesh and Phi.values is values
         problem = spherical._SphericalProblem.of(params, bc_for_cone(params, cone))
         assert np.array_equal(Phi.mesh, spherical._solve_mesh(problem, 2048))
-        assert np.array_equal(values, kind.sample(Phi, Phi.mesh))
+        assert np.array_equal(values, Phi.disc.sample(Phi.coefficients, Phi.mesh))
 
     @pytest.mark.parametrize("cell, cone, kind", CELLS, ids=["complement-sigma0", "band:0.3:1.2"])
     def test_pickle_keeps_the_samples(self, cell, cone, kind):
@@ -963,7 +965,7 @@ class TestLazyFactoredSamples:
         read = solve_M(params, cone, 512).minimizer
         assert read.values.size == 513  # sampled before pickling
         for Phi in (pickle.loads(pickle.dumps(unread)), pickle.loads(pickle.dumps(read))):
-            assert type(Phi) is kind and Phi.problem == read.problem
+            assert type(Phi.disc) is kind and Phi.disc.problem == read.disc.problem
             assert np.array_equal(Phi.coefficients, read.coefficients)
             assert np.array_equal(Phi.mesh, read.mesh) and np.array_equal(Phi.values, read.values)
 
@@ -995,7 +997,7 @@ class TestHpSolve:
     @pytest.mark.parametrize("cell, reference, rel", HP_REFERENCES, ids=[str(c) for c, _, _ in HP_REFERENCES])
     def test_reference_values(self, cell, reference, rel):
         result = solve_M(HardyParams(*cell), ConeSpec.complement_sigma0(), 512)
-        assert type(result.minimizer) is hp._HpFunction and result.lam is None
+        assert type(result.minimizer.disc) is hp._HpDiscretization and result.lam is None
         assert result.M == pytest.approx(reference, rel=rel)
         assert result.residual <= hp.HP_TOL * result.M
 
@@ -1025,7 +1027,7 @@ class TestHpSolve:
         # descent's M, bit for bit the value the P1 descent gave before hp existed
         monkeypatch.setattr(hp, "HP_TOL", -1.0)
         result = solve_M(HardyParams(3, 1, 3.0, 0.0, 0.0), ConeSpec.complement_sigma0(), 256)
-        assert type(result.minimizer) is DiscretizedFunction
+        assert type(result.minimizer.disc) is spherical._Discretization
         assert result.M == 2.1726116518314718 and result.iterations == 8
 
     def test_near_miss_goes_one_level_deeper(self):
@@ -1035,8 +1037,9 @@ class TestHpSolve:
         # system's inertia rule: 29 steps, where taking any finite step took 42
         params = HardyParams(3, 2, 8.0, 5.0, 0.0)
         result = solve_M(params, ConeSpec.complement_sigma0(), 256)
-        assert type(result.minimizer) is hp._HpFunction
-        assert (result.minimizer.layers, result.minimizer.degree) == (hp.HP_LAYERS + 4, hp.HP_DEGREE + 4)
+        layout = result.minimizer.disc.layout
+        assert type(result.minimizer.disc) is hp._HpDiscretization
+        assert (layout.layers, layout.degree) == (hp.HP_LAYERS + 4, hp.HP_DEGREE + 4)
         assert result.M == pytest.approx(1.75084359027e-06, rel=1e-10)
         assert result.iterations <= 32
         assert result.residual <= hp.HP_TOL * result.M
@@ -1052,7 +1055,7 @@ class TestHpSolve:
         """The hp discretization of (3,1,3,0,0) on the complement of sigma_0 and its Newton terms at the minimizer."""
         params = HardyParams(3, 1, 3.0, 0.0, 0.0)
         result = solve_M(params, ConeSpec.complement_sigma0(), 64)
-        disc = result.minimizer.discretization()
+        disc = result.minimizer.disc
         return disc, disc.newton_system(result.minimizer.coefficients)
 
     def test_newton_direction_rejects_wrong_inertia(self):
@@ -1119,7 +1122,7 @@ class TestHpSolve:
         params = HardyParams(3, 1, 3.0, 0.3, 0.0)
         result = solve_M(params, ConeSpec.complement_sigma0(), 256)
         Phi = result.minimizer
-        disc = Phi.discretization()
+        disc = Phi.disc
         assert disc.value(Phi.coefficients) == pytest.approx(result.M, rel=1e-14)
         assert disc.sum_fields(Phi.coefficients)[2] == pytest.approx(1.0, rel=1e-14)
         # its samples: positive inside, 0 at the Dirichlet end pi/2
@@ -1131,8 +1134,7 @@ class TestHpSolve:
 
         result = solve_M(HardyParams(3, 1, 1.5, 0.3, 0.0), ConeSpec.complement_sigma0(), 256)
         Phi = pickle.loads(pickle.dumps(result.minimizer))
-        assert type(Phi) is hp._HpFunction and (Phi.layers, Phi.degree) == (
-            result.minimizer.layers, result.minimizer.degree)
+        assert type(Phi.disc) is hp._HpDiscretization and Phi.disc.layout[:2] == result.minimizer.disc.layout[:2]
         assert np.array_equal(Phi.coefficients, result.minimizer.coefficients)
         assert np.array_equal(Phi.values, result.minimizer.values)
 

@@ -10,14 +10,14 @@ from scipy.interpolate import CubicHermiteSpline, CubicSpline
 
 import hardycone.verifier as verifier
 from hardycone.cli import RunConfig, cmd_verify, parse_cone
-from hardycone.hp import _HpFunction
+from hardycone.hp import _HpDiscretization
 from hardycone.params import ConeSpec, HardyParams, closed_form_constant, hardy_exponent
 from hardycone.quadrature import sphere_weight_mass
 from hardycone.spherical import (
     DIRICHLET,
     DiscretizedFunction,
     _Discretization,
-    _FactoredFunction,
+    _FactoredDiscretization,
     _SphericalProblem,
     bc_for_cone,
     graded_mesh,
@@ -101,10 +101,10 @@ class TestUdeltaQuotient:
         problem = _SphericalProblem.of(params, domain)
         assert np.array_equal(_Discretization.graded(problem, 256).mesh, result.minimizer.mesh)
         Phi = result.minimizer
-        assert Phi.problem == problem
+        assert Phi.disc.problem == problem
         dirichlet_pole = domain.bc2 is DIRICHLET and domain.theta2 == math.pi / 2
-        assert Phi.problem.s == (2.0 - (params.k + params.a) if dirichlet_pole else 0.0)
-        q = Phi.discretization().value(Phi.coefficients)
+        assert problem.s == (2.0 - (params.k + params.a) if dirichlet_pole else 0.0)
+        q = Phi.disc.value(Phi.coefficients)
         for delta in (0.2, 0.1, 0.05):
             ev = evaluate_quotient_udelta(params, result.minimizer, delta, cone=cone)
             assert ev.quotient - q == pytest.approx(delta**2, rel=1e-11)
@@ -141,14 +141,14 @@ class TestUdeltaQuotient:
             assert ev.quotient == pytest.approx(expected, rel=1e-12)
 
     @pytest.mark.parametrize("params, cone, kind", [
-        (HardyParams(4, 1, 2.0, 0.3, 0.5), ConeSpec.half_space(), _FactoredFunction),
-        (HardyParams(3, 1, 3.0, 0.0, 0.0), ConeSpec.complement_sigma0(), _HpFunction),
-        (HardyParams(3, 1, 3.0, 0.3, 0.0), ConeSpec.band(0.3, 1.2), DiscretizedFunction),
+        (HardyParams(4, 1, 2.0, 0.3, 0.5), ConeSpec.half_space(), _FactoredDiscretization),
+        (HardyParams(3, 1, 3.0, 0.0, 0.0), ConeSpec.complement_sigma0(), _HpDiscretization),
+        (HardyParams(3, 1, 3.0, 0.3, 0.0), ConeSpec.band(0.3, 1.2), _Discretization),
     ], ids=["factored", "hp", "P1"])
     def test_slope_is_the_derivative_in_delta_squared(self, params, cone, kind):
         # against a centred difference of the quotient in x = delta^2
         Phi = solve_M(params, cone, 256).minimizer
-        assert type(Phi) is kind
+        assert type(Phi.disc) is kind
         for delta in (0.2, 0.05):
             x, h = delta**2, 1e-3 * delta**2
             q_up, q_down = (evaluate_quotient_udelta(params, Phi, math.sqrt(x + step), cone=cone).quotient
@@ -157,14 +157,14 @@ class TestUdeltaQuotient:
             assert slope == pytest.approx((q_up - q_down) / (2 * h), rel=1e-6)
 
     @pytest.mark.parametrize("params, cone, kind", [
-        (HardyParams(3, 1, 2.0, 0.0, 0.0), ConeSpec.complement_sigma0(), _FactoredFunction),
-        (HardyParams(4, 1, 2.0, 0.3, 0.5), ConeSpec.half_space(), _FactoredFunction),
-        (HardyParams(3, 1, 2.0, 0.3, 0.0), ConeSpec.band(0.4, 1.3), _HpFunction),
+        (HardyParams(3, 1, 2.0, 0.0, 0.0), ConeSpec.complement_sigma0(), _FactoredDiscretization),
+        (HardyParams(4, 1, 2.0, 0.3, 0.5), ConeSpec.half_space(), _FactoredDiscretization),
+        (HardyParams(3, 1, 2.0, 0.3, 0.0), ConeSpec.band(0.4, 1.3), _HpDiscretization),
     ], ids=["complement-sigma0", "half-space", "band"])
     def test_p2_slope_is_one(self, params, cone, kind):
         # the quotient is M + delta^2 at p = 2, so its slope in delta^2 is 1 to rounding
         Phi = solve_M(params, cone, 256).minimizer
-        assert type(Phi) is kind
+        assert type(Phi.disc) is kind
         for delta in (0.2, 0.1, 0.05, 0.025):
             assert abs(evaluate_quotient_udelta(params, Phi, delta, cone=cone).slope - 1.0) <= 1e-13
 
@@ -190,6 +190,57 @@ class TestUdeltaQuotient:
     def test_nonpositive_delta_rejected(self):
         with pytest.raises(ValueError):
             evaluate_quotient_udelta(self.params, self.result.minimizer, 0.0)
+
+
+# a factored, an hp and a P1 cell, and the discretizations each one's solve builds
+SOLVE_BUILDS = [
+    ((3, 1, 2.0, 0.0, 0.0), "half-space", {"factored": 2}),  # N = 4, then N = 8 agrees
+    ((3, 1, 3.0, 0.0, 0.0), "complement-sigma0", {"hp": 2}),  # two hp levels
+    ((3, 1, 3.0, 0.3, 0.0), "band:0.3:1.2", {"P1": 1}),
+]
+
+
+class TestHeldDiscretization:
+    """The certifier integrates a solver minimizer in the discretization its solve accepted."""
+
+    @pytest.mark.parametrize("cell, cone, builds", SOLVE_BUILDS, ids=["factored", "hp", "P1"])
+    def test_verify_builds_nothing_after_its_solve(self, monkeypatch, cell, cone, builds):
+        counts = dict.fromkeys(["factored", "hp", "P1", "rule"], 0)
+        for key, cls in (("factored", _FactoredDiscretization), ("hp", _HpDiscretization), ("P1", _Discretization)):
+            def counting(self, *args, _key=key, _init=cls.__init__):
+                counts[_key] += 1
+                _init(self, *args)
+
+            monkeypatch.setattr(cls, "__init__", counting)
+        rule = verifier.composite_rule
+        monkeypatch.setattr(verifier, "composite_rule",
+                            lambda *args: counts.__setitem__("rule", counts["rule"] + 1) or rule(*args))
+        d, k, p, a, b = cell
+        config = RunConfig("verify", d=(d,), k=(k,), p=(p,), a=(a,), b=(b,), cones=(cone,), mesh_size=256,
+                           delta_list=(0.2, 0.1, 0.05, 0.025))
+        [row] = cmd_verify(config)
+        assert row.status == "ok" and len(row.quotient_trace) == 4
+        assert counts == {"factored": 0, "hp": 0, "P1": 0, "rule": 0, **builds}
+
+    @pytest.mark.parametrize("cell, cone, fallback", [
+        ((3, 1, 3.0, 0.3, 0.0), ConeSpec.band(0.3, 1.2), False),
+        ((3, 2, 1.5, 0.3, 0.0), ConeSpec.band(0.3, HALF_PI), False),  # a Dirichlet pi/2
+        ((3, 1, 3.0, 0.0, 0.0), ConeSpec.complement_sigma0(), True),  # hp's check forced to fail
+    ], ids=["band", "band-to-pi/2", "fallback"])
+    def test_p1_minimizer_sums_as_its_samples_do(self, monkeypatch, cell, cone, fallback):
+        # the solve's P1 rule has the exponents of AngularWeight.for_params, and
+        # udelta_sums reads no Dirichlet mask, so the held discretization gives
+        # the numbers of the one rebuilt on the samples, bit for bit
+        if fallback:
+            monkeypatch.setattr("hardycone.hp.HP_TOL", -1.0)
+        params = HardyParams(*cell)
+        Phi = solve_M(params, cone, 256).minimizer
+        assert type(Phi.disc) is _Discretization
+        assert np.array_equal(Phi.mesh, Phi.disc.mesh) and np.array_equal(Phi.values, Phi.coefficients)
+        sampled = DiscretizedFunction(Phi.mesh, Phi.values)
+        for delta in (0.2, 0.1, 0.05, 0.025):
+            held = evaluate_quotient_udelta(params, Phi, delta, cone=cone)
+            assert held == evaluate_quotient_udelta(params, sampled, delta, cone=cone)
 
 
 class TestDeltaLimit:
@@ -474,14 +525,26 @@ class TestCutoffDecay:
 
     @pytest.mark.parametrize("params", CUTOFF_CELLS, ids=lambda c: f"{c.d},{c.k},{c.p:g},{c.a:g},{c.b:g}")
     def test_panels_match_the_dense_rule_bit_for_bit(self, params):
-        # the panel-by-panel kernel forms every node's value by the same
+        # the panel-by-panel log sum forms every node's term by the same
         # operations as the whole-grid formula and reduces the same full
-        # integrand, so the energies and their logarithms are equal, not close
+        # array, so the logarithms are equal, not close; the energy is the
+        # exponential of that logarithm, bit for bit
         support = (0.05, 20.0)
-        for h in (4, 32, 200):
-            assert cutoff_decay(params, support, h) == _dense_strip_energy(params, support, h)
         for h in (4, 32, 200, 2000):
-            assert _cutoff_log_decay(params, support, h) == _dense_strip_energy(params, support, h, log=True)
+            log_energy = _cutoff_log_decay(params, support, h)
+            assert log_energy == _dense_strip_energy(params, support, h, log=True)
+            assert cutoff_decay(params, support, h) == math.exp(log_energy)
+
+    @pytest.mark.parametrize("params", CUTOFF_CELLS, ids=lambda c: f"{c.d},{c.k},{c.p:g},{c.a:g},{c.b:g}")
+    def test_energy_matches_the_dense_direct_sum(self, params):
+        # exp of the log-sum-exp against the direct sum of the whole integrand:
+        # the exponential turns the logarithm's rounding, a few ulp of |log I_h|,
+        # into relative error; at most 2.3e-14 over these cells at h = 4..400,
+        # on (3,1,2,2.5,0) at h = 100, where log I_h is about -150
+        support = (0.05, 20.0)
+        for h in (4, 32, 100, 200):
+            dense = _dense_strip_energy(params, support, h)
+            assert cutoff_decay(params, support, h) == pytest.approx(dense, rel=3e-14, abs=0.0)
 
     @pytest.mark.parametrize("kernel, params, h", [
         (cutoff_decay, HardyParams(4, 2, 2.0, 0.5, 0.0), 32),
