@@ -455,56 +455,46 @@ def _float_list(text: str) -> tuple[float, ...]:
 
 
 class _ArgumentParser(argparse.ArgumentParser):
-    """An ArgumentParser whose usage errors raise ValueError, which main reports as a JSON error.
-
-    argparse would print the usage and exit 2 itself; its subcommand parsers
-    are of this class too.
-    """
+    """An ArgumentParser whose usage errors raise ValueError (not argparse's exit 2), which main reports as JSON."""
 
     def error(self, message: str):
         raise ValueError(message)
 
 
 def build_parser() -> tuple[argparse.ArgumentParser, dict]:
-    """The parser and its subcommands' (shared) options by dest; RunConfig holds the defaults."""
+    """The parser and its options by dest; RunConfig holds the defaults.
+
+    Every command takes the same flags, so the command is a positional and the flags may stand on either side of it.
+    """
     parser = _ArgumentParser(
         prog="hardycone",
         description="Sharp Hardy constants with mixed weights on cones: closed forms, "
         "spherical spectra, and numerical certification.",
         epilog="CSV columns: " + ", ".join(CSV_COLUMNS) + ". Cones: " + CONE_CHOICES + ".",
+        argument_default=argparse.SUPPRESS,
     )
-    sub = parser.add_subparsers(dest="command", required=True)
-    for name, helptext in [
-        ("constant", "closed form and numeric spherical minimum for one cone"),
-        ("spectrum", "eigenvalue/minimizer details for one cone"),
-        ("verify", "quotient traces in delta and cutoff energies in h"),
-        ("sweep", "numeric constants over a parameter grid"),
-        ("table", "reproduce the closed-form families over a grid"),
-    ]:
-        cmd = sub.add_parser(name, help=helptext, argument_default=argparse.SUPPRESS)
-        options = [
-            cmd.add_argument("--d", type=_int_list, help="dimension(s), comma separated"),
-            cmd.add_argument("--k", type=_int_list, help="codimension parameter(s)"),
-            cmd.add_argument("--p", type=_float_list, help="integrability exponent(s)"),
-            cmd.add_argument("--a", type=_float_list, help="cylindrical weight exponent(s)"),
-            cmd.add_argument("--b", type=_float_list, help="spherical weight exponent(s)"),
-            cmd.add_argument("--cone", dest="cones", type=lambda t: tuple(t.split(",")),
-                             help=f"cone(s): {CONE_CHOICES}"),
-            cmd.add_argument("--mesh", dest="mesh_size", type=int),
-            cmd.add_argument("--deltas", dest="delta_list", type=_float_list),
-            cmd.add_argument("--hs", dest="h_list", type=_int_list),
-            cmd.add_argument("--cs-n", dest="cs_n", type=_int_list,
-                             help="table: anchor dimensions n (d = n+1)"),
-            cmd.add_argument("--cs-s", dest="cs_s", type=_float_list,
-                             help="table: fractional orders s (a = 1-2s)"),
-            cmd.add_argument("--format", choices=FORMAT_CHOICES),
-            cmd.add_argument("--out", dest="output_path"),
-            cmd.add_argument("--config", dest="config_path",
-                             help="JSON file of defaults; explicit flags override it"),
-            cmd.add_argument("--jobs", type=int),
-            cmd.add_argument("--tol", type=float,
-                             help="largest acceptable |numeric - closed| gap"),
-        ]
+    parser.add_argument("command", choices=COMMANDS, help="constant: closed form and numeric spherical minimum "
+                        "for one cone; spectrum: eigenvalue/minimizer details for one cone; verify: quotient traces "
+                        "in delta and cutoff energies in h; sweep: numeric constants over a parameter grid; "
+                        "table: reproduce the closed-form families over a grid")
+    options = [
+        parser.add_argument("--d", type=_int_list, help="dimension(s), comma separated"),
+        parser.add_argument("--k", type=_int_list, help="codimension parameter(s)"),
+        parser.add_argument("--p", type=_float_list, help="integrability exponent(s)"),
+        parser.add_argument("--a", type=_float_list, help="cylindrical weight exponent(s)"),
+        parser.add_argument("--b", type=_float_list, help="spherical weight exponent(s)"),
+        parser.add_argument("--cone", dest="cones", type=lambda t: tuple(t.split(",")), help=f"cone(s): {CONE_CHOICES}"),
+        parser.add_argument("--mesh", dest="mesh_size", type=int),
+        parser.add_argument("--deltas", dest="delta_list", type=_float_list),
+        parser.add_argument("--hs", dest="h_list", type=_int_list),
+        parser.add_argument("--cs-n", dest="cs_n", type=_int_list, help="table: anchor dimensions n (d = n+1)"),
+        parser.add_argument("--cs-s", dest="cs_s", type=_float_list, help="table: fractional orders s (a = 1-2s)"),
+        parser.add_argument("--format", choices=FORMAT_CHOICES),
+        parser.add_argument("--out", dest="output_path"),
+        parser.add_argument("--config", dest="config_path", help="JSON file of defaults; explicit flags override it"),
+        parser.add_argument("--jobs", type=int),
+        parser.add_argument("--tol", type=float, help="largest acceptable |numeric - closed| gap"),
+    ]
     return parser, {action.dest: action for action in options}
 
 
@@ -513,9 +503,9 @@ def parse_config(argv: list[str]) -> RunConfig:
 
     The file's keys are RunConfig fields, as in a JSON report's "config"
     block.  Each value becomes its flag's text (a list its comma-joined
-    text), parsed ahead of the command line's own flags, so the flag parser
-    converts and checks it and a later explicit flag wins; null is allowed
-    where the default is None.
+    text), parsed ahead of the whole command line, so the flag parser
+    converts and checks it and an explicit flag wins wherever it stands;
+    null is allowed where the default is None.
     """
     parser, options = build_parser()
     given = vars(parser.parse_args(argv))
@@ -539,8 +529,8 @@ def parse_config(argv: list[str]) -> RunConfig:
             else:
                 text = ",".join(map(str, value)) if isinstance(value, list) else str(value)
                 tokens.append(f"{options[key].option_strings[0]}={text}")
-        try:  # argv's own flags parsed once already: an error here is the file's
-            given = vars(parser.parse_args([command, *tokens, *argv[1:]]))
+        try:  # argv parsed once already: an error here is the file's
+            given = vars(parser.parse_args([*tokens, *argv]))
         except ValueError as exc:
             raise ValueError(f"config file {path}: {exc}") from None
         del given["config_path"]

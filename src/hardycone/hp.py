@@ -29,6 +29,7 @@ imports this module only for such a solve.
 from __future__ import annotations
 
 import math
+from collections.abc import Callable
 from typing import NamedTuple
 
 import numpy as np
@@ -335,12 +336,14 @@ class _HpDiscretization(_RuleSums):
         """Coefficient vector from each element's entries for its shape functions: vertices, then bubbles."""
         return np.concatenate([_scatter(per_element[:, 0], per_element[:, 1]), per_element[:, 2:].ravel()])
 
-    def newton_system(self, v: np.ndarray) -> tuple[float, np.ndarray, np.ndarray, float, np.ndarray]:
-        """Q, grad Q, K = hess E - Q hess D (element by element), D and grad D at v, from one pass.
+    def newton_system(
+        self, v: np.ndarray
+    ) -> tuple[float, np.ndarray, np.ndarray, float, np.ndarray, Callable[[], np.ndarray]]:
+        """Q, grad Q, K = hess E - Q hess D (element by element), D, grad D and hess E at v, from one pass.
 
         The terms are _Discretization.newton_system's with (phi', phi) replaced by (psi, chi) in E, whose
         density e2 = psi^2 + H^2 chi^2 has the gradient 2 (psi A + H^2 chi C) for the shape-function
-        columns A of psi and C of chi; D reads g.  The element matrices of hess E are kept for hess_e.
+        columns A of psi and C of chi; D reads g.  hess E's element matrices come back as a callable.
         """
         p, H2 = self.p, self.H2
         psi, chi, g = self._fields(v)
@@ -360,16 +363,13 @@ class _HpDiscretization(_RuleSums):
         if H2:
             cross = c_outer * H2 * psi * chi
             weighted += self.swapped_shapes * np.concatenate([cross, cross], axis=1)[:, None]
-        self._hess_e = np.einsum("eiq,ejq->eij", self.energy_shapes, weighted)
+        hess_e = np.einsum("eiq,ejq->eij", self.energy_shapes, weighted)
         grad_e = np.einsum("eiq,eq->ei", self.energy_shapes, np.concatenate([c_curv * psi, c_curv * H2 * chi], axis=1))
         c_den = self.w_mass * p * g_pow2
         grad_d = self._assemble(np.einsum("eiq,eq->ei", self.mass_shapes, c_den * g)) * self.mask
         hess_d = np.einsum("eiq,ejq->eij", self.mass_shapes, ((p - 1.0) * c_den)[:, None] * self.mass_shapes)
-        return q, (self._assemble(grad_e) - q * grad_d) / den * self.mask, self._hess_e - q * hess_d, den, grad_d
-
-    def hess_e(self) -> np.ndarray:
-        """hess E's element matrices at the iterate of the last newton_system pass."""
-        return self._hess_e
+        return (q, (self._assemble(grad_e) - q * grad_d) / den * self.mask, hess_e - q * hess_d, den, grad_d,
+                lambda: hess_e)
 
     def newton_direction(
         self, g: np.ndarray, hessian: np.ndarray, den: float, grad_d: np.ndarray

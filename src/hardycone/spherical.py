@@ -63,9 +63,10 @@ and two BLAS threads.
 from __future__ import annotations
 
 import math
+from collections.abc import Callable
 from dataclasses import dataclass
 from enum import Enum
-from functools import cached_property
+from functools import cached_property, partial
 from typing import NamedTuple
 
 import numpy as np
@@ -653,8 +654,10 @@ class _Discretization(_RuleSums):
         dphi = np.broadcast_to(((v[1:] - v[:-1]) / self.h)[:, None], phi.shape)
         return phi, dphi
 
-    def newton_system(self, v: np.ndarray) -> tuple[float, np.ndarray, Tridiagonal, float, np.ndarray]:
-        """Q, grad Q, K = hess E - Q hess D, D and grad D at v, from one pass over the rule.
+    def newton_system(
+        self, v: np.ndarray
+    ) -> tuple[float, np.ndarray, Tridiagonal, float, np.ndarray, Callable[[], Tridiagonal]]:
+        """Q, grad Q, K = hess E - Q hess D, D, grad D and hess E at v, from one pass over the rule.
 
         grad Q and grad D are nodal, grad Q zero at Dirichlet nodes; K is
         tridiagonal over all nodes.  Each element couples its two nodes only.
@@ -667,8 +670,9 @@ class _Discretization(_RuleSums):
             hess E:  (p/2)(p/2-1) e2^(p/2-2) de2 de2^T
                      + p e2^(p/2-1) (dphi' dphi'^T + H^2 dphi dphi^T),
             hess D:  p(p-1) |phi|^(p-2) dphi dphi^T,
-        and grad Q = (grad E - Q grad D) / D.  The pass keeps the terms of
-        hess E, which hess_e forms on demand.
+        and grad Q = (grad E - Q grad D) / D.  hess E is a callable that
+        forms it on demand from the pass's terms: the same sums as K with its
+        hess D term dropped, bit for bit the K of a pass at multiplier 0.
         """
         p, H2, w, n1, n2 = self.p, self.H2, self.w, self.n1, self.n2
         phi, dphi = self.fields(v)
@@ -692,9 +696,9 @@ class _Discretization(_RuleSums):
         c_outer = w * (p / 2) * (p / 2 - 1.0) * e_pow2
         c_grad = _element_sums(c_curv) / self.h**2
         c_value_e = c_curv * H2
-        self._hess_e_terms = (c_outer, de2_l, de2_r, c_value_e, c_grad)
         hessian = self._hessian(c_outer, de2_l, de2_r, c_value_e - q * w * p * (p - 1.0) * phi_pow2, c_grad)
-        return q, (grad_e - q * grad_d) / den * self.mask, hessian, den, grad_d
+        hess_e = partial(self._hessian, c_outer, de2_l, de2_r, c_value_e, c_grad)
+        return q, (grad_e - q * grad_d) / den * self.mask, hessian, den, grad_d, hess_e
 
     def _hessian(self, c_outer, de2_l, de2_r, c_value, c_grad) -> Tridiagonal:
         """The tridiagonal sum of c_outer de2 de2^T + c_value dphi dphi^T + c_grad dphi' dphi'^T h^2 over the rule."""
@@ -703,15 +707,6 @@ class _Discretization(_RuleSums):
         k_rr = _element_sums(c_outer * de2_r * de2_r + c_value * n2 * n2) + c_grad
         k_lr = _element_sums(c_outer * de2_l * de2_r + c_value * n1 * n2) - c_grad
         return _scatter(k_ll, k_rr), k_lr
-
-    def hess_e(self) -> Tridiagonal:
-        """hess E at the iterate of the last newton_system pass, from the terms that pass kept.
-
-        The same sums as K with its hess D term dropped: bit for bit the K
-        of a pass at multiplier 0, whose hess D term is 0.0 times a finite
-        array.
-        """
-        return self._hessian(*self._hess_e_terms)
 
     def newton_direction(
         self, g: np.ndarray, hessian: Tridiagonal, den: float, grad_d: np.ndarray
@@ -780,7 +775,7 @@ def _descend(
     (disc.newton_direction); a line-search trial costs Q alone.  If that
     step is singular, non-finite, has the wrong inertia (_bordered_step) or
     is not a descent direction, the step with
-    hess E (disc.hess_e, from the same pass) is taken: E is convex, so
+    hess E (a callable that the same pass returns) is taken: E is convex, so
     grad Q . d = d^T hess E d / D > 0 wherever grad Q != 0, and a failed one
     raises ConvergenceError.  grad Q exactly 0 ends the descent.
     Backtracking line search from a full step; disc.normalize brings each
@@ -794,7 +789,7 @@ def _descend(
     halve the step 60 times.
     """
     v = disc.normalize(v)
-    q, g, hessian, den, grad_d = disc.newton_system(v)
+    q, g, hessian, den, grad_d, hess_e = disc.newton_system(v)
     decrement = math.inf
     for iterations in range(1, max_iter + 1):
         direction = disc.newton_direction(g, hessian, den, grad_d)
@@ -803,7 +798,7 @@ def _descend(
             if not g.any():  # stationary: nothing to descend
                 decrement = 0.0
                 break
-            direction = disc.newton_direction(g, disc.hess_e(), den, grad_d)
+            direction = disc.newton_direction(g, hess_e(), den, grad_d)
             slope = (g * direction).sum() if direction is not None else math.nan
             if not slope > 0.0:
                 raise ConvergenceError("quotient descent: the hess E step failed", residual=decrement)
@@ -824,7 +819,7 @@ def _descend(
                                    residual=decrement)
         rel_dec = (q - q_trial) / max(abs(q), 1e-300)
         v = trial
-        q, g, hessian, den, grad_d = disc.newton_system(v)
+        q, g, hessian, den, grad_d, hess_e = disc.newton_system(v)
         if rel_dec < tol and decrement < DESCENT_GRAD_TOL:
             break
     else:

@@ -1,5 +1,6 @@
 """CLI surface: parsing, report schema, round trips, exit codes, determinism."""
 
+import argparse
 import concurrent.futures
 import csv
 import io
@@ -738,6 +739,69 @@ class TestConfigSchema:
         assert json.loads(err)["error"]["type"] == "ValueError"
 
 
+# each flag but --config: its text, the RunConfig field and value it gives,
+# and an abbreviation argparse accepts (None where no shorter prefix is unique)
+FLAGS = [
+    ("--d", "3,4", "d", (3, 4), None),
+    ("--k", "2", "k", (2,), None),
+    ("--p", "1.5,3", "p", (1.5, 3.0), None),
+    ("--a", "-0.5,0.5", "a", (-0.5, 0.5), None),
+    ("--b", "0.25", "b", (0.25,), None),
+    ("--cone", "full,band:0.3:1.2", "cones", ("full", "band:0.3:1.2"), None),
+    ("--mesh", "64", "mesh_size", 64, "--mes"),
+    ("--deltas", "0.2,0.1", "delta_list", (0.2, 0.1), "--del"),
+    ("--hs", "4,8", "h_list", (4, 8), None),
+    ("--cs-n", "2", "cs_n", (2,), None),
+    ("--cs-s", "0.5", "cs_s", (0.5,), None),
+    ("--format", "csv", "format", "csv", "--form"),
+    ("--out", "r.json", "output_path", "r.json", "--ou"),
+    ("--jobs", "2", "jobs", 2, "--jo"),
+    ("--tol", "1e-2", "tol", 0.01, "--to"),
+]
+
+
+class TestParser:
+    """One parser for every command: the command is a positional, and each flag is registered once."""
+
+    def test_one_parser_and_no_subparsers(self, monkeypatch):
+        built = []
+        init = argparse.ArgumentParser.__init__
+
+        def counting(self, *args, **kwargs):
+            built.append(self)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting)
+        parser, options = cli.build_parser()
+        assert built == [parser]
+        assert not any(isinstance(action, argparse._SubParsersAction) for action in parser._actions)
+        assert sorted(options) == sorted([field for _, _, field, _, _ in FLAGS] + ["config_path"])
+
+    @pytest.mark.parametrize("command", list(cli.COMMANDS))
+    @pytest.mark.parametrize("flag, text, field, value, abbreviation", FLAGS, ids=[flag for flag, *_ in FLAGS])
+    def test_every_spelling_of_every_flag(self, command, flag, text, field, value, abbreviation):
+        spellings = [[f"{flag}={text}"]]
+        if not text.startswith("-"):  # a value that starts with "-" needs the = form
+            spellings.append([flag, text])
+        if abbreviation is not None:
+            spellings.append([abbreviation, text])
+        for spelling in spellings:
+            assert cli.parse_config([command, *spelling]) == RunConfig(command, **{field: value})
+
+    @pytest.mark.parametrize("command", list(cli.COMMANDS))
+    def test_flags_may_precede_the_command(self, command):
+        flags = [f"{flag}={text}" for flag, text, *_ in FLAGS]
+        expected = RunConfig(command, **{field: value for _, _, field, value, _ in FLAGS})
+        assert cli.parse_config([*flags, command]) == cli.parse_config([command, *flags]) == expected
+        assert cli.parse_config([*flags[:7], command, *flags[7:]]) == expected
+
+    def test_config_file_with_the_command_last(self, tmp_path):
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps({"command": "sweep", "d": [4], "mesh_size": 32, "jobs": 2}))
+        config = cli.parse_config(["--mesh", "64", "--conf", str(cfg), "--d=5", "sweep"])
+        assert config == RunConfig("sweep", d=(5,), mesh_size=64, jobs=2)
+
+
 class TestUsageErrors:
     """argparse's usage errors give the JSON error object on stderr and exit 2, like other bad input."""
 
@@ -761,6 +825,14 @@ class TestUsageErrors:
         captured = capsys.readouterr()
         assert captured.out.startswith("usage: ") and "--mesh" in captured.out and captured.err == ""
 
+
+    @pytest.mark.parametrize("argv", [("--help",), ("verify", "--help"), ("--mesh", "64", "-h")])
+    def test_help_lists_every_command(self, capsys, argv):
+        with pytest.raises(SystemExit) as exit_info:
+            main(list(argv))
+        assert exit_info.value.code == 0
+        out = capsys.readouterr().out
+        assert out.startswith("usage: ") and all(command in out for command in cli.COMMANDS)
 
 class TestProcesses:
     def test_import_loads_no_scipy(self):

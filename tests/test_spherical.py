@@ -357,7 +357,7 @@ class TestCyclicReduction:
         problem = spherical._SphericalProblem.of(params, bc_for_cone(params, ConeSpec.complement_sigma0()))
         disc = spherical._Discretization.graded(problem, 64)
         v = disc.normalize(np.cos(disc.mesh))
-        _, g, (diag, off), den, grad_d = disc.newton_system(v)
+        _, g, (diag, off), den, grad_d, _ = disc.newton_system(v)
         assert disc.newton_direction(g, (diag, off), den, grad_d) is not None
         singular = diag.copy()
         singular[0] = 0.0  # first free node (natural end): a zero pivot at the first level
@@ -502,6 +502,27 @@ class TestSolveM:
             assert np.isfinite(result.residual)
 
 
+    @pytest.mark.parametrize("cell, cone, most_bytes", [
+        ((3, 1, 3.0, 0.3, 0.0), ConeSpec.band(0.3, 1.2), 263_000),  # P1: 541,713 bytes with the hess E terms kept
+        ((3, 1, 3.0, 0.0, 0.0), ConeSpec.complement_sigma0(), 181_000),  # hp: 197,047 bytes with the hess E terms kept
+    ], ids=["P1", "hp"])
+    def test_minimizer_holds_no_newton_scratch(self, cell, cone, most_bytes):
+        # the last descent pass's hess E terms left with the callable its
+        # newton_system returned: the solve's discretization pickles to the
+        # bytes of one built afresh
+        import pickle
+
+        result = solve_M(HardyParams(*cell), cone, 2048)
+        disc = result.minimizer.disc
+        if type(disc) is hp._HpDiscretization:
+            fresh = hp._HpDiscretization(disc.problem, disc.layout.layers, disc.layout.degree)
+        else:
+            fresh = spherical._Discretization.graded(disc.problem, 2048)
+        assert vars(disc).keys() == vars(fresh).keys()
+        assert pickle.dumps(disc) == pickle.dumps(fresh)
+        assert len(pickle.dumps(result.minimizer)) <= most_bytes
+
+
 class TestClosedEigenSigma0:
     """lambda_1 = (d-k)(2-(k+a)) on the complement of {y=0}, p = 2, read off the closed form M - H^2."""
 
@@ -584,12 +605,12 @@ class TestMinimizeRayleighP:
         disc = spherical._Discretization.graded(problem, 64)
         mesh = disc.mesh
         v = disc.normalize(np.cos(mesh) * (1.0 + 0.3 * np.sin(3.0 * mesh)) + (0.2 if bc2 is NATURAL else 0.0))
-        q, _, (diag, off), _, _ = disc.newton_system(v)
+        q, _, (diag, off), _, _, _ = disc.newton_system(v)
         assert q == disc.value(v)
         lo, hi = disc.free.start, disc.free.stop
 
         def lagrangian_grad(u):  # grad E - q grad D = D grad Q(u) + (Q(u) - q) grad D
-            q_u, g, _, den, grad_d = disc.newton_system(u)
+            q_u, g, _, den, grad_d, _ = disc.newton_system(u)
             return (den * g + (q_u - q) * grad_d)[lo:hi]
 
         x = disc.expand_free(np.random.default_rng(7).standard_normal(hi - lo)) * v
@@ -685,7 +706,7 @@ class TestMinimizeRayleighP:
         problem = spherical._SphericalProblem.of(params, bc_for_cone(params, ConeSpec.complement_sigma0()))
         disc = spherical._Discretization.graded(problem, 64)
         v = minimize_rayleigh_p(params, problem.domain, 64).minimizer.values
-        _, g, (diag, off), den, grad_d = disc.newton_system(v)
+        _, g, (diag, off), den, grad_d, _ = disc.newton_system(v)
         assert disc.newton_direction(g, (diag, off), den, grad_d) is not None
         assert disc.newton_direction(g, (-diag, -off), den, grad_d) is None
 
@@ -701,10 +722,11 @@ class TestMinimizeRayleighP:
         params = HardyParams(*cell)
         problem = spherical._SphericalProblem.of(params, bc_for_cone(params, cone))
         disc = spherical._Discretization.graded(problem, 64)
-        _, g, K, den, grad_d = disc.newton_system(disc.normalize(spherical._cosine_profile(problem, disc.mesh)))
+        v = disc.normalize(spherical._cosine_profile(problem, disc.mesh))
+        _, g, K, den, grad_d, hess_e = disc.newton_system(v)
         lo, hi = disc.free.start, disc.free.stop
         for metric in metrics:
-            diag, off = K if metric == "K" else disc.hess_e()
+            diag, off = K if metric == "K" else hess_e()
             step = disc.newton_direction(g, (diag, off), den, grad_d)
             reference = bordered_step(dense((diag, off))[lo:hi, lo:hi], grad_d[lo:hi], den, g[lo:hi])
             assert np.linalg.norm(step[lo:hi] - reference) <= 1e-10 * np.linalg.norm(reference)
@@ -1061,7 +1083,7 @@ class TestHpSolve:
     def test_newton_direction_rejects_wrong_inertia(self):
         # as for P1: -K at a converged iterate is nonsingular, but every bubble
         # block of it is negative definite
-        disc, (_, g, K, den, grad_d) = self.converged_system()
+        disc, (_, g, K, den, grad_d, _) = self.converged_system()
         assert disc.newton_direction(g, K, den, grad_d) is not None
         assert disc.newton_direction(g, -K, den, grad_d) is None
 
@@ -1071,8 +1093,8 @@ class TestHpSolve:
         # negative: the vertex Schur complement stays positive definite and
         # grad D^T K^-1 grad D > 0, so only the block's count shows that the
         # bordered matrix has two negative eigenvalues
-        disc, (_, g, _, den, grad_d) = self.converged_system()
-        hessian = disc.hess_e().copy()
+        disc, (_, g, _, den, grad_d, hess_e) = self.converged_system()
+        hessian = hess_e().copy()
         assert disc.newton_direction(g, hessian, den, grad_d) is not None
         lam, U = np.linalg.eigh(hessian[element, 2:, 2:])
         lam[0] = -1e3 * lam[-1]
@@ -1085,7 +1107,7 @@ class TestHpSolve:
     @pytest.mark.parametrize("bad", [math.nan, math.inf])
     def test_newton_direction_none_on_non_finite_element(self, bad, entry):
         # eigvalsh raises LinAlgError on some non-finite blocks, and returns nan on others
-        disc, (_, g, K, den, grad_d) = self.converged_system()
+        disc, (_, g, K, den, grad_d, _) = self.converged_system()
         K = K.copy()
         K[2][entry] = bad
         assert disc.newton_direction(g, K, den, grad_d) is None
@@ -1100,9 +1122,9 @@ class TestHpSolve:
         params = HardyParams(*cell)
         problem = spherical._SphericalProblem.of(params, bc_for_cone(params, ConeSpec.complement_sigma0()))
         disc = hp._HpDiscretization(problem, hp.HP_LAYERS, hp.HP_DEGREE)
-        _, g, K, den, grad_d = disc.newton_system(disc.normalize(disc.start()))
+        _, g, K, den, grad_d, hess_e = disc.newton_system(disc.normalize(disc.start()))
         for metric in metrics:
-            hessian = K if metric == "K" else disc.hess_e()
+            hessian = K if metric == "K" else hess_e()
             step = disc.newton_direction(g, hessian, den, grad_d)
             reference = bordered_step(dense_hp(disc, hessian), grad_d, den, g)
             assert np.linalg.norm(step - reference) <= 1e-10 * np.linalg.norm(reference)
@@ -1140,22 +1162,31 @@ class TestHpSolve:
 
     def test_hess_e_fallback_takes_no_extra_pass(self, monkeypatch):
         # P1 on (3,1,6,1.5,0.5): K is indefinite after the first step, and the
-        # hess E step is formed from the pass the loop holds, so every
-        # evaluation of the fields is the start's normalization, one
-        # newton_system pass per accepted iterate, or a line-search trial.
-        # A step is accepted when its trial (an argument of value) becomes
-        # the iterate (an argument of newton_system); the last iteration
-        # either accepts its step or stops at the line-search floor.
+        # hess E step is formed from the pass the loop holds (the callable
+        # newton_system returns), so every evaluation of the fields is the
+        # start's normalization, one newton_system pass per accepted
+        # iterate, or a line-search trial.  A step is accepted when its
+        # trial (an argument of value) becomes the iterate (an argument of
+        # newton_system); the last iteration either accepts its step or
+        # stops at the line-search floor.
         calls = {"fields": 0, "value": 0, "newton_system": 0, "hess_e": 0}
         seen = {"value": [], "newton_system": []}
-        for name in calls:
+
+        def count_hess_e(hess_e):
+            def counted():
+                calls["hess_e"] += 1
+                return hess_e()
+            return counted
+
+        for name in ("fields", "value", "newton_system"):
             method = getattr(spherical._Discretization, name)
 
             def counted(self, *args, _name=name, _method=method):
                 calls[_name] += 1
                 if _name in seen:
                     seen[_name].append(args[0])
-                return _method(self, *args)
+                out = _method(self, *args)
+                return (*out[:-1], count_hess_e(out[-1])) if _name == "newton_system" else out
 
             monkeypatch.setattr(spherical._Discretization, name, counted)
         params = HardyParams(3, 1, 6.0, 1.5, 0.5)
