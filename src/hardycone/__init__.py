@@ -3,7 +3,8 @@
 The namespace is lazy (PEP 562): a public name, or one of the submodules
 params, quadrature, spherical and verifier, is imported on first access and
 then cached here.  So `import hardycone` loads no numpy, and neither does
-importing the closed forms, which come from the pure-Python params module.
+importing the closed forms or the cones' cross-sections, which come from
+the pure-Python params module.
 """
 
 import importlib
@@ -13,16 +14,16 @@ __version__ = "0.1.0"
 # public name -> the submodule that defines it, in __all__ order
 _EXPORTS = {
     **dict.fromkeys([
-        "AdmissibilityError", "AdmissibilityReport", "ClosedForm", "ConeKind", "ConeSpec",
-        "HardyExponent", "HardyParams", "closed_form_constant", "cone_admissible", "hardy_exponent",
+        "DIRICHLET", "NATURAL", "AdmissibilityError", "AdmissibilityReport", "AngularDomain",
+        "BoundaryCondition", "ClosedForm", "ConeKind", "ConeSpec", "HardyExponent", "HardyParams",
+        "bc_for_cone", "closed_form_constant", "cone_admissible", "hardy_exponent",
     ], "params"),
     **dict.fromkeys([
         "AngularWeight", "QuadratureRule", "composite_rule", "sphere_surface_area",
         "sphere_weight_mass",
     ], "quadrature"),
     **dict.fromkeys([
-        "DIRICHLET", "NATURAL", "AngularDomain", "BoundaryCondition", "ConvergenceError",
-        "DiscretizedFunction", "SpectralResult", "assemble_p2", "bc_for_cone", "graded_mesh",
+        "ConvergenceError", "DiscretizedFunction", "SpectralResult", "assemble_p2", "graded_mesh",
         "minimize_rayleigh_p", "smallest_eigenpair", "solve_M",
     ], "spherical"),
     **dict.fromkeys([

@@ -23,6 +23,7 @@ from .params import (
     AdmissibilityError,
     ConeSpec,
     HardyParams,
+    bc_for_cone,
     closed_form_constant,
     cone_admissible,
 )
@@ -31,7 +32,6 @@ from .spherical import (
     ConvergenceError,
     SpectralResult,
     _SphericalProblem,
-    bc_for_cone,
     solve_M,
 )
 from .verifier import (
@@ -105,7 +105,9 @@ class RunConfig:
                 flag = "--cone" if name == "cones" else f"--{name}"
                 raise ValueError(f"command {self.command!r} takes exactly one value for {flag}")
         params = HardyParams(self.d[0], self.k[0], self.p[0], self.a[0], self.b[0])
-        return params, parse_cone(self.cones[0])
+        cone = parse_cone(self.cones[0])
+        cone_admissible(params, cone)  # raises on a structurally invalid cell, as cells() skips one
+        return params, cone
 
     def cells(self) -> list[tuple[HardyParams, ConeSpec]]:
         """The grid's cells with 1 <= k < d on an admissible cone, in grid order."""
@@ -191,9 +193,7 @@ def _cell_row(
     row = _base_row(command, params, cone, mesh)
     try:
         closed = closed_form_constant(params, cone) if with_closed else None
-    except AdmissibilityError:
-        raise
-    except (ValueError, OverflowError):
+    except OverflowError:
         return replace(row, status="solver_fail")
     if result is None:
         return replace(row, status="solver_fail")
@@ -230,9 +230,7 @@ def _grid_rows(
     for index, (params, cone) in enumerate(cells):
         try:
             key = _SphericalProblem.of(params, bc_for_cone(params, cone))
-        except AdmissibilityError:
-            raise
-        except (ValueError, OverflowError):  # structurally invalid, or |H|^p overflows: its own group, _solve fails
+        except OverflowError:  # |H|^p overflows: its own group, _solve fails
             key = index
         groups.setdefault(key, []).append(index)
 
@@ -484,15 +482,18 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict]:
         parser.add_argument("--a", type=_float_list, help="cylindrical weight exponent(s)"),
         parser.add_argument("--b", type=_float_list, help="spherical weight exponent(s)"),
         parser.add_argument("--cone", dest="cones", type=lambda t: tuple(t.split(",")), help=f"cone(s): {CONE_CHOICES}"),
-        parser.add_argument("--mesh", dest="mesh_size", type=int),
-        parser.add_argument("--deltas", dest="delta_list", type=_float_list),
-        parser.add_argument("--hs", dest="h_list", type=_int_list),
+        parser.add_argument("--mesh", dest="mesh_size", type=int,
+                            help=f"element count of the graded mesh (at least {MIN_MESH_SIZE})"),
+        parser.add_argument("--deltas", dest="delta_list", type=_float_list,
+                            help="verify: two or more distinct delta values, or none to skip that trace"),
+        parser.add_argument("--hs", dest="h_list", type=_int_list,
+                            help="verify: two or more distinct cutoff scales h, each at least 3, or none"),
         parser.add_argument("--cs-n", dest="cs_n", type=_int_list, help="table: anchor dimensions n (d = n+1)"),
         parser.add_argument("--cs-s", dest="cs_s", type=_float_list, help="table: fractional orders s (a = 1-2s)"),
-        parser.add_argument("--format", choices=FORMAT_CHOICES),
-        parser.add_argument("--out", dest="output_path"),
+        parser.add_argument("--format", choices=FORMAT_CHOICES, help="report format"),
+        parser.add_argument("--out", dest="output_path", help="report file, written atomically (default: stdout)"),
         parser.add_argument("--config", dest="config_path", help="JSON file of defaults; explicit flags override it"),
-        parser.add_argument("--jobs", type=int),
+        parser.add_argument("--jobs", type=int, help="number of worker processes for sweep and table"),
         parser.add_argument("--tol", type=float, help="largest acceptable |numeric - closed| gap"),
     ]
     return parser, {action.dest: action for action in options}

@@ -34,11 +34,9 @@ from typing import NamedTuple
 
 import numpy as np
 
+from .params import DIRICHLET, HALF_PI, AngularDomain
 from .quadrature import _gauss_jacobi
 from .spherical import (
-    DIRICHLET,
-    HALF_PI,
-    AngularDomain,
     ConvergenceError,
     SpectralResult,
     _bordered_step,

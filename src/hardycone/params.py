@@ -1,4 +1,4 @@
-"""Problem parameters, admissibility predicates, and closed-form sharp constants.
+"""Problem parameters, admissibility, the cone's cross-section, and closed-form sharp constants.
 
 Everything here concerns the best constant m in
 
@@ -10,9 +10,10 @@ The sign-carrying exponent
     H = (d + a - p - b) / p
 
 governs the radial profile r^(-H) of the extremal family, and |H|^p is the
-baseline value of m on the largest cones.  The dispatch below returns the
-sharp constant whenever it is known in closed form; every value depends on b
-only through |H|.
+baseline value of m on the largest cones.  bc_for_cone gives the cone's
+polar cross-section with its endpoint conditions, and closed_form_constant
+reads the sharp constant off it whenever it is known in closed form; every
+value depends on b only through |H|.
 """
 
 from __future__ import annotations
@@ -137,6 +138,33 @@ class ConeSpec:
         return self.kind.value
 
 
+class BoundaryCondition(str, Enum):
+    DIRICHLET = "dirichlet"
+    NATURAL = "natural"
+
+
+DIRICHLET = BoundaryCondition.DIRICHLET
+NATURAL = BoundaryCondition.NATURAL
+
+
+@dataclass(frozen=True)
+class AngularDomain:
+    """A polar-angle interval with an endpoint condition at each end.
+
+    Natural (no-flux) conditions are imposed weakly and mark coordinate poles
+    interior to the cone; Dirichlet marks genuine cross-section boundary.
+    """
+
+    theta1: float
+    theta2: float
+    bc1: BoundaryCondition
+    bc2: BoundaryCondition
+
+    def __post_init__(self) -> None:
+        if not (0.0 <= self.theta1 < self.theta2 <= HALF_PI):
+            raise ValueError(f"need 0 <= theta1 < theta2 <= pi/2, got ({self.theta1}, {self.theta2})")
+
+
 @dataclass(frozen=True)
 class AdmissibilityReport:
     """Admissibility and superdegeneracy (k+a >= p) of a (parameters, cone) pair."""
@@ -187,47 +215,48 @@ def require_admissible(params: HardyParams, cone: ConeSpec) -> AdmissibilityRepo
     return report
 
 
+def bc_for_cone(params: HardyParams, cone: ConeSpec) -> AngularDomain:
+    """The cross-section [theta1, theta2] of an admissible cone, with its endpoint conditions.
+
+    theta = 0 (the y-axis) lies inside the cone, so a theta1 = 0 end is
+    natural, and an interior end is Dirichlet.  theta = pi/2 is natural
+    unless {y = 0} was removed (every cone but the full and punctured
+    space) and the cell is not superdegenerate: at k+a >= p the removed set
+    has zero weighted p-capacity and the natural condition takes over.
+    """
+    superdeg = require_admissible(params, cone).superdegenerate
+    removed = cone.kind not in (ConeKind.FULL_SPACE, ConeKind.PUNCTURED_SPACE)
+    bc1 = NATURAL if cone.theta1 == 0.0 else DIRICHLET
+    bc2 = DIRICHLET if cone.theta2 < HALF_PI or (removed and not superdeg) else NATURAL
+    return AngularDomain(cone.theta1, cone.theta2, bc1, bc2)
+
+
 @dataclass(frozen=True)
 class ClosedForm:
-    """A sharp constant known exactly, with a tag naming the solved case."""
+    """A sharp constant known exactly, with a tag naming its regime."""
 
     value: float
     source: str
 
 
 def closed_form_constant(params: HardyParams, cone: ConeSpec) -> ClosedForm | None:
-    """Sharp constant for every explicitly solved (cone, parameter) case.
+    """Sharp constant wherever the cross-section's extremal profile is known.
 
-    Returns None when no exact value is known (the spherical solver is then
-    the only source).  Raises AdmissibilityError on inadmissible input.
+    On [0, pi/2] with both ends natural (nothing removed at {y = 0}, or the
+    superdegenerate collapse k+a >= p) the profile is constant and
+    m = |H|^p ("constant-profile").  With a Dirichlet end pi/2 at p = 2 it
+    is cos^s theta, s = 2 - (k+a), and m = (d-k)(2-(k+a)) + H^2
+    ("p2-dirichlet").  Every other cross-section gives None (the spherical
+    solver is then the only source).  Raises AdmissibilityError on
+    inadmissible input.
     """
-    require_admissible(params, cone)
+    domain = bc_for_cone(params, cone)
     exponent = hardy_exponent(params)
-    habs = exponent.H_abs_p
-    d, k, p, a = params.d, params.k, params.p, params.a
-    ka = k + a
-    kind = cone.kind
-    if kind is ConeKind.BAND and cone.theta1 == 0.0 and cone.theta2 == HALF_PI:
-        kind = ConeKind.COMPLEMENT_SIGMA0  # same open cone, different spelling
-
-    if kind is ConeKind.FULL_SPACE:
-        # admissibility guarantees H > 0 here
-        return ClosedForm(habs, "radial-full-space")
-    if kind is ConeKind.PUNCTURED_SPACE:
-        return ClosedForm(habs, "radial-punctured")
-    if kind is ConeKind.COMPLEMENT_SIGMA0:
-        if ka >= p:
-            return ClosedForm(habs, "superdegenerate-collapse")
-        if p == 2:
-            value = (d - k) * max(2.0 - ka, 0.0) + exponent.H ** 2
-            return ClosedForm(value, "sigma0-complement-p2")
+    if (domain.theta1, domain.theta2) != (0.0, HALF_PI):
         return None
-    if kind is ConeKind.HALF_SPACE:
-        if a >= p - 1:
-            return ClosedForm(habs, "half-space-superdegenerate")
-        if p == 2:
-            value = (d - 1) * max(1.0 - a, 0.0) + exponent.H ** 2
-            return ClosedForm(value, "half-space-p2")
-        return None
+    if domain.bc2 is NATURAL:
+        return ClosedForm(exponent.H_abs_p, "constant-profile")
+    if params.p == 2:
+        d, k, a = params.d, params.k, params.a
+        return ClosedForm((d - k) * (2.0 - (k + a)) + exponent.H ** 2, "p2-dirichlet")
     return None
-

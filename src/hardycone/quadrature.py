@@ -43,9 +43,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .params import ConeKind, ConeSpec, HardyParams
-
-HALF_PI = math.pi / 2
+from .params import HALF_PI, ConeKind, ConeSpec, HardyParams
 
 DEFAULT_PANEL_ORDER = 4  # points per panel: degree 7 on interior panels
 

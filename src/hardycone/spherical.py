@@ -42,8 +42,9 @@ sqrt(grad Q . d) / Q of the last step.  At p = 2, assemble_p2 and
 smallest_eigenpair (bisection on the inertia of S - mu M) give the P1
 reference value.
 
-The private solvers take the cell's 1-D problem as one _SphericalProblem,
-whose s is the one boundary-layer exponent at pi/2.  Its graded mesh comes
+The private solvers take the cell's 1-D problem as one _SphericalProblem:
+the cross-section and endpoint conditions that params.bc_for_cone gives,
+and s, the one boundary-layer exponent at pi/2.  Its graded mesh comes
 from _solve_mesh, graded by _auto_gamma to match s.  Every solve returns a
 _Minimizer, which holds the discretization the solve accepted; the
 certifier integrates the profile there, and nothing samples it on the
@@ -65,22 +66,22 @@ from __future__ import annotations
 import math
 from collections.abc import Callable
 from dataclasses import dataclass
-from enum import Enum
 from functools import cached_property, partial
 from typing import NamedTuple
 
 import numpy as np
 
 from .params import (
-    ConeKind,
+    DIRICHLET,
+    HALF_PI,
+    AngularDomain,
     ConeSpec,
     HardyParams,
+    bc_for_cone,
     hardy_exponent,
-    require_admissible,
 )
 from .quadrature import AngularWeight, QuadratureRule, _gauss_jacobi, composite_rule
 
-HALF_PI = math.pi / 2
 MIN_MESH_SIZE = 16  # fewest elements a solve accepts
 MAX_DESCENT_ITER = 100_000  # descent steps before ConvergenceError
 DESCENT_TOL = 1e-9  # relative decrease of Q per descent step at convergence
@@ -97,33 +98,6 @@ class ConvergenceError(RuntimeError):
     def __init__(self, message: str, residual: float):
         super().__init__(message)
         self.residual = residual
-
-
-class BoundaryCondition(str, Enum):
-    DIRICHLET = "dirichlet"
-    NATURAL = "natural"
-
-
-DIRICHLET = BoundaryCondition.DIRICHLET
-NATURAL = BoundaryCondition.NATURAL
-
-
-@dataclass(frozen=True)
-class AngularDomain:
-    """A polar-angle interval with an endpoint condition at each end.
-
-    Natural (no-flux) conditions are imposed weakly and mark coordinate poles
-    interior to the cone; Dirichlet marks genuine cross-section boundary.
-    """
-
-    theta1: float
-    theta2: float
-    bc1: BoundaryCondition
-    bc2: BoundaryCondition
-
-    def __post_init__(self) -> None:
-        if not (0.0 <= self.theta1 < self.theta2 <= HALF_PI):
-            raise ValueError(f"need 0 <= theta1 < theta2 <= pi/2, got ({self.theta1}, {self.theta2})")
 
 
 class _SphericalProblem(NamedTuple):
@@ -211,28 +185,6 @@ class SpectralResult:
     minimizer: DiscretizedFunction
     iterations: int
     residual: float
-
-
-def bc_for_cone(params: HardyParams, cone: ConeSpec) -> AngularDomain:
-    """Endpoint conditions of the cross-section of an admissible cone.
-
-    theta = pi/2 is Dirichlet where {y = 0} was removed, except in the
-    superdegenerate regime k+a >= p where the removed set has zero weighted
-    p-capacity and the natural condition takes over.
-    """
-    superdeg = require_admissible(params, cone).superdegenerate
-    kind = cone.kind
-    if kind in (ConeKind.FULL_SPACE, ConeKind.PUNCTURED_SPACE):
-        return AngularDomain(0.0, HALF_PI, NATURAL, NATURAL)
-    if kind in (ConeKind.COMPLEMENT_SIGMA0, ConeKind.HALF_SPACE):
-        bc2 = NATURAL if superdeg else DIRICHLET
-        return AngularDomain(0.0, HALF_PI, NATURAL, bc2)
-    bc1 = NATURAL if cone.theta1 == 0.0 else DIRICHLET
-    if cone.theta2 == HALF_PI:
-        bc2 = NATURAL if superdeg else DIRICHLET
-    else:
-        bc2 = DIRICHLET
-    return AngularDomain(cone.theta1, cone.theta2, bc1, bc2)
 
 
 def grading_cap(theta1: float, n: int) -> float:

@@ -41,12 +41,9 @@ from typing import Iterable, NamedTuple
 
 import numpy as np
 
-from .params import ConeSpec, HardyParams, hardy_exponent
+from .params import HALF_PI, NATURAL, AngularDomain, ConeSpec, HardyParams, hardy_exponent
 from .quadrature import AngularWeight, _gauss_jacobi, composite_rule
 from .spherical import (
-    HALF_PI,
-    NATURAL,
-    AngularDomain,
     DiscretizedFunction,
     _Discretization,
     _Minimizer,

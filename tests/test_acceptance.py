@@ -13,18 +13,18 @@ from scipy.interpolate import CubicSpline
 
 import hardycone.spherical as spherical
 from hardycone.params import (
+    DIRICHLET,
+    NATURAL,
+    AngularDomain,
     ConeSpec,
     HardyParams,
+    bc_for_cone,
     closed_form_constant,
     cone_admissible,
     hardy_exponent,
 )
 from hardycone.spherical import (
-    DIRICHLET,
-    NATURAL,
-    AngularDomain,
     assemble_p2,
-    bc_for_cone,
     minimize_rayleigh_p,
     smallest_eigenpair,
     solve_M,

@@ -103,10 +103,12 @@ class TestCommands:
         assert rows[0].closed_form is None
         assert rows[0].numeric_M is not None
 
-    def test_structurally_invalid_cell_is_a_failed_row(self):
-        rows = cmd_constant(config_for(d=(4,), k=(2,), cones=("half-space",)))  # needs k = 1
-        assert [row.status for row in rows] == ["solver_fail"]
-        assert rows[0].numeric_M is None
+    @pytest.mark.parametrize("command", ["constant", "spectrum", "verify"])
+    def test_structurally_invalid_cell_is_an_input_error(self, command):
+        config = config_for(command, d=(4,), k=(2,), cones=("half-space",))  # needs k = 1
+        with pytest.raises(ValueError, match="half-space cone requires k = 1"):
+            cli.COMMANDS[command](config)
+        assert cmd_sweep(replace(config, command="sweep")) == []  # a grid skips the cell
 
     def test_spectrum_reports_numeric_only(self):
         rows = cmd_spectrum(config_for("spectrum"))
@@ -254,6 +256,25 @@ class TestSweepDedupe:
 
 
 class TestClosedFormGrid:
+    def test_half_space_rows_equal_their_complement_twins(self):
+        # at k = 1 the half space and the complement of {y = 0} have one cross-section,
+        # also on the a = p - 1 cells, where k + a >= p holds only after rounding
+        grid = dict(d=(3, 4, 5), p=(1.1, 1.3, 2.0, 2.2, 2.7), a=(0.1, 0.3, 0.9, 1.2, 1.7, 0.0),
+                    b=(0.0, 0.5), cones=("complement-sigma0", "half-space"), mesh_size=64)
+        rows = cmd_sweep(config_for("sweep", **grid))
+        assert len(rows) == 360
+        twins = {}
+        for row in rows:
+            twins.setdefault((row.d, row.p, row.a, row.b), []).append(
+                (row.closed_form, row.gap, row.numeric_M, row.status))
+        for cell, (complement, half_space) in twins.items():
+            assert complement == half_space, cell
+        for d in (3, 4, 5):
+            for p, a in ((1.1, 0.1), (1.3, 0.3), (2.2, 1.2), (2.7, 1.7)):  # a = p - 1, as typed
+                for b in (0.0, 0.5):
+                    closed, _, _, status = twins[d, p, a, b][0]
+                    assert closed is not None and status == "ok", (d, p, a, b)
+
     def test_p2_cells_meet_their_closed_forms(self):
         # the factored p = 2 basis holds the exact minimizer cos^s theta, so
         # with correctly rounded Gauss-Jacobi rules only rounding is left
@@ -800,6 +821,12 @@ class TestParser:
         cfg.write_text(json.dumps({"command": "sweep", "d": [4], "mesh_size": 32, "jobs": 2}))
         config = cli.parse_config(["--mesh", "64", "--conf", str(cfg), "--d=5", "sweep"])
         assert config == RunConfig("sweep", d=(5,), mesh_size=64, jobs=2)
+
+
+def test_every_option_has_help():
+    parser, _ = cli.build_parser()
+    undocumented = [action.dest for action in parser._actions if not action.help]
+    assert not undocumented
 
 
 class TestUsageErrors:

@@ -26,8 +26,9 @@ def fresh_modules(code: str) -> list[str]:
 
 @pytest.mark.parametrize("code", [
     "import hardycone",
-    "from hardycone import HardyParams, ConeSpec, closed_form_constant\n"
-    "assert closed_form_constant(HardyParams(3, 1, 2.0, 0.0, 0.0), ConeSpec.complement_sigma0()).value == 2.25",
+    "from hardycone import HardyParams, ConeSpec, closed_form_constant, bc_for_cone\n"
+    "params, cone = HardyParams(3, 1, 2.0, 0.0, 0.0), ConeSpec.complement_sigma0()\n"
+    "assert closed_form_constant(params, cone).value == 2.25 and bc_for_cone(params, cone).bc2 == 'dirichlet'",
 ])
 def test_closed_forms_load_no_numpy(code):
     loaded = fresh_modules(code)

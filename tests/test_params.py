@@ -247,14 +247,28 @@ class TestClosedFormConstant:
             assert cf.value == pytest.approx(((d - k) / p) ** p, rel=1e-14)
 
     @pytest.mark.parametrize("params,value,source", [
-        (HardyParams(3, 1, 2.0, 0.0, 0.0), 2.25, "sigma0-complement-p2"),
-        (HardyParams(3, 1, 2.0, 1.0, 0.0), 1.0, "superdegenerate-collapse"),  # k + a >= p
+        (HardyParams(3, 1, 2.0, 0.0, 0.0), 2.25, "p2-dirichlet"),
+        (HardyParams(3, 1, 2.0, 1.0, 0.0), 1.0, "constant-profile"),  # k + a >= p
     ], ids=["p2", "superdegenerate"])
     def test_band_with_sigma0_removed_matches_complement(self, params, value, source):
         band = ConeSpec.band(0.0, HALF_PI)
         cf = closed_form_constant(params, band)
         assert cf.value == pytest.approx(value)
         assert cf.source == source
+
+    @pytest.mark.parametrize("p", [1.1, 1.2, 1.3, 1.5, 1.7, 1.9, 2.0, 2.1, 2.2, 2.3, 2.5, 2.7, 3.0, 3.1,
+                                   3.3, 3.7, 4.0, 4.1, 6.0, 6.3])
+    def test_half_space_complement_and_band_agree_bit_for_bit(self, p):
+        # at k = 1 the three cones share the cross-section [0, pi/2]; a = p - 1 is the
+        # threshold k + a = p, both as computed and as the decimal a user types
+        cones = (ConeSpec.half_space(), ConeSpec.complement_sigma0(), ConeSpec.band(0.0, HALF_PI))
+        for d in (3, 4, 5):
+            for a in (p - 1, round(p - 1, 9), 0.9, 0.0, 0.5, -0.5, 0.3):
+                for b in (0.0, 0.5):
+                    forms = [closed_form_constant(HardyParams(d, 1, p, a, b), cone) for cone in cones]
+                    assert forms[0] == forms[1] == forms[2], (d, p, a, b)
+                    if a >= p - 1 or p == 2:
+                        assert forms[0] is not None, (d, p, a, b)
 
     def test_interior_band_has_no_closed_form(self):
         assert closed_form_constant(HardyParams(3, 1, 2.0, 0.0, 0.0), ConeSpec.band(0.2, 1.0)) is None

@@ -9,22 +9,22 @@ import scipy.linalg as sla
 import hardycone.hp as hp
 import hardycone.spherical as spherical
 from hardycone.params import (
+    DIRICHLET,
+    NATURAL,
     AdmissibilityError,
+    AngularDomain,
     ConeSpec,
     HardyParams,
+    bc_for_cone,
     closed_form_constant,
     cone_admissible,
     hardy_exponent,
 )
 from hardycone.quadrature import composite_rule
 from hardycone.spherical import (
-    DIRICHLET,
-    NATURAL,
-    AngularDomain,
     ConvergenceError,
     DiscretizedFunction,
     assemble_p2,
-    bc_for_cone,
     graded_mesh,
     minimize_rayleigh_p,
     smallest_eigenpair,
