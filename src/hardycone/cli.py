@@ -189,15 +189,15 @@ def _cell_row(
     command: str, params: HardyParams, cone: ConeSpec, mesh: int,
     result: SpectralResult | None, with_closed: bool = True,
 ) -> ReportRow:
-    """Closed form (optional) plus the numeric spherical minimum result for one grid cell."""
+    """Closed form (optional) and numeric spherical minimum of one grid cell; a failed solve keeps the closed form."""
     row = _base_row(command, params, cone, mesh)
     try:
         closed = closed_form_constant(params, cone) if with_closed else None
     except OverflowError:
         return replace(row, status="solver_fail")
-    if result is None:
-        return replace(row, status="solver_fail")
     closed_value = closed.value if closed is not None else None
+    if result is None:
+        return replace(row, closed_form=closed_value, status="solver_fail")
     gap = result.M - closed_value if closed_value is not None else None
     return replace(
         row,

@@ -14,10 +14,10 @@ phi = cos^s theta * g(t), t = cos 2 theta, with g a Legendre series and s
 the boundary-layer exponent 2 - (k+a) at a Dirichlet end pi/2 (0
 otherwise).  In t the weight w dtheta is a Jacobi weight, and a
 Gauss-Jacobi rule whose exponents absorb the pole powers integrates the
-stiffness and mass of the basis exactly.  The dense generalized
-eigenproblem is solved at N = 4, 8, ... basis functions until consecutive
-eigenvalues agree (Guo, Shen and Wang, Appl. Numer. Math. 59 (2009); Shen,
-Tang and Wang, Spectral Methods (2011), ch. 3).
+stiffness and mass of the basis exactly.  The basis holds the ground state
+at every size, so the dense eigenproblem is solved at N = 4 and checked at
+N = 8 (Guo, Shen and Wang, Appl. Numer. Math. 59 (2009); Shen, Tang and
+Wang, Spectral Methods (2011), ch. 3).
 
 For p != 2 on [0, pi/2], and for p = 2 on a band, the quotient is
 minimized in hp spectral elements, phi = cos^s theta * g with g piecewise
@@ -57,7 +57,7 @@ and counts negative eigenvalues from its pivots (Sylvester inertia).  Dot
 products and norms are fixed-order numpy sums, never BLAS calls, and the
 spectral matrices and their products are formed by einsum, which sums in a
 fixed order without BLAS; only the dense Cholesky, inverse and eigh of at
-most 64 x 64 matrices go to LAPACK.  Reports come out byte-identical at one
+most 8 x 8 matrices go to LAPACK.  Reports come out byte-identical at one
 and two BLAS threads.
 """
 
@@ -86,8 +86,7 @@ MIN_MESH_SIZE = 16  # fewest elements a solve accepts
 MAX_DESCENT_ITER = 100_000  # descent steps before ConvergenceError
 DESCENT_TOL = 1e-9  # relative decrease of Q per descent step at convergence
 DESCENT_GRAD_TOL = 1e-6  # relative step decrement sqrt(grad Q . d) / Q at convergence
-FACTORED_MAX_SIZE = 64  # largest spectral basis before ConvergenceError
-FACTORED_TOL = 1e-12  # agreement of consecutive spectral eigenvalues
+FACTORED_TOL = 1e-12  # agreement of the spectral eigenvalues at N = 4 and N = 8
 
 Tridiagonal = tuple[np.ndarray, np.ndarray]  # symmetric: (diagonal, off-diagonal)
 
@@ -170,8 +169,8 @@ class SpectralResult:
     """Computed spherical minimum M, eigenvalue (p = 2), and minimizer.
 
     iterations and residual describe the solve.  After a spectral solve
-    (p = 2 on [0, pi/2]) they are the number of dense eigensolves and the
-    difference of the last two eigenvalues (basis size N against N/2);
+    (p = 2 on [0, pi/2]) they are 2, the dense eigensolves at N = 4 and
+    N = 8, and the difference of their eigenvalues;
     after an hp solve (p != 2 on [0, pi/2], p = 2 on a band) the Newton
     iterations of its two or three descents and the change of M between
     the last two.  After a P1 descent (minimize_rayleigh_p: p != 2 on a
@@ -721,24 +720,26 @@ def _descend(
 ) -> tuple[float, np.ndarray, int, float]:
     """Newton descent of the discrete quotient on the surface {D = const}: Q, iterate, steps, decrement.
 
-    disc is a _Discretization (P1) or an hp._HpDiscretization.  One pass over the rule per accepted iterate (disc.newton_system) gives
-    Q, grad Q and the Hessian terms, and the step solves the bordered
-    Newton system of E - Q D restricted to D = const
+    disc is a _Discretization (P1) or an hp._HpDiscretization.  One pass
+    over the rule per iterate stepped from (disc.newton_system) gives Q,
+    grad Q and the Hessian terms, and the step solves the bordered Newton
+    system of E - Q D restricted to D = const
     (disc.newton_direction); a line-search trial costs Q alone.  If that
     step is singular, non-finite, has the wrong inertia (_bordered_step) or
-    is not a descent direction, the step with
-    hess E (a callable that the same pass returns) is taken: E is convex, so
+    is not a descent direction, the step with hess E (a callable that the
+    same pass returns) is taken: E is convex, so
     grad Q . d = d^T hess E d / D > 0 wherever grad Q != 0, and a failed one
     raises ConvergenceError.  grad Q exactly 0 ends the descent.
     Backtracking line search from a full step; disc.normalize brings each
-    trial back to unit weighted p-norm.  Stops when the relative decrease of
-    Q over an iteration drops below tol and the relative step decrement
-    sqrt(grad Q . d) / Q below DESCENT_GRAD_TOL.  A failed line search stops
-    it too if the decrement is below DESCENT_GRAD_TOL or a full step would
-    lower Q by less than tol; otherwise it raises ConvergenceError, as do
-    max_iter steps.  Without try_small_steps such a step is not tried: the
-    descent stops before its line search, which at Q's rounding floor would
-    halve the step 60 times.
+    trial back to unit weighted p-norm.  Stops right after the line search,
+    with no pass at the accepted trial (disc.value gave its Q, the same sum),
+    when the relative decrease of Q drops below tol and the relative step
+    decrement sqrt(grad Q . d) / Q below DESCENT_GRAD_TOL.  A failed line
+    search stops it too if the decrement is below DESCENT_GRAD_TOL or a full
+    step would lower Q by less than tol; otherwise it raises
+    ConvergenceError, as do max_iter steps.  Without try_small_steps such a
+    step is not tried: the descent stops before its line search, which at
+    Q's rounding floor would halve the step 60 times.
     """
     v = disc.normalize(v)
     q, g, hessian, den, grad_d, hess_e = disc.newton_system(v)
@@ -770,10 +771,10 @@ def _descend(
             raise ConvergenceError(f"quotient descent stuck (relative decrement {decrement:.3e})",
                                    residual=decrement)
         rel_dec = (q - q_trial) / max(abs(q), 1e-300)
-        v = trial
-        q, g, hessian, den, grad_d, hess_e = disc.newton_system(v)
+        v, q = trial, q_trial
         if rel_dec < tol and decrement < DESCENT_GRAD_TOL:
             break
+        q, g, hessian, den, grad_d, hess_e = disc.newton_system(v)
     else:
         raise ConvergenceError(
             f"quotient descent did not converge in {max_iter} iterations "
@@ -810,37 +811,31 @@ def minimize_rayleigh_p(params: HardyParams, domain: AngularDomain, mesh_size: i
 
 
 def _factored_eigensolve(problem: _SphericalProblem, mesh_size: int) -> SpectralResult:
-    """The p = 2 solve in the factored spectral basis (see _FactoredDiscretization).
+    """The p = 2 solve in the factored spectral basis (see _FactoredDiscretization): N = 4, checked at N = 8.
 
-    Dense solves at N = 4, 8, ... basis functions stop once two consecutive
-    eigenvalues agree to FACTORED_TOL relative (absolute below |lambda| = 1,
-    where lambda_1 = 0 leaves nothing to be relative to); past
-    FACTORED_MAX_SIZE the solve raises ConvergenceError.  The minimizer
-    holds the accepted basis and has unit weighted 2-norm; mesh_size
-    (checked here) sets the graded mesh it samples itself on when first
-    read, the one a P1 solve would use.
+    The basis holds the ground state, cos^s theta or a constant, at every
+    size, so N = 8 only confirms N = 4: the two eigenvalues must agree to
+    FACTORED_TOL relative (absolute below |lambda| = 1, where lambda_1 = 0
+    leaves nothing to be relative to), else ConvergenceError, also where a
+    factorization fails (an extreme Jacobi exponent).  The minimizer holds
+    the N = 8 basis at unit weighted 2-norm; mesh_size (checked here) sets
+    the graded mesh it samples itself on when first read, as P1 would.
     """
     _require_mesh_size(mesh_size)
-    previous, residual, size, solves = None, math.inf, 4, 0
-    while size <= FACTORED_MAX_SIZE:
-        disc = _FactoredDiscretization(problem, size)
+    try:
+        coarse = _dense_ground_state(*_FactoredDiscretization(problem, 4).p2_matrices())[0]
+        disc = _FactoredDiscretization(problem, 8)
         lam, c = _dense_ground_state(*disc.p2_matrices())
-        solves += 1
-        if previous is not None:
-            residual = abs(lam - previous)
-            if residual <= FACTORED_TOL * max(abs(lam), 1.0):
-                break
-        previous, size = lam, 2 * size
-    else:
-        raise ConvergenceError(
-            f"spectral eigenvalues did not agree to {FACTORED_TOL:g} by N = {FACTORED_MAX_SIZE}",
-            residual=residual,
-        )
+    except np.linalg.LinAlgError as error:
+        raise ConvergenceError(f"spectral solve failed: {error}", residual=math.inf) from None
+    residual = abs(lam - coarse)
+    if not residual <= FACTORED_TOL * max(abs(lam), 1.0):
+        raise ConvergenceError(f"spectral eigenvalues at N = 4 and 8 differ by {residual:.3e}", residual=residual)
     return SpectralResult(
         M=lam + problem.H2,
         lam=lam,
         minimizer=_Minimizer(disc, c, mesh_size),
-        iterations=solves,
+        iterations=2,
         residual=residual,
     )
 
@@ -857,9 +852,10 @@ def solve_M(
     solved in the factored spectral basis, and for p != 2 the quotient is
     minimized in hp elements (_hp_solve), as it is at p = 2 on a band.
     mesh_size then only sets the mesh the minimizer is sampled on, when its
-    mesh or values are first read.  Where either fails its check, and on
-    every band for p != 2, the quotient is minimized with P1 elements on a
-    mesh of mesh_size elements graded toward pi/2 (minimize_rayleigh_p).
+    mesh or values are first read.  Where either fails its check (a failed
+    factorization is a failed check), and on every band for p != 2, the
+    quotient is minimized with P1 elements on a mesh of mesh_size elements
+    graded toward pi/2 (minimize_rayleigh_p).
     """
     domain = bc_for_cone(params, cone)
     problem = _SphericalProblem.of(params, domain)

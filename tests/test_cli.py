@@ -579,23 +579,31 @@ class TestMainEntry:
         assert code == 0
         assert abs(json.loads(out)["rows"][0]["gap"]) <= 1e-12
 
-    def test_spectral_size_cap_falls_back_to_descent(self, capsys, monkeypatch):
+    def test_failed_spectral_check_falls_back_to_descent(self, capsys, monkeypatch):
         spectral = json.loads(run_cli(capsys, "constant", "--a", "0.5", "--mesh", "64")[1])["rows"][0]
-        monkeypatch.setattr(spherical, "FACTORED_MAX_SIZE", 4)
+        monkeypatch.setattr(spherical, "FACTORED_TOL", -1.0)  # N = 4 and N = 8 never agree
         code, out, err = run_cli(capsys, "constant", "--a", "0.5", "--mesh", "64")
         assert code == 0
         row = json.loads(out)["rows"][0]
         assert row["status"] == "ok" and row["iterations"] >= 1
         assert row["numeric_M"] == pytest.approx(spectral["numeric_M"], rel=1e-2)  # P1 at mesh 64
 
-    def test_spectral_size_cap_is_a_failed_row(self, capsys, monkeypatch):
-        # the capped spectral solve falls back to the descent, which fails too
-        monkeypatch.setattr(spherical, "FACTORED_MAX_SIZE", 4)
+    def test_failed_spectral_check_is_a_failed_row(self, capsys, monkeypatch):
+        # the failed spectral check falls back to the descent, which fails too
+        monkeypatch.setattr(spherical, "FACTORED_TOL", -1.0)
         monkeypatch.setattr(spherical, "MAX_DESCENT_ITER", 1)
         code, out, err = run_cli(capsys, "constant", "--a", "0.5", "--mesh", "64")
         assert code == 1
         row = json.loads(out)["rows"][0]
         assert row["status"] == "solver_fail" and row["numeric_M"] is None
+
+    def test_failed_row_keeps_its_closed_form(self, capsys):
+        # the factored solve and P1 both fail at a = 100, yet the profile is constant and |H|^p = 50.5^2 is exact
+        code, out, err = run_cli(capsys, "constant", "--d", "3", "--k", "1", "--a=100", "--mesh", "64")
+        assert code == 1
+        [row] = json.loads(out)["rows"]
+        assert row["status"] == "solver_fail" and row["closed_form"] == 2550.25
+        assert row["numeric_M"] is None and row["gap"] is None
 
     def test_stuck_descent_is_a_failed_row(self, capsys, monkeypatch):
         # the descent's line search fails far from convergence: no number is printed

@@ -1,5 +1,6 @@
 """Spherical eigenproblem, boundary conditions, and the p-quotient minimizer."""
 
+import itertools
 import math
 
 import numpy as np
@@ -622,9 +623,10 @@ class TestMinimizeRayleighP:
         assert np.linalg.norm(fd - kx[lo:hi]) <= 1e-6 * np.linalg.norm(kx[lo:hi])
 
     def test_one_newton_system_pass_per_iterate(self, monkeypatch):
-        # the start is read by normalize, each accepted iterate (the start
-        # too) by one newton_system pass, each line-search trial by normalize
-        # and value: one evaluation of the fields each
+        # the start is read by normalize, each iterate stepped from (the
+        # start too) by one newton_system pass, each line-search trial by
+        # normalize and value: one evaluation of the fields each; the
+        # converged iterate takes no pass
         calls = {"fields": 0, "value": 0}
         fields, value = spherical._Discretization.fields, spherical._Discretization.value
 
@@ -638,7 +640,7 @@ class TestMinimizeRayleighP:
         monkeypatch.setattr(spherical._Discretization, "value", counting("value", value))
         params = HardyParams(3, 1, 3.0, 0.0, 0.0)
         result = minimize_rayleigh_p(params, bc_for_cone(params, ConeSpec.complement_sigma0()), 512)
-        assert calls["fields"] == 1 + (result.iterations + 1) + 2 * calls["value"]
+        assert calls["fields"] == 1 + result.iterations + 2 * calls["value"]
 
     def test_newton_converges_on_degenerate_energy(self, monkeypatch):
         # at p = 1.5 the density e2^(p/2-1) degenerates toward the Dirichlet
@@ -804,6 +806,42 @@ class TestFactoredEigensolve:
             assert result.M == result.lam + hardy_exponent(params).H ** 2
             assert result.iterations == 2 and result.residual <= 1e-12 * max(abs(result.lam), 1.0)
 
+    def test_wide_grid_is_factored_and_exact_at_two_sizes(self):
+        # the basis holds the ground state at every size, so N = 4 is exact and N = 8 confirms it
+        cells = zeros = 0
+        for cone, d, b in itertools.product(FULL_SECTION_CONES, range(2, 7), (-2.0, 0.0, 7.0)):
+            for k in range(1, d) if cone.kind.value != "half-space" else (1,):
+                for a in (-k + 1e-3, -0.5, 0.0, 2 - k - 1e-9, 2 - k + 1e-9, 0.99, 3.0, 30.0):
+                    params = HardyParams(d, k, 2.0, a, b)
+                    if not cone_admissible(params, cone).cone_admissible:
+                        continue
+                    result = solve_M(params, cone, 64)
+                    reference = closed_form_constant(params, cone).value
+                    assert type(result.minimizer.disc) is spherical._FactoredDiscretization, (params, cone)
+                    assert result.iterations == 2, (params, cone)
+                    if reference == 0.0:
+                        zeros += 1
+                        assert result.M == 0.0, (params, cone, result.M)
+                    else:
+                        assert abs(result.M - reference) <= 4.5e-16 * abs(reference), (params, cone, result.M)
+                    cells += 1
+        assert cells >= 1000 and zeros >= 1
+
+    def test_failed_factorization_is_a_failed_check(self):
+        # at a = 100 the Jacobi exponent makes the N = 8 mass matrix fail its Cholesky factorization
+        params = HardyParams(3, 1, 2.0, 100.0, 0.0)
+        cone = ConeSpec.complement_sigma0()
+        with pytest.raises(ConvergenceError):
+            spherical._factored_eigensolve(spherical._SphericalProblem.of(params, bc_for_cone(params, cone)), 64)
+        with pytest.raises(ConvergenceError):  # P1 is tried, and fails too
+            solve_M(params, cone, 64)
+        # at d = 40 on the full space with k + a near 0 the N = 8 factorization fails too,
+        # and P1, started from its constant minimizer, meets |H|^2
+        params, cone = HardyParams(40, 1, 2.0, -1.0 + 1e-7, 0.0), ConeSpec.full_space()
+        result = solve_M(params, cone, 64)
+        assert type(result.minimizer.disc) is spherical._Discretization
+        assert result.M == pytest.approx(closed_form_constant(params, cone).value, rel=1e-15)
+
     @pytest.mark.parametrize("cell, cone", [
         ((3, 1, 2.0, 0.99, 0.0), ConeSpec.complement_sigma0()),
         ((6, 3, 2.0, -1.2, 0.0), ConeSpec.complement_sigma0()),
@@ -865,8 +903,8 @@ class TestFactoredEigensolve:
         descent = solve_M(HardyParams(3, 1, 1.5, 0.3, 0.0), ConeSpec.band(0.3, HALF_PI), 256)
         assert type(descent.minimizer.disc) is spherical._Discretization and descent.lam is None
 
-    def test_size_cap_raises_convergence_error(self, monkeypatch):
-        monkeypatch.setattr(spherical, "FACTORED_MAX_SIZE", 4)  # one solve: nothing to compare
+    def test_failed_check_raises_convergence_error(self, monkeypatch):
+        monkeypatch.setattr(spherical, "FACTORED_TOL", -1.0)  # N = 4 and N = 8 never agree
         params = HardyParams(3, 1, 2.0, 0.5, 0.0)
         domain = bc_for_cone(params, ConeSpec.complement_sigma0())
         with pytest.raises(ConvergenceError):
