@@ -271,10 +271,12 @@ def cmd_verify(config: RunConfig) -> list[ReportRow]:
     on [0, pi/2] with both ends natural, or with a Dirichlet pi/2 at H = 0);
     the row's trace holds the (delta, quotient) pairs.  The row fails
     (status solver_fail) if a trace value or the extrapolated limit is not
-    finite, the trace does not approach the reference quadratically or the
-    limit misses it; the h row fails if an energy or the fitted rate is not
-    finite or the strip energy decays slower than h^(1-p).  The limit misses
-    the reference by more than 1e-4 relative (1e-9 absolute near 0).  A single or repeated --deltas or --hs value
+    finite, the order is below 1.85 (0.925 q where a non-analytic term with
+    q < 2 leads the trace: |H| below the largest delta) or the limit misses
+    the reference by more than 1e-4 relative (1e-9 absolute near 0); if the
+    trace raises, the row keeps its solve's values.  The h row fails if an
+    energy or the fitted rate is not finite or the strip energy decays
+    slower than h^(1-p).  A single or repeated --deltas or --hs value
     (an empty list skips that trace), a delta that is not finite and
     positive, an h past the float range, an h with e^(-h) not below the
     inner radius of the cutoff's support (h below 3), and --hs on a cell
@@ -309,10 +311,12 @@ def cmd_verify(config: RunConfig) -> list[ReportRow]:
             term = _nonanalytic_term(params, bc_for_cone(params, cone))
             extrap, order = _delta_limit(((delta, ev.quotient, ev.slope) for delta, ev in evaluations), term)
         except (ConvergenceError, ValueError, OverflowError):
-            row = replace(_base_row("verify", params, cone, config.mesh_size), status="solver_fail")
+            row = replace(row, status="solver_fail")
         else:
             broken = not _finite(*(q for _, q in trace), extrap)
-            slow = order is not None and order < 1.85
+            # a term the trace reaches (G = 0 within its deltas) leads it as delta^q where q < 2
+            leading = term[1] if term is not None and abs(term[0]) < max(config.delta_list, default=0.0) else 2.0
+            slow = order is not None and order < 0.925 * min(leading, 2.0)
             off = extrap is not None and abs(extrap - reference) > max(1e-4 * abs(reference), 1e-9)
             row = replace(row, quotient_trace=trace, extrapolated=extrap, fit_order=order,
                           status="solver_fail" if broken or slow or off else "ok")

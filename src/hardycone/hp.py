@@ -15,8 +15,8 @@ in the distance from it, so cos theta = sin u keeps full relative accuracy
 at the nodes next to pi/2, where cos of a stored theta would not.
 
 The quotient is minimized by the descent P1 uses (spherical._descend):
-Newton steps on {D = const} under P1's inertia rule, with the hess E step
-as fallback.  Each step condenses every element's bubbles onto the
+Newton steps on {D = const} under its inertia rule for K, with the hess E
+step as fallback.  Each solve condenses every element's bubbles onto the
 vertices, whose Schur complement is tridiagonal
 (spherical._CyclicReduction); only the (q - 1) x (q - 1) bubble blocks go
 to LAPACK, so results do not depend on the BLAS thread count.  _hp_solve
@@ -39,7 +39,6 @@ from .quadrature import _gauss_jacobi
 from .spherical import (
     ConvergenceError,
     SpectralResult,
-    _bordered_step,
     _CyclicReduction,
     _descend,
     _Minimizer,
@@ -369,31 +368,27 @@ class _HpDiscretization(_RuleSums):
         return (q, (self._assemble(grad_e) - q * grad_d) / den * self.mask, hess_e - q * hess_d, den, grad_d,
                 lambda: hess_e)
 
-    def newton_direction(
-        self, g: np.ndarray, hessian: np.ndarray, den: float, grad_d: np.ndarray
-    ) -> np.ndarray | None:
-        """Minus the Newton step of Q on {D = const}, or None: _Discretization.newton_direction's solve for hp.
+    def solve(self, matrix: np.ndarray, rhs: np.ndarray) -> tuple[np.ndarray, int] | None:
+        """matrix^-1 rhs (n x 2), 0 at a pinned end, and matrix's negative-eigenvalue count, or None.
 
-        K x1 = D grad Q and K x2 = grad D are solved by static condensation:
-        each element's bubbles are eliminated by one batched LAPACK solve of
-        its (q - 1) x (q - 1) block, which leaves a tridiagonal Schur
-        complement on the vertices, solved on the free ones by
-        _CyclicReduction; the bubbles follow by back substitution.  K's
-        negative eigenvalues are the blocks' (eigvalsh) plus the Schur
-        complement's.  None where a factorization is singular, a block is
-        not finite or _bordered_step gives None.
+        matrix holds the element matrices.  Static condensation: each
+        element's bubbles are eliminated by one batched LAPACK solve of its
+        (q - 1) x (q - 1) block, which leaves a tridiagonal Schur complement
+        on the vertices, solved on the free ones by _CyclicReduction; the
+        bubbles follow by back substitution.  The count is the blocks'
+        (eigvalsh) plus the Schur complement's.  None where a factorization
+        is singular or a block is not finite.
         """
-        n_el, free = hessian.shape[0], self.free
-        rhs = np.stack([den * g, grad_d], axis=1)
-        blocks = hessian[:, 2:, 2:]
+        n_el, free = matrix.shape[0], self.free
+        blocks = matrix[:, 2:, 2:]
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
             try:
                 # per element: Kbb's eigenvalues and Kbb^-1 [Kbv, rhs_b]
                 eigenvalues = np.linalg.eigvalsh(blocks)
                 eliminated = np.linalg.solve(
-                    blocks, np.concatenate([hessian[:, 2:, :2], rhs[n_el + 1 :].reshape(n_el, -1, 2)], axis=2))
-                coupled = np.einsum("eib,ebk->eik", hessian[:, :2, 2:], eliminated)
-                schur = hessian[:, :2, :2] - coupled[:, :, :2]
+                    blocks, np.concatenate([matrix[:, 2:, :2], rhs[n_el + 1 :].reshape(n_el, -1, 2)], axis=2))
+                coupled = np.einsum("eib,ebk->eik", matrix[:, :2, 2:], eliminated)
+                schur = matrix[:, :2, :2] - coupled[:, :, :2]
                 factor = _CyclicReduction(_scatter(schur[:, 0, 0], schur[:, 1, 1])[free],
                                           0.5 * (schur[free.start : free.stop - 1, 0, 1]
                                                  + schur[free.start : free.stop - 1, 1, 0]))
@@ -408,8 +403,7 @@ class _HpDiscretization(_RuleSums):
             x_v[free] = factor.solve(rhs_v[free])
             x_b = eliminated[:, :, 2:] - np.einsum("ebj,ejk->ebk", eliminated[:, :, :2],
                                                    np.stack([x_v[:-1], x_v[1:]], axis=1))
-        return _bordered_step(np.concatenate([x_v, x_b.reshape(-1, 2)]), grad_d,
-                              int((eigenvalues < 0.0).sum()) + factor.negative_count())
+        return np.concatenate([x_v, x_b.reshape(-1, 2)]), int((eigenvalues < 0.0).sum()) + factor.negative_count()
 
 
 def _hp_solve(problem: _SphericalProblem, mesh_size: int) -> SpectralResult:

@@ -29,15 +29,14 @@ cells with tiny M or p near 1), and for p != 2 on every band, the profile
 is discretized with piecewise-linear finite elements on a mesh graded
 toward the singular end theta = pi/2.
 Both p != 2 discretizations are minimized by one descent (_descend):
-Newton steps on the surface {int w |phi|^p = const}, taken only where the
-bordered matrix [K, grad D; grad D^T, 0] has one negative eigenvalue,
-counted from the factorization that solved it (_bordered_step).  With P1
-elements K = hess E - Q hess D is tridiagonal, so each step is one
-tridiagonal solve with two right-hand sides.  Where a step is singular,
-fails that rule or is not a descent direction, the same system with hess E
-(positive semidefinite: E is convex) in place of K gives it, from the same
-pass.  The P1 descent starts from cos^s theta; a stuck one raises
-ConvergenceError.  Its residual is the relative step decrement
+Newton steps on the surface {int w |phi|^p = const}.  A discretization
+only solves (solve: two right-hand sides and the matrix's negative
+eigenvalue count, from one factorization); _descend forms the step
+(_bordered_step) and takes K's only where [K, grad D; grad D^T, 0] has one
+negative eigenvalue.  With P1 elements K = hess E - Q hess D is
+tridiagonal.  Where K's step fails, the step with hess E replaces it, with
+no inertia test: E is convex, so hess E is positive semidefinite.  The P1
+descent starts from cos^s theta; a stuck one raises ConvergenceError.  Its residual is the relative step decrement
 sqrt(grad Q . d) / Q of the last step.  At p = 2, assemble_p2 and
 smallest_eigenpair (bisection on the inertia of S - mu M) give the P1
 reference value.
@@ -267,7 +266,8 @@ def _bordered_step(x: np.ndarray, grad_d: np.ndarray, negatives: int) -> np.ndar
     (d, mu) = (-D grad Q, 0).  By Haynsworth's inertia additivity that matrix
     has K's `negatives` negative eigenvalues, plus one where the curvature
     grad D . x2 >= 0.  None unless it has one (K positive definite on
-    {grad D}-perp, so the step leads to a minimum), and where the step is not finite.
+    {grad D}-perp, so the step leads to a minimum; _descend passes 0 for the
+    positive semidefinite hess E), and where the step is not finite.
     """
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         curvature = (grad_d * x[:, 1]).sum()
@@ -579,12 +579,6 @@ class _Discretization(_RuleSums):
         rule = composite_rule(AngularWeight(problem.ka - 1.0, problem.dk - 1.0, 1.0), mesh)
         return cls(problem, mesh, rule)
 
-    def expand_free(self, v: np.ndarray) -> np.ndarray:
-        """Nodal values from the free-node values v, zero at Dirichlet nodes."""
-        full = np.zeros(self.mesh.size)
-        full[self.free] = v
-        return full
-
     def sample(self, v: np.ndarray, theta: np.ndarray) -> np.ndarray:
         """The piecewise-linear profile of nodal values v at the angles theta: v itself at the nodes."""
         return np.interp(theta, self.mesh, v)
@@ -659,25 +653,21 @@ class _Discretization(_RuleSums):
         k_lr = _element_sums(c_outer * de2_l * de2_r + c_value * n1 * n2) - c_grad
         return _scatter(k_ll, k_rr), k_lr
 
-    def newton_direction(
-        self, g: np.ndarray, hessian: Tridiagonal, den: float, grad_d: np.ndarray
-    ) -> np.ndarray | None:
-        """Minus the Newton step of Q on the surface {D = const}, or None, from newton_system's terms.
+    def solve(self, matrix: Tridiagonal, rhs: np.ndarray) -> tuple[np.ndarray, int] | None:
+        """matrix^-1 rhs (n x 2), 0 at Dirichlet nodes, and matrix's negative-eigenvalue count, or None.
 
-        K x1 = D grad Q and K x2 = grad D are solved on the free nodes by one
-        tridiagonal factorization of K, whose pivots count K's negative
-        eigenvalues for _bordered_step; None where it meets a zero or
-        non-finite pivot (K is indefinite away from the minimum).
+        One tridiagonal factorization on the free nodes, whose pivots give the
+        count; None where it meets a zero or non-finite pivot (K is
+        indefinite away from the minimum).
         """
         lo, hi = self.free.start, self.free.stop
-        grad_d = grad_d[lo:hi]
         try:
-            factor = _CyclicReduction(hessian[0][lo:hi], hessian[1][lo : hi - 1])
+            factor = _CyclicReduction(matrix[0][lo:hi], matrix[1][lo : hi - 1])
         except np.linalg.LinAlgError:
             return None
-        step = _bordered_step(factor.solve(np.stack([den * g[lo:hi], grad_d], axis=1)), grad_d,
-                              factor.negative_count())
-        return None if step is None else self.expand_free(step)
+        x = np.zeros(rhs.shape)
+        x[lo:hi] = factor.solve(rhs[lo:hi])
+        return x, factor.negative_count()
 
     def normalize(self, v: np.ndarray) -> np.ndarray:
         """Project to the nonnegative cone, apply Dirichlet data, unit p-norm."""
@@ -722,12 +712,12 @@ def _descend(
 
     disc is a _Discretization (P1) or an hp._HpDiscretization.  One pass
     over the rule per iterate stepped from (disc.newton_system) gives Q,
-    grad Q and the Hessian terms, and the step solves the bordered Newton
-    system of E - Q D restricted to D = const
-    (disc.newton_direction); a line-search trial costs Q alone.  If that
-    step is singular, non-finite, has the wrong inertia (_bordered_step) or
-    is not a descent direction, the step with hess E (a callable that the
-    same pass returns) is taken: E is convex, so
+    grad Q and the Hessian terms; disc.solve gives K^-1 [D grad Q, grad D]
+    and K's negative-eigenvalue count, and _bordered_step the Newton step of
+    Q on D = const.  A line-search trial costs Q alone.  If that step is
+    singular, non-finite, has the wrong inertia or is not a descent
+    direction, the step with hess E (a callable from the same pass) is
+    taken, with the count 0: E is convex, so
     grad Q . d = d^T hess E d / D > 0 wherever grad Q != 0, and a failed one
     raises ConvergenceError.  grad Q exactly 0 ends the descent.
     Backtracking line search from a full step; disc.normalize brings each
@@ -745,13 +735,16 @@ def _descend(
     q, g, hessian, den, grad_d, hess_e = disc.newton_system(v)
     decrement = math.inf
     for iterations in range(1, max_iter + 1):
-        direction = disc.newton_direction(g, hessian, den, grad_d)
+        rhs = np.stack([den * g, grad_d], axis=1)
+        solved = disc.solve(hessian, rhs)
+        direction = None if solved is None else _bordered_step(solved[0], grad_d, solved[1])
         slope = (g * direction).sum() if direction is not None else math.nan
         if not slope > 0.0:
             if not g.any():  # stationary: nothing to descend
                 decrement = 0.0
                 break
-            direction = disc.newton_direction(g, hess_e(), den, grad_d)
+            solved = disc.solve(hess_e(), rhs)  # positive semidefinite: any negative count is rounding
+            direction = None if solved is None else _bordered_step(solved[0], grad_d, 0)
             slope = (g * direction).sum() if direction is not None else math.nan
             if not slope > 0.0:
                 raise ConvergenceError("quotient descent: the hess E step failed", residual=decrement)
@@ -789,7 +782,7 @@ def minimize_rayleigh_p(params: HardyParams, domain: AngularDomain, mesh_size: i
 
     With P1 elements the Hessians of E and D are tridiagonal, so each step
     is one tridiagonal solve with two right-hand sides
-    (_Discretization.newton_direction).  Iterates are clamped to the
+    (_Discretization.solve).  Iterates are clamped to the
     nonnegative cone before they are renormalized.  The tolerance is
     DESCENT_TOL, at most MAX_DESCENT_ITER steps are taken, and the last
     relative step decrement sqrt(grad Q . d) / Q is the returned residual.

@@ -621,6 +621,50 @@ class TestMainEntry:
         row = json.loads(out)["rows"][0]
         assert row["status"] == "solver_fail"
 
+    def test_failed_delta_trace_keeps_the_solve(self, capsys):
+        # the overflowing trace raises; the row keeps its solve's values, as the NaN trace's row does
+        code, out, err = run_cli(capsys, "verify", "--mesh", "64", "--deltas", "1e300,1e299")
+        assert code == 1
+        [row] = json.loads(out)["rows"]
+        assert row["status"] == "solver_fail" and row["trace"] == [] and row["extrapolated"] is None
+        assert row["closed_form"] == 2.25 and row["numeric_M"] == 2.2500000000000004
+        assert row["lambda"] is not None and row["gap"] is not None
+        assert row["iterations"] is not None and row["residual"] is not None
+
+    # natural [0, pi/2] cells at H = 0 (or H = 1/15 below the largest delta) with p < 2:
+    # the trace's leading term e b(delta) ~ delta^p, so no correct trace reaches order 1.85
+    LEADING_TERM_CELLS = [(3, 2, 1.5, 0.0, 1.5), (3, 1, 1.5, 1.0, 2.5), (4, 2, 1.8, 0.0, 2.2),
+                          (3, 1, 1.2, 0.5, 2.3), (3, 1, 1.5, 1.0, 2.4)]
+
+    @staticmethod
+    def verify_row(capsys, cell):
+        d, k, p, a, b = cell
+        code, out, err = run_cli(capsys, "verify", "--d", str(d), "--k", str(k), "--p", str(p),
+                                 f"--a={a}", f"--b={b}", "--mesh", "64")
+        [row] = json.loads(out)["rows"]
+        return code, row
+
+    @pytest.mark.parametrize("cell", LEADING_TERM_CELLS)
+    def test_verify_order_target_follows_the_leading_term(self, capsys, cell):
+        code, row = self.verify_row(capsys, cell)
+        assert code == 0 and row["status"] == "ok"
+        assert row["fit_order"] >= 0.925 * cell[2]
+        assert abs(row["extrapolated"] - row["closed_form"]) <= 1.5e-16
+
+    @pytest.mark.parametrize("cell, order, status", [
+        ((3, 2, 1.5, 0.0, 1.5), 0.925 * 1.5 * (1 - 1e-9), "solver_fail"),
+        ((3, 2, 1.5, 0.0, 1.5), 0.925 * 1.5, "ok"),
+        ((3, 1, 2.0, 0.0, 0.0), 1.85 * (1 - 1e-9), "solver_fail"),  # p = 2: no term, 1.85 as before
+        ((3, 1, 3.0, 0.0, 0.0), 1.85 * (1 - 1e-9), "solver_fail"),  # q = 3: 1.85 as before
+        ((3, 1, 3.0, 0.0, 0.0), 1.85, "ok"),
+    ], ids=["below-0.925q", "at-0.925q", "p2-below-1.85", "p3-below-1.85", "p3-at-1.85"])
+    def test_verify_order_target_bounds(self, capsys, monkeypatch, cell, order, status):
+        limit = cli._delta_limit
+        monkeypatch.setattr(cli, "_delta_limit", lambda trace, term: (limit(trace, term)[0], order))
+        code, row = self.verify_row(capsys, cell)
+        assert row["fit_order"] == order and row["status"] == status
+        assert code == (1 if status == "solver_fail" else 0)
+
     @staticmethod
     def finite_report(out):
         """The rows of a JSON report that holds no Infinity or NaN token."""

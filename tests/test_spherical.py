@@ -81,6 +81,14 @@ def bordered_step(K, grad_d, den, g):
     return -np.linalg.solve(bordered, np.concatenate([-den * g, [0.0]]))[:n]
 
 
+def newton_step(disc, matrix, g, den, grad_d, negatives=None):
+    """_descend's step: disc.solve of [D grad Q, grad D] through _bordered_step, with solve's count unless given."""
+    solved = disc.solve(matrix, np.stack([den * g, grad_d], axis=1))
+    if solved is None:
+        return None
+    return spherical._bordered_step(solved[0], grad_d, solved[1] if negatives is None else negatives)
+
+
 def dense_hp(disc, elements):
     """The dense matrix that hp element matrices assemble to."""
     n = disc.layout.size
@@ -359,10 +367,10 @@ class TestCyclicReduction:
         disc = spherical._Discretization.graded(problem, 64)
         v = disc.normalize(np.cos(disc.mesh))
         _, g, (diag, off), den, grad_d, _ = disc.newton_system(v)
-        assert disc.newton_direction(g, (diag, off), den, grad_d) is not None
+        assert newton_step(disc, (diag, off), g, den, grad_d) is not None
         singular = diag.copy()
         singular[0] = 0.0  # first free node (natural end): a zero pivot at the first level
-        assert disc.newton_direction(g, (singular, off), den, grad_d) is None
+        assert newton_step(disc, (singular, off), g, den, grad_d) is None
 
 
 class TestSolveM:
@@ -614,7 +622,8 @@ class TestMinimizeRayleighP:
             q_u, g, _, den, grad_d, _ = disc.newton_system(u)
             return (den * g + (q_u - q) * grad_d)[lo:hi]
 
-        x = disc.expand_free(np.random.default_rng(7).standard_normal(hi - lo)) * v
+        x = np.zeros(mesh.size)
+        x[lo:hi] = np.random.default_rng(7).standard_normal(hi - lo) * v[lo:hi]
         kx = diag * x
         kx[:-1] += off * x[1:]
         kx[1:] += off * x[:-1]
@@ -709,8 +718,8 @@ class TestMinimizeRayleighP:
         disc = spherical._Discretization.graded(problem, 64)
         v = minimize_rayleigh_p(params, problem.domain, 64).minimizer.values
         _, g, (diag, off), den, grad_d, _ = disc.newton_system(v)
-        assert disc.newton_direction(g, (diag, off), den, grad_d) is not None
-        assert disc.newton_direction(g, (-diag, -off), den, grad_d) is None
+        assert newton_step(disc, (diag, off), g, den, grad_d) is not None
+        assert newton_step(disc, (-diag, -off), g, den, grad_d) is None
 
     @pytest.mark.parametrize("cell, cone, metrics", [
         ((3, 1, 3.0, 0.0, 0.0), ConeSpec.complement_sigma0(), ("K", "hess_e")),
@@ -729,16 +738,32 @@ class TestMinimizeRayleighP:
         lo, hi = disc.free.start, disc.free.stop
         for metric in metrics:
             diag, off = K if metric == "K" else hess_e()
-            step = disc.newton_direction(g, (diag, off), den, grad_d)
+            step = newton_step(disc, (diag, off), g, den, grad_d, None if metric == "K" else 0)
             reference = bordered_step(dense((diag, off))[lo:hi, lo:hi], grad_d[lo:hi], den, g[lo:hi])
             assert np.linalg.norm(step[lo:hi] - reference) <= 1e-10 * np.linalg.norm(reference)
             assert not step[:lo].any() and not step[hi:].any()
 
     def test_failed_hess_e_step_raises(self, monkeypatch):
-        monkeypatch.setattr(spherical._Discretization, "newton_direction", lambda self, *terms: None)
+        monkeypatch.setattr(spherical._Discretization, "solve", lambda self, matrix, rhs: None)
         params = HardyParams(3, 1, 3.0, 0.0, 0.0)
         with pytest.raises(ConvergenceError, match="hess E"):
             minimize_rayleigh_p(params, bc_for_cone(params, ConeSpec.complement_sigma0()), 256)
+
+    def test_hess_e_step_takes_no_inertia_test(self, monkeypatch):
+        # with 3 added to every count, K's step is refused at each iterate, and the
+        # hess E step, positive semidefinite whatever the count says, is taken
+        solve, matrices = spherical._Discretization.solve, []
+
+        def miscounted(self, matrix, rhs):
+            matrices.append(matrix)
+            solved = solve(self, matrix, rhs)
+            return None if solved is None else (solved[0], solved[1] + 3)
+
+        monkeypatch.setattr(spherical._Discretization, "solve", miscounted)
+        params = HardyParams(3, 1, 3.0, 0.0, 0.0)
+        result = minimize_rayleigh_p(params, bc_for_cone(params, ConeSpec.complement_sigma0()), 256)
+        assert len(matrices) == 2 * result.iterations
+        assert result.M == pytest.approx(2.1726116518314718, rel=1e-9)  # the unmiscounted descent's M
 
     def test_stationary_start_ends_the_descent(self):
         # k+a = 2 >= p: natural at pi/2, and the constant start is the
@@ -1110,6 +1135,19 @@ class TestHpSolve:
         result = solve_M(params, ConeSpec.complement_sigma0(), 256)
         assert result.M == minimize_rayleigh_p(params, bc_for_cone(params, ConeSpec.complement_sigma0()), 256).M
 
+    @pytest.mark.parametrize("b", [0.0, 0.5])
+    @pytest.mark.parametrize("p", [1.1, 1.5, 3.0, 6.0])
+    @pytest.mark.parametrize("d, k", [(3, 1), (3, 2), (4, 1), (4, 2), (5, 1), (5, 2)])
+    def test_natural_large_a_cells_stay_on_hp(self, d, k, p, b):
+        # both ends natural at a = 40: the profile is constant and M = |H|^p.  The descent
+        # starts at the minimizer, where hess E's negative count is rounding (the check
+        # level's weights reach 5.5e-151), and takes hess E's step whatever that count
+        params = HardyParams(d, k, p, 40.0, b)
+        result = solve_M(params, ConeSpec.complement_sigma0(), 256)
+        assert type(result.minimizer.disc) is hp._HpDiscretization
+        exact = hardy_exponent(params).H_abs_p
+        assert abs(result.M - exact) <= 1e-15 * exact
+
     @staticmethod
     def converged_system():
         """The hp discretization of (3,1,3,0,0) on the complement of sigma_0 and its Newton terms at the minimizer."""
@@ -1122,8 +1160,8 @@ class TestHpSolve:
         # as for P1: -K at a converged iterate is nonsingular, but every bubble
         # block of it is negative definite
         disc, (_, g, K, den, grad_d, _) = self.converged_system()
-        assert disc.newton_direction(g, K, den, grad_d) is not None
-        assert disc.newton_direction(g, -K, den, grad_d) is None
+        assert newton_step(disc, K, g, den, grad_d) is not None
+        assert newton_step(disc, -K, g, den, grad_d) is None
 
     @pytest.mark.parametrize("element", [0, 3, -1])
     def test_newton_direction_counts_bubble_block_inertia(self, element):
@@ -1133,13 +1171,13 @@ class TestHpSolve:
         # bordered matrix has two negative eigenvalues
         disc, (_, g, _, den, grad_d, hess_e) = self.converged_system()
         hessian = hess_e().copy()
-        assert disc.newton_direction(g, hessian, den, grad_d) is not None
+        assert newton_step(disc, hessian, g, den, grad_d) is not None
         lam, U = np.linalg.eigh(hessian[element, 2:, 2:])
         lam[0] = -1e3 * lam[-1]
         hessian[element, 2:, 2:] = (U * lam) @ U.T
         K = dense_hp(disc, hessian)
         assert (np.linalg.eigvalsh(K) < 0).sum() == 1 and grad_d @ np.linalg.solve(K, grad_d) > 0
-        assert disc.newton_direction(g, hessian, den, grad_d) is None
+        assert newton_step(disc, hessian, g, den, grad_d) is None
 
     @pytest.mark.parametrize("entry", [(3, 3), (0, 0), (0, 3)], ids=["bubble", "vertex", "coupling"])
     @pytest.mark.parametrize("bad", [math.nan, math.inf])
@@ -1148,7 +1186,7 @@ class TestHpSolve:
         disc, (_, g, K, den, grad_d, _) = self.converged_system()
         K = K.copy()
         K[2][entry] = bad
-        assert disc.newton_direction(g, K, den, grad_d) is None
+        assert newton_step(disc, K, g, den, grad_d) is None
 
     @pytest.mark.parametrize("cell, metrics", [
         ((3, 1, 3.0, 0.0, 0.0), ("K", "hess_e")),
@@ -1163,7 +1201,7 @@ class TestHpSolve:
         _, g, K, den, grad_d, hess_e = disc.newton_system(disc.normalize(disc.start()))
         for metric in metrics:
             hessian = K if metric == "K" else hess_e()
-            step = disc.newton_direction(g, hessian, den, grad_d)
+            step = newton_step(disc, hessian, g, den, grad_d, None if metric == "K" else 0)
             reference = bordered_step(dense_hp(disc, hessian), grad_d, den, g)
             assert np.linalg.norm(step - reference) <= 1e-10 * np.linalg.norm(reference)
 
