@@ -4,12 +4,21 @@ Reports are deterministic (no RNG, fixed quadrature) and machine readable:
 JSON documents {"schema": 1, "config": ..., "rows": [...]} or CSV with a
 fixed column set; floats are written in round-trip decimal form.  Exit code
 0 means every row is ok and every closed-vs-numeric gap is within --tol.
+
+Only the pure-Python params module is imported with this one.  A grid row
+whose extremal profile is known takes its quotient from params, so a run
+of such cells never imports numpy.  solve_M and the verifier functions
+that verify calls (_LAZY) are attributes of this module that import their
+own module (spherical, verifier) on first use (PEP 562), and every call
+site reads them through the module, so a wrapper set on it is the one
+called.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
+import importlib
 import io
 import json
 import math
@@ -20,27 +29,34 @@ from dataclasses import MISSING, dataclass, fields, replace
 from itertools import product
 
 from .params import (
+    MIN_MESH_SIZE,
     AdmissibilityError,
     ConeSpec,
+    ConvergenceError,
     HardyParams,
+    SpectralResult,
+    _SphericalProblem,
     bc_for_cone,
     closed_form_constant,
     cone_admissible,
 )
-from .spherical import (
-    MIN_MESH_SIZE,
-    ConvergenceError,
-    SpectralResult,
-    _SphericalProblem,
-    solve_M,
-)
-from .verifier import (
-    _cutoff_log_decay,
-    _delta_limit,
-    _nonanalytic_term,
-    cutoff_decay,
-    evaluate_quotient_udelta,
-)
+
+# name -> its module, imported on first use: a run of cells with exact profiles loads neither
+_LAZY = {
+    "solve_M": "spherical",
+    **dict.fromkeys(["evaluate_quotient_udelta", "cutoff_decay", "_cutoff_log_decay", "_delta_limit",
+                     "_nonanalytic_term"], "verifier"),
+}
+_cli = sys.modules[__name__]  # the lazy names are read as _cli.<name>, so a wrapper set on the module is called
+
+
+def __getattr__(name: str):
+    if name not in _LAZY:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f".{_LAZY[name]}", __package__), name)
+    globals()[name] = value
+    return value
+
 
 SCHEMA_VERSION = 1
 
@@ -177,7 +193,7 @@ def _solve(params: HardyParams, cone: ConeSpec, mesh: int, keep_minimizer: bool 
     keep_minimizer=False drops the minimizer and its discretization, which no grid row reads.
     """
     try:
-        result = solve_M(params, cone, mesh_size=mesh)
+        result = _cli.solve_M(params, cone, mesh_size=mesh)
     except AdmissibilityError:
         raise
     except (ConvergenceError, ValueError, OverflowError):
@@ -215,41 +231,47 @@ def _grid_rows(
     command: str, cells: list[tuple[HardyParams, ConeSpec]], config: RunConfig,
     with_closed: bool = True,
 ) -> list[ReportRow]:
-    """One row per cell, in order, with one solve per distinct spherical problem.
+    """One row per cell, in order, with one solve per distinct spherical problem that needs one.
 
     Cells with equal _SphericalProblem (p, k+a, d-k, H^2 and the endpoint
-    conditions) share the _solve call of the first of them, whose result is
-    bit for bit the one each would get alone; the closed form, gap and
-    status are still per cell.  The distinct problems are solved in order
-    of first appearance, and rows are placed by cell index.  With --jobs > 1
-    the distinct problems are spread over at most that many worker
-    processes.  Either way each result comes without its minimizer, so a
-    worker sends back no discretization.
+    conditions) share one result, bit for bit the one each would get alone;
+    the closed form, gap and status are still per cell.  A problem whose
+    extremal profile is known is answered here from its exact quotient
+    (SpectralResult.exact), and one whose H^2 or |H|^p overflows fails; the
+    rest are solved in order of first appearance, and rows are placed by
+    cell index.  With --jobs > 1 those solves are spread over at most that
+    many worker processes, and no pool starts for fewer than two.  Either
+    way each result comes without its minimizer, so a worker sends back no
+    discretization.
     """
     groups: dict[object, list[int]] = {}
+    results: dict[object, SpectralResult | None] = {}  # None: a solve's to come, or an int key's failure
     for index, (params, cone) in enumerate(cells):
         try:
             key = _SphericalProblem.of(params, bc_for_cone(params, cone))
-        except OverflowError:  # |H|^p overflows: its own group, _solve fails
+            if key not in results:
+                results[key] = SpectralResult.exact(key)
+        except OverflowError:  # H^2, |H|^p or the exact quotient overflows: its own group, which fails
             key = index
+            results[key] = None
         groups.setdefault(key, []).append(index)
 
-    def rows_from(results) -> list[ReportRow]:  # one result per group, none kept past its rows
-        rows = [None] * len(cells)
-        for indices, result in zip(groups.values(), results):
-            for index in indices:
-                rows[index] = _cell_row(command, *cells[index], config.mesh_size, result, with_closed)
-        return rows
-
-    problems = [cells[indices[0]] for indices in groups.values()]
+    unsolved = [key for key, result in results.items() if result is None and not isinstance(key, int)]
+    problems = [cells[groups[key][0]] for key in unsolved]
     solve_args = ([params for params, _ in problems], [cone for _, cone in problems],
                   [config.mesh_size] * len(problems), [False] * len(problems))
     if config.jobs > 1 and len(problems) > 1:
         from concurrent.futures import ProcessPoolExecutor  # only a pool run pays for the import
 
         with ProcessPoolExecutor(max_workers=min(config.jobs, len(problems))) as pool:
-            return rows_from(pool.map(_solve, *solve_args))
-    return rows_from(map(_solve, *solve_args))
+            results.update(zip(unsolved, pool.map(_solve, *solve_args)))
+    else:
+        results.update(zip(unsolved, map(_solve, *solve_args)))
+    rows = [None] * len(cells)
+    for key, indices in groups.items():
+        for index in indices:
+            rows[index] = _cell_row(command, *cells[index], config.mesh_size, results[key], with_closed)
+    return rows
 
 
 def cmd_constant(config: RunConfig) -> list[ReportRow]:
@@ -305,11 +327,11 @@ def cmd_verify(config: RunConfig) -> list[ReportRow]:
     if row.status != "solver_fail":
         reference = row.closed_form if row.closed_form is not None else row.numeric_M
         try:
-            evaluations = [(delta, evaluate_quotient_udelta(params, result.minimizer, delta))
+            evaluations = [(delta, _cli.evaluate_quotient_udelta(params, result.minimizer, delta))
                            for delta in config.delta_list]
             trace = tuple((delta, ev.quotient) for delta, ev in evaluations)
-            term = _nonanalytic_term(params, bc_for_cone(params, cone))
-            extrap, order = _delta_limit(((delta, ev.quotient, ev.slope) for delta, ev in evaluations), term)
+            term = _cli._nonanalytic_term(params, bc_for_cone(params, cone))
+            extrap, order = _cli._delta_limit(((delta, ev.quotient, ev.slope) for delta, ev in evaluations), term)
         except (ConvergenceError, ValueError, OverflowError):
             row = replace(row, status="solver_fail")
         else:
@@ -329,10 +351,10 @@ def cmd_verify(config: RunConfig) -> list[ReportRow]:
             # logarithm comes from the log-form quadrature; where the decay e^(-h(k+a-p))
             # underflows already, every term of the strip rule does, and the energy is 0
             htrace = [(float(h), 0.0 if math.exp(-h * (params.k + params.a - params.p)) == 0.0
-                       else cutoff_decay(params, support, h)) for h in config.h_list]
+                       else _cli.cutoff_decay(params, support, h)) for h in config.h_list]
             rate = _fit_log_slope([
                 (x, math.log(energy) if energy >= sys.float_info.min
-                 else _cutoff_log_decay(params, support, h))
+                 else _cli._cutoff_log_decay(params, support, h))
                 for h, (x, energy) in zip(config.h_list, htrace)
             ])
             status = "ok"
@@ -547,11 +569,11 @@ def main(argv: list[str] | None = None) -> int:
     try:
         config = parse_config(argv)
         rows = COMMANDS[config.command](config)
+        write_report(config, rows)
     except (AdmissibilityError, ValueError, OSError) as exc:
         error_doc = {"schema": SCHEMA_VERSION, "error": {"type": type(exc).__name__, "message": str(exc)}}
         sys.stderr.write(json.dumps(error_doc) + "\n")
         return 2
-    write_report(config, rows)
     ok = all(row.status == "ok" or row.status == "no_closed_form" for row in rows)
     gaps_ok = all(abs(row.gap) <= config.tol for row in rows if row.gap is not None)
     return 0 if ok and gaps_ok else 1

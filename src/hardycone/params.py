@@ -14,6 +14,12 @@ baseline value of m on the largest cones.  bc_for_cone gives the cone's
 polar cross-section with its endpoint conditions, and closed_form_constant
 reads the sharp constant off it whenever it is known in closed form; every
 value depends on b only through |H|.
+
+The cell's 1-D problem (_SphericalProblem) and what a solve returns or
+raises (SpectralResult, ConvergenceError, MIN_MESH_SIZE) live here too,
+with the quotient of the extremal profile wherever that profile is known,
+so the command line answers such cells without importing numpy or a
+solver.  The spherical module re-exports them.
 """
 
 from __future__ import annotations
@@ -21,8 +27,21 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from enum import Enum
+from typing import TYPE_CHECKING, NamedTuple
+
+if TYPE_CHECKING:
+    from .spherical import DiscretizedFunction
 
 HALF_PI = math.pi / 2
+MIN_MESH_SIZE = 16  # fewest elements a solve accepts
+
+
+class ConvergenceError(RuntimeError):
+    """An iterative solver ran out of iterations; carries the last residual."""
+
+    def __init__(self, message: str, residual: float):
+        super().__init__(message)
+        self.residual = residual
 
 
 class AdmissibilityError(ValueError):
@@ -231,6 +250,95 @@ def bc_for_cone(params: HardyParams, cone: ConeSpec) -> AngularDomain:
     return AngularDomain(cone.theta1, cone.theta2, bc1, bc2)
 
 
+class _SphericalProblem(NamedTuple):
+    """p, k+a, d-k, H^2 and the cross-section: all a solve reads, so equal problems solve alike.
+
+    A NamedTuple hashes by value, and costs no dataclass import time.
+    """
+
+    p: float
+    ka: float
+    dk: int
+    H2: float
+    domain: AngularDomain
+
+    @classmethod
+    def of(cls, params: HardyParams, domain: AngularDomain) -> "_SphericalProblem":
+        return cls(params.p, params.k + params.a, params.d - params.k, hardy_exponent(params).H ** 2, domain)
+
+    @property
+    def s(self) -> float:
+        """Boundary-layer exponent: phi ~ cos^s theta, s = (p - (k+a)) / (p - 1), at a Dirichlet pi/2; else 0."""
+        if self.domain.theta2 != HALF_PI or self.domain.bc2 is not DIRICHLET:
+            return 0.0
+        return (self.p - self.ka) / (self.p - 1.0)
+
+    @property
+    def exact_profile(self) -> str | None:
+        """The extremal profile's regime where it is known in closed form, else None.
+
+        On [0, pi/2] with a natural pi/2 the profile is constant
+        ("constant-profile"); with a Dirichlet pi/2 at p = 2 it is cos^s theta
+        ("p2-dirichlet").
+        """
+        if (self.domain.theta1, self.domain.theta2) != (0.0, HALF_PI):
+            return None
+        if self.domain.bc2 is NATURAL:
+            return "constant-profile"
+        return "p2-dirichlet" if self.p == 2 else None
+
+    def exact_quotient(self) -> float | None:
+        """The quotient E/D of the extremal profile (see exact_profile), or None where none is known.
+
+        A constant profile has e = phi'^2 + H^2 phi^2 = H^2 phi^2 everywhere, so
+        E/D = (H^2)^(p/2).  cos^s theta at p = 2 is taken in the one-node
+        Gauss-Jacobi rule in t = cos 2 theta, with exponent (d-k-2)/2 at t = 1
+        and -(k+a)/2 at t = -1 (spherical._ExactProfile), which integrates both
+        of its sums exactly.  At that node cos^2 theta = s / (d-k+s) and
+        sin^2 theta = (d-k) / (d-k+s), and the rule's one weight cancels from
+        E/D = (phi'^2 + H^2 phi^2) / phi^2, with phi'^2 / phi^2 = s^2 tan^2 theta.
+        """
+        profile = self.exact_profile
+        if profile == "constant-profile":
+            return self.H2 ** (self.p / 2)
+        if profile is None:
+            return None
+        s, dk = self.s, self.dk
+        cos2, sin2 = s / (dk + s), dk / (dk + s)
+        return s * s * sin2 / cos2 + self.H2
+
+
+@dataclass(frozen=True, eq=False)
+class SpectralResult:
+    """Computed spherical minimum M, eigenvalue (p = 2), and minimizer.
+
+    iterations and residual describe the solve.  Where the extremal profile
+    is known (_SphericalProblem.exact_profile) M is its quotient, and they
+    are 0 and 0.0: nothing is iterated.  After an hp solve (p != 2 on
+    [0, pi/2] with a Dirichlet pi/2, p = 2 on a band) they are the Newton
+    iterations of its two or three descents and the change of M between
+    the last two.  After a P1 descent (minimize_rayleigh_p: p != 2 on a
+    band, or where the hp check failed), they are the descent steps and the
+    relative step decrement sqrt(grad Q . d) / Q of the last step.  The
+    minimizer (a spherical._Minimizer) holds the accepted discretization;
+    a grid row drops it (None).
+    """
+
+    M: float
+    lam: float | None
+    minimizer: DiscretizedFunction | None
+    iterations: int
+    residual: float
+
+    @classmethod
+    def exact(cls, problem: _SphericalProblem, minimizer: DiscretizedFunction | None = None) -> "SpectralResult | None":
+        """The exact profile's result (see exact_quotient), or None where the problem needs a solve."""
+        M = problem.exact_quotient()
+        if M is None:
+            return None
+        return cls(M=M, lam=M - problem.H2 if problem.p == 2 else None, minimizer=minimizer, iterations=0, residual=0.0)
+
+
 @dataclass(frozen=True)
 class ClosedForm:
     """A sharp constant known exactly, with a tag naming its regime."""
@@ -242,21 +350,21 @@ class ClosedForm:
 def closed_form_constant(params: HardyParams, cone: ConeSpec) -> ClosedForm | None:
     """Sharp constant wherever the cross-section's extremal profile is known.
 
-    On [0, pi/2] with both ends natural (nothing removed at {y = 0}, or the
-    superdegenerate collapse k+a >= p) the profile is constant and
-    m = |H|^p ("constant-profile").  With a Dirichlet end pi/2 at p = 2 it
-    is cos^s theta, s = 2 - (k+a), and m = (d-k)(2-(k+a)) + H^2
+    _SphericalProblem.exact_profile decides, on the cross-section that
+    bc_for_cone gives, so the solver answers the same cells from that
+    profile.  On [0, pi/2] with both ends natural (nothing removed at
+    {y = 0}, or the superdegenerate collapse k+a >= p) the profile is
+    constant and m = |H|^p ("constant-profile").  With a Dirichlet end pi/2
+    at p = 2 it is cos^s theta, s = 2 - (k+a), and m = (d-k)(2-(k+a)) + H^2
     ("p2-dirichlet").  Every other cross-section gives None (the spherical
     solver is then the only source).  Raises AdmissibilityError on
     inadmissible input.
     """
-    domain = bc_for_cone(params, cone)
-    exponent = hardy_exponent(params)
-    if (domain.theta1, domain.theta2) != (0.0, HALF_PI):
+    problem = _SphericalProblem.of(params, bc_for_cone(params, cone))
+    source = problem.exact_profile
+    if source is None:
         return None
-    if domain.bc2 is NATURAL:
-        return ClosedForm(exponent.H_abs_p, "constant-profile")
-    if params.p == 2:
-        d, k, a = params.d, params.k, params.a
-        return ClosedForm((d - k) * (2.0 - (k + a)) + exponent.H ** 2, "p2-dirichlet")
-    return None
+    if source == "constant-profile":
+        return ClosedForm(hardy_exponent(params).H_abs_p, source)
+    d, k, a = params.d, params.k, params.a
+    return ClosedForm((d - k) * (2.0 - (k + a)) + problem.H2, source)

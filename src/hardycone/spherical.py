@@ -9,25 +9,22 @@ w(theta) = cos^(k+a-1) sin^(d-k-1).  For p = 2 this is the eigenvalue problem
 
     -(w phi')' = lambda w phi,      M = lambda_1 + H^2.
 
-At p = 2 on the cross-section [0, pi/2] it is solved spectrally:
-phi = cos^s theta * g(t), t = cos 2 theta, with g a Legendre series and s
-the boundary-layer exponent 2 - (k+a) at a Dirichlet end pi/2 (0
-otherwise).  In t the weight w dtheta is a Jacobi weight, and a
-Gauss-Jacobi rule whose exponents absorb the pole powers integrates the
-stiffness and mass of the basis exactly.  The basis holds the ground state
-at every size, so the dense eigenproblem is solved at N = 4 and checked at
-N = 8 (Guo, Shen and Wang, Appl. Numer. Math. 59 (2009); Shen, Tang and
-Wang, Spectral Methods (2011), ch. 3).
+On the cross-section [0, pi/2] the extremal profile is known wherever the
+constant is (params._SphericalProblem.exact_profile): a constant with a
+natural pi/2, and cos^s theta, s = 2 - (k+a), with a Dirichlet pi/2 at
+p = 2.  There M is that profile's quotient, in pure Python, and nothing is
+solved; the minimizer holds the profile in the one Gauss-Jacobi node in
+t = cos 2 theta that integrates its sums exactly (_ExactProfile).
 
-For p != 2 on [0, pi/2], and for p = 2 on a band, the quotient is
-minimized in hp spectral elements, phi = cos^s theta * g with g piecewise
-polynomial on a mesh graded geometrically toward both ends (the hp
-module, imported only for such a solve), and accepted when a solve on a
+For p != 2 on [0, pi/2] with a Dirichlet pi/2, and for p = 2 on a band, the
+quotient is minimized in hp spectral elements, phi = cos^s theta * g with g
+piecewise polynomial on a mesh graded geometrically toward both ends (the
+hp module, imported only for such a solve), and accepted when a solve on a
 finer nested mesh agrees to 1e-10, or on a near miss when a third, finer
-again, agrees with the second.  Where a check fails (a few [0, pi/2]
-cells with tiny M or p near 1), and for p != 2 on every band, the profile
-is discretized with piecewise-linear finite elements on a mesh graded
-toward the singular end theta = pi/2.
+again, agrees with the second.  Where a check fails (a few [0, pi/2] cells
+with tiny M or p near 1), and for p != 2 on every band, the profile is
+discretized with piecewise-linear finite elements on a mesh graded toward
+the singular end theta = pi/2.
 Both p != 2 discretizations are minimized by one descent (_descend):
 Newton steps on the surface {int w |phi|^p = const}.  A discretization
 only solves (solve: two right-hand sides and the matrix's negative
@@ -41,23 +38,21 @@ sqrt(grad Q . d) / Q of the last step.  At p = 2, assemble_p2 and
 smallest_eigenpair (bisection on the inertia of S - mu M) give the P1
 reference value.
 
-The private solvers take the cell's 1-D problem as one _SphericalProblem:
-the cross-section and endpoint conditions that params.bc_for_cone gives,
-and s, the one boundary-layer exponent at pi/2.  Its graded mesh comes
-from _solve_mesh, graded by _auto_gamma to match s.  Every solve returns a
-_Minimizer, which holds the discretization the solve accepted; the
-certifier integrates the profile there, and nothing samples it on the
-graded mesh until its values are read.
+The private solvers take the cell's 1-D problem as one
+params._SphericalProblem (re-exported here, with MIN_MESH_SIZE,
+ConvergenceError and SpectralResult): the cross-section and endpoint
+conditions that params.bc_for_cone gives, and s, the one boundary-layer
+exponent at pi/2.  Its graded mesh comes from _solve_mesh, graded by
+_auto_gamma to match s.  Every solve returns a _Minimizer, which holds the
+discretization the solve accepted; the certifier integrates the profile
+there, and nothing samples it on the graded mesh until its values are read.
 
 Every P1 matrix is symmetric tridiagonal and is kept as a (diag, off) pair
 of numpy arrays.  One kernel solves all of them: odd-even cyclic reduction,
 vectorized over each level, which factors once, solves many right-hand sides
 and counts negative eigenvalues from its pivots (Sylvester inertia).  Dot
-products and norms are fixed-order numpy sums, never BLAS calls, and the
-spectral matrices and their products are formed by einsum, which sums in a
-fixed order without BLAS; only the dense Cholesky, inverse and eigh of at
-most 8 x 8 matrices go to LAPACK.  Reports come out byte-identical at one
-and two BLAS threads.
+products and norms are fixed-order numpy sums, never BLAS calls, so
+reports come out byte-identical at one and two BLAS threads.
 """
 
 from __future__ import annotations
@@ -66,60 +61,28 @@ import math
 from collections.abc import Callable
 from dataclasses import dataclass
 from functools import cached_property, partial
-from typing import NamedTuple
 
 import numpy as np
 
 from .params import (
     DIRICHLET,
     HALF_PI,
+    MIN_MESH_SIZE,
     AngularDomain,
     ConeSpec,
+    ConvergenceError,
     HardyParams,
+    SpectralResult,
+    _SphericalProblem,
     bc_for_cone,
-    hardy_exponent,
 )
 from .quadrature import AngularWeight, QuadratureRule, _gauss_jacobi, composite_rule
 
-MIN_MESH_SIZE = 16  # fewest elements a solve accepts
 MAX_DESCENT_ITER = 100_000  # descent steps before ConvergenceError
 DESCENT_TOL = 1e-9  # relative decrease of Q per descent step at convergence
 DESCENT_GRAD_TOL = 1e-6  # relative step decrement sqrt(grad Q . d) / Q at convergence
-FACTORED_TOL = 1e-12  # agreement of the spectral eigenvalues at N = 4 and N = 8
 
 Tridiagonal = tuple[np.ndarray, np.ndarray]  # symmetric: (diagonal, off-diagonal)
-
-
-class ConvergenceError(RuntimeError):
-    """An iterative solver ran out of iterations; carries the last residual."""
-
-    def __init__(self, message: str, residual: float):
-        super().__init__(message)
-        self.residual = residual
-
-
-class _SphericalProblem(NamedTuple):
-    """p, k+a, d-k, H^2 and the cross-section: all a solve reads, so equal problems solve alike.
-
-    A NamedTuple hashes by value, and costs no dataclass import time.
-    """
-
-    p: float
-    ka: float
-    dk: int
-    H2: float
-    domain: AngularDomain
-
-    @classmethod
-    def of(cls, params: HardyParams, domain: AngularDomain) -> "_SphericalProblem":
-        return cls(params.p, params.k + params.a, params.d - params.k, hardy_exponent(params).H ** 2, domain)
-
-    @property
-    def s(self) -> float:
-        """Boundary-layer exponent: phi ~ cos^s theta, s = (p - (k+a)) / (p - 1), at a Dirichlet pi/2; else 0."""
-        if self.domain.theta2 != HALF_PI or self.domain.bc2 is not DIRICHLET:
-            return 0.0
-        return (self.p - self.ka) / (self.p - 1.0)
 
 
 @dataclass(frozen=True, eq=False)
@@ -141,8 +104,9 @@ class DiscretizedFunction:
 class _Minimizer(DiscretizedFunction):
     """A solve's minimizer: the discretization its solve accepted, and the profile's coefficients in it.
 
-    disc is the factored basis at the accepted N, the accepted hp level or
-    the P1 _Discretization (coefficients: its nodal values).  mesh (the
+    disc is the exact profile's one-node rule (_ExactProfile, coefficient
+    1), the accepted hp level or the P1 _Discretization (coefficients: its
+    nodal values).  mesh (the
     graded mesh of mesh_size elements that a P1 solve uses) and values
     (disc.sample there) are computed when first read; a pickle carries
     whichever has been read.  A plain subclass: one more dataclass would
@@ -161,28 +125,6 @@ class _Minimizer(DiscretizedFunction):
     @cached_property
     def values(self) -> np.ndarray:
         return self.disc.sample(self.coefficients, self.mesh)
-
-
-@dataclass(frozen=True, eq=False)
-class SpectralResult:
-    """Computed spherical minimum M, eigenvalue (p = 2), and minimizer.
-
-    iterations and residual describe the solve.  After a spectral solve
-    (p = 2 on [0, pi/2]) they are 2, the dense eigensolves at N = 4 and
-    N = 8, and the difference of their eigenvalues;
-    after an hp solve (p != 2 on [0, pi/2], p = 2 on a band) the Newton
-    iterations of its two or three descents and the change of M between
-    the last two.  After a P1 descent (minimize_rayleigh_p: p != 2 on a
-    band, or where the spectral or hp check failed), they are the descent
-    steps and the relative step decrement sqrt(grad Q . d) / Q of the last
-    step.  The minimizer holds the accepted discretization (_Minimizer).
-    """
-
-    M: float
-    lam: float | None
-    minimizer: DiscretizedFunction
-    iterations: int
-    residual: float
 
 
 def grading_cap(theta1: float, n: int) -> float:
@@ -458,92 +400,43 @@ class _RuleSums:
         return self.energy(phi, dphi, self.H2)[1] / mass
 
 
-def _legendre(t: np.ndarray, size: int) -> tuple[np.ndarray, np.ndarray]:
-    """P_j(t) and P_j'(t) for j < size, as (t.size, size) arrays, by the three-term recurrences."""
-    P = np.empty((t.size, size))
-    dP = np.empty_like(P)
-    P[:, 0], dP[:, 0] = 1.0, 0.0
-    if size > 1:
-        P[:, 1], dP[:, 1] = t, 1.0
-    for j in range(1, size - 1):
-        P[:, j + 1] = ((2 * j + 1) * t * P[:, j] - j * P[:, j - 1]) / (j + 1)
-        dP[:, j + 1] = dP[:, j - 1] + (2 * j + 1) * P[:, j]
-    return P, dP
+class _ExactProfile(_RuleSums):
+    """The extremal profile phi = c cos^s theta on [0, pi/2], in one Gauss-Jacobi node in t = cos 2 theta.
 
-
-def _legendre_series(c: np.ndarray, t: np.ndarray) -> np.ndarray:
-    """sum_j c_j P_j(t) by Clenshaw's recurrence.
-
-    On a fine sampling mesh this costs a few array operations per term,
-    where forming every P_j(t) as _legendre does costs several times more.
-    """
-    b1 = np.zeros_like(t)
-    b2 = np.zeros_like(t)
-    for j in range(c.size - 1, 0, -1):
-        b1, b2 = c[j] + (2 * j + 1) / (j + 1) * t * b1 - (j + 1) / (j + 2) * b2, b1
-    return c[0] + t * b1 - 0.5 * b2
-
-
-class _FactoredDiscretization(_RuleSums):
-    """phi = cos^s theta * sum_j c_j P_j(t), j < size, t = cos 2 theta, on the cross-section [0, pi/2].
-
-    With A = (d-k-2)/2 and B = (k+a-2)/2, w dtheta = ((1+t)/2)^B ((1-t)/2)^A dt / 4
-    and phi' = -sin theta cos^(s-1) theta (s g + 2 (1+t) g').  The rule is
-    Gauss-Jacobi in t, with exponent A at t = 1 and, at t = -1, B + s - 1
-    = -(k+a)/2 if s = 2 - (k+a) > 0, else B.  w holds the rule's weights
-    with the rest of the angular weight folded in, so sums over the nodes
-    are integrals in theta, as in the P1 discretization.  The mass and
-    stiffness integrands are polynomials of degree at most 2 size - 1
-    against the rule's weight, which size points integrate exactly.  The
-    nodes are interior to (-1, 1), so cos theta > 0 there even when s = 0.
+    s is 2 - (k+a) at p = 2 with a Dirichlet pi/2, and 0 (a constant profile)
+    with a natural one: the cells whose quotient
+    _SphericalProblem.exact_quotient gives.  With A = (d-k-2)/2 and
+    B = (k+a-2)/2, w dtheta = ((1+t)/2)^B ((1-t)/2)^A dt / 4 and
+    phi' = -s c sin theta cos^(s-1) theta.  The rule has exponent A at t = 1
+    and, at t = -1, B + s - 1 = -(k+a)/2 if s > 0, else B; w holds its
+    weight with the rest of the angular weight folded in, so sums over the
+    node are integrals in theta, as in the P1 discretization.  Against that
+    weight phi^2 is constant and phi'^2 linear in t, which one node
+    integrates exactly, as it does the constant profile's e^(p/2) and
+    |phi|^p.  The node is interior to (-1, 1), so cos theta > 0 there even
+    when s = 0.
     """
 
-    def __init__(self, problem: _SphericalProblem, size: int):
+    def __init__(self, problem: _SphericalProblem):
         super().__init__(problem)
         s = problem.s
         alpha = (problem.dk - 2) / 2
         beta_w = (problem.ka - 2) / 2
         beta = beta_w + s - 1.0 if s > 0 else beta_w
-        t, wt = _gauss_jacobi(size, alpha, beta)
+        t, wt = _gauss_jacobi(1, alpha, beta)
         self.w = wt * (2.0 ** -(alpha + beta_w) / 4) * (1.0 + t) ** (beta_w - beta)
         cos = np.sqrt((1.0 + t) / 2)
         sin = np.sqrt((1.0 - t) / 2)
-        P, dP = _legendre(t, size)
-        self.basis = cos[:, None] ** s * P
-        self.dbasis = -(sin * cos ** (s - 1.0))[:, None] * (s * P + 2.0 * (1.0 + t)[:, None] * dP)
+        self.phi = cos**s
+        self.dphi = -s * sin * cos ** (s - 1.0)
 
     def fields(self, c: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """phi and phi' at the rule's nodes for the Legendre coefficients c."""
-        return (self.basis * c).sum(axis=1), (self.dbasis * c).sum(axis=1)
+        """phi and phi' at the rule's node for the coefficient c (shape (1,))."""
+        return self.phi * c, self.dphi * c
 
     def sample(self, c: np.ndarray, theta: np.ndarray) -> np.ndarray:
         """The profile at the angles theta, exactly 0 at a Dirichlet pi/2 (s > 0)."""
-        return np.sin(HALF_PI - theta) ** self.problem.s * _legendre_series(c, np.cos(2.0 * theta))
-
-    def p2_matrices(self) -> tuple[np.ndarray, np.ndarray]:
-        """Dense stiffness int w phi_i' phi_j' and mass int w phi_i phi_j of the basis."""
-        w = self.w[:, None]
-        # einsum without optimize sums in a fixed order, with no BLAS call
-        return (np.einsum("qi,qj->ij", w * self.dbasis, self.dbasis),
-                np.einsum("qi,qj->ij", w * self.basis, self.basis))
-
-
-def _dense_ground_state(stiffness: np.ndarray, mass: np.ndarray) -> tuple[float, np.ndarray]:
-    """Smallest eigenvalue of the dense pencil (stiffness, mass) and its eigenvector.
-
-    Cholesky M = L L^T turns the pencil into the symmetric L^-1 S L^-T,
-    whose eigenpairs eigh returns.  The eigenvector c has c^T M c = 1 and
-    its first entry of M c (the profile's weighted mean against the first,
-    positive, basis function) is positive.
-    """
-    L_inv = np.linalg.inv(np.linalg.cholesky(mass))
-    # products by einsum: fixed-order sums, no BLAS call
-    reduced = np.einsum("ik,lk->il", np.einsum("ij,jk->ik", L_inv, stiffness), L_inv)
-    lam, vectors = np.linalg.eigh(reduced)
-    c = np.einsum("ji,j->i", L_inv, vectors[:, 0])
-    if (mass[0] * c).sum() < 0:
-        c = -c
-    return float(lam[0]), c
+        return c * np.sin(HALF_PI - theta) ** self.problem.s
 
 
 class _Discretization(_RuleSums):
@@ -803,63 +696,34 @@ def minimize_rayleigh_p(params: HardyParams, domain: AngularDomain, mesh_size: i
     )
 
 
-def _factored_eigensolve(problem: _SphericalProblem, mesh_size: int) -> SpectralResult:
-    """The p = 2 solve in the factored spectral basis (see _FactoredDiscretization): N = 4, checked at N = 8.
-
-    The basis holds the ground state, cos^s theta or a constant, at every
-    size, so N = 8 only confirms N = 4: the two eigenvalues must agree to
-    FACTORED_TOL relative (absolute below |lambda| = 1, where lambda_1 = 0
-    leaves nothing to be relative to), else ConvergenceError, also where a
-    factorization fails (an extreme Jacobi exponent).  The minimizer holds
-    the N = 8 basis at unit weighted 2-norm; mesh_size (checked here) sets
-    the graded mesh it samples itself on when first read, as P1 would.
-    """
-    _require_mesh_size(mesh_size)
-    try:
-        coarse = _dense_ground_state(*_FactoredDiscretization(problem, 4).p2_matrices())[0]
-        disc = _FactoredDiscretization(problem, 8)
-        lam, c = _dense_ground_state(*disc.p2_matrices())
-    except np.linalg.LinAlgError as error:
-        raise ConvergenceError(f"spectral solve failed: {error}", residual=math.inf) from None
-    residual = abs(lam - coarse)
-    if not residual <= FACTORED_TOL * max(abs(lam), 1.0):
-        raise ConvergenceError(f"spectral eigenvalues at N = 4 and 8 differ by {residual:.3e}", residual=residual)
-    return SpectralResult(
-        M=lam + problem.H2,
-        lam=lam,
-        minimizer=_Minimizer(disc, c, mesh_size),
-        iterations=2,
-        residual=residual,
-    )
-
-
 def solve_M(
     params: HardyParams,
     cone: ConeSpec,
     mesh_size: int = 512,
 ) -> SpectralResult:
-    """Spherical minimum M of the cone: factored at p = 2 on [0, pi/2], P1 for p != 2 on a band, hp otherwise.
+    """Spherical minimum M of the cone: the exact profile where it is known, hp or P1 otherwise.
 
-    On the cross-section [0, pi/2] (the full and punctured space, the
-    complement of sigma_0 and the half space) the p = 2 eigenproblem is
-    solved in the factored spectral basis, and for p != 2 the quotient is
-    minimized in hp elements (_hp_solve), as it is at p = 2 on a band.
+    Where _SphericalProblem.exact_profile names the extremal profile (on
+    [0, pi/2]: a natural pi/2, or a Dirichlet pi/2 at p = 2) M is its
+    quotient, exact_quotient, bit for bit, with iterations 0 and residual
+    0.0, and the minimizer holds that profile at coefficient 1 in its
+    one-node rule (_ExactProfile).  Otherwise the quotient is minimized in
+    hp elements (_hp_solve) for p != 2 on [0, pi/2] and p = 2 on a band.
     mesh_size then only sets the mesh the minimizer is sampled on, when its
-    mesh or values are first read.  Where either fails its check (a failed
-    factorization is a failed check), and on every band for p != 2, the
-    quotient is minimized with P1 elements on a mesh of mesh_size elements
-    graded toward pi/2 (minimize_rayleigh_p).
+    mesh or values are first read.  Where hp fails its check, and on every
+    band for p != 2, the quotient is minimized with P1 elements on a mesh of
+    mesh_size elements graded toward pi/2 (minimize_rayleigh_p).
     """
     domain = bc_for_cone(params, cone)
     problem = _SphericalProblem.of(params, domain)
-    full_section = domain.theta1 == 0.0 and domain.theta2 == HALF_PI
-    try:
-        if params.p == 2 and full_section:
-            return _factored_eigensolve(problem, mesh_size)
-        if params.p == 2 or full_section:
-            from .hp import _hp_solve  # a p = 2 solve on [0, pi/2] never pays to compile hp
+    _require_mesh_size(mesh_size)
+    if problem.exact_profile is not None:
+        return SpectralResult.exact(problem, _Minimizer(_ExactProfile(problem), np.ones(1), mesh_size))
+    if params.p == 2 or (domain.theta1, domain.theta2) == (0.0, HALF_PI):
+        from .hp import _hp_solve  # an exact or P1-only process never pays to compile hp
 
+        try:
             return _hp_solve(problem, mesh_size)
-    except ConvergenceError:
-        pass
+        except ConvergenceError:
+            pass
     return minimize_rayleigh_p(params, domain, mesh_size)

@@ -15,14 +15,14 @@ trace of both to delta = 0 by a Hermite table over every point, with that
 term modelled where _nonanalytic_term knows its exponent.  Its
 radial integrals are pure powers, evaluated in closed form, and its
 angular integrals use the discretization the solver accepted, which the
-minimizer holds, so nothing is rebuilt: for a factored spectral minimizer
-(p = 2 on [0, pi/2]) its basis and exact Gauss-Jacobi rule; for an hp
+minimizer holds, so nothing is rebuilt: for an exact profile (a cell with
+a closed form) its one-node Gauss-Jacobi rule, exact for it; for an hp
 minimizer (p != 2 on [0, pi/2], p = 2 on a band) its elements and their
 rules for E and D; for a P1 minimizer its mesh, quadrature nodes, weights
 and shape values.  A profile the caller built from a mesh and values gets
 the P1 discretization on that mesh.  So at p = 2 the u_delta quotient is
 the Rayleigh quotient of the test function the solver returned +
-delta^2, and after a spectral solve that test function is the admissible
+delta^2, and on an exact-profile cell that test function is the admissible
 profile itself, not an interpolant of it.  In the superdegenerate regime
 k+a >= p, cutoff_decay measures the energy a log cutoff near {y = 0} costs,
 by tensor-product quadrature in (log r, -log|y|), as the exponential of
@@ -114,7 +114,7 @@ def _discretization(params: HardyParams, Phi: DiscretizedFunction) -> tuple[_Rul
     """The solver's discretization of Phi and Phi's coefficients in it.
 
     A solver's minimizer brings the discretization its solve accepted
-    (factored, hp or P1), with its coefficients, and nothing is rebuilt; a
+    (exact profile, hp or P1), with its coefficients, and nothing is rebuilt; a
     caller-built profile gets the P1 discretization on its mesh (all nodes
     free), with its nodal values.
     """
@@ -141,7 +141,7 @@ def evaluate_quotient_udelta(
 
     times the transverse sphere prefactor (halved when cone is the half
     space; the prefactor cancels in the quotient either way).  E and D are
-    the solver's sums (factored, hp or P1, see _discretization), so for p = 2
+    the solver's sums (exact profile, hp or P1, see _discretization), so for p = 2
     the quotient equals the Rayleigh quotient of Phi in that discretization
     plus delta^2, to rounding.  The denominator diverges like 1/delta: the
     divergence of the minimizing family's mass is what prevents any

@@ -1,9 +1,11 @@
 """CLI surface: parsing, report schema, round trips, exit codes, determinism."""
 
 import argparse
+import builtins
 import concurrent.futures
 import csv
 import io
+import itertools
 import json
 import math
 import os
@@ -16,6 +18,7 @@ import pytest
 
 import hardycone
 import hardycone.cli as cli
+import hardycone.hp as hp
 import hardycone.spherical as spherical
 from hardycone.cli import (
     CSV_COLUMNS,
@@ -31,8 +34,14 @@ from hardycone.cli import (
     rows_to_csv,
     rows_to_json,
 )
-from hardycone.params import ConeKind, closed_form_constant
-from hardycone.spherical import ConvergenceError
+from hardycone.params import (
+    ConeKind,
+    ConvergenceError,
+    HardyParams,
+    _SphericalProblem,
+    closed_form_constant,
+    cone_admissible,
+)
 
 
 def run_cli(capsys, *args):
@@ -134,9 +143,12 @@ class TestCommands:
         assert row.fit_order == pytest.approx(2.0, abs=0.1)
 
     def test_verify_delta_row_carries_solve_data(self):
-        row = cmd_verify(config_for("verify", delta_list=(0.2, 0.1), h_list=()))[0]
-        assert row.iterations is not None and row.residual is not None
-        assert row.numeric_M == cmd_constant(config_for())[0].numeric_M
+        # verify's solve_M and constant's exact quotient agree bit for bit, as do their hp solves at p = 3
+        for p in (2.0, 3.0):
+            row = cmd_verify(config_for("verify", p=(p,), delta_list=(0.2, 0.1), h_list=()))[0]
+            assert row.iterations is not None and row.residual is not None
+            assert row.numeric_M == cmd_constant(config_for(p=(p,)))[0].numeric_M
+            assert (row.iterations == 0) == (p == 2.0)
 
     def test_verify_h_trace_rate(self):
         config = config_for("verify", a=(1.0,), delta_list=(), h_list=(4, 8, 16))
@@ -214,9 +226,9 @@ def inline_pool(monkeypatch):
     return workers
 
 
-# 12 cells, 7 distinct problems: every k = 1 half-space cell repeats its
-# complement twin, and (3,1,2,0.5,0) repeats (4,2,2,-0.5,0)
-TWIN_GRID = dict(d=(3, 4), k=(1, 2), a=(-0.5, 0.5), cones=("complement-sigma0", "half-space"))
+# 12 cells at p = 3, each solved in hp, 7 distinct problems: every k = 1 half-space
+# cell repeats its complement twin, and (3,1,3,0.5,0) repeats (4,2,3,-0.5,0)
+TWIN_GRID = dict(d=(3, 4), k=(1, 2), p=(3.0,), a=(-0.5, 0.5), cones=("complement-sigma0", "half-space"))
 
 
 class TestSweepDedupe:
@@ -232,27 +244,40 @@ class TestSweepDedupe:
 
     @pytest.mark.parametrize("p", [2.0, 1.5])
     def test_cells_differing_in_b_not_merged(self, monkeypatch, p):
-        calls = count_solves(monkeypatch)
-        rows = cmd_sweep(config_for("sweep", p=(p,), a=(0.3,), b=(0.0, 0.5)))
+        calls = count_solves(monkeypatch)  # on a band, hp at p = 2 and P1 at p = 1.5
+        rows = cmd_sweep(config_for("sweep", p=(p,), a=(0.3,), b=(0.0, 0.5), cones=("band:0.3:1.2",)))
         assert len(calls) == 2  # H^2 differs
         assert rows[0].numeric_M != rows[1].numeric_M
 
     def test_convergence_error_fails_only_its_group(self, monkeypatch):
-        # the group of (3,1,2,0.5,0): k+a = 1.5, d-k = 2
+        # the group of (3,1,3,0.5,0): k+a = 1.5, d-k = 2
         count_solves(monkeypatch,
                      fail=lambda params: (params.k + params.a, params.d - params.k) == (1.5, 2))
         rows = cmd_sweep(config_for("sweep", **TWIN_GRID))
         failed = {(row.d, row.k, row.a, row.cone) for row in rows if row.status == "solver_fail"}
         assert failed == {(3, 1, 0.5, "complement-sigma0"), (3, 1, 0.5, "half-space"),
                           (4, 2, -0.5, "complement-sigma0")}
-        assert all(row.status == "ok" for row in rows if row.status != "solver_fail")
+        assert all(row.status == "no_closed_form" for row in rows if row.status != "solver_fail")
 
     def test_pool_capped_at_distinct_problems(self, monkeypatch):
         workers = inline_pool(monkeypatch)
-        grid = dict(a=(0.0, 0.5), cones=("complement-sigma0", "half-space"))
+        grid = dict(p=(3.0,), a=(0.0, 0.5), cones=("complement-sigma0", "half-space"))
         rows = cmd_sweep(config_for("sweep", jobs=4, **grid))
         assert workers == [2]  # 4 cells, 2 distinct problems
         assert rows == cmd_sweep(config_for("sweep", **grid))
+
+    def test_pool_only_for_problems_that_need_a_solve(self, monkeypatch):
+        # p = 2 on [0, pi/2] and natural p = 3 cells take their exact profile in this
+        # process: no pool starts for them, and the others' pool is sized to their solves
+        workers = inline_pool(monkeypatch)
+        calls = count_solves(monkeypatch)
+        exact = dict(d=(3, 4), p=(2.0,), a=(0.0, 0.5), cones=("complement-sigma0", "half-space", "full"))
+        assert cmd_sweep(config_for("sweep", jobs=4, **exact)) == cmd_sweep(config_for("sweep", **exact))
+        assert workers == [] and calls == []
+        mixed = dict(d=(3, 4), p=(2.0, 3.0), a=(0.0, 0.5), cones=("complement-sigma0", "full"))
+        rows = cmd_sweep(config_for("sweep", jobs=4, **mixed))
+        assert workers == [4] and len(calls) == 4  # the Dirichlet p = 3 cells
+        assert rows == cmd_sweep(config_for("sweep", **mixed)) and len(calls) == 8
 
 
 class TestClosedFormGrid:
@@ -276,14 +301,47 @@ class TestClosedFormGrid:
                     assert closed is not None and status == "ok", (d, p, a, b)
 
     def test_p2_cells_meet_their_closed_forms(self):
-        # the factored p = 2 basis holds the exact minimizer cos^s theta, so
-        # with correctly rounded Gauss-Jacobi rules only rounding is left
+        # the exact minimizer cos^s theta in its one-node rule leaves only rounding
         grid = dict(d=(3, 4, 5), k=(1, 2), a=(-0.5, 0.0, 0.5, 0.9),
                     cones=("complement-sigma0", "half-space"), mesh_size=2048)
         rows = cmd_sweep(config_for("sweep", **grid))
         assert len(rows) == 36
         for row in rows:
             assert row.status == "ok" and abs(row.gap) <= 1e-15 * row.closed_form, row
+
+
+    def test_every_closed_form_cell_takes_its_exact_profile(self, monkeypatch):
+        # every closed-form cell of d 2-6, large a (to 100) and |H|^p near 0 included, is
+        # answered from its exact profile: no cell is solved
+        cones = [parse_cone(cone) for cone in ("full", "punctured", "complement-sigma0", "half-space")]
+        cells = []
+        for d in range(2, 7):
+            for k in range(1, d):
+                a_values = (-k + 1e-3, -0.5, 0.0, 2 - k - 1e-9, 2 - k + 1e-9, 0.99, 3.0, 30.0, 60.0, 100.0)
+                for a, b, p, cone in itertools.product(a_values, (-2.0, 0.0, 7.0), (1.1, 1.5, 2.0, 3.0, 6.0), cones):
+                    cells.append((HardyParams(d, k, p, a, b), cone))
+        cells += [(HardyParams(40, k, 2.0, ka - k, 0.0), parse_cone("full"))
+                  for k in (1, 2, 5, 20) for ka in (1e-9, 1e-7, 1e-6, 1e-5)]
+        closed = []
+        for params, cone in cells:
+            try:
+                if cone_admissible(params, cone).cone_admissible and closed_form_constant(params, cone):
+                    closed.append((params, cone))
+            except ValueError:  # a half-space cell with k != 1
+                pass
+        assert len(closed) == 5880
+        calls = count_solves(monkeypatch)
+        rows = cli._grid_rows("sweep", closed, config_for("sweep", mesh_size=64))
+        assert calls == [] and len(rows) == len(closed)
+        zeros = 0
+        for row in rows:
+            assert row.status == "ok" and row.iterations == 0 and row.residual == 0.0, row
+            if row.closed_form == 0.0:
+                zeros += 1
+                assert row.numeric_M == 0.0, row
+            else:
+                assert abs(row.gap) <= 4.5e-16 * abs(row.closed_form), row
+        assert zeros >= 1
 
 
 # 48 cells: p = 2 cells solved spectrally and p = 1.5 cells by the P1 descent,
@@ -308,10 +366,10 @@ class TestMeshGeometryCache:
             assert {row.status for row in rows} <= {"ok", "no_closed_form"}
 
 
-# 17 cells, 13 distinct problems: 12 (n, s) family cells, the mixed-threshold cell
-# (3,1,2,1,0) and four grid cells, of which (3,1,2,0,0) and (3,1,2,0.5,0) on
-# complement-sigma0 and half-space repeat the family's half-space cells
-TABLE_GRID = dict(cs_n=(2, 3), cs_s=(0.25, 0.5, 0.75), a=(0.0, 0.5),
+# 17 cells: 12 (n, s) family cells and the mixed-threshold cell (3,1,3,2,0), which take
+# their exact profile, and four p = 3 grid cells, of which (3,1,3,0,0) and (3,1,3,0.5,0)
+# on the half space repeat their complement twins: 2 distinct problems to solve
+TABLE_GRID = dict(cs_n=(2, 3), cs_s=(0.25, 0.5, 0.75), p=(3.0,), a=(0.0, 0.5),
                   cones=("complement-sigma0", "half-space"))
 
 
@@ -319,7 +377,7 @@ class TestTableDedupe:
     def test_one_solve_per_distinct_problem(self, monkeypatch):
         calls = count_solves(monkeypatch)
         rows = cmd_table(config_for("table", **TABLE_GRID))
-        assert len(rows) == 17 and len(calls) == 13
+        assert len(rows) == 17 and len(calls) == 2
 
     def test_jobs_give_the_same_rows(self, monkeypatch):
         serial = cmd_table(config_for("table", **TABLE_GRID))
@@ -397,6 +455,18 @@ class TestMainEntry:
         doc = json.loads(out_path.read_text())
         assert doc["rows"][0]["closed_form"] == 0.25
         assert not any(name.endswith(".tmp") for name in os.listdir(out_path.parent))
+
+    @pytest.mark.parametrize("target", ["directory", "under-a-file"])
+    def test_unwritable_output_is_an_input_error(self, tmp_path, capsys, target):
+        # the report's OSError is reported as the JSON error with exit 2, and nothing is left behind
+        (tmp_path / "report").mkdir()
+        (tmp_path / "file").write_text("")
+        out_path = tmp_path / "report" if target == "directory" else tmp_path / "file" / "report.json"
+        code, out, err = run_cli(capsys, "constant", "--mesh", "64", "--out", str(out_path))
+        assert code == 2 and out == ""
+        doc = json.loads(err)
+        assert doc["schema"] == 1 and issubclass(getattr(builtins, doc["error"]["type"]), OSError)
+        assert sorted(path.name for path in tmp_path.rglob("*")) == ["file", "report"]
 
     def test_csv_format(self, capsys):
         code, out, _ = run_cli(
@@ -580,26 +650,29 @@ class TestMainEntry:
         assert abs(json.loads(out)["rows"][0]["gap"]) <= 1e-12
 
     def test_failed_spectral_check_falls_back_to_descent(self, capsys, monkeypatch):
-        spectral = json.loads(run_cli(capsys, "constant", "--a", "0.5", "--mesh", "64")[1])["rows"][0]
-        monkeypatch.setattr(spherical, "FACTORED_TOL", -1.0)  # N = 4 and N = 8 never agree
-        code, out, err = run_cli(capsys, "constant", "--a", "0.5", "--mesh", "64")
+        args = ("constant", "--p", "3", "--a", "0.5", "--mesh", "64")  # hp's cell
+        spectral = json.loads(run_cli(capsys, *args)[1])["rows"][0]
+        monkeypatch.setattr(hp, "HP_TOL", -1.0)  # no two hp levels agree
+        code, out, err = run_cli(capsys, *args)
         assert code == 0
         row = json.loads(out)["rows"][0]
-        assert row["status"] == "ok" and row["iterations"] >= 1
+        assert row["status"] == "no_closed_form" and row["iterations"] >= 1
         assert row["numeric_M"] == pytest.approx(spectral["numeric_M"], rel=1e-2)  # P1 at mesh 64
 
     def test_failed_spectral_check_is_a_failed_row(self, capsys, monkeypatch):
-        # the failed spectral check falls back to the descent, which fails too
-        monkeypatch.setattr(spherical, "FACTORED_TOL", -1.0)
+        # the failed hp check falls back to the descent, which fails too
+        monkeypatch.setattr(hp, "HP_TOL", -1.0)
         monkeypatch.setattr(spherical, "MAX_DESCENT_ITER", 1)
-        code, out, err = run_cli(capsys, "constant", "--a", "0.5", "--mesh", "64")
+        code, out, err = run_cli(capsys, "constant", "--p", "3", "--a", "0.5", "--mesh", "64")
         assert code == 1
         row = json.loads(out)["rows"][0]
         assert row["status"] == "solver_fail" and row["numeric_M"] is None
 
-    def test_failed_row_keeps_its_closed_form(self, capsys):
-        # the factored solve and P1 both fail at a = 100, yet the profile is constant and |H|^p = 50.5^2 is exact
-        code, out, err = run_cli(capsys, "constant", "--d", "3", "--k", "1", "--a=100", "--mesh", "64")
+    def test_failed_row_keeps_its_closed_form(self, capsys, monkeypatch):
+        # verify solves for its minimizer; where that solve fails, the profile is still
+        # constant and |H|^p = 50.5^2 exact
+        count_solves(monkeypatch, fail=lambda params: True)
+        code, out, err = run_cli(capsys, "verify", "--d", "3", "--k", "1", "--a=100", "--mesh", "64")
         assert code == 1
         [row] = json.loads(out)["rows"]
         assert row["status"] == "solver_fail" and row["closed_form"] == 2550.25
@@ -627,7 +700,7 @@ class TestMainEntry:
         assert code == 1
         [row] = json.loads(out)["rows"]
         assert row["status"] == "solver_fail" and row["trace"] == [] and row["extrapolated"] is None
-        assert row["closed_form"] == 2.25 and row["numeric_M"] == 2.2500000000000004
+        assert row["closed_form"] == 2.25 and row["numeric_M"] == 2.25
         assert row["lambda"] is not None and row["gap"] is not None
         assert row["iterations"] is not None and row["residual"] is not None
 
@@ -713,10 +786,9 @@ class TestMainEntry:
         assert json.loads(err)["error"]["type"] == "AdmissibilityError"
 
     def test_gap_tolerance_drives_exit_code(self, capsys, monkeypatch):
-        # a known gap of 1e-4: the spectral solve of this cell is exact to rounding
-        solve = cli.solve_M
-        monkeypatch.setattr(cli, "solve_M", lambda params, cone, **kwargs: replace(
-            solve(params, cone, **kwargs), M=closed_form_constant(params, cone).value + 1e-4))
+        # a known gap of 1e-4: the exact quotient of this cell meets its closed form to rounding
+        quotient = _SphericalProblem.exact_quotient
+        monkeypatch.setattr(_SphericalProblem, "exact_quotient", lambda self: quotient(self) + 1e-4)
         args = [
             "constant", "--d", "3", "--k", "1", "--p", "2", "--a", "0.5",
             "--b", "0", "--cone", "complement-sigma0", "--mesh", "64",
@@ -921,12 +993,39 @@ class TestProcesses:
         ])
         assert out.strip() == "[]"
 
+    def test_import_loads_no_numpy(self):
+        out = run_process([
+            "-c", "import sys, hardycone.cli; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'numpy' or m.startswith('hardycone.')))",
+        ])
+        assert out.strip() == "['hardycone.cli', 'hardycone.params']"
+
     def test_import_loads_no_process_pool(self):
         out = run_process([
             "-c", "import sys, hardycone.cli; print(sorted(m for m in sys.modules "
             "if m.split('.')[0] in ('concurrent', 'multiprocessing')))",
         ])
         assert out.strip() == "[]"
+
+    @pytest.mark.parametrize("argv, loaded", [
+        (["sweep", "--d", "3,4,5", "--k", "1,2", "--p", "2", "--a=-0.5,0,0.5,0.9", "--b", "0",
+          "--cone", "complement-sigma0,half-space", "--mesh", "2048"], []),
+        (["table"], []),
+        (["constant", "--p", "3"], ["hardycone.hp", "hardycone.spherical", "numpy"]),
+    ], ids=["p2-sweep", "table", "p3-constant"])
+    def test_exact_cells_load_no_solver(self, argv, loaded):
+        # every cell of the p = 2 sweep and the default table has a closed form, answered from
+        # params; the Dirichlet p = 3 cell needs hp
+        out = run_process(["-c", "import json, sys; from hardycone.cli import main; "
+                           f"code = main({argv!r}); "
+                           "print(json.dumps(sorted(m for m in sys.modules if m.split('.')[0] == 'numpy' or "
+                           "m in ('hardycone.spherical', 'hardycone.hp', 'hardycone.verifier')))); "
+                           "sys.exit(code)"])
+        *report, modules = out.splitlines()
+        assert json.loads("\n".join(report))["rows"]
+        modules = json.loads(modules)
+        assert [name for name in ("hardycone.hp", "hardycone.spherical", "numpy") if name in modules] == loaded
+        assert "hardycone.verifier" not in modules
 
     def test_constant_report_independent_of_blas_threads(self):
         args = ["-m", "hardycone.cli", "constant", "--mesh", "32768"]
@@ -936,17 +1035,17 @@ class TestProcesses:
         assert one == two
 
     def test_spectral_sweep_independent_of_blas_threads_and_jobs(self):
-        # every cell is p = 2 on [0, pi/2]: dense Cholesky and eigh at N = 4 and 8
+        # every cell is p = 2 on a band: hp, whose bubble blocks go to LAPACK's eigvalsh
         args = [
             "-m", "hardycone.cli", "sweep", "--d", "3,4,6", "--k", "1,3", "--p", "2",
-            "--a=-0.5,0.9,2.5", "--b", "0,0.5", "--cone", "full,punctured,complement-sigma0,half-space",
+            "--a=-0.5,0.9,2.5", "--b", "0,0.5", "--cone", f"band:0.3:1.2,band:0.1:{math.pi / 2!r}",
             "--mesh", "512",
         ]
         one = run_process([*args, "--jobs", "1"], OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1")
         two = run_process([*args, "--jobs", "1"], OPENBLAS_NUM_THREADS="2", OMP_NUM_THREADS="2")
         pool = run_process([*args, "--jobs", "2"], OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1")
         rows = json.loads(one)["rows"]
-        assert len(rows) >= 40 and all(row["iterations"] == 2 for row in rows)
+        assert len(rows) >= 40 and all(row["status"] == "no_closed_form" and row["iterations"] >= 1 for row in rows)
         assert one == two
         assert pool.replace('"jobs": 2', '"jobs": 1') == one
 

@@ -1,6 +1,5 @@
 """Spherical eigenproblem, boundary conditions, and the p-quotient minimizer."""
 
-import itertools
 import math
 
 import numpy as np
@@ -779,7 +778,7 @@ class TestMinimizeRayleighP:
         ((3, 1, 2.0, 0.9, 0.0), ConeSpec.complement_sigma0()),
     ])
     def test_one_boundary_layer_exponent(self, cell, cone):
-        # the start profile, the mesh grading and the factored basis all use
+        # the start profile, the mesh grading and the exact profile all use
         # the problem's s = (p - (k+a)) / (p - 1) at a Dirichlet end pi/2
         params = HardyParams(*cell)
         domain = bc_for_cone(params, cone)
@@ -793,9 +792,8 @@ class TestMinimizeRayleighP:
         cap = spherical.grading_cap(domain.theta1, 256)
         assert spherical._auto_gamma(problem, 256) == min(max(2.0, 2.4 / s), cap)
         if params.p == 2 and domain.theta1 == 0.0:
-            basis = spherical._FactoredDiscretization(problem, 4).basis
-            t, _ = spherical._gauss_jacobi(4, (params.d - params.k - 2) / 2, (params.k + params.a - 2) / 2 + s - 1.0)
-            assert np.array_equal(basis[:, 0], np.sqrt((1.0 + t) / 2) ** s)
+            t, _ = spherical._gauss_jacobi(1, (params.d - params.k - 2) / 2, (params.k + params.a - 2) / 2 + s - 1.0)
+            assert np.array_equal(spherical._ExactProfile(problem).phi, np.sqrt((1.0 + t) / 2) ** s)
 
 
 P2_GRID = dict(d=range(3, 7), k=(1, 2, 3), a=(-1.2, -0.5, 0.0, 0.5, 0.8, 0.9, 0.95, 0.99, 1.0, 1.5, 2.5),
@@ -817,7 +815,11 @@ def admissible_p2_cells(cone):
 
 
 class TestFactoredEigensolve:
-    """p = 2 on [0, pi/2]: phi = cos^s theta * g(cos 2 theta) with g a Legendre series."""
+    """p = 2 on [0, pi/2]: the exact profile cos^s theta, in the one-node rule that integrates its sums exactly.
+
+    The class and test names keep those of the factored Legendre basis the
+    exact profile replaced; hp._hp_solve is the solver oracle here.
+    """
 
     @pytest.mark.parametrize("cone", FULL_SECTION_CONES, ids=lambda cone: cone.describe())
     def test_every_cell_matches_closed_form(self, cone):
@@ -826,62 +828,14 @@ class TestFactoredEigensolve:
         for params in cells:
             result = solve_M(params, cone, 64)
             reference = closed_form_constant(params, cone).value
-            # relative, or absolute where the closed form is 0 (H = 0 with lambda_1 = 0)
-            assert abs(result.M - reference) <= 1e-12 * max(abs(reference), 1e-3), (params, result.M)
-            assert result.M == result.lam + hardy_exponent(params).H ** 2
-            assert result.iterations == 2 and result.residual <= 1e-12 * max(abs(result.lam), 1.0)
-
-    def test_wide_grid_is_factored_and_exact_at_two_sizes(self):
-        # the basis holds the ground state at every size, so N = 4 is exact and N = 8 confirms it
-        cells = zeros = 0
-        for cone, d, b in itertools.product(FULL_SECTION_CONES, range(2, 7), (-2.0, 0.0, 7.0)):
-            for k in range(1, d) if cone.kind.value != "half-space" else (1,):
-                for a in (-k + 1e-3, -0.5, 0.0, 2 - k - 1e-9, 2 - k + 1e-9, 0.99, 3.0, 30.0):
-                    params = HardyParams(d, k, 2.0, a, b)
-                    if not cone_admissible(params, cone).cone_admissible:
-                        continue
-                    result = solve_M(params, cone, 64)
-                    reference = closed_form_constant(params, cone).value
-                    assert type(result.minimizer.disc) is spherical._FactoredDiscretization, (params, cone)
-                    assert result.iterations == 2, (params, cone)
-                    if reference == 0.0:
-                        zeros += 1
-                        assert result.M == 0.0, (params, cone, result.M)
-                    else:
-                        assert abs(result.M - reference) <= 4.5e-16 * abs(reference), (params, cone, result.M)
-                    cells += 1
-        assert cells >= 1000 and zeros >= 1
-
-    def test_failed_factorization_is_a_failed_check(self):
-        # at a = 100 the Jacobi exponent makes the N = 8 mass matrix fail its Cholesky factorization
-        params = HardyParams(3, 1, 2.0, 100.0, 0.0)
-        cone = ConeSpec.complement_sigma0()
-        with pytest.raises(ConvergenceError):
-            spherical._factored_eigensolve(spherical._SphericalProblem.of(params, bc_for_cone(params, cone)), 64)
-        with pytest.raises(ConvergenceError):  # P1 is tried, and fails too
-            solve_M(params, cone, 64)
-        # at d = 40 on the full space with k + a near 0 the N = 8 factorization fails too,
-        # and P1, started from its constant minimizer, meets |H|^2
-        params, cone = HardyParams(40, 1, 2.0, -1.0 + 1e-7, 0.0), ConeSpec.full_space()
-        result = solve_M(params, cone, 64)
-        assert type(result.minimizer.disc) is spherical._Discretization
-        assert result.M == pytest.approx(closed_form_constant(params, cone).value, rel=1e-15)
-
-    @pytest.mark.parametrize("cell, cone", [
-        ((3, 1, 2.0, 0.99, 0.0), ConeSpec.complement_sigma0()),
-        ((6, 3, 2.0, -1.2, 0.0), ConeSpec.complement_sigma0()),
-        ((4, 1, 2.0, 0.3, 0.5), ConeSpec.half_space()),
-        ((5, 2, 2.0, 1.5, 0.0), ConeSpec.complement_sigma0()),
-        ((4, 2, 2.0, 0.7, -0.3), ConeSpec.punctured_space()),
-    ])
-    def test_self_convergence_n_to_2n(self, cell, cone):
-        params = HardyParams(*cell)
-        problem = spherical._SphericalProblem.of(params, bc_for_cone(params, cone))
-        lams = [spherical._dense_ground_state(*spherical._FactoredDiscretization(problem, n).p2_matrices())[0]
-                for n in (4, 8, 16, 32)]
-        for coarse, fine in zip(lams, lams[1:]):
-            assert abs(fine - coarse) <= 1e-12 * max(abs(fine), 1.0)
-        assert solve_M(params, cone, 64).lam == lams[1]  # stops at N = 8
+            problem = spherical._SphericalProblem.of(params, bc_for_cone(params, cone))
+            assert result.M == problem.exact_quotient() == result.lam + hardy_exponent(params).H ** 2
+            assert result.iterations == 0 and result.residual == 0.0
+            # hp minimizes the quotient and meets the closed form: relative, or
+            # absolute where the closed form is 0 (H = 0 with lambda_1 = 0)
+            M = hp._hp_solve(problem, 64).M
+            for value in (result.M, M):
+                assert abs(value - reference) <= 1e-12 * max(abs(reference), 1e-3), (params, value)
 
     @pytest.mark.parametrize("cell, s", [
         ((3, 1, 2.0, 0.9, 0.0), 0.1),  # Dirichlet: exponent -(k+a)/2 at t = -1
@@ -890,18 +844,25 @@ class TestFactoredEigensolve:
         ((3, 1, 2.0, 0.3, 0.0), 0.0),  # natural with k+a < 2 (full space)
     ])
     def test_rule_exact_for_the_basis(self, cell, s):
-        # N points integrate the stiffness and mass of N basis functions
-        # exactly: more points give the same matrices to rounding
+        # the one node integrates E and D of the profile exactly: against the
+        # weight, cos^s theta and its derivative give Beta integrals,
+        # int_0^(pi/2) cos^(2x-1) sin^(2y-1) = B(x, y) / 2
+        def beta(x, y):
+            return math.exp(math.lgamma(x) + math.lgamma(y) - math.lgamma(x + y)) / 2
+
         params = HardyParams(*cell)
         domain = AngularDomain(0.0, HALF_PI, NATURAL, DIRICHLET if s > 0 else NATURAL)
         problem = spherical._SphericalProblem.of(params, domain)
         assert problem.s == pytest.approx(s, abs=1e-15)
-        exact = spherical._FactoredDiscretization(problem, 8)
-        S, M = exact.p2_matrices()
-        more = spherical._FactoredDiscretization(problem, 24)
-        S24, M24 = more.p2_matrices()
-        assert np.allclose(S, S24[:8, :8], rtol=1e-12, atol=1e-13 * np.abs(S).max())
-        assert np.allclose(M, M24[:8, :8], rtol=1e-12, atol=1e-13 * np.abs(M).max())
+        s, ka, dk = problem.s, problem.ka, problem.dk
+        exact = spherical._ExactProfile(problem)
+        phi, dphi = exact.fields(np.ones(1))
+        mass = beta(ka / 2 + s, dk / 2)
+        assert exact.mass(phi) == pytest.approx(mass, rel=1e-13)
+        for G in (0.0, 0.7):
+            energy = G**2 * mass + (s**2 * beta(ka / 2 + s - 1.0, dk / 2 + 1.0) if s > 0 else 0.0)
+            assert exact.energy(phi, dphi, G**2)[1] == pytest.approx(energy, rel=1e-13, abs=1e-300)
+        assert exact.value(np.ones(1)) == pytest.approx(problem.exact_quotient(), rel=1e-15)
 
     def test_minimizer_is_the_factored_profile_on_the_graded_mesh(self):
         params = HardyParams(3, 1, 2.0, 0.9, 0.0)
@@ -911,15 +872,16 @@ class TestFactoredEigensolve:
         assert isinstance(Phi, DiscretizedFunction)
         assert np.array_equal(Phi.mesh, spherical._solve_mesh(spherical._SphericalProblem.of(params, domain), 2048))
         assert Phi.values[-1] == 0.0 and Phi.values[:-1].min() > 0.0  # Dirichlet at pi/2
-        # the ground state is cos^s theta with s = 2 - (k+a) = 0.1, at unit weighted 2-norm
-        ratio = Phi.values[:-1] / np.sin(HALF_PI - Phi.mesh[:-1]) ** 0.1  # cos, cancellation-free
-        assert np.allclose(ratio, ratio[0], rtol=1e-12)
+        # the ground state is cos^s theta with s = 2 - (k+a) = 0.1, at coefficient 1
+        s = spherical._SphericalProblem.of(params, domain).s
+        assert s == pytest.approx(0.1, rel=1e-14)
+        assert np.array_equal(Phi.values, np.sin(HALF_PI - Phi.mesh) ** s)  # cos, cancellation-free
         disc = Phi.disc
-        assert type(disc) is spherical._FactoredDiscretization and disc.problem.domain == domain
-        assert disc.mass(disc.fields(Phi.coefficients)[0]) == pytest.approx(1.0, rel=1e-13)
+        assert type(disc) is spherical._ExactProfile and disc.problem.domain == domain
+        assert np.array_equal(Phi.coefficients, [1.0])
 
     def test_bands_are_factored_and_p_not_2_stays_on_p1(self):
-        # the factored basis keeps [0, pi/2]: p = 2 bands are hp, p != 2 bands P1
+        # the exact profile keeps [0, pi/2]: p = 2 bands are hp, p != 2 bands P1
         params = HardyParams(3, 1, 2.0, 0.3, 0.0)
         band = solve_M(params, ConeSpec.band(0.3, HALF_PI), 256)
         problem = spherical._SphericalProblem.of(params, bc_for_cone(params, ConeSpec.band(0.3, HALF_PI)))
@@ -927,17 +889,6 @@ class TestFactoredEigensolve:
         assert band.M == hp._hp_solve(problem, 256).M and band.lam == band.M - problem.H2
         descent = solve_M(HardyParams(3, 1, 1.5, 0.3, 0.0), ConeSpec.band(0.3, HALF_PI), 256)
         assert type(descent.minimizer.disc) is spherical._Discretization and descent.lam is None
-
-    def test_failed_check_raises_convergence_error(self, monkeypatch):
-        monkeypatch.setattr(spherical, "FACTORED_TOL", -1.0)  # N = 4 and N = 8 never agree
-        params = HardyParams(3, 1, 2.0, 0.5, 0.0)
-        domain = bc_for_cone(params, ConeSpec.complement_sigma0())
-        with pytest.raises(ConvergenceError):
-            spherical._factored_eigensolve(spherical._SphericalProblem.of(params, domain), 64)
-        # solve_M falls back to the P1 descent
-        result = solve_M(params, ConeSpec.complement_sigma0(), 64)
-        assert type(result.minimizer.disc) is spherical._Discretization
-        assert result.M == minimize_rayleigh_p(params, domain, 64).M
 
 
 BAND_CELLS = [(3, 1, 2.0, 0.0, 0.0), (4, 2, 2.0, 0.5, 0.0), (5, 1, 2.0, -0.5, 0.5), (3, 2, 2.0, 0.5, 0.0),
@@ -1024,7 +975,7 @@ class TestLazyFactoredSamples:
     """A spectral minimizer samples itself on its graded mesh only when mesh or values is read."""
 
     # the factored basis on [0, pi/2], hp on a band
-    CELLS = [((3, 1, 2.0, 0.9, 0.0), ConeSpec.complement_sigma0(), spherical._FactoredDiscretization),
+    CELLS = [((3, 1, 2.0, 0.9, 0.0), ConeSpec.complement_sigma0(), spherical._ExactProfile),
              ((4, 2, 2.0, 0.5, 0.0), ConeSpec.band(0.3, 1.2), hp._HpDiscretization)]
 
     @pytest.mark.parametrize("cell, cone, kind", CELLS, ids=["complement-sigma0", "band:0.3:1.2"])
@@ -1094,7 +1045,7 @@ class TestHpSolve:
         ((4, 2, 1.5, -0.5, 0.5), ConeSpec.complement_sigma0()),  # superdegenerate: natural pi/2, M = 1
     ])
     def test_closed_forms(self, cell, cone):
-        # p = 2 never reaches hp in solve_M, but its closed forms check the basis and rules
+        # solve_M answers these cells from the exact profile, but their closed forms check hp's basis and rules
         params = HardyParams(*cell)
         problem = spherical._SphericalProblem.of(params, bc_for_cone(params, cone))
         M = hp._hp_solve(problem, 64).M
@@ -1139,11 +1090,14 @@ class TestHpSolve:
     @pytest.mark.parametrize("p", [1.1, 1.5, 3.0, 6.0])
     @pytest.mark.parametrize("d, k", [(3, 1), (3, 2), (4, 1), (4, 2), (5, 1), (5, 2)])
     def test_natural_large_a_cells_stay_on_hp(self, d, k, p, b):
-        # both ends natural at a = 40: the profile is constant and M = |H|^p.  The descent
-        # starts at the minimizer, where hess E's negative count is rounding (the check
-        # level's weights reach 5.5e-151), and takes hess E's step whatever that count
+        # both ends natural at a = 40: the profile is constant and M = |H|^p, which solve_M
+        # takes from the exact profile.  hp's descent starts at the minimizer, where hess E's
+        # negative count is rounding (the check level's weights reach 5.5e-151), and takes
+        # hess E's step whatever that count
         params = HardyParams(d, k, p, 40.0, b)
-        result = solve_M(params, ConeSpec.complement_sigma0(), 256)
+        problem = spherical._SphericalProblem.of(params, bc_for_cone(params, ConeSpec.complement_sigma0()))
+        assert problem.exact_profile == "constant-profile"
+        result = hp._hp_solve(problem, 256)
         assert type(result.minimizer.disc) is hp._HpDiscretization
         exact = hardy_exponent(params).H_abs_p
         assert abs(result.M - exact) <= 1e-15 * exact

@@ -17,7 +17,7 @@ from hardycone.spherical import (
     DIRICHLET,
     DiscretizedFunction,
     _Discretization,
-    _FactoredDiscretization,
+    _ExactProfile,
     _SphericalProblem,
     bc_for_cone,
     graded_mesh,
@@ -93,9 +93,9 @@ class TestUdeltaQuotient:
         (HardyParams(3, 1, 2.0, 0.3, 0.0), ConeSpec.band(0.4, 1.3)),
     ], ids=["complement-sigma0", "half-space", "band"])
     def test_p2_quotient_is_solver_quotient_plus_delta_squared(self, params, cone):
-        # the certifier sums over the solver's discretization (the factored
-        # spectral basis on [0, pi/2], hp on a band), so the identity holds to
-        # rounding against the solver's own quotient
+        # the certifier sums over the solver's discretization (the exact
+        # profile's one-node rule on [0, pi/2], hp on a band), so the identity
+        # holds to rounding against the solver's own quotient
         result = solve_M(params, cone, 256)
         domain = bc_for_cone(params, cone)
         problem = _SphericalProblem.of(params, domain)
@@ -112,8 +112,8 @@ class TestUdeltaQuotient:
     @pytest.mark.parametrize("cone", [ConeSpec.complement_sigma0(), ConeSpec.half_space(),
                                       ConeSpec.punctured_space()], ids=lambda cone: cone.describe())
     def test_factored_minimizer_integrated_exactly(self, monkeypatch, cone):
-        # the spectral minimizer is integrated in its own basis and rule, with no
-        # P1 rule on its sampling mesh: the quotient is the exact M + delta^2
+        # the exact profile is integrated in its own one-node rule, with no P1
+        # rule on its sampling mesh: the quotient is the exact M + delta^2
         params = HardyParams(4, 1, 2.0, 0.3, 0.5)
         result = solve_M(params, cone, 2048)
         monkeypatch.setattr(verifier, "composite_rule", None)
@@ -141,10 +141,10 @@ class TestUdeltaQuotient:
             assert ev.quotient == pytest.approx(expected, rel=1e-12)
 
     @pytest.mark.parametrize("params, cone, kind", [
-        (HardyParams(4, 1, 2.0, 0.3, 0.5), ConeSpec.half_space(), _FactoredDiscretization),
+        (HardyParams(4, 1, 2.0, 0.3, 0.5), ConeSpec.half_space(), _ExactProfile),
         (HardyParams(3, 1, 3.0, 0.0, 0.0), ConeSpec.complement_sigma0(), _HpDiscretization),
         (HardyParams(3, 1, 3.0, 0.3, 0.0), ConeSpec.band(0.3, 1.2), _Discretization),
-    ], ids=["factored", "hp", "P1"])
+    ], ids=["factored", "hp", "P1"])  # "factored": the exact profile, under the id of the basis it replaced
     def test_slope_is_the_derivative_in_delta_squared(self, params, cone, kind):
         # against a centred difference of the quotient in x = delta^2
         Phi = solve_M(params, cone, 256).minimizer
@@ -157,8 +157,8 @@ class TestUdeltaQuotient:
             assert slope == pytest.approx((q_up - q_down) / (2 * h), rel=1e-6)
 
     @pytest.mark.parametrize("params, cone, kind", [
-        (HardyParams(3, 1, 2.0, 0.0, 0.0), ConeSpec.complement_sigma0(), _FactoredDiscretization),
-        (HardyParams(4, 1, 2.0, 0.3, 0.5), ConeSpec.half_space(), _FactoredDiscretization),
+        (HardyParams(3, 1, 2.0, 0.0, 0.0), ConeSpec.complement_sigma0(), _ExactProfile),
+        (HardyParams(4, 1, 2.0, 0.3, 0.5), ConeSpec.half_space(), _ExactProfile),
         (HardyParams(3, 1, 2.0, 0.3, 0.0), ConeSpec.band(0.4, 1.3), _HpDiscretization),
     ], ids=["complement-sigma0", "half-space", "band"])
     def test_p2_slope_is_one(self, params, cone, kind):
@@ -192,9 +192,10 @@ class TestUdeltaQuotient:
             evaluate_quotient_udelta(self.params, self.result.minimizer, 0.0)
 
 
-# a factored, an hp and a P1 cell, and the discretizations each one's solve builds
+# an exact-profile, an hp and a P1 cell, and the discretizations each one's solve
+# builds; the first keeps the id "factored" of the basis the exact profile replaced
 SOLVE_BUILDS = [
-    ((3, 1, 2.0, 0.0, 0.0), "half-space", {"factored": 2}),  # N = 4, then N = 8 agrees
+    ((3, 1, 2.0, 0.0, 0.0), "half-space", {"factored": 1}),  # the exact profile's one-node rule
     ((3, 1, 3.0, 0.0, 0.0), "complement-sigma0", {"hp": 2}),  # two hp levels
     ((3, 1, 3.0, 0.3, 0.0), "band:0.3:1.2", {"P1": 1}),
 ]
@@ -206,7 +207,7 @@ class TestHeldDiscretization:
     @pytest.mark.parametrize("cell, cone, builds", SOLVE_BUILDS, ids=["factored", "hp", "P1"])
     def test_verify_builds_nothing_after_its_solve(self, monkeypatch, cell, cone, builds):
         counts = dict.fromkeys(["factored", "hp", "P1", "rule"], 0)
-        for key, cls in (("factored", _FactoredDiscretization), ("hp", _HpDiscretization), ("P1", _Discretization)):
+        for key, cls in (("factored", _ExactProfile), ("hp", _HpDiscretization), ("P1", _Discretization)):
             def counting(self, *args, _key=key, _init=cls.__init__):
                 counts[_key] += 1
                 _init(self, *args)
