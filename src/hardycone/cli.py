@@ -363,7 +363,7 @@ def cmd_verify(config: RunConfig) -> list[ReportRow]:
             elif rate is not None and rate > (1.0 - params.p) * 0.9:
                 status = "solver_fail"  # slower than the h^(1-p) guarantee
             hrow = replace(hrow, quotient_trace=tuple(htrace), fit_rate=rate, status=status)
-        except ValueError:
+        except (ValueError, OverflowError):  # OverflowError: an energy above the float range
             hrow = replace(hrow, status="solver_fail")
         rows.append(hrow)
     return rows
@@ -396,14 +396,17 @@ def cmd_table(config: RunConfig) -> list[ReportRow]:
     """Reproduce every closed form over a parameter grid.
 
     Rows: the d = n+1, a = 1-2s, b = 0 family on the full and half space for
-    the configured (n, s) grid; the mixed-threshold family a = p-k, b = 0 on
-    the full space; and any explicitly configured (params, cone) cells.
+    the configured (n, s) grid (ValueError unless n >= 1 and 0 < s < 1); the
+    mixed-threshold family a = p-k, b = 0 on the full space; and any
+    explicitly configured (params, cone) cells.
     """
+    if not all(n >= 1 for n in config.cs_n):
+        raise ValueError(f"--cs-n values must be at least 1, got {config.cs_n}")
+    if not all(0 < s_val < 1 for s_val in config.cs_s):
+        raise ValueError(f"--cs-s values must lie in (0, 1), got {config.cs_s}")
     cells = []
     for n in config.cs_n:
         for s_val in config.cs_s:
-            if not 0 < s_val < 1:
-                continue
             params = HardyParams(n + 1, 1, 2.0, 1.0 - 2.0 * s_val, 0.0)
             if n > 2 * s_val:
                 cells.append((params, ConeSpec.full_space()))
@@ -514,8 +517,9 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict]:
                             help="verify: two or more distinct delta values, or none to skip that trace"),
         parser.add_argument("--hs", dest="h_list", type=_int_list,
                             help="verify: two or more distinct cutoff scales h, each at least 3, or none"),
-        parser.add_argument("--cs-n", dest="cs_n", type=_int_list, help="table: anchor dimensions n (d = n+1)"),
-        parser.add_argument("--cs-s", dest="cs_s", type=_float_list, help="table: fractional orders s (a = 1-2s)"),
+        parser.add_argument("--cs-n", dest="cs_n", type=_int_list, help="table: anchor dimensions n >= 1 (d = n+1)"),
+        parser.add_argument("--cs-s", dest="cs_s", type=_float_list,
+                            help="table: fractional orders s in (0, 1) (a = 1-2s)"),
         parser.add_argument("--format", choices=FORMAT_CHOICES, help="report format"),
         parser.add_argument("--out", dest="output_path", help="report file, written atomically (default: stdout)"),
         parser.add_argument("--config", dest="config_path", help="JSON file of defaults; explicit flags override it"),

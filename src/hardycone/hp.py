@@ -17,9 +17,9 @@ at the nodes next to pi/2, where cos of a stored theta would not.
 The quotient is minimized by the descent P1 uses (spherical._descend):
 Newton steps on {D = const} under its inertia rule for K, with the hess E
 step as fallback.  Each solve condenses every element's bubbles onto the
-vertices, whose Schur complement is tridiagonal
-(spherical._CyclicReduction); only the (q - 1) x (q - 1) bubble blocks go
-to LAPACK, so results do not depend on the BLAS thread count.  _hp_solve
+vertices, whose tridiagonal Schur complement P1's routine solves
+(spherical._solve_free); only the (q - 1) x (q - 1) bubble blocks go to
+LAPACK, so results do not depend on the BLAS thread count.  _hp_solve
 checks the solve against one on two more layers of degree two more,
 warm-started from it (the meshes nest), and on a near miss checks that one
 against a third, two layers and two degrees finer again.  spherical.solve_M
@@ -39,13 +39,12 @@ from .quadrature import _gauss_jacobi
 from .spherical import (
     ConvergenceError,
     SpectralResult,
-    _CyclicReduction,
     _descend,
     _Minimizer,
     _positive_power,
-    _require_mesh_size,
     _RuleSums,
     _scatter,
+    _solve_free,
     _SphericalProblem,
 )
 
@@ -374,12 +373,12 @@ class _HpDiscretization(_RuleSums):
         matrix holds the element matrices.  Static condensation: each
         element's bubbles are eliminated by one batched LAPACK solve of its
         (q - 1) x (q - 1) block, which leaves a tridiagonal Schur complement
-        on the vertices, solved on the free ones by _CyclicReduction; the
+        on the vertices, solved on the free ones (spherical._solve_free); the
         bubbles follow by back substitution.  The count is the blocks'
         (eigvalsh) plus the Schur complement's.  None where a factorization
         is singular or a block is not finite.
         """
-        n_el, free = matrix.shape[0], self.free
+        n_el = matrix.shape[0]
         blocks = matrix[:, 2:, 2:]
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
             try:
@@ -387,23 +386,21 @@ class _HpDiscretization(_RuleSums):
                 eigenvalues = np.linalg.eigvalsh(blocks)
                 eliminated = np.linalg.solve(
                     blocks, np.concatenate([matrix[:, 2:, :2], rhs[n_el + 1 :].reshape(n_el, -1, 2)], axis=2))
-                coupled = np.einsum("eib,ebk->eik", matrix[:, :2, 2:], eliminated)
-                schur = matrix[:, :2, :2] - coupled[:, :, :2]
-                factor = _CyclicReduction(_scatter(schur[:, 0, 0], schur[:, 1, 1])[free],
-                                          0.5 * (schur[free.start : free.stop - 1, 0, 1]
-                                                 + schur[free.start : free.stop - 1, 1, 0]))
             except np.linalg.LinAlgError:
                 return None
-            if not np.all(np.isfinite(eigenvalues)):  # eigvalsh raises on some non-finite blocks, not on all
-                return None
+            coupled = np.einsum("eib,ebk->eik", matrix[:, :2, 2:], eliminated)
+            schur = matrix[:, :2, :2] - coupled[:, :, :2]
             rhs_v = rhs[: n_el + 1].copy()
             rhs_v[:-1] -= coupled[:, 0, 2:]
             rhs_v[1:] -= coupled[:, 1, 2:]
-            x_v = np.zeros((n_el + 1, 2))
-            x_v[free] = factor.solve(rhs_v[free])
+            solved = _solve_free((_scatter(schur[:, 0, 0], schur[:, 1, 1]), 0.5 * (schur[:, 0, 1] + schur[:, 1, 0])),
+                                 self.free, rhs_v)
+            if solved is None or not np.all(np.isfinite(eigenvalues)):  # eigvalsh raises on some non-finite blocks
+                return None
+            x_v, negatives = solved
             x_b = eliminated[:, :, 2:] - np.einsum("ebj,ejk->ebk", eliminated[:, :, :2],
                                                    np.stack([x_v[:-1], x_v[1:]], axis=1))
-        return np.concatenate([x_v, x_b.reshape(-1, 2)]), int((eigenvalues < 0.0).sum()) + factor.negative_count()
+        return np.concatenate([x_v, x_b.reshape(-1, 2)]), int((eigenvalues < 0.0).sum()) + negatives
 
 
 def _hp_solve(problem: _SphericalProblem, mesh_size: int) -> SpectralResult:
@@ -418,13 +415,11 @@ def _hp_solve(problem: _SphericalProblem, mesh_size: int) -> SpectralResult:
     levels in all: small-M cells at large p whose first check misses by a
     few 1e-10 change by a few 1e-13 at the second.  M is the accepted
     level's; past HP_LEVELS the solve raises ConvergenceError, and solve_M
-    falls back to P1.  lam is M - H^2 at p = 2.  iterations counts the
-    steps of every descent, and residual is the change of M between the
-    last two levels.  The minimizer holds the accepted level's
-    discretization; mesh_size (checked here) sets the graded mesh it
-    samples itself on when first read, the one a P1 solve would use.
+    falls back to P1.  iterations counts the steps of every descent, and
+    residual is the change of M between the last two levels.  The minimizer
+    holds the accepted level's discretization; mesh_size (solve_M checks it)
+    sets the graded mesh it samples itself on when first read, as P1's.
     """
-    _require_mesh_size(mesh_size)
     disc = _HpDiscretization(problem, HP_LAYERS, HP_DEGREE)
     m, v, steps, _ = _descend(disc, disc.start(), HP_DESCENT_TOL, HP_MAX_ITER, try_small_steps=False)
     for level in range(1, HP_LEVELS):
@@ -438,10 +433,4 @@ def _hp_solve(problem: _SphericalProblem, mesh_size: int) -> SpectralResult:
             break
     else:
         raise ConvergenceError(f"hp solves differ by {residual:.3e} in M", residual=residual)
-    return SpectralResult(
-        M=m,
-        lam=m - problem.H2 if problem.p == 2 else None,
-        minimizer=_Minimizer(disc, v, mesh_size),
-        iterations=steps,
-        residual=residual,
-    )
+    return SpectralResult._of(problem, m, _Minimizer(disc, v, mesh_size), steps, residual)

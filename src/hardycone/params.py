@@ -287,41 +287,44 @@ class _SphericalProblem(NamedTuple):
             return "constant-profile"
         return "p2-dirichlet" if self.p == 2 else None
 
+    @property
+    def exact_node(self) -> tuple[float, float]:
+        """(cos^2, sin^2) of theta at the node of the exact profile's one-node Gauss-Jacobi rule in t = cos 2 theta.
+
+        Its weight (spherical._ExactProfile) has exponent (d-k-2)/2 at t = 1 and
+        m/2 - 1 at t = -1, m = s, or k+a where s = 0; the node is its mean.
+        """
+        m, dk = self.s or self.ka, self.dk
+        return m / (dk + m), dk / (dk + m)
+
     def exact_quotient(self) -> float | None:
         """The quotient E/D of the extremal profile (see exact_profile), or None where none is known.
 
         A constant profile has e = phi'^2 + H^2 phi^2 = H^2 phi^2 everywhere, so
-        E/D = (H^2)^(p/2).  cos^s theta at p = 2 is taken in the one-node
-        Gauss-Jacobi rule in t = cos 2 theta, with exponent (d-k-2)/2 at t = 1
-        and -(k+a)/2 at t = -1 (spherical._ExactProfile), which integrates both
-        of its sums exactly.  At that node cos^2 theta = s / (d-k+s) and
-        sin^2 theta = (d-k) / (d-k+s), and the rule's one weight cancels from
-        E/D = (phi'^2 + H^2 phi^2) / phi^2, with phi'^2 / phi^2 = s^2 tan^2 theta.
+        E/D = (H^2)^(p/2).  cos^s theta at p = 2 is taken at exact_node, where
+        the one-node rule integrates both of its sums exactly; the rule's one
+        weight cancels from E/D = (phi'^2 + H^2 phi^2) / phi^2, with
+        phi'^2 / phi^2 = s^2 tan^2 theta.
         """
         profile = self.exact_profile
         if profile == "constant-profile":
             return self.H2 ** (self.p / 2)
         if profile is None:
             return None
-        s, dk = self.s, self.dk
-        cos2, sin2 = s / (dk + s), dk / (dk + s)
-        return s * s * sin2 / cos2 + self.H2
+        cos2, sin2 = self.exact_node
+        return self.s * self.s * sin2 / cos2 + self.H2
 
 
 @dataclass(frozen=True, eq=False)
 class SpectralResult:
-    """Computed spherical minimum M, eigenvalue (p = 2), and minimizer.
+    """Computed spherical minimum M, eigenvalue lam = M - H^2 (p = 2; else None), and minimizer.
 
-    iterations and residual describe the solve.  Where the extremal profile
-    is known (_SphericalProblem.exact_profile) M is its quotient, and they
-    are 0 and 0.0: nothing is iterated.  After an hp solve (p != 2 on
-    [0, pi/2] with a Dirichlet pi/2, p = 2 on a band) they are the Newton
-    iterations of its two or three descents and the change of M between
-    the last two.  After a P1 descent (minimize_rayleigh_p: p != 2 on a
-    band, or where the hp check failed), they are the descent steps and the
-    relative step decrement sqrt(grad Q . d) / Q of the last step.  The
-    minimizer (a spherical._Minimizer) holds the accepted discretization;
-    a grid row drops it (None).
+    Every result is built by _of.  iterations and residual describe the
+    solve: 0 and 0.0 where the extremal profile is known (exact); an hp
+    solve's Newton steps and the change of M between its last two levels
+    (hp._hp_solve); a P1 descent's steps and last relative step decrement
+    (minimize_rayleigh_p).  The minimizer (a spherical._Minimizer) holds
+    the accepted discretization; a grid row drops it (None).
     """
 
     M: float
@@ -331,12 +334,16 @@ class SpectralResult:
     residual: float
 
     @classmethod
+    def _of(cls, problem: _SphericalProblem, M: float, minimizer: DiscretizedFunction | None, iterations: int,
+            residual: float) -> "SpectralResult":
+        """The result of a solve of the problem that gave M, with its lam."""
+        return cls(M, M - problem.H2 if problem.p == 2 else None, minimizer, iterations, residual)
+
+    @classmethod
     def exact(cls, problem: _SphericalProblem, minimizer: DiscretizedFunction | None = None) -> "SpectralResult | None":
         """The exact profile's result (see exact_quotient), or None where the problem needs a solve."""
         M = problem.exact_quotient()
-        if M is None:
-            return None
-        return cls(M=M, lam=M - problem.H2 if problem.p == 2 else None, minimizer=minimizer, iterations=0, residual=0.0)
+        return None if M is None else cls._of(problem, M, minimizer, 0, 0.0)
 
 
 @dataclass(frozen=True)

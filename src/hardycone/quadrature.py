@@ -49,10 +49,15 @@ DEFAULT_PANEL_ORDER = 4  # points per panel: degree 7 on interior panels
 
 
 def sphere_surface_area(n: int) -> float:
-    """Surface measure of the unit n-sphere, |S^n| = 2 pi^((n+1)/2) / Gamma((n+1)/2)."""
+    """Surface measure of the unit n-sphere, |S^n| = 2 pi^((n+1)/2) / Gamma((n+1)/2); 0 from n = 455."""
+    return math.exp(_log_sphere_surface_area(n))
+
+
+def _log_sphere_surface_area(n: int) -> float:
+    """log |S^n| from math.lgamma: finite for every n >= 0."""
     if n < 0:
         raise ValueError(f"need n >= 0, got {n}")
-    return 2.0 * math.pi ** ((n + 1) / 2) / math.gamma((n + 1) / 2)
+    return math.log(2.0) + (n + 1) / 2 * math.log(math.pi) - math.lgamma((n + 1) / 2)
 
 
 @dataclass(frozen=True)

@@ -10,11 +10,9 @@ w(theta) = cos^(k+a-1) sin^(d-k-1).  For p = 2 this is the eigenvalue problem
     -(w phi')' = lambda w phi,      M = lambda_1 + H^2.
 
 On the cross-section [0, pi/2] the extremal profile is known wherever the
-constant is (params._SphericalProblem.exact_profile): a constant with a
-natural pi/2, and cos^s theta, s = 2 - (k+a), with a Dirichlet pi/2 at
-p = 2.  There M is that profile's quotient, in pure Python, and nothing is
-solved; the minimizer holds the profile in the one Gauss-Jacobi node in
-t = cos 2 theta that integrates its sums exactly (_ExactProfile).
+constant is (params._SphericalProblem.exact_profile).  There M is its
+quotient and nothing is solved; the minimizer holds the profile in the one
+Gauss-Jacobi node that integrates its sums exactly (_ExactProfile).
 
 For p != 2 on [0, pi/2] with a Dirichlet pi/2, and for p = 2 on a band, the
 quotient is minimized in hp spectral elements, phi = cos^s theta * g with g
@@ -50,7 +48,8 @@ there, and nothing samples it on the graded mesh until its values are read.
 Every P1 matrix is symmetric tridiagonal and is kept as a (diag, off) pair
 of numpy arrays.  One kernel solves all of them: odd-even cyclic reduction,
 vectorized over each level, which factors once, solves many right-hand sides
-and counts negative eigenvalues from its pivots (Sylvester inertia).  Dot
+and counts negative eigenvalues from its pivots (Sylvester inertia);
+_solve_free applies it to the free rows, for P1 and hp alike.  Dot
 products and norms are fixed-order numpy sums, never BLAS calls, so
 reports come out byte-identical at one and two BLAS threads.
 """
@@ -76,7 +75,7 @@ from .params import (
     _SphericalProblem,
     bc_for_cone,
 )
-from .quadrature import AngularWeight, QuadratureRule, _gauss_jacobi, composite_rule
+from .quadrature import AngularWeight, QuadratureRule, composite_rule
 
 MAX_DESCENT_ITER = 100_000  # descent steps before ConvergenceError
 DESCENT_TOL = 1e-9  # relative decrease of Q per descent step at convergence
@@ -294,6 +293,18 @@ class _CyclicReduction:
         return int((self.pivots < 0.0).sum())
 
 
+def _solve_free(matrix: Tridiagonal, free: slice, rhs: np.ndarray) -> tuple[np.ndarray, int] | None:
+    """matrix^-1 rhs on the free rows (0 elsewhere), their negative count (_CyclicReduction), or None at a bad pivot."""
+    lo, hi = free.start, free.stop
+    try:
+        factor = _CyclicReduction(matrix[0][lo:hi], matrix[1][lo : hi - 1])
+    except np.linalg.LinAlgError:
+        return None
+    x = np.zeros(rhs.shape)
+    x[lo:hi] = factor.solve(rhs[lo:hi])
+    return x, factor.negative_count()
+
+
 def smallest_eigenpair(stiffness: Tridiagonal, mass: Tridiagonal) -> tuple[float, np.ndarray]:
     """Smallest generalized eigenvalue of (stiffness, mass) and its eigenvector: the P1 reference.
 
@@ -408,27 +419,21 @@ class _ExactProfile(_RuleSums):
     _SphericalProblem.exact_quotient gives.  With A = (d-k-2)/2 and
     B = (k+a-2)/2, w dtheta = ((1+t)/2)^B ((1-t)/2)^A dt / 4 and
     phi' = -s c sin theta cos^(s-1) theta.  The rule has exponent A at t = 1
-    and, at t = -1, B + s - 1 = -(k+a)/2 if s > 0, else B; w holds its
-    weight with the rest of the angular weight folded in, so sums over the
-    node are integrals in theta, as in the P1 discretization.  Against that
-    weight phi^2 is constant and phi'^2 linear in t, which one node
-    integrates exactly, as it does the constant profile's e^(p/2) and
-    |phi|^p.  The node is interior to (-1, 1), so cos theta > 0 there even
-    when s = 0.
+    and, at t = -1, B + s - 1 = -(k+a)/2 if s > 0, else B, and its node is
+    _SphericalProblem.exact_node.  Against that weight phi^2 is constant and
+    phi'^2 linear in t, which one node integrates exactly, as it does the
+    constant profile's e^(p/2) and |phi|^p.  So w, the rule's weight with
+    the rest of the angular weight folded in, is D / phi^2 at the node,
+    D = B((d-k)/2, (k+a)/2 + s) / 2 formed in logs (finite for any k+a).
     """
 
     def __init__(self, problem: _SphericalProblem):
         super().__init__(problem)
-        s = problem.s
-        alpha = (problem.dk - 2) / 2
-        beta_w = (problem.ka - 2) / 2
-        beta = beta_w + s - 1.0 if s > 0 else beta_w
-        t, wt = _gauss_jacobi(1, alpha, beta)
-        self.w = wt * (2.0 ** -(alpha + beta_w) / 4) * (1.0 + t) ** (beta_w - beta)
-        cos = np.sqrt((1.0 + t) / 2)
-        sin = np.sqrt((1.0 - t) / 2)
-        self.phi = cos**s
-        self.dphi = -s * sin * cos ** (s - 1.0)
+        s, (cos2, sin2) = problem.s, problem.exact_node
+        x, y = problem.dk / 2, problem.ka / 2 + s
+        self.w = np.array([math.exp(math.lgamma(x) + math.lgamma(y) - math.lgamma(x + y) - s * math.log(cos2)) / 2])
+        cos, sin = math.sqrt(cos2), math.sqrt(sin2)
+        self.phi, self.dphi = np.array([cos**s]), np.array([-s * sin * cos ** (s - 1.0)])
 
     def fields(self, c: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """phi and phi' at the rule's node for the coefficient c (shape (1,))."""
@@ -547,20 +552,8 @@ class _Discretization(_RuleSums):
         return _scatter(k_ll, k_rr), k_lr
 
     def solve(self, matrix: Tridiagonal, rhs: np.ndarray) -> tuple[np.ndarray, int] | None:
-        """matrix^-1 rhs (n x 2), 0 at Dirichlet nodes, and matrix's negative-eigenvalue count, or None.
-
-        One tridiagonal factorization on the free nodes, whose pivots give the
-        count; None where it meets a zero or non-finite pivot (K is
-        indefinite away from the minimum).
-        """
-        lo, hi = self.free.start, self.free.stop
-        try:
-            factor = _CyclicReduction(matrix[0][lo:hi], matrix[1][lo : hi - 1])
-        except np.linalg.LinAlgError:
-            return None
-        x = np.zeros(rhs.shape)
-        x[lo:hi] = factor.solve(rhs[lo:hi])
-        return x, factor.negative_count()
+        """matrix^-1 rhs (n x 2), 0 at Dirichlet nodes, and the free block's negative count, or None (_solve_free)."""
+        return _solve_free(matrix, self.free, rhs)
 
     def normalize(self, v: np.ndarray) -> np.ndarray:
         """Project to the nonnegative cone, apply Dirichlet data, unit p-norm."""
@@ -674,9 +667,8 @@ def minimize_rayleigh_p(params: HardyParams, domain: AngularDomain, mesh_size: i
     """Minimize the discrete P1 quotient by Newton steps on the surface {D = const} (see _descend).
 
     With P1 elements the Hessians of E and D are tridiagonal, so each step
-    is one tridiagonal solve with two right-hand sides
-    (_Discretization.solve).  Iterates are clamped to the
-    nonnegative cone before they are renormalized.  The tolerance is
+    is one tridiagonal solve with two right-hand sides (_solve_free).
+    Iterates are clamped to the nonnegative cone before they are renormalized.  The tolerance is
     DESCENT_TOL, at most MAX_DESCENT_ITER steps are taken, and the last
     relative step decrement sqrt(grad Q . d) / Q is the returned residual.
     The start is _cosine_profile.  The mesh has mesh_size elements, graded
@@ -686,14 +678,7 @@ def minimize_rayleigh_p(params: HardyParams, domain: AngularDomain, mesh_size: i
     problem = _SphericalProblem.of(params, domain)
     disc = _Discretization.graded(problem, mesh_size)
     q, v, iterations, decrement = _descend(disc, _cosine_profile(problem, disc.mesh), DESCENT_TOL, MAX_DESCENT_ITER)
-    lam = q - problem.H2 if problem.p == 2 else None
-    return SpectralResult(
-        M=q,
-        lam=lam,
-        minimizer=_Minimizer(disc, v, mesh_size),
-        iterations=iterations,
-        residual=decrement,
-    )
+    return SpectralResult._of(problem, q, _Minimizer(disc, v, mesh_size), iterations, decrement)
 
 
 def solve_M(
@@ -704,10 +689,9 @@ def solve_M(
     """Spherical minimum M of the cone: the exact profile where it is known, hp or P1 otherwise.
 
     Where _SphericalProblem.exact_profile names the extremal profile (on
-    [0, pi/2]: a natural pi/2, or a Dirichlet pi/2 at p = 2) M is its
-    quotient, exact_quotient, bit for bit, with iterations 0 and residual
-    0.0, and the minimizer holds that profile at coefficient 1 in its
-    one-node rule (_ExactProfile).  Otherwise the quotient is minimized in
+    [0, pi/2]: a natural pi/2, or a Dirichlet pi/2 at p = 2) the result is
+    SpectralResult.exact, and the minimizer holds that profile at
+    coefficient 1 in its one-node rule (_ExactProfile).  Otherwise the quotient is minimized in
     hp elements (_hp_solve) for p != 2 on [0, pi/2] and p = 2 on a band.
     mesh_size then only sets the mesh the minimizer is sampled on, when its
     mesh or values are first read.  Where hp fails its check, and on every

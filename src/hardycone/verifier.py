@@ -42,7 +42,7 @@ from typing import Iterable, NamedTuple
 import numpy as np
 
 from .params import HALF_PI, NATURAL, AngularDomain, ConeSpec, HardyParams, hardy_exponent
-from .quadrature import AngularWeight, _gauss_jacobi, composite_rule
+from .quadrature import AngularWeight, _gauss_jacobi, _log_sphere_surface_area, composite_rule
 from .spherical import (
     DiscretizedFunction,
     _Discretization,
@@ -140,14 +140,16 @@ def evaluate_quotient_udelta(
         denominator = (2/(p delta)) D
 
     times the transverse sphere prefactor (halved when cone is the half
-    space; the prefactor cancels in the quotient either way).  E and D are
-    the solver's sums (exact profile, hp or P1, see _discretization), so for p = 2
-    the quotient equals the Rayleigh quotient of Phi in that discretization
-    plus delta^2, to rounding.  The denominator diverges like 1/delta: the
+    space; where it underflows to 0, d - k past ~455, so does the
+    denominator, which is rejected).  It cancels, so the quotient and its
+    slope come from the sums alone.  E and D are the solver's sums (exact
+    profile, hp or P1, see _discretization), so for p = 2 the quotient
+    equals the Rayleigh quotient of Phi in that discretization plus
+    delta^2, to rounding.  The denominator diverges like 1/delta: the
     divergence of the minimizing family's mass is what prevents any
     function from attaining the sharp constant.
 
-    The quotient is Q = [E(H-delta) + E(H+delta)] / (2 D), so its slope is
+    The quotient is Q = [E(H-delta) + E(H+delta)] / (2 D), and its slope
 
         dQ/d(delta^2) = [E_G(H+delta) - E_G(H-delta)] / (4 delta D),
         E_G(G) = dE/dG = p G int w (Phi'^2 + G^2 Phi^2)^(p/2-1) Phi^2,
@@ -165,7 +167,7 @@ def evaluate_quotient_udelta(
     with np.errstate(over="ignore", invalid="ignore"):
         numerator = pref * (e_minus + e_plus) / (params.p * delta)
         denominator = pref * 2.0 / (params.p * delta) * mass
-        quotient = numerator / denominator
+        quotient = (e_minus + e_plus) / (2.0 * mass)
         slope = (g_plus - g_minus) / (4.0 * delta * mass)
     return RayleighEvaluation(numerator=numerator, denominator=denominator, quotient=quotient, slope=slope)
 
@@ -335,7 +337,7 @@ def cutoff_decay(params: HardyParams, u_support: tuple[float, float], h: int) ->
     so I_h -> 0 like h^(1-p) at the threshold k+a = p and exponentially for
     k+a > p, where it underflows to 0 once h(k+a-p) passes ~700
     (_cutoff_log_decay gives log I_h there).  I_h is the exponential of
-    that logarithm: the strip is summed in one place.
+    that logarithm, or OverflowError above the float range (b = -300).
     """
     return math.exp(_cutoff_log_decay(params, u_support, h))
 
@@ -349,7 +351,8 @@ def _cutoff_log_decay(params: HardyParams, u_support: tuple[float, float], h: in
     so one call peaks near 1 MB of arrays whatever h is.  Each term's
     logarithm is summed with the decay e^(-tau(k+a-p)) kept as the exponent
     -tau(k+a-p), never exponentiated on its own, and the terms are added by
-    log-sum-exp, in place.  -inf when every term vanishes.
+    log-sum-exp, in place, plus the prefactor's log from math.lgamma (exact
+    where the prefactor is subnormal or 0).  -inf when every term vanishes.
     """
     if h < 1:
         raise ValueError(f"need h >= 1, got {h}")
@@ -395,8 +398,8 @@ def _cutoff_log_decay(params: HardyParams, u_support: tuple[float, float], h: in
     if top == -math.inf:
         return -math.inf
     terms -= top
-    pref = AngularWeight.for_params(params).prefactor
-    return math.log(pref) + float(top) + math.log(np.exp(terms, out=terms).sum())
+    log_pref = _log_sphere_surface_area(k - 1) + _log_sphere_surface_area(d - k - 1)
+    return log_pref + float(top) + math.log(np.exp(terms, out=terms).sum())
 
 
 # ---------------------------------------------------------------------------

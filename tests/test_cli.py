@@ -779,6 +779,74 @@ class TestMainEntry:
         assert code == 2 and out == ""
         assert "{y = 0}" in json.loads(err)["error"]["message"]
 
+    @pytest.mark.parametrize("cell", [(3, 1, 2, 2100), (3, 1, 3, 2100), (3, 1, 2, 1e4), (3, 1, 1.5, 1e4)])
+    def test_verify_large_k_plus_a_is_exact(self, capsys, cell):
+        # the exact profile's one-node rule weight stays finite where 2^(k+a) overflows
+        d, k, p, a = cell
+        code, out, err = run_cli(capsys, "verify", "--d", str(d), "--k", str(k), "--p", str(p), f"--a={a}",
+                                 "--mesh", "64")
+        assert code == 0 and err == ""
+        row = json.loads(out)["rows"][0]
+        assert row["status"] == "ok" and row["numeric_M"] == row["closed_form"]
+        assert abs(row["extrapolated"] - row["closed_form"]) <= 1e-12 * row["closed_form"]
+
+    @pytest.mark.parametrize("d", [345, 400])
+    def test_verify_large_d_minus_k_is_exact(self, capsys, d):
+        # |S^(d-k-1)| is formed in logs: Gamma((d-k)/2) overflows from d-k = 344
+        code, out, err = run_cli(capsys, "verify", "--d", str(d), "--k", "1", "--mesh", "64")
+        assert code == 0 and err == ""
+        row = json.loads(out)["rows"][0]
+        assert row["status"] == "ok" and len(row["trace"]) == 3
+        assert abs(row["extrapolated"] - row["closed_form"]) <= 1e-12 * row["closed_form"]
+
+    @pytest.mark.parametrize("argv, code, status", [
+        (("--d", "400", "--k", "1", "--a=1"), 0, "ok"),  # the prefactor's log: Gamma(199.5) overflows
+        (("--d", "3", "--k", "1", "--a=2", "--b=-300"), 1, "solver_fail"),  # I_h itself overflows
+    ])
+    def test_verify_h_row_outside_gamma_range_is_a_row(self, capsys, argv, code, status):
+        got, out, err = run_cli(capsys, "verify", *argv, "--hs", "4,8", "--deltas", "", "--mesh", "64")
+        assert got == code and err == ""
+        rows = self.finite_report(out)
+        assert [row["status"] for row in rows] == ["ok", status]
+        assert len(rows[1]["trace"]) == (2 if status == "ok" else 0)
+
+    def test_verify_slow_h_decay_fails_the_row(self, capsys, monkeypatch):
+        # energies decaying like h^(-1/2), slower than the h^(1-p) = h^(-1) guarantee
+        monkeypatch.setattr(cli, "cutoff_decay", lambda params, support, h: h**-0.5)
+        code, out, err = run_cli(capsys, "verify", "--a=1", "--hs", "4,8,16", "--deltas", "", "--mesh", "64")
+        assert code == 1 and err == ""
+        rows = json.loads(out)["rows"]
+        assert [row["status"] for row in rows] == ["ok", "solver_fail"]
+        assert rows[1]["fit_rate"] == pytest.approx(-0.5, rel=1e-12)
+
+    @pytest.mark.parametrize("argv, message", [
+        (("--cs-s", "1.5"), "--cs-s values must lie in (0, 1), got (1.5,)"),
+        (("--cs-s", "0.5,0"), "--cs-s values must lie in (0, 1), got (0.5, 0.0)"),
+        (("--cs-n", "0"), "--cs-n values must be at least 1, got (0,)"),
+    ])
+    def test_table_family_flags_out_of_range_exit_2(self, capsys, argv, message):
+        code, out, err = run_cli(capsys, "table", *argv, "--mesh", "64")
+        assert code == 2 and out == ""
+        assert json.loads(err)["error"] == {"type": "ValueError", "message": message}
+
+    @pytest.mark.parametrize("command", ["constant", "spectrum", "verify"])
+    def test_one_cell_commands_take_one_value_per_flag(self, capsys, command):
+        code, out, err = run_cli(capsys, command, "--d", "3,4", "--mesh", "64")
+        assert code == 2 and out == ""
+        assert json.loads(err)["error"] == {
+            "type": "ValueError", "message": f"command {command!r} takes exactly one value for --d"}
+
+    @pytest.mark.parametrize("doc, message", [
+        ([{"mesh_size": 64}], "a config file holds one JSON object"),
+        ({"mesh": 64}, "unknown config key 'mesh'"),
+    ])
+    def test_config_file_shape_and_keys_checked(self, tmp_path, capsys, doc, message):
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps(doc))
+        code, out, err = run_cli(capsys, "constant", "--config", str(cfg))
+        assert code == 2 and out == ""
+        assert json.loads(err)["error"] == {"type": "ValueError", "message": message}
+
     def test_verify_inadmissible_cell_exits_2(self, capsys):
         code, out, err = run_cli(capsys, "verify", "--cone", "full", "--p", "3",
                                  "--deltas", "0.3,0.1")

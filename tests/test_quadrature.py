@@ -43,6 +43,16 @@ class TestSphereSurfaceArea:
         with pytest.raises(ValueError):
             sphere_surface_area(-1)
 
+    @pytest.mark.parametrize("n", [342, 343, 345, 398, 430])
+    def test_finite_where_gamma_overflows(self, n):
+        # Gamma((n+1)/2) overflows from n = 343; |S^n| = 2 pi / (n-1) |S^(n-2)| does not
+        area = sphere_surface_area(n)
+        assert 0.0 < area < 1e-200
+        assert area == pytest.approx(2 * math.pi / (n - 1) * sphere_surface_area(n - 2), rel=1e-12)
+
+    def test_underflows_to_zero_past_the_float_range(self):
+        assert sphere_surface_area(500) == 0.0
+
 
 def jacobi_moment(m: int, alpha: float, beta: float) -> float:
     """int_-1^1 (1-x)^alpha (1+x)^(beta+m) dx = 2^(alpha+beta+m+1) B(alpha+1, beta+m+1)."""

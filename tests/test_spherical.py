@@ -20,7 +20,7 @@ from hardycone.params import (
     cone_admissible,
     hardy_exponent,
 )
-from hardycone.quadrature import composite_rule
+from hardycone.quadrature import _gauss_jacobi, composite_rule
 from hardycone.spherical import (
     ConvergenceError,
     DiscretizedFunction,
@@ -792,8 +792,13 @@ class TestMinimizeRayleighP:
         cap = spherical.grading_cap(domain.theta1, 256)
         assert spherical._auto_gamma(problem, 256) == min(max(2.0, 2.4 / s), cap)
         if params.p == 2 and domain.theta1 == 0.0:
-            t, _ = spherical._gauss_jacobi(1, (params.d - params.k - 2) / 2, (params.k + params.a - 2) / 2 + s - 1.0)
-            assert np.array_equal(spherical._ExactProfile(problem).phi, np.sqrt((1.0 + t) / 2) ** s)
+            # the exact profile's node in closed form: the mean of its Gauss-Jacobi weight in t = cos 2 theta
+            dk = params.d - params.k
+            cos2, sin2 = problem.exact_node
+            assert (cos2, sin2) == (s / (dk + s), dk / (dk + s))
+            t, _ = _gauss_jacobi(1, (dk - 2) / 2, (params.k + params.a - 2) / 2 + s - 1.0)
+            assert cos2 == pytest.approx((1.0 + t[0]) / 2, rel=4e-16)
+            assert np.array_equal(spherical._ExactProfile(problem).phi, [math.sqrt(cos2) ** s])
 
 
 P2_GRID = dict(d=range(3, 7), k=(1, 2, 3), a=(-1.2, -0.5, 0.0, 0.5, 0.8, 0.9, 0.95, 0.99, 1.0, 1.5, 2.5),

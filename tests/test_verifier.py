@@ -563,6 +563,21 @@ class TestCutoffDecay:
             tracemalloc.stop()
         assert peak <= 2_000_000
 
+    @pytest.mark.parametrize("d", [446, 452, 500])
+    def test_h_row_exact_where_the_prefactor_is_subnormal_or_0(self, d):
+        # |S^0| |S^(d-2)| is subnormal from d - k of about 437 (4e-322, a few
+        # significant bits, at d = 452) and 0 past about 455; the energies stay
+        # normal through the radial factor e^(nu(d-b-k)), and take the
+        # prefactor from its logarithm
+        params = HardyParams(d, 1, 2.0, 1.0, 0.0)
+        config = RunConfig(command="verify", d=(d,), k=(1,), p=(2.0,), a=(1.0,), b=(0.0,),
+                           mesh_size=64, delta_list=(), h_list=(4, 8))
+        hrow = cmd_verify(config)[1]
+        assert hrow.status == "ok"
+        for h, energy in hrow.quotient_trace:
+            oracle = math.exp(_dense_strip_energy(params, (0.05, 20.0), int(h), log=True))
+            assert 1e-300 < energy == pytest.approx(oracle, rel=1e-13)
+
     def test_preconditions(self):
         params = HardyParams(3, 1, 2.0, 1.0, 0.0)
         with pytest.raises(ValueError):
@@ -608,7 +623,9 @@ def _dense_strip_energy(params, support, h, log=False):
     top = terms.max()
     if top == -math.inf:
         return -math.inf
-    return math.log(pref) + float(top) + math.log(np.exp(terms - top).sum())
+    # log |S^(k-1)| + log |S^(d-k-1)|, formed in logs: pref itself is subnormal or 0 past d - k of about 437
+    log_pref = sum(math.log(2.0) + (n + 1) / 2 * math.log(math.pi) - math.lgamma((n + 1) / 2) for n in (k - 1, d - k - 1))
+    return log_pref + float(top) + math.log(np.exp(terms - top).sum())
 
 
 def _strip_energy_midpoint_oracle(params, support, h, n_nu=3000, n_tau=3000):
