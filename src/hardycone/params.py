@@ -287,44 +287,36 @@ class _SphericalProblem(NamedTuple):
             return "constant-profile"
         return "p2-dirichlet" if self.p == 2 else None
 
-    @property
-    def exact_node(self) -> tuple[float, float]:
-        """(cos^2, sin^2) of theta at the node of the exact profile's one-node Gauss-Jacobi rule in t = cos 2 theta.
-
-        Its weight (spherical._ExactProfile) has exponent (d-k-2)/2 at t = 1 and
-        m/2 - 1 at t = -1, m = s, or k+a where s = 0; the node is its mean.
-        """
-        m, dk = self.s or self.ka, self.dk
-        return m / (dk + m), dk / (dk + m)
-
     def exact_quotient(self) -> float | None:
-        """The quotient E/D of the extremal profile (see exact_profile), or None where none is known.
+        """The sharp constant of the extremal profile (see exact_profile), or None where none is known.
 
         A constant profile has e = phi'^2 + H^2 phi^2 = H^2 phi^2 everywhere, so
-        E/D = (H^2)^(p/2).  cos^s theta at p = 2 is taken at exact_node, where
-        the one-node rule integrates both of its sums exactly; the rule's one
-        weight cancels from E/D = (phi'^2 + H^2 phi^2) / phi^2, with
-        phi'^2 / phi^2 = s^2 tan^2 theta.
+        E/D = |H|^p, taken as sqrt(H^2)^p: abs(H) ** p bit for bit wherever
+        H^2 is a normal float (|H| above 1.5e-154; below, the value reads
+        the rounded H^2, as a solver does).  cos^s theta at p = 2 has
+        phi'^2 = s^2 tan^2 theta phi^2, and against the angular weight
+        int tan^2 theta phi^2 = (d-k)/s int phi^2, so E/D = (d-k) s + H^2.
         """
         profile = self.exact_profile
-        if profile == "constant-profile":
-            return self.H2 ** (self.p / 2)
         if profile is None:
             return None
-        cos2, sin2 = self.exact_node
-        return self.s * self.s * sin2 / cos2 + self.H2
+        if profile == "constant-profile":
+            return math.sqrt(self.H2) ** self.p
+        return self.dk * self.s + self.H2
 
 
 @dataclass(frozen=True, eq=False)
 class SpectralResult:
     """Computed spherical minimum M, eigenvalue lam = M - H^2 (p = 2; else None), and minimizer.
 
-    Every result is built by _of.  iterations and residual describe the
-    solve: 0 and 0.0 where the extremal profile is known (exact); an hp
-    solve's Newton steps and the change of M between its last two levels
-    (hp._hp_solve); a P1 descent's steps and last relative step decrement
-    (minimize_rayleigh_p).  The minimizer (a spherical._Minimizer) holds
-    the accepted discretization; a grid row drops it (None).
+    Every result is built by _of.  Where the extremal profile is known
+    (exact), M is the sharp constant itself, closed_form_constant's value
+    bit for bit, and iterations and residual are 0 and 0.0.  Elsewhere they
+    describe the solve: an hp solve's Newton steps and the change of M
+    between its last two levels (hp._hp_solve); a P1 descent's steps and
+    last relative step decrement (minimize_rayleigh_p).  The minimizer (a
+    spherical._Minimizer) holds the accepted discretization; a grid row
+    drops it (None).
     """
 
     M: float
@@ -358,20 +350,16 @@ def closed_form_constant(params: HardyParams, cone: ConeSpec) -> ClosedForm | No
     """Sharp constant wherever the cross-section's extremal profile is known.
 
     _SphericalProblem.exact_profile decides, on the cross-section that
-    bc_for_cone gives, so the solver answers the same cells from that
-    profile.  On [0, pi/2] with both ends natural (nothing removed at
-    {y = 0}, or the superdegenerate collapse k+a >= p) the profile is
-    constant and m = |H|^p ("constant-profile").  With a Dirichlet end pi/2
-    at p = 2 it is cos^s theta, s = 2 - (k+a), and m = (d-k)(2-(k+a)) + H^2
+    bc_for_cone gives, and exact_quotient gives the value, so the solver
+    answers the same cells with the same value, bit for bit.  On [0, pi/2]
+    with both ends natural (nothing removed at {y = 0}, or the
+    superdegenerate collapse k+a >= p) the profile is constant and
+    m = |H|^p ("constant-profile").  With a Dirichlet end pi/2 at p = 2 it
+    is cos^s theta, s = 2 - (k+a), and m = (d-k)(2-(k+a)) + H^2
     ("p2-dirichlet").  Every other cross-section gives None (the spherical
     solver is then the only source).  Raises AdmissibilityError on
     inadmissible input.
     """
     problem = _SphericalProblem.of(params, bc_for_cone(params, cone))
-    source = problem.exact_profile
-    if source is None:
-        return None
-    if source == "constant-profile":
-        return ClosedForm(hardy_exponent(params).H_abs_p, source)
-    d, k, a = params.d, params.k, params.a
-    return ClosedForm((d - k) * (2.0 - (k + a)) + problem.H2, source)
+    value = problem.exact_quotient()
+    return None if value is None else ClosedForm(value, problem.exact_profile)

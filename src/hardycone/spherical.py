@@ -419,18 +419,21 @@ class _ExactProfile(_RuleSums):
     _SphericalProblem.exact_quotient gives.  With A = (d-k-2)/2 and
     B = (k+a-2)/2, w dtheta = ((1+t)/2)^B ((1-t)/2)^A dt / 4 and
     phi' = -s c sin theta cos^(s-1) theta.  The rule has exponent A at t = 1
-    and, at t = -1, B + s - 1 = -(k+a)/2 if s > 0, else B, and its node is
-    _SphericalProblem.exact_node.  Against that weight phi^2 is constant and
-    phi'^2 linear in t, which one node integrates exactly, as it does the
-    constant profile's e^(p/2) and |phi|^p.  So w, the rule's weight with
-    the rest of the angular weight folded in, is D / phi^2 at the node,
+    and, at t = -1, B + s - 1 = -(k+a)/2 if s > 0, else B, so its node, the
+    weight's mean, is cos^2 theta = (1+t)/2 = m / (d-k+m), m = s, or k+a
+    where s = 0.  Against that weight phi^2 is constant and phi'^2 linear in
+    t, which one node integrates exactly, as it does the constant profile's
+    e^(p/2) and |phi|^p.  So w, the rule's weight with the rest of the
+    angular weight folded in, is D / phi^2 at the node,
     D = B((d-k)/2, (k+a)/2 + s) / 2 formed in logs (finite for any k+a).
     """
 
     def __init__(self, problem: _SphericalProblem):
         super().__init__(problem)
-        s, (cos2, sin2) = problem.s, problem.exact_node
-        x, y = problem.dk / 2, problem.ka / 2 + s
+        s, dk = problem.s, problem.dk
+        m = s or problem.ka
+        cos2, sin2 = m / (dk + m), dk / (dk + m)
+        x, y = dk / 2, problem.ka / 2 + s
         self.w = np.array([math.exp(math.lgamma(x) + math.lgamma(y) - math.lgamma(x + y) - s * math.log(cos2)) / 2])
         cos, sin = math.sqrt(cos2), math.sqrt(sin2)
         self.phi, self.dphi = np.array([cos**s]), np.array([-s * sin * cos ** (s - 1.0)])

@@ -247,16 +247,17 @@ def _delta_limit(
     (_hermite_table).  It is exact on a polynomial in delta^2 of degree below
     twice the point count; two points give the cubic Hermite value at x = 0.
 
-    term is _nonanalytic_term's (H, q) or None.  Where it is given and the
-    trace reaches G = 0 (|H| below the largest delta), the trace is fitted
-    by A(delta^2) + e b(delta), b = (|H-delta|^q + |H+delta|^q) / 2, with
-    e b taking the place of the interpolant's top power of delta^2, so the
-    2n conditions of n points still fix the 2n unknowns.  A adds nothing to
-    the interpolant's top coefficient, so e = top(quotient) / top(b), from
-    the tables of both, and the limit A(0) + e |H|^q is the table's value
-    less e (b's table value - |H|^q).  The tables run in a fixed order, so
-    the limit does not depend on BLAS threads.
-    Elsewhere the table's value is the limit, bit for bit.
+    term is _nonanalytic_term's (H, q) where the trace reaches G = 0 (|H|
+    below the largest delta, as the caller decides), else None.  Given a
+    term, the trace is fitted by A(delta^2) + e b(delta),
+    b = (|H-delta|^q + |H+delta|^q) / 2, with e b taking the place of the
+    interpolant's top power of delta^2, so the 2n conditions of n points
+    still fix the 2n unknowns.  A adds nothing to the interpolant's top
+    coefficient, so e = top(quotient) / top(b), from the tables of both,
+    and the limit A(0) + e |H|^q is the table's value less
+    e (b's table value - |H|^q).  The tables run in a fixed order, so the
+    limit does not depend on BLAS threads.  Without a term the table's
+    value is the limit, bit for bit.
 
     The order is log((q_a - q_b) / (q_b - q_c)) / log(delta_a / delta_b)
     over the three smallest deltas, from the quotients only, None where
@@ -272,7 +273,7 @@ def _delta_limit(
     x = [delta**2 for delta, _, _ in points for _ in range(2)]  # each node twice
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         limit, top = _hermite_table(x, [(quotient, slope) for _, quotient, slope in points])
-        if term is not None and abs(term[0]) < points[0][0]:
+        if term is not None:
             H, q = term
             term_limit, term_top = _hermite_table(x, [_term_node(H, q, delta) for delta, _, _ in points])
             limit = limit - top / term_top * (term_limit - abs(H) ** q)

@@ -38,7 +38,6 @@ from hardycone.params import (
     ConeKind,
     ConvergenceError,
     HardyParams,
-    _SphericalProblem,
     closed_form_constant,
     cone_admissible,
 )
@@ -98,8 +97,7 @@ class TestCommands:
         row = rows[0]
         assert row.status == "ok"
         assert row.closed_form == pytest.approx(2.25)
-        assert row.numeric_M == pytest.approx(2.25, rel=1e-4)
-        assert abs(row.gap) < 1e-3
+        assert row.numeric_M == row.closed_form
 
     def test_constant_punctured_quarter(self):
         rows = cmd_constant(config_for(cones=("punctured",)))
@@ -123,7 +121,7 @@ class TestCommands:
         rows = cmd_spectrum(config_for("spectrum"))
         row = rows[0]
         assert row.status == "ok"
-        assert row.closed_form is None and row.gap is None
+        assert row.closed_form is None
         assert row.lam == pytest.approx(2.0, rel=1e-4)
         assert row.residual is not None
 
@@ -177,7 +175,7 @@ class TestCommands:
                 assert row.closed_form == pytest.approx(((n - 2 * s) / 2) ** 2, rel=1e-12)
             else:
                 assert row.closed_form == pytest.approx(((n + 2 * s) / 2) ** 2, rel=1e-12)
-            assert abs(row.gap) < 1e-3
+            assert row.numeric_M == row.closed_form
 
     def test_table_mixed_threshold_rows(self):
         config = config_for("table", cs_n=(), cs_s=(), d=(3, 4), k=(1,), p=(2.0,), mesh_size=128)
@@ -291,23 +289,23 @@ class TestClosedFormGrid:
         twins = {}
         for row in rows:
             twins.setdefault((row.d, row.p, row.a, row.b), []).append(
-                (row.closed_form, row.gap, row.numeric_M, row.status))
+                (row.closed_form, row.numeric_M, row.status))
         for cell, (complement, half_space) in twins.items():
             assert complement == half_space, cell
         for d in (3, 4, 5):
             for p, a in ((1.1, 0.1), (1.3, 0.3), (2.2, 1.2), (2.7, 1.7)):  # a = p - 1, as typed
                 for b in (0.0, 0.5):
-                    closed, _, _, status = twins[d, p, a, b][0]
+                    closed, _, status = twins[d, p, a, b][0]
                     assert closed is not None and status == "ok", (d, p, a, b)
 
     def test_p2_cells_meet_their_closed_forms(self):
-        # the exact minimizer cos^s theta in its one-node rule leaves only rounding
+        # the exact minimizer cos^s theta gives its closed form, bit for bit
         grid = dict(d=(3, 4, 5), k=(1, 2), a=(-0.5, 0.0, 0.5, 0.9),
                     cones=("complement-sigma0", "half-space"), mesh_size=2048)
         rows = cmd_sweep(config_for("sweep", **grid))
         assert len(rows) == 36
         for row in rows:
-            assert row.status == "ok" and abs(row.gap) <= 1e-15 * row.closed_form, row
+            assert row.status == "ok" and row.numeric_M == row.closed_form, row
 
 
     def test_every_closed_form_cell_takes_its_exact_profile(self, monkeypatch):
@@ -336,11 +334,8 @@ class TestClosedFormGrid:
         zeros = 0
         for row in rows:
             assert row.status == "ok" and row.iterations == 0 and row.residual == 0.0, row
-            if row.closed_form == 0.0:
-                zeros += 1
-                assert row.numeric_M == 0.0, row
-            else:
-                assert abs(row.gap) <= 4.5e-16 * abs(row.closed_form), row
+            assert row.numeric_M == row.closed_form, row
+            zeros += row.closed_form == 0.0
         assert zeros >= 1
 
 
@@ -396,7 +391,7 @@ class TestSerialization:
         config = config_for()
         rows = cmd_constant(config)
         doc = json.loads(rows_to_json(config, rows))
-        assert doc["schema"] == 1
+        assert doc["schema"] == 2 and "tol" not in doc["config"] and "gap" not in doc["rows"][0]
         assert [ReportRow.from_dict(r) for r in doc["rows"]] == rows
 
     def test_csv_layout_and_float_round_trip(self):
@@ -465,7 +460,7 @@ class TestMainEntry:
         code, out, err = run_cli(capsys, "constant", "--mesh", "64", "--out", str(out_path))
         assert code == 2 and out == ""
         doc = json.loads(err)
-        assert doc["schema"] == 1 and issubclass(getattr(builtins, doc["error"]["type"]), OSError)
+        assert doc["schema"] == 2 and issubclass(getattr(builtins, doc["error"]["type"]), OSError)
         assert sorted(path.name for path in tmp_path.rglob("*")) == ["file", "report"]
 
     def test_csv_format(self, capsys):
@@ -480,7 +475,6 @@ class TestMainEntry:
         args = [
             "sweep", "--d", "3,4", "--k", "1", "--p", "2", "--a", "0,0.5",
             "--b", "0", "--cone", "punctured,complement-sigma0", "--mesh", "64",
-            "--tol", "1e-2",
         ]
         code1, out1, _ = run_cli(capsys, *args)
         code2, out2, _ = run_cli(capsys, *args, "--jobs", "2")
@@ -647,7 +641,8 @@ class TestMainEntry:
     def test_constant_k3_cell_exact(self, capsys):
         code, out, err = run_cli(capsys, "constant", "--d", "6", "--k", "3", "--a=-1.2", "--mesh", "2048")
         assert code == 0
-        assert abs(json.loads(out)["rows"][0]["gap"]) <= 1e-12
+        row = json.loads(out)["rows"][0]
+        assert row["numeric_M"] == row["closed_form"]
 
     def test_failed_spectral_check_falls_back_to_descent(self, capsys, monkeypatch):
         args = ("constant", "--p", "3", "--a", "0.5", "--mesh", "64")  # hp's cell
@@ -676,7 +671,7 @@ class TestMainEntry:
         assert code == 1
         [row] = json.loads(out)["rows"]
         assert row["status"] == "solver_fail" and row["closed_form"] == 2550.25
-        assert row["numeric_M"] is None and row["gap"] is None
+        assert row["numeric_M"] is None and "gap" not in row
 
     def test_stuck_descent_is_a_failed_row(self, capsys, monkeypatch):
         # the descent's line search fails far from convergence: no number is printed
@@ -701,7 +696,7 @@ class TestMainEntry:
         [row] = json.loads(out)["rows"]
         assert row["status"] == "solver_fail" and row["trace"] == [] and row["extrapolated"] is None
         assert row["closed_form"] == 2.25 and row["numeric_M"] == 2.25
-        assert row["lambda"] is not None and row["gap"] is not None
+        assert row["lambda"] == 2.0 and "gap" not in row
         assert row["iterations"] is not None and row["residual"] is not None
 
     # natural [0, pi/2] cells at H = 0 (or H = 1/15 below the largest delta) with p < 2:
@@ -839,6 +834,7 @@ class TestMainEntry:
     @pytest.mark.parametrize("doc, message", [
         ([{"mesh_size": 64}], "a config file holds one JSON object"),
         ({"mesh": 64}, "unknown config key 'mesh'"),
+        ({"mesh_size": 64, "tol": 0.001}, "unknown config key 'tol'"),  # a schema-1 report's config block
     ])
     def test_config_file_shape_and_keys_checked(self, tmp_path, capsys, doc, message):
         cfg = tmp_path / "run.json"
@@ -853,18 +849,23 @@ class TestMainEntry:
         assert code == 2 and out == ""
         assert json.loads(err)["error"]["type"] == "AdmissibilityError"
 
-    def test_gap_tolerance_drives_exit_code(self, capsys, monkeypatch):
-        # a known gap of 1e-4: the exact quotient of this cell meets its closed form to rounding
-        quotient = _SphericalProblem.exact_quotient
-        monkeypatch.setattr(_SphericalProblem, "exact_quotient", lambda self: quotient(self) + 1e-4)
-        args = [
-            "constant", "--d", "3", "--k", "1", "--p", "2", "--a", "0.5",
-            "--b", "0", "--cone", "complement-sigma0", "--mesh", "64",
-        ]
-        code_loose, _, _ = run_cli(capsys, *args, "--tol", "1e-2")
-        code_tight, _, _ = run_cli(capsys, *args, "--tol", "1e-12")
-        assert code_loose == 0
-        assert code_tight == 1
+    def test_tol_flag_is_a_usage_error(self, capsys):
+        # an exact row's numeric_M is its closed form, so there is no gap to bound
+        code, out, err = run_cli(capsys, "constant", "--tol", "1e-3", "--mesh", "64")
+        assert code == 2 and out == ""
+        assert json.loads(err) == {"schema": 2, "error": {
+            "type": "ValueError", "message": "unrecognized arguments: --tol 1e-3"}}
+
+    @pytest.mark.parametrize("args, value", [
+        (("--p", "6", "--b=-1000", "--cone", "full"), 21050550008863.65),  # |H|^6: two formulas differed by 0.0039
+        (("--a=-0.999",), 3.99800025),  # (d-k) s + H^2 = 2 * 1.999 + 0.0005^2
+    ], ids=["constant-profile", "p2-dirichlet"])
+    def test_exact_row_prints_one_value(self, capsys, args, value):
+        # numeric_M and closed_form come from one formula, so no rounding gap can fail the row
+        code, out, err = run_cli(capsys, "constant", *args, "--mesh", "64")
+        assert code == 0
+        [row] = json.loads(out)["rows"]
+        assert row["status"] == "ok" and row["numeric_M"] == row["closed_form"] == value
 
 
 class TestConfigSchema:
@@ -943,7 +944,7 @@ class TestConfigSchema:
         assert "constant" in json.loads(err)["error"]["message"]
 
     @pytest.mark.parametrize("flags", [
-        ("--mesh", "8"), ("--jobs", "0"), ("--jobs=-1",), ("--tol=-1",),
+        ("--mesh", "8"), ("--jobs", "0"), ("--jobs=-1",), ("--jobs", "1.5"),
     ])
     def test_malformed_numbers_exit_2(self, capsys, flags):
         # rejected while building the config, before any solve or worker process
@@ -969,7 +970,6 @@ FLAGS = [
     ("--format", "csv", "format", "csv", "--form"),
     ("--out", "r.json", "output_path", "r.json", "--ou"),
     ("--jobs", "2", "jobs", 2, "--jo"),
-    ("--tol", "1e-2", "tol", 0.01, "--to"),
 ]
 
 
@@ -1034,7 +1034,7 @@ class TestUsageErrors:
         assert code == 2 and out == ""
         assert err.endswith("\n") and err.count("\n") == 1
         doc = json.loads(err)
-        assert doc["schema"] == 1 and doc["error"]["type"] == "ValueError"
+        assert doc["schema"] == 2 and doc["error"]["type"] == "ValueError"
         assert doc["error"]["message"].startswith(message)
 
     def test_help_still_prints_usage(self, capsys):

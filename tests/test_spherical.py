@@ -794,11 +794,12 @@ class TestMinimizeRayleighP:
         if params.p == 2 and domain.theta1 == 0.0:
             # the exact profile's node in closed form: the mean of its Gauss-Jacobi weight in t = cos 2 theta
             dk = params.d - params.k
-            cos2, sin2 = problem.exact_node
-            assert (cos2, sin2) == (s / (dk + s), dk / (dk + s))
+            cos2, sin2 = s / (dk + s), dk / (dk + s)
             t, _ = _gauss_jacobi(1, (dk - 2) / 2, (params.k + params.a - 2) / 2 + s - 1.0)
             assert cos2 == pytest.approx((1.0 + t[0]) / 2, rel=4e-16)
-            assert np.array_equal(spherical._ExactProfile(problem).phi, [math.sqrt(cos2) ** s])
+            exact = spherical._ExactProfile(problem)
+            assert np.array_equal(exact.phi, [math.sqrt(cos2) ** s])
+            assert np.array_equal(exact.dphi, [-s * math.sqrt(sin2) * math.sqrt(cos2) ** (s - 1.0)])
 
 
 P2_GRID = dict(d=range(3, 7), k=(1, 2, 3), a=(-1.2, -0.5, 0.0, 0.5, 0.8, 0.9, 0.95, 0.99, 1.0, 1.5, 2.5),
