@@ -7,13 +7,13 @@ fixed column set; floats are written in round-trip decimal form.  Exit code
 an input error.  A row whose extremal profile is known takes its numeric_M
 from the same formula as its closed_form, so the two are equal.
 
-Only the pure-Python params module is imported with this one.  A grid row
-whose extremal profile is known takes its quotient from params, so a run
-of such cells never imports numpy.  solve_M and the verifier functions
-that verify calls (_LAZY) are attributes of this module that import their
-own module (spherical, verifier) on first use (PEP 562), and every call
-site reads them through the module, so a wrapper set on it is the one
-called.
+Only the pure-Python params module is imported with this one.  A row
+whose extremal profile is known takes its quotient, and a verify row its
+delta trace, from params, so such cells never import numpy.  solve_M and
+the verifier functions that verify calls otherwise (_LAZY) are attributes
+of this module that import their own module (spherical, verifier) on first
+use (PEP 562), and every call site reads them through the module, so a
+wrapper set on it is the one called.
 """
 
 from __future__ import annotations
@@ -37,18 +37,19 @@ from .params import (
     ConvergenceError,
     HardyParams,
     SpectralResult,
+    _delta_limit,
+    _nonanalytic_term,
     _SphericalProblem,
+    _udelta_quotient,
     bc_for_cone,
     closed_form_constant,
     cone_admissible,
+    hardy_exponent,
 )
 
 # name -> its module, imported on first use: a run of cells with exact profiles loads neither
-_LAZY = {
-    "solve_M": "spherical",
-    **dict.fromkeys(["evaluate_quotient_udelta", "cutoff_decay", "_cutoff_log_decay", "_delta_limit",
-                     "_nonanalytic_term"], "verifier"),
-}
+_LAZY = {"solve_M": "spherical",
+         **dict.fromkeys(["evaluate_quotient_udelta", "cutoff_decay", "_cutoff_log_decay"], "verifier")}
 _cli = sys.modules[__name__]  # the lazy names are read as _cli.<name>, so a wrapper set on the module is called
 
 
@@ -282,26 +283,25 @@ def cmd_spectrum(config: RunConfig) -> list[ReportRow]:
 def cmd_verify(config: RunConfig) -> list[ReportRow]:
     """Trace the minimizing family in delta and the cutoff energy in h.
 
-    Each delta's quotient and its slope in delta^2 come from one
-    evaluate_quotient_udelta call, and the delta row's limit and order from
-    verifier._delta_limit over every (delta, quotient, slope) in any order,
-    given the cell's non-analytic term from verifier._nonanalytic_term (p != 2
-    on [0, pi/2] with both ends natural, or with a Dirichlet pi/2 at H = 0)
-    where the trace reaches it (|H| below the largest delta), else None;
-    the row's trace holds the (delta, quotient) pairs.  The row fails
+    A cell whose extremal profile is known solves nothing
+    (SpectralResult.exact): each delta's quotient and its slope in delta^2
+    come from the profile's one-node sums (_SphericalProblem.udelta_sums,
+    _udelta_quotient), in Python floats.  Any other cell is solved, and they
+    come from one evaluate_quotient_udelta call on its minimizer.  The
+    delta row's limit and order are _delta_limit's over every (delta,
+    quotient, slope) in any order, given the cell's _nonanalytic_term where
+    the trace reaches it (|H| below the largest delta), else None; the
+    row's trace holds the (delta, quotient) pairs.  The row fails
     (status solver_fail) if a trace value or the extrapolated limit is not
     finite, the order is below 1.85 (0.925 q where a non-analytic term with
     q < 2 leads the trace: |H| below the largest delta) or the limit misses
     the reference by more than 1e-4 relative (1e-9 absolute near 0); if the
     trace raises, the row keeps its solve's values.  The h row fails if an
     energy or the fitted rate is not finite or the strip energy decays
-    slower than h^(1-p).  A single or repeated --deltas or --hs value
-    (an empty list skips that trace), a delta that is not finite and
-    positive, an h past the float range, an h with e^(-h) not below the
-    inner radius of the cutoff's support (h below 3), and --hs on a cell
-    with k+a < p or on a cone whose cross-section avoids {y = 0} (no strip
-    regime to check) are malformed input (ValueError); an inadmissible
-    cell raises AdmissibilityError.
+    slower than h^(1-p); on the half space the energy is that of its one
+    side of {y = 0}.  --deltas and --hs lists that fail the checks below
+    (an empty list skips that trace) are malformed input (ValueError); an
+    inadmissible cell raises AdmissibilityError.
     """
     params, cone = config.single()
     support = (0.05, 20.0)
@@ -319,18 +319,27 @@ def cmd_verify(config: RunConfig) -> list[ReportRow]:
             raise ValueError(f"{flag} needs at least two values (or none), got {values[0]}")
         if len(set(values)) != len(values):
             raise ValueError(f"{flag} values must be distinct, got {','.join(map(str, values))}")
-    result = _solve(params, cone, config.mesh_size)
+    try:
+        problem = _SphericalProblem.of(params, bc_for_cone(params, cone))
+        result = SpectralResult.exact(problem) or _solve(params, cone, config.mesh_size)
+    except OverflowError:  # H^2, |H|^p or the exact quotient overflows: the row fails
+        result = None
     row = _cell_row("verify", params, cone, config.mesh_size, result)
     if row.status != "solver_fail":
         reference = row.closed_form if row.closed_form is not None else row.numeric_M
         try:
-            evaluations = [(delta, _cli.evaluate_quotient_udelta(params, result.minimizer, delta))
-                           for delta in config.delta_list]
-            trace = tuple((delta, ev.quotient) for delta, ev in evaluations)
-            term = _cli._nonanalytic_term(params, bc_for_cone(params, cone))
+            H = hardy_exponent(params).H
+            if result.minimizer is None:  # an exact profile: its one-node sums, no solver
+                points = [(delta, *_udelta_quotient(*problem.udelta_sums((H - delta, H + delta)), delta))
+                          for delta in config.delta_list]
+            else:
+                points = [(delta, ev.quotient, ev.slope) for delta in config.delta_list
+                          for ev in [_cli.evaluate_quotient_udelta(params, result.minimizer, delta)]]
+            trace = tuple((delta, quotient) for delta, quotient, _ in points)
+            term = _cli._nonanalytic_term(params, problem.domain)
             if term is not None and not abs(term[0]) < max(config.delta_list, default=0.0):
                 term = None  # the trace does not reach G = 0, so the term does not show in it
-            extrap, order = _cli._delta_limit(((delta, ev.quotient, ev.slope) for delta, ev in evaluations), term)
+            extrap, order = _cli._delta_limit(points, term)
         except (ConvergenceError, ValueError, OverflowError):
             row = replace(row, status="solver_fail")
         else:
@@ -349,10 +358,10 @@ def cmd_verify(config: RunConfig) -> list[ReportRow]:
             # logarithm comes from the log-form quadrature; where the decay e^(-h(k+a-p))
             # underflows already, every term of the strip rule does, and the energy is 0
             htrace = [(float(h), 0.0 if math.exp(-h * (params.k + params.a - params.p)) == 0.0
-                       else _cli.cutoff_decay(params, support, h)) for h in config.h_list]
+                       else _cli.cutoff_decay(params, support, h, cone)) for h in config.h_list]
             rate = _fit_log_slope([
                 (x, math.log(energy) if energy >= sys.float_info.min
-                 else _cli._cutoff_log_decay(params, support, h))
+                 else _cli._cutoff_log_decay(params, support, h, cone))
                 for h, (x, energy) in zip(config.h_list, htrace)
             ])
             status = "ok"

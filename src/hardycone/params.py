@@ -17,9 +17,10 @@ value depends on b only through |H|.
 
 The cell's 1-D problem (_SphericalProblem) and what a solve returns or
 raises (SpectralResult, ConvergenceError, MIN_MESH_SIZE) live here too,
-with the quotient of the extremal profile wherever that profile is known,
-so the command line answers such cells without importing numpy or a
-solver.  The spherical module re-exports them.
+with the quotient, node and u_delta sums of the extremal profile wherever
+it is known, and the certifier's arithmetic on them (_udelta_quotient,
+_delta_limit), so the command line answers and certifies such cells
+without numpy or a solver.  The spherical module re-exports them.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import TYPE_CHECKING, NamedTuple
+from typing import TYPE_CHECKING, Iterable, NamedTuple
 
 if TYPE_CHECKING:
     from .spherical import DiscretizedFunction
@@ -304,6 +305,39 @@ class _SphericalProblem(NamedTuple):
             return math.sqrt(self.H2) ** self.p
         return self.dk * self.s + self.H2
 
+    @property
+    def exact_node(self) -> tuple[float, float, float]:
+        """(w, phi, phi') of the exact profile phi = cos^s theta at its one Gauss-Jacobi node in t = cos 2 theta.
+
+        s is 2 - (k+a) at p = 2 with a Dirichlet pi/2, else 0 (exact_profile).  With A = (d-k-2)/2,
+        B = (k+a-2)/2, w dtheta = ((1+t)/2)^B ((1-t)/2)^A dt / 4 and phi' = -s sin theta cos^(s-1) theta,
+        the rule's exponents are A at t = 1 and, at t = -1, B + s - 1 = -(k+a)/2 if s > 0, else B.
+        Its node, the weight's mean, is cos^2 theta = m / (d-k+m), m = s, or k+a where s = 0, and it
+        integrates phi^2 (constant against that weight), phi'^2 (linear in t) and the constant
+        profile's e^(p/2) and |phi|^p exactly.  So w, the angular weight folded in, is D / phi^2 at
+        the node, D = B((d-k)/2, (k+a)/2 + s) / 2 formed in logs (finite for any k+a).
+        """
+        s, dk = self.s, self.dk
+        m = s or self.ka
+        cos2, sin2 = m / (dk + m), dk / (dk + m)
+        x, y = dk / 2, self.ka / 2 + s
+        w = math.exp(math.lgamma(x) + math.lgamma(y) - math.lgamma(x + y) - s * math.log(cos2)) / 2
+        cos, sin = math.sqrt(cos2), math.sqrt(sin2)
+        return w, cos**s, -s * sin * cos ** (s - 1.0)
+
+    def udelta_sums(self, Gs: tuple[float, ...]) -> tuple[list[tuple[float, float]], float]:
+        """(E, dE/dG) at H = G for each G of Gs, and D, of the exact profile in its node (exact_node).
+
+        spherical._RuleSums.udelta_sums in Python floats and numpy's order of operations, with
+        D = w phi^2 (phi = 1 unless p = 2).  An E past the float range raises OverflowError.
+        """
+        w, phi, dphi = self.exact_node
+        p, phi2, sums = self.p, phi * phi, []
+        for G in Gs:
+            e2 = dphi * dphi + G**2 * phi2
+            sums.append((w * e2 ** (p / 2), p * G * (w * (e2 ** (p / 2 - 1.0) if e2 > 0.0 else 0.0) * phi2)))
+        return sums, w * phi2
+
 
 @dataclass(frozen=True, eq=False)
 class SpectralResult:
@@ -363,3 +397,134 @@ def closed_form_constant(params: HardyParams, cone: ConeSpec) -> ClosedForm | No
     problem = _SphericalProblem.of(params, bc_for_cone(params, cone))
     value = problem.exact_quotient()
     return None if value is None else ClosedForm(value, problem.exact_profile)
+
+
+def _div(a: float, b: float) -> float:
+    """a / b, with IEEE's inf or nan where b is 0 (a Python float raises ZeroDivisionError there)."""
+    return a / b if b else (a * math.copysign(math.inf, b) if a else math.nan)
+
+
+def _pow(x: float, y: float) -> float:
+    """x^y for x >= 0, with IEEE's inf where it overflows (a Python float raises OverflowError there)."""
+    try:
+        return x**y
+    except OverflowError:
+        return math.inf
+
+
+def _udelta_quotient(sums: list[tuple[float, float]], mass: float, delta: float) -> tuple[float, float]:
+    """The u_delta quotient Q and its slope in delta^2, from a discretization's udelta_sums at G = H -/+ delta.
+
+    Q = [E(H-delta) + E(H+delta)] / (2D) and dQ/d(delta^2) = [E_G(H+delta) - E_G(H-delta)] / (4 delta D),
+    E_G = dE/dG (see verifier.evaluate_quotient_udelta); 1 at p = 2, to rounding.  A zero divisor
+    gives inf or nan, as numpy does.
+    """
+    (e_minus, g_minus), (e_plus, g_plus) = sums
+    return _div(e_minus + e_plus, 2.0 * mass), _div(g_plus - g_minus, 4.0 * delta * mass)
+
+
+def _nonanalytic_term(params: HardyParams, domain: AngularDomain) -> tuple[float, float] | None:
+    """(H, q) of the one known term of the u_delta quotient that is not analytic in delta^2, or None.
+
+    For p != 2, E(G) = int w (Phi'^2 + G^2 Phi^2)^(p/2) is not analytic at
+    G = 0 wherever Phi' vanishes.  On two cross-sections of [0, pi/2] the
+    quotient then carries e b(delta), b = (|H-delta|^q + |H+delta|^q) / 2,
+    with a known q:
+
+    * both ends natural: Phi is constant, so the quotient is C b(delta), q = p;
+    * a natural pole at theta = 0 and a Dirichlet pi/2, at H = 0 (decided
+      exactly, from d + a - p - b): Phi - Phi(0) ~ theta^(p/(p-1)) against
+      the weight theta^(d-k-1) gives q = p + (p-1)(d-k).
+
+    None elsewhere: at p = 2, on a band with theta1 > 0, at H != 0 on a
+    Dirichlet cross-section, and where q is an even integer (the term is then
+    delta^q log delta).
+    """
+    p = params.p
+    if p == 2.0 or (domain.theta1, domain.theta2, domain.bc1) != (0.0, HALF_PI, NATURAL):
+        return None
+    if domain.bc2 is NATURAL:
+        H, q = hardy_exponent(params).H, p
+    elif math.fsum((params.d, params.a, -p, -params.b)) == 0.0:
+        H, q = 0.0, p + (p - 1.0) * (params.d - params.k)
+    else:
+        return None
+    return None if q % 2.0 == 0.0 else (H, q)
+
+
+def _hermite_table(x: list[float], nodes: list[tuple[float, float]]) -> tuple[float, float]:
+    """The Hermite interpolant of (value, slope) nodes at x = 0, and its leading coefficient.
+
+    x holds each node's abscissa twice.  The value is the last entry of the
+    confluent Neville-Aitken table: its first step at a repeated node is the
+    tangent value - x slope, every other step is Richardson's.  The leading
+    coefficient is the top confluent divided difference, with
+    f[x_i, x_i] = slope_i.
+    """
+    column, differences = [], []
+    for i, (value, slope) in enumerate(nodes):
+        if i:  # Richardson's step and the divided difference between node i - 1 and node i
+            x0, x1 = x[2 * i - 1], x[2 * i]
+            previous = nodes[i - 1][0]
+            column.append(_div(x0 * value - x1 * previous, x0 - x1))
+            differences.append(_div(value - previous, x1 - x0))
+        column.append(value - x[2 * i] * slope)  # the tangent value at node i, taken twice
+        differences.append(slope)
+    for width in range(2, len(x)):
+        column = [_div(x[i] * column[i + 1] - x[i + width] * column[i], x[i] - x[i + width])
+                  for i in range(len(column) - 1)]
+        differences = [_div(differences[i + 1] - differences[i], x[i + width] - x[i])
+                       for i in range(len(differences) - 1)]
+    return column[0], differences[0]
+
+
+def _term_node(H: float, q: float, delta: float) -> tuple[float, float]:
+    """b(delta) = (|H-delta|^q + |H+delta|^q) / 2 and its derivative in delta^2."""
+    lo, hi = H - delta, H + delta
+    slope = q / (4.0 * delta) * (((hi > 0.0) - (hi < 0.0)) * _pow(abs(hi), q - 1.0)
+                                 - ((lo > 0.0) - (lo < 0.0)) * _pow(abs(lo), q - 1.0))
+    return (_pow(abs(lo), q) + _pow(abs(hi), q)) / 2.0, slope
+
+
+def _delta_limit(
+    trace: Iterable[tuple[float, float, float]], term: tuple[float, float] | None,
+) -> tuple[float | None, float | None]:
+    """The delta -> 0 limit of a (delta, quotient, slope) trace and its observed order in delta.
+
+    The quotient is M + c2 delta^2 + c4 delta^4 + ..., and slope its derivative in x = delta^2,
+    so the limit is the value at x = 0 of the Hermite interpolant in x of every point's quotient
+    and slope (_hermite_table).  It is exact on a polynomial in delta^2 of degree below twice the
+    point count; two points give the cubic Hermite value at x = 0.
+
+    term is _nonanalytic_term's (H, q) where the trace reaches G = 0 (|H| below the largest
+    delta, as the caller decides), else None.  Given a term, the trace is fitted by
+    A(delta^2) + e b(delta), b = (|H-delta|^q + |H+delta|^q) / 2, with e b taking the place of
+    the interpolant's top power of delta^2, so the 2n conditions of n points still fix the 2n
+    unknowns.  A adds nothing to the interpolant's top coefficient, so e = top(quotient) /
+    top(b), from the tables of both, and the limit A(0) + e |H|^q is the table's value less
+    e (b's table value - |H|^q).  Without a term the table's value is the limit, bit for bit.
+
+    The order is log((q_a - q_b) / (q_b - q_c)) / log(delta_a / delta_b) over the three
+    smallest deltas, from the quotients only, None where those differences do not share a sign.
+    The points are taken in decreasing delta, so the results do not depend on the trace's
+    order.  Values are taken as Python floats, with numpy's IEEE results (_div, _pow): deltas
+    whose squares underflow to equal x give a non-finite limit, not a ZeroDivisionError.
+    (None, None) below two points.
+    """
+    points = sorted(((float(delta), float(quotient), float(slope)) for delta, quotient, slope in trace),
+                    key=lambda point: -point[0])
+    if len(points) < 2:
+        return None, None
+    x = [_pow(delta, 2.0) for delta, _, _ in points for _ in range(2)]  # each node twice
+    limit, top = _hermite_table(x, [(quotient, slope) for _, quotient, slope in points])
+    if term is not None:
+        H, q = term
+        term_limit, term_top = _hermite_table(x, [_term_node(H, q, delta) for delta, _, _ in points])
+        limit = limit - _div(top, term_top) * (term_limit - _pow(abs(H), q))
+    order = None
+    if len(points) >= 3:
+        (delta_a, qa, _), (delta_b, qb, _), (_, qc, _) = points[-3:]
+        num, den = qa - qb, qb - qc
+        if num * den > 0:
+            order = math.log(num / den) / math.log(delta_a / delta_b)
+    return limit, order

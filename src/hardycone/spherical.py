@@ -412,35 +412,23 @@ class _RuleSums:
 
 
 class _ExactProfile(_RuleSums):
-    """The extremal profile phi = c cos^s theta on [0, pi/2], in one Gauss-Jacobi node in t = cos 2 theta.
+    """The extremal profile phi = c cos^s theta on [0, pi/2], in one Gauss-Jacobi node (_SphericalProblem.exact_node).
 
-    s is 2 - (k+a) at p = 2 with a Dirichlet pi/2, and 0 (a constant profile)
-    with a natural one: the cells whose quotient
-    _SphericalProblem.exact_quotient gives.  With A = (d-k-2)/2 and
-    B = (k+a-2)/2, w dtheta = ((1+t)/2)^B ((1-t)/2)^A dt / 4 and
-    phi' = -s c sin theta cos^(s-1) theta.  The rule has exponent A at t = 1
-    and, at t = -1, B + s - 1 = -(k+a)/2 if s > 0, else B, so its node, the
-    weight's mean, is cos^2 theta = (1+t)/2 = m / (d-k+m), m = s, or k+a
-    where s = 0.  Against that weight phi^2 is constant and phi'^2 linear in
-    t, which one node integrates exactly, as it does the constant profile's
-    e^(p/2) and |phi|^p.  So w, the rule's weight with the rest of the
-    angular weight folded in, is D / phi^2 at the node,
-    D = B((d-k)/2, (k+a)/2 + s) / 2 formed in logs (finite for any k+a).
+    Its u_delta sums, at the coefficient 1 that solve_M gives it, are the problem's
+    (_SphericalProblem.udelta_sums), so the certifier and the command line, which
+    solves nothing, give the same bits.
     """
 
     def __init__(self, problem: _SphericalProblem):
         super().__init__(problem)
-        s, dk = problem.s, problem.dk
-        m = s or problem.ka
-        cos2, sin2 = m / (dk + m), dk / (dk + m)
-        x, y = dk / 2, problem.ka / 2 + s
-        self.w = np.array([math.exp(math.lgamma(x) + math.lgamma(y) - math.lgamma(x + y) - s * math.log(cos2)) / 2])
-        cos, sin = math.sqrt(cos2), math.sqrt(sin2)
-        self.phi, self.dphi = np.array([cos**s]), np.array([-s * sin * cos ** (s - 1.0)])
+        self.w, self.phi, self.dphi = (np.array([value]) for value in problem.exact_node)
 
     def fields(self, c: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """phi and phi' at the rule's node for the coefficient c (shape (1,))."""
         return self.phi * c, self.dphi * c
+
+    def udelta_sums(self, c: np.ndarray, Gs: tuple[float, ...]) -> tuple[list[tuple[float, float]], float]:
+        return self.problem.udelta_sums(Gs)
 
     def sample(self, c: np.ndarray, theta: np.ndarray) -> np.ndarray:
         """The profile at the angles theta, exactly 0 at a Dirichlet pi/2 (s > 0)."""

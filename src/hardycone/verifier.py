@@ -6,50 +6,40 @@ has quotient >= m, and the separated family
     u_delta = r^(-H+delta) Phi(theta)  (r < 1),   r^(-H-delta) Phi(theta)  (r > 1)
 
 has quotient M + c2 delta^2 + c4 delta^4 + ... with denominator blowing up
-like 1/delta, which exhibits both sharpness and non-attainment.  For p != 2
-the quotient also carries a term that is not analytic in delta^2 wherever
-Phi' vanishes and H +/- delta reaches 0.
-evaluate_quotient_udelta gives each quotient together with its exact slope
-in delta^2, from the same quadrature sums, and _delta_limit extrapolates a
-trace of both to delta = 0 by a Hermite table over every point, with that
-term modelled where _nonanalytic_term knows its exponent.  Its
-radial integrals are pure powers, evaluated in closed form, and its
-angular integrals use the discretization the solver accepted, which the
-minimizer holds, so nothing is rebuilt: for an exact profile (a cell with
-a closed form) its one-node Gauss-Jacobi rule, exact for it; for an hp
-minimizer (p != 2 on [0, pi/2], p = 2 on a band) its elements and their
-rules for E and D; for a P1 minimizer its mesh, quadrature nodes, weights
-and shape values.  A profile the caller built from a mesh and values gets
-the P1 discretization on that mesh.  So at p = 2 the u_delta quotient is
-the Rayleigh quotient of the test function the solver returned +
-delta^2, and on an exact-profile cell that test function is the admissible
-profile itself, not an interpolant of it.  In the superdegenerate regime
-k+a >= p, cutoff_decay measures the energy a log cutoff near {y = 0} costs,
-by tensor-product quadrature in (log r, -log|y|), as the exponential of
-_cutoff_log_decay, its logarithm, which stays finite where the energy
-itself underflows.  That one sum walks the rule one Gauss panel in log r
-at a time, so the per-node factors exist for 10 rows only and a call
-holds one full-grid array (the log terms: 0.92 MB) instead of one per
-factor.  radial_hardy_quotient is a 1-D oracle for sampled profiles.
+like 1/delta, which exhibits both sharpness and non-attainment.
+evaluate_quotient_udelta gives each quotient with its exact slope in
+delta^2 (params._udelta_quotient; params._delta_limit extrapolates a trace
+of both to delta = 0).  Its radial integrals are pure powers, in closed
+form, and its angular integrals use the discretization the solver
+accepted, which the minimizer holds, so nothing is rebuilt: an exact
+profile's one-node Gauss-Jacobi rule, exact for it; an hp minimizer's
+elements and their rules for E and D; a P1 minimizer's mesh, quadrature
+nodes, weights and shape values.  A profile the caller built from a mesh
+and values gets the P1 discretization on that mesh; only a minimizer or
+such a profile imports spherical.  At p = 2 the u_delta quotient is the Rayleigh quotient
+of the test function the solver returned + delta^2, and on an
+exact-profile cell that test function is the profile itself.  For
+k+a >= p, cutoff_decay measures the energy a log cutoff near {y = 0}
+costs, by tensor-product quadrature in (log r, -log|y|), as the
+exponential of _cutoff_log_decay, its logarithm, which stays finite where
+the energy underflows; a call holds one full-grid array (0.92 MB).
+radial_hardy_quotient is a 1-D oracle for sampled profiles.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, NamedTuple
+from typing import TYPE_CHECKING, NamedTuple
 
 import numpy as np
 
-from .params import HALF_PI, NATURAL, AngularDomain, ConeSpec, HardyParams, hardy_exponent
+from .params import (NATURAL, AngularDomain, ConeKind, ConeSpec, HardyParams, _SphericalProblem, _udelta_quotient,
+                     hardy_exponent)
 from .quadrature import AngularWeight, _gauss_jacobi, _log_sphere_surface_area, composite_rule
-from .spherical import (
-    DiscretizedFunction,
-    _Discretization,
-    _Minimizer,
-    _RuleSums,
-    _SphericalProblem,
-)
+
+if TYPE_CHECKING:
+    from .spherical import DiscretizedFunction, _RuleSums
 
 CUTOFF_RADIAL_PANELS = 48  # 10-point Gauss panels in nu = log r for the strip energy
 CUTOFF_TAU_PANELS = 24  # and in tau = -log|y|
@@ -118,6 +108,7 @@ def _discretization(params: HardyParams, Phi: DiscretizedFunction) -> tuple[_Rul
     caller-built profile gets the P1 discretization on its mesh (all nodes
     free), with its nodal values.
     """
+    from .spherical import _Discretization, _Minimizer  # loaded already with a solver's minimizer
     if isinstance(Phi, _Minimizer):
         return Phi.disc, Phi.coefficients
     rule = composite_rule(AngularWeight.for_params(params), Phi.mesh)  # rejects a mesh outside [0, pi/2]
@@ -147,143 +138,24 @@ def evaluate_quotient_udelta(
     equals the Rayleigh quotient of Phi in that discretization plus
     delta^2, to rounding.  The denominator diverges like 1/delta: the
     divergence of the minimizing family's mass is what prevents any
-    function from attaining the sharp constant.
-
-    The quotient is Q = [E(H-delta) + E(H+delta)] / (2 D), and its slope
-
-        dQ/d(delta^2) = [E_G(H+delta) - E_G(H-delta)] / (4 delta D),
-        E_G(G) = dE/dG = p G int w (Phi'^2 + G^2 Phi^2)^(p/2-1) Phi^2,
-
-    formed in G, not G^2, from the nodes and fields of E (1 at p = 2, to
-    rounding); nodes where the density vanishes add 0.
+    function from attaining the sharp constant.  The quotient and its slope
+    are params._udelta_quotient's, with E_G(G) = dE/dG =
+    p G int w (Phi'^2 + G^2 Phi^2)^(p/2-1) Phi^2 formed in G, not G^2, from
+    the nodes and fields of E; nodes where the density vanishes add 0.
     """
     if delta <= 0:
         raise ValueError(f"need delta > 0, got {delta}")
     disc, coefficients = _discretization(params, Phi)
     pref = AngularWeight.for_params(params, cone).prefactor
     H = hardy_exponent(params).H
-    ((e_minus, g_minus), (e_plus, g_plus)), mass = disc.udelta_sums(coefficients, (H - delta, H + delta))
+    sums, mass = disc.udelta_sums(coefficients, (H - delta, H + delta))
+    (e_minus, _), (e_plus, _) = sums
     # a delta near the float range gives an inf or nan quotient, which the caller rejects
     with np.errstate(over="ignore", invalid="ignore"):
         numerator = pref * (e_minus + e_plus) / (params.p * delta)
         denominator = pref * 2.0 / (params.p * delta) * mass
-        quotient = (e_minus + e_plus) / (2.0 * mass)
-        slope = (g_plus - g_minus) / (4.0 * delta * mass)
+        quotient, slope = _udelta_quotient(sums, mass, delta)
     return RayleighEvaluation(numerator=numerator, denominator=denominator, quotient=quotient, slope=slope)
-
-
-def _nonanalytic_term(params: HardyParams, domain: AngularDomain) -> tuple[float, float] | None:
-    """(H, q) of the one known term of the u_delta quotient that is not analytic in delta^2, or None.
-
-    The quotient is [E(H-delta) + E(H+delta)] / (2D) with
-    E(G) = int w (Phi'^2 + G^2 Phi^2)^(p/2), and for p != 2 E is not analytic
-    at G = 0 wherever Phi' vanishes.  On two cross-sections of [0, pi/2] the
-    quotient then carries e b(delta), b = (|H-delta|^q + |H+delta|^q) / 2,
-    with a known q:
-
-    * both ends natural: Phi is constant, so the quotient is C b(delta),
-      q = p;
-    * a natural pole at theta = 0 and a Dirichlet pi/2, at H = 0 (decided
-      exactly, from d + a - p - b): Phi - Phi(0) ~ theta^(p/(p-1)) against
-      the weight theta^(d-k-1) gives q = p + (p-1)(d-k).
-
-    None elsewhere: at p = 2, on a band with theta1 > 0, at H != 0 on a
-    Dirichlet cross-section, and where q is an even integer (the term is then
-    delta^q log delta).
-    """
-    p = params.p
-    if p == 2.0 or (domain.theta1, domain.theta2, domain.bc1) != (0.0, HALF_PI, NATURAL):
-        return None
-    if domain.bc2 is NATURAL:
-        H, q = hardy_exponent(params).H, p
-    elif math.fsum((params.d, params.a, -p, -params.b)) == 0.0:
-        H, q = 0.0, p + (p - 1.0) * (params.d - params.k)
-    else:
-        return None
-    return None if q % 2.0 == 0.0 else (H, q)
-
-
-def _hermite_table(x: list[float], nodes: list[tuple[float, float]]) -> tuple[float, float]:
-    """The Hermite interpolant of (value, slope) nodes at x = 0, and its leading coefficient.
-
-    x holds each node's abscissa twice.  The value is the last entry of the
-    confluent Neville-Aitken table: its first step at a repeated node is the
-    tangent value - x slope, every other step is Richardson's.  The leading
-    coefficient is the top confluent divided difference, with
-    f[x_i, x_i] = slope_i.
-    """
-    column, differences = [], []
-    for i, (value, slope) in enumerate(nodes):
-        if i:  # Richardson's step and the divided difference between node i - 1 and node i
-            x0, x1 = x[2 * i - 1], x[2 * i]
-            previous = nodes[i - 1][0]
-            column.append((x0 * value - x1 * previous) / (x0 - x1))
-            differences.append((value - previous) / (x1 - x0))
-        column.append(value - x[2 * i] * slope)  # the tangent value at node i, taken twice
-        differences.append(slope)
-    for width in range(2, len(x)):
-        column = [(x[i] * column[i + 1] - x[i + width] * column[i]) / (x[i] - x[i + width])
-                  for i in range(len(column) - 1)]
-        differences = [(differences[i + 1] - differences[i]) / (x[i + width] - x[i])
-                       for i in range(len(differences) - 1)]
-    return column[0], differences[0]
-
-
-def _term_node(H: float, q: float, delta: float) -> tuple[np.float64, np.float64]:
-    """b(delta) = (|H-delta|^q + |H+delta|^q) / 2 and its derivative in delta^2."""
-    lo, hi = np.float64(H - delta), np.float64(H + delta)
-    slope = q / (4.0 * delta) * (np.sign(hi) * abs(hi) ** (q - 1.0) - np.sign(lo) * abs(lo) ** (q - 1.0))
-    return (abs(lo) ** q + abs(hi) ** q) / 2.0, slope
-
-
-def _delta_limit(
-    trace: Iterable[tuple[float, float, float]], term: tuple[float, float] | None,
-) -> tuple[float | None, float | None]:
-    """The delta -> 0 limit of a (delta, quotient, slope) trace and its observed order in delta.
-
-    The quotient is M + c2 delta^2 + c4 delta^4 + ..., and slope its
-    derivative in x = delta^2, so the limit is the value at x = 0 of the
-    Hermite interpolant in x of every point's quotient and slope
-    (_hermite_table).  It is exact on a polynomial in delta^2 of degree below
-    twice the point count; two points give the cubic Hermite value at x = 0.
-
-    term is _nonanalytic_term's (H, q) where the trace reaches G = 0 (|H|
-    below the largest delta, as the caller decides), else None.  Given a
-    term, the trace is fitted by A(delta^2) + e b(delta),
-    b = (|H-delta|^q + |H+delta|^q) / 2, with e b taking the place of the
-    interpolant's top power of delta^2, so the 2n conditions of n points
-    still fix the 2n unknowns.  A adds nothing to the interpolant's top
-    coefficient, so e = top(quotient) / top(b), from the tables of both,
-    and the limit A(0) + e |H|^q is the table's value less
-    e (b's table value - |H|^q).  The tables run in a fixed order, so the
-    limit does not depend on BLAS threads.  Without a term the table's
-    value is the limit, bit for bit.
-
-    The order is log((q_a - q_b) / (q_b - q_c)) / log(delta_a / delta_b)
-    over the three smallest deltas, from the quotients only, None where
-    those differences do not share a sign.  The points are taken in
-    decreasing delta, so the results do not depend on the trace's order.
-    With numpy-scalar quotients, as evaluate_quotient_udelta gives, deltas
-    whose squares underflow to equal x give a non-finite limit, which the
-    caller rejects, not a ZeroDivisionError.  (None, None) below two points.
-    """
-    points = sorted(trace, key=lambda point: -point[0])
-    if len(points) < 2:
-        return None, None
-    x = [delta**2 for delta, _, _ in points for _ in range(2)]  # each node twice
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        limit, top = _hermite_table(x, [(quotient, slope) for _, quotient, slope in points])
-        if term is not None:
-            H, q = term
-            term_limit, term_top = _hermite_table(x, [_term_node(H, q, delta) for delta, _, _ in points])
-            limit = limit - top / term_top * (term_limit - abs(H) ** q)
-    order = None
-    if len(points) >= 3:
-        (delta_a, qa, _), (delta_b, qb, _), (_, qc, _) = points[-3:]
-        num, den = qa - qb, qb - qc
-        if num * den > 0:
-            order = math.log(num / den) / math.log(delta_a / delta_b)
-    return limit, order
 
 
 # ---------------------------------------------------------------------------
@@ -324,7 +196,7 @@ def _plateau_window(delta_inner: float, delta_outer: float) -> _PlateauWindow:
     return _PlateauWindow(r0=delta_inner * e, r1=delta_outer / e)
 
 
-def cutoff_decay(params: HardyParams, u_support: tuple[float, float], h: int) -> float:
+def cutoff_decay(params: HardyParams, u_support: tuple[float, float], h: int, cone: ConeSpec | None = None) -> float:
     """Gradient energy I_h of u_h = eta(-log|y|/h) u over the strip e^-2h < |y| < e^-h.
 
     The model u is a radial plateau window on u_support times the constant
@@ -335,15 +207,17 @@ def cutoff_decay(params: HardyParams, u_support: tuple[float, float], h: int) ->
         I_h = pref * int dnu e^(nu(d-b-k)) int_h^2h dtau e^(-tau(k+a))
               * (1-c^2)^((d-k-2)/2) * |grad u_h|^p,
 
-    so I_h -> 0 like h^(1-p) at the threshold k+a = p and exponentially for
+    pref halved when cone is the half space (one side of {y = 0}).  So
+    I_h -> 0 like h^(1-p) at the threshold k+a = p and exponentially for
     k+a > p, where it underflows to 0 once h(k+a-p) passes ~700
     (_cutoff_log_decay gives log I_h there).  I_h is the exponential of
     that logarithm, or OverflowError above the float range (b = -300).
     """
-    return math.exp(_cutoff_log_decay(params, u_support, h))
+    return math.exp(_cutoff_log_decay(params, u_support, h, cone))
 
 
-def _cutoff_log_decay(params: HardyParams, u_support: tuple[float, float], h: int) -> float:
+def _cutoff_log_decay(params: HardyParams, u_support: tuple[float, float], h: int,
+                      cone: ConeSpec | None = None) -> float:
     """log I_h of cutoff_decay, finite where I_h itself underflows.
 
     The tensor-product Gauss rule (480 nu- by 240 tau-nodes) is walked one
@@ -400,6 +274,8 @@ def _cutoff_log_decay(params: HardyParams, u_support: tuple[float, float], h: in
         return -math.inf
     terms -= top
     log_pref = _log_sphere_surface_area(k - 1) + _log_sphere_surface_area(d - k - 1)
+    if cone is not None and cone.kind is ConeKind.HALF_SPACE:
+        log_pref -= math.log(2.0)
     return log_pref + float(top) + math.log(np.exp(terms, out=terms).sum())
 
 

@@ -155,7 +155,7 @@ class TestCommands:
         assert hrow.fit_rate == pytest.approx(1.0 - 2.0, abs=0.05)  # h^(1-p)
 
     def test_verify_non_finite_h_energy_fails_row(self, monkeypatch):
-        monkeypatch.setattr(cli, "cutoff_decay", lambda params, support, h: math.nan)
+        monkeypatch.setattr(cli, "cutoff_decay", lambda params, support, h, cone: math.nan)
         config = config_for("verify", a=(1.0,), delta_list=(), h_list=(4, 8))
         hrow = cmd_verify(config)[-1]
         assert hrow.status == "solver_fail"
@@ -664,14 +664,14 @@ class TestMainEntry:
         assert row["status"] == "solver_fail" and row["numeric_M"] is None
 
     def test_failed_row_keeps_its_closed_form(self, capsys, monkeypatch):
-        # verify solves for its minimizer; where that solve fails, the profile is still
-        # constant and |H|^p = 50.5^2 exact
-        count_solves(monkeypatch, fail=lambda params: True)
+        # an exact cell calls no solver, so a solver that would fail is never reached: the
+        # profile is constant, |H|^p = 50.5^2 exact, and its trace comes from params' sums
+        calls = count_solves(monkeypatch, fail=lambda params: True)
         code, out, err = run_cli(capsys, "verify", "--d", "3", "--k", "1", "--a=100", "--mesh", "64")
-        assert code == 1
+        assert code == 0 and calls == []
         [row] = json.loads(out)["rows"]
-        assert row["status"] == "solver_fail" and row["closed_form"] == 2550.25
-        assert row["numeric_M"] is None and "gap" not in row
+        assert row["status"] == "ok" and row["closed_form"] == row["numeric_M"] == 2550.25
+        assert len(row["trace"]) == 3 and "gap" not in row
 
     def test_stuck_descent_is_a_failed_row(self, capsys, monkeypatch):
         # the descent's line search fails far from convergence: no number is printed
@@ -785,9 +785,10 @@ class TestMainEntry:
         assert row["status"] == "ok" and row["numeric_M"] == row["closed_form"]
         assert abs(row["extrapolated"] - row["closed_form"]) <= 1e-12 * row["closed_form"]
 
-    @pytest.mark.parametrize("d", [345, 400])
+    @pytest.mark.parametrize("d", [345, 400, 500])
     def test_verify_large_d_minus_k_is_exact(self, capsys, d):
-        # |S^(d-k-1)| is formed in logs: Gamma((d-k)/2) overflows from d-k = 344
+        # |S^(d-k-1)| is formed in logs: Gamma((d-k)/2) overflows from d-k = 344; the delta row
+        # reads no prefactor, which underflows to 0 past d-k ~ 455
         code, out, err = run_cli(capsys, "verify", "--d", str(d), "--k", "1", "--mesh", "64")
         assert code == 0 and err == ""
         row = json.loads(out)["rows"][0]
@@ -805,9 +806,23 @@ class TestMainEntry:
         assert [row["status"] for row in rows] == ["ok", status]
         assert len(rows[1]["trace"]) == (2 if status == "ok" else 0)
 
+    def test_verify_half_space_strip_is_one_side(self, capsys):
+        # the half space is one side of {y = 0}: half the strip energy of the complement of
+        # {y = 0}, as its delta row's prefactor is half, and the same rate
+        rows = {}
+        for cone in ("half-space", "complement-sigma0"):
+            code, out, err = run_cli(capsys, "verify", "--cone", cone, "--a=1", "--hs", "4,8",
+                                     "--deltas", "", "--mesh", "64")
+            assert code == 0
+            rows[cone] = json.loads(out)["rows"][1]
+        half, whole = rows["half-space"], rows["complement-sigma0"]
+        for (h, energy), (h_whole, energy_whole) in zip(half["trace"], whole["trace"]):
+            assert h == h_whole and energy == pytest.approx(energy_whole / 2, rel=1e-14)
+        assert half["fit_rate"] == pytest.approx(whole["fit_rate"], rel=1e-13)
+
     def test_verify_slow_h_decay_fails_the_row(self, capsys, monkeypatch):
         # energies decaying like h^(-1/2), slower than the h^(1-p) = h^(-1) guarantee
-        monkeypatch.setattr(cli, "cutoff_decay", lambda params, support, h: h**-0.5)
+        monkeypatch.setattr(cli, "cutoff_decay", lambda params, support, h, cone: h**-0.5)
         code, out, err = run_cli(capsys, "verify", "--a=1", "--hs", "4,8,16", "--deltas", "", "--mesh", "64")
         assert code == 1 and err == ""
         rows = json.loads(out)["rows"]
@@ -1075,25 +1090,30 @@ class TestProcesses:
         ])
         assert out.strip() == "[]"
 
+    SOLVER_MODULES = ("hardycone.hp", "hardycone.quadrature", "hardycone.spherical", "hardycone.verifier", "numpy")
+
     @pytest.mark.parametrize("argv, loaded", [
         (["sweep", "--d", "3,4,5", "--k", "1,2", "--p", "2", "--a=-0.5,0,0.5,0.9", "--b", "0",
           "--cone", "complement-sigma0,half-space", "--mesh", "2048"], []),
         (["table"], []),
-        (["constant", "--p", "3"], ["hardycone.hp", "hardycone.spherical", "numpy"]),
-    ], ids=["p2-sweep", "table", "p3-constant"])
+        (["constant", "--p", "3"], ["hardycone.hp", "hardycone.quadrature", "hardycone.spherical", "numpy"]),
+        (["verify", "--a", "0.9", "--mesh", "2048"], []),
+        (["verify", "--a", "1", "--hs", "4,8"], ["hardycone.quadrature", "hardycone.verifier", "numpy"]),
+        (["verify", "--p", "3"], list(SOLVER_MODULES)),
+    ], ids=["p2-sweep", "table", "p3-constant", "exact-verify", "exact-verify-hs", "p3-verify"])
     def test_exact_cells_load_no_solver(self, argv, loaded):
         # every cell of the p = 2 sweep and the default table has a closed form, answered from
-        # params; the Dirichlet p = 3 cell needs hp
+        # params, and an exact cell's delta trace comes from params' sums; its strip energies
+        # need numpy and the verifier, not spherical; the Dirichlet p = 3 cell needs hp
         out = run_process(["-c", "import json, sys; from hardycone.cli import main; "
                            f"code = main({argv!r}); "
                            "print(json.dumps(sorted(m for m in sys.modules if m.split('.')[0] == 'numpy' or "
-                           "m in ('hardycone.spherical', 'hardycone.hp', 'hardycone.verifier')))); "
+                           f"m in {self.SOLVER_MODULES!r}))); "
                            "sys.exit(code)"])
         *report, modules = out.splitlines()
         assert json.loads("\n".join(report))["rows"]
         modules = json.loads(modules)
-        assert [name for name in ("hardycone.hp", "hardycone.spherical", "numpy") if name in modules] == loaded
-        assert "hardycone.verifier" not in modules
+        assert [name for name in self.SOLVER_MODULES if name in modules] == loaded
 
     def test_constant_report_independent_of_blas_threads(self):
         args = ["-m", "hardycone.cli", "constant", "--mesh", "32768"]

@@ -11,7 +11,14 @@ from scipy.interpolate import CubicHermiteSpline, CubicSpline
 import hardycone.verifier as verifier
 from hardycone.cli import RunConfig, cmd_verify, parse_cone
 from hardycone.hp import _HpDiscretization
-from hardycone.params import ConeSpec, HardyParams, closed_form_constant, hardy_exponent
+from hardycone.params import (
+    ConeSpec,
+    HardyParams,
+    _delta_limit,
+    _nonanalytic_term,
+    closed_form_constant,
+    hardy_exponent,
+)
 from hardycone.quadrature import sphere_weight_mass
 from hardycone.spherical import (
     DIRICHLET,
@@ -25,8 +32,6 @@ from hardycone.spherical import (
 )
 from hardycone.verifier import (
     _cutoff_log_decay,
-    _delta_limit,
-    _nonanalytic_term,
     cutoff_decay,
     eta_cutoff,
     eta_cutoff_prime,
@@ -195,7 +200,7 @@ class TestUdeltaQuotient:
 # an exact-profile, an hp and a P1 cell, and the discretizations each one's solve
 # builds; the first keeps the id "factored" of the basis the exact profile replaced
 SOLVE_BUILDS = [
-    ((3, 1, 2.0, 0.0, 0.0), "half-space", {"factored": 1}),  # the exact profile's one-node rule
+    ((3, 1, 2.0, 0.0, 0.0), "half-space", {}),  # an exact cell calls no solver: its sums come from params
     ((3, 1, 3.0, 0.0, 0.0), "complement-sigma0", {"hp": 2}),  # two hp levels
     ((3, 1, 3.0, 0.3, 0.0), "band:0.3:1.2", {"P1": 1}),
 ]
@@ -222,6 +227,29 @@ class TestHeldDiscretization:
         [row] = cmd_verify(config)
         assert row.status == "ok" and len(row.quotient_trace) == 4
         assert counts == {"factored": 0, "hp": 0, "P1": 0, "rule": 0, **builds}
+
+    @pytest.mark.parametrize("cell, cone", [
+        ((3, 1, 1.5, 0.5, 0.0), "complement-sigma0"),  # k+a >= p: a constant profile
+        ((4, 1, 2.0, 0.3, 0.5), "half-space"),  # cos^s theta
+        ((4, 1, 3.0, -0.5, 0.3), "full"),  # constant, with the non-analytic term in the trace
+    ])
+    def test_verify_trace_is_the_library_quotient(self, cell, cone):
+        # verify solves nothing on an exact cell, and its trace and limit are those of the
+        # solver's minimizer, bit for bit
+        params, spec = HardyParams(*cell), parse_cone(cone)
+        deltas = (0.2, 0.1, 0.05, 0.025)
+        config = RunConfig("verify", d=(cell[0],), k=(cell[1],), p=(cell[2],), a=(cell[3],), b=(cell[4],),
+                           cones=(cone,), mesh_size=256, delta_list=deltas)
+        [row] = cmd_verify(config)
+        Phi = solve_M(params, spec, 256).minimizer
+        assert type(Phi.disc) is _ExactProfile and row.status == "ok"
+        evaluations = [evaluate_quotient_udelta(params, Phi, delta, cone=spec) for delta in deltas]
+        assert row.quotient_trace == tuple((delta, ev.quotient) for delta, ev in zip(deltas, evaluations))
+        term = _nonanalytic_term(params, bc_for_cone(params, spec))
+        if term is not None and not abs(term[0]) < max(deltas):
+            term = None  # as verify: a trace that does not reach G = 0 carries no term
+        trace = [(delta, ev.quotient, ev.slope) for delta, ev in zip(deltas, evaluations)]
+        assert row.extrapolated == _delta_limit(trace, term)[0]
 
     @pytest.mark.parametrize("cell, cone, fallback", [
         ((3, 1, 3.0, 0.3, 0.0), ConeSpec.band(0.3, 1.2), False),
@@ -306,6 +334,9 @@ class TestDeltaLimit:
     def test_underflowing_deltas_give_nan_not_an_exception(self):
         one, two = np.float64(1.0), np.float64(2.0)
         limit, order = _delta_limit([(1e-200, two, one), (1e-300, two, one), (1e-310, two, one)], None)
+        assert math.isnan(limit) and order is None
+        # Python floats, as an exact profile's sums give: the same nan, not a ZeroDivisionError
+        limit, order = _delta_limit([(1e-200, 2.0, 1.0), (1e-300, 2.0, 1.0), (1e-310, 2.0, 1.0)], None)
         assert math.isnan(limit) and order is None
 
 
