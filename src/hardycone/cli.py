@@ -85,10 +85,6 @@ def parse_cone(text: str) -> ConeSpec:
         raise ValueError(f"unknown cone {text!r}; choices: {CONE_CHOICES}") from None
 
 
-def _tuples(value):  # JSON value -> field value: lists, also nested ones, become tuples
-    return tuple(_tuples(v) for v in value) if isinstance(value, list) else value
-
-
 @dataclass(frozen=True)
 class RunConfig:
     """Validated invocation; the field names are the config keys, the defaults the CLI's."""
@@ -168,11 +164,14 @@ class ReportRow:
     quotient_trace: tuple[tuple[float, float], ...] = ()
 
     def to_dict(self) -> dict:
-        return {_ROW_KEYS.get(f.name, f.name): getattr(self, f.name) for f in fields(self)}
+        """The report's row: each non-finite float, also in the trace, is None (strict JSON has no NaN)."""
+        return {_ROW_KEYS.get(f.name, f.name): _finite_or_none(getattr(self, f.name)) for f in fields(self)}
 
-    @classmethod
-    def from_dict(cls, doc: dict) -> "ReportRow":
-        return cls(**{f.name: _tuples(doc[_ROW_KEYS.get(f.name, f.name)]) for f in fields(cls)})
+
+def _finite_or_none(value):
+    if isinstance(value, float):
+        return value if math.isfinite(value) else None
+    return tuple(map(_finite_or_none, value)) if isinstance(value, tuple) else value
 
 
 _ROW_KEYS = {"lam": "lambda", "quotient_trace": "trace"}  # report keys that differ from field names
@@ -193,8 +192,6 @@ def _solve(params: HardyParams, cone: ConeSpec, mesh: int, keep_minimizer: bool 
     """
     try:
         result = _cli.solve_M(params, cone, mesh_size=mesh)
-    except AdmissibilityError:
-        raise
     except (ConvergenceError, ValueError, OverflowError):
         return None
     return result if keep_minimizer else replace(result, minimizer=None)
@@ -295,8 +292,9 @@ def cmd_verify(config: RunConfig) -> list[ReportRow]:
     (status solver_fail) if a trace value or the extrapolated limit is not
     finite, the order is below 1.85 (0.925 q where a non-analytic term with
     q < 2 leads the trace: |H| below the largest delta) or the limit misses
-    the reference by more than 1e-4 relative (1e-9 absolute near 0); if the
-    trace raises, the row keeps its solve's values.  The h row fails if an
+    numeric_M (on an exact row the closed form itself) by more than 1e-4
+    relative (1e-9 absolute near 0); if the trace raises, the row keeps its
+    solve's values.  The h row fails if an
     energy or the fitted rate is not finite or the strip energy decays
     slower than h^(1-p); on the half space the energy is that of its one
     side of {y = 0}.  --deltas and --hs lists that fail the checks below
@@ -326,7 +324,6 @@ def cmd_verify(config: RunConfig) -> list[ReportRow]:
         result = None
     row = _cell_row("verify", params, cone, config.mesh_size, result)
     if row.status != "solver_fail":
-        reference = row.closed_form if row.closed_form is not None else row.numeric_M
         try:
             H = hardy_exponent(params).H
             if result.minimizer is None:  # an exact profile: its one-node sums, no solver
@@ -346,7 +343,7 @@ def cmd_verify(config: RunConfig) -> list[ReportRow]:
             broken = not _finite(*(q for _, q in trace), extrap)
             # a term the trace reaches leads it as delta^q where q < 2
             slow = order is not None and order < 0.925 * (2.0 if term is None else min(term[1], 2.0))
-            off = extrap is not None and abs(extrap - reference) > max(1e-4 * abs(reference), 1e-9)
+            off = extrap is not None and abs(extrap - row.numeric_M) > max(1e-4 * abs(row.numeric_M), 1e-9)
             row = replace(row, quotient_trace=trace, extrapolated=extrap, fit_order=order,
                           status="solver_fail" if broken or slow or off else "ok")
     rows = [row]
@@ -367,7 +364,7 @@ def cmd_verify(config: RunConfig) -> list[ReportRow]:
             status = "ok"
             if not _finite(*(energy for _, energy in htrace), rate):
                 status = "solver_fail"
-            elif rate is not None and rate > (1.0 - params.p) * 0.9:
+            elif rate > (1.0 - params.p) * 0.9:
                 status = "solver_fail"  # slower than the h^(1-p) guarantee
             hrow = replace(hrow, quotient_trace=tuple(htrace), fit_rate=rate, status=status)
         except (ValueError, OverflowError):  # OverflowError: an energy above the float range
@@ -381,10 +378,8 @@ def _finite(*values: float | None) -> bool:
     return all(math.isfinite(value) for value in values if value is not None)
 
 
-def _fit_log_slope(trace: list[tuple[float, float]]) -> float | None:
-    """Least-squares slope of log-energy against log h over (h, log-energy) points."""
-    if len(trace) < 2:
-        return None
+def _fit_log_slope(trace: list[tuple[float, float]]) -> float:
+    """Least-squares slope of log-energy against log h over two or more (h, log-energy) points."""
     xs = [math.log(h) for h, _ in trace]
     ys = [log_value for _, log_value in trace]
     n = len(xs)

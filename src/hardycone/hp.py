@@ -21,9 +21,9 @@ vertices, whose tridiagonal Schur complement P1's routine solves
 (spherical._solve_free); only the (q - 1) x (q - 1) bubble blocks go to
 LAPACK, so results do not depend on the BLAS thread count.  _hp_solve
 checks the solve against one on two more layers of degree two more,
-warm-started from it (the meshes nest), and on a near miss checks that one
-against a third, two layers and two degrees finer again.  spherical.solve_M
-imports this module only for such a solve.
+warm-started from it (the meshes nest), and where they differ checks that
+one against the next, finer again, up to HP_LEVELS solves.
+spherical.solve_M imports this module only for such a solve.
 """
 
 from __future__ import annotations
@@ -50,7 +50,7 @@ from .spherical import (
 
 HP_LAYERS = 5  # elements graded toward each end in the first hp solve
 HP_DEGREE = 9  # their polynomial degree; each check solve takes two more of each
-HP_LEVELS = 3  # hp solves at most: the first, its check and, on a near miss, one more
+HP_LEVELS = 4  # hp solves at most: the first and its checks, each two layers and two degrees finer
 HP_RATIO = 0.3  # ratio of consecutive element sizes toward an end
 HP_POINTS = 16  # Gauss points per element, in every hp solve
 HP_TOL = 1e-10  # relative change of M from one hp solve to its check solve
@@ -410,12 +410,13 @@ def _hp_solve(problem: _SphericalProblem, mesh_size: int) -> SpectralResult:
     steps) runs from start() on HP_LAYERS layers of degree HP_DEGREE, then
     from that minimizer, prolonged exactly, on two more layers of degree
     two more: the meshes nest.  The solve is accepted when M is within
-    HP_TOL relative of the level before.  On a near miss the same step is
-    taken once more, from the second level to a third, up to HP_LEVELS
-    levels in all: small-M cells at large p whose first check misses by a
-    few 1e-10 change by a few 1e-13 at the second.  M is the accepted
-    level's; past HP_LEVELS the solve raises ConvergenceError, and solve_M
-    falls back to P1.  iterations counts the steps of every descent, and
+    HP_TOL relative of the level before.  Otherwise the same step is taken
+    again, up to HP_LEVELS levels in all, the last at (HP_LAYERS + 6,
+    HP_DEGREE + 6): small-M cells at large p whose first check misses by a
+    few 1e-10 change by a few 1e-13 at the second, and near the threshold
+    k+a = p, or at p = 1.1, the check first passes at the fourth level.  M
+    is the accepted level's; past HP_LEVELS the solve raises
+    ConvergenceError, and solve_M falls back to P1.  iterations counts the steps of every descent, and
     residual is the change of M between the last two levels.  The minimizer
     holds the accepted level's discretization; mesh_size (solve_M checks it)
     sets the graded mesh it samples itself on when first read, as P1's.

@@ -60,14 +60,20 @@ def _log_sphere_surface_area(n: int) -> float:
     return math.log(2.0) + (n + 1) / 2 * math.log(math.pi) - math.lgamma((n + 1) / 2)
 
 
+def _log_prefactor(params: HardyParams, cone: ConeSpec | None = None) -> float:
+    """log(|S^(k-1)| |S^(d-k-1)|), less log 2 on the half space, whose cross-section is one hemisphere.
+
+    The prefactor turns the 1-D integral into the sphere integral of an axisymmetric function.
+    """
+    log_pref = _log_sphere_surface_area(params.k - 1) + _log_sphere_surface_area(params.d - params.k - 1)
+    if cone is not None and cone.kind is ConeKind.HALF_SPACE:
+        log_pref -= math.log(2.0)
+    return log_pref
+
+
 @dataclass(frozen=True)
 class AngularWeight:
-    """Weight cos^cos_exponent * sin^sin_exponent with its sphere prefactor.
-
-    prefactor = |S^(k-1)| * |S^(d-k-1)| turns the 1-D integral into the full
-    sphere integral of an axisymmetric function; it is halved for the half
-    space, whose cross-section is a single hemisphere of the y-axis.
-    """
+    """Weight cos^cos_exponent * sin^sin_exponent with its sphere prefactor, exp(_log_prefactor)."""
 
     cos_exponent: float
     sin_exponent: float
@@ -75,13 +81,10 @@ class AngularWeight:
 
     @classmethod
     def for_params(cls, params: HardyParams, cone: ConeSpec | None = None) -> "AngularWeight":
-        pref = sphere_surface_area(params.k - 1) * sphere_surface_area(params.d - params.k - 1)
-        if cone is not None and cone.kind is ConeKind.HALF_SPACE:
-            pref *= 0.5
         return cls(
             cos_exponent=params.k + params.a - 1.0,
             sin_exponent=params.d - params.k - 1.0,
-            prefactor=pref,
+            prefactor=math.exp(_log_prefactor(params, cone)),
         )
 
 

@@ -18,11 +18,12 @@ For p != 2 on [0, pi/2] with a Dirichlet pi/2, and for p = 2 on a band, the
 quotient is minimized in hp spectral elements, phi = cos^s theta * g with g
 piecewise polynomial on a mesh graded geometrically toward both ends (the
 hp module, imported only for such a solve), and accepted when a solve on a
-finer nested mesh agrees to 1e-10, or on a near miss when a third, finer
-again, agrees with the second.  Where a check fails (a few [0, pi/2] cells
-with tiny M or p near 1), and for p != 2 on every band, the profile is
-discretized with piecewise-linear finite elements on a mesh graded toward
-the singular end theta = pi/2.
+finer nested mesh agrees to 1e-10, or else when one finer again agrees
+with the one before, up to hp.HP_LEVELS solves.  Where hp fails (a few
+[0, pi/2] cells: p near 1 very near the threshold, p < 2 at H = 0, large
+d), and for p != 2 on every band, the profile is discretized with
+piecewise-linear finite elements on a mesh graded toward the singular end
+theta = pi/2.
 Both p != 2 discretizations are minimized by one descent (_descend):
 Newton steps on the surface {int w |phi|^p = const}.  A discretization
 only solves (solve: two right-hand sides and the matrix's negative
@@ -40,8 +41,8 @@ The private solvers take the cell's 1-D problem as one
 params._SphericalProblem (re-exported here, with MIN_MESH_SIZE,
 ConvergenceError and SpectralResult): the cross-section and endpoint
 conditions that params.bc_for_cone gives, and s, the one boundary-layer
-exponent at pi/2.  Its graded mesh comes from _solve_mesh, graded by
-_auto_gamma to match s.  Every solve returns a _Minimizer, which holds the
+exponent at pi/2.  Its graded mesh comes from _solve_mesh, graded to
+match s.  Every solve returns a _Minimizer, which holds the
 discretization the solve accepted; the certifier integrates the profile
 there, and nothing samples it on the graded mesh until its values are read.
 
@@ -151,27 +152,22 @@ def graded_mesh(theta1: float, theta2: float, n: int, gamma: float = 2.0) -> np.
     return mesh
 
 
-def _auto_gamma(problem: _SphericalProblem, n: int) -> float:
-    """Grading matched to the boundary-layer exponent s at pi/2.
-
-    The minimizer behaves like u^s, u = pi/2 - theta, so the mesh exponent
-    scales like 1/s for s < 1; without a boundary layer (s = 0) the mesh is
-    graded as for a smooth profile.
-    """
-    s = problem.s
-    return 2.0 if s == 0.0 else min(max(2.0, 2.4 / s), grading_cap(problem.domain.theta1, n))
-
-
 def _require_mesh_size(mesh_size: int) -> None:
     if mesh_size < MIN_MESH_SIZE:
         raise ValueError(f"mesh_size must be at least {MIN_MESH_SIZE}")
 
 
 def _solve_mesh(problem: _SphericalProblem, mesh_size: int) -> np.ndarray:
-    """The graded mesh of mesh_size elements that a solve of the problem discretizes on."""
+    """The graded mesh of mesh_size elements that a solve of the problem discretizes on.
+
+    Its grading matches the boundary-layer exponent s at pi/2: the minimizer
+    behaves like u^s, u = pi/2 - theta, so the mesh exponent scales like 1/s
+    for s < 1 (graded_mesh caps it); without a boundary layer (s = 0) the
+    mesh is graded as for a smooth profile.
+    """
     _require_mesh_size(mesh_size)
-    domain = problem.domain
-    return graded_mesh(domain.theta1, domain.theta2, mesh_size, _auto_gamma(problem, mesh_size))
+    domain, s = problem.domain, problem.s
+    return graded_mesh(domain.theta1, domain.theta2, mesh_size, 2.0 if s == 0.0 else max(2.0, 2.4 / s))
 
 
 def _element_sums(a: np.ndarray) -> np.ndarray:

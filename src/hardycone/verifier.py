@@ -34,9 +34,8 @@ from typing import TYPE_CHECKING, NamedTuple
 
 import numpy as np
 
-from .params import (NATURAL, AngularDomain, ConeKind, ConeSpec, HardyParams, _SphericalProblem, _udelta_quotient,
-                     hardy_exponent)
-from .quadrature import AngularWeight, _gauss_jacobi, _log_sphere_surface_area, composite_rule
+from .params import NATURAL, AngularDomain, ConeSpec, HardyParams, _SphericalProblem, _udelta_quotient, hardy_exponent
+from .quadrature import AngularWeight, _gauss_jacobi, _log_prefactor, composite_rule
 
 if TYPE_CHECKING:
     from .spherical import DiscretizedFunction, _RuleSums
@@ -81,13 +80,12 @@ def eta_cutoff_prime(t: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class RayleighEvaluation:
-    """Numerator/denominator/quotient of a test function's Hardy quotient.
+    """Denominator and value of a test function's Hardy quotient.
 
     slope is the quotient's derivative dQ/d(delta^2) along the u_delta
     family, from the same sums as the quotient.
     """
 
-    numerator: float
     denominator: float
     quotient: float
     slope: float
@@ -149,13 +147,11 @@ def evaluate_quotient_udelta(
     pref = AngularWeight.for_params(params, cone).prefactor
     H = hardy_exponent(params).H
     sums, mass = disc.udelta_sums(coefficients, (H - delta, H + delta))
-    (e_minus, _), (e_plus, _) = sums
     # a delta near the float range gives an inf or nan quotient, which the caller rejects
     with np.errstate(over="ignore", invalid="ignore"):
-        numerator = pref * (e_minus + e_plus) / (params.p * delta)
         denominator = pref * 2.0 / (params.p * delta) * mass
         quotient, slope = _udelta_quotient(sums, mass, delta)
-    return RayleighEvaluation(numerator=numerator, denominator=denominator, quotient=quotient, slope=slope)
+    return RayleighEvaluation(denominator=denominator, quotient=quotient, slope=slope)
 
 
 # ---------------------------------------------------------------------------
@@ -226,8 +222,8 @@ def _cutoff_log_decay(params: HardyParams, u_support: tuple[float, float], h: in
     so one call peaks near 1 MB of arrays whatever h is.  Each term's
     logarithm is summed with the decay e^(-tau(k+a-p)) kept as the exponent
     -tau(k+a-p), never exponentiated on its own, and the terms are added by
-    log-sum-exp, in place, plus the prefactor's log from math.lgamma (exact
-    where the prefactor is subnormal or 0).  -inf when every term vanishes.
+    log-sum-exp, in place, plus _log_prefactor (exact where the prefactor
+    is subnormal or 0).  -inf when every term vanishes.
     """
     if h < 1:
         raise ValueError(f"need h >= 1, got {h}")
@@ -273,10 +269,7 @@ def _cutoff_log_decay(params: HardyParams, u_support: tuple[float, float], h: in
     if top == -math.inf:
         return -math.inf
     terms -= top
-    log_pref = _log_sphere_surface_area(k - 1) + _log_sphere_surface_area(d - k - 1)
-    if cone is not None and cone.kind is ConeKind.HALF_SPACE:
-        log_pref -= math.log(2.0)
-    return log_pref + float(top) + math.log(np.exp(terms, out=terms).sum())
+    return _log_prefactor(params, cone) + float(top) + math.log(np.exp(terms, out=terms).sum())
 
 
 # ---------------------------------------------------------------------------

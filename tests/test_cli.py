@@ -22,7 +22,6 @@ import hardycone.hp as hp
 import hardycone.spherical as spherical
 from hardycone.cli import (
     CSV_COLUMNS,
-    ReportRow,
     RunConfig,
     cmd_constant,
     cmd_spectrum,
@@ -70,6 +69,14 @@ def config_for(command="constant", **overrides):
     )
     base.update(overrides)
     return RunConfig(**base)
+
+
+def json_row(row):
+    """row.to_dict() as a JSON report reads back: tuples, also nested ones, as lists."""
+    def listed(value):
+        return [listed(v) for v in value] if isinstance(value, tuple) else value
+
+    return {key: listed(value) for key, value in row.to_dict().items()}
 
 
 class TestParseCone:
@@ -190,6 +197,12 @@ class TestCommands:
         )
         assert code == 0
         assert json.loads(out)["rows"] == []
+
+    def test_sweep_skips_cells_with_k_at_least_d(self, capsys):
+        # (d, k) = (2, 2) has no cross-section angle: the grid holds no such cell
+        code, out, err = run_cli(capsys, "sweep", "--d", "2,3", "--k", "1,2", "--mesh", "64")
+        assert code == 0 and err == ""
+        assert [(row["d"], row["k"]) for row in json.loads(out)["rows"]] == [(2, 1), (3, 1), (3, 2)]
 
 
 def count_solves(monkeypatch, fail=lambda params: False):
@@ -383,16 +396,16 @@ class TestTableDedupe:
 
 class TestSerialization:
     def test_report_row_round_trip(self):
-        rows = cmd_verify(config_for("verify", delta_list=(0.2, 0.1), h_list=()))
-        for row in rows:
-            assert ReportRow.from_dict(row.to_dict()) == row
+        config = config_for("verify", delta_list=(0.2, 0.1), h_list=())
+        rows = cmd_verify(config)
+        assert rows[0].quotient_trace and json.loads(rows_to_json(config, rows))["rows"] == list(map(json_row, rows))
 
     def test_json_document_round_trip(self):
         config = config_for()
         rows = cmd_constant(config)
         doc = json.loads(rows_to_json(config, rows))
         assert doc["schema"] == 2 and "tol" not in doc["config"] and "gap" not in doc["rows"][0]
-        assert [ReportRow.from_dict(r) for r in doc["rows"]] == rows
+        assert doc["rows"] == list(map(json_row, rows))
 
     def test_csv_layout_and_float_round_trip(self):
         config = config_for()
@@ -682,12 +695,16 @@ class TestMainEntry:
         assert row["status"] == "solver_fail" and row["numeric_M"] is None
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")  # the failed row is reported, not warned about
-    @pytest.mark.parametrize("deltas",["1e-200,1e-310", "1e300,1e299"], ids=["nan", "overflow"])
+    @pytest.mark.parametrize("deltas", ["1e-200,1e-310", "1e-170,1e-171", "1e300,1e299"],
+                             ids=["nan", "nan-limit", "overflow"])
     def test_verify_extreme_deltas_fail_the_row(self, capsys, deltas):
+        # a NaN limit is written as null (strict JSON) and as an empty CSV field
         code, out, err = run_cli(capsys, "verify", "--mesh", "64", "--deltas", deltas)
-        assert code == 1
-        row = json.loads(out)["rows"][0]
-        assert row["status"] == "solver_fail"
+        assert code == 1 and err == ""
+        [row] = self.finite_report(out)
+        assert row["status"] == "solver_fail" and row["extrapolated"] is None
+        code, out, err = run_cli(capsys, "verify", "--mesh", "64", "--deltas", deltas, "--format", "csv")
+        assert code == 1 and err == "" and "nan" not in out and "inf" not in out
 
     def test_failed_delta_trace_keeps_the_solve(self, capsys):
         # the overflowing trace raises; the row keeps its solve's values, as the NaN trace's row does

@@ -790,7 +790,7 @@ class TestMinimizeRayleighP:
         sines = np.sin(mesh - domain.theta1) if domain.bc1 is DIRICHLET else 1.0
         assert np.array_equal(spherical._cosine_profile(problem, mesh), np.cos(mesh) ** s * sines)
         cap = spherical.grading_cap(domain.theta1, 256)
-        assert spherical._auto_gamma(problem, 256) == min(max(2.0, 2.4 / s), cap)
+        assert np.array_equal(mesh, graded_mesh(domain.theta1, HALF_PI, 256, min(max(2.0, 2.4 / s), cap)))
         if params.p == 2 and domain.theta1 == 0.0:
             # the exact profile's node in closed form: the mean of its Gauss-Jacobi weight in t = cos 2 theta
             dk = params.d - params.k
@@ -1085,6 +1085,26 @@ class TestHpSolve:
         assert result.M == pytest.approx(1.75084359027e-06, rel=1e-10)
         assert result.iterations <= 32
         assert result.residual <= hp.HP_TOL * result.M
+
+    @pytest.mark.parametrize("cell, reference, rel", [
+        ((3, 1, 1.5, 0.499999, 0.0), 1.541717250086, 1e-10),  # P1 printed 1.7735, 15% off
+        ((4, 2, 1.5, -0.500001, 0.5), 1.002117176613, 1e-10),  # P1: 1.2392, 24% off
+        ((4, 1, 1.5, 0.499999, 1.99), 0.55546, 1e-4),  # P1: 0.90278, 62% off
+        ((3, 1, 1.2, 0.19999, 0.0), 1.999074301923, 1e-10),  # P1: 2.3103, 16% off
+        ((3, 1, 1.2, 0.199999, 0.0), 1.945354770592, 1e-10),  # P1: 2.3102, 19% off
+        ((3, 1, 1.1, -0.5, 0.0), None, None),  # p = 1.1 at k+a = 0.5
+        ((5, 2, 6.0, 3.5, 0.5), 0.0015910, 1e-4),  # P1: 0.0016899 at mesh 256, 6% off
+    ], ids=["near-threshold-p1.5", "near-threshold-b0.5", "near-threshold-b1.99", "near-threshold-p1.2-1e-5",
+            "near-threshold-p1.2-1e-6", "p1.1", "p6"])
+    def test_fourth_level_keeps_the_cell_on_hp(self, cell, reference, rel):
+        # each check misses at the third level and passes at the fourth, (HP_LAYERS + 6, HP_DEGREE + 6)
+        result = solve_M(HardyParams(*cell), ConeSpec.complement_sigma0(), 256)
+        assert type(result.minimizer.disc) is hp._HpDiscretization
+        layout = result.minimizer.disc.layout
+        assert (layout.layers, layout.degree) == (hp.HP_LAYERS + 6, hp.HP_DEGREE + 6)
+        assert result.residual <= hp.HP_TOL * result.M
+        if reference is not None:
+            assert result.M == pytest.approx(reference, rel=rel)
 
     def test_stuck_hp_descent_lands_on_p1(self, monkeypatch):
         monkeypatch.setattr(hp._HpDiscretization, "value", lambda self, v: math.inf)

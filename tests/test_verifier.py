@@ -16,6 +16,7 @@ from hardycone.params import (
     HardyParams,
     _delta_limit,
     _nonanalytic_term,
+    _term_node,
     closed_form_constant,
     hardy_exponent,
 )
@@ -337,6 +338,14 @@ class TestDeltaLimit:
         assert math.isnan(limit) and order is None
         # Python floats, as an exact profile's sums give: the same nan, not a ZeroDivisionError
         limit, order = _delta_limit([(1e-200, 2.0, 1.0), (1e-300, 2.0, 1.0), (1e-310, 2.0, 1.0)], None)
+        assert math.isnan(limit) and order is None
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_overflowing_term_power_gives_inf_or_nan_not_an_exception(self):
+        # 1.9^2000 and 2.1^1999 pass the float range, where a Python float power raises OverflowError
+        assert _term_node(2.0, 2000.0, 0.1)[0] == math.inf and math.isnan(_term_node(2.0, 2000.0, 0.1)[1])
+        assert _term_node(0.0, 2000.0, 10.0) == (math.inf, math.inf)
+        limit, order = _delta_limit([(0.2, 2.0, 1.0), (0.1, 2.0, 1.0), (0.05, 2.0, 1.0)], (2.0, 2000.0))
         assert math.isnan(limit) and order is None
 
 
