@@ -294,10 +294,9 @@ def cmd_verify(config: RunConfig) -> list[ReportRow]:
     q < 2 leads the trace: |H| below the largest delta) or the limit misses
     numeric_M (on an exact row the closed form itself) by more than 1e-4
     relative (1e-9 absolute near 0); if the trace raises, the row keeps its
-    solve's values.  The h row fails if an
-    energy or the fitted rate is not finite or the strip energy decays
-    slower than h^(1-p); on the half space the energy is that of its one
-    side of {y = 0}.  --deltas and --hs lists that fail the checks below
+    solve's values.  The h row fails if an energy or the fitted rate is not
+    finite or the strip energy decays slower than h^(1-p); on the half
+    space the energy is that of its one side of {y = 0}.  --deltas and --hs lists that fail the checks below
     (an empty list skips that trace) are malformed input (ValueError); an
     inadmissible cell raises AdmissibilityError.
     """

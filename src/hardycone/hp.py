@@ -413,11 +413,11 @@ def _hp_solve(problem: _SphericalProblem, mesh_size: int) -> SpectralResult:
     HP_TOL relative of the level before.  Otherwise the same step is taken
     again, up to HP_LEVELS levels in all, the last at (HP_LAYERS + 6,
     HP_DEGREE + 6): small-M cells at large p whose first check misses by a
-    few 1e-10 change by a few 1e-13 at the second, and near the threshold
-    k+a = p, or at p = 1.1, the check first passes at the fourth level.  M
-    is the accepted level's; past HP_LEVELS the solve raises
-    ConvergenceError, and solve_M falls back to P1.  iterations counts the steps of every descent, and
-    residual is the change of M between the last two levels.  The minimizer
+    few 1e-10 change by a few 1e-13 at the second, and cells 1e-6 from the
+    threshold k+a = p, and some at p = 1.1, first pass at the fourth.  M is
+    the accepted level's; past HP_LEVELS the solve raises ConvergenceError,
+    and solve_M falls back to P1.  iterations counts the steps of every
+    descent, and residual is the change of M between the last two levels.  The minimizer
     holds the accepted level's discretization; mesh_size (solve_M checks it)
     sets the graded mesh it samples itself on when first read, as P1's.
     """
