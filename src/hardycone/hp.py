@@ -9,8 +9,9 @@ where the p-Laplacian degenerates (phi' = 0 there), toward pi/2, where g is
 not smooth even with cos^s factored out, and toward an interior end, where
 g is pinned to 0 and a pole's singularity lies just beyond: the geometric
 hp meshes of Babuska and Guo (Adv. Eng. Softw. 15 (1992) 159-174), which
-converge exponentially at point singularities.  Per-element Gauss rules
-absorb the weight's powers at a pole, and the half toward theta2 is held
+converge exponentially at point singularities.  The element at pi/2
+absorbs the weight's power of cos theta in its Gauss rule (theta = 0 is a
+regular end, as in quadrature), and the half toward theta2 is held
 in the distance from it, so cos theta = sin u keeps full relative accuracy
 at the nodes next to pi/2, where cos of a stored theta would not.
 
@@ -35,7 +36,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .params import DIRICHLET, HALF_PI, AngularDomain
-from .quadrature import _gauss_jacobi
+from .quadrature import _gauss_jacobi, _pole_weights
 from .spherical import (
     ConvergenceError,
     SpectralResult,
@@ -190,10 +191,10 @@ class _HpDiscretization(_RuleSums):
         E = int w_E (psi^2 + H^2 chi^2)^(p/2),   w_E = cos^(k+a-1+(s-1)p) sin^(d-k-1),
         D = int w_D |g|^p,                        w_D = cos^(k+a-1+sp) sin^(d-k-1),
     (for s = 0, w_E = w_D = w).  Each element has its own Gauss rule of
-    HP_POINTS points: Gauss-Legendre inside and at an interior end,
-    Gauss-Jacobi with exponent d-k-1 at theta = 0 and, at pi/2, with w_E's
-    and w_D's exponent of cos theta = sin u, so E and D are sums over two
-    rules that differ at that element only.  Those exponents are > -1
+    HP_POINTS points: Gauss-Legendre, except at pi/2, where it is
+    Gauss-Jacobi with w_E's and w_D's exponent of cos theta = sin u
+    (quadrature._pole_weights), so E and D are sums over two rules that
+    differ at that element only.  Those exponents are > -1
     wherever pi/2 is Dirichlet (k+a < p).  Nodes on the u side carry their
     distance from theta2, so no node near pi/2 loses relative accuracy to
     cancellation.  At an interior Dirichlet end g is pinned to 0 as P1 pins
@@ -215,18 +216,16 @@ class _HpDiscretization(_RuleSums):
         exp_d = problem.ka - 1.0 + s * p
         exp_e = exp_d - p if s > 0 else exp_d
         n = HP_POINTS
-        # the four node sets: Gauss-Legendre inside and at an interior end, Gauss-Jacobi at
-        # theta = 0 (theta^(d-k-1)) and at pi/2 (u^exp_e for E, u^exp_d for D)
+        # the three node sets: Gauss-Legendre, and Gauss-Jacobi at pi/2 (u^exp_e for E, u^exp_d for D)
         gauss = _gauss_jacobi(n, 0.0, 0.0)
-        poles = domain.theta1 == 0.0, domain.theta2 == HALF_PI
-        rules = [gauss, _gauss_jacobi(n, 0.0, dk - 1.0) if poles[0] else gauss,
-                 *((_gauss_jacobi(n, exp_e, 0.0), _gauss_jacobi(n, exp_d, 0.0)) if poles[1] else (gauss, gauss))]
+        rules = [gauss, *((_gauss_jacobi(n, exp_e, 0.0), _gauss_jacobi(n, exp_d, 0.0))
+                          if domain.theta2 == HALF_PI else (gauss, gauss))]
         x_sets = np.stack([x for x, _ in rules])
-        shapes, slopes = (a.reshape(4, n, -1).transpose(0, 2, 1) for a in _hp_shapes(x_sets.ravel(), degree))
+        shapes, slopes = (a.reshape(3, n, -1).transpose(0, 2, 1) for a in _hp_shapes(x_sets.ravel(), degree))
         rows_e = np.zeros(2 * layers, dtype=np.intp)  # each element's node set, for E and for D
-        rows_e[0], rows_e[-1] = 1, 2
+        rows_e[-1] = 1
         rows_d = rows_e.copy()
-        rows_d[-1] = 3
+        rows_d[-1] = 2
         # as (element, shape function, node): each contraction runs along the last axis
         self.w, c, sin = self._weights(layout, domain, x_sets[rows_e], np.stack([w for _, w in rules])[rows_e],
                                        exp_e, dk)
@@ -234,7 +233,7 @@ class _HpDiscretization(_RuleSums):
             self.w_mass = self.w
         else:  # D's rule differs from E's at pi/2 only
             self.w_mass = self.w * c ** (exp_d - exp_e)
-            self.w_mass[-1] = self._end_weights(layout, rules[3], exp_d, dk)
+            self.w_mass[-1] = _pole_weights(*rules[2], layout.h[-1] / 2, exp_d, dk - 1.0)
         shapes_e, slopes_e = shapes[rows_e], slopes[rows_e] * (2.0 / layout.h)[:, None, None]
         if s > 0:
             psi = c[:, None] * slopes_e - s * sin[:, None] * shapes_e
@@ -259,10 +258,8 @@ class _HpDiscretization(_RuleSums):
         """Weights of int cos^exp_cos sin^(d-k-1) dtheta at each element's nodes x (Gauss weights wx), and cos, sin there.
 
         At a distance t from its side's end a node lies at theta = theta1 + t
-        or at u = pi/2 - theta = u0 + t, u0 = pi/2 - theta2.  An end
-        element's rule at a pole absorbed the power of t from theta = 0
-        (exponent d-k-1) or from pi/2 (exp_cos); the rest of the weight is a
-        power of sin t / t there.
+        or at u = pi/2 - theta = u0 + t, u0 = pi/2 - theta2.  The element at
+        pi/2 has the rule that absorbed u^exp_cos (quadrature._pole_weights).
         """
         half = (layout.h / 2)[:, None]
         t = layout.lo[:, None] + (1.0 + layout.side[:, None] * x) * half
@@ -271,19 +268,9 @@ class _HpDiscretization(_RuleSums):
         c = np.where(theta_side, np.cos(angle), np.sin(angle))
         sin = np.where(theta_side, np.sin(angle), np.cos(angle))
         w = wx * half * c**exp_cos * sin ** (dk - 1.0)
-        if domain.theta1 == 0.0:
-            w[0] = wx[0] * half[0] ** dk * c[0] ** exp_cos * (sin[0] / t[0]) ** (dk - 1.0)
         if domain.theta2 == HALF_PI:
-            w[-1] = _HpDiscretization._end_weights(layout, (x[-1], wx[-1]), exp_cos, dk)
+            w[-1] = _pole_weights(x[-1], wx[-1], layout.h[-1] / 2, exp_cos, dk - 1.0)
         return w, c, sin
-
-    @staticmethod
-    def _end_weights(layout: _HpLayout, rule: tuple[np.ndarray, np.ndarray], exp_cos: float, dk: int) -> np.ndarray:
-        """_weights at the element at pi/2, whose rule absorbed u^exp_cos."""
-        x, wx = rule
-        half = layout.h[-1] / 2
-        u = (1.0 - x) * half
-        return wx * half ** (exp_cos + 1.0) * (np.sin(u) / u) ** exp_cos * np.cos(u) ** (dk - 1.0)
 
     def start(self) -> np.ndarray:
         """Vertex values 1 times sin of the distance to each pinned end, bubbles 0: phi = cos^s theta on [0, pi/2]."""
@@ -347,10 +334,9 @@ class _HpDiscretization(_RuleSums):
         abs_g = np.abs(g)
         den = (self.w_mass * abs_g**p).sum()
         q = num / den
-        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):  # an inf K has no Newton step
-            e_pow1 = _positive_power(e2, p / 2 - 1.0)
-            e_pow2 = _positive_power(e2, p / 2 - 2.0)
-            g_pow2 = _positive_power(abs_g, p - 2.0)
+        e_pow1 = _positive_power(e2, p / 2 - 1.0)
+        e_pow2 = _positive_power(e2, p / 2 - 2.0)
+        g_pow2 = _positive_power(abs_g, p - 2.0)
         c_curv = self.w * p * e_pow1
         c_outer = self.w * (p * (p - 2.0)) * e_pow2  # 4 (p/2)(p/2 - 1): de2 = 2 (psi A + H^2 chi C)
         # hess E = sum over nodes of A (a_A A + x C)^T + C (x A + a_C C)^T

@@ -3,20 +3,21 @@
 Integrals over the sphere of axisymmetric functions f(theta) against
 |Pi sigma|^a reduce to prefactor * int f w dtheta on (0, pi/2), so all
 Rayleigh quotients run through the rules built here.  The weight is singular
-(or degenerate) at both ends; rules absorb the endpoint powers exactly:
+only at pi/2 (on Sigma0 = {y = 0}); at theta = 0, sin^(d-k-1) is the polar
+Jacobian of the x-sphere, a polynomial in sin theta, so that end is regular:
 
 * a panel covering both ends maps t = cos(2 theta) and uses Gauss-Jacobi with
-  exponents ((d-k)/2 - 1, (k+a)/2 - 1),
+  exponents ((d-k)/2 - 1, (k+a)/2 - 1), exact for polynomials in cos(2 theta),
 * a panel touching pi/2 works in u = pi/2 - theta and absorbs u^(k+a-1)
-  (cancellation-free even for end elements ~1e-12 wide),
-* a panel touching 0 absorbs theta^(d-k-1) the same way,
-* interior panels use Gauss-Legendre with the smooth weight in the integrand.
+  (cancellation-free even for end elements ~1e-12 wide); hp's element at
+  pi/2 takes the same weights (_pole_weights),
+* every other panel uses Gauss-Legendre, the weight in the integrand.
 
 Solves use DEFAULT_PANEL_ORDER = 4 points per mesh element.  That is exact
-to degree 7 on interior elements, where a P1 solve integrates the smooth
-weight times low-degree functions of theta (quadratics at p = 2), and the
-end elements carry the singular powers in their Jacobi weights, so more
-points buy nothing the mesh can show: against 8 points, M moves by at most
+to degree 7 on Gauss-Legendre elements, where a P1 solve integrates the
+smooth weight times low-degree functions of theta (quadratics at p = 2), and
+the end element at pi/2 carries the singular power in its Jacobi weight, so
+more points buy nothing the mesh can show: against 8 points, M moves by at most
 2e-7 relative at mesh 1024, hundreds of times less than between meshes 1024
 and 4096 (tests/test_spherical.py checks this on six hard cells).
 
@@ -159,33 +160,30 @@ def _gauss_jacobi(n: int, alpha: float, beta: float) -> tuple[np.ndarray, np.nda
     return x, w
 
 
-def _panel(weight: AngularWeight, th1: float, th2: float, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Gauss-Jacobi rule on a panel touching theta = 0 or pi/2 (or both)."""
+def _pole_weights(x: np.ndarray, wx: np.ndarray, half: float, cos_exponent: float, sin_exponent: float) -> np.ndarray:
+    """Weights of cos^cos_exponent sin^sin_exponent dtheta on [pi/2 - 2 half, pi/2] at u = pi/2 - theta = (1 - x) half.
+
+    (x, wx) is the Gauss-Jacobi rule for (1 - x)^cos_exponent on (-1, 1):
+    it absorbed u^cos_exponent, and the rest of the weight is a power of sin u / u.
+    """
+    u = (1.0 - x) * half
+    return wx * half ** (cos_exponent + 1.0) * (np.sin(u) / u) ** cos_exponent * np.cos(u) ** sin_exponent
+
+
+def _panel(weight: AngularWeight, th1: float, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Gauss-Jacobi rule on the panel [th1, pi/2]."""
     alpha = weight.cos_exponent
     beta = weight.sin_exponent
-    at0 = th1 == 0.0
-    at90 = th2 == HALF_PI
-    if at0 and at90:
-        # Gauss-Jacobi in t = cos(2 theta); both endpoint powers live in the
-        # Jacobi weight (1-t)^A (1+t)^B, A = (beta-1)/2, B = (alpha-1)/2.
+    if th1 == 0.0:
+        # Gauss-Jacobi in t = cos(2 theta), exact for polynomials in cos(2 theta); both
+        # endpoint powers live in the Jacobi weight (1-t)^A (1+t)^B, A = (beta-1)/2, B = (alpha-1)/2.
         A = (beta - 1.0) / 2.0
         B = (alpha - 1.0) / 2.0
         x, wx = _gauss_jacobi(n, A, B)
-        theta = 0.5 * np.arccos(x)
-        w = wx * 2.0 ** (-(A + B + 2.0))
-    elif at90:
-        L = HALF_PI - th1
-        x, wx = _gauss_jacobi(n, 0.0, alpha)
-        u = 0.5 * L * (1.0 + x)
-        w = wx * (0.5 * L) ** (alpha + 1.0) * np.sinc(u / math.pi) ** alpha * np.cos(u) ** beta
-        theta = HALF_PI - u
-    else:
-        L = th2
-        x, wx = _gauss_jacobi(n, 0.0, beta)
-        theta = 0.5 * L * (1.0 + x)
-        w = wx * (0.5 * L) ** (beta + 1.0) * np.sinc(theta / math.pi) ** beta * np.cos(theta) ** alpha
-    idx = np.argsort(theta)
-    return theta[idx], w[idx]
+        return 0.5 * np.arccos(x[::-1]), wx[::-1] * 2.0 ** (-(A + B + 2.0))
+    half = (HALF_PI - th1) / 2.0
+    x, wx = _gauss_jacobi(n, alpha, 0.0)
+    return HALF_PI - (1.0 - x) * half, _pole_weights(x, wx, half, alpha, beta)
 
 
 def composite_rule(
@@ -193,11 +191,12 @@ def composite_rule(
 ) -> QuadratureRule:
     """Panel-by-panel rule over a mesh; exact for piecewise-linear functions.
 
-    Interior panels share one Gauss-Legendre rule, broadcast over panels with
-    the smooth weight in the integrand; only the panels touching theta = 0 or
-    pi/2 are built one at a time (Gauss-Jacobi).  The default 4 points per
-    panel are exact to degree 7 on interior panels, which keeps the rule's
-    error in a solve far below the mesh's (see the module docstring).
+    Every panel but one ending at pi/2 shares one Gauss-Legendre rule,
+    broadcast over panels with the smooth weight in the integrand; that
+    one is built on its own (Gauss-Jacobi).  The default 4 points per
+    panel are exact to degree 7 on the Gauss-Legendre panels, which keeps
+    the rule's error in a solve far below the mesh's (see the module
+    docstring).
     """
     mesh = np.asarray(mesh, dtype=float)
     if mesh.ndim != 1 or mesh.size < 2:
@@ -211,24 +210,25 @@ def composite_rule(
         raise ValueError(
             f"weight cos^{weight.cos_exponent:g} is not integrable up to theta = pi/2 (needs k+a > 0)"
         )
-    # elements first:last touch neither theta = 0 nor pi/2
+    if mesh[0] == 0.0 and not (weight.sin_exponent >= 0.0 and float(weight.sin_exponent).is_integer()):
+        raise ValueError(
+            f"weight sin^{weight.sin_exponent:g} at theta = 0 needs a nonnegative integer exponent (d-k-1)"
+        )
+    # elements before last are Gauss-Legendre panels
     n_el = mesh.size - 1
-    first = 1 if mesh[0] == 0.0 else 0
     last = n_el - 1 if mesh[-1] == HALF_PI else n_el
     x, wx = _gauss_jacobi(n_per_panel, 0.0, 0.0)
     nodes = np.empty((n_el, n_per_panel))
     weights = np.empty_like(nodes)
-    lo, hi = mesh[first:last, None], mesh[first + 1 : last + 1, None]
-    theta = nodes[first:last]
-    theta[:] = lo + 0.5 * (hi - lo) * (1.0 + x)
+    theta = nodes[:last]
+    theta[:] = mesh[:last, None] + 0.5 * h[:last, None] * (1.0 + x)
     # wx h/2 cos^alpha sin^beta, formed in place in that order
-    interior = weights[first:last]
-    np.multiply(wx * 0.5, h[first:last, None], out=interior)
-    interior *= np.sin(HALF_PI - theta) ** weight.cos_exponent
-    interior *= np.sin(theta) ** weight.sin_exponent
-    for e in {0, n_el - 1}:
-        if not first <= e < last:
-            nodes[e], weights[e] = _panel(weight, mesh[e], mesh[e + 1], n_per_panel)
+    legendre = weights[:last]
+    np.multiply(wx * 0.5, h[:last, None], out=legendre)
+    legendre *= np.sin(HALF_PI - theta) ** weight.cos_exponent
+    legendre *= np.sin(theta) ** weight.sin_exponent
+    if last < n_el:
+        nodes[-1], weights[-1] = _panel(weight, mesh[-2], n_per_panel)
     return QuadratureRule(
         nodes=nodes.ravel(),
         weights=weights.ravel(),

@@ -192,7 +192,8 @@ def _scatter(left: np.ndarray, right: np.ndarray) -> np.ndarray:
 
 def _positive_power(x: np.ndarray, exponent: float) -> np.ndarray:
     """x^exponent where x > 0, else 0, for x >= 0: the energy density's and |phi|'s powers in the Newton terms."""
-    with np.errstate(divide="ignore"):  # 0^exponent is inf for exponent < 0, and not taken
+    # 0^exponent is inf for exponent < 0, and not taken; an overflow to inf leaves a K with no Newton step
+    with np.errstate(divide="ignore", over="ignore"):
         return np.where(x > 0.0, x**exponent, 0.0)
 
 
@@ -470,13 +471,11 @@ class _Discretization(_RuleSums):
 
     def p2_matrices(self) -> tuple[Tridiagonal, Tridiagonal]:
         """Stiffness int w phi_i' phi_j' and mass int w phi_i phi_j on the free nodes, as (diag, off)."""
-        w = self.w
-        stiff = _element_sums(w) / self.h**2
-        stiff_diag = _scatter(stiff, stiff)
-        mass_diag = _scatter(_element_sums(w * self.n1 * self.n1), _element_sums(w * self.n2 * self.n2))
-        mass_off = _element_sums(w * self.n1 * self.n2)
+        # the stiffness matrix is _hessian's c_grad term, the mass matrix its c_value term
+        stiff = self._hessian(0.0, 0.0, 0.0, 0.0, _element_sums(self.w) / self.h**2)
+        mass = self._hessian(0.0, 0.0, 0.0, self.w, 0.0)
         lo, hi = self.free.start, self.free.stop
-        return (stiff_diag[lo:hi], -stiff[lo : hi - 1]), (mass_diag[lo:hi], mass_off[lo : hi - 1])
+        return (stiff[0][lo:hi], stiff[1][lo : hi - 1]), (mass[0][lo:hi], mass[1][lo : hi - 1])
 
     def fields(self, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """phi and phi' at the rule's nodes, as (n_elements, nq), for nodal values v."""

@@ -779,6 +779,14 @@ class TestMainEntry:
         assert [row["status"] for row in rows] == ["ok"] * (len(rows) - 1) + ["solver_fail"]
         assert rows[-1]["p"] == 1e6 and rows[-1]["numeric_M"] is None
 
+    @pytest.mark.filterwarnings("error")
+    def test_p1_fallback_overflow_is_a_clean_failed_row(self, capsys):
+        # at p = 1.01 and k + a near 0, s ~ 100: hp fails, and P1's energy powers overflow to inf
+        code, out, err = run_cli(capsys, "constant", "--d", "4", "--k", "1", "--p", "1.01", "--a=-0.99", "--b=5",
+                                 "--cone", "half-space", "--mesh", "256")
+        assert code == 1 and err == ""
+        assert [row["status"] for row in self.finite_report(out)] == ["solver_fail"]
+
     def test_verify_h_trace_below_threshold_exits_2(self, capsys):
         code, out, err = run_cli(capsys, "verify", "--mesh", "64", "--hs", "4,8")
         assert code == 2 and out == ""

@@ -180,10 +180,10 @@ class TestCompositeRule:
         weight = weight_for(5, 2, 0.4)
         interior = np.sort(np.random.default_rng(5).uniform(0.05, 1.5, 17))
         meshes = [
-            np.concatenate([[0.0], interior, [HALF_PI]]),  # both singular ends
+            np.concatenate([[0.0], interior, [HALF_PI]]),  # both ends
             interior,  # band: no end panel
             np.array([0.0, HALF_PI]),  # one panel, Jacobi in t = cos(2 theta)
-            np.array([0.0, 0.8, HALF_PI]),  # two end panels, no interior one
+            np.array([0.0, 0.8, HALF_PI]),  # both ends, no interior panel
         ]
         for mesh in meshes:
             rule = composite_rule(weight, mesh, 12)
@@ -214,6 +214,24 @@ class TestCompositeRule:
         rule = composite_rule(weight, mesh, 8)
         assert rule.weights.sum() == pytest.approx(beta_mass(3, 1, -0.5), rel=1e-9)
 
+    @pytest.mark.parametrize("ka", [1.0, 3.0])
+    @pytest.mark.parametrize("dk", [1, 9, 39, 79])
+    def test_regular_end_at_zero_on_a_graded_mesh(self, ka, dk):
+        # theta = 0 takes Gauss-Legendre: sin^(d-k-1) is a polynomial in sin theta there
+        from hardycone.spherical import graded_mesh
+
+        rule = composite_rule(AngularWeight(ka - 1.0, dk - 1.0, 1.0), graded_mesh(0.0, HALF_PI, 512, 3.0))
+        for j in range(3):
+            exact = 0.5 * math.exp(betaln(ka / 2 + j, dk / 2))
+            assert rule.weights @ np.cos(rule.nodes) ** (2 * j) == pytest.approx(exact, rel=1e-13)
+
+    @pytest.mark.parametrize("mesh", [(0.0, HALF_PI), (0.0, 0.5, HALF_PI), (0.0, 1.0)])
+    @pytest.mark.parametrize("sin_exponent", [0.5, -0.5])
+    def test_non_integer_sin_exponent_at_zero_rejected(self, mesh, sin_exponent):
+        # at theta = 0 the rule relies on sin^(d-k-1) being a polynomial in sin theta
+        with pytest.raises(ValueError, match="nonnegative integer"):
+            composite_rule(AngularWeight(0.0, sin_exponent, 1.0), mesh)
+        composite_rule(AngularWeight(0.0, sin_exponent, 1.0), (0.1, 1.0))  # away from theta = 0 it is smooth
 
     def test_mesh_outside_quarter_arc_rejected(self):
         weight = weight_for(3, 1, 0.5)

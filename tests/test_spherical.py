@@ -1043,6 +1043,16 @@ class TestHpSolve:
         assert result.M == pytest.approx(reference, rel=rel)
         assert result.residual <= hp.HP_TOL * result.M
 
+    @pytest.mark.parametrize("cell, frozen", [((10, 1, 3.0, 0.3, 0.0), 34.70526521250141),
+                                              ((20, 2, 3.0, 0.3, 0.0), 207.11191207226747)])
+    def test_larger_d_minus_k(self, cell, frozen):
+        # d - k = 9 and 18, where the weight sin^(d-k-1) vanishes to high order at theta = 0;
+        # the frozen values are hp's with a Gauss-Jacobi rule absorbing theta^(d-k-1) there
+        result = solve_M(HardyParams(*cell), ConeSpec.complement_sigma0(), 512)
+        assert type(result.minimizer.disc) is hp._HpDiscretization
+        assert result.M == pytest.approx(frozen, rel=1e-13)
+        assert result.residual <= hp.HP_TOL * result.M
+
     @pytest.mark.parametrize("cell, cone", [
         ((3, 1, 2.0, 0.5, 0.0), ConeSpec.complement_sigma0()),
         ((3, 2, 2.0, -0.1, 0.0), ConeSpec.complement_sigma0()),
@@ -1224,7 +1234,11 @@ class TestHpSolve:
         # iterate, or a line-search trial.  A step is accepted when its
         # trial (an argument of value) becomes the iterate (an argument of
         # newton_system); the last iteration either accepts its step or
-        # stops at the line-search floor.
+        # stops at the line-search floor.  The spies change nothing: the
+        # spied solve matches an unspied one bit for bit.
+        params = HardyParams(3, 1, 6.0, 1.5, 0.5)
+        domain = bc_for_cone(params, ConeSpec.complement_sigma0())
+        unspied = minimize_rayleigh_p(params, domain, 512)
         calls = {"fields": 0, "value": 0, "newton_system": 0, "hess_e": 0}
         seen = {"value": [], "newton_system": []}
 
@@ -1245,12 +1259,12 @@ class TestHpSolve:
                 return (*out[:-1], count_hess_e(out[-1])) if _name == "newton_system" else out
 
             monkeypatch.setattr(spherical._Discretization, name, counted)
-        params = HardyParams(3, 1, 6.0, 1.5, 0.5)
-        result = minimize_rayleigh_p(params, bc_for_cone(params, ConeSpec.complement_sigma0()), 512)
+        result = minimize_rayleigh_p(params, domain, 512)
         trials, iterates = seen["value"], seen["newton_system"]
         accepted = sum(any(t is v for v in iterates) for t in trials)
         stopped_at_floor = trials[-1] is not iterates[-1]
-        assert result.M == 0.45721634005744805  # bit for bit the value before the fallback reused the pass
+        assert (result.M, result.iterations) == (unspied.M, unspied.iterations)
+        assert np.array_equal(result.minimizer.values, unspied.minimizer.values)
         assert calls["hess_e"] >= 1
         assert calls["newton_system"] == 1 + accepted
         assert accepted == result.iterations - stopped_at_floor
